@@ -2,6 +2,7 @@ package she
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"she/internal/hashing"
@@ -19,179 +20,217 @@ import (
 // own shard, so the per-key guarantees (no false negatives, never
 // underestimates) carry over shard-locally.
 
-// shardCount validates and normalizes a shard count.
-func shardCount(p int) (int, error) {
+// shardSketch is what the wrappers need from the structure in a shard.
+type shardSketch interface {
+	InsertBatch(keys []uint64)
+	MemoryBits() int
+	Stats() SketchStats
+	MarshalBinary() ([]byte, error)
+}
+
+// shard is one partition and the mutex that serializes it, padded to a
+// cache line of its own: at 16 bytes four shards would share a line,
+// and a goroutine locking one shard would keep invalidating the line
+// under goroutines working on the other three.
+type shard[T any] struct {
+	mu sync.Mutex
+	s  T
+	_  [64 - 16]byte
+}
+
+// sharded is the part of the three wrappers that does not depend on
+// what a shard holds: routing, batching, and the aggregate views.
+type sharded[T shardSketch] struct {
+	shards []shard[T]
+	salt   uint64 // keys the routing hash U64(key, salt)
+	mixed  uint64 // Mix64(salt), so that routing a key costs one Mix64
+}
+
+func makeSharded[T shardSketch](p int, salt uint64) sharded[T] {
+	return sharded[T]{shards: make([]shard[T], p), salt: salt, mixed: hashing.Mix64(salt)}
+}
+
+// newSharded builds p shards with build, handing each its own seed and
+// a 1/p share of the window; salt keys the routing hash.
+func newSharded[T shardSketch](p int, opts Options, salt uint64, build func(Options) (T, error)) (sharded[T], error) {
 	if p <= 0 {
-		return 0, fmt.Errorf("she: shard count must be positive, got %d", p)
+		return sharded[T]{}, fmt.Errorf("she: shard count must be positive, got %d", p)
 	}
-	return p, nil
+	if opts.Window < uint64(p) {
+		return sharded[T]{}, fmt.Errorf("she: window %d smaller than shard count %d", opts.Window, p)
+	}
+	s := makeSharded[T](p, hashing.Mix64(opts.Seed^salt))
+	shardOpts := opts
+	shardOpts.Window = opts.Window / uint64(p)
+	for i := range s.shards {
+		shardOpts.Seed = opts.Seed + uint64(i)*0x9e3779b97f4a7c15
+		sk, err := build(shardOpts)
+		if err != nil {
+			return sharded[T]{}, err
+		}
+		s.shards[i].s = sk
+	}
+	return s, nil
+}
+
+// route returns the index of key's shard.
+func (s *sharded[T]) route(key uint64) int {
+	return hashing.ReduceRange(hashing.Mix64(key^s.mixed), len(s.shards))
+}
+
+// BatchScratch is the working memory of a sharded InsertBatch. The
+// zero value is ready to use; a caller that keeps one per goroutine
+// and passes it to every call batches without allocating. It must not
+// be shared between concurrent calls.
+type BatchScratch struct {
+	keys  []uint64 // the batch, partitioned by shard
+	shard []uint32 // shard[i] = shard of the batch's i-th key
+	end   []int    // end[j] = end of shard j's run in keys
+}
+
+// InsertBatch records keys, in slice order, leaving the structure in
+// exactly the state a loop of Insert calls would: the batch is
+// partitioned by shard with a stable counting sort, so every shard
+// absorbs its keys in the order the slice lists them, under one lock
+// acquisition per shard the batch touches instead of one per key. Safe
+// for concurrent use; sc may be nil, at the cost of allocating the
+// scratch.
+func (s *sharded[T]) InsertBatch(keys []uint64, sc *BatchScratch) {
+	if len(keys) == 0 {
+		return
+	}
+	if len(keys) == 1 || len(s.shards) == 1 {
+		sh := &s.shards[s.route(keys[0])]
+		sh.mu.Lock()
+		sh.s.InsertBatch(keys)
+		sh.mu.Unlock()
+		return
+	}
+	if sc == nil {
+		sc = new(BatchScratch)
+	}
+	sc.keys = slices.Grow(sc.keys[:0], len(keys))
+	sc.shard = slices.Grow(sc.shard[:0], len(keys))
+	sc.end = slices.Grow(sc.end[:0], len(s.shards))[:len(s.shards)]
+	part, shardOf, end := sc.keys[:len(keys)], sc.shard[:len(keys)], sc.end
+	clear(end)
+	for i, k := range keys {
+		j := s.route(k)
+		shardOf[i] = uint32(j)
+		end[j]++
+	}
+	sum := 0
+	for j, n := range end {
+		end[j] = sum // the run's start, advanced to its end by the placement
+		sum += n
+	}
+	for i, k := range keys {
+		j := shardOf[i]
+		part[end[j]] = k
+		end[j]++
+	}
+	lo := 0
+	for j, hi := range end {
+		if hi > lo {
+			sh := &s.shards[j]
+			sh.mu.Lock()
+			sh.s.InsertBatch(part[lo:hi])
+			sh.mu.Unlock()
+		}
+		lo = hi
+	}
+}
+
+// MemoryBits totals the shards' footprints.
+func (s *sharded[T]) MemoryBits() int {
+	total := 0
+	for i := range s.shards {
+		total += s.shards[i].s.MemoryBits()
+	}
+	return total
+}
+
+// Shards returns the shard count.
+func (s *sharded[T]) Shards() int { return len(s.shards) }
+
+// Stats aggregates the shards' window state (counts summed, cycle
+// position averaged); safe for concurrent use.
+func (s *sharded[T]) Stats() SketchStats {
+	return aggregateStats(len(s.shards), func(i int) SketchStats {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.s.Stats()
+	})
 }
 
 // ShardedBloomFilter is a concurrency-safe sliding-window Bloom filter:
 // P shards, each holding bits/P bits and a window of Window/P items.
 type ShardedBloomFilter struct {
-	shards []struct {
-		mu sync.Mutex
-		bf *BloomFilter
-	}
-	salt uint64
+	sharded[*BloomFilter]
 }
 
 // NewShardedBloomFilter splits a filter of the given total bits and
 // options across p shards.
 func NewShardedBloomFilter(bits, p int, opts Options) (*ShardedBloomFilter, error) {
-	p, err := shardCount(p)
+	s, err := newSharded(p, opts, 0x5a4d, func(o Options) (*BloomFilter, error) { return NewBloomFilter(bits/p, o) })
 	if err != nil {
 		return nil, err
 	}
-	if opts.Window < uint64(p) {
-		return nil, fmt.Errorf("she: window %d smaller than shard count %d", opts.Window, p)
-	}
-	s := &ShardedBloomFilter{salt: hashing.Mix64(opts.Seed ^ 0x5a4d)}
-	s.shards = make([]struct {
-		mu sync.Mutex
-		bf *BloomFilter
-	}, p)
-	shardOpts := opts
-	shardOpts.Window = opts.Window / uint64(p)
-	for i := range s.shards {
-		shardOpts.Seed = opts.Seed + uint64(i)*0x9e3779b97f4a7c15
-		bf, err := NewBloomFilter(bits/p, shardOpts)
-		if err != nil {
-			return nil, err
-		}
-		s.shards[i].bf = bf
-	}
-	return s, nil
-}
-
-func (s *ShardedBloomFilter) shard(key uint64) int {
-	return hashing.ReduceRange(hashing.U64(key, s.salt), len(s.shards))
+	return &ShardedBloomFilter{s}, nil
 }
 
 // Insert records key; safe for concurrent use.
 func (s *ShardedBloomFilter) Insert(key uint64) {
-	sh := &s.shards[s.shard(key)]
+	sh := &s.shards[s.route(key)]
 	sh.mu.Lock()
-	sh.bf.Insert(key)
+	sh.s.Insert(key)
 	sh.mu.Unlock()
 }
 
 // Query reports whether key may have appeared within the window; safe
 // for concurrent use.
 func (s *ShardedBloomFilter) Query(key uint64) bool {
-	sh := &s.shards[s.shard(key)]
+	sh := &s.shards[s.route(key)]
 	sh.mu.Lock()
-	ok := sh.bf.Query(key)
+	ok := sh.s.Query(key)
 	sh.mu.Unlock()
 	return ok
-}
-
-// MemoryBits totals the shards' footprints.
-func (s *ShardedBloomFilter) MemoryBits() int {
-	total := 0
-	for i := range s.shards {
-		total += s.shards[i].bf.MemoryBits()
-	}
-	return total
-}
-
-// Shards returns the shard count.
-func (s *ShardedBloomFilter) Shards() int { return len(s.shards) }
-
-// Stats aggregates the shards' window state (counts summed, cycle
-// position averaged); safe for concurrent use.
-func (s *ShardedBloomFilter) Stats() SketchStats {
-	return aggregateStats(len(s.shards), func(i int) SketchStats {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return sh.bf.Stats()
-	})
 }
 
 // ShardedCountMin is a concurrency-safe sliding-window Count-Min
 // sketch: P shards, each holding counters/P counters and a window of
 // Window/P items.
 type ShardedCountMin struct {
-	shards []struct {
-		mu sync.Mutex
-		cm *CountMin
-	}
-	salt uint64
+	sharded[*CountMin]
 }
 
 // NewShardedCountMin splits a sketch of the given total counters and
 // options across p shards.
 func NewShardedCountMin(counters, p int, opts Options) (*ShardedCountMin, error) {
-	p, err := shardCount(p)
+	s, err := newSharded(p, opts, 0xc43d, func(o Options) (*CountMin, error) { return NewCountMin(counters/p, o) })
 	if err != nil {
 		return nil, err
 	}
-	if opts.Window < uint64(p) {
-		return nil, fmt.Errorf("she: window %d smaller than shard count %d", opts.Window, p)
-	}
-	s := &ShardedCountMin{salt: hashing.Mix64(opts.Seed ^ 0xc43d)}
-	s.shards = make([]struct {
-		mu sync.Mutex
-		cm *CountMin
-	}, p)
-	shardOpts := opts
-	shardOpts.Window = opts.Window / uint64(p)
-	for i := range s.shards {
-		shardOpts.Seed = opts.Seed + uint64(i)*0x9e3779b97f4a7c15
-		cm, err := NewCountMin(counters/p, shardOpts)
-		if err != nil {
-			return nil, err
-		}
-		s.shards[i].cm = cm
-	}
-	return s, nil
-}
-
-func (s *ShardedCountMin) shard(key uint64) int {
-	return hashing.ReduceRange(hashing.U64(key, s.salt), len(s.shards))
+	return &ShardedCountMin{s}, nil
 }
 
 // Insert records one occurrence of key; safe for concurrent use.
 func (s *ShardedCountMin) Insert(key uint64) {
-	sh := &s.shards[s.shard(key)]
+	sh := &s.shards[s.route(key)]
 	sh.mu.Lock()
-	sh.cm.Insert(key)
+	sh.s.Insert(key)
 	sh.mu.Unlock()
 }
 
 // Frequency estimates key's occurrence count within the window; safe
 // for concurrent use.
 func (s *ShardedCountMin) Frequency(key uint64) uint64 {
-	sh := &s.shards[s.shard(key)]
+	sh := &s.shards[s.route(key)]
 	sh.mu.Lock()
-	v := sh.cm.Frequency(key)
+	v := sh.s.Frequency(key)
 	sh.mu.Unlock()
 	return v
-}
-
-// MemoryBits totals the shards' footprints.
-func (s *ShardedCountMin) MemoryBits() int {
-	total := 0
-	for i := range s.shards {
-		total += s.shards[i].cm.MemoryBits()
-	}
-	return total
-}
-
-// Shards returns the shard count.
-func (s *ShardedCountMin) Shards() int { return len(s.shards) }
-
-// Stats aggregates the shards' window state (counts summed, cycle
-// position averaged); safe for concurrent use.
-func (s *ShardedCountMin) Stats() SketchStats {
-	return aggregateStats(len(s.shards), func(i int) SketchStats {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return sh.cm.Stats()
-	})
 }
 
 // ShardedHyperLogLog is a concurrency-safe sliding-window cardinality
@@ -199,50 +238,24 @@ func (s *ShardedCountMin) Stats() SketchStats {
 // shard estimates are summed (hash partitioning splits the distinct set
 // uniformly, so the sum is an unbiased estimate of the whole).
 type ShardedHyperLogLog struct {
-	shards []struct {
-		mu sync.Mutex
-		h  *HyperLogLog
-	}
-	salt uint64
+	sharded[*HyperLogLog]
 }
 
 // NewShardedHyperLogLog splits registers total registers across p
 // shards.
 func NewShardedHyperLogLog(registers, p int, opts Options) (*ShardedHyperLogLog, error) {
-	p, err := shardCount(p)
+	s, err := newSharded(p, opts, 0x411, func(o Options) (*HyperLogLog, error) { return NewHyperLogLog(registers/p, o) })
 	if err != nil {
 		return nil, err
 	}
-	if opts.Window < uint64(p) {
-		return nil, fmt.Errorf("she: window %d smaller than shard count %d", opts.Window, p)
-	}
-	s := &ShardedHyperLogLog{salt: hashing.Mix64(opts.Seed ^ 0x411)}
-	s.shards = make([]struct {
-		mu sync.Mutex
-		h  *HyperLogLog
-	}, p)
-	shardOpts := opts
-	shardOpts.Window = opts.Window / uint64(p)
-	for i := range s.shards {
-		shardOpts.Seed = opts.Seed + uint64(i)*0x9e3779b97f4a7c15
-		h, err := NewHyperLogLog(registers/p, shardOpts)
-		if err != nil {
-			return nil, err
-		}
-		s.shards[i].h = h
-	}
-	return s, nil
-}
-
-func (s *ShardedHyperLogLog) shard(key uint64) int {
-	return hashing.ReduceRange(hashing.U64(key, s.salt), len(s.shards))
+	return &ShardedHyperLogLog{s}, nil
 }
 
 // Insert records key; safe for concurrent use.
 func (s *ShardedHyperLogLog) Insert(key uint64) {
-	sh := &s.shards[s.shard(key)]
+	sh := &s.shards[s.route(key)]
 	sh.mu.Lock()
-	sh.h.Insert(key)
+	sh.s.Insert(key)
 	sh.mu.Unlock()
 }
 
@@ -252,31 +265,8 @@ func (s *ShardedHyperLogLog) Cardinality() float64 {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		total += sh.h.Cardinality()
+		total += sh.s.Cardinality()
 		sh.mu.Unlock()
 	}
 	return total
-}
-
-// MemoryBits totals the shards' footprints.
-func (s *ShardedHyperLogLog) MemoryBits() int {
-	total := 0
-	for i := range s.shards {
-		total += s.shards[i].h.MemoryBits()
-	}
-	return total
-}
-
-// Shards returns the shard count.
-func (s *ShardedHyperLogLog) Shards() int { return len(s.shards) }
-
-// Stats aggregates the shards' window state (counts summed, cycle
-// position averaged); safe for concurrent use.
-func (s *ShardedHyperLogLog) Stats() SketchStats {
-	return aggregateStats(len(s.shards), func(i int) SketchStats {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return sh.h.Stats()
-	})
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // Sharded snapshot format: a thin wrapper around the per-shard core
@@ -112,116 +111,74 @@ func unmarshalSharded(wantKind byte, data []byte) (salt uint64, shards [][]byte,
 	return salt, shards, nil
 }
 
-// MarshalBinary snapshots the filter: the routing salt plus every
-// shard's full state.
-func (s *ShardedBloomFilter) MarshalBinary() ([]byte, error) {
+// marshal snapshots the structure under the given kind tag: the
+// routing salt plus every shard's full state.
+func (s *sharded[T]) marshal(kind byte) ([]byte, error) {
 	blobs := make([][]byte, len(s.shards))
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		b, err := sh.bf.MarshalBinary()
+		b, err := sh.s.MarshalBinary()
 		sh.mu.Unlock()
 		if err != nil {
 			return nil, err
 		}
 		blobs[i] = b
 	}
-	return marshalSharded(shardedKindBloom, s.salt, blobs), nil
+	return marshalSharded(kind, s.salt, blobs), nil
 }
+
+// unmarshalShards restores a structure of the given kind, decoding
+// each shard with decode.
+func unmarshalShards[T shardSketch](kind byte, data []byte, decode func([]byte) (T, error)) (sharded[T], error) {
+	salt, blobs, err := unmarshalSharded(kind, data)
+	if err != nil {
+		return sharded[T]{}, err
+	}
+	s := makeSharded[T](len(blobs), salt)
+	for i, b := range blobs {
+		if s.shards[i].s, err = decode(b); err != nil {
+			return sharded[T]{}, fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
+	return s, nil
+}
+
+// MarshalBinary snapshots the filter: the routing salt plus every
+// shard's full state.
+func (s *ShardedBloomFilter) MarshalBinary() ([]byte, error) { return s.marshal(shardedKindBloom) }
 
 // UnmarshalShardedBloomFilter restores a filter from a snapshot.
 func UnmarshalShardedBloomFilter(data []byte) (*ShardedBloomFilter, error) {
-	salt, blobs, err := unmarshalSharded(shardedKindBloom, data)
+	s, err := unmarshalShards(shardedKindBloom, data, UnmarshalBloomFilter)
 	if err != nil {
 		return nil, err
 	}
-	s := &ShardedBloomFilter{salt: salt}
-	s.shards = make([]struct {
-		mu sync.Mutex
-		bf *BloomFilter
-	}, len(blobs))
-	for i, b := range blobs {
-		bf, err := UnmarshalBloomFilter(b)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		s.shards[i].bf = bf
-	}
-	return s, nil
+	return &ShardedBloomFilter{s}, nil
 }
 
 // MarshalBinary snapshots the sketch: the routing salt plus every
 // shard's full state.
-func (s *ShardedCountMin) MarshalBinary() ([]byte, error) {
-	blobs := make([][]byte, len(s.shards))
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		b, err := sh.cm.MarshalBinary()
-		sh.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		blobs[i] = b
-	}
-	return marshalSharded(shardedKindCM, s.salt, blobs), nil
-}
+func (s *ShardedCountMin) MarshalBinary() ([]byte, error) { return s.marshal(shardedKindCM) }
 
 // UnmarshalShardedCountMin restores a sketch from a snapshot.
 func UnmarshalShardedCountMin(data []byte) (*ShardedCountMin, error) {
-	salt, blobs, err := unmarshalSharded(shardedKindCM, data)
+	s, err := unmarshalShards(shardedKindCM, data, UnmarshalCountMin)
 	if err != nil {
 		return nil, err
 	}
-	s := &ShardedCountMin{salt: salt}
-	s.shards = make([]struct {
-		mu sync.Mutex
-		cm *CountMin
-	}, len(blobs))
-	for i, b := range blobs {
-		cm, err := UnmarshalCountMin(b)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		s.shards[i].cm = cm
-	}
-	return s, nil
+	return &ShardedCountMin{s}, nil
 }
 
 // MarshalBinary snapshots the estimator: the routing salt plus every
 // shard's full state.
-func (s *ShardedHyperLogLog) MarshalBinary() ([]byte, error) {
-	blobs := make([][]byte, len(s.shards))
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		b, err := sh.h.MarshalBinary()
-		sh.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		blobs[i] = b
-	}
-	return marshalSharded(shardedKindHLL, s.salt, blobs), nil
-}
+func (s *ShardedHyperLogLog) MarshalBinary() ([]byte, error) { return s.marshal(shardedKindHLL) }
 
 // UnmarshalShardedHyperLogLog restores an estimator from a snapshot.
 func UnmarshalShardedHyperLogLog(data []byte) (*ShardedHyperLogLog, error) {
-	salt, blobs, err := unmarshalSharded(shardedKindHLL, data)
+	s, err := unmarshalShards(shardedKindHLL, data, UnmarshalHyperLogLog)
 	if err != nil {
 		return nil, err
 	}
-	s := &ShardedHyperLogLog{salt: salt}
-	s.shards = make([]struct {
-		mu sync.Mutex
-		h  *HyperLogLog
-	}, len(blobs))
-	for i, b := range blobs {
-		h, err := UnmarshalHyperLogLog(b)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		s.shards[i].h = h
-	}
-	return s, nil
+	return &ShardedHyperLogLog{s}, nil
 }

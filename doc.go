@@ -33,6 +33,24 @@
 //	bf.Insert(key)        // advance the window by one item
 //	ok := bf.Query(key)   // membership in the last 65536 items
 //
+// # Batches and concurrency
+//
+// ShardedBloomFilter, ShardedCountMin and ShardedHyperLogLog partition
+// a stream across P independently locked shards by key hash and are
+// safe for concurrent use. A caller holding many keys at once should
+// hand them over together:
+//
+//	var scratch she.BatchScratch // reusable; one per goroutine
+//	sbf.InsertBatch(keys, &scratch)
+//
+// InsertBatch partitions the slice by shard (a stable counting sort
+// into the scratch) and locks each shard once per batch instead of
+// once per key. Every shard absorbs its keys in slice order, so the
+// structure ends up in exactly the state — byte for byte under
+// MarshalBinary — that calling Insert on each key in turn would leave.
+// BloomFilter, CountMin and HyperLogLog have the unsharded
+// InsertBatch(keys) with the same guarantee.
+//
 // See the examples/ directory for complete programs, DESIGN.md for the
 // architecture and EXPERIMENTS.md for the reproduction of the paper's
 // evaluation. To serve sketches over the network instead of embedding

@@ -74,6 +74,18 @@ func (p *Packed) AddSat(i int, delta uint64) {
 	p.Set(i, v+delta)
 }
 
+// IncSatInWord is AddSat(i, 1) for an array whose width divides 64, so
+// that no counter straddles two words (the caller's to guarantee): the
+// counter is bumped in place, which is small enough to inline into a
+// sketch's update loop.
+func (p *Packed) IncSatInWord(i int) {
+	bit := uint64(i) * uint64(p.width)
+	w, off := bit/wordBits, uint(bit%wordBits)
+	if word := p.words[w]; word>>off&p.max != p.max {
+		p.words[w] = word + 1<<off
+	}
+}
+
 // ResetRange zeroes counters [from, to).
 func (p *Packed) ResetRange(from, to int) {
 	if from < 0 || to > p.n || from > to {

@@ -18,8 +18,8 @@ type BF struct {
 	bits *bitpack.BitArray
 	gc   *groupClock
 	fam  *hashing.Family
-	w    int
-	tick uint64
+	grp  grouping
+	tickClock
 }
 
 // NewBF returns a SHE Bloom filter with m bits in groups of w, k hash
@@ -34,61 +34,68 @@ func NewBF(m, w, k int, cfg WindowConfig) (*BF, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: bloom needs at least one hash function, got %d", k)
 	}
-	groups := (m + w - 1) / w
+	grp := newGrouping(m, w)
 	return &BF{
 		cfg:  cfg,
 		bits: bitpack.NewBitArray(m),
-		gc:   newGroupClock(groups, cfg.Tcycle(), cfg.N),
+		gc:   newGroupClock(grp.count(), cfg.Tcycle(), cfg.N),
 		fam:  hashing.NewFamily(k, cfg.Seed),
-		w:    w,
+		grp:  grp,
 	}, nil
 }
 
-// groupOf returns the group index of bit j and the bounds of the group.
-func (f *BF) groupOf(j int) (gid, lo, hi int) {
-	gid = j / f.w
-	lo = gid * f.w
-	hi = lo + f.w
-	if hi > f.bits.Len() {
-		hi = f.bits.Len()
-	}
-	return gid, lo, hi
-}
+// reset zeroes group gid — the cleaning half of Algorithm 1's
+// CheckGroup, kept out of line so the mark check inlines into the
+// per-location loops.
+func (f *BF) reset(gid int) { f.bits.ResetRange(f.grp.bounds(gid)) }
 
 // Insert records key at the next count-based tick.
-func (f *BF) Insert(key uint64) {
-	f.tick++
-	f.InsertAt(key, f.tick)
-}
+func (f *BF) Insert(key uint64) { f.insert(key, f.advance(f.gc)) }
 
 // InsertAt records key at explicit time t.
-func (f *BF) InsertAt(key uint64, t uint64) {
+func (f *BF) InsertAt(key uint64, t uint64) { f.insert(key, f.gc.at(t)) }
+
+// InsertBatch records keys at consecutive count-based ticks, in slice
+// order — the same state as calling Insert on each.
+func (f *BF) InsertBatch(keys []uint64) {
+	for _, key := range keys {
+		f.insert(key, f.advance(f.gc))
+	}
+}
+
+func (f *BF) insert(key uint64, now clockTime) {
 	m := f.bits.Len()
 	for i := 0; i < f.fam.K(); i++ {
 		j := f.fam.Index(i, key, m)
-		gid, lo, hi := f.groupOf(j)
-		f.gc.check(gid, t, func() { f.bits.ResetRange(lo, hi) })
+		if gid := f.grp.of(j); f.gc.stale(gid, now) {
+			f.reset(gid)
+		}
 		f.bits.Set(j)
 	}
 }
 
 // Query reports whether key may have appeared within the last N items.
-func (f *BF) Query(key uint64) bool { return f.QueryAt(key, f.tick) }
+func (f *BF) Query(key uint64) bool { return f.query(key, f.now) }
 
 // QueryAt reports whether key may have appeared in the window ending at
 // time t. Young bits are ignored; if every hashed bit is young the
 // filter has no evidence either way and conservatively answers true,
 // preserving one-sidedness.
-func (f *BF) QueryAt(key uint64, t uint64) bool {
+func (f *BF) QueryAt(key uint64, t uint64) bool { return f.query(key, f.gc.at(t)) }
+
+func (f *BF) query(key uint64, now clockTime) bool {
 	m := f.bits.Len()
 	for i := 0; i < f.fam.K(); i++ {
 		j := f.fam.Index(i, key, m)
-		gid, lo, hi := f.groupOf(j)
-		f.gc.check(gid, t, func() { f.bits.ResetRange(lo, hi) })
-		if !f.gc.mature(gid, t) {
-			continue // young cell: ignoring it preserves one-sided error
+		gid := f.grp.of(j)
+		if f.gc.stale(gid, now) {
+			f.reset(gid)
 		}
-		if !f.bits.Get(j) {
+		// Only a mature cell holding 0 is evidence of absence; a young
+		// one is ignored, which preserves the one-sided error. The bit
+		// is tested first: it is set for every location of a present
+		// key, so that branch predicts, while a group's age does not.
+		if !f.bits.Get(j) && f.gc.mature(gid, now) {
 			return false
 		}
 	}
@@ -102,21 +109,18 @@ func (f *BF) QueryAt(key uint64, t uint64) bool {
 // benchmark, which quantifies how many false negatives the technique
 // prevents.
 func (f *BF) QueryAllCells(key uint64) bool {
-	t := f.tick
 	m := f.bits.Len()
 	for i := 0; i < f.fam.K(); i++ {
 		j := f.fam.Index(i, key, m)
-		gid, lo, hi := f.groupOf(j)
-		f.gc.check(gid, t, func() { f.bits.ResetRange(lo, hi) })
+		if gid := f.grp.of(j); f.gc.stale(gid, f.now) {
+			f.reset(gid)
+		}
 		if !f.bits.Get(j) {
 			return false
 		}
 	}
 	return true
 }
-
-// Tick returns the current count-based tick (items inserted so far).
-func (f *BF) Tick() uint64 { return f.tick }
 
 // K returns the number of hash functions.
 func (f *BF) K() int { return f.fam.K() }

@@ -18,8 +18,8 @@ type BM struct {
 	bits *bitpack.BitArray
 	gc   *groupClock
 	fam  *hashing.Family
-	w    int
-	tick uint64
+	grp  grouping
+	tickClock
 }
 
 // NewBM returns a SHE bitmap with m bits in groups of w.
@@ -30,55 +30,50 @@ func NewBM(m, w int, cfg WindowConfig) (*BM, error) {
 	if m <= 0 || w <= 0 || w > m {
 		return nil, fmt.Errorf("core: invalid bitmap geometry m=%d w=%d", m, w)
 	}
-	groups := (m + w - 1) / w
+	grp := newGrouping(m, w)
 	return &BM{
 		cfg:  cfg,
 		bits: bitpack.NewBitArray(m),
-		gc:   newGroupClock(groups, cfg.Tcycle(), cfg.N),
+		gc:   newGroupClock(grp.count(), cfg.Tcycle(), cfg.N),
 		fam:  hashing.NewFamily(1, cfg.Seed),
-		w:    w,
+		grp:  grp,
 	}, nil
 }
 
 // Insert records key at the next count-based tick.
-func (b *BM) Insert(key uint64) {
-	b.tick++
-	b.InsertAt(key, b.tick)
-}
+func (b *BM) Insert(key uint64) { b.insert(key, b.advance(b.gc)) }
 
 // InsertAt records key at explicit time t.
-func (b *BM) InsertAt(key uint64, t uint64) {
+func (b *BM) InsertAt(key uint64, t uint64) { b.insert(key, b.gc.at(t)) }
+
+func (b *BM) insert(key uint64, now clockTime) {
 	j := b.fam.Index(0, key, b.bits.Len())
-	gid := j / b.w
-	lo := gid * b.w
-	hi := lo + b.w
-	if hi > b.bits.Len() {
-		hi = b.bits.Len()
+	if gid := b.grp.of(j); b.gc.stale(gid, now) {
+		b.bits.ResetRange(b.grp.bounds(gid))
 	}
-	b.gc.check(gid, t, func() { b.bits.ResetRange(lo, hi) })
 	b.bits.Set(j)
 }
 
 // EstimateCardinality estimates the number of distinct keys within the
 // last N items.
-func (b *BM) EstimateCardinality() float64 { return b.EstimateCardinalityAt(b.tick) }
+func (b *BM) EstimateCardinality() float64 { return b.estimate(b.now) }
 
 // EstimateCardinalityAt estimates window cardinality at time t. Groups
 // outside the legal age range are skipped; stale groups (missed
 // cleanings) are lazily cleaned as they are inspected, exactly as an
 // insertion would.
-func (b *BM) EstimateCardinalityAt(t uint64) float64 {
+func (b *BM) EstimateCardinalityAt(t uint64) float64 { return b.estimate(b.gc.at(t)) }
+
+func (b *BM) estimate(now clockTime) float64 {
 	floor := b.cfg.legalFloor()
 	m := b.bits.Len()
 	zeros, sampled, legal := 0, 0, 0
 	for gid := 0; gid < b.gc.groups(); gid++ {
-		lo := gid * b.w
-		hi := lo + b.w
-		if hi > m {
-			hi = m
+		lo, hi := b.grp.bounds(gid)
+		if b.gc.stale(gid, now) {
+			b.bits.ResetRange(lo, hi)
 		}
-		b.gc.check(gid, t, func() { b.bits.ResetRange(lo, hi) })
-		if !b.gc.legalTwoSided(gid, t, floor) {
+		if !b.gc.legalTwoSided(gid, now, floor) {
 			continue
 		}
 		legal++
@@ -94,9 +89,6 @@ func (b *BM) EstimateCardinalityAt(t uint64) float64 {
 	}
 	return -float64(m) * math.Log(u/float64(sampled))
 }
-
-// Tick returns the current count-based tick.
-func (b *BM) Tick() uint64 { return b.tick }
 
 // Bit reports the raw state of bit i without cleaning or age filtering.
 // It exists for state inspection — notably the hardware-datapath

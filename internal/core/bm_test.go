@@ -111,7 +111,7 @@ func TestSweepMatchesLazyAges(t *testing.T) {
 	sw := newSweeper(M, T, func(lo, hi int) {})
 	for tm := uint64(0); tm < 3*T; tm++ {
 		for i := 0; i < M; i++ {
-			if la, sa := gc.age(i, tm), sw.age(i, tm); la != sa {
+			if la, sa := gc.age(i, gc.at(tm)), sw.age(i, tm); la != sa {
 				t.Fatalf("cell %d at t=%d: lazy age %d, sweep age %d", i, tm, la, sa)
 			}
 		}

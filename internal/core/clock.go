@@ -1,20 +1,42 @@
 package core
 
+import "math/bits"
+
 // groupClock is the hardware version's cleaning machinery (§3.3,
 // Algorithm 1): one time-mark bit and one fixed time offset per group.
 //
-// The paper writes the offset as d_gid = −⌊Tcycle·gid/G⌋. To keep all
-// arithmetic in the positive uint64 domain we use the equivalent
-// phase(gid, t) = t + 2·Tcycle − ⌊Tcycle·gid/G⌋: the current mark is
-// (phase/Tcycle) mod 2 and the group age is phase mod Tcycle, exactly
-// as in the paper (shifting by 2·Tcycle changes neither parity nor
-// residue, and ⌊Tcycle·gid/G⌋ < Tcycle keeps phase non-negative for
-// every t ≥ 0).
+// The paper writes the offset as d_gid = −⌊Tcycle·gid/G⌋, the group's
+// current mark as ⌊(t+d_gid)/Tcycle⌋ mod 2 and its age as (t+d_gid)
+// mod Tcycle. Both follow from one split of t that does not depend on
+// the group: with q = ⌊t/Tcycle⌋, r = t mod Tcycle and off = −d_gid
+// (0 ≤ off < Tcycle),
+//
+//	r ≥ off:  ⌊(t−off)/Tcycle⌋ = q,    (t−off) mod Tcycle = r − off
+//	r < off:  ⌊(t−off)/Tcycle⌋ = q−1,  (t−off) mod Tcycle = r − off + Tcycle
+//
+// so an operation divides once (clockTime), or not at all when it
+// carries the split from the previous tick, and every group it touches
+// costs a subtraction and a sign test. Only q's parity is used, in
+// wrapping uint64 arithmetic, so q = 0 with r < off yields mark 1 — the
+// value the positive-domain phase t + 2·Tcycle − off gives. The one-bit
+// mark and its §5.1 aliasing are untouched: the identity is exact, so a
+// group left alone for two cycles lands on the same mark as before.
 type groupClock struct {
-	marks []bool
-	offs  []uint64 // offs[gid] = ⌊Tcycle·gid/G⌋
+	// state[gid] = ⌊Tcycle·gid/G⌋ | mark<<63: the group's fixed offset
+	// and its stored time mark share a word (WindowConfig.Validate
+	// keeps Tcycle below 2⁶³), so a mark check reads one word besides
+	// the cell's own.
+	state []uint64
 	T     uint64
 	N     uint64
+}
+
+const markBit = 1 << 63
+
+// clockTime is a time t split against the cleaning cycle: q = ⌊t/T⌋,
+// r = t mod T.
+type clockTime struct {
+	q, r uint64
 }
 
 // newGroupClock builds the clock for G groups. Marks are initialized to
@@ -24,62 +46,169 @@ func newGroupClock(G int, T, N uint64) *groupClock {
 	if G <= 0 {
 		panic("core: group count must be positive")
 	}
-	c := &groupClock{marks: make([]bool, G), offs: make([]uint64, G), T: T, N: N}
-	for gid := 0; gid < G; gid++ {
-		c.offs[gid] = T * uint64(gid) / uint64(G)
-		c.marks[gid] = c.curMark(gid, 0)
+	c := &groupClock{state: make([]uint64, G), T: T, N: N}
+	for gid := range c.state {
+		c.state[gid] = T * uint64(gid) / uint64(G)
+		c.setMark(gid, c.curMark(gid, clockTime{}))
 	}
 	return c
 }
 
-func (c *groupClock) groups() int { return len(c.marks) }
+func (c *groupClock) groups() int { return len(c.state) }
 
-func (c *groupClock) phase(gid int, t uint64) uint64 {
-	return t + 2*c.T - c.offs[gid]
+// off returns the group's offset ⌊Tcycle·gid/G⌋.
+func (c *groupClock) off(gid int) uint64 { return c.state[gid] &^ markBit }
+
+// mark returns the group's stored time mark.
+func (c *groupClock) mark(gid int) bool { return c.state[gid]&markBit != 0 }
+
+// setMark overwrites the group's stored time mark (snapshot restore).
+func (c *groupClock) setMark(gid int, m bool) {
+	c.state[gid] &^= markBit
+	if m {
+		c.state[gid] |= markBit
+	}
+}
+
+// at splits t — the one division an explicit-time operation pays.
+func (c *groupClock) at(t uint64) clockTime {
+	q := t / c.T
+	return clockTime{q: q, r: t - q*c.T}
+}
+
+// next is at(t+1) given now = at(t), without dividing: the count-based
+// Insert path carries its clockTime from tick to tick.
+func (c *groupClock) next(now clockTime) clockTime {
+	now.r++
+	if now.r == c.T {
+		now.q++
+		now.r = 0
+	}
+	return now
 }
 
 // curMark is ⌊(t+d_gid)/Tcycle⌋ mod 2 — the mark a freshly cleaned
-// group would carry at time t.
-func (c *groupClock) curMark(gid int, t uint64) bool {
-	return (c.phase(gid, t)/c.T)&1 == 1
+// group would carry at time now.
+func (c *groupClock) curMark(gid int, now clockTime) bool {
+	return (now.q-borrow(now.r, c.off(gid)))&1 == 1
 }
+
+// borrow is [r < off] for r, off < 2⁶³, computed without a branch:
+// which side of its offset a group sits on is as good as random from
+// one hashed location to the next, so a compare-and-jump here would be
+// mispredicted about every other time.
+func borrow(r, off uint64) uint64 { return (r - off) >> 63 }
 
 // age returns the time since the group's latest (virtual) cleaning:
 // (t + d_gid) mod Tcycle. Ages lie in [0, Tcycle).
-func (c *groupClock) age(gid int, t uint64) uint64 {
-	return c.phase(gid, t) % c.T
+func (c *groupClock) age(gid int, now clockTime) uint64 {
+	off := c.off(gid)
+	return now.r - off + c.T&-borrow(now.r, off)
 }
 
-// check performs on-demand cleaning (Algorithm 1, CheckGroup): if the
-// stored mark differs from the current one, at least one virtual
-// cleaning has passed since the group was last touched, so reset runs
-// and the mark is updated. Reports whether the group was cleaned.
+// stale performs the decision half of on-demand cleaning (Algorithm 1,
+// CheckGroup): if the stored mark differs from the current one, at
+// least one virtual cleaning has passed since the group was last
+// touched; the mark is updated and the caller must reset the group's
+// cells before using them.
 //
 // Note the deliberate 1-bit aliasing the paper analyzes in §5.1: a
 // group untouched for two full cycles lands back on the same mark and
 // keeps stale cells. Eq. 1 bounds how often that happens.
-func (c *groupClock) check(gid int, t uint64, reset func()) bool {
-	m := c.curMark(gid, t)
-	if m == c.marks[gid] {
+func (c *groupClock) stale(gid int, now clockTime) bool {
+	// In r − state the top bit is [r < off] flipped by the stored mark
+	// (subtracting mark·2⁶³ flips it), and the current mark's parity is
+	// q's flipped by [r < off]: xor q's parity in and the top bit says
+	// whether stored and current mark differ.
+	s := c.state[gid]
+	if int64((now.r-s)^now.q<<63) >= 0 {
 		return false
 	}
-	c.marks[gid] = m
-	reset()
+	c.state[gid] = s ^ markBit
 	return true
 }
 
 // mature reports whether the group's cells are old enough for a
 // one-sided query: age ≥ N (perfect or aged cells; Algorithm 1,
 // CheckMature).
-func (c *groupClock) mature(gid int, t uint64) bool {
-	return c.age(gid, t) >= c.N
+func (c *groupClock) mature(gid int, now clockTime) bool {
+	return c.age(gid, now) >= c.N
+}
+
+// youngMask is all ones when the group is young (age < N) and zero when
+// it is mature — mature as a mask, for the query loops that fold the
+// age test into arithmetic: a hashed group is young about N/Tcycle of
+// the time, which no branch predictor learns.
+func (c *groupClock) youngMask(gid int, now clockTime) uint64 {
+	return -borrow(c.age(gid, now), c.N)
 }
 
 // legalTwoSided reports whether the group's age lies in [floor, Tcycle)
 // — the age window the two-sided estimators accept.
-func (c *groupClock) legalTwoSided(gid int, t uint64, floor uint64) bool {
-	return c.age(gid, t) >= floor
+func (c *groupClock) legalTwoSided(gid int, now clockTime, floor uint64) bool {
+	return c.age(gid, now) >= floor
 }
 
 // memoryBits returns the bookkeeping overhead: one mark bit per group.
-func (c *groupClock) memoryBits() int { return len(c.marks) }
+func (c *groupClock) memoryBits() int { return len(c.state) }
+
+// tickClock is a structure's count-based time: the tick of its latest
+// Insert and that tick's clockTime, carried so Insert and the
+// current-tick queries never divide.
+type tickClock struct {
+	tick uint64
+	now  clockTime
+}
+
+// advance moves to the next tick and returns its clockTime.
+func (k *tickClock) advance(gc *groupClock) clockTime {
+	k.tick++
+	k.now = gc.next(k.now)
+	return k.now
+}
+
+// setTick jumps to an arbitrary tick (snapshot restore).
+func (k *tickClock) setTick(gc *groupClock, tick uint64) {
+	k.tick = tick
+	k.now = gc.at(tick)
+}
+
+// Tick returns the current count-based tick (items inserted so far).
+func (k *tickClock) Tick() uint64 { return k.tick }
+
+// grouping maps the cells of an array onto cleaning groups of w cells
+// (the last group of an uneven geometry is short).
+type grouping struct {
+	cells int
+	w     int
+	shift int // log2 w when w is a power of two (the default 64), else −1
+}
+
+func newGrouping(cells, w int) grouping {
+	g := grouping{cells: cells, w: w, shift: -1}
+	if w&(w-1) == 0 {
+		g.shift = bits.TrailingZeros(uint(w))
+	}
+	return g
+}
+
+// count returns the number of groups.
+func (g grouping) count() int { return (g.cells + g.w - 1) / g.w }
+
+// of returns the group holding cell j.
+func (g grouping) of(j int) int {
+	if g.shift >= 0 {
+		return j >> (uint(g.shift) & 63)
+	}
+	return j / g.w
+}
+
+// bounds returns group gid's cell range [lo, hi).
+func (g grouping) bounds(gid int) (lo, hi int) {
+	lo = gid * g.w
+	hi = lo + g.w
+	if hi > g.cells {
+		hi = g.cells
+	}
+	return lo, hi
+}

@@ -17,8 +17,8 @@ type CM struct {
 	counters *bitpack.Packed
 	gc       *groupClock
 	fam      *hashing.Family
-	w        int
-	tick     uint64
+	grp      grouping
+	tickClock
 }
 
 // NewCM returns a SHE Count-Min sketch with n counters of the given bit
@@ -33,68 +33,73 @@ func NewCM(n, w, k int, width uint, cfg WindowConfig) (*CM, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: count-min needs at least one hash function, got %d", k)
 	}
-	groups := (n + w - 1) / w
+	if width == 0 || 64%width != 0 {
+		return nil, fmt.Errorf("core: count-min counter width must divide 64, got %d", width)
+	}
+	grp := newGrouping(n, w)
 	return &CM{
 		cfg:      cfg,
 		counters: bitpack.NewPacked(n, width),
-		gc:       newGroupClock(groups, cfg.Tcycle(), cfg.N),
+		gc:       newGroupClock(grp.count(), cfg.Tcycle(), cfg.N),
 		fam:      hashing.NewFamily(k, cfg.Seed),
-		w:        w,
+		grp:      grp,
 	}, nil
 }
 
+// reset zeroes group gid — the cleaning half of Algorithm 1's
+// CheckGroup, kept out of line so the mark check inlines into the
+// per-location loops.
+func (c *CM) reset(gid int) { c.counters.ResetRange(c.grp.bounds(gid)) }
+
 // Insert adds one occurrence of key at the next count-based tick.
-func (c *CM) Insert(key uint64) {
-	c.tick++
-	c.InsertAt(key, c.tick)
-}
+func (c *CM) Insert(key uint64) { c.insert(key, c.advance(c.gc)) }
 
 // InsertAt adds one occurrence of key at explicit time t.
-func (c *CM) InsertAt(key uint64, t uint64) {
+func (c *CM) InsertAt(key uint64, t uint64) { c.insert(key, c.gc.at(t)) }
+
+// InsertBatch adds one occurrence of each key at consecutive
+// count-based ticks, in slice order — the same state as calling Insert
+// on each.
+func (c *CM) InsertBatch(keys []uint64) {
+	for _, key := range keys {
+		c.insert(key, c.advance(c.gc))
+	}
+}
+
+func (c *CM) insert(key uint64, now clockTime) {
 	n := c.counters.Len()
 	for i := 0; i < c.fam.K(); i++ {
 		j := c.fam.Index(i, key, n)
-		gid := j / c.w
-		lo := gid * c.w
-		hi := lo + c.w
-		if hi > n {
-			hi = n
+		if gid := c.grp.of(j); c.gc.stale(gid, now) {
+			c.reset(gid)
 		}
-		c.gc.check(gid, t, func() { c.counters.ResetRange(lo, hi) })
-		c.counters.AddSat(j, 1)
+		c.counters.IncSatInWord(j)
 	}
 }
 
 // EstimateFrequency estimates key's frequency within the last N items.
-func (c *CM) EstimateFrequency(key uint64) uint64 {
-	return c.EstimateFrequencyAt(key, c.tick)
-}
+func (c *CM) EstimateFrequency(key uint64) uint64 { return c.estimate(key, c.now) }
 
 // EstimateFrequencyAt estimates key's window frequency at time t: the
 // minimum over the hashed counters with age ≥ N. If every hashed
 // counter is young (probability (N/Tcycle)^k, ~4·10⁻³ at the α=1, k=8
 // defaults), the minimum over all hashed counters is returned instead —
 // the only information available.
-func (c *CM) EstimateFrequencyAt(key uint64, t uint64) uint64 {
+func (c *CM) EstimateFrequencyAt(key uint64, t uint64) uint64 { return c.estimate(key, c.gc.at(t)) }
+
+func (c *CM) estimate(key uint64, now clockTime) uint64 {
 	n := c.counters.Len()
 	minMature := ^uint64(0)
 	minAll := ^uint64(0)
 	for i := 0; i < c.fam.K(); i++ {
 		j := c.fam.Index(i, key, n)
-		gid := j / c.w
-		lo := gid * c.w
-		hi := lo + c.w
-		if hi > n {
-			hi = n
+		gid := c.grp.of(j)
+		if c.gc.stale(gid, now) {
+			c.reset(gid)
 		}
-		c.gc.check(gid, t, func() { c.counters.ResetRange(lo, hi) })
 		v := c.counters.Get(j)
-		if v < minAll {
-			minAll = v
-		}
-		if c.gc.mature(gid, t) && v < minMature {
-			minMature = v
-		}
+		minAll = min(minAll, v)
+		minMature = min(minMature, v|c.gc.youngMask(gid, now))
 	}
 	if minMature != ^uint64(0) {
 		return minMature
@@ -106,9 +111,6 @@ func (c *CM) EstimateFrequencyAt(key uint64, t uint64) uint64 {
 // filtering — a state-inspection hook mirroring BM.Bit, used by the
 // hardware-datapath equivalence tests.
 func (c *CM) Counter(i int) uint64 { return c.counters.Get(i) }
-
-// Tick returns the current count-based tick.
-func (c *CM) Tick() uint64 { return c.tick }
 
 // K returns the number of hash functions.
 func (c *CM) K() int { return c.fam.K() }

@@ -102,6 +102,17 @@ func TestCMRejectsBadParameters(t *testing.T) {
 	if _, err := NewCM(64, 8, 0, 32, cfg); err == nil {
 		t.Fatal("k=0 accepted")
 	}
+	// Counters must not straddle words: the update path increments in
+	// place. A snapshot carries the width, so 0 and 65 arrive from
+	// untrusted bytes and must be errors, not NewPacked's panic.
+	for _, width := range []uint{0, 3, 24, 65} {
+		if _, err := NewCM(64, 8, 2, width, cfg); err == nil {
+			t.Fatalf("width=%d accepted", width)
+		}
+		if _, err := NewCU(64, 8, 2, width, cfg); err == nil {
+			t.Fatalf("cu width=%d accepted", width)
+		}
+	}
 }
 
 func TestCMUnknownKeyLowEstimate(t *testing.T) {

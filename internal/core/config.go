@@ -54,6 +54,9 @@ func (c WindowConfig) Validate() error {
 	if c.Beta < 0 || c.Beta >= 1 {
 		return fmt.Errorf("core: beta must lie in [0, 1), got %v", c.Beta)
 	}
+	if (1+c.Alpha)*float64(c.N) >= 1<<63 {
+		return fmt.Errorf("core: Tcycle=(1+%v)·%d must stay below 2^63", c.Alpha, c.N)
+	}
 	if c.Tcycle() <= c.N {
 		return fmt.Errorf("core: Tcycle=%d must exceed N=%d (alpha too small for this N)", c.Tcycle(), c.N)
 	}

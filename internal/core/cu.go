@@ -35,11 +35,10 @@ type CU struct {
 	counters *bitpack.Packed
 	gc       *groupClock
 	fam      *hashing.Family
-	w        int
-	tick     uint64
+	grp      grouping
+	tickClock
 
 	idxBuf []int
-	gidBuf []int
 	ageBuf []bool
 }
 
@@ -55,27 +54,33 @@ func NewCU(n, w, k int, width uint, cfg WindowConfig) (*CU, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: cu needs at least one hash function, got %d", k)
 	}
-	groups := (n + w - 1) / w
+	if width == 0 || 64%width != 0 {
+		return nil, fmt.Errorf("core: cu counter width must divide 64, got %d", width)
+	}
+	grp := newGrouping(n, w)
 	return &CU{
 		cfg:      cfg,
 		counters: bitpack.NewPacked(n, width),
-		gc:       newGroupClock(groups, cfg.Tcycle(), cfg.N),
+		gc:       newGroupClock(grp.count(), cfg.Tcycle(), cfg.N),
 		fam:      hashing.NewFamily(k, cfg.Seed),
-		w:        w,
+		grp:      grp,
 		idxBuf:   make([]int, k),
-		gidBuf:   make([]int, k),
 		ageBuf:   make([]bool, k),
 	}, nil
 }
 
+// reset zeroes group gid — the cleaning half of Algorithm 1's
+// CheckGroup, kept out of line so the mark check inlines into the
+// per-location loops.
+func (c *CU) reset(gid int) { c.counters.ResetRange(c.grp.bounds(gid)) }
+
 // Insert adds one occurrence of key at the next count-based tick.
-func (c *CU) Insert(key uint64) {
-	c.tick++
-	c.InsertAt(key, c.tick)
-}
+func (c *CU) Insert(key uint64) { c.insert(key, c.advance(c.gc)) }
 
 // InsertAt adds one occurrence of key at explicit time t.
-func (c *CU) InsertAt(key uint64, t uint64) {
+func (c *CU) InsertAt(key uint64, t uint64) { c.insert(key, c.gc.at(t)) }
+
+func (c *CU) insert(key uint64, now clockTime) {
 	n := c.counters.Len()
 	k := c.fam.K()
 	// Pass 1: locate, clean and classify every hashed counter.
@@ -83,16 +88,12 @@ func (c *CU) InsertAt(key uint64, t uint64) {
 	matureSeen := false
 	for i := 0; i < k; i++ {
 		j := c.fam.Index(i, key, n)
-		gid := j / c.w
-		lo := gid * c.w
-		hi := lo + c.w
-		if hi > n {
-			hi = n
+		gid := c.grp.of(j)
+		if c.gc.stale(gid, now) {
+			c.reset(gid)
 		}
-		c.gc.check(gid, t, func() { c.counters.ResetRange(lo, hi) })
+		mature := c.gc.mature(gid, now)
 		c.idxBuf[i] = j
-		c.gidBuf[i] = gid
-		mature := c.gc.mature(gid, t)
 		c.ageBuf[i] = mature
 		if mature {
 			matureSeen = true
@@ -106,51 +107,41 @@ func (c *CU) InsertAt(key uint64, t uint64) {
 	for i := 0; i < k; i++ {
 		j := c.idxBuf[i]
 		if !c.ageBuf[i] {
-			c.counters.AddSat(j, 1)
+			c.counters.IncSatInWord(j)
 			continue
 		}
 		if !matureSeen || c.counters.Get(j) == minMature {
-			c.counters.AddSat(j, 1)
+			c.counters.IncSatInWord(j)
 		}
 	}
 }
 
 // EstimateFrequency estimates key's window frequency at the current
 // tick (same query rule as SHE-CM).
-func (c *CU) EstimateFrequency(key uint64) uint64 {
-	return c.EstimateFrequencyAt(key, c.tick)
-}
+func (c *CU) EstimateFrequency(key uint64) uint64 { return c.estimate(key, c.now) }
 
 // EstimateFrequencyAt estimates key's window frequency at time t.
-func (c *CU) EstimateFrequencyAt(key uint64, t uint64) uint64 {
+func (c *CU) EstimateFrequencyAt(key uint64, t uint64) uint64 { return c.estimate(key, c.gc.at(t)) }
+
+func (c *CU) estimate(key uint64, now clockTime) uint64 {
 	n := c.counters.Len()
 	minMature := ^uint64(0)
 	minAll := ^uint64(0)
 	for i := 0; i < c.fam.K(); i++ {
 		j := c.fam.Index(i, key, n)
-		gid := j / c.w
-		lo := gid * c.w
-		hi := lo + c.w
-		if hi > n {
-			hi = n
+		gid := c.grp.of(j)
+		if c.gc.stale(gid, now) {
+			c.reset(gid)
 		}
-		c.gc.check(gid, t, func() { c.counters.ResetRange(lo, hi) })
 		v := c.counters.Get(j)
-		if v < minAll {
-			minAll = v
-		}
-		if c.gc.mature(gid, t) && v < minMature {
-			minMature = v
-		}
+		minAll = min(minAll, v)
+		minMature = min(minMature, v|c.gc.youngMask(gid, now))
 	}
 	if minMature != ^uint64(0) {
 		return minMature
 	}
 	return minAll
 }
-
-// Tick returns the current count-based tick.
-func (c *CU) Tick() uint64 { return c.tick }
 
 // Config returns the window configuration.
 func (c *CU) Config() WindowConfig { return c.cfg }

@@ -56,10 +56,11 @@ func (e *snapEncoder) header(kind byte, cfg WindowConfig, tick uint64) {
 }
 
 func (e *snapEncoder) marks(gc *groupClock) {
-	e.u32(uint32(len(gc.marks)))
+	n := gc.groups()
+	e.u32(uint32(n))
 	var cur byte
-	for i, m := range gc.marks {
-		if m {
+	for i := 0; i < n; i++ {
+		if gc.mark(i) {
 			cur |= 1 << (i % 8)
 		}
 		if i%8 == 7 {
@@ -67,7 +68,7 @@ func (e *snapEncoder) marks(gc *groupClock) {
 			cur = 0
 		}
 	}
-	if len(gc.marks)%8 != 0 {
+	if n%8 != 0 {
 		e.u8(cur)
 	}
 }
@@ -148,15 +149,15 @@ func (d *snapDecoder) marks(gc *groupClock) error {
 	if err != nil {
 		return err
 	}
-	if int(n) != len(gc.marks) {
-		return fmt.Errorf("core: snapshot has %d marks, structure has %d", n, len(gc.marks))
+	if int(n) != gc.groups() {
+		return fmt.Errorf("core: snapshot has %d marks, structure has %d", n, gc.groups())
 	}
 	bytes := (int(n) + 7) / 8
 	if len(d.buf) < bytes {
 		return errSnapshot
 	}
 	for i := 0; i < int(n); i++ {
-		gc.marks[i] = d.buf[i/8]&(1<<(i%8)) != 0
+		gc.setMark(i, d.buf[i/8]&(1<<(i%8)) != 0)
 	}
 	d.buf = d.buf[bytes:]
 	return nil

@@ -83,9 +83,9 @@ type Generic struct {
 	cells  *bitpack.Packed
 	gc     *groupClock
 	fam    *hashing.Family
-	w      int
-	tick   uint64
+	grp    grouping
 	locBuf []int
+	tickClock
 }
 
 // NewGeneric validates the CSM declaration and builds the engine.
@@ -115,14 +115,14 @@ func NewGeneric(csm CSM, cfg WindowConfig) (*Generic, error) {
 	if w <= 0 {
 		return nil, fmt.Errorf("core: csm group size must be positive, got %d", w)
 	}
-	groups := (csm.Cells + w - 1) / w
+	grp := newGrouping(csm.Cells, w)
 	g := &Generic{
 		cfg:    cfg,
 		csm:    csm,
 		cells:  bitpack.NewPacked(csm.Cells, csm.CellBits),
-		gc:     newGroupClock(groups, cfg.Tcycle(), cfg.N),
+		gc:     newGroupClock(grp.count(), cfg.Tcycle(), cfg.N),
 		fam:    hashing.NewFamily(csm.K+1, cfg.Seed), // +1: the aux hash
-		w:      w,
+		grp:    grp,
 		locBuf: make([]int, 0, csm.K),
 	}
 	if csm.ResetValue != 0 {
@@ -148,13 +148,9 @@ func (g *Generic) locations(key uint64) []int {
 // aux returns the secondary hash handed to Update.
 func (g *Generic) aux(key uint64) uint64 { return g.fam.Hash(g.csm.K, key) }
 
-// resetGroup zeroes (or sentinel-fills) one group.
-func (g *Generic) resetGroup(gid int) {
-	lo := gid * g.w
-	hi := lo + g.w
-	if hi > g.csm.Cells {
-		hi = g.csm.Cells
-	}
+// reset zeroes (or sentinel-fills) group gid.
+func (g *Generic) reset(gid int) {
+	lo, hi := g.grp.bounds(gid)
 	if g.csm.ResetValue == 0 {
 		g.cells.ResetRange(lo, hi)
 		return
@@ -165,20 +161,20 @@ func (g *Generic) resetGroup(gid int) {
 }
 
 // Insert records key at the next count-based tick.
-func (g *Generic) Insert(key uint64) {
-	g.tick++
-	g.InsertAt(key, g.tick)
-}
+func (g *Generic) Insert(key uint64) { g.insert(key, g.advance(g.gc)) }
 
 // InsertAt records key at explicit time t: every hashed group is
 // check-cleaned, then its cell updated with F. The aux hash handed to F
 // is re-mixed per location ordinal, making the locations' update
 // material independent (MinHash's H_i(x)).
-func (g *Generic) InsertAt(key uint64, t uint64) {
+func (g *Generic) InsertAt(key uint64, t uint64) { g.insert(key, g.gc.at(t)) }
+
+func (g *Generic) insert(key uint64, now clockTime) {
 	base := g.aux(key)
 	for li, j := range g.locations(key) {
-		gid := j / g.w
-		g.gc.check(gid, t, func() { g.resetGroup(gid) })
+		if gid := g.grp.of(j); g.gc.stale(gid, now) {
+			g.reset(gid)
+		}
 		g.cells.Set(j, g.csm.Update(hashing.U64(base, uint64(li)), g.cells.Get(j)))
 	}
 }
@@ -196,61 +192,66 @@ type CellView struct {
 // of legal cells visited. Queries are built on top: a Bloom-style
 // membership is "no legal cell has value 0", a Count-Min estimate is
 // the min over legal values, and so on.
-func (g *Generic) Fold(key uint64, fn func(CellView)) int {
-	return g.FoldAt(key, g.tick, fn)
-}
+func (g *Generic) Fold(key uint64, fn func(CellView)) int { return g.fold(key, g.now, fn) }
 
 // FoldAt is Fold at explicit time t.
 func (g *Generic) FoldAt(key uint64, t uint64, fn func(CellView)) int {
-	legal := 0
+	return g.fold(key, g.gc.at(t), fn)
+}
+
+func (g *Generic) fold(key uint64, now clockTime, fn func(CellView)) int {
+	legal, minAge := 0, g.minAge()
 	for _, j := range g.locations(key) {
-		gid := j / g.w
-		g.gc.check(gid, t, func() { g.resetGroup(gid) })
-		if !g.legalAt(gid, t) {
-			continue
+		gid := g.grp.of(j)
+		if g.gc.stale(gid, now) {
+			g.reset(gid)
 		}
-		legal++
-		fn(CellView{Index: j, Value: g.cells.Get(j), Age: g.gc.age(gid, t)})
+		if age := g.gc.age(gid, now); age >= minAge {
+			legal++
+			fn(CellView{Index: j, Value: g.cells.Get(j), Age: age})
+		}
 	}
 	return legal
 }
 
 // FoldAll visits every legal cell of the array (estimator-style
 // queries: Bitmap zero counting, HyperLogLog register harvesting).
-func (g *Generic) FoldAll(fn func(CellView)) int {
-	return g.FoldAllAt(g.tick, fn)
-}
+func (g *Generic) FoldAll(fn func(CellView)) int { return g.foldAll(g.now, fn) }
 
 // FoldAllAt is FoldAll at explicit time t.
-func (g *Generic) FoldAllAt(t uint64, fn func(CellView)) int {
-	legal := 0
-	for j := 0; j < g.csm.Cells; j++ {
-		gid := j / g.w
-		if j%g.w == 0 {
-			g.gc.check(gid, t, func() { g.resetGroup(gid) })
+func (g *Generic) FoldAllAt(t uint64, fn func(CellView)) int { return g.foldAll(g.gc.at(t), fn) }
+
+func (g *Generic) foldAll(now clockTime, fn func(CellView)) int {
+	legal, minAge := 0, g.minAge()
+	for gid := 0; gid < g.gc.groups(); gid++ {
+		if g.gc.stale(gid, now) {
+			g.reset(gid)
 		}
-		if !g.legalAt(gid, t) {
+		age := g.gc.age(gid, now)
+		if age < minAge {
 			continue
 		}
-		legal++
-		fn(CellView{Index: j, Value: g.cells.Get(j), Age: g.gc.age(gid, t)})
+		lo, hi := g.grp.bounds(gid)
+		for j := lo; j < hi; j++ {
+			legal++
+			fn(CellView{Index: j, Value: g.cells.Get(j), Age: age})
+		}
 	}
 	return legal
 }
 
-func (g *Generic) legalAt(gid int, t uint64) bool {
+// minAge is the age-sensitive selection rule's lower edge: N for
+// one-sided algorithms (only mature cells), β·N for two-sided ones.
+func (g *Generic) minAge() uint64 {
 	if g.csm.Side == OneSided {
-		return g.gc.mature(gid, t)
+		return g.cfg.N
 	}
-	return g.gc.legalTwoSided(gid, t, g.cfg.legalFloor())
+	return g.cfg.legalFloor()
 }
 
 // Cell reports the raw value of cell i without cleaning or age
 // filtering — a state-inspection hook mirroring BM.Bit.
 func (g *Generic) Cell(i int) uint64 { return g.cells.Get(i) }
-
-// Tick returns the current count-based tick.
-func (g *Generic) Tick() uint64 { return g.tick }
 
 // Cells returns the array length M.
 func (g *Generic) Cells() int { return g.csm.Cells }

@@ -17,7 +17,7 @@ type HLL struct {
 	regs *bitpack.Packed
 	gc   *groupClock
 	fam  *hashing.Family
-	tick uint64
+	tickClock
 }
 
 // NewHLL returns a SHE HyperLogLog with m 5-bit registers.
@@ -37,37 +37,47 @@ func NewHLL(m int, cfg WindowConfig) (*HLL, error) {
 }
 
 // Insert records key at the next count-based tick.
-func (h *HLL) Insert(key uint64) {
-	h.tick++
-	h.InsertAt(key, h.tick)
-}
+func (h *HLL) Insert(key uint64) { h.insert(key, h.advance(h.gc)) }
 
 // InsertAt records key at explicit time t. Following §4.3: on a mark
 // mismatch the (single-register) group is reset before the max-update,
 // so the register restarts from this item's rank.
-func (h *HLL) InsertAt(key uint64, t uint64) {
+func (h *HLL) InsertAt(key uint64, t uint64) { h.insert(key, h.gc.at(t)) }
+
+// InsertBatch records keys at consecutive count-based ticks, in slice
+// order — the same state as calling Insert on each.
+func (h *HLL) InsertBatch(keys []uint64) {
+	for _, key := range keys {
+		h.insert(key, h.advance(h.gc))
+	}
+}
+
+func (h *HLL) insert(key uint64, now clockTime) {
 	i := h.fam.Index(0, key, h.regs.Len())
-	h.gc.check(i, t, func() { h.regs.Set(i, 0) })
 	r := sketch.Rank32(uint32(h.fam.Hash(1, key)))
-	if r > h.regs.Get(i) {
+	if h.gc.stale(i, now) || r > h.regs.Get(i) {
 		h.regs.Set(i, r)
 	}
 }
 
 // EstimateCardinality estimates the number of distinct keys within the
 // last N items.
-func (h *HLL) EstimateCardinality() float64 { return h.EstimateCardinalityAt(h.tick) }
+func (h *HLL) EstimateCardinality() float64 { return h.estimate(h.now) }
 
 // EstimateCardinalityAt estimates window cardinality at time t using
 // only registers with legal age: Ĉ = α_k·k·M / Σ 2^{−ℓ_j} (the paper's
 // c·k·(Σ2^{−ℓ_j})⁻¹·M), including the standard small-range correction
 // applied to the sampled registers before scaling.
-func (h *HLL) EstimateCardinalityAt(t uint64) float64 {
+func (h *HLL) EstimateCardinalityAt(t uint64) float64 { return h.estimate(h.gc.at(t)) }
+
+func (h *HLL) estimate(now clockTime) float64 {
 	floor := h.cfg.legalFloor()
 	legal := make([]uint64, 0, h.regs.Len())
 	for i := 0; i < h.regs.Len(); i++ {
-		h.gc.check(i, t, func() { h.regs.Set(i, 0) })
-		if !h.gc.legalTwoSided(i, t, floor) {
+		if h.gc.stale(i, now) {
+			h.regs.Set(i, 0)
+		}
+		if !h.gc.legalTwoSided(i, now, floor) {
 			continue
 		}
 		legal = append(legal, h.regs.Get(i))
@@ -82,9 +92,6 @@ func (h *HLL) EstimateCardinalityAt(t uint64) float64 {
 
 // Registers returns the total number of registers M.
 func (h *HLL) Registers() int { return h.regs.Len() }
-
-// Tick returns the current count-based tick.
-func (h *HLL) Tick() uint64 { return h.tick }
 
 // Config returns the window configuration.
 func (h *HLL) Config() WindowConfig { return h.cfg }

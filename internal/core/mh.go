@@ -27,7 +27,7 @@ type MH struct {
 	c1, c2 *bitpack.Packed
 	g1, g2 *groupClock
 	fam    *hashing.Family
-	tick   uint64
+	tickClock
 }
 
 // NewMH returns a SHE MinHash pair with m signature slots per stream.
@@ -54,34 +54,24 @@ func NewMH(m int, cfg WindowConfig) (*MH, error) {
 }
 
 // InsertA records key on stream A at the next shared tick.
-func (mh *MH) InsertA(key uint64) {
-	mh.tick++
-	mh.insertAt(mh.c1, mh.g1, key, mh.tick)
-}
+func (mh *MH) InsertA(key uint64) { mh.insert(mh.c1, mh.g1, key, mh.advance(mh.g1)) }
 
 // InsertB records key on stream B at the next shared tick.
-func (mh *MH) InsertB(key uint64) {
-	mh.tick++
-	mh.insertAt(mh.c2, mh.g2, key, mh.tick)
-}
+func (mh *MH) InsertB(key uint64) { mh.insert(mh.c2, mh.g2, key, mh.advance(mh.g2)) }
 
 // InsertAAt and InsertBAt record keys at explicit times.
-func (mh *MH) InsertAAt(key uint64, t uint64) { mh.insertAt(mh.c1, mh.g1, key, t) }
+func (mh *MH) InsertAAt(key uint64, t uint64) { mh.insert(mh.c1, mh.g1, key, mh.g1.at(t)) }
 
 // InsertBAt records key on stream B at explicit time t.
-func (mh *MH) InsertBAt(key uint64, t uint64) { mh.insertAt(mh.c2, mh.g2, key, t) }
+func (mh *MH) InsertBAt(key uint64, t uint64) { mh.insert(mh.c2, mh.g2, key, mh.g2.at(t)) }
 
-func (mh *MH) insertAt(c *bitpack.Packed, gc *groupClock, key uint64, t uint64) {
+func (mh *MH) insert(c *bitpack.Packed, gc *groupClock, key uint64, now clockTime) {
 	for i := 0; i < c.Len(); i++ {
 		h := mh.fam.Hash(i, key) & mhEmpty
 		if h == mhEmpty {
 			h-- // reserve the sentinel
 		}
-		if gc.check(i, t, func() { c.Set(i, mhEmpty) }) {
-			c.Set(i, h)
-			continue
-		}
-		if h < c.Get(i) {
+		if gc.stale(i, now) || h < c.Get(i) {
 			c.Set(i, h)
 		}
 	}
@@ -89,20 +79,26 @@ func (mh *MH) insertAt(c *bitpack.Packed, gc *groupClock, key uint64, t uint64) 
 
 // Similarity estimates the Jaccard index of the two streams' windows at
 // the current shared tick.
-func (mh *MH) Similarity() float64 { return mh.SimilarityAt(mh.tick) }
+func (mh *MH) Similarity() float64 { return mh.similarity(mh.now) }
 
 // SimilarityAt estimates the Jaccard index at time t: among slots with
 // legal age (the two arrays share offsets, so legality is common), the
 // fraction whose signatures agree. Slots empty on both sides carry no
 // evidence and are excluded; a slot empty on exactly one side counts as
 // a disagreement.
-func (mh *MH) SimilarityAt(t uint64) float64 {
+func (mh *MH) SimilarityAt(t uint64) float64 { return mh.similarity(mh.g1.at(t)) }
+
+func (mh *MH) similarity(now clockTime) float64 {
 	floor := mh.cfg.legalFloor()
 	k, eq := 0, 0
 	for i := 0; i < mh.c1.Len(); i++ {
-		mh.g1.check(i, t, func() { mh.c1.Set(i, mhEmpty) })
-		mh.g2.check(i, t, func() { mh.c2.Set(i, mhEmpty) })
-		if !mh.g1.legalTwoSided(i, t, floor) {
+		if mh.g1.stale(i, now) {
+			mh.c1.Set(i, mhEmpty)
+		}
+		if mh.g2.stale(i, now) {
+			mh.c2.Set(i, mhEmpty)
+		}
+		if !mh.g1.legalTwoSided(i, now, floor) {
 			continue
 		}
 		v1, v2 := mh.c1.Get(i), mh.c2.Get(i)
@@ -122,9 +118,6 @@ func (mh *MH) SimilarityAt(t uint64) float64 {
 
 // Size returns the number of signature slots per stream.
 func (mh *MH) Size() int { return mh.c1.Len() }
-
-// Tick returns the current shared count-based tick.
-func (mh *MH) Tick() uint64 { return mh.tick }
 
 // Config returns the window configuration.
 func (mh *MH) Config() WindowConfig { return mh.cfg }

@@ -10,7 +10,7 @@ func (f *BF) MarshalBinary() ([]byte, error) {
 	var e snapEncoder
 	e.header(kindBF, f.cfg, f.tick)
 	e.u32(uint32(f.bits.Len()))
-	e.u32(uint32(f.w))
+	e.u32(uint32(f.grp.w))
 	e.u32(uint32(f.fam.K()))
 	e.marks(f.gc)
 	e.words(f.bits.Words())
@@ -40,7 +40,7 @@ func UnmarshalBF(data []byte) (*BF, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.tick = tick
+	f.setTick(f.gc, tick)
 	if err := d.marks(f.gc); err != nil {
 		return nil, err
 	}
@@ -55,7 +55,7 @@ func (b *BM) MarshalBinary() ([]byte, error) {
 	var e snapEncoder
 	e.header(kindBM, b.cfg, b.tick)
 	e.u32(uint32(b.bits.Len()))
-	e.u32(uint32(b.w))
+	e.u32(uint32(b.grp.w))
 	e.marks(b.gc)
 	e.words(b.bits.Words())
 	return e.buf, nil
@@ -80,7 +80,7 @@ func UnmarshalBM(data []byte) (*BM, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.tick = tick
+	b.setTick(b.gc, tick)
 	if err := d.marks(b.gc); err != nil {
 		return nil, err
 	}
@@ -115,7 +115,7 @@ func UnmarshalHLL(data []byte) (*HLL, error) {
 	if err != nil {
 		return nil, err
 	}
-	h.tick = tick
+	h.setTick(h.gc, tick)
 	if err := d.marks(h.gc); err != nil {
 		return nil, err
 	}
@@ -130,7 +130,7 @@ func (c *CM) MarshalBinary() ([]byte, error) {
 	var e snapEncoder
 	e.header(kindCM, c.cfg, c.tick)
 	e.u32(uint32(c.counters.Len()))
-	e.u32(uint32(c.w))
+	e.u32(uint32(c.grp.w))
 	e.u32(uint32(c.fam.K()))
 	e.u32(uint32(c.counters.Width()))
 	e.marks(c.gc)
@@ -165,7 +165,7 @@ func UnmarshalCM(data []byte) (*CM, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.tick = tick
+	c.setTick(c.gc, tick)
 	if err := d.marks(c.gc); err != nil {
 		return nil, err
 	}
@@ -202,7 +202,7 @@ func UnmarshalMH(data []byte) (*MH, error) {
 	if err != nil {
 		return nil, err
 	}
-	mh.tick = tick
+	mh.setTick(mh.g1, tick)
 	if err := d.marks(mh.g1); err != nil {
 		return nil, err
 	}

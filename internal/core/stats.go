@@ -52,12 +52,12 @@ func (s SketchStats) FillRatio() float64 {
 }
 
 // ageClasses tallies cells into the young/perfect/aged classes at time
-// t. cellsIn reports how many cells group gid holds (the last group of
-// an uneven geometry is short). Read-only: no cleaning runs.
-func (c *groupClock) ageClasses(t uint64, cellsIn func(gid int) int) (young, perfect, aged int) {
-	for gid := range c.marks {
+// now. cellsIn reports how many cells group gid holds (the last group
+// of an uneven geometry is short). Read-only: no cleaning runs.
+func (c *groupClock) ageClasses(now clockTime, cellsIn func(gid int) int) (young, perfect, aged int) {
+	for gid := range c.state {
 		n := cellsIn(gid)
-		switch age := c.age(gid, t); {
+		switch age := c.age(gid, now); {
 		case age < c.N:
 			young += n
 		case age == c.N:
@@ -70,30 +70,24 @@ func (c *groupClock) ageClasses(t uint64, cellsIn func(gid int) int) (young, per
 }
 
 // statsCommon fills the window-level fields shared by every structure.
-func statsCommon(cfg WindowConfig, tick uint64, gc *groupClock, cells int, cellsIn func(gid int) int) SketchStats {
+func statsCommon(cfg WindowConfig, k tickClock, gc *groupClock, cells int, cellsIn func(gid int) int) SketchStats {
 	st := SketchStats{
-		N:      cfg.N,
-		Tcycle: cfg.Tcycle(),
-		Tick:   tick,
-		Groups: gc.groups(),
-		Cells:  cells,
+		N:        cfg.N,
+		Tcycle:   gc.T,
+		Tick:     k.tick,
+		CyclePos: k.now.r,
+		Groups:   gc.groups(),
+		Cells:    cells,
 	}
-	st.CyclePos = tick % st.Tcycle
-	st.Young, st.Perfect, st.Aged = gc.ageClasses(tick, cellsIn)
+	st.Young, st.Perfect, st.Aged = gc.ageClasses(k.now, cellsIn)
 	return st
 }
 
-// evenGroups returns a cellsIn func for a geometry of cells cells in
-// groups of w (the last group may be short).
-func evenGroups(cells, w int) func(gid int) int {
-	return func(gid int) int {
-		lo := gid * w
-		hi := lo + w
-		if hi > cells {
-			hi = cells
-		}
-		return hi - lo
-	}
+// size reports how many cells group gid holds — statsCommon's cellsIn
+// for a grouped geometry.
+func (g grouping) size(gid int) int {
+	lo, hi := g.bounds(gid)
+	return hi - lo
 }
 
 // countFilled counts packed-array entries differing from reset.
@@ -109,28 +103,28 @@ func countFilled(get func(i int) uint64, n int, reset uint64) int {
 
 // Stats snapshots the filter's window state; see SketchStats.
 func (f *BF) Stats() SketchStats {
-	st := statsCommon(f.cfg, f.tick, f.gc, f.bits.Len(), evenGroups(f.bits.Len(), f.w))
+	st := statsCommon(f.cfg, f.tickClock, f.gc, f.bits.Len(), f.grp.size)
 	st.Filled = f.bits.Ones()
 	return st
 }
 
 // Stats snapshots the sketch's window state; see SketchStats.
 func (c *CM) Stats() SketchStats {
-	st := statsCommon(c.cfg, c.tick, c.gc, c.counters.Len(), evenGroups(c.counters.Len(), c.w))
+	st := statsCommon(c.cfg, c.tickClock, c.gc, c.counters.Len(), c.grp.size)
 	st.Filled = countFilled(c.counters.Get, c.counters.Len(), 0)
 	return st
 }
 
 // Stats snapshots the sketch's window state; see SketchStats.
 func (c *CU) Stats() SketchStats {
-	st := statsCommon(c.cfg, c.tick, c.gc, c.counters.Len(), evenGroups(c.counters.Len(), c.w))
+	st := statsCommon(c.cfg, c.tickClock, c.gc, c.counters.Len(), c.grp.size)
 	st.Filled = countFilled(c.counters.Get, c.counters.Len(), 0)
 	return st
 }
 
 // Stats snapshots the bitmap's window state; see SketchStats.
 func (b *BM) Stats() SketchStats {
-	st := statsCommon(b.cfg, b.tick, b.gc, b.bits.Len(), evenGroups(b.bits.Len(), b.w))
+	st := statsCommon(b.cfg, b.tickClock, b.gc, b.bits.Len(), b.grp.size)
 	st.Filled = b.bits.Ones()
 	return st
 }
@@ -138,7 +132,7 @@ func (b *BM) Stats() SketchStats {
 // Stats snapshots the estimator's window state; see SketchStats. Each
 // register is its own group, so Groups == Cells.
 func (h *HLL) Stats() SketchStats {
-	st := statsCommon(h.cfg, h.tick, h.gc, h.regs.Len(), func(int) int { return 1 })
+	st := statsCommon(h.cfg, h.tickClock, h.gc, h.regs.Len(), func(int) int { return 1 })
 	st.Filled = countFilled(h.regs.Get, h.regs.Len(), 0)
 	return st
 }
@@ -146,7 +140,7 @@ func (h *HLL) Stats() SketchStats {
 // Stats snapshots the generic engine's window state; see SketchStats.
 // Filled counts cells differing from the CSM's ResetValue.
 func (g *Generic) Stats() SketchStats {
-	st := statsCommon(g.cfg, g.tick, g.gc, g.csm.Cells, evenGroups(g.csm.Cells, g.w))
+	st := statsCommon(g.cfg, g.tickClock, g.gc, g.csm.Cells, g.grp.size)
 	st.Filled = countFilled(g.cells.Get, g.csm.Cells, g.csm.ResetValue)
 	return st
 }

@@ -1,15 +1,17 @@
 // Package fastdiv provides division and modulo by a fixed 64-bit
 // divisor using a precomputed reciprocal and 128-bit multiplication —
-// the libdivide/Granlund-Montgomery trick. The SHE framework divides by
-// Tcycle on every cell touch (mark parity and age are phase/Tcycle and
-// phase mod Tcycle), which motivated this module as a candidate for
-// narrowing the SHE-vs-ideal insertion gap of Fig. 11.
+// the libdivide/Granlund-Montgomery trick. The SHE framework once
+// divided by Tcycle on every cell touch (mark parity and age were
+// phase/Tcycle and phase mod Tcycle), which motivated this module as a
+// candidate for narrowing the SHE-vs-ideal insertion gap of Fig. 11.
 //
-// Measurement note: on recent x86 cores whose integer dividers pipeline
-// independent operations (see BenchmarkHardwareDiv vs BenchmarkFastDiv)
-// the reciprocal is NOT faster, so internal/core deliberately keeps the
-// plain / and % operators. The package remains for div-weak targets and
-// as a verified building block; its property tests pin exact
+// internal/core does not use it: its group clock now splits the time
+// once per operation — and not at all on the count-based insert path —
+// so there is no per-cell division left to replace, and on recent x86
+// cores whose integer dividers pipeline independent operations (see
+// BenchmarkHardwareDiv vs BenchmarkFastDiv) the reciprocal is not
+// faster than / and % anyway. The package remains for div-weak targets
+// and as a verified building block; its property tests pin exact
 // equivalence with the hardware operators over the full uint64 domain.
 package fastdiv
 

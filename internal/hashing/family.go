@@ -6,7 +6,9 @@ package hashing
 // two sketches built with the same master seed see identical hashes —
 // which is what makes A/B accuracy comparisons meaningful.
 type Family struct {
-	seeds []uint64
+	// mixed[i] = Mix64(seed_i): U64(key, seed_i) mixes the seed on every
+	// call, so the family keeps the mixed form and Hash pays one Mix64.
+	mixed []uint64
 }
 
 // NewFamily derives k independent function seeds from the master seed.
@@ -14,20 +16,20 @@ func NewFamily(k int, master uint64) *Family {
 	if k <= 0 {
 		panic("hashing: family size must be positive")
 	}
-	f := &Family{seeds: make([]uint64, k)}
+	f := &Family{mixed: make([]uint64, k)}
 	s := master
-	for i := range f.seeds {
-		f.seeds[i] = SplitMix64(&s)
+	for i := range f.mixed {
+		f.mixed[i] = Mix64(SplitMix64(&s))
 	}
 	return f
 }
 
 // K returns the number of functions in the family.
-func (f *Family) K() int { return len(f.seeds) }
+func (f *Family) K() int { return len(f.mixed) }
 
-// Hash returns the i-th function applied to key.
+// Hash returns the i-th function applied to key: U64(key, seed_i).
 func (f *Family) Hash(i int, key uint64) uint64 {
-	return U64(key, f.seeds[i])
+	return Mix64(key ^ f.mixed[i])
 }
 
 // Index returns the i-th function applied to key, reduced to [0, n).

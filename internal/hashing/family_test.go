@@ -88,3 +88,42 @@ func TestReduceRangeUniform(t *testing.T) {
 		}
 	}
 }
+
+// TestFamilyGoldenVectors pins Hash and Index outputs, recorded before
+// the family began storing Mix64(seed_i): every sketch snapshot, WAL
+// and shard routing depends on these values never drifting.
+func TestFamilyGoldenVectors(t *testing.T) {
+	for _, g := range []struct {
+		k      int
+		master uint64
+		i      int
+		key    uint64
+		hash   uint64
+		index  int // Index(i, key, 524288)
+	}{
+		{8, 0x1, 0, 0x0, 0xb18a02f46d8d86c3, 363600},
+		{8, 0x1, 0, 0x123456789abcdef, 0x4f2af462e2f78fa1, 162135},
+		{8, 0x1, 0, 0xffffffffffffffff, 0x7badd00087a239ee, 253294},
+		{8, 0x1, 1, 0x0, 0x63a5277110f4425, 12754},
+		{8, 0x1, 3, 0x123456789abcdef, 0xf857266fdafa5f11, 508601},
+		{8, 0x1, 5, 0xffffffffffffffff, 0x23a065a52b561915, 72963},
+		{8, 0x1, 7, 0x0, 0xb95de140abef842a, 379631},
+		{8, 0x1, 7, 0x123456789abcdef, 0xf3c7fc878c63a47d, 499263},
+		{8, 0x1, 7, 0xffffffffffffffff, 0xb88f647a1b644814, 377979},
+		{2, 0x0, 0, 0x0, 0x238275bc38fcbe91, 72723},
+		{2, 0x0, 0, 0x123456789abcdef, 0x5774ed35627e870b, 179111},
+		{2, 0x0, 1, 0x0, 0x80abe802ac1e182e, 263519},
+		{2, 0x0, 1, 0xffffffffffffffff, 0x83aa265d37edb13a, 269649},
+		{3, 0xdeadbeefcafef00d, 0, 0x0, 0x411d1fa3cdf5b0fd, 133352},
+		{3, 0xdeadbeefcafef00d, 1, 0x123456789abcdef, 0x357b7a29832839e2, 109531},
+		{3, 0xdeadbeefcafef00d, 2, 0xffffffffffffffff, 0x526266cc0d68ab83, 168723},
+	} {
+		f := NewFamily(g.k, g.master)
+		if got := f.Hash(g.i, g.key); got != g.hash {
+			t.Errorf("NewFamily(%d, %#x).Hash(%d, %#x) = %#x, want %#x", g.k, g.master, g.i, g.key, got, g.hash)
+		}
+		if got := f.Index(g.i, g.key, 524288); got != g.index {
+			t.Errorf("NewFamily(%d, %#x).Index(%d, %#x, 524288) = %d, want %d", g.k, g.master, g.i, g.key, got, g.index)
+		}
+	}
+}

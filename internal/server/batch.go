@@ -5,7 +5,10 @@ import (
 	"bytes"
 	"net"
 	"strconv"
+	"sync"
+	"time"
 
+	"she"
 	"she/internal/obs/traffic"
 )
 
@@ -37,6 +40,10 @@ func (s *Server) batchMaxKeys() int {
 // ordinary drain-point commit syncs first and then flushes, so there
 // this barrier is a no-op dirty check.
 //
+// It is also where the write deadline is armed: Write is the only place
+// reply bytes reach the socket, whether a flush or a reply larger than
+// the buffer sent them, so no write can run under a stale deadline.
+//
 // servePSYNC disarms it: the replication stream must not wait for an
 // acknowledgement from the very replica whose stream would be blocked
 // behind the barrier.
@@ -64,7 +71,33 @@ func (b *syncWriter) Write(p []byte) (int, error) {
 			b.wrote = false
 		}
 	}
+	if d := b.s.cfg.WriteTimeout; d > 0 {
+		b.conn.SetWriteDeadline(time.Now().Add(d))
+	}
 	return b.conn.Write(p)
+}
+
+// insertBuf is the reusable memory of one InsertBatch call made from
+// text tokens: the parsed keys and the shard-partition scratch.
+type insertBuf struct {
+	keys []uint64
+	sc   she.BatchScratch
+}
+
+// insertBufs serves the insert paths that have no connection batch to
+// borrow buffers from: the slow-path verbs, WAL replay and follower
+// apply.
+var insertBufs = sync.Pool{New: func() any { return new(insertBuf) }}
+
+// insertTokens parses toks as keys and inserts them into sk as one
+// batch. The returned keys are buf's, valid until buf is reused.
+func (buf *insertBuf) insertTokens(sk *Sketch, toks []string) []uint64 {
+	buf.keys = buf.keys[:0]
+	for _, tok := range toks {
+		buf.keys = append(buf.keys, ParseKey(tok))
+	}
+	sk.InsertBatch(buf.keys, &buf.sc)
+	return buf.keys
 }
 
 // insertGroup accumulates one sketch's parsed keys within a batch.
@@ -100,11 +133,12 @@ type connBatch struct {
 	inserts  int // SKETCH.INSERT commands among cmds (rest are MINSERT)
 	admitted bool
 
-	toks    [][]byte // tokenizer backing array, reused per line
-	scratch []byte   // reply rendering buffer
-	payload []byte   // flat WAL record build buffer
-	recOff  []int    // record boundaries into payload
-	recs    [][]byte // per-record views of payload for AppendBatch
+	toks    [][]byte         // tokenizer backing array, reused per line
+	sc      she.BatchScratch // shard-partition scratch for InsertBatch
+	scratch []byte           // reply rendering buffer
+	payload []byte           // flat WAL record build buffer
+	recOff  []int            // record boundaries into payload
+	recs    [][]byte         // per-record views of payload for AppendBatch
 }
 
 // tryFast attempts to handle one request line (terminator stripped) on
@@ -245,9 +279,7 @@ func (b *connBatch) apply() error {
 	if s.wal == nil {
 		for i := 0; i < b.ngroups; i++ {
 			g := &b.groups[i]
-			for _, k := range g.keys {
-				g.sk.Insert(k)
-			}
+			g.sk.InsertBatch(g.keys, &b.sc)
 		}
 	} else {
 		err = b.applyWAL()
@@ -273,6 +305,7 @@ func (b *connBatch) applyWAL() error {
 	for i := 0; i < b.ngroups; i++ {
 		g := &b.groups[i]
 		keys := g.keys
+		g.sk.InsertBatch(keys, &b.sc)
 		for len(keys) > 0 {
 			n := len(keys)
 			if n > maxRecordKeys {
@@ -282,7 +315,6 @@ func (b *connBatch) applyWAL() error {
 			b.payload = append(b.payload, "MINSERT "...)
 			b.payload = append(b.payload, g.name...)
 			for _, k := range keys[:n] {
-				g.sk.Insert(k)
 				b.payload = append(b.payload, ' ')
 				b.payload = strconv.AppendUint(b.payload, k, 10)
 			}
@@ -297,7 +329,7 @@ func (b *connBatch) applyWAL() error {
 	err := s.wal.AppendBatch(b.recs, nil)
 	s.chkMu.RUnlock()
 	if err != nil {
-		s.counters.Counter("wal_errors").Inc()
+		s.cWALErrors.Inc()
 		return err
 	}
 	s.cWALRecords.Add(int64(len(b.recs)))

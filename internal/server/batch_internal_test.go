@@ -8,11 +8,16 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
+	"she"
+	"she/internal/audit"
 	"she/internal/failfs"
 )
 
@@ -224,6 +229,58 @@ func TestBatchAckWithheldOnSyncFailure(t *testing.T) {
 		}
 		if strings.HasPrefix(line, "-ERR") {
 			break
+		}
+	}
+}
+
+// TestSketchInsertBatchMatchesInsert holds Sketch.InsertBatch to the
+// per-key Insert it replaced in the server's insert paths: the same
+// stream, cut into random batches, must leave a byte-identical snapshot
+// — and, with an auditor attached, identical audit statistics, which
+// only holds if every sampled key was observed by a sketch that had
+// absorbed exactly the keys up to it (frequency and membership probes
+// read the live sketch).
+func TestSketchInsertBatchMatchesInsert(t *testing.T) {
+	for _, p := range []float64{0, 0.2, 1} {
+		for _, kind := range []string{"bloom", "cm", "hll"} {
+			reg := NewRegistry(audit.Config{SampleProb: p, Seed: 11})
+			for _, name := range []string{"one", "batched"} {
+				if err := reg.Create(name, kind, map[string]string{"window": "2048", "shards": "4"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			one, _ := reg.Get("one")
+			batched, _ := reg.Get("batched")
+			rng := rand.New(rand.NewSource(5))
+			var sc she.BatchScratch
+			buf := make([]uint64, 0, 200)
+			for sent := 0; sent < 9000; sent += len(buf) {
+				buf = buf[:rng.Intn(cap(buf)+1)]
+				for i := range buf {
+					buf[i] = uint64(rng.Intn(700))
+					one.Insert(buf[i])
+				}
+				batched.InsertBatch(buf, &sc)
+			}
+			a, err := one.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := batched.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Errorf("%s p=%g: InsertBatch left a different sketch than per-key Insert", kind, p)
+			}
+			if p > 0 {
+				if x, y := one.Audit().Snapshot(), batched.Audit().Snapshot(); !reflect.DeepEqual(x, y) {
+					t.Errorf("%s p=%g: audit statistics differ:\n per key %+v\n batched %+v", kind, p, x, y)
+				}
+				if one.Audit().Snapshot().Observations == 0 {
+					t.Errorf("%s p=%g: nothing was audited", kind, p)
+				}
+			}
 		}
 	}
 }

@@ -224,7 +224,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		case err == nil && cmd.Name == "PSYNC":
 			// The connection becomes a replication channel: flush any
 			// pending replies, then hand it over for good.
-			s.counters.Counter("commands_total").Inc()
+			s.cCommands.Inc()
 			if tr != nil {
 				tr.SetVerb("PSYNC")
 				tr.SetRemote(remoteAddr)
@@ -245,7 +245,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			s.servePSYNC(conn, r, w, cmd, replListenPort)
 			return
 		case err == nil && cmd.Name == "REPLCONF":
-			s.counters.Counter("commands_total").Inc()
+			s.cCommands.Inc()
 			replListenPort = replconfPort(cmd, replListenPort)
 			writeSimple(w, "OK")
 			if tr != nil {
@@ -259,7 +259,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			// flush pending replies, then stream until the client hangs
 			// up. The feed never back-pressures the hot path — a lagging
 			// consumer loses frames, counted in monitor_dropped_total.
-			s.counters.Counter("commands_total").Inc()
+			s.cCommands.Inc()
 			tc.Command(verbIndex("MONITOR"))
 			if tr != nil {
 				tr.SetVerb("MONITOR")
@@ -517,7 +517,7 @@ func (s *Server) commit(conn net.Conn, w *bufio.Writer, bw *syncWriter, trs []*x
 			syncStartNs = obs.Nanotime()
 		}
 		if err := s.wal.Sync(); err != nil {
-			s.counters.Counter("wal_errors").Inc()
+			s.cWALErrors.Inc()
 			conn.SetWriteDeadline(time.Now().Add(time.Second))
 			fmt.Fprintf(conn, "-ERR wal sync failed: %v\n", err)
 			return err
@@ -548,7 +548,7 @@ func (s *Server) commit(conn net.Conn, w *bufio.Writer, bw *syncWriter, trs []*x
 			}
 		}
 	}
-	return s.flush(conn, w)
+	return w.Flush()
 }
 
 // isMutation reports whether a verb changes sketch state — the verbs
@@ -562,16 +562,6 @@ func isMutation(name string) bool {
 	return false
 }
 
-// flush writes buffered replies under the configured write deadline, so
-// a client that stops reading cannot park this goroutine in a blocked
-// write forever.
-func (s *Server) flush(conn net.Conn, w *bufio.Writer) error {
-	if d := s.cfg.WriteTimeout; d > 0 {
-		conn.SetWriteDeadline(time.Now().Add(d))
-	}
-	return w.Flush()
-}
-
 // testPanic, when set by a test before the server starts, is called
 // with each command so the per-connection panic containment can be
 // exercised without shipping a crash-on-demand wire command.
@@ -582,7 +572,7 @@ var testPanic func(Command)
 // through mutate, which pairs their apply+log atomically against
 // checkpoints.
 func (s *Server) execute(cmd Command, tr *xtrace.Trace, w *bufio.Writer, tc *traffic.Client) (quit bool) {
-	s.counters.Counter("commands_total").Inc()
+	s.cCommands.Inc()
 	if testPanic != nil {
 		testPanic(cmd)
 	}
@@ -729,7 +719,9 @@ func (s *Server) cmdInsert(cmd Command, tr *xtrace.Trace, w *bufio.Writer) error
 	if err != nil {
 		return err
 	}
-	keys := cmd.Args[1:]
+	buf := insertBufs.Get().(*insertBuf)
+	defer insertBufs.Put(buf)
+	keys := buf.insertTokens(sk, cmd.Args[1:])
 	if s.wal != nil {
 		// Log the parsed uint64 keys in decimal: ParseKey maps a
 		// decimal token back to itself, so replay is exact without
@@ -739,21 +731,15 @@ func (s *Server) cmdInsert(cmd Command, tr *xtrace.Trace, w *bufio.Writer) error
 		sb.WriteString(cmd.Name)
 		sb.WriteByte(' ')
 		sb.WriteString(cmd.Args[0])
-		for _, tok := range keys {
-			k := ParseKey(tok)
-			sk.Insert(k)
+		for _, k := range keys {
 			sb.WriteByte(' ')
 			sb.WriteString(strconv.FormatUint(k, 10))
 		}
 		if err := s.walAppend(sb.String(), tr); err != nil {
 			return err
 		}
-	} else {
-		for _, tok := range keys {
-			sk.Insert(ParseKey(tok))
-		}
 	}
-	s.counters.Counter("inserts_total").Add(int64(len(keys)))
+	s.cInserts.Add(int64(len(keys)))
 	writeInt(w, int64(len(keys)))
 	return nil
 }

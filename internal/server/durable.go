@@ -110,9 +110,9 @@ func (s *Server) applyRecord(rec []byte) error {
 		if err != nil {
 			return err
 		}
-		for _, tok := range cmd.Args[1:] {
-			sk.Insert(ParseKey(tok))
-		}
+		buf := insertBufs.Get().(*insertBuf)
+		buf.insertTokens(sk, cmd.Args[1:])
+		insertBufs.Put(buf)
 		return nil
 	case "SKETCH.DROP":
 		if len(cmd.Args) != 1 {
@@ -148,11 +148,11 @@ func (s *Server) walAppend(line string, tr *xtrace.Trace) error {
 		err = s.wal.Append([]byte(line))
 	}
 	if err != nil {
-		s.counters.Counter("wal_errors").Inc()
+		s.cWALErrors.Inc()
 		return err
 	}
-	s.counters.Counter("wal_records").Inc()
-	s.counters.Counter("wal_bytes").Set(s.wal.BytesSinceCheckpoint())
+	s.cWALRecords.Inc()
+	s.cWALBytes.Set(s.wal.BytesSinceCheckpoint())
 	return nil
 }
 

@@ -100,10 +100,8 @@ func (sk *Sketch) Stats() she.SketchStats {
 	}
 }
 
-// Insert records key as the next item of the sketch's stream. With an
-// auditor attached, the freshly absorbed answer is compared against
-// the sampled exact shadow (one hash per insert, shadow work only for
-// the sampled fraction); without one, the audit hook is a nil check.
+// Insert records key as the next item of the sketch's stream; see
+// InsertBatch, which is what the server itself calls.
 func (sk *Sketch) Insert(key uint64) {
 	n := sk.inserts.Add(1)
 	switch sk.kind {
@@ -116,6 +114,47 @@ func (sk *Sketch) Insert(key uint64) {
 	}
 	if a := sk.aud; a != nil {
 		a.Observe(key, n)
+	}
+}
+
+// InsertBatch records keys, in slice order, as the next items of the
+// sketch's stream — the one insert call connection batches, the slow
+// path, WAL replay and follower apply all make. The insert counter
+// moves once and each shard is locked once; sc is the caller's reusable
+// partition scratch (nil allocates one if the batch needs it).
+//
+// With an auditor attached, every key in the audited sample is compared
+// against the sampled exact shadow by a sketch that has absorbed the
+// keys up to and including it and none after: the pending run is
+// flushed before each Observe. Without one, the audit hook is a nil
+// check.
+func (sk *Sketch) InsertBatch(keys []uint64, sc *she.BatchScratch) {
+	n := sk.inserts.Add(uint64(len(keys))) - uint64(len(keys))
+	a := sk.aud
+	if a == nil {
+		sk.absorb(keys, sc)
+		return
+	}
+	pending := 0
+	for i, key := range keys {
+		if a.Sampled(key) {
+			sk.absorb(keys[pending:i+1], sc)
+			pending = i + 1
+			a.Observe(key, n+uint64(i)+1)
+		}
+	}
+	sk.absorb(keys[pending:], sc)
+}
+
+// absorb hands keys to the sharded structure.
+func (sk *Sketch) absorb(keys []uint64, sc *she.BatchScratch) {
+	switch sk.kind {
+	case "bloom":
+		sk.bloom.InsertBatch(keys, sc)
+	case "cm":
+		sk.cm.InsertBatch(keys, sc)
+	default:
+		sk.hll.InsertBatch(keys, sc)
 	}
 }
 

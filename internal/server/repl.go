@@ -198,7 +198,7 @@ func replconfPort(cmd Command, current string) string {
 func (s *Server) servePSYNC(conn net.Conn, r *bufio.Reader, w *bufio.Writer, cmd Command, listenPort string) {
 	fail := func(msg string) {
 		writeError(w, msg)
-		s.flush(conn, w)
+		w.Flush()
 	}
 	if s.wal == nil {
 		fail("PSYNC requires a WAL (-wal) on the primary")
@@ -239,7 +239,7 @@ func (s *Server) servePSYNC(conn net.Conn, r *bufio.Reader, w *bufio.Writer, cmd
 		return
 	}
 	defer rep.Close()
-	if err := s.flush(conn, w); err != nil {
+	if err := w.Flush(); err != nil {
 		return
 	}
 	s.logger.Info("replica attached", "replica", id, "cursor", rep.AckedCursor().String())
@@ -457,7 +457,7 @@ func (s *Server) streamToReplica(conn net.Conn, r *bufio.Reader, w *bufio.Writer
 				}
 				payloadBytes += uint64(len(rec.Payload))
 			}
-			if err := s.flush(conn, w); err != nil {
+			if err := w.Flush(); err != nil {
 				return err
 			}
 			if len(shipped) > 0 {
@@ -490,7 +490,7 @@ func (s *Server) streamToReplica(conn net.Conn, r *bufio.Reader, w *bufio.Writer
 			if _, err := w.WriteString("PING\n"); err != nil {
 				return err
 			}
-			if err := s.flush(conn, w); err != nil {
+			if err := w.Flush(); err != nil {
 				return err
 			}
 		case err := <-ackErr:

@@ -260,13 +260,14 @@ type Server struct {
 	// which cannot afford the replMu acquisition per command.
 	isReplica atomic.Bool
 
-	// Cached counter pointers for the batch fast path:
-	// CounterSet.Counter takes a mutex, so per-batch sites must not
-	// call it.
+	// Cached counter pointers for the per-command and per-batch
+	// sites: CounterSet.Counter takes a mutex and hashes the name, so
+	// the warm paths must not call it.
 	cCommands      *metrics.Counter
 	cInserts       *metrics.Counter
 	cWALRecords    *metrics.Counter
 	cWALBytes      *metrics.Counter
+	cWALErrors     *metrics.Counter
 	cBatchApplies  *metrics.Counter
 	cBatchCommands *metrics.Counter
 	cBatchKeys     *metrics.Counter
@@ -402,6 +403,7 @@ func New(cfg Config) *Server {
 	s.cInserts = s.counters.Counter("inserts_total")
 	s.cWALRecords = s.counters.Counter("wal_records")
 	s.cWALBytes = s.counters.Counter("wal_bytes")
+	s.cWALErrors = s.counters.Counter("wal_errors")
 	s.cBatchApplies = s.counters.Counter("batch_applies_total")
 	s.cBatchCommands = s.counters.Counter("batch_commands_total")
 	s.cBatchKeys = s.counters.Counter("batch_keys_total")

@@ -542,3 +542,30 @@ func TestDebugVars(t *testing.T) {
 		t.Fatalf("sketches = %+v", vars.Sketches)
 	}
 }
+
+// TestLargeReplyAfterIdleKeepsConnection pins the write deadline to the
+// socket write: a reply larger than the 32 KiB reply buffer spills to
+// the socket from inside the handler, before any flush, and used to go
+// out under the deadline the connection's previous flush had armed — on
+// a connection idle for longer than the write timeout, one already in
+// the past, which cut the reply off and dropped the connection.
+func TestLargeReplyAfterIdleKeepsConnection(t *testing.T) {
+	s := startServer(t, server.Config{WriteTimeout: 150 * time.Millisecond, TraceSample: 1})
+	c := dial(t, s.Addr().String())
+	for i := 0; i < 300; i++ { // every command leaves a retained trace
+		if got := c.cmd("PING"); got != "+PONG" {
+			t.Fatalf("PING: %q", got)
+		}
+	}
+	time.Sleep(400 * time.Millisecond) // idle past the write timeout
+	size := 0
+	for _, line := range c.array("TRACE GET") {
+		size += len(line) + 2
+	}
+	if size <= 32*1024 {
+		t.Fatalf("TRACE GET reply is %d bytes; the test needs one larger than the 32 KiB reply buffer", size)
+	}
+	if got := c.cmd("PING"); got != "+PONG" {
+		t.Fatalf("connection did not survive the large reply: %q", got)
+	}
+}

@@ -171,7 +171,7 @@ func renderClient(c traffic.ClientInfo) string {
 // cannot park this goroutine forever either.
 func (s *Server) serveMonitor(conn net.Conn, r *bufio.Reader, w *bufio.Writer, tc *traffic.Client) {
 	writeSimple(w, "OK")
-	if s.flush(conn, w) != nil {
+	if w.Flush() != nil {
 		return
 	}
 	tc.SetMonitor()
@@ -200,7 +200,7 @@ func (s *Server) serveMonitor(conn net.Conn, r *bufio.Reader, w *bufio.Writer, t
 			// Redis MONITOR shape: epoch-seconds, origin, command.
 			writeSimple(w, fmt.Sprintf("%.6f [%s] %s",
 				float64(e.Time.UnixMicro())/1e6, e.Addr, e.Line))
-			if s.flush(conn, w) != nil {
+			if w.Flush() != nil {
 				return
 			}
 		case <-hangup:

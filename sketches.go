@@ -27,6 +27,10 @@ func NewBloomFilter(bits int, opts Options) (*BloomFilter, error) {
 // Insert records key as the next item of the stream.
 func (f *BloomFilter) Insert(key uint64) { f.inner.Insert(key) }
 
+// InsertBatch records keys as the stream's next len(keys) items, in
+// slice order — the same state as calling Insert on each.
+func (f *BloomFilter) InsertBatch(keys []uint64) { f.inner.InsertBatch(keys) }
+
 // InsertAt records key at an explicit timestamp (time-based windows).
 func (f *BloomFilter) InsertAt(key, t uint64) { f.inner.InsertAt(key, t) }
 
@@ -98,6 +102,10 @@ func NewHyperLogLog(registers int, opts Options) (*HyperLogLog, error) {
 // Insert records key as the next item of the stream.
 func (h *HyperLogLog) Insert(key uint64) { h.inner.Insert(key) }
 
+// InsertBatch records keys as the stream's next len(keys) items, in
+// slice order — the same state as calling Insert on each.
+func (h *HyperLogLog) InsertBatch(keys []uint64) { h.inner.InsertBatch(keys) }
+
 // InsertAt records key at an explicit timestamp.
 func (h *HyperLogLog) InsertAt(key, t uint64) { h.inner.InsertAt(key, t) }
 
@@ -130,6 +138,11 @@ func NewCountMin(counters int, opts Options) (*CountMin, error) {
 
 // Insert records one occurrence of key as the next item of the stream.
 func (c *CountMin) Insert(key uint64) { c.inner.Insert(key) }
+
+// InsertBatch records one occurrence of each key as the stream's next
+// len(keys) items, in slice order — the same state as calling Insert on
+// each.
+func (c *CountMin) InsertBatch(keys []uint64) { c.inner.InsertBatch(keys) }
 
 // InsertAt records one occurrence of key at an explicit timestamp.
 func (c *CountMin) InsertAt(key, t uint64) { c.inner.InsertAt(key, t) }
