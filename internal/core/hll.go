@@ -72,22 +72,21 @@ func (h *HLL) EstimateCardinalityAt(t uint64) float64 { return h.estimate(h.gc.a
 
 func (h *HLL) estimate(now clockTime) float64 {
 	floor := h.cfg.legalFloor()
-	legal := make([]uint64, 0, h.regs.Len())
-	for i := 0; i < h.regs.Len(); i++ {
+	var legal sketch.RankHist
+	k := 0
+	for i, m := 0, h.regs.Len(); i < m; i++ {
 		if h.gc.stale(i, now) {
 			h.regs.Set(i, 0)
 		}
-		if !h.gc.legalTwoSided(i, now, floor) {
-			continue
+		if h.gc.legalTwoSided(i, now, floor) {
+			legal[h.regs.Get(i)]++
+			k++
 		}
-		legal = append(legal, h.regs.Get(i))
 	}
-	k := len(legal)
 	if k == 0 {
 		return 0
 	}
-	sub := sketch.EstimateFromRegisters(func(i int) uint64 { return legal[i] }, k)
-	return sub * float64(h.regs.Len()) / float64(k)
+	return legal.Estimate() * float64(h.regs.Len()) / float64(k)
 }
 
 // Registers returns the total number of registers M.

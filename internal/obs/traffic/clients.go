@@ -24,7 +24,7 @@ type Client struct {
 	lastActive atomic.Int64 // unix nanos
 	cmds       []atomic.Uint64
 	keys       atomic.Uint64 // insert keys accepted
-	batches    atomic.Uint64 // fast-path batch applies
+	batches    atomic.Uint64 // fast-path settles
 
 	curVerb atomic.Int32 // index into registry verbs; -1 = none yet
 	replica atomic.Bool  // connection became a PSYNC replication channel
@@ -57,23 +57,25 @@ func (c *Client) Command(vi int) {
 	c.lastActive.Store(time.Now().UnixNano())
 }
 
-// BatchSettle accounts one fast-path batch drain: per-verb command
-// counts accumulated locally by the batch engine land here in one
-// atomic add per verb used, plus the key total and one batch tick —
-// the always-on accounting cost of a thousand-command pipeline.
-func (c *Client) BatchSettle(inserts, minserts, keys uint64, insertVi, minsertVi int) {
+// BatchSettle accounts the fast-path commands a connection handled
+// since its last settle: counts, indexed like the registry's verb
+// table and accumulated locally by the batch engine, land here in one
+// atomic add per verb used, plus the insert-key total, the latest verb
+// and one batch tick — the always-on accounting cost of a
+// thousand-command pipeline.
+func (c *Client) BatchSettle(counts []uint64, last int, keys uint64) {
 	if c == nil {
 		return
 	}
-	if inserts > 0 && insertVi >= 0 && insertVi < len(c.cmds) {
-		c.cmds[insertVi].Add(inserts)
-		c.curVerb.Store(int32(insertVi))
+	for vi, n := range counts {
+		if n > 0 && vi < len(c.cmds) {
+			c.cmds[vi].Add(n)
+		}
 	}
-	if minserts > 0 && minsertVi >= 0 && minsertVi < len(c.cmds) {
-		c.cmds[minsertVi].Add(minserts)
-		c.curVerb.Store(int32(minsertVi))
+	c.curVerb.Store(int32(last))
+	if keys > 0 {
+		c.keys.Add(keys)
 	}
-	c.keys.Add(keys)
 	c.batches.Add(1)
 	c.lastActive.Store(time.Now().UnixNano())
 }

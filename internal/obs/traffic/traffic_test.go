@@ -186,7 +186,7 @@ func TestClientsRegistry(t *testing.T) {
 	}
 	c1.Command(0) // PING
 	c1.Command(0)
-	c1.BatchSettle(3, 0, 42, 1, 2)
+	c1.BatchSettle([]uint64{0, 3, 0}, 1, 42)
 	c1.SetName("ingest")
 	c2.SetReplica()
 

@@ -109,17 +109,20 @@ type insertGroup struct {
 	keys []uint64
 }
 
-// connBatch is one connection's insert-batch engine: the zero-
-// allocation fast path for SKETCH.INSERT and MINSERT lines. Inserts
-// are tokenized without copying, grouped by target sketch, and held
-// until a drain point (input buffer empty, a slow-path command, the
-// BatchMaxKeys cap, or reply-buffer pressure); apply then pays one
-// checkpoint-lock acquisition, one WAL lock acquisition (AppendBatch)
-// and one admission slot for the whole batch. Replies are written
-// optimistically at enqueue — safe because they are buffered behind
-// the group commit (and the syncWriter barrier) and the WAL is
-// fail-stop: a batch that cannot be made durable kills the connection
-// before any of its replies escape.
+// connBatch is one connection's batch engine: the zero-allocation fast
+// path for SKETCH.INSERT and MINSERT lines and for the two read verbs,
+// SKETCH.QUERY and SKETCH.CARD. Inserts are tokenized without copying,
+// grouped by target sketch, and held until a drain point (input buffer
+// empty, a read, a slow-path command, the BatchMaxKeys cap, or
+// reply-buffer pressure); applying them pays one checkpoint-lock
+// acquisition and one WAL lock acquisition (AppendBatch) for the whole
+// batch, and one admission slot covers every fast command up to the
+// drain. Insert replies are written optimistically at enqueue — safe
+// because they are buffered behind the group commit (and the syncWriter
+// barrier) and the WAL is fail-stop: a batch that cannot be made
+// durable kills the connection before any of its replies escape. A read
+// is answered after the inserts ahead of it are applied, so its reply
+// sits behind the same barrier.
 //
 // Everything here is owned by the connection goroutine.
 type connBatch struct {
@@ -128,10 +131,18 @@ type connBatch struct {
 	addr     string          // rendered remote address, for MONITOR frames
 	groups   []insertGroup
 	ngroups  int
-	cmds     int // commands enqueued in the current batch
-	nkeys    int // keys across all groups
-	inserts  int // SKETCH.INSERT commands among cmds (rest are MINSERT)
+	cmds     int // insert commands whose keys are pending
+	nkeys    int // pending keys across all groups
 	admitted bool
+
+	// Fast commands handled since the last settle, per verb and in
+	// total, the keys they carried and the latest verb: commands_total
+	// and the connection's CLIENT LIST row move once per drain, not per
+	// command.
+	counts  [len(commandVerbs)]uint64
+	handled int
+	keys    int
+	last    int
 
 	toks    [][]byte         // tokenizer backing array, reused per line
 	sc      she.BatchScratch // shard-partition scratch for InsertBatch
@@ -144,27 +155,41 @@ type connBatch struct {
 // tryFast attempts to handle one request line (terminator stripped) on
 // the batch fast path. It returns handled=false — leaving the batch
 // intact for the caller to apply before taking the slow path — on any
-// deviation from the plain pipelined-insert shape: non-ASCII or
-// control bytes, too many tokens, a verb other than
-// SKETCH.INSERT/MINSERT, a missing key list, an unknown sketch, a
-// replica role, an engaged insert-refusal rung, or admission-slot
-// exhaustion. The slow path reproduces the exact error text, counters
-// and trace semantics for all of those. vi is the handled command's
+// deviation from the plain shape of the four verbs it serves: non-ASCII
+// or control bytes, too many tokens, another verb, a wrong argument
+// count, an unknown sketch, a sketch kind that does not answer the
+// verb, admission-slot exhaustion and, for inserts, a replica role or
+// an engaged insert-refusal rung. The slow path reproduces the exact
+// error text, counters and trace semantics for all of those, and is the
+// only place an error reply is rendered. vi is the handled command's
 // verbIndex; a non-nil err (WAL failure during a forced mid-batch
 // apply) is terminal for the connection.
 func (b *connBatch) tryFast(line []byte, w *bufio.Writer, bw *syncWriter) (handled bool, vi int, err error) {
 	s := b.s
 	toks, ok := splitFast(line, b.toks)
 	b.toks = toks // keep the (possibly grown) backing array
-	if !ok || len(toks) < 3 {
+	if !ok || len(toks) < 2 {
 		return false, 0, nil
 	}
 	switch {
+	case eqVerb(toks[0], "SKETCH.QUERY"):
+		if len(toks) != 3 {
+			return false, 0, nil
+		}
+		return b.read(verbQuery, toks, line, w)
+	case eqVerb(toks[0], "SKETCH.CARD"):
+		if len(toks) != 2 {
+			return false, 0, nil
+		}
+		return b.read(verbCard, toks, line, w)
 	case eqVerb(toks[0], "MINSERT"):
 		vi = verbMinsert
 	case eqVerb(toks[0], "SKETCH.INSERT"):
 		vi = verbInsert
 	default:
+		return false, 0, nil
+	}
+	if len(toks) < 3 {
 		return false, 0, nil
 	}
 	if s.isReplica.Load() {
@@ -178,13 +203,8 @@ func (b *connBatch) tryFast(line []byte, w *bufio.Writer, bw *syncWriter) (handl
 			return true, vi, err
 		}
 	}
-	// One admission slot covers the whole batch: it is released by
-	// apply, which always runs before the connection blocks reading.
-	if s.admit != nil && !b.admitted {
-		if !s.admit.tryAcquire() {
-			return false, 0, nil // slow path waits for a slot or answers BUSY
-		}
-		b.admitted = true
+	if !b.admit() {
+		return false, 0, nil // slow path waits for a slot or answers BUSY
 	}
 	g := b.group(toks[1])
 	if g == nil {
@@ -196,9 +216,8 @@ func (b *connBatch) tryFast(line []byte, w *bufio.Writer, bw *syncWriter) (handl
 	}
 	b.nkeys += len(keys)
 	b.cmds++
-	if vi == verbInsert {
-		b.inserts++
-	}
+	b.keys += len(keys)
+	b.count(vi)
 	bw.wrote = true
 	// Self-telemetry: one atomic add per unsampled command (the
 	// xtrace discipline); a sampled command feeds its parsed keys —
@@ -220,11 +239,89 @@ func (b *connBatch) tryFast(line []byte, w *bufio.Writer, bw *syncWriter) (handl
 			return true, vi, err
 		}
 	}
-	b.scratch = strconv.AppendInt(b.scratch[:0], int64(len(keys)), 10)
-	w.WriteByte(':')
-	w.Write(b.scratch)
-	w.WriteByte('\n') // write errors surface at the next flush
+	b.scratch = strconv.AppendInt(append(b.scratch[:0], ':'), int64(len(keys)), 10)
+	b.scratch = append(b.scratch, '\n')
+	w.Write(b.scratch) // write errors surface at the next flush
 	return true, vi, nil
+}
+
+// read serves SKETCH.QUERY name key and SKETCH.CARD name from tokens.
+// The inserts ahead of the read are applied first — request order and
+// read-your-writes hold, and with a WAL their records exist, so the
+// syncWriter barrier keeps the reply behind their fsync.
+func (b *connBatch) read(vi int, toks [][]byte, line []byte, w *bufio.Writer) (handled bool, _ int, err error) {
+	s := b.s
+	sk := s.reg.GetBytes(toks[1])
+	if sk == nil {
+		return false, 0, nil // unknown sketch: slow path renders the error
+	}
+	if err := b.applyInserts(); err != nil {
+		return true, vi, err
+	}
+	if !b.admit() {
+		return false, 0, nil
+	}
+	if vi == verbQuery {
+		v, qerr := sk.Query(parseKeyBytes(toks[2]))
+		if qerr != nil {
+			return false, 0, nil // hll: slow path renders the error
+		}
+		b.scratch = strconv.AppendInt(append(b.scratch[:0], ':'), v, 10)
+	} else {
+		v, cerr := sk.Cardinality()
+		if cerr != nil {
+			return false, 0, nil // not an hll: slow path renders the error
+		}
+		b.scratch = strconv.AppendFloat(append(b.scratch[:0], '+'), v, 'g', -1, 64)
+	}
+	b.scratch = append(b.scratch, '\n')
+	b.count(vi)
+	if s.traffic.Sampled() && s.traffic.Wants() {
+		s.traffic.Publish(b.addr, commandVerbs[vi], renderLine(line))
+	}
+	// A reply the client can see is already counted: settle before a
+	// write that would flush, so a pipeline that never drains still
+	// moves commands_total and its CLIENT LIST row.
+	if w.Available() < len(b.scratch) {
+		b.settle()
+	}
+	w.Write(b.scratch) // write errors surface at the next flush
+	return true, vi, nil
+}
+
+// admit takes the batch's admission slot if it does not hold one: one
+// slot covers every fast command up to the next drain, where apply
+// releases it — and apply always runs before the connection blocks
+// reading. False means no slot is free.
+func (b *connBatch) admit() bool {
+	if ad := b.s.admit; ad != nil && !b.admitted {
+		if !ad.tryAcquire() {
+			return false
+		}
+		b.admitted = true
+	}
+	return true
+}
+
+// count notes one handled fast command for the next settle.
+func (b *connBatch) count(vi int) {
+	b.counts[vi]++
+	b.handled++
+	b.last = vi
+}
+
+// settle moves the fast commands handled since the last settle into
+// commands_total and the connection's accounting record: a handful of
+// atomic adds and one clock read amortized over the whole pipeline,
+// keeping CLIENT LIST accurate without per-command cost.
+func (b *connBatch) settle() {
+	if b.handled == 0 {
+		return
+	}
+	b.s.cCommands.Add(int64(b.handled))
+	b.tc.BatchSettle(b.counts[:], b.last, uint64(b.keys))
+	clear(b.counts[:])
+	b.handled, b.keys = 0, 0
 }
 
 // group returns the batch's accumulator for the named sketch,
@@ -252,29 +349,38 @@ func (b *connBatch) group(name []byte) *insertGroup {
 	return g
 }
 
-// apply drains the batch: every buffered key is inserted into its
-// sketch and (with a WAL) logged as MINSERT records in one batched
-// append, counters are settled, and the batch's admission slot is
-// released. A WAL failure is returned — and is terminal for the
-// connection, since optimistic replies may be buffered — but the WAL
-// is sticky-failed, so the commit path reports it to the client and
-// no reply escapes. Safe to call with an empty batch.
+// apply drains the batch: pending inserts are applied, the handled
+// commands are settled, and the admission slot is released. Safe to
+// call with an empty batch.
 func (b *connBatch) apply() error {
+	err := b.applyInserts()
+	b.settle()
+	b.release()
+	return err
+}
+
+// release gives the batch's admission slot back.
+func (b *connBatch) release() {
+	if b.admitted {
+		b.s.admit.release()
+		b.admitted = false
+	}
+}
+
+// applyInserts inserts every buffered key into its sketch and (with a
+// WAL) logs them as MINSERT records in one batched append. A WAL
+// failure is returned — and is terminal for the connection, since
+// optimistic replies may be buffered — but the WAL is sticky-failed,
+// so the commit path reports it to the client and no reply escapes.
+func (b *connBatch) applyInserts() error {
 	s := b.s
 	if b.cmds == 0 {
-		b.reset()
 		return nil
 	}
 	s.cBatchApplies.Inc()
 	s.cBatchCommands.Add(int64(b.cmds))
 	s.cBatchKeys.Add(int64(b.nkeys))
-	s.cCommands.Add(int64(b.cmds))
 	s.cInserts.Add(int64(b.nkeys))
-	// Per-connection accounting settles once per batch — a handful of
-	// atomic adds amortized over the whole pipeline, keeping CLIENT
-	// LIST accurate without per-command cost on the fast path.
-	b.tc.BatchSettle(uint64(b.inserts), uint64(b.cmds-b.inserts),
-		uint64(b.nkeys), verbInsert, verbMinsert)
 	var err error
 	if s.wal == nil {
 		for i := 0; i < b.ngroups; i++ {
@@ -302,6 +408,7 @@ func (b *connBatch) applyWAL() error {
 	b.payload = b.payload[:0]
 	b.recOff = b.recOff[:0]
 	s.chkMu.RLock()
+	defer s.chkMu.RUnlock() // by defer: a panic below must not wedge checkpoints
 	for i := 0; i < b.ngroups; i++ {
 		g := &b.groups[i]
 		keys := g.keys
@@ -326,9 +433,7 @@ func (b *connBatch) applyWAL() error {
 	for i := 0; i+1 < len(b.recOff); i++ {
 		b.recs = append(b.recs, b.payload[b.recOff[i]:b.recOff[i+1]])
 	}
-	err := s.wal.AppendBatch(b.recs, nil)
-	s.chkMu.RUnlock()
-	if err != nil {
+	if err := s.wal.AppendBatch(b.recs, nil); err != nil {
 		s.cWALErrors.Inc()
 		return err
 	}
@@ -337,8 +442,7 @@ func (b *connBatch) applyWAL() error {
 	return nil
 }
 
-// reset clears the batch for reuse, keeping every backing array, and
-// releases the admission slot.
+// reset clears the pending inserts, keeping every backing array.
 func (b *connBatch) reset() {
 	for i := 0; i < b.ngroups; i++ {
 		b.groups[i].keys = b.groups[i].keys[:0]
@@ -347,9 +451,4 @@ func (b *connBatch) reset() {
 	b.ngroups = 0
 	b.cmds = 0
 	b.nkeys = 0
-	b.inserts = 0
-	if b.admitted {
-		b.s.admit.release()
-		b.admitted = false
-	}
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"she"
 	"she/internal/audit"
 	"she/internal/failfs"
+	"she/internal/obs"
 )
 
 // mustSketch builds a small bloom sketch and registers it.
@@ -81,22 +83,122 @@ func TestInsertDispatchZeroAlloc(t *testing.T) {
 	})
 }
 
-// TestVerbConsts pins the fast path's hard-coded verb indices to the
-// commandVerbs table TestVerbIndex mirrors.
-func TestVerbConsts(t *testing.T) {
-	if got := verbIndex("SKETCH.INSERT"); got != verbInsert {
-		t.Errorf("verbIndex(SKETCH.INSERT) = %d, want verbInsert = %d", got, verbInsert)
+// TestQueryDispatchZeroAlloc is the same promise for the read verbs: a
+// SKETCH.QUERY or SKETCH.CARD line is tokenized, looked up, answered
+// and its reply rendered without an allocation, and so is the settle
+// at the drain that follows.
+func TestQueryDispatchZeroAlloc(t *testing.T) {
+	s := New(Config{})
+	for name, kind := range map[string]string{"b": "bloom", "c": "cm", "h": "hll"} {
+		if err := s.reg.Create(name, kind, map[string]string{"window": "4096", "shards": "4"}); err != nil {
+			t.Fatal(err)
+		}
+		sk, _ := s.reg.Get(name)
+		for k := uint64(0); k < 3000; k++ {
+			sk.Insert(k)
+		}
 	}
-	if got := verbIndex("MINSERT"); got != verbMinsert {
-		t.Errorf("verbIndex(MINSERT) = %d, want verbMinsert = %d", got, verbMinsert)
+	batch := &connBatch{s: s}
+	bw := &syncWriter{s: s}
+	w := bufio.NewWriterSize(io.Discard, 32*1024)
+	for _, tc := range []struct {
+		line string
+		vi   int
+	}{
+		{"SKETCH.QUERY b 2999", verbQuery},
+		{"sketch.query c not-a-number", verbQuery},
+		{"SKETCH.CARD h", verbCard},
+	} {
+		line := []byte(tc.line)
+		allocs := testing.AllocsPerRun(200, func() {
+			handled, vi, err := batch.tryFast(line, w, bw)
+			if !handled || vi != tc.vi || err != nil {
+				t.Fatalf("tryFast(%q) = %v, %d, %v", tc.line, handled, vi, err)
+			}
+			if err := batch.apply(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: allocs/op = %g, want 0", tc.line, allocs)
+		}
 	}
 }
 
-// FuzzFastParseEquivalence feeds arbitrary line bytes to the fast
-// tokenizer and, whenever it claims success, cross-checks every
-// decision against the slow path: same tokens as ParseCommand, same
-// key values as ParseKey, and no line the slow path rejects may be
-// accepted fast.
+// TestVerbConsts pins the fast path's hard-coded verb indices to the
+// commandVerbs table TestVerbIndex mirrors.
+func TestVerbConsts(t *testing.T) {
+	for verb, want := range map[string]int{
+		"SKETCH.INSERT": verbInsert, "MINSERT": verbMinsert,
+		"SKETCH.QUERY": verbQuery, "SKETCH.CARD": verbCard,
+	} {
+		if got := verbIndex(verb); got != want {
+			t.Errorf("verbIndex(%s) = %d, the fast path uses %d", verb, got, want)
+		}
+	}
+}
+
+// diffNode is one side of the fast-versus-slow comparison: an unstarted
+// server holding small sketches of every kind, filled from a fixed
+// stream, plus what handleConn keeps per connection.
+type diffNode struct {
+	s     *Server
+	batch *connBatch
+	lats  *connLats
+	out   bytes.Buffer
+	w     *bufio.Writer
+}
+
+func newDiffNode(t testing.TB) *diffNode {
+	s := New(Config{})
+	rng := rand.New(rand.NewSource(7))
+	for _, sp := range []struct{ name, kind string }{{"b", "bloom"}, {"c", "cm"}, {"h", "hll"}} {
+		if err := s.reg.Create(sp.name, sp.kind, map[string]string{"window": "256", "shards": "2"}); err != nil {
+			t.Fatal(err)
+		}
+		sk, _ := s.reg.Get(sp.name)
+		for i := 0; i < 600; i++ {
+			sk.Insert(uint64(rng.Intn(400)))
+		}
+	}
+	n := &diffNode{s: s, batch: &connBatch{s: s}}
+	n.lats = &connLats{verbs: make([]*obs.LocalHist, len(commandVerbs))}
+	n.w = bufio.NewWriter(&n.out)
+	return n
+}
+
+// state is everything a command may leave behind that a client or an
+// operator can see: the reply bytes, the command and insert counters,
+// the per-verb latency counts and every sketch, serialized.
+func (n *diffNode) state(t testing.TB) string {
+	n.w.Flush()
+	n.lats.flush(n.s)
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "reply %q\ncommands_total %d inserts_total %d errors_total %d\n",
+		n.out.String(), n.s.cCommands.Value(), n.s.cInserts.Value(), n.s.cErrors.Value())
+	for i, verb := range commandVerbs {
+		if c := n.s.verbHist[i].Snapshot().Count; c > 0 {
+			fmt.Fprintf(&sb, "she_command_seconds{%s} %d\n", verb, c)
+		}
+	}
+	for _, name := range n.s.reg.Names() {
+		sk, _ := n.s.reg.Get(name)
+		data, err := sk.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&sb, "%s inserts=%d %x\n", name, sk.Inserts(), data)
+	}
+	return sb.String()
+}
+
+// FuzzFastParseEquivalence feeds arbitrary line bytes to the fast path
+// and, whenever it claims the line, cross-checks every decision against
+// the slow path, which stays the reference for semantics: same tokens
+// as ParseCommand, same key values as ParseKey, no line the slow path
+// rejects accepted fast — and, run as handleConn runs them on two
+// identical servers, the same reply bytes, the same commands_total and
+// per-verb latency count, and the same sketches afterwards.
 func FuzzFastParseEquivalence(f *testing.F) {
 	f.Add([]byte("MINSERT flows 1 2 3"))
 	f.Add([]byte("sketch.insert flows 18446744073709551615 18446744073709551616"))
@@ -104,6 +206,24 @@ func FuzzFastParseEquivalence(f *testing.F) {
 	f.Add([]byte("MINSERT flows \x01"))
 	f.Add([]byte("MINSERT flows caf\xc3\xa9"))
 	f.Add([]byte(strings.Repeat(" 7", MaxArgs+2)))
+	f.Add([]byte("SKETCH.QUERY b 17"))
+	f.Add([]byte("SKETCH.QUERY c 17"))
+	f.Add([]byte("SKETCH.QUERY h 17"))
+	f.Add([]byte("SKETCH.QUERY b alice"))
+	f.Add([]byte("SKETCH.CARD h"))
+	f.Add([]byte("SKETCH.CARD b"))
+	f.Add([]byte("SKETCH.QUERY b"))
+	f.Add([]byte("SKETCH.QUERY b 1 2"))
+	f.Add([]byte("SKETCH.CARD"))
+	f.Add([]byte("SKETCH.CARD h h"))
+	f.Add([]byte("SKETCH.QUERY nosuch 1"))
+	f.Add([]byte("SKETCH.CARD nosuch"))
+	f.Add([]byte("sKeTcH.qUeRy c 18446744073709551616"))
+	f.Add([]byte("Sketch.Card\th\r"))
+	f.Add([]byte("\tSKETCH.QUERY\t\tb\t399\r"))
+	f.Add([]byte("SKETCH.INSERT c 5 5 5"))
+	f.Add([]byte("MINSERT h 1 2 3 4"))
+	f.Add([]byte("SKETCH.QUERY b caf\xc3\xa9"))
 	f.Fuzz(func(t *testing.T, line []byte) {
 		if len(line) > MaxLineBytes {
 			return
@@ -134,6 +254,32 @@ func FuzzFastParseEquivalence(f *testing.F) {
 			if got, want := parseKeyBytes(tok), ParseKey(arg); got != want {
 				t.Fatalf("key %q: fast %d, slow %d", arg, got, want)
 			}
+		}
+
+		fast := newDiffNode(t)
+		handled, vi, err := fast.batch.tryFast(line, fast.w, &syncWriter{s: fast.s})
+		if err != nil {
+			t.Fatalf("tryFast(%q): %v", line, err)
+		}
+		if !handled {
+			return
+		}
+		if err := fast.batch.apply(); err != nil {
+			t.Fatal(err)
+		}
+		fast.s.observeFast(fast.lats, vi, 0, "", line)
+
+		slow := newDiffNode(t)
+		if slow.s.execute(cmd, nil, slow.w, nil) {
+			t.Fatalf("the fast path claimed %q, which closes the connection", line)
+		}
+		slow.s.observe(slow.lats, verbIndex(cmd.Name), cmd, 0, "", nil)
+
+		if got, want := fast.state(t), slow.state(t); got != want {
+			t.Fatalf("line %q\nfast path left\n%s\nslow path left\n%s", line, got, want)
+		}
+		if fast.s.cErrors.Value() != 0 || fast.out.Bytes()[0] == '-' {
+			t.Fatalf("the fast path rendered an error for %q: %q", line, fast.out.String())
 		}
 	})
 }
@@ -200,36 +346,89 @@ func TestMinsertWALReplay(t *testing.T) {
 // ":n" reply may reach the client — the syncWriter barrier turns the
 // flush into the error instead.
 func TestBatchAckWithheldOnSyncFailure(t *testing.T) {
-	fault := failfs.NewFault(failfs.OS{})
-	s := startWAL(t, t.TempDir(), fault, 0)
-	defer s.Abort()
-	c := dialServer(t, s)
-	c.must("SKETCH.CREATE d bloom bits=65536 window=65536 shards=2", "+OK")
+	// With reads interleaved the same holds for their replies: each
+	// follows an insert whose fsync fails, so it may not escape either.
+	for name, format := range map[string]string{
+		"inserts":         "SKETCH.INSERT d %d\n",
+		"inserts+queries": "SKETCH.INSERT d %[1]d\nSKETCH.QUERY d %[1]d\n",
+		"inserts+cards":   "SKETCH.INSERT h %d\nSKETCH.CARD h\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			fault := failfs.NewFault(failfs.OS{})
+			s := startWAL(t, t.TempDir(), fault, 0)
+			defer s.Abort()
+			c := dialServer(t, s)
+			c.must("SKETCH.CREATE d bloom bits=65536 window=65536 shards=2", "+OK")
+			c.must("SKETCH.CREATE h hll registers=64 window=65536 shards=2", "+OK")
 
-	// Every Sync from here on fails; the WAL is then sticky-failed.
-	fault.FailSyncs(1 << 30)
-	const lines = 16384 // 16384 * len(":1\n") = 48KiB of replies, past the 32KiB reply buffer
-	var sb strings.Builder
-	for i := 0; i < lines; i++ {
-		fmt.Fprintf(&sb, "SKETCH.INSERT d %d\n", i)
+			// Every Sync from here on fails; the WAL is then sticky-failed.
+			fault.FailSyncs(1 << 30)
+			const lines = 16384 // 16384 * len(":1\n") = 48KiB of replies, past the 32KiB reply buffer
+			var sb strings.Builder
+			for i := 0; i < lines; i++ {
+				fmt.Fprintf(&sb, format, i)
+			}
+			// The write itself may fail partway: the server kills the
+			// connection at the first failed flush, possibly while we are
+			// still sending. That is fine — the invariant under test is only
+			// that nothing it DID send back is an ack or an answer.
+			io.WriteString(c.conn, sb.String())
+			for {
+				line, err := c.r.ReadString('\n')
+				if strings.HasPrefix(line, ":") || strings.HasPrefix(line, "+") {
+					t.Fatalf("reply %q escaped before durability", strings.TrimSpace(line))
+				}
+				if err != nil {
+					break // connection closed after the error, as commit promises
+				}
+				if strings.HasPrefix(line, "-ERR") {
+					break
+				}
+			}
+		})
 	}
-	// The write itself may fail partway: the server kills the
-	// connection at the first failed flush, possibly while we are
-	// still sending. That is fine — the invariant under test is only
-	// that nothing it DID send back is an ack.
-	io.WriteString(c.conn, sb.String())
-	// Read whatever came back: it must never contain an ack.
-	for {
-		line, err := c.r.ReadString('\n')
-		if strings.HasPrefix(line, ":") {
-			t.Fatalf("ack %q escaped before durability", strings.TrimSpace(line))
-		}
-		if err != nil {
-			break // connection closed after the error, as commit promises
-		}
-		if strings.HasPrefix(line, "-ERR") {
+}
+
+// TestReadYourWritesAcrossReadBoundary: SKETCH.INSERT b k immediately
+// followed by SKETCH.QUERY b k in one write answers :1 wherever the
+// pair falls against the 64 KiB read buffer — the insert in one fill
+// and the query in the next, either line cut in two, or both in one.
+// The connection is a net.Pipe, whose reads return exactly what the
+// buffer has room for, so every offset is hit deterministically.
+func TestReadYourWritesAcrossReadBoundary(t *testing.T) {
+	s := New(Config{Listen: "127.0.0.1:0"})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Abort()
+	mustSketch(t, s, "b")
+
+	const pad = "PING\n"
+	for off := 0; ; off++ {
+		pair := fmt.Sprintf("SKETCH.INSERT b %d\nSKETCH.QUERY b %[1]d\n", 7_000_000+off)
+		if off > len(pair) {
 			break
 		}
+		// The first fill ends off bytes into the pair.
+		head := MaxLineBytes - off
+		pings := head / len(pad)
+		input := strings.Repeat(pad, pings-1) + strings.Repeat(" ", head-pings*len(pad)) + pad + pair
+
+		client, srv := net.Pipe()
+		s.wg.Add(1)
+		go s.handleConn(srv)
+		go io.WriteString(client, input)
+		r := bufio.NewReader(client)
+		for i := 0; i < pings+2; i++ {
+			want := "+PONG\n"
+			if i >= pings {
+				want = ":1\n"
+			}
+			if got, err := r.ReadString('\n'); got != want || err != nil {
+				t.Fatalf("offset %d, reply %d = %q, %v, want %q", off, i, got, err, want)
+			}
+		}
+		client.Close()
 	}
 }
 

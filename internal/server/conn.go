@@ -21,7 +21,54 @@ import (
 var (
 	errLineTooLong  = errors.New("line too long")
 	errCommitFailed = errors.New("previous commit failed")
+	errDraining     = errors.New("server draining")
 )
+
+// idleReader sits between the request bufio.Reader and the socket and
+// is the one place the idle read deadline is armed — the mirror of
+// syncWriter.Write for the write deadline. Arming immediately before
+// each socket read, rather than once per request line, charges a
+// pipelined flush one clock read and one poller update, and gives a
+// line that arrives in pieces a full IdleTimeout from its latest piece
+// instead of what was left when its first piece came in.
+//
+// The order is arm, check done, read: Shutdown closes done and then
+// sets an immediate deadline on every connection, so either the check
+// sees the close or the deadline this read runs under is Shutdown's —
+// it cannot be overwritten by an arm that precedes the check.
+//
+// disarm hands the connection to a PSYNC stream or MONITOR feed, which
+// have no idle limit: the next read lifts the deadline the last one
+// armed, later ones leave it alone.
+type idleReader struct {
+	s    *Server
+	conn net.Conn
+	idle time.Duration // > 0 arm per read; < 0 lift once; 0 leave alone
+}
+
+func (r *idleReader) disarm() {
+	if r.idle > 0 {
+		r.idle = -1
+	}
+}
+
+func (r *idleReader) Read(p []byte) (int, error) {
+	if r.idle != 0 {
+		var deadline time.Time
+		if r.idle > 0 {
+			deadline = time.Now().Add(r.idle)
+		} else {
+			r.idle = 0
+		}
+		r.conn.SetReadDeadline(deadline)
+	}
+	select {
+	case <-r.s.done:
+		return 0, errDraining
+	default:
+	}
+	return r.conn.Read(p)
+}
 
 // readLine returns the next request line with its LF stripped, as a
 // view into the reader's buffer valid until the next read — the fast
@@ -61,12 +108,12 @@ func (s *Server) handleConn(conn net.Conn) {
 	conn = traffic.CountConn(conn, tc)
 	s.trackConn(conn, true)
 	defer s.trackConn(conn, false)
-	s.counters.Counter("connections_total").Inc()
-	active := s.counters.Counter("connections_active")
-	active.Inc()
-	defer active.Add(-1)
+	s.cConnsTotal.Inc()
+	s.cConnsActive.Inc()
+	defer s.cConnsActive.Add(-1)
 
-	r := bufio.NewReaderSize(conn, MaxLineBytes)
+	ir := &idleReader{s: s, conn: conn, idle: s.cfg.IdleTimeout}
+	r := bufio.NewReaderSize(ir, MaxLineBytes)
 	// The reply writer drains through the syncWriter barrier, so even a
 	// bufio auto-flush (a client pipelining more replies than the
 	// buffer holds) cannot leak an acknowledgement ahead of its fsync.
@@ -126,6 +173,24 @@ func (s *Server) handleConn(conn net.Conn) {
 		return nil
 	}
 	defer commit()
+	// One recover covers everything the loop runs — the fast path, a
+	// batch apply, a slow-path command — and contains a panic to this
+	// connection, the way a failed commit is contained: the pending
+	// batch and the unsent replies (optimistic acknowledgements among
+	// them) are dropped, the client gets one direct error line and a
+	// closed connection, the daemon and its other connections keep
+	// serving. Locks released by defer in the command path are released
+	// by the unwind.
+	defer func() {
+		if p := recover(); p != nil {
+			s.counters.Counter("panics_recovered").Inc()
+			batch.reset()
+			batch.release()
+			commitFailed = true
+			conn.SetWriteDeadline(time.Now().Add(time.Second))
+			writeError(conn, fmt.Sprintf("internal error: %v", p))
+		}
+	}()
 	// startNs chains timestamps across a pipelined batch: when the next
 	// command is already buffered, the end reading of this command is
 	// the start reading of the next, so the steady state costs one clock
@@ -133,21 +198,10 @@ func (s *Server) handleConn(conn net.Conn) {
 	// after the next readLine".
 	var startNs int64
 	for {
-		if d := s.cfg.IdleTimeout; d > 0 {
-			conn.SetReadDeadline(time.Now().Add(d))
-		}
-		// Check done after arming the deadline, not before: Shutdown
-		// closes done and then sets an immediate deadline, so either
-		// this select sees the close or the read below unblocks.
-		select {
-		case <-s.done:
-			return
-		default:
-		}
 		line, err := readLine(r)
 		if err != nil {
 			if errors.Is(err, errLineTooLong) {
-				s.counters.Counter("errors_total").Inc()
+				s.cErrors.Inc()
 				writeError(w, errLineTooLong.Error())
 			}
 			return
@@ -161,8 +215,9 @@ func (s *Server) handleConn(conn net.Conn) {
 			// Unsampled commands try the zero-allocation batch fast
 			// path: pipelined SKETCH.INSERT/MINSERT lines accumulate
 			// into the connection's batch and settle at the next drain
-			// point. Anything else — including every deviation the
-			// batch engine refuses — falls through to the slow path
+			// point, SKETCH.QUERY/SKETCH.CARD lines are answered from
+			// their tokens. Anything else — including every deviation
+			// the batch engine refuses — falls through to the slow path
 			// below, after the pending batch is applied so execution
 			// order (and WAL record order) matches request order.
 			if timed && startNs == 0 {
@@ -212,7 +267,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			// trace unfinished; it is never retained.
 			startNs = 0
 		case err != nil:
-			s.counters.Counter("errors_total").Inc()
+			s.cErrors.Inc()
 			writeError(w, err.Error())
 			if tr != nil {
 				tr.SetVerb("PARSE_ERROR")
@@ -242,6 +297,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			// refuse it (slow replicas are evicted via ReplicaMaxLagBytes,
 			// never by an operator racing the ack cursor).
 			tc.SetReplica()
+			ir.disarm() // the replication channel manages its own deadlines
 			s.servePSYNC(conn, r, w, cmd, replListenPort)
 			return
 		case err == nil && cmd.Name == "REPLCONF":
@@ -270,7 +326,10 @@ func (s *Server) handleConn(conn net.Conn) {
 			if commit() != nil {
 				return
 			}
-			s.serveMonitor(conn, r, w, tc)
+			// The read side's only job now is hangup detection: the idle
+			// deadline comes off (a silent monitor is healthy).
+			ir.disarm()
+			s.serveMonitor(r, w, tc)
 			return
 		default:
 			// Clock reads are skipped entirely when nothing consumes
@@ -320,7 +379,7 @@ func (s *Server) handleConn(conn net.Conn) {
 					openTrs = append(openTrs, tr)
 				}
 				if timed {
-					s.observe(lats, cmd, time.Duration(endNs-startNs), remoteAddr, tr)
+					s.observe(lats, vi, cmd, time.Duration(endNs-startNs), remoteAddr, tr)
 					if r.Buffered() > 0 {
 						startNs = endNs
 					} else {
@@ -365,13 +424,12 @@ func (c *connLats) flush(s *Server) {
 }
 
 // observe feeds one completed command into the latency accumulator for
-// its verb (unknown names share the OTHER bucket) and, past the
-// configured threshold, into the slow-query log with the client's
-// remote address. The slow-query check sees every command's exact
-// duration; only the histogram merge is deferred.
-func (s *Server) observe(lats *connLats, cmd Command, d time.Duration, addr string, tr *xtrace.Trace) {
+// its verb (i is its verbIndex; unknown names share the OTHER bucket)
+// and, past the configured threshold, into the slow-query log with the
+// client's remote address. The slow-query check sees every command's
+// exact duration; only the histogram merge is deferred.
+func (s *Server) observe(lats *connLats, i int, cmd Command, d time.Duration, addr string, tr *xtrace.Trace) {
 	if lats != nil { // nil when histograms are disabled but SlowThreshold isn't
-		i := verbIndex(cmd.Name)
 		l := lats.verbs[i]
 		if l == nil {
 			l = &obs.LocalHist{}
@@ -396,14 +454,14 @@ func (s *Server) observe(lats *connLats, cmd Command, d time.Duration, addr stri
 			return
 		}
 		s.slow.Record(renderCommand(cmd), d, time.Now(), addr, tr.ID())
-		s.counters.Counter("slow_commands_total").Inc()
+		s.cSlowCommands.Inc()
 		if s.logger.Enabled(obslog.LevelWarn) {
 			s.logger.Warn("slow command", "verb", cmd.Name, "duration", d.String())
 		}
 	}
 }
 
-// observeFast is observe for fast-path inserts: the same accumulator,
+// observeFast is observe for fast-path commands: the same accumulator,
 // flush-limit and slow-query behavior, but keyed by a precomputed
 // verb index and rendering the raw line only when the command was
 // actually slow — no Command struct, no per-command allocation. Fast-
@@ -427,7 +485,7 @@ func (s *Server) observeFast(lats *connLats, vi int, d time.Duration, addr strin
 			return
 		}
 		s.slow.Record(renderLine(line), d, time.Now(), addr, 0)
-		s.counters.Counter("slow_commands_total").Inc()
+		s.cSlowCommands.Inc()
 		if s.logger.Enabled(obslog.LevelWarn) {
 			s.logger.Warn("slow command", "verb", commandVerbs[vi], "duration", d.String())
 		}
@@ -459,21 +517,6 @@ func renderCommand(cmd Command) string {
 		line = line[:maxLen] + "..."
 	}
 	return line
-}
-
-// safeExecute runs one command, containing a panic to this connection:
-// the client gets an -ERR and a closed connection, the daemon and its
-// other connections keep serving. Deferred unlocks in the command path
-// run during the unwind, so no lock is leaked.
-func (s *Server) safeExecute(cmd Command, tr *xtrace.Trace, w *bufio.Writer, tc *traffic.Client) (quit bool) {
-	defer func() {
-		if p := recover(); p != nil {
-			s.counters.Counter("panics_recovered").Inc()
-			writeError(w, fmt.Sprintf("internal error: %v", p))
-			quit = true
-		}
-	}()
-	return s.execute(cmd, tr, w, tc)
 }
 
 // noteInsertKeys feeds a sampled insert command's parsed keys to the
@@ -563,8 +606,8 @@ func isMutation(name string) bool {
 }
 
 // testPanic, when set by a test before the server starts, is called
-// with each command so the per-connection panic containment can be
-// exercised without shipping a crash-on-demand wire command.
+// with each slow-path command so the per-connection panic containment
+// can be exercised without shipping a crash-on-demand wire command.
 var testPanic func(Command)
 
 // execute runs one command and writes its reply; it reports whether
@@ -638,7 +681,7 @@ func (s *Server) execute(cmd Command, tr *xtrace.Trace, w *bufio.Writer, tc *tra
 		err = fmt.Errorf("unknown command %q", cmd.Name)
 	}
 	if err != nil {
-		s.counters.Counter("errors_total").Inc()
+		s.cErrors.Inc()
 		writeError(w, err.Error())
 		tr.SetError() // nil-safe; errored traces are pinned in the ring
 	}

@@ -132,8 +132,9 @@
 //	    Per-connection accounting. LIST returns one +id=... addr=...
 //	    name=... age=... idle=... in=... out=... cmds=... keys=...
 //	    batches=... verb=... replica=... monitor=... per_verb=...
-//	    line per connection (bytes counted per syscall, per-verb
-//	    command counts settled per batch). KILL closes the connection
+//	    line per connection (bytes counted per syscall; per-verb
+//	    command counts and idle settled per batch drain for the
+//	    fast-path verbs). KILL closes the connection
 //	    with that remote addr — but refuses replication links, whose
 //	    ack cursors must detach through the -repl-max-lag eviction
 //	    path. SETNAME labels this connection (sketch-name alphabet).
@@ -161,16 +162,20 @@
 // replies are written in request order and flushed when the input
 // buffer drains. The protocol is unauthenticated, so deployments keep
 // the listener on loopback (the shed default) unless the network is
-// trusted. Config.IdleTimeout reaps connections that go quiet,
+// trusted. Config.IdleTimeout reaps a connection that long after its
+// latest byte (the deadline is armed before each socket read, so a
+// line arriving in pieces is not cut short by its first piece),
 // Config.WriteTimeout bounds each reply flush, and Config.MaxConns
 // caps concurrent clients (excess dials get -ERR and are closed) — so
 // slowloris-style clients cannot pin goroutines forever. Shutdown is
 // graceful: the
 // listener closes, in-flight commands finish, and with an autosave
 // directory configured every sketch is snapshotted on the way down and
-// restored on the next start. A panic inside one command is contained
-// to its connection: the client gets -ERR internal error and a closed
-// socket, the daemon keeps serving (counter panics_recovered).
+// restored on the next start. A panic on a connection's goroutine —
+// in a slow-path command, a fast-path read or a batch apply — is
+// contained to that connection: its unsent replies are dropped, the
+// client gets -ERR internal error and a closed socket, the daemon
+// keeps serving (counter panics_recovered).
 //
 // # Batched execution
 //
@@ -184,6 +189,18 @@
 // One apply pays a single registry lookup and lock acquisition per
 // distinct sketch, a single WAL append for all of the batch's records
 // and a single admission-control slot.
+//
+// The two read verbs ride the same fast path: a SKETCH.QUERY <name>
+// <key> or SKETCH.CARD <name> line is answered from the same in-place
+// tokens, without allocating, after the inserts pipelined ahead of it
+// on the connection have been applied (request order and
+// read-your-writes hold; with a WAL the reply waits behind their
+// fsync like their own acknowledgements). Every deviation — wrong
+// argument count, unknown sketch, a kind that does not answer the
+// verb, non-ASCII input, a sampled trace, no free admission slot —
+// takes the general path, which renders every error reply. Fast
+// commands are counted into commands_total and the connection's
+// CLIENT LIST row once per drain, not once per command.
 //
 // Commit semantics are per batch and unchanged in strength: replies
 // for the whole batch are buffered and flushed together, after one

@@ -288,21 +288,51 @@ func TestPanicRecoveredPerConnection(t *testing.T) {
 	}
 	defer func() { testPanic = nil }()
 
-	s := New(Config{Listen: "127.0.0.1:0"})
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Abort()
-	c1 := dialServer(t, s)
-	c1.must("PING", "+PONG")
-	c1.must("SKETCH.CARD panic-trigger", "-ERR internal error: injected test panic")
-	if _, ok := c1.try("PING"); ok {
-		t.Fatal("connection stayed open after a recovered panic")
-	}
-	c2 := dialServer(t, s)
-	c2.must("PING", "+PONG")
-	if got := s.Counters().Counter("panics_recovered").Value(); got != 1 {
-		t.Fatalf("panics_recovered = %d, want 1", got)
+	// The fast path has no hook to inject through, and needs none: a
+	// sketch with no structure behind it dereferences nil in the batch
+	// apply (insert) and in the query kernel (query).
+	const nilDeref = "-ERR internal error: runtime error: invalid memory address or nil pointer dereference"
+	for _, tc := range []struct {
+		name, cmd, want string
+		cfg             Config
+	}{
+		{"slow", "SKETCH.CARD panic-trigger", "-ERR internal error: injected test panic", Config{}},
+		{"fast-insert", "SKETCH.INSERT hollow 7", nilDeref, Config{}},
+		{"fast-insert-wal", "MINSERT hollow 7 8", nilDeref, Config{WALDir: t.TempDir()}},
+		{"fast-query", "SKETCH.QUERY hollow 7", nilDeref, Config{MaxInflight: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Listen = "127.0.0.1:0"
+			s := New(tc.cfg)
+			if err := s.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer s.Abort()
+			s.reg.Put("hollow", &Sketch{kind: "bloom"})
+			c1 := dialServer(t, s)
+			c1.must("PING", "+PONG")
+			c1.must(tc.cmd, tc.want)
+			if _, ok := c1.try("PING"); ok {
+				t.Fatal("connection stayed open after a recovered panic")
+			}
+			// The daemon keeps serving — with MaxInflight 1 only if the
+			// dead connection gave its admission slot back, with a WAL
+			// only if it let go of the checkpoint lock.
+			c2 := dialServer(t, s)
+			c2.must("PING", "+PONG")
+			c2.must("SKETCH.CREATE ok bloom bits=1024 window=1024 shards=1", "+OK")
+			c2.must("SKETCH.INSERT ok 7", ":1")
+			c2.must("SKETCH.QUERY ok 7", ":1")
+			if tc.cfg.WALDir != "" {
+				s.reg.Drop("hollow") // it cannot be snapshotted either
+				if err := s.checkpoint(true); err != nil {
+					t.Fatalf("checkpoint after a recovered panic: %v", err)
+				}
+			}
+			if got := s.Counters().Counter("panics_recovered").Value(); got != 1 {
+				t.Fatalf("panics_recovered = %d, want 1", got)
+			}
+		})
 	}
 }
 

@@ -349,7 +349,7 @@ func (ad *admission) await(timeout time.Duration, done <-chan struct{}) (ok, qui
 func (s *Server) admitExecute(cmd Command, tr *xtrace.Trace, w *bufio.Writer, tc *traffic.Client) (quit bool) {
 	ad := s.admit
 	if ad == nil {
-		return s.safeExecute(cmd, tr, w, tc)
+		return s.execute(cmd, tr, w, tc)
 	}
 	if !ad.tryAcquire() {
 		ok, quit := ad.await(s.commandTimeout(), s.done)
@@ -357,11 +357,11 @@ func (s *Server) admitExecute(cmd Command, tr *xtrace.Trace, w *bufio.Writer, tc
 			return true
 		}
 		if !ok {
-			s.counters.Counter("overload_busy_rejects").Inc()
+			s.cBusyRejects.Inc()
 			writeError(w, "BUSY too many in-flight commands; retry")
 			return false
 		}
 	}
-	defer ad.release()
-	return s.safeExecute(cmd, tr, w, tc)
+	defer ad.release() // also on a panic, which handleConn recovers
+	return s.execute(cmd, tr, w, tc)
 }

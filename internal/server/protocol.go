@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -187,18 +188,30 @@ func ValidName(name string) bool {
 }
 
 // Reply writers. The protocol is line-based: \n terminators, no length
-// prefixes, so transcripts read cleanly in nc.
+// prefixes, so transcripts read cleanly in nc. The scalar replies are
+// rendered straight into the writer's free space (AvailableBuffer), so
+// they neither allocate nor pass through fmt.
 
-func writeSimple(w io.Writer, s string) { fmt.Fprintf(w, "+%s\n", s) }
+func writeSimple(w *bufio.Writer, s string) {
+	w.WriteByte('+')
+	w.WriteString(s)
+	w.WriteByte('\n')
+}
 
-func writeInt(w io.Writer, v int64) { fmt.Fprintf(w, ":%d\n", v) }
+func writeInt(w *bufio.Writer, v int64) {
+	b := append(w.AvailableBuffer(), ':')
+	b = strconv.AppendInt(b, v, 10)
+	w.Write(append(b, '\n'))
+}
 
 // writeFloat uses the shortest exact decimal ('g', precision -1), not a
 // fixed %.1f: a cardinality estimate of 1234567.9 must not come back as
 // a truncated lie, and small fractions (fill ratios) must not collapse
 // to 0.0.
-func writeFloat(w io.Writer, v float64) {
-	fmt.Fprintf(w, "+%s\n", strconv.FormatFloat(v, 'g', -1, 64))
+func writeFloat(w *bufio.Writer, v float64) {
+	b := append(w.AvailableBuffer(), '+')
+	b = strconv.AppendFloat(b, v, 'g', -1, 64)
+	w.Write(append(b, '\n'))
 }
 
 func writeError(w io.Writer, msg string) {
@@ -211,7 +224,7 @@ func writeError(w io.Writer, msg string) {
 	fmt.Fprintf(w, "-ERR %s\n", msg)
 }
 
-func writeArray(w io.Writer, lines []string) {
+func writeArray(w *bufio.Writer, lines []string) {
 	fmt.Fprintf(w, "*%d\n", len(lines))
 	for _, l := range lines {
 		writeSimple(w, l)

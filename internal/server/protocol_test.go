@@ -1,7 +1,11 @@
 package server
 
 import (
+	"bufio"
 	"errors"
+	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -23,10 +27,41 @@ func TestWriteFloat(t *testing.T) {
 		{-2.25, "+-2.25\n"},
 	}
 	for _, tt := range tests {
-		var sb strings.Builder
-		writeFloat(&sb, tt.v)
-		if sb.String() != tt.want {
-			t.Errorf("writeFloat(%v) = %q, want %q", tt.v, sb.String(), tt.want)
+		if got := rendered(func(w *bufio.Writer) { writeFloat(w, tt.v) }); got != tt.want {
+			t.Errorf("writeFloat(%v) = %q, want %q", tt.v, got, tt.want)
+		}
+	}
+}
+
+// rendered returns what write leaves on the wire. The writer is small
+// and already holds a byte, so replies longer than its free space are
+// covered too.
+func rendered(write func(w *bufio.Writer)) string {
+	var sb strings.Builder
+	w := bufio.NewWriterSize(&sb, 16)
+	w.WriteByte('~')
+	write(w)
+	w.Flush()
+	return sb.String()[1:]
+}
+
+// TestScalarRepliesMatchFmt holds the strconv-rendered scalar replies to
+// the fmt verbs they replaced, byte for byte.
+func TestScalarRepliesMatchFmt(t *testing.T) {
+	for _, v := range []int64{0, 1, -1, 9, 10, 127, 1 << 31, math.MaxInt64, math.MinInt64} {
+		if got, want := rendered(func(w *bufio.Writer) { writeInt(w, v) }), fmt.Sprintf(":%d\n", v); got != want {
+			t.Errorf("writeInt(%d) = %q, want %q", v, got, want)
+		}
+	}
+	for _, v := range []float64{0, 0.5, 16384, 99999.99999, 1e21, 5e-324, math.MaxFloat64, math.Inf(1), math.NaN()} {
+		want := fmt.Sprintf("+%s\n", strconv.FormatFloat(v, 'g', -1, 64))
+		if got := rendered(func(w *bufio.Writer) { writeFloat(w, v) }); got != want {
+			t.Errorf("writeFloat(%v) = %q, want %q", v, got, want)
+		}
+	}
+	for _, v := range []string{"", "OK", "PONG", strings.Repeat("x", 100)} {
+		if got, want := rendered(func(w *bufio.Writer) { writeSimple(w, v) }), fmt.Sprintf("+%s\n", v); got != want {
+			t.Errorf("writeSimple(%q) = %q, want %q", v, got, want)
 		}
 	}
 }

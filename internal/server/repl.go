@@ -229,9 +229,6 @@ func (s *Server) servePSYNC(conn net.Conn, r *bufio.Reader, w *bufio.Writer, cmd
 		}
 	}
 
-	// The replication channel manages its own deadlines from here on.
-	conn.SetReadDeadline(time.Time{})
-
 	rep, err := s.attachReplica(w, id, cursor)
 	if err != nil {
 		s.logger.Warn("psync refused", "replica", id, "err", err)

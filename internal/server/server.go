@@ -271,6 +271,11 @@ type Server struct {
 	cBatchApplies  *metrics.Counter
 	cBatchCommands *metrics.Counter
 	cBatchKeys     *metrics.Counter
+	cErrors        *metrics.Counter
+	cSlowCommands  *metrics.Counter
+	cBusyRejects   *metrics.Counter
+	cConnsTotal    *metrics.Counter
+	cConnsActive   *metrics.Counter
 
 	// over is the overload-protection state; admit is the admission
 	// semaphore (nil without Config.MaxInflight).
@@ -290,7 +295,7 @@ type Server struct {
 // OTHER catchall for unknown names. It drives both histogram
 // preallocation (New) and the stable ordering of /metrics series; its
 // positions must match verbIndex.
-var commandVerbs = []string{
+var commandVerbs = [...]string{
 	"PING", "QUIT", "INFO", "SLOWLOG",
 	"SKETCH.LIST", "SKETCH.CREATE", "SKETCH.DROP", "SKETCH.INSERT",
 	"SKETCH.QUERY", "SKETCH.CARD", "SKETCH.STATS", "SKETCH.AUDIT",
@@ -304,6 +309,8 @@ var commandVerbs = []string{
 // through verbIndex's string switch); TestVerbIndex pins them.
 const (
 	verbInsert  = 7
+	verbQuery   = 8
+	verbCard    = 9
 	verbMinsert = 19
 )
 
@@ -407,6 +414,11 @@ func New(cfg Config) *Server {
 	s.cBatchApplies = s.counters.Counter("batch_applies_total")
 	s.cBatchCommands = s.counters.Counter("batch_commands_total")
 	s.cBatchKeys = s.counters.Counter("batch_keys_total")
+	s.cErrors = s.counters.Counter("errors_total")
+	s.cSlowCommands = s.counters.Counter("slow_commands_total")
+	s.cBusyRejects = s.counters.Counter("overload_busy_rejects")
+	s.cConnsTotal = s.counters.Counter("connections_total")
+	s.cConnsActive = s.counters.Counter("connections_active")
 	if cfg.MaxInflight > 0 {
 		s.admit = newAdmission(cfg.MaxInflight)
 	}
@@ -431,7 +443,7 @@ func New(cfg Config) *Server {
 		SampleEvery: cfg.TrafficSample,
 		HotKeysK:    cfg.HotKeysK,
 		HotWindow:   cfg.HotKeysWindow,
-		Verbs:       commandVerbs,
+		Verbs:       commandVerbs[:],
 	})
 	return s
 }

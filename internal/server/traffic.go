@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"fmt"
-	"net"
 	"sort"
 	"strings"
 	"time"
@@ -169,7 +168,7 @@ func renderClient(c traffic.ClientInfo) string {
 // frames it cannot buffer are dropped and counted — and the feed's
 // writes carry the configured write deadline, so a stuck socket
 // cannot park this goroutine forever either.
-func (s *Server) serveMonitor(conn net.Conn, r *bufio.Reader, w *bufio.Writer, tc *traffic.Client) {
+func (s *Server) serveMonitor(r *bufio.Reader, w *bufio.Writer, tc *traffic.Client) {
 	writeSimple(w, "OK")
 	if w.Flush() != nil {
 		return
@@ -177,11 +176,9 @@ func (s *Server) serveMonitor(conn net.Conn, r *bufio.Reader, w *bufio.Writer, t
 	tc.SetMonitor()
 	sub := s.traffic.Monitor().Subscribe()
 	defer s.traffic.Monitor().Unsubscribe(sub)
-	// The read loop's only job now is hangup detection: the idle
-	// deadline comes off (a silent monitor is healthy), and any input
-	// or error ends the feed. Shutdown still unblocks the read via
-	// trackConn's deadline poke.
-	conn.SetReadDeadline(time.Time{})
+	// The read loop's only job now is hangup detection (handleConn took
+	// the idle deadline off): any input or error ends the feed. Shutdown
+	// still unblocks the read via its deadline poke.
 	hangup := make(chan struct{})
 	go func() {
 		defer close(hangup)

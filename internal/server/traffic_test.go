@@ -210,6 +210,48 @@ func TestClientCommands(t *testing.T) {
 	}
 }
 
+// TestClientListAfterFastPipeline: the fast path settles a connection's
+// accounting once per drain, not per command — by the time the pipeline
+// is answered, CLIENT LIST from another connection shows every query
+// and insert it carried and an idle clock restarted at the drain.
+func TestClientListAfterFastPipeline(t *testing.T) {
+	s := startServer(t, server.Config{Logger: quiet()})
+	admin := dial(t, s.Addr().String())
+	admin.cmd("SKETCH.CREATE b bloom bits=65536 window=65536 shards=2")
+	admin.cmd("SKETCH.CREATE h hll registers=256 window=65536 shards=2")
+
+	c := dial(t, s.Addr().String())
+	time.Sleep(1100 * time.Millisecond) // idle= is in whole seconds
+	const n = 500
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "SKETCH.INSERT b %d\nSKETCH.QUERY b %[1]d\nMINSERT h %[1]d x\nSKETCH.CARD h\n", i)
+	}
+	if _, err := c.conn.Write([]byte(sb.String())); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4*n; i++ {
+		c.recv()
+	}
+	var row string
+	for _, r := range admin.array("CLIENT LIST") {
+		if strings.Contains(r, "addr="+c.conn.LocalAddr().String()+" ") {
+			row = r
+		}
+	}
+	for _, want := range []string{
+		" idle=0 ", fmt.Sprintf(" cmds=%d ", 4*n), fmt.Sprintf(" keys=%d ", 3*n), " verb=SKETCH.CARD ",
+		fmt.Sprintf("per_verb=MINSERT:%[1]d,SKETCH.CARD:%[1]d,SKETCH.INSERT:%[1]d,SKETCH.QUERY:%[1]d", n),
+	} {
+		if !strings.Contains(row, want) {
+			t.Errorf("CLIENT LIST row %q lacks %q", row, want)
+		}
+	}
+	if got := s.Counters().Counter("commands_total").Value(); got != 4*n+3 {
+		t.Errorf("commands_total = %d, want %d", got, 4*n+3)
+	}
+}
+
 // TestClientKillReplicaRefused pins the replication-safety rule:
 // CLIENT KILL must not offer a raw close of a PSYNC link — the
 // Tracker's ack cursor detaches only through the replication layer's

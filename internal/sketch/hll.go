@@ -61,32 +61,62 @@ func alphaM(m int) float64 {
 // EstimateCardinality returns the HLL estimate with the standard
 // small-range (linear counting) correction.
 func (h *HLL) EstimateCardinality() float64 {
-	m := h.regs.Len()
-	return EstimateFromRegisters(func(i int) uint64 { return h.regs.Get(i) }, m)
+	var hist RankHist
+	for i, m := 0, h.regs.Len(); i < m; i++ {
+		hist[h.regs.Get(i)]++
+	}
+	return hist.Estimate()
 }
 
-// EstimateFromRegisters computes the HyperLogLog estimate from an
-// arbitrary register accessor; the sliding-window variants (SHE-HLL,
-// SHLL) reuse it over their own filtered register sets.
-func EstimateFromRegisters(reg func(i int) uint64, m int) float64 {
+// RankHist counts registers by rank: RankHist[r] registers hold rank r.
+// It is everything the HyperLogLog estimate needs from a register file,
+// so an estimator makes one pass over its registers into a RankHist and
+// never touches floating point per register.
+type RankHist [1 << rankBits]int
+
+// pow2Neg[r] = 2^-r, exactly.
+var pow2Neg = func() (t [1 << rankBits]float64) {
+	for r := range t {
+		t[r] = math.Ldexp(1, -r)
+	}
+	return t
+}()
+
+// Estimate returns the HyperLogLog estimate, with the standard
+// small-range (linear counting) correction, of the registers counted.
+//
+// Σ c_r·2^-r is exact, whatever the order of summation: every term and
+// every partial sum is a multiple of 2^-31, and below 2^22 registers
+// the sum stays under 2^22, so it fits float64's 53-bit significand —
+// the value a register-by-register loop adding 2^-rank produces.
+func (h *RankHist) Estimate() float64 {
+	m := 0
+	sum := 0.0
+	for r, c := range h {
+		m += c
+		sum += float64(c) * pow2Neg[r]
+	}
 	if m == 0 {
 		return 0
 	}
-	sum := 0.0
-	zeros := 0
-	for i := 0; i < m; i++ {
-		r := reg(i)
-		sum += math.Pow(2, -float64(r))
-		if r == 0 {
-			zeros++
-		}
-	}
 	est := alphaM(m) * float64(m) * float64(m) / sum
-	if est <= 2.5*float64(m) && zeros > 0 {
+	if zeros := h[0]; est <= 2.5*float64(m) && zeros > 0 {
 		// Small-range correction: linear counting on empty registers.
 		est = float64(m) * math.Log(float64(m)/float64(zeros))
 	}
 	return est
+}
+
+// EstimateFromRegisters computes the HyperLogLog estimate from an
+// arbitrary register accessor returning 5-bit ranks; the sliding-window
+// variants that filter registers through an accessor (SHLL, the sweep
+// twins) reuse it.
+func EstimateFromRegisters(reg func(i int) uint64, m int) float64 {
+	var h RankHist
+	for i := 0; i < m; i++ {
+		h[reg(i)]++
+	}
+	return h.Estimate()
 }
 
 // Registers returns the number of registers.

@@ -261,3 +261,78 @@ func TestMemoryBitsAccounting(t *testing.T) {
 		t.Fatalf("minhash MemoryBits=%d", got)
 	}
 }
+
+// powEstimate is the register-by-register estimator EstimateFromRegisters
+// replaced, kept as the reference the histogram form must equal bit for
+// bit: one math.Pow per register, summed in register order.
+func powEstimate(reg func(i int) uint64, m int) float64 {
+	if m == 0 {
+		return 0
+	}
+	sum := 0.0
+	zeros := 0
+	for i := 0; i < m; i++ {
+		r := reg(i)
+		sum += math.Pow(2, -float64(r))
+		if r == 0 {
+			zeros++
+		}
+	}
+	est := alphaM(m) * float64(m) * float64(m) / sum
+	if est <= 2.5*float64(m) && zeros > 0 {
+		est = float64(m) * math.Log(float64(m)/float64(zeros))
+	}
+	return est
+}
+
+// TestEstimateFromRegistersBitIdentical: the rank-histogram estimate is
+// the Pow loop's, to the last bit, over register files that reach every
+// branch — empty, saturated, sparse (small-range correction on) and
+// dense (off) — at every size from 16 to 2^20 registers.
+func TestEstimateFromRegistersBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	fills := map[string]func() uint64{
+		"all-zero": func() uint64 { return 0 },
+		"all-31":   func() uint64 { return 31 },
+		"sparse": func() uint64 { // mostly empty: linear counting applies
+			if rng.Intn(10) == 0 {
+				return uint64(1 + rng.Intn(31))
+			}
+			return 0
+		},
+		"dense":     func() uint64 { return uint64(1 + rng.Intn(31)) },
+		"geometric": func() uint64 { return Rank32(rng.Uint32()) },
+		"uniform":   func() uint64 { return uint64(rng.Intn(32)) },
+	}
+	for _, m := range []int{0, 16, 17, 32, 64, 100, 4096, 1 << 14, 1<<17 + 3, 1 << 20} {
+		regs := make([]uint64, m)
+		get := func(i int) uint64 { return regs[i] }
+		for name, fill := range fills {
+			for i := range regs {
+				regs[i] = fill()
+			}
+			got, want := EstimateFromRegisters(get, m), powEstimate(get, m)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("m=%d %s: histogram estimate %v (%#x), Pow loop %v (%#x)",
+					m, name, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// TestHLLEstimateMatchesAccessorForm: HLL.EstimateCardinality fills its
+// histogram straight from the packed registers; it must agree with the
+// accessor form over the same registers.
+func TestHLLEstimateMatchesAccessorForm(t *testing.T) {
+	h := NewHLL(2048, 5)
+	for i := uint64(0); i < 20_000; i++ {
+		h.Insert(i * 0x9e3779b97f4a7c15)
+		if i%997 == 0 {
+			got := h.EstimateCardinality()
+			want := powEstimate(func(i int) uint64 { return h.regs.Get(i) }, h.regs.Len())
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("after %d inserts: %v, Pow loop %v", i+1, got, want)
+			}
+		}
+	}
+}

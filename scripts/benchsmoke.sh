@@ -42,7 +42,7 @@
 # is 3x the PR 3 single-connection no-WAL baseline (1,328,403
 # inserts/sec), the batch engine's headline claim.
 #
-# Writes $OUT (default BENCH_PR10.json) with the median figures. With a
+# Writes $OUT (default benchsmoke.json) with the median figures. With a
 # real BENCHTIME (e.g. 2s) it fails when any overhead exceeds its
 # budget; with BENCHTIME=1x (the CI smoke default) it runs one pair
 # only and just checks that the benchmarks run, since a single
@@ -65,7 +65,7 @@ MAX_OVERHEAD_PCT="${MAX_OVERHEAD_PCT:-5}"
 MAX_REPL_OVERHEAD_PCT="${MAX_REPL_OVERHEAD_PCT:-60}"
 MIN_SATURATE="${MIN_SATURATE:-3985209}"
 MIN_SATURATE_WAL="${MIN_SATURATE_WAL:-1000000}"
-OUT="${OUT:-BENCH_PR10.json}"
+OUT="${OUT:-benchsmoke.json}"
 PAIRS="${PAIRS:-5}"
 if [ "$BENCHTIME" = "1x" ]; then
   PAIRS=1
