@@ -37,12 +37,13 @@ type FS interface {
 	OpenFile(name string, flag int, perm fs.FileMode) (File, error)
 	// ReadFile returns the full contents of name.
 	ReadFile(name string) ([]byte, error)
-	// ReadFileAt returns up to n bytes of name starting at off. Fewer
-	// bytes than n (with a nil error) means the file ends before
-	// off+n; an offset at or past the end returns an empty slice. The
-	// WAL tail reader uses it to stream a segment's new bytes to
-	// replicas without re-reading the whole file on every poll.
-	ReadFileAt(name string, off, n int64) ([]byte, error)
+	// ReadFileAt fills buf with the bytes of name starting at off and
+	// returns how many it read. Fewer than len(buf) (with a nil error)
+	// means the file ends before off+len(buf); an offset at or past the
+	// end reads nothing. The WAL tail reader uses it to stream a
+	// segment's new bytes to replicas into a buffer it reuses, without
+	// re-reading the whole file on every poll.
+	ReadFileAt(name string, off int64, buf []byte) (int, error)
 	// ReadDir lists the directory, sorted by name.
 	ReadDir(name string) ([]fs.DirEntry, error)
 	// MkdirAll creates the directory and any missing parents.
@@ -69,19 +70,19 @@ func (OS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
 
 func (OS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
 
-// ReadFileAt reads the byte range [off, off+n) of name, short at EOF.
-func (OS) ReadFileAt(name string, off, n int64) ([]byte, error) {
+// ReadFileAt reads the byte range [off, off+len(buf)) of name into buf,
+// short at EOF.
+func (OS) ReadFileAt(name string, off int64, buf []byte) (int, error) {
 	f, err := os.Open(name)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	defer f.Close()
-	buf := make([]byte, n)
 	m, err := f.ReadAt(buf, off)
 	if err == io.EOF {
 		err = nil
 	}
-	return buf[:m], err
+	return m, err
 }
 func (OS) ReadDir(name string) ([]fs.DirEntry, error)   { return os.ReadDir(name) }
 func (OS) MkdirAll(name string, perm fs.FileMode) error { return os.MkdirAll(name, perm) }

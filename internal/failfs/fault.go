@@ -148,11 +148,11 @@ func (f *Fault) ReadFile(name string) ([]byte, error) {
 	return f.inner.ReadFile(name)
 }
 
-func (f *Fault) ReadFileAt(name string, off, n int64) ([]byte, error) {
+func (f *Fault) ReadFileAt(name string, off int64, buf []byte) (int, error) {
 	if err := f.dead(); err != nil {
-		return nil, err
+		return 0, err
 	}
-	return f.inner.ReadFileAt(name, off, n)
+	return f.inner.ReadFileAt(name, off, buf)
 }
 
 func (f *Fault) ReadDir(name string) ([]fs.DirEntry, error) {

@@ -6,12 +6,15 @@
 // One primary accepts mutations; any number of followers connect to it
 // over the ordinary wire protocol, bootstrap from a sealed SHSN
 // snapshot generation (a full sync), and then tail the primary's live
-// WAL, applying each record through the same ParseCommand replay path
-// crash recovery uses. Followers serve queries, SKETCH.STATS and
-// SKETCH.AUDIT read-only and refuse mutations; sketch answers are
-// approximate by contract, so replica staleness is just extra sliding-
-// window slack (a follower lagging by L inserts answers as a primary
-// whose window closed L inserts ago — see the server docs).
+// WAL, applying each record through the same replay path crash
+// recovery uses — a burst of records at a time, logged to the
+// follower's own WAL in one batch and fsynced before the one
+// acknowledgement that covers it. Followers serve queries,
+// SKETCH.STATS and SKETCH.AUDIT read-only and refuse mutations; sketch
+// answers are approximate by contract, so replica staleness is just
+// extra sliding-window slack (a follower lagging by L inserts answers
+// as a primary whose window closed L inserts ago — see the server
+// docs).
 //
 // # Protocol
 //
@@ -45,9 +48,12 @@
 // only fsync-durable bytes (the WAL tail reader is bounded by the
 // synced watermark), so a follower can never hold state the primary
 // would lose in a crash. A follower acknowledges only after applying —
-// and, when it runs its own WAL, fsyncing — a batch, which is what
-// makes the primary's semi-synchronous commit (Config.SyncReplicas)
-// a real zero-acked-loss guarantee across failover.
+// and, when it runs its own WAL, fsyncing — a burst (Target.ApplyBurst:
+// the REC frames its reader had buffered, at most 256 KiB of payload),
+// which is what makes the primary's semi-synchronous commit
+// (Config.SyncReplicas) a real zero-acked-loss guarantee across
+// failover. The payload is opaque here: a text line or shed's binary
+// insert record, length-delimited either way.
 //
 // # Failover
 //

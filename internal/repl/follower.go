@@ -25,17 +25,32 @@ type Target interface {
 	// EndFullSync finishes the bootstrap; start is the cursor the
 	// stream resumes from (everything below it is in the snapshot).
 	EndFullSync(start wal.Cursor) error
-	// Apply replays one WAL record (the same bytes the primary's
-	// crash recovery would replay). tid is the primary's trace ID for
-	// the command that produced the record, 0 when it was not sampled;
-	// a tracing target joins the cross-node trace under that ID, any
-	// other target ignores it.
-	Apply(payload []byte, tid uint64) error
-	// Commit makes everything applied so far locally durable (fsync);
-	// cursor is the position the durable prefix reaches. The follower
-	// acknowledges only after Commit returns.
-	Commit(cursor wal.Cursor) error
+	// ApplyBurst replays the records of one burst — what the stream
+	// had ready when the follower looked — in order, and makes them
+	// locally durable (fsync) before it returns; the follower
+	// acknowledges only after that. An error means the replica may have
+	// diverged from the primary: nothing of the burst is acknowledged
+	// and the next session bootstraps from a snapshot.
+	ApplyBurst(recs []Record) error
 }
+
+// Record is one replicated WAL record of a burst.
+type Record struct {
+	// Payload is the bytes the primary's crash recovery would replay.
+	// It aliases the follower's burst buffer: valid until ApplyBurst
+	// returns.
+	Payload []byte
+	// TraceID is the primary's trace ID for the command that produced
+	// the record, 0 when it was not sampled; a tracing target joins the
+	// cross-node trace under that ID, any other target ignores it.
+	TraceID uint64
+}
+
+// maxBurstBytes closes a burst: the follower stops collecting REC
+// frames once their payloads reach it, so the buffer a burst lives in
+// holds at most this plus one record (wal.MaxRecordBytes) however far
+// the follower is behind.
+const maxBurstBytes = 256 << 10
 
 // FollowerConfig parameterises a replication client.
 type FollowerConfig struct {
@@ -256,11 +271,11 @@ func (f *Follower) session() error {
 		f.mu.Unlock()
 	}()
 
-	r := bufio.NewReaderSize(conn, 1<<16)
-	w := bufio.NewWriterSize(conn, 1<<16)
+	link := linkConn{conn, f.cfg.ReadTimeout}
+	r := bufio.NewReaderSize(link, 1<<16)
+	w := bufio.NewWriterSize(link, 1<<16)
 
 	expect := func(send, wantPrefix string) (string, error) {
-		conn.SetDeadline(time.Now().Add(f.cfg.ReadTimeout))
 		if _, err := w.WriteString(send + "\n"); err != nil {
 			return "", err
 		}
@@ -291,7 +306,6 @@ func (f *Follower) session() error {
 	if !cur.IsZero() {
 		psync = fmt.Sprintf("PSYNC %d %d %d", cur.Gen, cur.Seg, cur.Off)
 	}
-	conn.SetDeadline(time.Now().Add(f.cfg.ReadTimeout))
 	if _, err := w.WriteString(psync + "\n"); err != nil {
 		return err
 	}
@@ -313,7 +327,7 @@ func (f *Follower) session() error {
 		if err != nil || nfiles < 0 {
 			return fmt.Errorf("repl: bad FULLRESYNC file count %q", fields[4])
 		}
-		if err := f.fullSync(conn, r, start, nfiles); err != nil {
+		if err := f.fullSync(r, start, nfiles); err != nil {
 			return err
 		}
 		cur = start
@@ -335,17 +349,37 @@ func (f *Follower) session() error {
 	f.mu.Unlock()
 	f.cfg.Logf("repl follower: streaming from %s at cursor %s", f.cfg.PrimaryAddr, cur)
 
-	return f.stream(conn, r, w, cur)
+	return f.stream(r, w, cur)
+}
+
+// linkConn arms the link's deadline where bytes meet the socket:
+// ReadTimeout from each read and each write, not from each protocol
+// line, so a burst of frames pays one clock read and one poller update
+// per socket read (the idleReader shape of internal/server), and a
+// frame that arrives in pieces has the full timeout from its latest
+// piece.
+type linkConn struct {
+	net.Conn
+	timeout time.Duration
+}
+
+func (c linkConn) Read(p []byte) (int, error) {
+	c.Conn.SetReadDeadline(time.Now().Add(c.timeout))
+	return c.Conn.Read(p)
+}
+
+func (c linkConn) Write(p []byte) (int, error) {
+	c.Conn.SetWriteDeadline(time.Now().Add(c.timeout))
+	return c.Conn.Write(p)
 }
 
 // fullSync ingests the snapshot file transfer that follows +FULLRESYNC.
-func (f *Follower) fullSync(conn net.Conn, r *bufio.Reader, start wal.Cursor, nfiles int) error {
+func (f *Follower) fullSync(r *bufio.Reader, start wal.Cursor, nfiles int) error {
 	f.cfg.Logf("repl follower: full sync from %s: %d files, start cursor %s", f.cfg.PrimaryAddr, nfiles, start)
 	if err := f.target.BeginFullSync(); err != nil {
 		return err
 	}
 	for i := 0; i < nfiles; i++ {
-		conn.SetDeadline(time.Now().Add(f.cfg.ReadTimeout))
 		line, err := readLine(r)
 		if err != nil {
 			return err
@@ -358,7 +392,7 @@ func (f *Follower) fullSync(conn net.Conn, r *bufio.Reader, start wal.Cursor, nf
 		if err != nil {
 			return fmt.Errorf("repl: bad SNAP size %q", fields[2])
 		}
-		data, err := readBlob(r, size, MaxSnapshotFileBytes)
+		data, err := readBlob(r, nil, size, MaxSnapshotFileBytes)
 		if err != nil {
 			return err
 		}
@@ -366,7 +400,6 @@ func (f *Follower) fullSync(conn net.Conn, r *bufio.Reader, start wal.Cursor, nf
 			return err
 		}
 	}
-	conn.SetDeadline(time.Now().Add(f.cfg.ReadTimeout))
 	line, err := readLine(r)
 	if err != nil {
 		return err
@@ -383,94 +416,91 @@ func (f *Follower) fullSync(conn net.Conn, r *bufio.Reader, start wal.Cursor, nf
 	return nil
 }
 
-// stream applies REC frames until the connection dies. Records are
-// committed (and acknowledged) at batch boundaries: whenever the read
-// buffer drains, everything applied since the last ack is fsynced via
-// Target.Commit and a REPLACK goes out. An Apply error is fatal to the
+// stream applies REC frames until the connection dies, a burst at a
+// time: it blocks for a frame, keeps parsing frames while the reader
+// holds buffered bytes (up to maxBurstBytes of payload), hands the
+// burst to Target.ApplyBurst — apply, log, fsync — and only then sends
+// one REPLACK for its last cursor. A burst cut short by a read error
+// is dropped unapplied; none of it was acknowledged, so the next
+// session is sent it again. An ApplyBurst error is fatal to the
 // replica's coherence — the cursor resets to zero so the next session
 // full-resyncs.
-func (f *Follower) stream(conn net.Conn, r *bufio.Reader, w *bufio.Writer, cur wal.Cursor) error {
-	pending := 0 // applied since last commit+ack
-	commit := func() error {
-		if pending == 0 {
-			return nil
-		}
-		if err := f.target.Commit(cur); err != nil {
-			return err
-		}
-		pending = 0
-		f.mu.Lock()
-		f.status.Cursor = cur
-		recs, bytes := f.status.AppliedRecs, f.status.AppliedBytes
-		f.mu.Unlock()
-		if err := WriteAck(w, cur, recs, bytes); err != nil {
-			return err
-		}
-		return w.Flush()
-	}
-
+func (f *Follower) stream(r *bufio.Reader, w *bufio.Writer, cur wal.Cursor) error {
+	var (
+		arena []byte   // the burst's payloads, back to back
+		ends  []int    // ends[i] is where record i stops in arena
+		recs  []Record // the burst as the target sees it
+		fbuf  [8][]byte
+	)
 	for {
-		conn.SetDeadline(time.Now().Add(f.cfg.ReadTimeout))
-		line, err := readLine(r)
-		if err != nil {
-			cerr := commit()
-			if cerr != nil {
-				return cerr
-			}
-			return err
-		}
-		fields := strings.Fields(line)
-		switch {
-		case len(fields) == 1 && fields[0] == verbPing:
-			// Heartbeat; also a natural batch boundary.
-			if err := commit(); err != nil {
-				return err
-			}
-		case (len(fields) == 5 || len(fields) == 6) && fields[0] == verbRec:
-			end, err := ParseCursor(fields[1], fields[2], fields[3])
+		arena, ends, recs = arena[:0], ends[:0], recs[:0]
+		for more := true; more; more = r.Buffered() > 0 && len(arena) < maxBurstBytes {
+			line, err := r.ReadSlice('\n')
 			if err != nil {
 				return err
 			}
-			size, err := strconv.ParseInt(fields[4], 10, 64)
-			if err != nil {
-				return fmt.Errorf("repl: bad REC length %q", fields[4])
-			}
-			// Optional sixth field: the primary's trace ID in hex.
-			// Unparseable IDs degrade to "not sampled" rather than
-			// killing the session — tracing is observability, not
-			// replication correctness.
-			var tid uint64
-			if len(fields) == 6 {
-				tid, _ = strconv.ParseUint(fields[5], 16, 64)
-			}
-			payload, err := readBlob(r, size, wal.MaxRecordBytes)
-			if err != nil {
-				return err
-			}
-			if err := f.target.Apply(payload, tid); err != nil {
-				// The replica may now diverge from the primary; only a
-				// fresh bootstrap restores coherence.
-				f.mu.Lock()
-				f.status.Cursor = wal.Cursor{}
-				f.mu.Unlock()
-				return fmt.Errorf("repl: apply failed (will full resync): %w", err)
-			}
-			cur = end
-			pending++
-			f.mu.Lock()
-			f.status.AppliedRecs++
-			f.status.AppliedBytes += uint64(len(payload))
-			f.status.LastRecord = time.Now()
-			f.mu.Unlock()
-			// Commit when the pipe drains (no more buffered input) or
-			// the batch grows large.
-			if r.Buffered() == 0 || pending >= 1024 {
-				if err := commit(); err != nil {
+			fields := splitFields(fbuf[:0], line)
+			switch {
+			case len(fields) == 1 && string(fields[0]) == verbPing:
+				// Heartbeat: it has fed the read deadline.
+			case (len(fields) == 5 || len(fields) == 6) && string(fields[0]) == verbRec:
+				end, err := ParseCursor(string(fields[1]), string(fields[2]), string(fields[3]))
+				if err != nil {
 					return err
 				}
+				size, err := strconv.ParseInt(string(fields[4]), 10, 64)
+				if err != nil {
+					return fmt.Errorf("repl: bad REC length %q", fields[4])
+				}
+				// Optional sixth field: the primary's trace ID in hex.
+				// Unparseable IDs degrade to "not sampled" rather than
+				// killing the session — tracing is observability, not
+				// replication correctness.
+				var tid uint64
+				if len(fields) == 6 {
+					tid, _ = strconv.ParseUint(string(fields[5]), 16, 64)
+				}
+				// The header is parsed: reading the payload may now
+				// overwrite the reader's buffer under fields.
+				if arena, err = readBlob(r, arena, size, wal.MaxRecordBytes); err != nil {
+					return err
+				}
+				ends = append(ends, len(arena))
+				recs = append(recs, Record{TraceID: tid})
+				cur = end
+			default:
+				return fmt.Errorf("repl: unexpected stream line %q", line)
 			}
-		default:
-			return fmt.Errorf("repl: unexpected stream line %q", line)
+		}
+		if len(recs) == 0 {
+			continue
+		}
+		// Payloads are cut only now: arena may have moved while it grew.
+		start := 0
+		for i, end := range ends {
+			recs[i].Payload = arena[start:end]
+			start = end
+		}
+		if err := f.target.ApplyBurst(recs); err != nil {
+			// The replica may now diverge from the primary; only a
+			// fresh bootstrap restores coherence.
+			f.mu.Lock()
+			f.status.Cursor = wal.Cursor{}
+			f.mu.Unlock()
+			return fmt.Errorf("repl: apply failed (will full resync): %w", err)
+		}
+		f.mu.Lock()
+		f.status.Cursor = cur
+		f.status.AppliedRecs += uint64(len(recs))
+		f.status.AppliedBytes += uint64(len(arena))
+		f.status.LastRecord = time.Now()
+		applied, appliedBytes := f.status.AppliedRecs, f.status.AppliedBytes
+		f.mu.Unlock()
+		if err := WriteAck(w, cur, applied, appliedBytes); err != nil {
+			return err
+		}
+		if err := w.Flush(); err != nil {
+			return err
 		}
 	}
 }

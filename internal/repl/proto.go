@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -45,14 +46,18 @@ func ParseCursor(gen, seg, off string) (wal.Cursor, error) {
 // Unsampled records keep the original five-field shape, which is also
 // what pre-tracing followers require — they reject unknown fields, so
 // the sixth appears only on the (sampled, rare) records that need it.
+// The header is rendered into the writer's free space, like the
+// server's scalar replies: no fmt, no allocation.
 func WriteRecord(w *bufio.Writer, end wal.Cursor, payload []byte, tid uint64) error {
-	var err error
+	b := appendCursor(append(w.AvailableBuffer(), verbRec...), end)
+	b = strconv.AppendUint(append(b, ' '), uint64(len(payload)), 10)
 	if tid != 0 {
-		_, err = fmt.Fprintf(w, "%s %d %d %d %d %016x\n", verbRec, end.Gen, end.Seg, end.Off, len(payload), tid)
-	} else {
-		_, err = fmt.Fprintf(w, "%s %d %d %d %d\n", verbRec, end.Gen, end.Seg, end.Off, len(payload))
+		b = append(b, ' ')
+		for shift := 60; shift >= 0; shift -= 4 {
+			b = append(b, "0123456789abcdef"[tid>>shift&0xf])
+		}
 	}
-	if err != nil {
+	if _, err := w.Write(append(b, '\n')); err != nil {
 		return err
 	}
 	if _, err := w.Write(payload); err != nil {
@@ -66,8 +71,18 @@ func WriteRecord(w *bufio.Writer, end wal.Cursor, payload []byte, tid uint64) er
 // and bytes are session-cumulative applied totals, which let the
 // primary compute record-level lag without a shared record numbering.
 func WriteAck(w *bufio.Writer, c wal.Cursor, recs, bytes uint64) error {
-	_, err := fmt.Fprintf(w, "%s %d %d %d %d %d\n", verbAck, c.Gen, c.Seg, c.Off, recs, bytes)
+	b := appendCursor(append(w.AvailableBuffer(), verbAck...), c)
+	b = strconv.AppendUint(append(b, ' '), recs, 10)
+	b = strconv.AppendUint(append(b, ' '), bytes, 10)
+	_, err := w.Write(append(b, '\n'))
 	return err
+}
+
+// appendCursor appends " gen seg off" in decimal.
+func appendCursor(b []byte, c wal.Cursor) []byte {
+	b = strconv.AppendUint(append(b, ' '), c.Gen, 10)
+	b = strconv.AppendUint(append(b, ' '), c.Seg, 10)
+	return strconv.AppendInt(append(b, ' '), c.Off, 10)
 }
 
 // WriteSnapshotFile frames one full-sync snapshot file.
@@ -81,6 +96,27 @@ func WriteSnapshotFile(w *bufio.Writer, name string, data []byte) error {
 	return w.WriteByte('\n')
 }
 
+// splitFields appends the whitespace-separated fields of one protocol
+// line, terminator and all, to dst: strings.Fields for a line still in
+// the reader's buffer.
+func splitFields(dst [][]byte, line []byte) [][]byte {
+	start := -1
+	for i, c := range line {
+		if c == ' ' || c == '\t' || c == '\r' || c == '\n' {
+			if start >= 0 {
+				dst = append(dst, line[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, line[start:])
+	}
+	return dst
+}
+
 // readLine returns one LF-terminated line without its terminator.
 func readLine(r *bufio.Reader) (string, error) {
 	line, err := r.ReadString('\n')
@@ -90,20 +126,19 @@ func readLine(r *bufio.Reader) (string, error) {
 	return strings.TrimRight(line, "\r\n"), nil
 }
 
-// readBlob reads a length-delimited binary body plus its trailing
-// newline.
-func readBlob(r *bufio.Reader, n int64, max int64) ([]byte, error) {
+// readBlob appends a length-delimited binary body to dst and consumes
+// the newline behind it.
+func readBlob(r *bufio.Reader, dst []byte, n, max int64) ([]byte, error) {
 	if n < 0 || n > max {
 		return nil, fmt.Errorf("repl: blob length %d out of range", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	end := len(dst) + int(n)
+	dst = slices.Grow(dst, int(n)+1)[:end+1]
+	if _, err := io.ReadFull(r, dst[end-int(n):]); err != nil {
 		return nil, err
 	}
-	if b, err := r.ReadByte(); err != nil {
-		return nil, err
-	} else if b != '\n' {
+	if b := dst[end]; b != '\n' {
 		return nil, fmt.Errorf("repl: blob not newline-terminated (got 0x%02x)", b)
 	}
-	return buf, nil
+	return dst[:end], nil
 }

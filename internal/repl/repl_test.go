@@ -2,9 +2,11 @@ package repl
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -16,19 +18,20 @@ import (
 // memTarget records everything a follower applies; memState is the
 // lock-free copy its snapshot method hands to assertions.
 type memState struct {
-	wiped     int
-	files     map[string][]byte
-	start     wal.Cursor
-	applied   []string
-	tids      []uint64 // trace ID observed per applied record (0 = none)
-	committed wal.Cursor
-	commits   int
+	wiped   int
+	files   map[string][]byte
+	start   wal.Cursor
+	applied []string
+	tids    []uint64 // trace ID observed per applied record (0 = none)
+	bursts  []int    // records per ApplyBurst call
 }
 
+// memTarget fails the burst at the first record equal to failOn: the
+// records before it stay applied, as on a server.
 type memTarget struct {
 	mu sync.Mutex
 	memState
-	applyErr error
+	failOn string
 }
 
 func newMemTarget() *memTarget {
@@ -59,22 +62,17 @@ func (m *memTarget) EndFullSync(start wal.Cursor) error {
 	return nil
 }
 
-func (m *memTarget) Apply(payload []byte, tid uint64) error {
+func (m *memTarget) ApplyBurst(recs []Record) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.applyErr != nil {
-		return m.applyErr
+	m.bursts = append(m.bursts, len(recs))
+	for _, rec := range recs {
+		if m.failOn != "" && string(rec.Payload) == m.failOn {
+			return errors.New("replay rejected")
+		}
+		m.applied = append(m.applied, string(rec.Payload))
+		m.tids = append(m.tids, rec.TraceID)
 	}
-	m.applied = append(m.applied, string(payload))
-	m.tids = append(m.tids, tid)
-	return nil
-}
-
-func (m *memTarget) Commit(c wal.Cursor) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.committed = c
-	m.commits++
 	return nil
 }
 
@@ -85,6 +83,7 @@ func (m *memTarget) snapshot() memState {
 	cp.files = make(map[string][]byte, len(m.files))
 	cp.applied = append([]string(nil), m.applied...)
 	cp.tids = append([]uint64(nil), m.tids...)
+	cp.bursts = append([]int(nil), m.bursts...)
 	for k, v := range m.files {
 		cp.files[k] = v
 	}
@@ -214,20 +213,22 @@ func TestFollowerFullSyncAndStream(t *testing.T) {
 	if got.tids[0] != 0 || got.tids[1] != 0xfeedface {
 		t.Fatalf("apply tids = %x", got.tids)
 	}
-	waitFor(t, "commit at rec2", func() bool { return tgt.snapshot().committed == rec2End })
-
-	ack := <-ackc
-	fields := strings.Fields(ack)
-	if fields[0] != "REPLACK" {
-		t.Fatalf("ack = %q", ack)
-	}
-	c, err := ParseCursor(fields[1], fields[2], fields[3])
-	if err != nil || c.Before(rec1End) {
-		t.Fatalf("ack cursor = %v (err %v), want >= %v", c, err, rec1End)
+	// One ack per burst, each for the cursor of its burst's last record;
+	// the two records may have come as one burst or as two.
+	for c := (wal.Cursor{}); c != rec2End; {
+		ack := <-ackc
+		fields := strings.Fields(ack)
+		if len(fields) != 6 || fields[0] != "REPLACK" {
+			t.Fatalf("ack = %q", ack)
+		}
+		var err error
+		if c, err = ParseCursor(fields[1], fields[2], fields[3]); err != nil || c.Before(rec1End) {
+			t.Fatalf("ack cursor = %v (err %v), want >= %v", c, err, rec1End)
+		}
 	}
 
 	st := f.Status()
-	if !st.Connected || st.FullSyncs != 1 || st.AppliedRecs != 2 {
+	if !st.Connected || st.FullSyncs != 1 || st.AppliedRecs != 2 || st.Cursor != rec2End {
 		t.Fatalf("status = %+v", st)
 	}
 }
@@ -276,11 +277,14 @@ func TestFollowerContinue(t *testing.T) {
 	}
 }
 
-// TestFollowerApplyErrorForcesResync: an apply failure zeroes the
-// cursor, so the next session asks for a full resync.
+// TestFollowerApplyErrorForcesResync: an apply failure in the middle of
+// a burst zeroes the cursor, so the next session asks for a full
+// resync, and nothing of the failed burst is acknowledged — not even
+// the records ahead of the failing one.
 func TestFollowerApplyErrorForcesResync(t *testing.T) {
 	cur := wal.Cursor{Gen: 1, Seg: 2, Off: 0}
 	psyncs := make(chan string, 4)
+	replies := make(chan string, 4) // what the follower sent after the burst
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -309,16 +313,21 @@ func TestFollowerApplyErrorForcesResync(t *testing.T) {
 					readLine(r)
 					return
 				}
+				// One flush, so the three frames reach the follower as one
+				// burst with the failing record in the middle.
 				fmt.Fprintf(w, "+CONTINUE %d %d %d\n", cur.Gen, cur.Seg, cur.Off)
-				WriteRecord(w, wal.Cursor{Gen: 1, Seg: 2, Off: 40}, []byte("bad-record"), 0)
+				WriteRecord(w, wal.Cursor{Gen: 1, Seg: 2, Off: 40}, []byte("good-before"), 0)
+				WriteRecord(w, wal.Cursor{Gen: 1, Seg: 2, Off: 80}, []byte("bad-record"), 0)
+				WriteRecord(w, wal.Cursor{Gen: 1, Seg: 2, Off: 120}, []byte("good-after"), 0)
 				w.Flush()
-				readLine(r)
+				line, _ := readLine(r)
+				replies <- line
 			}(conn)
 		}
 	}()
 
 	tgt := newMemTarget()
-	tgt.applyErr = errors.New("replay rejected")
+	tgt.failOn = "bad-record"
 	f := NewFollower(FollowerConfig{
 		PrimaryAddr:   ln.Addr().String(),
 		RetryInterval: 10 * time.Millisecond,
@@ -330,8 +339,20 @@ func TestFollowerApplyErrorForcesResync(t *testing.T) {
 	if got := <-psyncs; got != "1 2 0" {
 		t.Fatalf("first PSYNC args = %q, want cursor continue", got)
 	}
+	if got := <-replies; got != "" {
+		t.Fatalf("follower answered the failed burst with %q, want a closed connection", got)
+	}
 	if got := <-psyncs; got != "?" {
 		t.Fatalf("second PSYNC args = %q, want ? (full resync after apply error)", got)
+	}
+	got := tgt.snapshot()
+	if len(got.bursts) != 1 || got.bursts[0] != 3 {
+		t.Fatalf("bursts = %v, want the three frames as one burst", got.bursts)
+	}
+	for _, a := range got.applied {
+		if a != "good-before" { // which the second session's wipe may have dropped already
+			t.Fatalf("applied = %q: the burst went on past its failing record", got.applied)
+		}
 	}
 }
 
@@ -579,11 +600,11 @@ func TestProtoRoundTrip(t *testing.T) {
 	if err != nil || c != end {
 		t.Fatalf("cursor = %v err %v", c, err)
 	}
-	body, err := readBlob(r, 7, 100)
-	if err != nil || string(body) != "payload" {
+	body, err := readBlob(r, []byte("kept"), 7, 100)
+	if err != nil || string(body) != "keptpayload" {
 		t.Fatalf("blob = %q err %v", body, err)
 	}
-	if _, err := readBlob(bufio.NewReader(strings.NewReader("xx")), 5, 3); err == nil {
+	if _, err := readBlob(bufio.NewReader(strings.NewReader("xx")), nil, 5, 3); err == nil {
 		t.Fatal("oversized blob accepted")
 	}
 	if _, err := ParseCursor("1", "2", "-3"); err == nil {
@@ -616,9 +637,15 @@ func TestProtoRecordTraceID(t *testing.T) {
 // TestFollowerMixedVersionStream: one session mixing five- and
 // six-field REC frames applies both; a target that ignores tid (like a
 // pre-tracing server would) loses nothing, and a malformed trace ID
-// degrades to "not sampled" instead of killing the session.
+// degrades to "not sampled" instead of killing the session. Text and
+// binary payloads interleave the same way: the frame is
+// length-delimited, so a payload may hold newlines, a REC header or a
+// PING of its own, and may be larger than the reader's buffer and the
+// burst bound.
 func TestFollowerMixedVersionStream(t *testing.T) {
 	cur := wal.Cursor{Gen: 1, Seg: 0, Off: 0}
+	binary := []byte("\x01\x01s\nREC 1 0 99 1\nPING\n\x00\xff\r\n")
+	large := bytes.Repeat([]byte("\x01\n01234567"), (maxBurstBytes+4096)/10)
 	p := startFakePrimary(t, func(r *bufio.Reader, w *bufio.Writer) error {
 		if _, err := handshake(r, w); err != nil {
 			return err
@@ -628,9 +655,17 @@ func TestFollowerMixedVersionStream(t *testing.T) {
 		WriteRecord(w, wal.Cursor{Gen: 1, Seg: 0, Off: 20}, []byte("b"), 0x1122334455667788)
 		// Hand-rolled frame with a garbage trace ID field.
 		fmt.Fprintf(w, "REC 1 0 30 1 not-hex\nc\n")
+		WriteRecord(w, wal.Cursor{Gen: 1, Seg: 0, Off: 40}, binary, 0)
+		w.WriteString("PING\n")
+		WriteRecord(w, wal.Cursor{Gen: 1, Seg: 0, Off: 50}, []byte("MINSERT s 1 2"), 0)
+		WriteRecord(w, wal.Cursor{Gen: 1, Seg: 0, Off: 60}, large, 0xabc)
+		WriteRecord(w, wal.Cursor{Gen: 1, Seg: 0, Off: 70}, []byte("d"), 0)
 		w.Flush()
-		readLine(r) // drain the ack
-		return nil
+		for { // drain the acks until the follower goes away
+			if _, err := readLine(r); err != nil {
+				return nil
+			}
+		}
 	})
 
 	tgt := newMemTarget()
@@ -642,15 +677,22 @@ func TestFollowerMixedVersionStream(t *testing.T) {
 	go f.Run()
 	defer f.Stop()
 
-	waitFor(t, "all records applied", func() bool { return len(tgt.snapshot().applied) == 3 })
+	want := []string{"a", "b", "c", string(binary), "MINSERT s 1 2", string(large), "d"}
+	waitFor(t, "all records applied", func() bool { return len(tgt.snapshot().applied) == len(want) })
 	got := tgt.snapshot()
-	if got.applied[0] != "a" || got.applied[1] != "b" || got.applied[2] != "c" {
-		t.Fatalf("applied = %q", got.applied)
+	for i := range want {
+		if got.applied[i] != want[i] {
+			t.Fatalf("applied[%d] = %.40q, want %.40q", i, got.applied[i], want[i])
+		}
 	}
-	if got.tids[0] != 0 || got.tids[1] != 0x1122334455667788 || got.tids[2] != 0 {
+	if !slices.Equal(got.tids, []uint64{0, 0x1122334455667788, 0, 0, 0, 0xabc, 0}) {
 		t.Fatalf("tids = %x", got.tids)
 	}
 	if got.wiped != 0 {
 		t.Fatalf("mixed-version frames forced a full sync (wiped=%d)", got.wiped)
+	}
+	waitFor(t, "cursor at the last frame", func() bool { return f.Status().Cursor.Off == 70 })
+	if st := f.Status(); st.AppliedRecs != uint64(len(want)) || st.AppliedBytes != uint64(len(strings.Join(want, ""))) {
+		t.Fatalf("status = %+v", st)
 	}
 }

@@ -14,15 +14,10 @@ import (
 
 // defaultBatchMaxKeys bounds the keys a connection may buffer before
 // the batch is force-applied, when Config.BatchMaxKeys is zero. It
-// caps per-connection memory (8 bytes per key plus the WAL record
-// render) and the latency between a buffered optimistic reply and the
-// group commit that releases it.
+// caps per-connection memory (8 bytes per key, and with a WAL 8 more
+// for its insert record) and the latency between a buffered optimistic
+// reply and the group commit that releases it.
 const defaultBatchMaxKeys = 16384
-
-// maxRecordKeys is the keys per MINSERT WAL record: verb + name + keys
-// must fit MaxArgs tokens so replay goes through ParseCommand
-// unchanged.
-const maxRecordKeys = MaxArgs - 2
 
 func (s *Server) batchMaxKeys() int {
 	if s.cfg.BatchMaxKeys > 0 {
@@ -77,8 +72,9 @@ func (b *syncWriter) Write(p []byte) (int, error) {
 	return b.conn.Write(p)
 }
 
-// insertBuf is the reusable memory of one InsertBatch call made from
-// text tokens: the parsed keys and the shard-partition scratch.
+// insertBuf is the reusable memory of one InsertBatch call made
+// outside a connection batch: the keys parsed from text tokens or
+// decoded from an insert record, and the shard-partition scratch.
 type insertBuf struct {
 	keys []uint64
 	sc   she.BatchScratch
@@ -368,7 +364,7 @@ func (b *connBatch) release() {
 }
 
 // applyInserts inserts every buffered key into its sketch and (with a
-// WAL) logs them as MINSERT records in one batched append. A WAL
+// WAL) logs them as insert records in one batched append. A WAL
 // failure is returned — and is terminal for the connection, since
 // optimistic replies may be buffered — but the WAL is sticky-failed,
 // so the commit path reports it to the client and no reply escapes.
@@ -397,12 +393,12 @@ func (b *connBatch) applyInserts() error {
 	return err
 }
 
-// applyWAL inserts the batch's keys and renders their MINSERT records
-// — decimal keys, at most maxRecordKeys per record so replay fits
-// ParseCommand's MaxArgs — under one shared checkpoint-lock
-// acquisition, then appends them all in one WAL batch. The insert and
-// the log ride the same lock hold, preserving the invariant that a
-// checkpoint observes none or all of an apply-then-log pair.
+// applyWAL inserts the batch's keys and renders their insert records —
+// one per sketch, split only where a record would outgrow
+// wal.MaxRecordBytes — under one shared checkpoint-lock acquisition,
+// then appends them all in one WAL batch. The insert and the log ride
+// the same lock hold, preserving the invariant that a checkpoint
+// observes none or all of an apply-then-log pair.
 func (b *connBatch) applyWAL() error {
 	s := b.s
 	b.payload = b.payload[:0]
@@ -413,18 +409,10 @@ func (b *connBatch) applyWAL() error {
 		g := &b.groups[i]
 		keys := g.keys
 		g.sk.InsertBatch(keys, &b.sc)
-		for len(keys) > 0 {
-			n := len(keys)
-			if n > maxRecordKeys {
-				n = maxRecordKeys
-			}
+		for per := maxInsertRecordKeys(len(g.name)); len(keys) > 0; {
+			n := min(len(keys), per)
 			b.recOff = append(b.recOff, len(b.payload))
-			b.payload = append(b.payload, "MINSERT "...)
-			b.payload = append(b.payload, g.name...)
-			for _, k := range keys[:n] {
-				b.payload = append(b.payload, ' ')
-				b.payload = strconv.AppendUint(b.payload, k, 10)
-			}
+			b.payload = appendInsertRecord(b.payload, g.name, keys[:n])
 			keys = keys[n:]
 		}
 	}
@@ -433,13 +421,7 @@ func (b *connBatch) applyWAL() error {
 	for i := 0; i+1 < len(b.recOff); i++ {
 		b.recs = append(b.recs, b.payload[b.recOff[i]:b.recOff[i+1]])
 	}
-	if err := s.wal.AppendBatch(b.recs, nil); err != nil {
-		s.cWALErrors.Inc()
-		return err
-	}
-	s.cWALRecords.Add(int64(len(b.recs)))
-	s.cWALBytes.Set(s.wal.BytesSinceCheckpoint())
-	return nil
+	return s.walAppendBatch(b.recs)
 }
 
 // reset clears the pending inserts, keeping every backing array.

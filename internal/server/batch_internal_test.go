@@ -285,16 +285,15 @@ func FuzzFastParseEquivalence(f *testing.F) {
 }
 
 // TestMinsertWALReplay: MINSERT batches survive a simulated kill -9
-// purely via their WAL records — the recovery path parses the same
-// MINSERT verb the batch engine logs.
+// purely via their WAL records — the recovery path decodes the insert
+// records the batch engine logs.
 func TestMinsertWALReplay(t *testing.T) {
 	dir := t.TempDir()
 	s1 := startWAL(t, dir, nil, 0)
 	c := dialServer(t, s1)
 	c.must("SKETCH.CREATE flows bloom bits=65536 window=65536 shards=2", "+OK")
 	// Three pipelined batch shapes: a multi-key MINSERT, a full
-	// 127-key command (one record), and 150 keys for one sketch across
-	// two commands (chunked into two records at apply).
+	// 127-key command, and 160 keys for one sketch across two commands.
 	c.must("MINSERT flows 10 11 12", ":3")
 	var sb strings.Builder
 	sb.WriteString("MINSERT flows")
@@ -303,8 +302,8 @@ func TestMinsertWALReplay(t *testing.T) {
 	}
 	c.must(sb.String(), ":127")
 	// Two pipelined commands land in one batch, so the sketch's group
-	// accumulates 160 keys — more than fit one record — and the apply
-	// chunks them into two MINSERT records.
+	// accumulates 160 keys — more than one command line can carry — and
+	// the apply logs them as one insert record.
 	sb.Reset()
 	sb.WriteString("MINSERT flows")
 	for i := 0; i < 100; i++ {

@@ -137,7 +137,7 @@ func grepLines(s, substr string) string {
 	return strings.Join(out, "\n")
 }
 
-// TestMinsertReplication: MINSERT records stream to an attached
+// TestMinsertReplication: the insert records of MINSERTs stream to an attached
 // follower and apply there, and a replica refuses direct MINSERTs the
 // same way it refuses other writes.
 func TestMinsertReplication(t *testing.T) {
@@ -159,7 +159,7 @@ func TestMinsertReplication(t *testing.T) {
 	if got := pc.cmd("MINSERT flows 7 8 9 carol"); got != ":4" {
 		t.Fatalf("MINSERT on primary = %q", got)
 	}
-	waitUntil(t, "follower applied the MINSERT record", func() bool {
+	waitUntil(t, "follower applied the insert record", func() bool {
 		return rc.cmd("SKETCH.QUERY flows carol") == ":1"
 	})
 	for _, key := range []string{"7", "8", "9"} {

@@ -578,7 +578,7 @@ func (s *Server) commit(conn net.Conn, w *bufio.Writer, bw *syncWriter, trs []*x
 				ackStartNs = obs.Nanotime()
 			}
 			if err := s.tracker.WaitAck(pos, s.cfg.SyncReplicas, s.syncReplicaTimeout(), s.done); err != nil {
-				s.counters.Counter("repl_sync_timeouts").Inc()
+				s.cReplTimeouts.Inc()
 				conn.SetWriteDeadline(time.Now().Add(time.Second))
 				fmt.Fprintf(conn, "-ERR %v\n", err)
 				return err
@@ -726,7 +726,7 @@ func (s *Server) cmdCreate(cmd Command, tr *xtrace.Trace, w *bufio.Writer) error
 	}
 	// The record keeps the original parameter tokens, so replay builds
 	// an identical sketch through the same constructor.
-	if err := s.walAppend("SKETCH.CREATE "+strings.Join(cmd.Args, " "), tr); err != nil {
+	if err := s.walAppend([]byte("SKETCH.CREATE "+strings.Join(cmd.Args, " ")), tr); err != nil {
 		return err
 	}
 	writeSimple(w, "OK")
@@ -743,7 +743,7 @@ func (s *Server) cmdDrop(cmd Command, tr *xtrace.Trace, w *bufio.Writer) error {
 	// The hot-key tracker follows the registry: a dropped sketch's
 	// telemetry window must not linger (or leak map entries).
 	s.traffic.Forget(cmd.Args[0])
-	if err := s.walAppend("SKETCH.DROP "+cmd.Args[0], tr); err != nil {
+	if err := s.walAppend([]byte("SKETCH.DROP "+cmd.Args[0]), tr); err != nil {
 		return err
 	}
 	writeSimple(w, "OK")
@@ -752,8 +752,9 @@ func (s *Server) cmdDrop(cmd Command, tr *xtrace.Trace, w *bufio.Writer) error {
 
 // cmdInsert serves both insert verbs — SKETCH.INSERT and its batch
 // alias MINSERT — on the slow path (sampled commands and anything the
-// fast path refused). The WAL record echoes the verb the client used,
-// so replay and follower apply exercise the same parser arm.
+// fast path refused). It logs the same insert record the batch engine
+// does: the parsed uint64 keys, so replay is exact without depending on
+// how the original token hashed.
 func (s *Server) cmdInsert(cmd Command, tr *xtrace.Trace, w *bufio.Writer) error {
 	if err := wantArgs(cmd, 2, true, "name key [key ...]"); err != nil {
 		return err
@@ -766,19 +767,8 @@ func (s *Server) cmdInsert(cmd Command, tr *xtrace.Trace, w *bufio.Writer) error
 	defer insertBufs.Put(buf)
 	keys := buf.insertTokens(sk, cmd.Args[1:])
 	if s.wal != nil {
-		// Log the parsed uint64 keys in decimal: ParseKey maps a
-		// decimal token back to itself, so replay is exact without
-		// depending on how the original token hashed.
-		var sb strings.Builder
-		sb.Grow(16 + len(cmd.Args[0]) + 21*len(keys))
-		sb.WriteString(cmd.Name)
-		sb.WriteByte(' ')
-		sb.WriteString(cmd.Args[0])
-		for _, k := range keys {
-			sb.WriteByte(' ')
-			sb.WriteString(strconv.FormatUint(k, 10))
-		}
-		if err := s.walAppend(sb.String(), tr); err != nil {
+		rec := appendInsertRecord(nil, []byte(cmd.Args[0]), keys)
+		if err := s.walAppend(rec, tr); err != nil {
 			return err
 		}
 	}

@@ -210,8 +210,9 @@
 // before its record (and the records of every command before it on
 // that connection) is durable; a batch whose fsync fails withholds
 // every buffered reply, reports -ERR to the client and closes the
-// connection. Batch inserts are logged as MINSERT records (at most
-// 127 keys each) and stream to followers like any other record.
+// connection. Batch inserts are logged as insert records — one per
+// sketch per batch, 8 bytes a key (see "The insert record" below) — and
+// stream to followers like any other record.
 // Batch depth is visible in the she_batch_applies_total,
 // she_batch_commands_total and she_batch_keys_total counters.
 //
@@ -542,9 +543,26 @@
 // a follower acks only after applying the record through the crash-
 // recovery replay path and fsyncing it to its own WAL — so a
 // follower's acked state survives its own kill -9, recoverable by
-// restarting without -replicaof. A follower restart deliberately
+// restarting without -replicaof. It does so a burst at a time: the REC
+// frames its reader holds (at most 256 KiB of payload) are applied in
+// order and logged with one batched append under one shared hold of
+// the checkpoint lock, fsynced once and acknowledged once. A follower restart deliberately
 // full-syncs: a persisted-but-stale cursor would double-apply
 // non-idempotent inserts, and an ahead-of-disk one would skip records.
+//
+// The insert record. In the WAL and on the REC stream an insert is
+// one binary record: 0x01, the name's length, the name, then the keys
+// as little-endian uint64s, their count read off the record's length.
+// 0x01 is a control byte ParseCommand rejects, so the first byte tells
+// an insert record from the text lines SKETCH.CREATE and SKETCH.DROP
+// are logged as; the length + CRC32C framing is the WAL's, unchanged.
+// Replay and follower apply decode it straight into
+// Sketch.InsertBatch. Decimal INSERT/MINSERT lines in segments and
+// streams written by an older binary are still applied, never written:
+// upgrade followers before the primary. At 8.0 bytes a key instead of
+// about 20, Config.CheckpointBytes and Config.ReplicaMaxLagBytes
+// (-repl-max-lag) cover about 2.5x as many keys per byte as they did.
+// See DESIGN.md §9.
 //
 // Followers serve reads (QUERY/CARD/STATS/AUDIT/SLOWLOG/INFO/ROLE)
 // and refuse mutations with -ERR READONLY. A follower's answers are

@@ -45,16 +45,18 @@ func (s *Server) recoverWAL() error {
 		}
 	}
 	var replayed, skipped int64
+	buf := insertBufs.Get().(*insertBuf)
 	for _, r := range rec.Records {
-		if err := s.applyRecord(r); err != nil {
+		if _, err := s.applyRecord(r, buf, nil); err != nil {
 			skipped++
 			s.logger.Warn("wal replay: skipping record", "err", err)
 		} else {
 			replayed++
 		}
 	}
+	insertBufs.Put(buf)
 	s.wal = l
-	s.counters.Counter("wal_replayed_records").Add(replayed)
+	s.cWALReplayed.Add(replayed)
 	s.counters.Counter("wal_replay_skipped").Add(skipped)
 	s.counters.Counter("wal_torn_bytes").Add(rec.TornBytes)
 	s.counters.Counter("wal_segments_quarantined").Add(int64(len(rec.CorruptSegments) + len(rec.OrphanedSegments)))
@@ -74,53 +76,78 @@ func (s *Server) recoverWAL() error {
 	return nil
 }
 
-// applyRecord re-applies one logged mutation during replay. Records
-// are protocol-shaped lines, so replay shares the wire parser; INSERT
-// keys were logged as decimal uint64s, which ParseKey maps back to
-// themselves. Semantic conflicts (a record for a sketch missing after
-// a quarantined-segment gap) are returned for the caller to count and
-// log — one bad record must not abort recovery of the rest.
-func (s *Server) applyRecord(rec []byte) error {
+// applyRecord re-applies one logged mutation, during replay and on a
+// follower. The first byte picks the arm: an insert record goes
+// straight from its bytes to Sketch.InsertBatch through buf; anything
+// else is a protocol-shaped line and shares the wire parser —
+// SKETCH.CREATE and SKETCH.DROP, and the INSERT/MINSERT lines of
+// segments and streams an older binary wrote, whose decimal keys
+// ParseKey maps back to themselves. Semantic conflicts (a record for a
+// sketch missing after a quarantined-segment gap) are returned for the
+// caller to count and log — one bad record must not abort recovery of
+// the rest.
+//
+// logged is the record as this binary writes it, for a follower to
+// append to its own log: rec itself, except that with relog non-nil a
+// text insert line is re-rendered as an insert record at the end of
+// *relog.
+func (s *Server) applyRecord(rec []byte, buf *insertBuf, relog *[]byte) (logged []byte, err error) {
+	if isInsertRecord(rec) {
+		name, keys, err := decodeInsertRecord(rec, buf.keys)
+		if err != nil {
+			return nil, err
+		}
+		buf.keys = keys
+		sk := s.reg.GetBytes(name)
+		if sk == nil {
+			return nil, fmt.Errorf("no such sketch %q", name)
+		}
+		sk.InsertBatch(keys, &buf.sc)
+		return rec, nil
+	}
 	cmd, err := ParseCommand(string(rec))
 	if err != nil {
-		return fmt.Errorf("record %.60q: %w", rec, err)
+		return nil, fmt.Errorf("record %.60q: %w", rec, err)
 	}
 	switch cmd.Name {
 	case "SKETCH.CREATE":
 		if len(cmd.Args) < 2 {
-			return fmt.Errorf("short CREATE record %.60q", rec)
+			return nil, fmt.Errorf("short CREATE record %.60q", rec)
 		}
 		kv, err := ParseKV(cmd.Args[2:])
 		if err != nil {
-			return err
+			return nil, err
 		}
 		sk, err := NewSketch(cmd.Args[1], kv)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// The log is authoritative about state at this position, so a
 		// CREATE replaces any sketch already registered under the name.
 		s.reg.Put(cmd.Args[0], sk)
-		return nil
+		return rec, nil
 	case "SKETCH.INSERT", "MINSERT":
 		if len(cmd.Args) < 2 {
-			return fmt.Errorf("short INSERT record %.60q", rec)
+			return nil, fmt.Errorf("short INSERT record %.60q", rec)
 		}
 		sk, err := s.reg.Get(cmd.Args[0])
 		if err != nil {
-			return err
+			return nil, err
 		}
-		buf := insertBufs.Get().(*insertBuf)
-		buf.insertTokens(sk, cmd.Args[1:])
-		insertBufs.Put(buf)
-		return nil
+		keys := buf.insertTokens(sk, cmd.Args[1:])
+		if relog == nil {
+			return rec, nil
+		}
+		start := len(*relog)
+		*relog = appendInsertRecord(*relog, []byte(cmd.Args[0]), keys)
+		return (*relog)[start:], nil
 	case "SKETCH.DROP":
 		if len(cmd.Args) != 1 {
-			return fmt.Errorf("short DROP record %.60q", rec)
+			return nil, fmt.Errorf("short DROP record %.60q", rec)
 		}
-		return s.reg.Drop(cmd.Args[0])
+		return rec, s.reg.Drop(cmd.Args[0])
 	}
-	return fmt.Errorf("unexpected record command %q", cmd.Name)
+	return nil, fmt.Errorf("unexpected record command %q", cmd.Name)
 }
 
 // walAppend logs one applied mutation. The record is only durable —
@@ -131,7 +158,7 @@ func (s *Server) applyRecord(rec []byte) error {
 // gets a wal_append span, and registers the record-end position in
 // the ship table so the replication stream can stamp the trace ID
 // onto the REC frame and continue the trace on the follower.
-func (s *Server) walAppend(line string, tr *xtrace.Trace) error {
+func (s *Server) walAppend(rec []byte, tr *xtrace.Trace) error {
 	if s.wal == nil {
 		return nil
 	}
@@ -139,19 +166,32 @@ func (s *Server) walAppend(line string, tr *xtrace.Trace) error {
 	if tr != nil {
 		sp := tr.StartSpan("wal_append")
 		var pos wal.Cursor
-		pos, err = s.wal.AppendPos([]byte(line))
+		pos, err = s.wal.AppendPos(rec)
 		sp.End()
 		if err == nil {
 			s.ship.put(pos, tr)
 		}
 	} else {
-		err = s.wal.Append([]byte(line))
+		err = s.wal.Append(rec)
 	}
 	if err != nil {
 		s.cWALErrors.Inc()
 		return err
 	}
 	s.cWALRecords.Inc()
+	s.cWALBytes.Set(s.wal.BytesSinceCheckpoint())
+	return nil
+}
+
+// walAppendBatch logs the records of one apply — a connection batch on
+// a primary, a replicated burst on a follower — with one lock hold and
+// one write. Durability is the caller's later Sync, as for walAppend.
+func (s *Server) walAppendBatch(recs [][]byte) error {
+	if err := s.wal.AppendBatch(recs, nil); err != nil {
+		s.cWALErrors.Inc()
+		return err
+	}
+	s.cWALRecords.Add(int64(len(recs)))
 	s.cWALBytes.Set(s.wal.BytesSinceCheckpoint())
 	return nil
 }
@@ -231,8 +271,8 @@ func (s *Server) checkpointLocked(force bool) error {
 		s.counters.Counter("checkpoint_errors").Inc()
 		return err
 	}
-	s.counters.Counter("checkpoints").Inc()
-	s.counters.Counter("wal_bytes").Set(s.wal.BytesSinceCheckpoint())
+	s.cCheckpoints.Inc()
+	s.cWALBytes.Set(s.wal.BytesSinceCheckpoint())
 	return nil
 }
 

@@ -172,7 +172,7 @@ func ParseKey(tok string) uint64 { return cli.ParseKey(tok) }
 // ValidName reports whether name is usable as a sketch name. Names
 // double as autosave file names, so the alphabet is restricted.
 func ValidName(name string) bool {
-	if name == "" || len(name) > 128 {
+	if name == "" || len(name) > maxNameLen {
 		return false
 	}
 	for i := 0; i < len(name); i++ {

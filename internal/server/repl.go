@@ -30,7 +30,8 @@ import (
 // commit + acknowledge at even when no records flow.
 const replPingInterval = time.Second
 
-// replReadBudget bounds one ReadFrom batch streamed to a replica.
+// replReadBudget bounds one ReadFrom batch streamed to a replica; a
+// single record larger than it ships as a batch of its own.
 const replReadBudget = 256 << 10
 
 // defaultSyncReplicaTimeout bounds the semi-synchronous commit wait
@@ -257,7 +258,7 @@ func (s *Server) servePSYNC(conn net.Conn, r *bufio.Reader, w *bufio.Writer, cmd
 func (s *Server) attachReplica(w *bufio.Writer, id string, cursor wal.Cursor) (*repl.Replica, error) {
 	if !cursor.IsZero() {
 		s.chkMu.RLock()
-		_, _, err := s.wal.ReadFrom(cursor, 1)
+		_, _, err := s.wal.ReadFrom(cursor, 1, nil)
 		var rep *repl.Replica
 		if err == nil {
 			rep = s.tracker.Register(id, cursor, false)
@@ -423,12 +424,13 @@ func (s *Server) streamToReplica(conn net.Conn, r *bufio.Reader, w *bufio.Writer
 	cursor := rep.AckedCursor()
 	ticker := time.NewTicker(replPingInterval)
 	defer ticker.Stop()
+	var tail wal.TailBuf // this stream's read buffer, reused by every ReadFrom
 	for {
 		// Grab the notify channel before reading: a sync landing between
 		// the read and the wait closes this same channel, so no durable
 		// byte waits for the next heartbeat.
 		notify := s.wal.SyncNotify()
-		recs, next, err := s.wal.ReadFrom(cursor, replReadBudget)
+		recs, next, err := s.wal.ReadFrom(cursor, replReadBudget, &tail)
 		if err != nil {
 			return err
 		}
@@ -525,17 +527,18 @@ func (s *Server) isDone() bool {
 
 // replTarget adapts the server to repl.Target: the follower applies
 // the replicated stream through the same registry mutations and local
-// WAL appends a client command would make, so a replica is itself
-// crash-safe — after a crash with the primary also gone, restarting
-// it without -replicaof recovers every acknowledged record from its
-// own log.
+// WAL appends a client batch makes, so a replica is itself crash-safe —
+// after a crash with the primary also gone, restarting it without
+// -replicaof recovers every acknowledged record from its own log.
 //
-// open holds the joined traces of the current replication batch —
-// records applied but not yet made durable by Commit. Only the one
-// follower goroutine touches it, so no lock.
+// The fields are the reused memory of one ApplyBurst. Only the one
+// follower goroutine touches them, so no lock.
 type replTarget struct {
-	s    *Server
-	open []*xtrace.Trace
+	s      *Server
+	buf    insertBuf
+	logged [][]byte        // the burst's records as this node logs them
+	relog  []byte          // insert records re-rendered from an older primary's text lines
+	open   []*xtrace.Trace // joined traces of the burst
 }
 
 // BeginFullSync wipes local state: the registry empties and a forced
@@ -572,80 +575,99 @@ func (t *replTarget) EndFullSync(start wal.Cursor) error {
 	return s.checkpointLocked(true)
 }
 
-// Apply replays one record exactly as crash recovery would, and logs
-// it to the replica's own WAL under the shared checkpoint lock — the
-// same apply-then-log pairing a client mutation gets.
+// ApplyBurst applies and logs the burst, then fsyncs the replica's WAL;
+// only then does the follower acknowledge, which is what lets the
+// primary's semi-synchronous commit treat an ack as "survives the
+// replica crashing too".
 //
-// A non-zero tid means the primary sampled this record's command:
-// the replica joins the same trace — regardless of its own sampling
-// rate — so TRACE GET <id> resolves on both nodes, and records an
-// apply span here plus a commit_fsync span when the batch commits.
-func (t *replTarget) Apply(payload []byte, tid uint64) error {
-	s := t.s
-	tr := s.tracer.Join(tid)
-	var sp xtrace.Span
-	if tr != nil {
-		tr.SetVerb(payloadVerb(payload))
-		tr.SetRemote(s.primaryAddr())
-		sp = tr.StartSpan("apply")
-	}
-	err := s.mutate(func() error {
-		if err := s.applyRecord(payload); err != nil {
-			return err
-		}
-		return s.walAppend(string(payload), nil)
-	})
-	if tr != nil {
-		sp.End()
-		if err != nil {
-			tr.SetError()
-			tr.Finish()
-		} else {
-			t.open = append(t.open, tr)
-		}
-	}
-	if err == nil {
-		s.counters.Counter("repl_applied_records").Inc()
-	}
-	return err
-}
-
-// Commit fsyncs the replica's WAL; only then does the follower
-// acknowledge, which is what lets the primary's semi-synchronous
-// commit treat an ack as "survives the replica crashing too". Joined
+// A record with a trace ID means the primary sampled its command: the
+// replica joins the same trace — regardless of its own sampling rate —
+// so TRACE GET <id> resolves on both nodes, with an apply span around
+// the record and a commit_fsync span around the burst's fsync. The
 // traces finish here: the ack about to go out is the event the
 // primary's replack span measures.
-func (t *replTarget) Commit(cursor wal.Cursor) error {
-	var syncStartNs int64
-	if len(t.open) > 0 {
-		syncStartNs = obs.Nanotime()
-	}
-	err := t.s.wal.Sync()
-	if len(t.open) > 0 {
-		endNs := obs.Nanotime()
-		for _, tr := range t.open {
-			tr.AddSpan("commit_fsync", syncStartNs, endNs)
-			if err != nil {
-				tr.SetError()
-			}
-			tr.Finish()
+func (t *replTarget) ApplyBurst(recs []repl.Record) error {
+	s := t.s
+	err := t.applyLogged(recs)
+	if err == nil {
+		var syncStartNs int64
+		if len(t.open) > 0 {
+			syncStartNs = obs.Nanotime()
 		}
-		t.open = t.open[:0]
+		err = s.wal.Sync()
+		if len(t.open) > 0 {
+			endNs := obs.Nanotime()
+			for _, tr := range t.open {
+				tr.AddSpan("commit_fsync", syncStartNs, endNs)
+			}
+		}
 	}
+	for _, tr := range t.open {
+		if err != nil {
+			tr.SetError()
+		}
+		tr.Finish()
+	}
+	t.open = t.open[:0]
 	if err != nil {
 		return err
 	}
-	t.s.maybeCheckpoint()
+	s.cReplApplied.Add(int64(len(recs)))
+	s.maybeCheckpoint()
 	return nil
 }
 
-// payloadVerb extracts a replicated record's command verb for the
-// joined trace's verb field.
-func payloadVerb(payload []byte) string {
-	if i := bytes.IndexByte(payload, ' '); i > 0 {
-		return string(payload[:i])
+// applyLogged replays recs in order, exactly as crash recovery would,
+// and appends them to the replica's own WAL in one batch, all under
+// one shared hold of the checkpoint lock: the apply-then-log pairing a
+// client batch gets, so a checkpoint observes none or all of the burst.
+// When a record fails to apply, the ones before it are still logged —
+// they are in the sketches — and the error is returned.
+func (t *replTarget) applyLogged(recs []repl.Record) error {
+	s := t.s
+	t.logged, t.relog = t.logged[:0], t.relog[:0]
+	s.chkMu.RLock()
+	defer s.chkMu.RUnlock()
+	var applyErr error
+	for i := range recs {
+		rec := &recs[i]
+		tr := s.tracer.Join(rec.TraceID)
+		var sp xtrace.Span
+		if tr != nil {
+			tr.SetVerb(recordVerb(rec.Payload))
+			tr.SetRemote(s.primaryAddr())
+			sp = tr.StartSpan("apply")
+			t.open = append(t.open, tr)
+		}
+		logged, err := s.applyRecord(rec.Payload, &t.buf, &t.relog)
+		if tr != nil {
+			sp.End()
+		}
+		if err != nil {
+			applyErr = err
+			break
+		}
+		t.logged = append(t.logged, logged)
 	}
-	return string(payload)
+	if len(t.logged) > 0 {
+		if err := s.walAppendBatch(t.logged); err != nil {
+			return err
+		}
+	}
+	return applyErr
+}
+
+// recordVerb names a replicated record's command for the joined
+// trace's verb field. An insert record does not say which of the two
+// insert verbs the client used; it reads as SKETCH.INSERT.
+func recordVerb(rec []byte) string {
+	if isInsertRecord(rec) {
+		return "SKETCH.INSERT"
+	}
+	if i := bytes.IndexByte(rec, ' '); i > 0 {
+		return string(rec[:i])
+	}
+	return string(rec)
 }
 
 // writeReplMetrics renders the she_repl_* families: role, per-replica

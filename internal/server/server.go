@@ -268,6 +268,10 @@ type Server struct {
 	cWALRecords    *metrics.Counter
 	cWALBytes      *metrics.Counter
 	cWALErrors     *metrics.Counter
+	cWALReplayed   *metrics.Counter
+	cCheckpoints   *metrics.Counter
+	cReplApplied   *metrics.Counter
+	cReplTimeouts  *metrics.Counter
 	cBatchApplies  *metrics.Counter
 	cBatchCommands *metrics.Counter
 	cBatchKeys     *metrics.Counter
@@ -411,6 +415,10 @@ func New(cfg Config) *Server {
 	s.cWALRecords = s.counters.Counter("wal_records")
 	s.cWALBytes = s.counters.Counter("wal_bytes")
 	s.cWALErrors = s.counters.Counter("wal_errors")
+	s.cWALReplayed = s.counters.Counter("wal_replayed_records")
+	s.cCheckpoints = s.counters.Counter("checkpoints")
+	s.cReplApplied = s.counters.Counter("repl_applied_records")
+	s.cReplTimeouts = s.counters.Counter("repl_sync_timeouts")
 	s.cBatchApplies = s.counters.Counter("batch_applies_total")
 	s.cBatchCommands = s.counters.Counter("batch_commands_total")
 	s.cBatchKeys = s.counters.Counter("batch_keys_total")

@@ -18,6 +18,15 @@
 // LevelDB-style: it names the snapshot generation to load and the
 // first log segment ("floor") whose records postdate that snapshot.
 //
+// The log does not look inside a record. shed logs SKETCH.CREATE and
+// SKETCH.DROP as the text lines a client sent and an insert as a binary
+// insert record — a tag byte no text line begins with, the sketch
+// name, 8 little-endian bytes a key — one per sketch per batch, cut
+// only at MaxRecordBytes (internal/server/insertrecord.go, DESIGN.md
+// §9). Framing, CRC and everything below are the same for both, and
+// segments an older binary filled with decimal MINSERT lines still
+// replay.
+//
 // # Recovery
 //
 // Open scans segments at or above the floor in order. A torn tail —

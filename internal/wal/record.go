@@ -14,8 +14,10 @@ import (
 // are detected, neither yields a wrong payload.
 const (
 	recordHeaderLen = 8
-	// MaxRecordBytes bounds a single record. Protocol lines are at most
-	// 64 KiB, so anything larger is corruption, not data.
+	// MaxRecordBytes bounds a single record. Writers split at it — shed's
+	// insert record carries one sketch's keys of a whole batch, 8 bytes
+	// each, and starts a new record here — so a longer length field is
+	// corruption, not data.
 	MaxRecordBytes = 1 << 20
 )
 

@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 )
 
 // Replication tail reading.
@@ -102,8 +104,17 @@ func (l *Log) SnapshotInfo() (gen uint64, dir string, start Cursor, ok bool) {
 	return l.gen, filepath.Join(l.dir, snapDirName(l.gen)), Cursor{Gen: l.gen, Seg: l.floor, Off: 0}, true
 }
 
+// TailBuf is the memory a tailing reader lends ReadFrom: the segment
+// bytes of one call and the records cut from them. What a call returns
+// aliases it and stays valid until the next call with the same TailBuf.
+// The zero value is ready to use.
+type TailBuf struct {
+	data []byte
+	recs []TailRecord
+}
+
 // ReadFrom returns validated records from cursor c forward, up to
-// roughly maxBytes of payload (at least one record when any is
+// roughly maxBytes of framed log (at least one record when any is
 // available), plus the cursor after the last returned record. With no
 // new durable data it returns no records and a cursor equal to c
 // (possibly advanced across an exhausted segment boundary).
@@ -111,20 +122,25 @@ func (l *Log) SnapshotInfo() (gen uint64, dir string, start Cursor, ok bool) {
 // Bounds are checked against the durable watermark and the validated
 // segment sizes recorded at recovery: an offset past them, a segment
 // below the retention horizon, or a quarantined segment all return
-// ErrCursorGone, never garbage bytes. Record payloads alias a buffer
-// owned by the caller after return.
-func (l *Log) ReadFrom(c Cursor, maxBytes int64) ([]TailRecord, Cursor, error) {
+// ErrCursorGone, never garbage bytes. The records and their payloads
+// live in tb, which a tailing caller reuses from call to call; nil
+// means a fresh one.
+func (l *Log) ReadFrom(c Cursor, maxBytes int64, tb *TailBuf) ([]TailRecord, Cursor, error) {
 	const maxFrame = MaxRecordBytes + recordHeaderLen
 	budget := maxBytes
 	if budget <= 0 {
 		budget = 1 << 20
 	}
-	var recs []TailRecord
+	if tb == nil {
+		tb = new(TailBuf)
+	}
+	tb.recs = tb.recs[:0]
+	used := 0 // bytes of tb.data the records cut so far alias
 	for {
 		l.mu.Lock()
 		if l.f == nil {
 			l.mu.Unlock()
-			return recs, c, ErrClosed
+			return tb.recs, c, ErrClosed
 		}
 		gen, active, synced := l.gen, l.active, l.synced
 		var limit int64
@@ -134,66 +150,77 @@ func (l *Log) ReadFrom(c Cursor, maxBytes int64) ([]TailRecord, Cursor, error) {
 			limit = sz
 		} else {
 			l.mu.Unlock()
-			return recs, c, ErrCursorGone
+			return tb.recs, c, ErrCursorGone
 		}
 		l.mu.Unlock()
 
 		if c.Off > limit {
 			// Past the validated bounds: a replica claiming bytes this
 			// log never made durable (stale primary, divergent history).
-			return recs, c, ErrCursorGone
+			return tb.recs, c, ErrCursorGone
 		}
 		if c.Off == limit {
 			if c.Seg >= active {
-				return recs, Cursor{Gen: gen, Seg: c.Seg, Off: c.Off}, nil // caught up
+				return tb.recs, Cursor{Gen: gen, Seg: c.Seg, Off: c.Off}, nil // caught up
 			}
 			// Sealed segment exhausted; sequences are consecutive.
 			c = Cursor{Gen: gen, Seg: c.Seg + 1}
 			continue
 		}
-		// Read at least one whole frame so a tight byte budget still
-		// makes progress; cap anything beyond that at the budget.
-		n := limit - c.Off
-		want := budget
-		if want < maxFrame {
-			want = maxFrame
+		// Read what is left of the budget. When that cuts the first
+		// frame short, read that one frame whole, so a tight budget (or a
+		// record larger than it) still makes progress.
+		avail := limit - c.Off
+		n := min(avail, max(budget, recordHeaderLen))
+		data, err := l.readSegment(tb, used, c, n)
+		if err == nil && n < avail && len(data) >= recordHeaderLen {
+			frame := recordHeaderLen + int64(binary.LittleEndian.Uint32(data))
+			if frame > n && frame <= maxFrame {
+				n = min(avail, frame)
+				data, err = l.readSegment(tb, used, c, n)
+			}
 		}
-		capped := n > want
-		if capped {
-			n = want
-		}
-		data, err := l.fs.ReadFileAt(filepath.Join(l.dir, segName(c.Seg)), c.Off, n)
 		if err != nil {
 			// The segment vanished between the bounds check and the read
 			// (checkpoint cleanup won the race): same remedy as any other
 			// unavailable cursor.
-			return recs, c, ErrCursorGone
+			return tb.recs, c, ErrCursorGone
 		}
 		off := 0
 		for off < len(data) {
 			payload, m, derr := DecodeRecord(data[off:])
 			if derr != nil {
-				if errors.Is(derr, errTorn) && capped {
+				if errors.Is(derr, errTorn) && n < avail {
 					break // frame cut by the byte budget; the next call resumes it
 				}
 				// A torn or corrupt frame inside the durable watermark:
 				// never serve bytes past it.
-				return recs, c, ErrCursorGone
+				return tb.recs, c, ErrCursorGone
 			}
 			off += m
-			recs = append(recs, TailRecord{
+			tb.recs = append(tb.recs, TailRecord{
 				Payload: payload,
 				End:     Cursor{Gen: gen, Seg: c.Seg, Off: c.Off + int64(off)},
 			})
 		}
 		if off == 0 {
-			return recs, c, ErrCursorGone
+			return tb.recs, c, ErrCursorGone
 		}
+		used += off
 		c = Cursor{Gen: gen, Seg: c.Seg, Off: c.Off + int64(off)}
 		if budget -= int64(off); budget <= 0 {
-			return recs, c, nil
+			return tb.recs, c, nil
 		}
 	}
+}
+
+// readSegment reads n bytes of segment c.Seg from c.Off into tb.data
+// behind the used bytes earlier records of this call alias. Growing
+// leaves those records on the old array, which stays valid.
+func (l *Log) readSegment(tb *TailBuf, used int, c Cursor, n int64) ([]byte, error) {
+	tb.data = slices.Grow(tb.data[:used], int(n))[:used+int(n)]
+	m, err := l.fs.ReadFileAt(filepath.Join(l.dir, segName(c.Seg)), c.Off, tb.data[used:])
+	return tb.data[used : used+m], err
 }
 
 // DistanceBytes returns how many durable log bytes separate two

@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"she/internal/failfs"
@@ -20,7 +22,7 @@ func mustOpen(t *testing.T, dir string, opts Options) (*Log, *Recovery) {
 
 func readAll(t *testing.T, l *Log, c Cursor) ([]string, Cursor) {
 	t.Helper()
-	recs, next, err := l.ReadFrom(c, 0)
+	recs, next, err := l.ReadFrom(c, 0, nil)
 	if err != nil {
 		t.Fatalf("ReadFrom(%v): %v", c, err)
 	}
@@ -160,7 +162,7 @@ func TestTailReaderAcrossRotation(t *testing.T) {
 	var stepwise []string
 	c := start
 	for {
-		recs, n, err := l.ReadFrom(c, 1)
+		recs, n, err := l.ReadFrom(c, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +199,7 @@ func TestTailReaderCheckpointTruncation(t *testing.T) {
 	if err := l.Checkpoint(writeNothing); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := l.ReadFrom(start, 0); !errors.Is(err, ErrCursorGone) {
+	if _, _, err := l.ReadFrom(start, 0, nil); !errors.Is(err, ErrCursorGone) {
 		t.Fatalf("ReadFrom after checkpoint = %v, want ErrCursorGone", err)
 	}
 
@@ -318,5 +320,79 @@ func TestTailReaderRestartResume(t *testing.T) {
 	got, _ := readAll(t, l2, start)
 	if len(got) != 2 || got[0] != "before-restart" || got[1] != "after-restart" {
 		t.Fatalf("records across restart = %q", got)
+	}
+}
+
+// TestTailReaderBudgetAndReuse: one TailBuf serves a whole tailing
+// session. Records of every size — smaller than the byte budget, a
+// multiple of it, the largest a record may be — come back whole and in
+// order across segment rotations, a call never returns more than its
+// budget plus one record, and once the buffer has grown to fit the
+// largest read, a pass allocates next to nothing: file names and
+// handles, never segment bytes.
+func TestTailReaderBudgetAndReuse(t *testing.T) {
+	l, _ := mustOpen(t, t.TempDir(), Options{SegmentBytes: 256 << 10})
+	defer l.Close()
+	start := l.Position()
+	const budget = 4096
+	sizes := []int{10, 100, budget - 8, budget, 3*budget + 5, 20, MaxRecordBytes, 7, 2 * budget, 1}
+	var want [][]byte
+	for round := 0; round < 3; round++ {
+		for i, n := range sizes {
+			p := make([]byte, n)
+			for j := range p {
+				p[j] = byte(round*31 + i*7 + j)
+			}
+			want = append(want, p)
+			if err := l.Append(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if l.Position().Seg == start.Seg {
+		t.Fatal("expected rotations")
+	}
+
+	read := func(tb *TailBuf) (readBytes int) {
+		c, i := start, 0
+		for {
+			recs, next, err := l.ReadFrom(c, budget, tb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) == 0 {
+				break
+			}
+			var got, largest int
+			for _, r := range recs {
+				if i == len(want) || !bytes.Equal(r.Payload, want[i]) {
+					t.Fatalf("record %d: %d bytes, want %d", i, len(r.Payload), len(want[i]))
+				}
+				got += len(r.Payload) + recordHeaderLen
+				largest = max(largest, len(r.Payload)+recordHeaderLen)
+				i++
+			}
+			if got > budget+largest {
+				t.Fatalf("call returned %d bytes on a budget of %d (largest record %d)", got, budget, largest)
+			}
+			readBytes += got
+			c = next
+		}
+		if i != len(want) {
+			t.Fatalf("read %d records, want %d", i, len(want))
+		}
+		return readBytes
+	}
+	var tb TailBuf
+	read(&tb) // grows the buffer to the largest record
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	readBytes := read(&tb)
+	runtime.ReadMemStats(&after)
+	if allocated := after.TotalAlloc - before.TotalAlloc; allocated > uint64(readBytes)/20 {
+		t.Fatalf("a pass over %d log bytes with a warm TailBuf allocated %d bytes", readBytes, allocated)
 	}
 }

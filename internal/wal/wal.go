@@ -70,7 +70,8 @@ type Recovery struct {
 	// "" when no checkpoint has happened yet.
 	SnapDir string
 	// Records holds every validated log record at or above the floor,
-	// in append order.
+	// in append order. They alias the segment buffers Open read; the
+	// caller replays them and lets them go.
 	Records [][]byte
 	// TornBytes counts bytes truncated from the tail of the last
 	// segment — a record cut short by a crash mid-append, by definition
@@ -246,7 +247,7 @@ scan:
 		for off < len(data) {
 			payload, n, err := DecodeRecord(data[off:])
 			if err == nil {
-				rec.Records = append(rec.Records, append([]byte(nil), payload...))
+				rec.Records = append(rec.Records, payload)
 				off += n
 				continue
 			}
