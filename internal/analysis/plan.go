@@ -37,7 +37,7 @@ func PlanBloom(windowDistinct float64, targetFPR float64) (BloomPlan, error) {
 	}
 	const w = 64
 	// Start at 2 bits per distinct key and grow.
-	for bits := nextPow2(int(2 * windowDistinct)); bits <= 1<<34; bits *= 2 {
+	for bits := nextPow2(int(2 * windowDistinct)); bits > 0 && int64(bits) <= 1<<34; bits *= 2 { // bits > 0: a 32-bit int wraps first
 		groups := bits / w
 		maxGroups := func(k int) float64 { return windowDistinct * float64(k) / 8 }
 		best := BloomPlan{}

@@ -107,7 +107,7 @@ type insertGroup struct {
 
 // connBatch is one connection's batch engine: the zero-allocation fast
 // path for SKETCH.INSERT and MINSERT lines and for the two read verbs,
-// SKETCH.QUERY and SKETCH.CARD. Inserts are tokenized without copying,
+// SKETCH.QUERY and SKETCH.CARD. Inserts are scanned in one pass (scanLine),
 // grouped by target sketch, and held until a drain point (input buffer
 // empty, a read, a slow-path command, the BatchMaxKeys cap, or
 // reply-buffer pressure); applying them pays one checkpoint-lock
@@ -140,7 +140,7 @@ type connBatch struct {
 	keys    int
 	last    int
 
-	toks    [][]byte         // tokenizer backing array, reused per line
+	kbuf    []uint64         // the line being scanned: its keys, at most MaxArgs-2
 	sc      she.BatchScratch // shard-partition scratch for InsertBatch
 	scratch []byte           // reply rendering buffer
 	payload []byte           // flat WAL record build buffer
@@ -162,31 +162,13 @@ type connBatch struct {
 // apply) is terminal for the connection.
 func (b *connBatch) tryFast(line []byte, w *bufio.Writer, bw *syncWriter) (handled bool, vi int, err error) {
 	s := b.s
-	toks, ok := splitFast(line, b.toks)
-	b.toks = toks // keep the (possibly grown) backing array
-	if !ok || len(toks) < 2 {
+	vi, name, keys, ok := scanLine(line, b.kbuf[:0])
+	if !ok {
 		return false, 0, nil
 	}
-	switch {
-	case eqVerb(toks[0], "SKETCH.QUERY"):
-		if len(toks) != 3 {
-			return false, 0, nil
-		}
-		return b.read(verbQuery, toks, line, w)
-	case eqVerb(toks[0], "SKETCH.CARD"):
-		if len(toks) != 2 {
-			return false, 0, nil
-		}
-		return b.read(verbCard, toks, line, w)
-	case eqVerb(toks[0], "MINSERT"):
-		vi = verbMinsert
-	case eqVerb(toks[0], "SKETCH.INSERT"):
-		vi = verbInsert
-	default:
-		return false, 0, nil
-	}
-	if len(toks) < 3 {
-		return false, 0, nil
+	b.kbuf = keys // keep the (possibly grown) backing array
+	if vi == verbQuery || vi == verbCard {
+		return b.read(vi, name, keys, line, w)
 	}
 	if s.isReplica.Load() {
 		return false, 0, nil // slow path renders the READONLY refusal
@@ -202,26 +184,23 @@ func (b *connBatch) tryFast(line []byte, w *bufio.Writer, bw *syncWriter) (handl
 	if !b.admit() {
 		return false, 0, nil // slow path waits for a slot or answers BUSY
 	}
-	g := b.group(toks[1])
+	g := b.group(name)
 	if g == nil {
 		return false, 0, nil // unknown sketch: slow path renders the error
 	}
-	keys := toks[2:]
-	for _, tok := range keys {
-		g.keys = append(g.keys, parseKeyBytes(tok))
-	}
+	// Nothing below declines: the line's keys join the batch whole.
+	g.keys = append(g.keys, keys...)
 	b.nkeys += len(keys)
 	b.cmds++
 	b.keys += len(keys)
 	b.count(vi)
 	bw.wrote = true
 	// Self-telemetry: one atomic add per unsampled command (the
-	// xtrace discipline); a sampled command feeds its parsed keys —
-	// already sitting at the tail of the group's buffer — to the
-	// hot-key tracker, and becomes a MONITOR frame only if someone is
-	// actually watching (rendering the line costs).
+	// xtrace discipline); a sampled command feeds its parsed keys to
+	// the hot-key tracker, and becomes a MONITOR frame only if someone
+	// is actually watching (rendering the line costs).
 	if s.traffic.Sampled() {
-		s.traffic.NoteKeys(toks[1], g.keys[len(g.keys)-len(keys):])
+		s.traffic.NoteKeys(name, keys)
 		if s.traffic.Wants() {
 			s.traffic.Publish(b.addr, commandVerbs[vi], renderLine(line))
 		}
@@ -241,13 +220,13 @@ func (b *connBatch) tryFast(line []byte, w *bufio.Writer, bw *syncWriter) (handl
 	return true, vi, nil
 }
 
-// read serves SKETCH.QUERY name key and SKETCH.CARD name from tokens.
+// read serves SKETCH.QUERY name key and SKETCH.CARD name as scanned.
 // The inserts ahead of the read are applied first — request order and
 // read-your-writes hold, and with a WAL their records exist, so the
 // syncWriter barrier keeps the reply behind their fsync.
-func (b *connBatch) read(vi int, toks [][]byte, line []byte, w *bufio.Writer) (handled bool, _ int, err error) {
+func (b *connBatch) read(vi int, name []byte, keys []uint64, line []byte, w *bufio.Writer) (handled bool, _ int, err error) {
 	s := b.s
-	sk := s.reg.GetBytes(toks[1])
+	sk := s.reg.GetBytes(name)
 	if sk == nil {
 		return false, 0, nil // unknown sketch: slow path renders the error
 	}
@@ -258,7 +237,7 @@ func (b *connBatch) read(vi int, toks [][]byte, line []byte, w *bufio.Writer) (h
 		return false, 0, nil
 	}
 	if vi == verbQuery {
-		v, qerr := sk.Query(parseKeyBytes(toks[2]))
+		v, qerr := sk.Query(keys[0])
 		if qerr != nil {
 			return false, 0, nil // hll: slow path renders the error
 		}
@@ -412,7 +391,7 @@ func (b *connBatch) applyWAL() error {
 		for per := maxInsertRecordKeys(len(g.name)); len(keys) > 0; {
 			n := min(len(keys), per)
 			b.recOff = append(b.recOff, len(b.payload))
-			b.payload = appendInsertRecord(b.payload, g.name, keys[:n])
+			b.payload = AppendInsertRecord(b.payload, g.name, keys[:n])
 			keys = keys[n:]
 		}
 	}

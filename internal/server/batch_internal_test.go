@@ -194,9 +194,10 @@ func (n *diffNode) state(t testing.TB) string {
 
 // FuzzFastParseEquivalence feeds arbitrary line bytes to the fast path
 // and, whenever it claims the line, cross-checks every decision against
-// the slow path, which stays the reference for semantics: same tokens
-// as ParseCommand, same key values as ParseKey, no line the slow path
-// rejects accepted fast — and, run as handleConn runs them on two
+// the slow path, which stays the reference for semantics: the scanner
+// held to ParseCommand's tokens and ParseKey's keys (checkScan), no line
+// the slow path rejects accepted fast — and, run as handleConn runs
+// them on two
 // identical servers, the same reply bytes, the same commands_total and
 // per-verb latency count, and the same sketches afterwards.
 func FuzzFastParseEquivalence(f *testing.F) {
@@ -224,36 +225,21 @@ func FuzzFastParseEquivalence(f *testing.F) {
 	f.Add([]byte("SKETCH.INSERT c 5 5 5"))
 	f.Add([]byte("MINSERT h 1 2 3 4"))
 	f.Add([]byte("SKETCH.QUERY b caf\xc3\xa9"))
+	for i, tok := range scanEdgeTokens {
+		f.Add([]byte("MINSERT b 12345" + strings.Repeat(" ", 1+i%8) + tok))
+		f.Add([]byte("sketch.query c\t" + tok + "\r"))
+	}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		if len(line) > MaxLineBytes {
 			return
 		}
-		var toks [][]byte
-		toks, ok := splitFast(line, toks)
+		verb, ok := checkScan(t, line)
 		if !ok {
 			return // fast path declined; the slow path owns the line
 		}
 		cmd, err := ParseCommand(string(line))
-		if err != nil {
-			if err == ErrEmpty && len(toks) == 0 {
-				return
-			}
-			t.Fatalf("splitFast accepted %q but ParseCommand rejects: %v", line, err)
-		}
-		if len(toks) != 1+len(cmd.Args) {
-			t.Fatalf("token count: fast %d, slow %d (%q)", len(toks), 1+len(cmd.Args), line)
-		}
-		if !eqVerb(toks[0], strings.ToUpper(string(toks[0]))) {
-			t.Fatalf("eqVerb rejects a token's own upper-casing: %q", toks[0])
-		}
-		for i, arg := range cmd.Args {
-			tok := toks[i+1]
-			if string(tok) != arg {
-				t.Fatalf("token %d: fast %q, slow %q (%q)", i, tok, arg, line)
-			}
-			if got, want := parseKeyBytes(tok), ParseKey(arg); got != want {
-				t.Fatalf("key %q: fast %d, slow %d", arg, got, want)
-			}
+		if err != nil || cmd.Name != verb {
+			t.Fatalf("ScanLine read %q as %s, ParseCommand as %s, %v", line, verb, cmd.Name, err)
 		}
 
 		fast := newDiffNode(t)

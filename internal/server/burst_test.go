@@ -187,7 +187,7 @@ func burstRecords(t *testing.T, lines []string) []repl.Record {
 			if inserts++; inserts%5 == 0 {
 				rec = textInsertLine(cmd.Name, cmd.Args[0], keys)
 			} else {
-				rec = appendInsertRecord(nil, []byte(cmd.Args[0]), keys)
+				rec = AppendInsertRecord(nil, []byte(cmd.Args[0]), keys)
 			}
 		}
 		recs = append(recs, repl.Record{Payload: rec})
@@ -289,9 +289,9 @@ func TestBurstApplyErrorMidBurst(t *testing.T) {
 	}
 	applied, logged := s.cReplApplied.Value(), s.cWALRecords.Value()
 	err := tgt.ApplyBurst([]repl.Record{
-		{Payload: appendInsertRecord(nil, []byte("b"), []uint64{1, 2, 3})},
-		{Payload: appendInsertRecord(nil, []byte("nosuch"), []uint64{4})},
-		{Payload: appendInsertRecord(nil, []byte("b"), []uint64{5, 6})},
+		{Payload: AppendInsertRecord(nil, []byte("b"), []uint64{1, 2, 3})},
+		{Payload: AppendInsertRecord(nil, []byte("nosuch"), []uint64{4})},
+		{Payload: AppendInsertRecord(nil, []byte("b"), []uint64{5, 6})},
 	})
 	if err == nil || !strings.Contains(err.Error(), "nosuch") {
 		t.Fatalf("ApplyBurst = %v, want the unknown sketch reported", err)
@@ -336,7 +336,7 @@ func followerCrashScript(t *testing.T, fsys failfs.FS, dir string) (acked []uint
 		var keys []uint64
 		for r := 0; r < 3; r++ {
 			ks := []uint64{uint64(1000 + burst*100 + r*10), uint64(1001 + burst*100 + r*10)}
-			recs = append(recs, repl.Record{Payload: appendInsertRecord(nil, []byte("flows"), ks)})
+			recs = append(recs, repl.Record{Payload: AppendInsertRecord(nil, []byte("flows"), ks)})
 			keys = append(keys, ks...)
 		}
 		if tgt.ApplyBurst(recs) != nil {
@@ -406,7 +406,7 @@ func TestRecordLargerThanReadBudgetShips(t *testing.T) {
 	eventually(t, "full sync", func() bool { return caughtUp(primary, follower) })
 
 	keys := testKeys(11, replReadBudget/8+5000)
-	rec := appendInsertRecord(nil, []byte("flows"), keys)
+	rec := AppendInsertRecord(nil, []byte("flows"), keys)
 	if len(rec) <= replReadBudget {
 		t.Fatalf("record of %d bytes does not exceed the %d-byte budget", len(rec), replReadBudget)
 	}

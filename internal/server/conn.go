@@ -767,7 +767,7 @@ func (s *Server) cmdInsert(cmd Command, tr *xtrace.Trace, w *bufio.Writer) error
 	defer insertBufs.Put(buf)
 	keys := buf.insertTokens(sk, cmd.Args[1:])
 	if s.wal != nil {
-		rec := appendInsertRecord(nil, []byte(cmd.Args[0]), keys)
+		rec := AppendInsertRecord(nil, []byte(cmd.Args[0]), keys)
 		if err := s.walAppend(rec, tr); err != nil {
 			return err
 		}

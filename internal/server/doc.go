@@ -180,9 +180,13 @@
 // # Batched execution
 //
 // Pipelined insert lines (SKETCH.INSERT and MINSERT) run on a batch
-// engine rather than one command at a time. Lines are tokenized
-// in place (no per-command allocation), their keys parsed and grouped
-// by target sketch, and the batch is applied at the next drain point:
+// engine rather than one command at a time. A line is scanned once,
+// in place and without allocating (ScanLine): verb and name a byte at a
+// time, keys as 8-byte words converted straight to uint64 — each
+// exactly the key ParseKey gives the token — and a line with a byte
+// outside printable ASCII, or a shape the four fast verbs do not have,
+// is left to the general path untouched. The keys are grouped by
+// target sketch, and the batch is applied at the next drain point:
 // the connection's input buffer running empty, a non-insert command
 // arriving, the per-connection cap of Config.BatchMaxKeys buffered
 // keys (default 16384; shed -batch-keys), or reply-buffer pressure.
@@ -191,8 +195,8 @@
 // and a single admission-control slot.
 //
 // The two read verbs ride the same fast path: a SKETCH.QUERY <name>
-// <key> or SKETCH.CARD <name> line is answered from the same in-place
-// tokens, without allocating, after the inserts pipelined ahead of it
+// <key> or SKETCH.CARD <name> line is answered from the same single
+// pass, without allocating, after the inserts pipelined ahead of it
 // on the connection have been applied (request order and
 // read-your-writes hold; with a WAL the reply waits behind their
 // fsync like their own acknowledgements). Every deviation — wrong

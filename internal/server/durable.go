@@ -139,7 +139,7 @@ func (s *Server) applyRecord(rec []byte, buf *insertBuf, relog *[]byte) (logged 
 			return rec, nil
 		}
 		start := len(*relog)
-		*relog = appendInsertRecord(*relog, []byte(cmd.Args[0]), keys)
+		*relog = AppendInsertRecord(*relog, []byte(cmd.Args[0]), keys)
 		return (*relog)[start:], nil
 	case "SKETCH.DROP":
 		if len(cmd.Args) != 1 {

@@ -38,9 +38,12 @@ func isInsertRecord(rec []byte) bool {
 	return len(rec) > 0 && rec[0] == insertTag
 }
 
-// appendInsertRecord appends the insert record of keys for the named
-// sketch to dst. The caller keeps len(keys) within maxInsertRecordKeys.
-func appendInsertRecord(dst, name []byte, keys []uint64) []byte {
+// AppendInsertRecord appends to dst the insert record of keys for the
+// named sketch: the payload shed frames with wal.EncodeRecord into its
+// log and onto the REC stream. The name is at most 128 bytes (ValidName)
+// and the caller keeps the record within wal.MaxRecordBytes, which is
+// (wal.MaxRecordBytes-2-len(name))/8 keys.
+func AppendInsertRecord(dst, name []byte, keys []uint64) []byte {
 	dst = slices.Grow(dst, 2+len(name)+8*len(keys))
 	dst = append(dst, insertTag, byte(len(name)))
 	dst = append(dst, name...)

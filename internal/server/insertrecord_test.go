@@ -49,7 +49,7 @@ func FuzzInsertRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, name string, n uint16, seed int64, raw []byte) {
 		if ValidName(name) {
 			keys := testKeys(seed, int(n)%(1<<14+1))
-			rec := appendInsertRecord([]byte("kept"), []byte(name), keys)[4:]
+			rec := AppendInsertRecord([]byte("kept"), []byte(name), keys)[4:]
 			if !isInsertRecord(rec) {
 				t.Fatalf("encoded record does not start with the tag: %.8q", rec)
 			}
@@ -80,7 +80,7 @@ func FuzzInsertRecord(f *testing.F) {
 			int(raw[1]) != len(gotName) || len(raw) != 2+len(gotName)+8*len(gotKeys) {
 			t.Fatalf("accepted %.40q as name %q with %d keys", raw, gotName, len(gotKeys))
 		}
-		if again := appendInsertRecord(nil, gotName, gotKeys); !bytes.Equal(again, raw) {
+		if again := AppendInsertRecord(nil, gotName, gotKeys); !bytes.Equal(again, raw) {
 			t.Fatalf("accepted bytes are not what the encoder writes:\n got %x\nwant %x", raw, again)
 		}
 		if cmd, err := ParseCommand(string(raw)); err == nil {
@@ -172,16 +172,16 @@ func TestReplayMixedFormatLog(t *testing.T) {
 		case round%5 == 0: // the formats interleave across an upgrade
 			add(textInsertLine("MINSERT", sp.name, keys))
 		default:
-			add(appendInsertRecord(nil, []byte(sp.name), keys))
+			add(AppendInsertRecord(nil, []byte(sp.name), keys))
 		}
 		feed(sp.name, keys)
 		records++
 	}
 	add([]byte("SKETCH.CREATE gone bloom bits=4096 window=1024"))
 	add([]byte("SKETCH.DROP gone"))
-	add(appendInsertRecord(nil, []byte("gone"), []uint64{1, 2, 3})) // skipped
+	add(AppendInsertRecord(nil, []byte("gone"), []uint64{1, 2, 3})) // skipped
 	big := testKeys(99, 5000)
-	add(appendInsertRecord(nil, []byte("c"), big))
+	add(AppendInsertRecord(nil, []byte("c"), big))
 	feed("c", big)
 	records += 3
 	if err := l.Sync(); err != nil {

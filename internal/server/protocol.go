@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"she/internal/cli"
-	"she/internal/hashing"
 )
 
 // Wire-protocol limits. A request line longer than MaxLineBytes is a
@@ -56,45 +55,6 @@ func ParseCommand(line string) (Command, error) {
 	return Command{Name: strings.ToUpper(fields[0]), Args: fields[1:]}, nil
 }
 
-// splitFast tokenizes one request line (terminator already stripped)
-// into whitespace-separated byte-slice tokens appended to toks, whose
-// backing array the caller reuses across lines — the zero-allocation
-// analogue of the strings.Fields call in ParseCommand. It returns
-// ok=false on any deviation from plain printable ASCII — a byte
-// ≥ 0x80 (possible multi-byte Unicode space), a control byte (an
-// error in ParseCommand), or more than MaxArgs tokens — so the caller
-// can fall back to ParseCommand for the exact slow-path semantics.
-func splitFast(line []byte, toks [][]byte) (out [][]byte, ok bool) {
-	toks = toks[:0]
-	i := 0
-	for i < len(line) {
-		c := line[i]
-		if c == ' ' || c == '\t' || c == '\v' || c == '\f' || c == '\r' {
-			i++
-			continue
-		}
-		if c < 0x20 || c >= 0x7f {
-			return toks, false
-		}
-		start := i
-		for i < len(line) {
-			c = line[i]
-			if c == ' ' || c == '\t' || c == '\v' || c == '\f' || c == '\r' {
-				break
-			}
-			if c < 0x20 || c >= 0x7f {
-				return toks, false
-			}
-			i++
-		}
-		if len(toks) == MaxArgs {
-			return toks, false
-		}
-		toks = append(toks, line[start:i])
-	}
-	return toks, true
-}
-
 // eqVerb reports whether tok equals verb — which must be upper-case
 // ASCII — ignoring ASCII case: the byte-slice analogue of the
 // strings.ToUpper in ParseCommand.
@@ -112,38 +72,6 @@ func eqVerb(tok []byte, verb string) bool {
 		}
 	}
 	return true
-}
-
-// parseKeyBytes is ParseKey for a byte-slice token without the string
-// conversion: tokens strconv.ParseUint(tok, 10, 64) would accept (all
-// decimal digits, no overflow) map to that value, anything else is
-// hashed with the same seed, so fast- and slow-path inserts of the
-// same token always hit the same key.
-func parseKeyBytes(tok []byte) uint64 {
-	if v, ok := parseUintBytes(tok); ok {
-		return v
-	}
-	return hashing.BOBHash64(tok, 0x5e)
-}
-
-const maxUint64 = ^uint64(0)
-
-func parseUintBytes(tok []byte) (uint64, bool) {
-	if len(tok) == 0 {
-		return 0, false
-	}
-	var n uint64
-	for _, c := range tok {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		d := uint64(c - '0')
-		if n > maxUint64/10 || (n == maxUint64/10 && d > maxUint64%10) {
-			return 0, false
-		}
-		n = n*10 + d
-	}
-	return n, true
 }
 
 // ParseKV interprets tokens of the form key=value (SKETCH.CREATE

@@ -105,12 +105,16 @@ func (l *Log) SnapshotInfo() (gen uint64, dir string, start Cursor, ok bool) {
 }
 
 // TailBuf is the memory a tailing reader lends ReadFrom: the segment
-// bytes of one call and the records cut from them. What a call returns
-// aliases it and stays valid until the next call with the same TailBuf.
-// The zero value is ready to use.
+// bytes of one call and the records cut from them, and the path of the
+// segment being tailed, rendered when the reader moves to another one.
+// What a call returns aliases it and stays valid until the next call
+// with the same TailBuf. The zero value is ready to use; one TailBuf
+// serves one Log.
 type TailBuf struct {
 	data []byte
 	recs []TailRecord
+	seg  uint64
+	path string // of segment seg; "" before the first read
 }
 
 // ReadFrom returns validated records from cursor c forward, up to
@@ -219,7 +223,10 @@ func (l *Log) ReadFrom(c Cursor, maxBytes int64, tb *TailBuf) ([]TailRecord, Cur
 // leaves those records on the old array, which stays valid.
 func (l *Log) readSegment(tb *TailBuf, used int, c Cursor, n int64) ([]byte, error) {
 	tb.data = slices.Grow(tb.data[:used], int(n))[:used+int(n)]
-	m, err := l.fs.ReadFileAt(filepath.Join(l.dir, segName(c.Seg)), c.Off, tb.data[used:])
+	if tb.path == "" || tb.seg != c.Seg {
+		tb.seg, tb.path = c.Seg, filepath.Join(l.dir, segName(c.Seg))
+	}
+	m, err := l.fs.ReadFileAt(tb.path, c.Off, tb.data[used:])
 	return tb.data[used : used+m], err
 }
 

@@ -395,4 +395,18 @@ func TestTailReaderBudgetAndReuse(t *testing.T) {
 	if allocated := after.TotalAlloc - before.TotalAlloc; allocated > uint64(readBytes)/20 {
 		t.Fatalf("a pass over %d log bytes with a warm TailBuf allocated %d bytes", readBytes, allocated)
 	}
+
+	// The steady state of a tailing reader — the same segment call after
+	// call — allocates what opening and reading the file allocates and
+	// nothing of its own: no segment name is formatted, no path joined.
+	tail := Cursor{Gen: l.Position().Gen, Seg: l.Position().Seg}
+	const whole = 1 << 20 // the segment in one read
+	if recs, _, err := l.ReadFrom(tail, whole, &tb); err != nil || len(recs) == 0 {
+		t.Fatalf("ReadFrom(%v) = %d records, %v", tail, len(recs), err)
+	}
+	path, buf := filepath.Join(l.dir, segName(tail.Seg)), make([]byte, budget)
+	file := testing.AllocsPerRun(100, func() { l.fs.ReadFileAt(path, 0, buf) })
+	if call := testing.AllocsPerRun(100, func() { l.ReadFrom(tail, whole, &tb) }); call > file {
+		t.Fatalf("a steady-state ReadFrom allocates %g times, reading the file alone %g", call, file)
+	}
 }
