@@ -70,7 +70,6 @@ func main() {
 	idle := flag.Duration("idle-timeout", 5*time.Minute, "close connections idle for this long (0 = never)")
 	writeTimeout := flag.Duration("write-timeout", 10*time.Second, "per-flush reply write deadline (0 = none)")
 	maxConns := flag.Int("max-conns", 1024, "maximum concurrent client connections (0 = unlimited)")
-	batchKeys := flag.Int("batch-keys", 0, "keys buffered per connection before a pipelined insert batch is applied and committed (0 = default 16384)")
 	slowMs := flag.Int64("slow-ms", 0, "log commands taking at least this many milliseconds to the SLOWLOG ring (0 = disabled)")
 	slowlogSize := flag.Int("slowlog-size", 128, "slow-query ring capacity")
 	auditSample := flag.Float64("audit-sample", 0, "online accuracy auditing: shadow this fraction of keys in an exact window and export she_audit_* error metrics (0 = disabled; try 0.001)")
@@ -139,7 +138,6 @@ func main() {
 		IdleTimeout:          *idle,
 		WriteTimeout:         *writeTimeout,
 		MaxConns:             *maxConns,
-		BatchMaxKeys:         *batchKeys,
 		WALDir:               *walDir,
 		CheckpointBytes:      *checkpointBytes,
 		ReplicaOf:            *replicaOf,

@@ -3,49 +3,37 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"net"
 	"strconv"
 	"sync"
 	"time"
 
 	"she"
+	"she/internal/obs"
 	"she/internal/obs/traffic"
+	"she/internal/obs/xtrace"
 )
 
-// defaultBatchMaxKeys bounds the keys a connection may buffer before
-// the batch is force-applied, when Config.BatchMaxKeys is zero. It
-// caps per-connection memory (8 bytes per key, and with a WAL 8 more
-// for its insert record) and the latency between a buffered optimistic
-// reply and the group commit that releases it.
-const defaultBatchMaxKeys = 16384
+// batchMaxKeys bounds the keys a connection may buffer before the batch
+// is force-applied. It caps per-connection memory (8 bytes per key, and
+// with a WAL 8 more for its insert record) and the latency between a
+// buffered optimistic reply and the group commit that releases it.
+const batchMaxKeys = 16384
 
-func (s *Server) batchMaxKeys() int {
-	if s.cfg.BatchMaxKeys > 0 {
-		return s.cfg.BatchMaxKeys
-	}
-	return defaultBatchMaxKeys
-}
-
-// syncWriter sits between the reply bufio.Writer and the socket,
-// enforcing ack-after-durability even when the bufio.Writer
-// auto-flushes mid-batch because a deeply pipelined client overflowed
-// it: before any buffered reply byte reaches the client, the WAL is
-// synced and — for a mutating batch under semi-synchronous
-// replication — the replica acknowledgement barrier has passed. The
-// ordinary drain-point commit syncs first and then flushes, so there
-// this barrier is a no-op dirty check.
-//
-// It is also where the write deadline is armed: Write is the only place
+// syncWriter sits between the reply bufio.Writer and the socket, so
+// that no reply byte reaches the client before the barrier has passed —
+// not even when the bufio.Writer auto-flushes mid-batch because a deeply
+// pipelined client overflowed it. The drain-point commit passes the
+// barrier itself and then flushes, so there this one is a no-op dirty
+// check. Write is also where the write deadline is armed: the only place
 // reply bytes reach the socket, whether a flush or a reply larger than
 // the buffer sent them, so no write can run under a stale deadline.
 //
-// servePSYNC disarms it: the replication stream must not wait for an
+// PSYNC disarms it: the replication stream must not wait for an
 // acknowledgement from the very replica whose stream would be blocked
-// behind the barrier.
-//
-// Owned by the connection goroutine; wrote tracks whether the current
-// batch contains mutations (the semi-sync wait never blocks a
-// read-only batch).
+// behind the barrier. Owned by the connection goroutine; wrote tracks
+// whether the current batch contains mutations.
 type syncWriter struct {
 	s     *Server
 	conn  net.Conn
@@ -53,18 +41,59 @@ type syncWriter struct {
 	wrote bool
 }
 
+// barrier is the one durability barrier, passed on both routes a reply
+// takes to the socket: with a WAL, a buffered acknowledgement must not
+// reach the client before the record it acknowledges reaches the disk,
+// and with Config.SyncReplicas set a batch containing mutations
+// additionally waits for that many replicas to acknowledge the durable
+// position — the semi-synchronous half of the zero-acked-loss failover
+// guarantee. Read-only batches never wait.
+//
+// trs holds the batch's sampled traces; each gets a fsync_wait span
+// around the group-commit sync (which amortises every command in the
+// batch) and a replack_wait span around the replica wait. Clock reads
+// only happen when at least one command in the batch was sampled.
+func (b *syncWriter) barrier(trs []*xtrace.Trace) error {
+	s := b.s
+	if !b.armed || s.wal == nil {
+		return nil
+	}
+	var startNs int64
+	if len(trs) > 0 {
+		startNs = obs.Nanotime()
+	}
+	if err := s.wal.Sync(); err != nil {
+		s.cWALErrors.Inc()
+		return fmt.Errorf("wal sync failed: %w", err)
+	}
+	startNs = spanAll(trs, "fsync_wait", startNs)
+	if b.wrote && s.cfg.SyncReplicas > 0 {
+		if err := s.tracker.WaitAck(s.wal.Position(), s.cfg.SyncReplicas, s.cfg.SyncReplicaTimeout, s.done); err != nil {
+			s.cReplTimeouts.Inc()
+			return err
+		}
+		spanAll(trs, "replack_wait", startNs)
+	}
+	b.wrote = false
+	return nil
+}
+
+// spanAll adds the span name, from startNs to now, to every trace and
+// returns now; with no trace it does not read the clock.
+func spanAll(trs []*xtrace.Trace, name string, startNs int64) (nowNs int64) {
+	if len(trs) == 0 {
+		return 0
+	}
+	nowNs = obs.Nanotime()
+	for _, t := range trs {
+		t.AddSpan(name, startNs, nowNs)
+	}
+	return nowNs
+}
+
 func (b *syncWriter) Write(p []byte) (int, error) {
-	if b.armed && b.s.wal != nil {
-		if err := b.s.wal.Sync(); err != nil {
-			return 0, err
-		}
-		if b.wrote && b.s.cfg.SyncReplicas > 0 {
-			pos := b.s.wal.Position()
-			if err := b.s.tracker.WaitAck(pos, b.s.cfg.SyncReplicas, b.s.syncReplicaTimeout(), b.s.done); err != nil {
-				return 0, err
-			}
-			b.wrote = false
-		}
+	if err := b.barrier(nil); err != nil {
+		return 0, err
 	}
 	if d := b.s.cfg.WriteTimeout; d > 0 {
 		b.conn.SetWriteDeadline(time.Now().Add(d))
@@ -85,13 +114,18 @@ type insertBuf struct {
 // apply.
 var insertBufs = sync.Pool{New: func() any { return new(insertBuf) }}
 
+// appendKeys parses toks as keys onto dst.
+func appendKeys(dst []uint64, toks []string) []uint64 {
+	for _, tok := range toks {
+		dst = append(dst, ParseKey(tok))
+	}
+	return dst
+}
+
 // insertTokens parses toks as keys and inserts them into sk as one
 // batch. The returned keys are buf's, valid until buf is reused.
 func (buf *insertBuf) insertTokens(sk *Sketch, toks []string) []uint64 {
-	buf.keys = buf.keys[:0]
-	for _, tok := range toks {
-		buf.keys = append(buf.keys, ParseKey(tok))
-	}
+	buf.keys = appendKeys(buf.keys[:0], toks)
 	sk.InsertBatch(buf.keys, &buf.sc)
 	return buf.keys
 }
@@ -109,7 +143,7 @@ type insertGroup struct {
 // path for SKETCH.INSERT and MINSERT lines and for the two read verbs,
 // SKETCH.QUERY and SKETCH.CARD. Inserts are scanned in one pass (scanLine),
 // grouped by target sketch, and held until a drain point (input buffer
-// empty, a read, a slow-path command, the BatchMaxKeys cap, or
+// empty, a read, a slow-path command, the batchMaxKeys cap, or
 // reply-buffer pressure); applying them pays one checkpoint-lock
 // acquisition and one WAL lock acquisition (AppendBatch) for the whole
 // batch, and one admission slot covers every fast command up to the
@@ -135,7 +169,7 @@ type connBatch struct {
 	// total, the keys they carried and the latest verb: commands_total
 	// and the connection's CLIENT LIST row move once per drain, not per
 	// command.
-	counts  [len(commandVerbs)]uint64
+	counts  [numVerbs]uint64
 	handled int
 	keys    int
 	last    int
@@ -158,7 +192,7 @@ type connBatch struct {
 // an engaged insert-refusal rung. The slow path reproduces the exact
 // error text, counters and trace semantics for all of those, and is the
 // only place an error reply is rendered. vi is the handled command's
-// verbIndex; a non-nil err (WAL failure during a forced mid-batch
+// verb index; a non-nil err (WAL failure during a forced mid-batch
 // apply) is terminal for the connection.
 func (b *connBatch) tryFast(line []byte, w *bufio.Writer, bw *syncWriter) (handled bool, vi int, err error) {
 	s := b.s
@@ -176,7 +210,7 @@ func (b *connBatch) tryFast(line []byte, w *bufio.Writer, bw *syncWriter) (handl
 	if s.overloadLevel() >= overRefuseInsert {
 		return false, 0, nil // slow path counts and renders the OOM refusal
 	}
-	if b.nkeys >= s.batchMaxKeys() {
+	if b.nkeys >= batchMaxKeys {
 		if err := b.apply(); err != nil {
 			return true, vi, err
 		}
@@ -195,15 +229,8 @@ func (b *connBatch) tryFast(line []byte, w *bufio.Writer, bw *syncWriter) (handl
 	b.keys += len(keys)
 	b.count(vi)
 	bw.wrote = true
-	// Self-telemetry: one atomic add per unsampled command (the
-	// xtrace discipline); a sampled command feeds its parsed keys to
-	// the hot-key tracker, and becomes a MONITOR frame only if someone
-	// is actually watching (rendering the line costs).
-	if s.traffic.Sampled() {
+	if b.sampled(vi, line) {
 		s.traffic.NoteKeys(name, keys)
-		if s.traffic.Wants() {
-			s.traffic.Publish(b.addr, commandVerbs[vi], renderLine(line))
-		}
 	}
 	// The reply is buffered before the batch is applied. If the buffer
 	// is nearly full, the write below could auto-flush — and the
@@ -251,9 +278,7 @@ func (b *connBatch) read(vi int, name []byte, keys []uint64, line []byte, w *buf
 	}
 	b.scratch = append(b.scratch, '\n')
 	b.count(vi)
-	if s.traffic.Sampled() && s.traffic.Wants() {
-		s.traffic.Publish(b.addr, commandVerbs[vi], renderLine(line))
-	}
+	b.sampled(vi, line)
 	// A reply the client can see is already counted: settle before a
 	// write that would flush, so a pipeline that never drains still
 	// moves commands_total and its CLIENT LIST row.
@@ -262,6 +287,22 @@ func (b *connBatch) read(vi int, name []byte, keys []uint64, line []byte, w *buf
 	}
 	w.Write(b.scratch) // write errors surface at the next flush
 	return true, vi, nil
+}
+
+// sampled is the self-telemetry sampling decision for one command, fast
+// path or slow: one atomic add for the unsampled majority (the xtrace
+// discipline). A sampled command becomes a MONITOR frame, but only when
+// someone is subscribed (rendering the line costs); a sampled insert's
+// caller then feeds its keys to the hot-key tracker.
+func (b *connBatch) sampled(vi int, line []byte) bool {
+	t := b.s.traffic
+	if !t.Sampled() {
+		return false
+	}
+	if t.Wants() {
+		t.Publish(b.addr, verbs[vi].name, renderLine(line))
+	}
+	return true
 }
 
 // admit takes the batch's admission slot if it does not hold one: one

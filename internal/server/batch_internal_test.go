@@ -16,11 +16,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"she"
 	"she/internal/audit"
 	"she/internal/failfs"
-	"she/internal/obs"
 )
 
 // mustSketch builds a small bloom sketch and registers it.
@@ -125,28 +125,12 @@ func TestQueryDispatchZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestVerbConsts pins the fast path's hard-coded verb indices to the
-// commandVerbs table TestVerbIndex mirrors.
-func TestVerbConsts(t *testing.T) {
-	for verb, want := range map[string]int{
-		"SKETCH.INSERT": verbInsert, "MINSERT": verbMinsert,
-		"SKETCH.QUERY": verbQuery, "SKETCH.CARD": verbCard,
-	} {
-		if got := verbIndex(verb); got != want {
-			t.Errorf("verbIndex(%s) = %d, the fast path uses %d", verb, got, want)
-		}
-	}
-}
-
 // diffNode is one side of the fast-versus-slow comparison: an unstarted
 // server holding small sketches of every kind, filled from a fixed
 // stream, plus what handleConn keeps per connection.
 type diffNode struct {
-	s     *Server
-	batch *connBatch
-	lats  *connLats
-	out   bytes.Buffer
-	w     *bufio.Writer
+	*conn
+	out bytes.Buffer
 }
 
 func newDiffNode(t testing.TB) *diffNode {
@@ -161,9 +145,9 @@ func newDiffNode(t testing.TB) *diffNode {
 			sk.Insert(uint64(rng.Intn(400)))
 		}
 	}
-	n := &diffNode{s: s, batch: &connBatch{s: s}}
-	n.lats = &connLats{verbs: make([]*obs.LocalHist, len(commandVerbs))}
-	n.w = bufio.NewWriter(&n.out)
+	n := &diffNode{}
+	n.conn = &conn{s: s, timed: true, lats: &connLats{}, batch: connBatch{s: s},
+		r: bufio.NewReader(strings.NewReader("")), w: bufio.NewWriter(&n.out), bw: &syncWriter{s: s}}
 	return n
 }
 
@@ -176,9 +160,9 @@ func (n *diffNode) state(t testing.TB) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "reply %q\ncommands_total %d inserts_total %d errors_total %d\n",
 		n.out.String(), n.s.cCommands.Value(), n.s.cInserts.Value(), n.s.cErrors.Value())
-	for i, verb := range commandVerbs {
+	for i := range verbs {
 		if c := n.s.verbHist[i].Snapshot().Count; c > 0 {
-			fmt.Fprintf(&sb, "she_command_seconds{%s} %d\n", verb, c)
+			fmt.Fprintf(&sb, "she_command_seconds{%s} %d\n", verbs[i].name, c)
 		}
 	}
 	for _, name := range n.s.reg.Names() {
@@ -243,7 +227,7 @@ func FuzzFastParseEquivalence(f *testing.F) {
 		}
 
 		fast := newDiffNode(t)
-		handled, vi, err := fast.batch.tryFast(line, fast.w, &syncWriter{s: fast.s})
+		handled, vi, err := fast.batch.tryFast(line, fast.w, fast.bw)
 		if err != nil {
 			t.Fatalf("tryFast(%q): %v", line, err)
 		}
@@ -253,13 +237,14 @@ func FuzzFastParseEquivalence(f *testing.F) {
 		if err := fast.batch.apply(); err != nil {
 			t.Fatal(err)
 		}
-		fast.s.observeFast(fast.lats, vi, 0, "", line)
+		fast.observe(vi, line, 0)
 
 		slow := newDiffNode(t)
-		if slow.s.execute(cmd, nil, slow.w, nil) {
+		vi = lookupVerb(cmd.Name)
+		if slow.dispatch(&verbs[vi], cmd); slow.quit {
 			t.Fatalf("the fast path claimed %q, which closes the connection", line)
 		}
-		slow.s.observe(slow.lats, verbIndex(cmd.Name), cmd, 0, "", nil)
+		slow.observe(vi, line, 0)
 
 		if got, want := fast.state(t), slow.state(t); got != want {
 			t.Fatalf("line %q\nfast path left\n%s\nslow path left\n%s", line, got, want)
@@ -466,5 +451,62 @@ func TestSketchInsertBatchMatchesInsert(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBatchCapMidPipeline: one read buffer holding more pending keys than
+// batchMaxKeys forces an apply in the middle of the pipeline — the keys
+// reach their sketch and the log, the replies stay buffered in request
+// order — and nothing of it is acknowledged before the fsync at the
+// drain: with that fsync failing, the client sees one error line and not
+// one ":n". The connection is a net.Pipe, so the whole pipeline arrives
+// in one read.
+func TestBatchCapMidPipeline(t *testing.T) {
+	const lines, perLine = 200, MaxArgs - 2
+	var sb strings.Builder
+	for i := 0; i < lines; i++ {
+		sb.WriteString("MINSERT b" + strings.Repeat(" 7", perLine) + "\n")
+	}
+	if sb.Len() > MaxLineBytes || lines*perLine <= batchMaxKeys {
+		t.Fatalf("%d bytes, %d keys: want one read buffer over the cap", sb.Len(), lines*perLine)
+	}
+	for _, failSync := range []bool{false, true} {
+		t.Run(fmt.Sprintf("failSync=%v", failSync), func(t *testing.T) {
+			fault := failfs.NewFault(failfs.OS{})
+			s := startWAL(t, t.TempDir(), fault, 0)
+			defer s.Abort()
+			sk := mustSketch(t, s, "b")
+			if failSync {
+				fault.FailSyncs(1 << 30)
+			}
+			client, srv := net.Pipe()
+			defer client.Close()
+			s.wg.Add(1)
+			go s.handleConn(srv)
+			go io.WriteString(client, sb.String())
+			r := bufio.NewReader(client)
+			client.SetReadDeadline(time.Now().Add(10 * time.Second))
+			for i := 0; i < lines && !failSync; i++ {
+				if got, err := r.ReadString('\n'); got != fmt.Sprintf(":%d\n", perLine) || err != nil {
+					t.Fatalf("reply %d = %q, %v", i, got, err)
+				}
+			}
+			if failSync {
+				if got, _ := r.ReadString('\n'); !strings.HasPrefix(got, "-ERR wal sync failed") {
+					t.Fatalf("with the fsync failing the client read %q, want the one error line", got)
+				}
+				if got, err := r.ReadString('\n'); err == nil {
+					t.Fatalf("%q followed the error line", got)
+				}
+			}
+			// Line 131 finds 130 lines' keys pending, at the cap: they are
+			// applied there, the other 70 lines' at the drain.
+			if got := s.cBatchApplies.Value(); got != 2 {
+				t.Errorf("batch_applies_total = %d, want 2: one forced at the cap, one at the drain", got)
+			}
+			if got, want := sk.Inserts(), uint64(lines*perLine); got != want || s.cBatchKeys.Value() != int64(want) {
+				t.Errorf("sketch holds %d inserts, batch_keys_total = %d, want %d", got, s.cBatchKeys.Value(), want)
+			}
+		})
 	}
 }

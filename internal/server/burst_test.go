@@ -411,11 +411,11 @@ func TestRecordLargerThanReadBudgetShips(t *testing.T) {
 		t.Fatalf("record of %d bytes does not exceed the %d-byte budget", len(rec), replReadBudget)
 	}
 	c.must("MINSERT flows 1 2 3", ":3") // a small record ahead of it
-	err := primary.mutate(func() error {
-		var buf insertBuf
-		getSketch(t, primary, "flows").InsertBatch(keys, &buf.sc)
-		return primary.walAppend(rec, nil)
-	})
+	var buf insertBuf
+	primary.chkMu.RLock() // the apply-then-log pair, as a mutating handler runs it
+	getSketch(t, primary, "flows").InsertBatch(keys, &buf.sc)
+	err := primary.walAppend(rec, nil)
+	primary.chkMu.RUnlock()
 	if err != nil {
 		t.Fatal(err)
 	}

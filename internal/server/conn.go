@@ -19,7 +19,6 @@ import (
 )
 
 var (
-	errLineTooLong  = errors.New("line too long")
 	errCommitFailed = errors.New("previous commit failed")
 	errDraining     = errors.New("server draining")
 )
@@ -70,342 +69,370 @@ func (r *idleReader) Read(p []byte) (int, error) {
 	return r.conn.Read(p)
 }
 
-// readLine returns the next request line with its LF stripped, as a
-// view into the reader's buffer valid until the next read — the fast
-// path tokenizes it in place without a string conversion. Lines
-// longer than the reader's buffer (MaxLineBytes) are unrecoverable —
-// the reader cannot resync inside them — so they surface as
-// errLineTooLong and the connection closes. A partial line at EOF
-// (abrupt disconnect) is dropped silently.
-func readLine(r *bufio.Reader) ([]byte, error) {
-	b, err := r.ReadSlice('\n')
-	if err == nil {
-		return b[:len(b)-1], nil
+// conn is one client connection: its socket behind the idle reader and
+// the durability barrier, its batch engine, and what the command loop
+// carries from one line to the next. Owned by the connection goroutine.
+type conn struct {
+	s    *Server
+	nc   net.Conn // the socket, counting bytes into tc
+	addr string   // rendered once: RemoteAddr() allocates on every call
+	tc   *traffic.Client
+	ir   *idleReader
+	r    *bufio.Reader
+	bw   *syncWriter   // the durability barrier every reply byte passes
+	w    *bufio.Writer // replies, buffered over bw
+
+	batch connBatch
+
+	// Clock reads are skipped entirely when nothing consumes them
+	// (histograms disabled and no slow threshold), and use the
+	// monotonic-only obs.Nanotime rather than time.Now(): full wall+mono
+	// reads are real money on a sub-microsecond command path.
+	timed bool
+	// lats holds the per-verb latency observations until a drain merges
+	// them into the shared histograms, so the steady state pays no
+	// LOCK-prefixed atomics per command and a /metrics scrape lags by at
+	// most the batch in flight. nil with histograms disabled.
+	lats *connLats
+	// startNs chains timestamps across a pipelined batch: when the next
+	// command is already buffered, the end reading of this command is
+	// the start reading of the next, so the steady state costs one clock
+	// read per command instead of two. Zero means "take a fresh reading
+	// after the next line is read", so a measured duration never covers time
+	// spent blocked waiting for input.
+	startNs int64
+
+	// tr is the current command's sampled trace, nil for the 255 in 256
+	// that are not. openTrs holds the sampled traces of the current
+	// batch — commands whose replies are buffered but not yet durable;
+	// commit stamps their durability spans and finishes them.
+	// Replication spans may still land after Finish; xtrace publishes
+	// spans individually, so that is safe by design.
+	tr      *xtrace.Trace
+	openTrs []*xtrace.Trace
+
+	failed   bool   // a commit failed or a panic was contained: terminal
+	quit     bool   // a handler asked for the connection to close
+	replPort string // the listening port a replica advertised via REPLCONF
+}
+
+func (s *Server) newConn(nc net.Conn) *conn {
+	c := &conn{s: s, addr: nc.RemoteAddr().String(), timed: s.verbHist != nil || s.cfg.SlowThreshold > 0}
+	// Register for CLIENT LIST/KILL before wrapping: Kill closes the raw
+	// conn, and the counting wrapper accounts bytes per syscall so a
+	// pipelining client pays roughly one atomic add per batch, not per
+	// command.
+	c.tc = s.traffic.Clients().Register(c.addr, nc)
+	c.nc = traffic.CountConn(nc, c.tc)
+	c.ir = &idleReader{s: s, conn: c.nc, idle: s.cfg.IdleTimeout}
+	c.r = bufio.NewReaderSize(c.ir, MaxLineBytes)
+	c.bw = &syncWriter{s: s, conn: c.nc, armed: true}
+	c.w = bufio.NewWriterSize(c.bw, 32*1024)
+	c.batch = connBatch{s: s, tc: c.tc, addr: c.addr}
+	if s.verbHist != nil {
+		c.lats = &connLats{}
 	}
-	if errors.Is(err, bufio.ErrBufferFull) {
-		return nil, errLineTooLong
-	}
-	return nil, err
+	return c
 }
 
 // handleConn runs one client's read-execute-reply loop. Replies are
 // written in request order and flushed when the input buffer drains, so
 // pipelined clients pay one syscall per batch, not per command.
-func (s *Server) handleConn(conn net.Conn) {
+func (s *Server) handleConn(nc net.Conn) {
 	defer s.wg.Done()
-	defer conn.Close()
+	defer nc.Close()
 	defer s.numConns.Add(-1)
-	// Rendered once: the slow-query log and client accounting
-	// attribute entries to this client, and RemoteAddr() allocates on
-	// every call.
-	remoteAddr := conn.RemoteAddr().String()
-	// Register for CLIENT LIST/KILL before wrapping: Kill closes the
-	// raw conn, and the counting wrapper accounts bytes per syscall so
-	// a pipelining client pays roughly one atomic add per batch, not
-	// per command.
-	tc := s.traffic.Clients().Register(remoteAddr, conn)
-	defer s.traffic.Clients().Unregister(tc)
-	conn = traffic.CountConn(conn, tc)
-	s.trackConn(conn, true)
-	defer s.trackConn(conn, false)
+	c := s.newConn(nc)
+	defer s.traffic.Clients().Unregister(c.tc)
+	s.trackConn(c.nc, true)
+	defer s.trackConn(c.nc, false)
 	s.cConnsTotal.Inc()
 	s.cConnsActive.Inc()
 	defer s.cConnsActive.Add(-1)
-
-	ir := &idleReader{s: s, conn: conn, idle: s.cfg.IdleTimeout}
-	r := bufio.NewReaderSize(ir, MaxLineBytes)
-	// The reply writer drains through the syncWriter barrier, so even a
-	// bufio auto-flush (a client pipelining more replies than the
-	// buffer holds) cannot leak an acknowledgement ahead of its fsync.
-	bw := &syncWriter{s: s, conn: conn, armed: true}
-	w := bufio.NewWriterSize(bw, 32*1024)
-	batch := &connBatch{s: s, tc: tc, addr: remoteAddr}
-	timed := s.verbHist != nil || s.cfg.SlowThreshold > 0
-	// Per-connection latency accumulators: observations land in
-	// single-writer LocalHists and merge into the shared per-verb
-	// histograms at batch drain points (and on close), so the steady
-	// state pays no LOCK-prefixed atomics per command. A /metrics scrape
-	// lags by at most the batch in flight.
-	var lats *connLats
-	if s.verbHist != nil {
-		lats = &connLats{verbs: make([]*obs.LocalHist, len(commandVerbs))}
-		defer lats.flush(s)
-	}
-	// A failed commit is terminal for the connection: the error line has
-	// been sent, so the deferred flush of any leftover replies must not
-	// run again. bw.wrote tracks whether the current batch contains
-	// mutations, so the semi-synchronous replica wait never blocks a
-	// read-only batch; replListenPort is the port a replica advertised
-	// via REPLCONF, for ROLE output.
-	commitFailed := false
-	replListenPort := ""
-	// openTrs holds the sampled traces of the current batch: commands
-	// whose replies are buffered but not yet durable. The commit closure
-	// owns their lifecycle — it stamps the durability spans (inside
-	// s.commit), marks them failed if the batch fails, and finishes
-	// them. Replication spans may still land after Finish; xtrace
-	// publishes spans individually, so that is safe by design.
-	var openTrs []*xtrace.Trace
-	commit := func() error {
-		if commitFailed {
-			return errCommitFailed
-		}
-		// Any batched inserts are applied (and their records appended)
-		// first, so this commit's fsync covers them. A batch-apply WAL
-		// failure is sticky, so s.commit's own Sync reports it to the
-		// client and discards the buffered optimistic replies.
-		aerr := batch.apply()
-		err := s.commit(conn, w, bw, openTrs)
-		for _, t := range openTrs {
-			if err != nil {
-				t.SetError()
-			}
-			t.Finish()
-		}
-		openTrs = openTrs[:0]
-		if err == nil {
-			err = aerr
-		}
-		if err != nil {
-			commitFailed = true
-			return err
-		}
-		return nil
-	}
-	defer commit()
-	// One recover covers everything the loop runs — the fast path, a
-	// batch apply, a slow-path command — and contains a panic to this
-	// connection, the way a failed commit is contained: the pending
-	// batch and the unsent replies (optimistic acknowledgements among
-	// them) are dropped, the client gets one direct error line and a
-	// closed connection, the daemon and its other connections keep
-	// serving. Locks released by defer in the command path are released
-	// by the unwind.
-	defer func() {
-		if p := recover(); p != nil {
-			s.counters.Counter("panics_recovered").Inc()
-			batch.reset()
-			batch.release()
-			commitFailed = true
-			conn.SetWriteDeadline(time.Now().Add(time.Second))
-			writeError(conn, fmt.Sprintf("internal error: %v", p))
-		}
-	}()
-	// startNs chains timestamps across a pipelined batch: when the next
-	// command is already buffered, the end reading of this command is
-	// the start reading of the next, so the steady state costs one clock
-	// read per command instead of two. Zero means "take a fresh reading
-	// after the next readLine".
-	var startNs int64
+	defer c.commit()
+	defer c.contain()
 	for {
-		line, err := readLine(r)
+		// The line is a view into the reader's buffer, valid until the
+		// next read: the fast path tokenizes it in place. One longer than
+		// the buffer (MaxLineBytes) is unrecoverable — the reader cannot
+		// resync inside it — so it is answered and the connection closes;
+		// a partial line at EOF (abrupt disconnect) is dropped silently.
+		line, err := c.r.ReadSlice('\n')
 		if err != nil {
-			if errors.Is(err, errLineTooLong) {
+			if errors.Is(err, bufio.ErrBufferFull) {
 				s.cErrors.Inc()
-				writeError(w, errLineTooLong.Error())
+				writeError(c.w, "line too long")
 			}
 			return
 		}
-		// The sampling decision is one atomic add; all trace plumbing
-		// below is behind tr != nil, so the 255-in-256 path pays nothing
-		// else. A sampled command's trace opens before parse so the
-		// parse span lands inside it.
-		tr := s.tracer.Start()
-		if tr == nil {
-			// Unsampled commands try the zero-allocation batch fast
-			// path: pipelined SKETCH.INSERT/MINSERT lines accumulate
-			// into the connection's batch and settle at the next drain
-			// point, SKETCH.QUERY/SKETCH.CARD lines are answered from
-			// their tokens. Anything else — including every deviation
-			// the batch engine refuses — falls through to the slow path
-			// below, after the pending batch is applied so execution
-			// order (and WAL record order) matches request order.
-			if timed && startNs == 0 {
-				startNs = obs.Nanotime()
+		line = line[:len(line)-1]
+		// The sampling decision is one atomic add; a sampled command's
+		// trace opens before parse so the parse span lands inside it.
+		if c.tr = s.tracer.Start(); c.tr == nil {
+			// Unsampled commands try the batch fast path (connBatch);
+			// what it declines, leaving no trace, is the slow path's.
+			if c.timed && c.startNs == 0 {
+				c.startNs = obs.Nanotime()
 			}
-			handled, vi, ferr := batch.tryFast(line, w, bw)
+			handled, vi, ferr := c.batch.tryFast(line, c.w, c.bw)
 			if ferr != nil {
-				commit()
-				return
+				return // the deferred commit reports the sticky WAL failure
 			}
 			if handled {
-				if timed {
-					endNs := obs.Nanotime()
-					s.observeFast(lats, vi, time.Duration(endNs-startNs), remoteAddr, line)
-					if r.Buffered() > 0 {
-						startNs = endNs
-					} else {
-						startNs = 0
-					}
+				if c.timed {
+					c.observe(vi, line, obs.Nanotime())
 				}
-				if r.Buffered() == 0 {
-					lats.flush(s)
-					if err := commit(); err != nil {
-						return
-					}
+				if c.r.Buffered() == 0 && c.commit() != nil {
+					return
 				}
 				continue
 			}
 		}
-		if aerr := batch.apply(); aerr != nil {
-			commit()
+		if c.slow(line) || c.r.Buffered() == 0 && c.commit() != nil {
 			return
-		}
-		var cmd Command
-		var parseEndNs int64
-		if tr != nil {
-			parseStartNs := obs.Nanotime()
-			cmd, err = ParseCommand(string(line))
-			parseEndNs = obs.Nanotime()
-			tr.AddSpan("parse", parseStartNs, parseEndNs)
-		} else {
-			cmd, err = ParseCommand(string(line))
-		}
-		switch {
-		case errors.Is(err, ErrEmpty):
-			// Blank line: no reply. A sampled blank line abandons its
-			// trace unfinished; it is never retained.
-			startNs = 0
-		case err != nil:
-			s.cErrors.Inc()
-			writeError(w, err.Error())
-			if tr != nil {
-				tr.SetVerb("PARSE_ERROR")
-				tr.SetRemote(remoteAddr)
-				tr.SetError()
-				tr.Finish()
-			}
-			startNs = 0
-		case err == nil && cmd.Name == "PSYNC":
-			// The connection becomes a replication channel: flush any
-			// pending replies, then hand it over for good.
-			s.cCommands.Inc()
-			if tr != nil {
-				tr.SetVerb("PSYNC")
-				tr.SetRemote(remoteAddr)
-				tr.Finish()
-			}
-			lats.flush(s)
-			if commit() != nil {
-				return
-			}
-			// Disarm the durability barrier: the replication stream must
-			// not block waiting for an acknowledgement from the very
-			// replica whose stream sits behind this writer.
-			bw.armed = false
-			// The link is a replication channel now: CLIENT KILL must
-			// refuse it (slow replicas are evicted via ReplicaMaxLagBytes,
-			// never by an operator racing the ack cursor).
-			tc.SetReplica()
-			ir.disarm() // the replication channel manages its own deadlines
-			s.servePSYNC(conn, r, w, cmd, replListenPort)
-			return
-		case err == nil && cmd.Name == "REPLCONF":
-			s.cCommands.Inc()
-			replListenPort = replconfPort(cmd, replListenPort)
-			writeSimple(w, "OK")
-			if tr != nil {
-				tr.SetVerb("REPLCONF")
-				tr.SetRemote(remoteAddr)
-				tr.Finish()
-			}
-			startNs = 0
-		case err == nil && cmd.Name == "MONITOR":
-			// The connection becomes a live feed of sampled commands:
-			// flush pending replies, then stream until the client hangs
-			// up. The feed never back-pressures the hot path — a lagging
-			// consumer loses frames, counted in monitor_dropped_total.
-			s.cCommands.Inc()
-			tc.Command(verbIndex("MONITOR"))
-			if tr != nil {
-				tr.SetVerb("MONITOR")
-				tr.SetRemote(remoteAddr)
-				tr.Finish()
-			}
-			lats.flush(s)
-			if commit() != nil {
-				return
-			}
-			// The read side's only job now is hangup detection: the idle
-			// deadline comes off (a silent monitor is healthy).
-			ir.disarm()
-			s.serveMonitor(r, w, tc)
-			return
-		default:
-			// Clock reads are skipped entirely when nothing consumes
-			// them (histograms disabled and no slow threshold), and use
-			// the monotonic-only obs.Nanotime rather than time.Now():
-			// full wall+mono reads are real money on a sub-microsecond
-			// command path. Fresh readings land after readLine, so a
-			// measured duration covers execute (plus, for chained
-			// pipelined commands, the buffered read and parse) but never
-			// time spent blocked waiting for input.
-			if timed && startNs == 0 {
-				startNs = obs.Nanotime()
-			}
-			if tr != nil {
-				tr.SetVerb(cmd.Name)
-				tr.SetRemote(remoteAddr)
-			}
-			vi := verbIndex(cmd.Name)
-			tc.Command(vi)
-			if (vi == verbInsert || vi == verbMinsert) && len(cmd.Args) > 1 {
-				tc.AddKeys(len(cmd.Args) - 1)
-			}
-			// The self-telemetry sampling decision: one atomic add for
-			// the unsampled majority. A sampled insert feeds the hot-key
-			// tracker; any sampled command becomes a MONITOR frame, but
-			// only when someone is subscribed (rendering costs).
-			if s.traffic.Sampled() {
-				if vi == verbInsert || vi == verbMinsert {
-					noteInsertKeys(s.traffic, cmd)
-				}
-				if s.traffic.Wants() {
-					s.traffic.Publish(remoteAddr, cmd.Name, renderCommand(cmd))
-				}
-			}
-			quit := s.admitExecute(cmd, tr, w, tc)
-			if isMutation(cmd.Name) {
-				bw.wrote = true
-			}
-			if timed || tr != nil {
-				endNs := obs.Nanotime()
-				if tr != nil {
-					// The execute span starts at the parse boundary, so
-					// it measures admission + execution even when the
-					// batch timer (startNs) was chained from an earlier
-					// pipelined command.
-					tr.AddSpan("execute", parseEndNs, endNs)
-					openTrs = append(openTrs, tr)
-				}
-				if timed {
-					s.observe(lats, vi, cmd, time.Duration(endNs-startNs), remoteAddr, tr)
-					if r.Buffered() > 0 {
-						startNs = endNs
-					} else {
-						startNs = 0
-					}
-				}
-			}
-			if quit {
-				return
-			}
-			s.maybeCheckpoint()
-		}
-		if r.Buffered() == 0 {
-			lats.flush(s)
-			if err := commit(); err != nil {
-				return
-			}
 		}
 	}
+}
+
+// contain is handleConn's deferred recover, the one that covers
+// everything the loop runs — the fast path, a batch apply, a slow-path
+// command. A panic costs this connection, the way a failed commit does:
+// the pending batch
+// and the unsent replies (optimistic acknowledgements among them) are
+// dropped, the client gets one direct error line and a closed
+// connection, the daemon and its other connections keep serving. Locks
+// released by defer in the command path are released by the unwind.
+func (c *conn) contain() {
+	p := recover()
+	if p == nil {
+		return
+	}
+	c.s.counters.Counter("panics_recovered").Inc()
+	c.batch.reset()
+	c.batch.release()
+	c.failed = true
+	c.nc.SetWriteDeadline(time.Now().Add(time.Second))
+	writeError(c.nc, fmt.Sprintf("internal error: %v", p))
+}
+
+// commit is the drain point: the pending inserts are applied (and their
+// records appended), the barrier makes everything logged durable, and
+// only then are the buffered replies released. If the barrier fails the
+// replies are discarded — nothing unacknowledged was promised — and the
+// client gets one direct error line before the connection closes. The
+// log failure is sticky, so the server fails every later batch the same
+// way (fail-stop) rather than guess at durability; a batch-apply WAL
+// failure is that same sticky failure, so the barrier reports it.
+//
+// A failed commit is terminal for the connection: the error line has
+// been sent, so the deferred flush of any leftover replies must not run
+// again.
+func (c *conn) commit() error {
+	c.lats.flush(c.s)
+	if c.failed {
+		return errCommitFailed
+	}
+	aerr := c.batch.apply()
+	err := c.bw.barrier(c.openTrs)
+	if err != nil {
+		c.nc.SetWriteDeadline(time.Now().Add(time.Second))
+		fmt.Fprintf(c.nc, "-ERR %v\n", err)
+	} else {
+		err = c.w.Flush()
+	}
+	for _, t := range c.openTrs {
+		if err != nil {
+			t.SetError()
+		}
+		t.Finish()
+	}
+	c.openTrs = c.openTrs[:0]
+	if err == nil {
+		err = aerr
+	}
+	c.failed = err != nil
+	return err
+}
+
+// slow runs one request line on the general path: every verb but the
+// four the fast path serves, every line the fast path declined, and
+// every sampled command. The pending batch is applied first, so
+// execution order — and WAL record order — is request order. It reports
+// whether the connection is over.
+func (c *conn) slow(line []byte) (over bool) {
+	s, tr := c.s, c.tr
+	if c.batch.apply() != nil {
+		return true // the deferred commit reports the sticky WAL failure
+	}
+	sp := tr.StartSpan("parse")
+	cmd, err := ParseCommand(string(line))
+	sp.End()
+	if errors.Is(err, ErrEmpty) {
+		// Blank line: no reply. A sampled blank line abandons its trace
+		// unfinished; it is never retained.
+		c.startNs = 0
+		return false
+	}
+	// The execute span starts at the parse boundary, so it measures
+	// admission + execution even when the batch timer (startNs) was
+	// chained from an earlier pipelined command.
+	sp = tr.StartSpan("execute")
+	vi, label := verbOther, "PARSE_ERROR"
+	if err == nil {
+		vi, label = lookupVerb(cmd.Name), cmd.Name
+	}
+	if tr != nil {
+		tr.SetVerb(label)
+		tr.SetRemote(c.addr)
+		c.openTrs = append(c.openTrs, tr)
+	}
+	if err != nil {
+		s.cErrors.Inc()
+		writeError(c.w, err.Error())
+		tr.SetError()
+		c.startNs = 0
+		return false
+	}
+	v := &verbs[vi]
+	if c.timed && c.startNs == 0 {
+		c.startNs = obs.Nanotime()
+	}
+	c.tc.Command(vi)
+	insert := v.flags&vInsertGate != 0 && len(cmd.Args) > 1
+	if insert {
+		c.tc.AddKeys(len(cmd.Args) - 1)
+	}
+	if c.batch.sampled(vi, line) && insert {
+		// Runs 1-in-TrafficSample, so the allocation is off the common path.
+		s.traffic.NoteKeys([]byte(cmd.Args[0]), appendKeys(nil, cmd.Args[1:]))
+	}
+	if v.flags&vTakeover == 0 {
+		c.dispatch(v, cmd)
+	}
+	if v.flags&vMutates != 0 {
+		c.bw.wrote = true
+	}
+	sp.End()
+	if c.timed {
+		c.observe(vi, line, obs.Nanotime())
+	}
+	if v.flags&vTakeover != 0 {
+		// The command is counted and timed up to here; the replies ahead
+		// of it go out, the idle deadline comes off (a replication
+		// channel manages its own, a silent monitor is healthy), and the
+		// handler owns the connection until it ends.
+		if c.commit() == nil {
+			c.ir.disarm()
+			c.dispatch(v, cmd)
+		}
+		return true
+	}
+	if c.quit {
+		return true
+	}
+	s.maybeCheckpoint()
+	return false
+}
+
+// testPanic, when set by a test before the server starts, is called
+// with each slow-path command so the per-connection panic containment
+// can be exercised without shipping a crash-on-demand wire command.
+var testPanic func(Command)
+
+// dispatch runs one command under admission control and writes its
+// reply. With Config.MaxInflight set, at most that many commands
+// execute at once across all connections; a command that cannot get a
+// slot within the command timeout is answered -ERR BUSY instead of
+// queueing without bound.
+func (c *conn) dispatch(v *verb, cmd Command) {
+	s := c.s
+	if ad := s.admit; ad != nil && v.flags&vNoAdmit == 0 {
+		if !ad.tryAcquire() {
+			ok, draining := ad.await(s.cfg.CommandTimeout, s.done)
+			if draining {
+				c.quit = true
+				return
+			}
+			if !ok {
+				s.cBusyRejects.Inc()
+				writeError(c.w, "BUSY too many in-flight commands; retry")
+				return
+			}
+		}
+		defer ad.release() // also on a panic, which handleConn recovers
+	}
+	s.cCommands.Inc()
+	if testPanic != nil {
+		testPanic(cmd)
+	}
+	if err := c.run(v, cmd); err != nil {
+		s.cErrors.Inc()
+		writeError(c.w, err.Error())
+		c.tr.SetError() // nil-safe; errored traces are pinned in the ring
+	}
+}
+
+// run takes cmd through its row: the gates the row names, its arity,
+// then the handler — for an apply-then-log pair under the shared side
+// of the checkpoint lock, so a checkpoint observes none or all of it
+// and the snapshot it writes is consistent with the log position it
+// truncates to.
+func (c *conn) run(v *verb, cmd Command) error {
+	s := c.s
+	if v.run == nil {
+		return fmt.Errorf("unknown command %q", cmd.Name)
+	}
+	if err := s.gate(v.flags); err != nil {
+		return err
+	}
+	if v.flags&(vMutates|vInsertGate) == vMutates {
+		// The set of sketches is about to change: re-measure the memory
+		// budget on the way out rather than at the evaluator's next tick.
+		defer s.evalOverload()
+	}
+	if n := len(cmd.Args); n < v.min || v.max > 0 && n > v.max {
+		return fmt.Errorf("%s: want %s", v.name, v.usage[len(v.name)+1:])
+	}
+	if v.flags&vChkLock != 0 {
+		sp := c.tr.StartSpan("mutate")
+		defer sp.End()
+		if s.wal != nil {
+			s.chkMu.RLock()
+			defer s.chkMu.RUnlock()
+		}
+	}
+	return v.run(c, cmd)
+}
+
+// gate refuses a command its row gates: client mutations on a replica
+// (the replication apply path does not pass through here — it is the one
+// writer a replica allows), sketch allocation at the refuse_create
+// overload rung and above, inserts at refuse_insert. Queries,
+// SKETCH.CARD, INFO and replication are never gated: a squeezed node
+// keeps answering from the state it has.
+func (s *Server) gate(f verbFlags) error {
+	if f&vWriteGate != 0 {
+		if addr := s.primaryAddr(); addr != "" {
+			return fmt.Errorf("READONLY replica of %s; mutations go to the primary", addr)
+		}
+	}
+	lvl := s.overloadLevel()
+	if f&vAllocGate != 0 && lvl >= overRefuseCreate {
+		s.counters.Counter("overload_refused_creates").Inc()
+		return fmt.Errorf("OOM memory budget exceeded (%s); refusing new sketch allocations", lvl)
+	}
+	if f&vInsertGate != 0 && lvl >= overRefuseInsert {
+		s.counters.Counter("overload_oom_inserts").Inc()
+		return fmt.Errorf("OOM memory budget exceeded; inserts refused (queries still served)")
+	}
+	return nil
 }
 
 // connLats is one connection's latency accumulators, one LocalHist per
 // verb actually used, allocated lazily. Owned by the connection
 // goroutine; only flush touches shared state.
 type connLats struct {
-	verbs   []*obs.LocalHist
+	verbs   [numVerbs]*obs.LocalHist
 	pending int
 }
 
@@ -423,22 +450,32 @@ func (c *connLats) flush(s *Server) {
 	c.pending = 0
 }
 
-// observe feeds one completed command into the latency accumulator for
-// its verb (i is its verbIndex; unknown names share the OTHER bucket)
-// and, past the configured threshold, into the slow-query log with the
-// client's remote address. The slow-query check sees every command's
-// exact duration; only the histogram merge is deferred.
-func (s *Server) observe(lats *connLats, i int, cmd Command, d time.Duration, addr string, tr *xtrace.Trace) {
-	if lats != nil { // nil when histograms are disabled but SlowThreshold isn't
-		l := lats.verbs[i]
+// observe feeds the command that ended at endNs into the latency
+// accumulator of its verb (unknown names share the OTHER bucket) and,
+// past the configured threshold, into the slow-query log with the
+// client's remote address and the request line as sent. The slow-query
+// check sees every command's exact duration; only the histogram merge is
+// deferred. Fast-path commands are never sampled, so for them c.tr is
+// nil: no exemplar, no trace ID.
+func (c *conn) observe(vi int, line []byte, endNs int64) {
+	s := c.s
+	d := time.Duration(endNs - c.startNs)
+	c.startNs = 0
+	if c.r.Buffered() > 0 {
+		c.startNs = endNs
+	}
+	if lats := c.lats; lats != nil { // nil when histograms are disabled but SlowThreshold isn't
+		l := lats.verbs[vi]
 		if l == nil {
 			l = &obs.LocalHist{}
-			lats.verbs[i] = l
+			lats.verbs[vi] = l
 		}
 		l.Observe(d)
-		// A sampled command becomes its verb's histogram exemplar, so
-		// /metrics can point at a concrete retained trace.
-		s.noteExemplar(i, tr, d)
+		if c.tr != nil {
+			// A sampled command becomes its verb's histogram exemplar, so
+			// /metrics can point at a concrete retained trace.
+			s.exemplars[vi].Store(&traceExemplar{id: c.tr.ID(), dur: d})
+		}
 		// A client that pipelines forever without draining never hits the
 		// batch-end flush, so cap the unflushed backlog here.
 		if lats.pending++; lats.pending >= obs.FlushLimit {
@@ -453,47 +490,16 @@ func (s *Server) observe(lats *connLats, i int, cmd Command, d time.Duration, ad
 			s.counters.Counter("overload_slowlog_dropped").Inc()
 			return
 		}
-		s.slow.Record(renderCommand(cmd), d, time.Now(), addr, tr.ID())
+		s.slow.Record(renderLine(line), d, time.Now(), c.addr, c.tr.ID())
 		s.cSlowCommands.Inc()
 		if s.logger.Enabled(obslog.LevelWarn) {
-			s.logger.Warn("slow command", "verb", cmd.Name, "duration", d.String())
+			s.logger.Warn("slow command", "verb", verbs[vi].name, "duration", d.String())
 		}
 	}
 }
 
-// observeFast is observe for fast-path commands: the same accumulator,
-// flush-limit and slow-query behavior, but keyed by a precomputed
-// verb index and rendering the raw line only when the command was
-// actually slow — no Command struct, no per-command allocation. Fast-
-// path commands are never sampled (tr != nil takes the slow path), so
-// there is no exemplar to note and no trace ID to log.
-func (s *Server) observeFast(lats *connLats, vi int, d time.Duration, addr string, line []byte) {
-	if lats != nil {
-		l := lats.verbs[vi]
-		if l == nil {
-			l = &obs.LocalHist{}
-			lats.verbs[vi] = l
-		}
-		l.Observe(d)
-		if lats.pending++; lats.pending >= obs.FlushLimit {
-			lats.flush(s)
-		}
-	}
-	if t := s.cfg.SlowThreshold; t > 0 && d >= t {
-		if s.over.slowShed.Load() {
-			s.counters.Counter("overload_slowlog_dropped").Inc()
-			return
-		}
-		s.slow.Record(renderLine(line), d, time.Now(), addr, 0)
-		s.cSlowCommands.Inc()
-		if s.logger.Enabled(obslog.LevelWarn) {
-			s.logger.Warn("slow command", "verb", commandVerbs[vi], "duration", d.String())
-		}
-	}
-}
-
-// renderLine bounds a raw request line for the slow-query log, the
-// byte-slice analogue of renderCommand.
+// renderLine renders a request line as sent for the slow-query log and
+// MONITOR, bounded so a 128-key INSERT doesn't bloat the ring.
 func renderLine(line []byte) string {
 	const maxLen = 256
 	for len(line) > 0 && (line[len(line)-1] == '\n' || line[len(line)-1] == '\r') {
@@ -505,215 +511,19 @@ func renderLine(line []byte) string {
 	return string(line)
 }
 
-// renderCommand reconstructs a command line for the slow-query log,
-// bounded so a 128-key INSERT doesn't bloat the ring.
-func renderCommand(cmd Command) string {
-	const maxLen = 256
-	line := cmd.Name
-	if len(cmd.Args) > 0 {
-		line += " " + strings.Join(cmd.Args, " ")
-	}
-	if len(line) > maxLen {
-		line = line[:maxLen] + "..."
-	}
-	return line
+func (c *conn) cmdPing(Command) error {
+	writeSimple(c.w, "PONG")
+	return nil
 }
 
-// noteInsertKeys feeds a sampled insert command's parsed keys to the
-// hot-key tracker. Runs 1-in-TrafficSample, so the allocation is off
-// the common path.
-func noteInsertKeys(t *traffic.Tracker, cmd Command) {
-	if len(cmd.Args) < 2 {
-		return
-	}
-	keys := make([]uint64, 0, len(cmd.Args)-1)
-	for _, tok := range cmd.Args[1:] {
-		keys = append(keys, ParseKey(tok))
-	}
-	t.NoteKeys([]byte(cmd.Args[0]), keys)
+func (c *conn) cmdQuit(Command) error {
+	writeSimple(c.w, "OK")
+	c.quit = true
+	return nil
 }
 
-// commit makes the batch durable, then releases its replies. With a
-// WAL, a buffered acknowledgement must not reach the client before the
-// record it acknowledges reaches the disk; if the sync fails, the
-// buffered replies are discarded — nothing unacknowledged was promised
-// — and the client gets one direct error line before the connection
-// closes. The log failure is sticky, so the server fails every later
-// batch the same way (fail-stop) rather than guess at durability.
-//
-// With Config.SyncReplicas set, a batch containing mutations
-// (bw.wrote) additionally waits for that many replicas to acknowledge
-// the durable position before the replies go out — the semi-
-// synchronous half of the zero-acked-loss failover guarantee.
-// Read-only batches never wait.
-// trs holds the batch's sampled traces; each gets a fsync_wait span
-// around the group-commit sync (which amortises every command in the
-// batch) and, under semi-synchronous replication, a replack_wait span
-// around the replica-acknowledgement wait. Clock reads only happen
-// when at least one command in the batch was sampled.
-func (s *Server) commit(conn net.Conn, w *bufio.Writer, bw *syncWriter, trs []*xtrace.Trace) error {
-	wrote := bw.wrote
-	bw.wrote = false
-	if s.wal != nil {
-		var syncStartNs int64
-		if len(trs) > 0 {
-			syncStartNs = obs.Nanotime()
-		}
-		if err := s.wal.Sync(); err != nil {
-			s.cWALErrors.Inc()
-			conn.SetWriteDeadline(time.Now().Add(time.Second))
-			fmt.Fprintf(conn, "-ERR wal sync failed: %v\n", err)
-			return err
-		}
-		if len(trs) > 0 {
-			endNs := obs.Nanotime()
-			for _, t := range trs {
-				t.AddSpan("fsync_wait", syncStartNs, endNs)
-			}
-		}
-		if wrote && s.cfg.SyncReplicas > 0 {
-			pos := s.wal.Position()
-			var ackStartNs int64
-			if len(trs) > 0 {
-				ackStartNs = obs.Nanotime()
-			}
-			if err := s.tracker.WaitAck(pos, s.cfg.SyncReplicas, s.syncReplicaTimeout(), s.done); err != nil {
-				s.cReplTimeouts.Inc()
-				conn.SetWriteDeadline(time.Now().Add(time.Second))
-				fmt.Fprintf(conn, "-ERR %v\n", err)
-				return err
-			}
-			if len(trs) > 0 {
-				endNs := obs.Nanotime()
-				for _, t := range trs {
-					t.AddSpan("replack_wait", ackStartNs, endNs)
-				}
-			}
-		}
-	}
-	return w.Flush()
-}
-
-// isMutation reports whether a verb changes sketch state — the verbs
-// the replica write gate refuses and the semi-synchronous commit
-// waits on.
-func isMutation(name string) bool {
-	switch name {
-	case "SKETCH.CREATE", "SKETCH.DROP", "SKETCH.INSERT", "MINSERT", "SKETCH.LOAD":
-		return true
-	}
-	return false
-}
-
-// testPanic, when set by a test before the server starts, is called
-// with each slow-path command so the per-connection panic containment
-// can be exercised without shipping a crash-on-demand wire command.
-var testPanic func(Command)
-
-// execute runs one command and writes its reply; it reports whether
-// the connection should close (QUIT). State-changing commands go
-// through mutate, which pairs their apply+log atomically against
-// checkpoints.
-func (s *Server) execute(cmd Command, tr *xtrace.Trace, w *bufio.Writer, tc *traffic.Client) (quit bool) {
-	s.cCommands.Inc()
-	if testPanic != nil {
-		testPanic(cmd)
-	}
-	var err error
-	switch cmd.Name {
-	case "PING":
-		writeSimple(w, "PONG")
-	case "QUIT":
-		writeSimple(w, "OK")
-		return true
-	case "INFO":
-		s.writeInfo(w)
-	case "ROLE":
-		s.cmdRole(w)
-	case "REPLICAOF":
-		err = s.cmdReplicaof(cmd, w)
-	case "SLOWLOG":
-		err = s.cmdSlowlog(cmd, w)
-	case "TRACE":
-		err = s.cmdTrace(cmd, w)
-	case "HOTKEYS":
-		err = s.cmdHotkeys(cmd, w)
-	case "CLIENT":
-		err = s.cmdClient(cmd, tc, w)
-	case "SKETCH.LIST":
-		s.writeList(w)
-	case "SKETCH.STATS":
-		err = s.cmdStats(cmd, w)
-	case "SKETCH.AUDIT":
-		err = s.cmdAudit(cmd, w)
-	case "SKETCH.CREATE":
-		if err = s.writeGate(); err == nil {
-			if err = s.allocGate(); err == nil {
-				err = s.mutateTraced(tr, func() error { return s.cmdCreate(cmd, tr, w) })
-				s.evalOverload()
-			}
-		}
-	case "SKETCH.DROP":
-		if err = s.writeGate(); err == nil {
-			err = s.mutateTraced(tr, func() error { return s.cmdDrop(cmd, tr, w) })
-			s.evalOverload()
-		}
-	case "SKETCH.INSERT", "MINSERT":
-		if err = s.writeGate(); err == nil {
-			if err = s.insertGate(); err == nil {
-				err = s.mutateTraced(tr, func() error { return s.cmdInsert(cmd, tr, w) })
-			}
-		}
-	case "SKETCH.QUERY":
-		err = s.cmdQuery(cmd, w)
-	case "SKETCH.CARD":
-		err = s.cmdCard(cmd, w)
-	case "SKETCH.SAVE":
-		err = s.cmdSave(cmd, w)
-	case "SKETCH.LOAD":
-		if err = s.writeGate(); err == nil {
-			if err = s.allocGate(); err == nil {
-				err = s.cmdLoad(cmd, w)
-				s.evalOverload()
-			}
-		}
-	default:
-		err = fmt.Errorf("unknown command %q", cmd.Name)
-	}
-	if err != nil {
-		s.cErrors.Inc()
-		writeError(w, err.Error())
-		tr.SetError() // nil-safe; errored traces are pinned in the ring
-	}
-	return false
-}
-
-// mutateTraced is mutate with a span around the whole mutation —
-// sketch apply plus WAL append — when the command is sampled.
-func (s *Server) mutateTraced(tr *xtrace.Trace, fn func() error) error {
-	if tr == nil {
-		return s.mutate(fn)
-	}
-	sp := tr.StartSpan("mutate")
-	err := s.mutate(fn)
-	sp.End()
-	return err
-}
-
-// wantArgs checks the argument count: exactly n when variadic is
-// false, at least n otherwise.
-func wantArgs(cmd Command, n int, variadic bool, usage string) error {
-	if len(cmd.Args) == n || (variadic && len(cmd.Args) > n) {
-		return nil
-	}
-	return fmt.Errorf("%s: want %s", cmd.Name, usage)
-}
-
-func (s *Server) cmdCreate(cmd Command, tr *xtrace.Trace, w *bufio.Writer) error {
-	if err := wantArgs(cmd, 2, true, "name kind [param=value ...]"); err != nil {
-		return err
-	}
-	name := cmd.Args[0]
+func (c *conn) cmdCreate(cmd Command) error {
+	s, name := c.s, cmd.Args[0]
 	if !ValidName(name) {
 		return fmt.Errorf("invalid sketch name %q", name)
 	}
@@ -726,27 +536,25 @@ func (s *Server) cmdCreate(cmd Command, tr *xtrace.Trace, w *bufio.Writer) error
 	}
 	// The record keeps the original parameter tokens, so replay builds
 	// an identical sketch through the same constructor.
-	if err := s.walAppend([]byte("SKETCH.CREATE "+strings.Join(cmd.Args, " ")), tr); err != nil {
+	if err := s.walAppend([]byte("SKETCH.CREATE "+strings.Join(cmd.Args, " ")), c.tr); err != nil {
 		return err
 	}
-	writeSimple(w, "OK")
+	writeSimple(c.w, "OK")
 	return nil
 }
 
-func (s *Server) cmdDrop(cmd Command, tr *xtrace.Trace, w *bufio.Writer) error {
-	if err := wantArgs(cmd, 1, false, "name"); err != nil {
-		return err
-	}
+func (c *conn) cmdDrop(cmd Command) error {
+	s := c.s
 	if err := s.reg.Drop(cmd.Args[0]); err != nil {
 		return err
 	}
 	// The hot-key tracker follows the registry: a dropped sketch's
 	// telemetry window must not linger (or leak map entries).
 	s.traffic.Forget(cmd.Args[0])
-	if err := s.walAppend([]byte("SKETCH.DROP "+cmd.Args[0]), tr); err != nil {
+	if err := s.walAppend([]byte("SKETCH.DROP "+cmd.Args[0]), c.tr); err != nil {
 		return err
 	}
-	writeSimple(w, "OK")
+	writeSimple(c.w, "OK")
 	return nil
 }
 
@@ -755,10 +563,8 @@ func (s *Server) cmdDrop(cmd Command, tr *xtrace.Trace, w *bufio.Writer) error {
 // fast path refused). It logs the same insert record the batch engine
 // does: the parsed uint64 keys, so replay is exact without depending on
 // how the original token hashed.
-func (s *Server) cmdInsert(cmd Command, tr *xtrace.Trace, w *bufio.Writer) error {
-	if err := wantArgs(cmd, 2, true, "name key [key ...]"); err != nil {
-		return err
-	}
+func (c *conn) cmdInsert(cmd Command) error {
+	s := c.s
 	sk, err := s.reg.Get(cmd.Args[0])
 	if err != nil {
 		return err
@@ -768,20 +574,17 @@ func (s *Server) cmdInsert(cmd Command, tr *xtrace.Trace, w *bufio.Writer) error
 	keys := buf.insertTokens(sk, cmd.Args[1:])
 	if s.wal != nil {
 		rec := AppendInsertRecord(nil, []byte(cmd.Args[0]), keys)
-		if err := s.walAppend(rec, tr); err != nil {
+		if err := s.walAppend(rec, c.tr); err != nil {
 			return err
 		}
 	}
 	s.cInserts.Add(int64(len(keys)))
-	writeInt(w, int64(len(keys)))
+	writeInt(c.w, int64(len(keys)))
 	return nil
 }
 
-func (s *Server) cmdQuery(cmd Command, w *bufio.Writer) error {
-	if err := wantArgs(cmd, 2, false, "name key"); err != nil {
-		return err
-	}
-	sk, err := s.reg.Get(cmd.Args[0])
+func (c *conn) cmdQuery(cmd Command) error {
+	sk, err := c.s.reg.Get(cmd.Args[0])
 	if err != nil {
 		return err
 	}
@@ -789,15 +592,12 @@ func (s *Server) cmdQuery(cmd Command, w *bufio.Writer) error {
 	if err != nil {
 		return err
 	}
-	writeInt(w, v)
+	writeInt(c.w, v)
 	return nil
 }
 
-func (s *Server) cmdCard(cmd Command, w *bufio.Writer) error {
-	if err := wantArgs(cmd, 1, false, "name"); err != nil {
-		return err
-	}
-	sk, err := s.reg.Get(cmd.Args[0])
+func (c *conn) cmdCard(cmd Command) error {
+	sk, err := c.s.reg.Get(cmd.Args[0])
 	if err != nil {
 		return err
 	}
@@ -805,28 +605,19 @@ func (s *Server) cmdCard(cmd Command, w *bufio.Writer) error {
 	if err != nil {
 		return err
 	}
-	writeFloat(w, v)
+	writeFloat(c.w, v)
 	return nil
 }
 
-// snapshotFile picks the snapshot file name for SAVE/LOAD: the second
-// argument when given, otherwise the sketch name itself.
-func snapshotFile(cmd Command) string {
-	if len(cmd.Args) == 2 {
-		return cmd.Args[1]
-	}
-	return cmd.Args[0]
-}
-
-func (s *Server) cmdSave(cmd Command, w *bufio.Writer) error {
-	if len(cmd.Args) < 1 || len(cmd.Args) > 2 {
-		return fmt.Errorf("%s: want name [file]", cmd.Name)
-	}
+// cmdSave and cmdLoad take the snapshot file name from their last
+// argument: the second when given, otherwise the sketch name itself.
+func (c *conn) cmdSave(cmd Command) error {
+	s := c.s
 	sk, err := s.reg.Get(cmd.Args[0])
 	if err != nil {
 		return err
 	}
-	path, err := s.snapshotPath(snapshotFile(cmd))
+	path, err := s.snapshotPath(cmd.Args[len(cmd.Args)-1])
 	if err != nil {
 		return err
 	}
@@ -836,19 +627,16 @@ func (s *Server) cmdSave(cmd Command, w *bufio.Writer) error {
 		return err
 	}
 	s.counters.Counter("snapshots_saved").Inc()
-	writeSimple(w, "OK")
+	writeSimple(c.w, "OK")
 	return nil
 }
 
-func (s *Server) cmdLoad(cmd Command, w *bufio.Writer) error {
-	if len(cmd.Args) < 1 || len(cmd.Args) > 2 {
-		return fmt.Errorf("%s: want name [file]", cmd.Name)
-	}
-	name := cmd.Args[0]
+func (c *conn) cmdLoad(cmd Command) error {
+	s, name := c.s, cmd.Args[0]
 	if !ValidName(name) {
 		return fmt.Errorf("invalid sketch name %q", name)
 	}
-	path, err := s.snapshotPath(snapshotFile(cmd))
+	path, err := s.snapshotPath(cmd.Args[len(cmd.Args)-1])
 	if err != nil {
 		return err
 	}
@@ -881,14 +669,15 @@ func (s *Server) cmdLoad(cmd Command, w *bufio.Writer) error {
 		}
 	}
 	s.counters.Counter("snapshots_loaded").Inc()
-	writeSimple(w, "OK")
+	writeSimple(c.w, "OK")
 	return nil
 }
 
 // cmdSlowlog serves the slow-query ring: SLOWLOG [GET [n] | LEN |
 // RESET]. Bare SLOWLOG means GET. Entries come back newest-first, one
 // key=value line each; times are RFC 3339 with millisecond precision.
-func (s *Server) cmdSlowlog(cmd Command, w *bufio.Writer) error {
+func (c *conn) cmdSlowlog(cmd Command) error {
+	s, w := c.s, c.w
 	sub := "GET"
 	if len(cmd.Args) > 0 {
 		sub = strings.ToUpper(cmd.Args[0])
@@ -941,10 +730,8 @@ func (s *Server) cmdSlowlog(cmd Command, w *bufio.Writer) error {
 // snapshot — no lazy cleaning runs — so fill and age-class counts are
 // approximate between cleanings (stale cells a query would clean on
 // contact are still counted).
-func (s *Server) cmdStats(cmd Command, w *bufio.Writer) error {
-	if err := wantArgs(cmd, 1, false, "name|*"); err != nil {
-		return err
-	}
+func (c *conn) cmdStats(cmd Command) error {
+	s, w := c.s, c.w
 	if cmd.Args[0] == "*" {
 		infos := s.reg.List()
 		lines := make([]string, len(infos))
@@ -989,10 +776,8 @@ func (s *Server) cmdStats(cmd Command, w *bufio.Writer) error {
 // and SKETCH.AUDIT * returns one summary line per audited sketch. The
 // phase_are/phase_obs lines are the error-vs-cleaning-cycle-phase
 // profile: 16 comma-separated buckets spanning one Tcycle sweep.
-func (s *Server) cmdAudit(cmd Command, w *bufio.Writer) error {
-	if len(cmd.Args) < 1 || len(cmd.Args) > 2 {
-		return fmt.Errorf("%s: want name|* [RESET]", cmd.Name)
-	}
+func (c *conn) cmdAudit(cmd Command) error {
+	s, w := c.s, c.w
 	if cmd.Args[0] == "*" {
 		if len(cmd.Args) > 1 {
 			return fmt.Errorf("%s: RESET takes a sketch name, not *", cmd.Name)
@@ -1089,7 +874,8 @@ func auditSummary(name string, st audit.Stats) string {
 	}
 }
 
-func (s *Server) writeInfo(w *bufio.Writer) {
+func (c *conn) cmdInfo(Command) error {
+	s := c.s
 	uptime := time.Since(s.start).Seconds()
 	role := "primary"
 	if s.primaryAddr() != "" {
@@ -1130,15 +916,17 @@ func (s *Server) writeInfo(w *bufio.Writer) {
 	for _, name := range s.counters.Names() {
 		lines = append(lines, fmt.Sprintf("%s=%d", name, s.counters.Counter(name).Value()))
 	}
-	writeArray(w, lines)
+	writeArray(c.w, lines)
+	return nil
 }
 
-func (s *Server) writeList(w *bufio.Writer) {
-	infos := s.reg.List()
+func (c *conn) cmdList(Command) error {
+	infos := c.s.reg.List()
 	lines := make([]string, len(infos))
 	for i, in := range infos {
 		lines[i] = fmt.Sprintf("%s kind=%s shards=%d window=%d inserts=%d memory_kb=%.1f",
 			in.Name, in.Kind, in.Shards, in.Window, in.Inserts, float64(in.MemoryBits)/8192)
 	}
-	writeArray(w, lines)
+	writeArray(c.w, lines)
+	return nil
 }

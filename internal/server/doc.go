@@ -20,7 +20,9 @@
 //	-ERR <msg>   command failed; the connection stays open
 //	*<n>         array header, followed by n +lines (INFO, SKETCH.LIST)
 //
-// Commands:
+// Commands — each is one row of the command table in verbs.go, and the
+// headings below are the rows' usage strings (a wrong argument count
+// answers "-ERR <VERB>: want <arguments>"; verbs are case-insensitive):
 //
 //	PING
 //	    Liveness probe; replies +PONG.
@@ -31,7 +33,7 @@
 //	    ack, full_sync). On a follower: role=replica, primary=,
 //	    connected=, cursor=gen/seg/off, full_syncs=, reconnects=,
 //	    applied_records=.
-//	REPLICAOF <host> <port> | REPLICAOF NO ONE
+//	REPLICAOF host port | NO ONE
 //	    Reconfigure replication at runtime. host port (re)points this
 //	    server at a primary and starts syncing (requires a WAL). NO
 //	    ONE promotes a follower to a writable primary (a no-op on a
@@ -42,7 +44,7 @@
 //	    connected_replicas= lines.
 //	QUIT
 //	    Replies +OK and closes the connection.
-//	SKETCH.CREATE <name> <kind> [param=value ...]
+//	SKETCH.CREATE name kind [param=value ...]
 //	    Create a named sketch. Kinds and their size parameter:
 //	        bloom  membership    bits=N       (default 1048576)
 //	        cm     frequency     counters=N   (default 65536)
@@ -52,37 +54,37 @@
 //	    defaults). Errors if the name is taken. Size parameters are
 //	    capped (MaxBits, MaxCounters, MaxRegisters, MaxShards, ...) so
 //	    one CREATE cannot allocate unbounded memory.
-//	SKETCH.INSERT <name> <key> [key ...]
+//	SKETCH.INSERT name key [key ...]
 //	    Insert keys; replies :n with the number inserted.
-//	MINSERT <name> <key> [key ...]
+//	MINSERT name key [key ...]
 //	    Bulk insert: identical semantics to SKETCH.INSERT (up to 127
 //	    keys, one :n reply), spelled as its own verb so batch-oriented
 //	    clients and the WAL speak the insert path's native shape. Both
 //	    verbs ride the batch execution engine; see # Batched execution
 //	    below.
-//	SKETCH.QUERY <name> <key>
+//	SKETCH.QUERY name key
 //	    bloom: membership in the window, :1 or :0. cm: windowed
 //	    frequency estimate :n.
-//	SKETCH.CARD <name>
+//	SKETCH.CARD name
 //	    hll: windowed distinct-count estimate, +<float>.
-//	SKETCH.SAVE <name> [file]
+//	SKETCH.SAVE name [file]
 //	    Write a snapshot of the sketch into the server's snapshot
 //	    directory as <file>.she (default file: the sketch name). The
 //	    file argument is a bare name in the sketch-name alphabet —
 //	    never a path — and the command is refused when the server has
 //	    no snapshot directory configured.
-//	SKETCH.LOAD <name> [file]
+//	SKETCH.LOAD name [file]
 //	    Create or replace <name> from <file>.she in the snapshot
 //	    directory (the snapshot is self-describing, so no kind
 //	    argument). Same file-name rules as SKETCH.SAVE. The snapshot
 //	    carries the insert counter, so SKETCH.LIST keeps counting
 //	    across a save/load cycle.
-//	SKETCH.DROP <name>
+//	SKETCH.DROP name
 //	    Remove a sketch.
 //	SKETCH.LIST
 //	    One +line per sketch: name kind=... shards=... window=...
 //	    inserts=... memory_kb=...
-//	SKETCH.STATS <name>|*
+//	SKETCH.STATS name|*
 //	    SHE-aware introspection. With a name, one +key=value line per
 //	    field: kind, shards, window, tcycle, inserts, memory_bits,
 //	    cells, filled_cells, fill_ratio, cycle_position (fraction of
@@ -93,7 +95,7 @@
 //	    lazy cleaning runs), so fill and age-class counts are
 //	    approximate between cleanings: stale cells a query would clean
 //	    on contact are still counted.
-//	SKETCH.AUDIT <name>|* | SKETCH.AUDIT <name> RESET
+//	SKETCH.AUDIT name|* [RESET]
 //	    The online accuracy auditor (armed by Config.AuditSample / shed
 //	    -audit-sample; enabled=false otherwise). With a name, one
 //	    +key=value line per field: the shadow geometry (sample_prob,
@@ -111,16 +113,19 @@
 //	    -slow-ms; empty otherwise). GET returns up to n entries newest
 //	    first, one +id=... time=... duration_us=... addr=... trace=...
 //	    command="..." line each (addr is the client that ran the
-//	    command; trace is the request-trace ID when the command was
+//	    command; command is the request line as the client sent it —
+//	    its case and spacing kept, the line ending dropped — cut at 256
+//	    bytes; trace is the request-trace ID when the command was
 //	    sampled, else "-"); LEN replies :n; RESET clears the ring (+OK)
 //	    without reusing IDs.
-//	TRACE GET [<id> | SLOWEST [n]] | TRACE SAMPLE [n] | TRACE RESET
-//	    The request-trace ring (see # Request tracing). GET returns the
-//	    retained traces newest first, one +JSON line each; GET <id>
+//	TRACE [GET [id | SLOWEST [n]] | SAMPLE [n] | RESET]
+//	    The request-trace ring (see # Request tracing). GET — which a
+//	    bare TRACE means too — returns the retained traces newest
+//	    first, one +JSON line each; GET <id>
 //	    returns that trace or -ERR; GET SLOWEST n the n longest. SAMPLE
 //	    reads (:n) or sets (+OK) the sampling rate — trace 1 in n
 //	    commands, 0 disables. RESET clears the ring.
-//	HOTKEYS [<name> [k]]
+//	HOTKEYS [name] [k]
 //	    Sliding-window heavy hitters over the sampled insert stream
 //	    (armed by Config.TrafficSample / shed -traffic-sample; see
 //	    # Traffic self-telemetry). Bare HOTKEYS summarizes every
@@ -128,7 +133,7 @@
 //	    line each; HOTKEYS <name> [k] lists that sketch's top keys,
 //	    one "+key=K est_count=E sampled=S" line each, where E is the
 //	    sampled estimate scaled back by the sampling rate.
-//	CLIENT LIST | KILL <addr> | GETNAME | SETNAME <name>
+//	CLIENT LIST, KILL addr, GETNAME or SETNAME name
 //	    Per-connection accounting. LIST returns one +id=... addr=...
 //	    name=... age=... idle=... in=... out=... cmds=... keys=...
 //	    batches=... verb=... replica=... monitor=... per_verb=...
@@ -141,9 +146,20 @@
 //	MONITOR
 //	    Turn this connection into a live feed of sampled commands:
 //	    +OK, then one "+<epoch-seconds> [addr] <command>" frame per
-//	    sampled command until the client hangs up. The feed is
-//	    bounded: a consumer that cannot keep up loses frames (counted
-//	    in monitor_dropped_total), never the server.
+//	    sampled command until the client hangs up, <command> being the
+//	    request line as sent, rendered as SLOWLOG renders it. The feed
+//	    is bounded: a consumer that cannot keep up loses frames
+//	    (counted in monitor_dropped_total), never the server. Exempt
+//	    from admission control, like the two replication verbs: the
+//	    feed would hold its slot for as long as it runs.
+//	REPLCONF [option value]
+//	    Replication handshake, sent by a follower before PSYNC:
+//	    "listening-port <port>" advertises the port ROLE lists the
+//	    replica under. Other options are accepted and ignored. +OK.
+//	PSYNC ? | gen seg off
+//	    Turn this connection into a replication channel (see
+//	    # Replication): ? asks for a full sync, a cursor to continue
+//	    from it. A refusal is the connection's last line.
 //
 // Example session (nc localhost 6380):
 //
@@ -188,8 +204,8 @@
 // is left to the general path untouched. The keys are grouped by
 // target sketch, and the batch is applied at the next drain point:
 // the connection's input buffer running empty, a non-insert command
-// arriving, the per-connection cap of Config.BatchMaxKeys buffered
-// keys (default 16384; shed -batch-keys), or reply-buffer pressure.
+// arriving, the per-connection cap of 16384 buffered keys, or
+// reply-buffer pressure.
 // One apply pays a single registry lookup and lock acquisition per
 // distinct sketch, a single WAL append for all of the batch's records
 // and a single admission-control slot.

@@ -152,7 +152,7 @@ func (s *Server) applyRecord(rec []byte, buf *insertBuf, relog *[]byte) (logged 
 
 // walAppend logs one applied mutation. The record is only durable —
 // and the client only acknowledged — after the commit-time Sync; see
-// Server.commit.
+// syncWriter.barrier.
 //
 // A sampled command (tr != nil) takes the position-returning append,
 // gets a wal_append span, and registers the record-end position in
@@ -194,19 +194,6 @@ func (s *Server) walAppendBatch(recs [][]byte) error {
 	s.cWALRecords.Add(int64(len(recs)))
 	s.cWALBytes.Set(s.wal.BytesSinceCheckpoint())
 	return nil
-}
-
-// mutate runs a state-changing handler under the shared side of the
-// checkpoint lock, so a checkpoint observes either none or all of the
-// handler's apply-then-log pair and the snapshot it writes is
-// consistent with the log position it truncates to.
-func (s *Server) mutate(fn func() error) error {
-	if s.wal == nil {
-		return fn()
-	}
-	s.chkMu.RLock()
-	defer s.chkMu.RUnlock()
-	return fn()
 }
 
 // maybeCheckpoint checkpoints when the log has outgrown the

@@ -63,8 +63,8 @@ func (s *Server) metricsHandler(w http.ResponseWriter, _ *http.Request) {
 	if s.verbHist != nil {
 		// Every known verb appears, active or not, so dashboards can
 		// query a stable series set from the first scrape.
-		for i, verb := range commandVerbs {
-			labels := fmt.Sprintf("verb=%q", obs.EscapeLabel(verb))
+		for i := range verbs {
+			labels := fmt.Sprintf("verb=%q", obs.EscapeLabel(verbs[i].name))
 			p.Histogram("she_command_seconds", labels, s.verbHist[i].Snapshot())
 		}
 		p.Histogram("she_wal_fsync_seconds", "", s.walSyncHist.Snapshot())

@@ -1,14 +1,10 @@
 package server
 
 import (
-	"bufio"
-	"fmt"
 	"sync/atomic"
 	"time"
 
 	"she/internal/audit"
-	"she/internal/obs/traffic"
-	"she/internal/obs/xtrace"
 )
 
 // Overload protection: a tracked memory budget and an explicit
@@ -240,37 +236,6 @@ func (s *Server) forEachAuditor(fn func(*audit.Auditor)) {
 	}
 }
 
-// allocGate refuses sketch-allocating commands (CREATE, LOAD) at the
-// refuse_create rung and above.
-func (s *Server) allocGate() error {
-	if s.overloadLevel() >= overRefuseCreate {
-		s.counters.Counter("overload_refused_creates").Inc()
-		return fmt.Errorf("OOM memory budget exceeded (%s); refusing new sketch allocations",
-			s.overloadLevel())
-	}
-	return nil
-}
-
-// insertGate refuses inserts at the refuse_insert rung. Queries,
-// SKETCH.CARD, INFO and replication are never gated: a squeezed node
-// keeps answering from the state it has.
-func (s *Server) insertGate() error {
-	if s.overloadLevel() >= overRefuseInsert {
-		s.counters.Counter("overload_oom_inserts").Inc()
-		return fmt.Errorf("OOM memory budget exceeded; inserts refused (queries still served)")
-	}
-	return nil
-}
-
-// commandTimeout bounds how long a command may wait for an admission
-// slot (and is the deadline knob the README documents).
-func (s *Server) commandTimeout() time.Duration {
-	if s.cfg.CommandTimeout > 0 {
-		return s.cfg.CommandTimeout
-	}
-	return time.Second
-}
-
 // admission is a counting semaphore with an atomic fast path: on an
 // unsaturated server acquire is one load+CAS and release one add plus
 // a waiter check — no channel operations, which keeps admission
@@ -339,29 +304,4 @@ func (ad *admission) await(timeout time.Duration, done <-chan struct{}) (ok, qui
 			return false, true
 		}
 	}
-}
-
-// admitExecute runs one command under admission control. With
-// Config.MaxInflight set, at most that many commands execute at once
-// across all connections; a command that cannot get a slot within the
-// command timeout is answered -ERR BUSY instead of queueing without
-// bound.
-func (s *Server) admitExecute(cmd Command, tr *xtrace.Trace, w *bufio.Writer, tc *traffic.Client) (quit bool) {
-	ad := s.admit
-	if ad == nil {
-		return s.execute(cmd, tr, w, tc)
-	}
-	if !ad.tryAcquire() {
-		ok, quit := ad.await(s.commandTimeout(), s.done)
-		if quit {
-			return true
-		}
-		if !ok {
-			s.cBusyRejects.Inc()
-			writeError(w, "BUSY too many in-flight commands; retry")
-			return false
-		}
-	}
-	defer ad.release() // also on a panic, which handleConn recovers
-	return s.execute(cmd, tr, w, tc)
 }

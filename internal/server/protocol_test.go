@@ -66,13 +66,20 @@ func TestScalarRepliesMatchFmt(t *testing.T) {
 	}
 }
 
+// TestRenderCommand: the slow-query log and MONITOR show a request line
+// as sent — case and spacing kept, the line ending dropped — cut at 256
+// bytes.
 func TestRenderCommand(t *testing.T) {
-	if got := renderCommand(Command{Name: "PING"}); got != "PING" {
-		t.Fatalf("renderCommand = %q", got)
+	for line, want := range map[string]string{
+		"PING": "PING", "ping\r": "ping", "  sketch.query  b\t1 \r\n": "  sketch.query  b\t1 ", "": "",
+	} {
+		if got := renderLine([]byte(line)); got != want {
+			t.Errorf("renderLine(%q) = %q, want %q", line, got, want)
+		}
 	}
-	got := renderCommand(Command{Name: "SKETCH.INSERT", Args: []string{"x", strings.Repeat("k", 500)}})
-	if len(got) != 256+len("...") || !strings.HasSuffix(got, "...") {
-		t.Fatalf("long command not truncated: len=%d", len(got))
+	long := "SKETCH.INSERT x " + strings.Repeat("k", 500)
+	if got := renderLine([]byte(long)); got != long[:256]+"..." {
+		t.Fatalf("long command not cut at 256 bytes: len=%d", len(got))
 	}
 }
 
@@ -199,29 +206,6 @@ func TestNewSketchParams(t *testing.T) {
 		}
 		if _, err := NewSketch(bad.kind, kv); err == nil {
 			t.Errorf("NewSketch(%q, %v) accepted", bad.kind, bad.kv)
-		}
-	}
-}
-
-// TestVerbIndex pins the switch-based verb dispatch to the
-// commandVerbs table it must mirror: every verb maps to its own
-// position, and unknown names land on the trailing OTHER slot.
-func TestVerbIndex(t *testing.T) {
-	for i, verb := range commandVerbs {
-		if verb == "OTHER" {
-			continue
-		}
-		if got := verbIndex(verb); got != i {
-			t.Errorf("verbIndex(%q) = %d, want %d", verb, got, i)
-		}
-	}
-	other := len(commandVerbs) - 1
-	if commandVerbs[other] != "OTHER" {
-		t.Fatalf("commandVerbs must end with OTHER, got %q", commandVerbs[other])
-	}
-	for _, name := range []string{"OTHER", "NOPE", "", "SKETCH.EXPLODE"} {
-		if got := verbIndex(name); got != other {
-			t.Errorf("verbIndex(%q) = %d, want OTHER slot %d", name, got, other)
 		}
 	}
 }

@@ -34,17 +34,6 @@ const replPingInterval = time.Second
 // single record larger than it ships as a batch of its own.
 const replReadBudget = 256 << 10
 
-// defaultSyncReplicaTimeout bounds the semi-synchronous commit wait
-// when Config.SyncReplicaTimeout is zero.
-const defaultSyncReplicaTimeout = 2 * time.Second
-
-func (s *Server) syncReplicaTimeout() time.Duration {
-	if s.cfg.SyncReplicaTimeout > 0 {
-		return s.cfg.SyncReplicaTimeout
-	}
-	return defaultSyncReplicaTimeout
-}
-
 // primaryAddr returns the address this node replicates from, "" when
 // it is a primary.
 func (s *Server) primaryAddr() string {
@@ -59,16 +48,6 @@ func (s *Server) currentFollower() *repl.Follower {
 	s.replMu.Lock()
 	defer s.replMu.Unlock()
 	return s.follower
-}
-
-// writeGate refuses client mutations on a replica. The replication
-// apply path does not pass through here — it is the one writer a
-// replica allows.
-func (s *Server) writeGate() error {
-	if addr := s.primaryAddr(); addr != "" {
-		return fmt.Errorf("READONLY replica of %s; mutations go to the primary", addr)
-	}
-	return nil
 }
 
 // startReplication begins replicating from addr: any current follower
@@ -135,25 +114,20 @@ func listenPort(ln net.Listener) int {
 }
 
 // cmdReplicaof handles REPLICAOF <host> <port> | NO ONE.
-func (s *Server) cmdReplicaof(cmd Command, w *bufio.Writer) error {
-	if err := wantArgs(cmd, 2, false, "host port | NO ONE"); err != nil {
-		return err
-	}
+func (c *conn) cmdReplicaof(cmd Command) error {
 	if strings.EqualFold(cmd.Args[0], "NO") && strings.EqualFold(cmd.Args[1], "ONE") {
-		s.promote()
-		writeSimple(w, "OK")
-		return nil
-	}
-	if err := s.startReplication(net.JoinHostPort(cmd.Args[0], cmd.Args[1])); err != nil {
+		c.s.promote()
+	} else if err := c.s.startReplication(net.JoinHostPort(cmd.Args[0], cmd.Args[1])); err != nil {
 		return err
 	}
-	writeSimple(w, "OK")
+	writeSimple(c.w, "OK")
 	return nil
 }
 
 // cmdRole serves ROLE: one line of role identity, then detail lines —
 // per-replica ack state on a primary, link state on a replica.
-func (s *Server) cmdRole(w *bufio.Writer) {
+func (c *conn) cmdRole(Command) error {
+	s := c.s
 	if f := s.currentFollower(); f != nil {
 		st := f.Status()
 		lines := []string{
@@ -167,8 +141,8 @@ func (s *Server) cmdRole(w *bufio.Writer) {
 			fmt.Sprintf("consecutive_failures=%d", st.ConsecutiveFailures),
 			fmt.Sprintf("next_retry_ms=%d", st.NextRetryDelay.Milliseconds()),
 		}
-		writeArray(w, lines)
-		return
+		writeArray(c.w, lines)
+		return nil
 	}
 	infos := s.tracker.Infos()
 	lines := make([]string, 0, 1+len(infos))
@@ -179,74 +153,72 @@ func (s *Server) cmdRole(w *bufio.Writer) {
 			in.ID, in.Ack.Gen, in.Ack.Seg, in.Ack.Off,
 			in.UnackedRecords(), time.Since(in.LastAck).Milliseconds(), in.FullSync))
 	}
-	writeArray(w, lines)
+	writeArray(c.w, lines)
+	return nil
 }
 
-// replconfPort handles REPLCONF, returning the (possibly updated)
-// advertised listening port. Unknown options are accepted and ignored
-// so the handshake stays forward-compatible.
-func replconfPort(cmd Command, current string) string {
+// cmdReplconf records the listening port a replica advertises, for
+// ROLE output. Unknown options are accepted and ignored so the handshake
+// stays forward-compatible.
+func (c *conn) cmdReplconf(cmd Command) error {
 	if len(cmd.Args) == 2 && strings.EqualFold(cmd.Args[0], "LISTENING-PORT") {
-		return cmd.Args[1]
+		c.replPort = cmd.Args[1]
 	}
-	return current
+	writeSimple(c.w, "OK")
+	return nil
 }
 
-// servePSYNC turns a client connection into a replication channel; it
+// cmdPsync turns a client connection into a replication channel; it
 // owns the connection until the replica disconnects or the server
-// stops. Called from handleConn, which still holds the connection's
-// bookkeeping defers.
-func (s *Server) servePSYNC(conn net.Conn, r *bufio.Reader, w *bufio.Writer, cmd Command, listenPort string) {
-	fail := func(msg string) {
-		writeError(w, msg)
-		w.Flush()
-	}
+// stops. A refusal is the last line the connection carries.
+func (c *conn) cmdPsync(cmd Command) error {
+	s, w := c.s, c.w
+	c.bw.armed = false // see syncWriter
+	// CLIENT KILL must refuse the link from here on (slow replicas are
+	// evicted via ReplicaMaxLagBytes, never by an operator racing the ack
+	// cursor).
+	c.tc.SetReplica()
 	if s.wal == nil {
-		fail("PSYNC requires a WAL (-wal) on the primary")
-		return
+		return fmt.Errorf("PSYNC requires a WAL (-wal) on the primary")
 	}
 	if s.primaryAddr() != "" {
-		fail("this node is a replica; chained replication is not supported")
-		return
+		return fmt.Errorf("this node is a replica; chained replication is not supported")
 	}
 	var cursor wal.Cursor
 	if !(len(cmd.Args) == 1 && cmd.Args[0] == "?") {
 		if len(cmd.Args) != 3 {
-			fail("PSYNC: want ? or gen seg off")
-			return
+			return fmt.Errorf("PSYNC: want ? or gen seg off")
 		}
-		c, err := repl.ParseCursor(cmd.Args[0], cmd.Args[1], cmd.Args[2])
-		if err != nil {
-			fail(err.Error())
-			return
+		var err error
+		if cursor, err = repl.ParseCursor(cmd.Args[0], cmd.Args[1], cmd.Args[2]); err != nil {
+			return err
 		}
-		cursor = c
 	}
 
-	id := conn.RemoteAddr().String()
-	if listenPort != "" {
+	id := c.addr
+	if c.replPort != "" {
 		if host, _, err := net.SplitHostPort(id); err == nil {
-			id = net.JoinHostPort(host, listenPort)
+			id = net.JoinHostPort(host, c.replPort)
 		}
 	}
 
 	rep, err := s.attachReplica(w, id, cursor)
 	if err != nil {
 		s.logger.Warn("psync refused", "replica", id, "err", err)
-		fail(err.Error())
-		return
+		return err
 	}
 	defer rep.Close()
 	if err := w.Flush(); err != nil {
-		return
+		return nil
 	}
 	s.logger.Info("replica attached", "replica", id, "cursor", rep.AckedCursor().String())
-	err = s.streamToReplica(conn, r, w, rep)
+	err = s.streamToReplica(c.r, w, rep)
 	if err != nil && !s.isDone() {
 		s.logger.Warn("replica detached", "replica", id, "err", err)
 	} else {
 		s.logger.Info("replica detached", "replica", id)
 	}
+	return nil
 }
 
 // attachReplica decides CONTINUE vs FULLRESYNC, writes the reply (and
@@ -390,7 +362,7 @@ func (a *ackSpans) complete(ack wal.Cursor) {
 // streamToReplica tails the WAL into the connection until it dies or
 // the server stops. A concurrent goroutine consumes the follower's
 // REPLACK lines into the tracker; it exits when the connection closes.
-func (s *Server) streamToReplica(conn net.Conn, r *bufio.Reader, w *bufio.Writer, rep *repl.Replica) error {
+func (s *Server) streamToReplica(r *bufio.Reader, w *bufio.Writer, rep *repl.Replica) error {
 	acks := &ackSpans{}
 	ackErr := make(chan error, 1)
 	go func() {

@@ -423,3 +423,41 @@ func TestSlowReplicaDisconnect(t *testing.T) {
 		t.Fatalf("primary QUERY after drop = %q", got)
 	}
 }
+
+// TestTakeoverVerbsAccounted: REPLCONF, PSYNC and MONITOR are rows of
+// the verb table like every other, so a replica link and a monitor feed
+// show in she_command_seconds and in CLIENT LIST — counted and timed up
+// to the moment the connection was handed over.
+func TestTakeoverVerbsAccounted(t *testing.T) {
+	primary := startServer(t, server.Config{WALDir: t.TempDir(), DebugListen: "127.0.0.1:0"})
+	startServer(t, server.Config{WALDir: t.TempDir(), ReplicaOf: primary.Addr().String()})
+	if got := dial(t, primary.Addr().String()).cmd("MONITOR"); got != "+OK" {
+		t.Fatalf("MONITOR = %q", got)
+	}
+	pc := dial(t, primary.Addr().String())
+	var rows []string
+	waitUntil(t, "a replica link and a monitor feed in CLIENT LIST", func() bool {
+		rows = pc.array("CLIENT LIST")
+		return strings.Contains(strings.Join(rows, "\n"), "replica=true") &&
+			strings.Contains(strings.Join(rows, "\n"), "monitor=true")
+	})
+	for _, row := range rows {
+		switch {
+		case strings.Contains(row, "replica=true"):
+			// The follower's handshake: PING, REPLCONF listening-port, PSYNC.
+			if !strings.HasSuffix(row, "per_verb=PING:1,PSYNC:1,REPLCONF:1") || !strings.Contains(row, " cmds=3 ") {
+				t.Errorf("the replica link's row undercounts it: %s", row)
+			}
+		case strings.Contains(row, "monitor=true"):
+			if !strings.HasSuffix(row, "per_verb=MONITOR:1") {
+				t.Errorf("the monitor feed's row undercounts it: %s", row)
+			}
+		}
+	}
+	body := scrape(t, primary)
+	for _, verb := range []string{"REPLCONF", "PSYNC", "MONITOR"} {
+		if want := fmt.Sprintf("she_command_seconds_count{verb=%q} 1\n", verb); !strings.Contains(body, want) {
+			t.Errorf("/metrics lacks %s", strings.TrimSpace(want))
+		}
+	}
+}

@@ -19,7 +19,7 @@ import (
 func ScanLine(line []byte, keys []uint64) (verb string, name []byte, _ []uint64, ok bool) {
 	vi, name, keys, ok := scanLine(line, keys)
 	if ok {
-		verb = commandVerbs[vi]
+		verb = verbs[vi].name
 	}
 	return verb, name, keys, ok
 }
@@ -111,8 +111,8 @@ func scanUint(line []byte, i int) (v uint64, j int, ok bool) {
 	}
 }
 
-// scanLine is ScanLine with the verb as its index in commandVerbs. Verb
-// and name are walked a byte at a time; a key is scanUint's, or, when
+// scanLine is ScanLine with the verb as its index in the verb table,
+// whose rows name the four it knows. Verb and name are walked a byte at a time; a key is scanUint's, or, when
 // that is not what strconv.ParseUint accepts, the hash ParseKey gives
 // the token.
 func scanLine(line []byte, keys []uint64) (vi int, name []byte, _ []uint64, ok bool) {
@@ -122,13 +122,13 @@ func scanLine(line []byte, keys []uint64) (vi int, name []byte, _ []uint64, ok b
 	}
 	maxKeys := MaxArgs - 2
 	switch verb := line[start:i]; {
-	case eqVerb(verb, "MINSERT"):
+	case eqVerb(verb, verbs[verbMinsert].name):
 		vi = verbMinsert
-	case eqVerb(verb, "SKETCH.INSERT"):
+	case eqVerb(verb, verbs[verbInsert].name):
 		vi = verbInsert
-	case eqVerb(verb, "SKETCH.QUERY"):
+	case eqVerb(verb, verbs[verbQuery].name):
 		vi, maxKeys = verbQuery, 1
-	case eqVerb(verb, "SKETCH.CARD"):
+	case eqVerb(verb, verbs[verbCard].name):
 		vi, maxKeys = verbCard, 0
 	default:
 		return 0, nil, keys, false

@@ -123,10 +123,6 @@ type Config struct {
 	// she_hotkeys_est_count; the tracker keeps 4·K candidates
 	// (she.TopK's bound). 0 = 10.
 	HotKeysK int
-	// HotKeysWindow overrides the hot-key sliding window in sampled
-	// inserts (0 = 65536) — a test knob; one raw-traffic window is
-	// TrafficSample times this.
-	HotKeysWindow uint64
 	// ReplicaOf starts the server as a replica of the given primary
 	// address ("host:port"): it full-syncs from the primary's latest
 	// checkpoint, tails its WAL, serves reads, and refuses client
@@ -159,12 +155,6 @@ type Config struct {
 	// CommandTimeout bounds a command's wait for an admission slot.
 	// 0 = 1s. Meaningful only with MaxInflight.
 	CommandTimeout time.Duration
-	// BatchMaxKeys caps the keys a connection's insert batch may
-	// buffer before it is force-applied (sketch updates + one batched
-	// WAL append). Larger batches amortize locks and appends further
-	// at the cost of per-connection memory and reply latency under
-	// deep pipelining. 0 = 16384.
-	BatchMaxKeys int
 	// ReplicaMaxLagBytes disconnects an attached replica whose
 	// acknowledged position trails the stream by more than this many
 	// WAL bytes (Redis client-output-buffer-limit style): a stalled
@@ -202,8 +192,8 @@ type Server struct {
 	counters *metrics.CounterSet
 	start    time.Time
 
-	// verbHist holds one latency histogram per known command verb (plus
-	// the "OTHER" catchall), indexed by verbIndex. Built once in New and
+	// verbHist holds one latency histogram per row of the verb table
+	// (OTHER is every unknown name), indexed like it. Built once in New and
 	// read-only afterwards, so the hot path indexes and records without
 	// locks; nil when Config.DisableHistograms is set.
 	verbHist []*obs.Histogram
@@ -295,86 +285,6 @@ type Server struct {
 	chkMu sync.RWMutex
 }
 
-// commandVerbs lists every wire command the server answers, plus the
-// OTHER catchall for unknown names. It drives both histogram
-// preallocation (New) and the stable ordering of /metrics series; its
-// positions must match verbIndex.
-var commandVerbs = [...]string{
-	"PING", "QUIT", "INFO", "SLOWLOG",
-	"SKETCH.LIST", "SKETCH.CREATE", "SKETCH.DROP", "SKETCH.INSERT",
-	"SKETCH.QUERY", "SKETCH.CARD", "SKETCH.STATS", "SKETCH.AUDIT",
-	"SKETCH.SAVE", "SKETCH.LOAD",
-	"ROLE", "REPLICAOF", "REPLCONF", "PSYNC", "TRACE", "MINSERT",
-	"HOTKEYS", "CLIENT", "MONITOR",
-	"OTHER",
-}
-
-// Verb indexes the batch fast path uses directly (it never goes
-// through verbIndex's string switch); TestVerbIndex pins them.
-const (
-	verbInsert  = 7
-	verbQuery   = 8
-	verbCard    = 9
-	verbMinsert = 19
-)
-
-// verbIndex maps a command verb to its commandVerbs position, unknown
-// names to the trailing OTHER slot. A string switch compiles to a
-// length-then-content dispatch, measurably cheaper than a map lookup on
-// the per-command path; TestVerbIndex pins it against commandVerbs.
-func verbIndex(name string) int {
-	switch name {
-	case "PING":
-		return 0
-	case "QUIT":
-		return 1
-	case "INFO":
-		return 2
-	case "SLOWLOG":
-		return 3
-	case "SKETCH.LIST":
-		return 4
-	case "SKETCH.CREATE":
-		return 5
-	case "SKETCH.DROP":
-		return 6
-	case "SKETCH.INSERT":
-		return 7
-	case "SKETCH.QUERY":
-		return 8
-	case "SKETCH.CARD":
-		return 9
-	case "SKETCH.STATS":
-		return 10
-	case "SKETCH.AUDIT":
-		return 11
-	case "SKETCH.SAVE":
-		return 12
-	case "SKETCH.LOAD":
-		return 13
-	case "ROLE":
-		return 14
-	case "REPLICAOF":
-		return 15
-	case "REPLCONF":
-		return 16
-	case "PSYNC":
-		return 17
-	case "TRACE":
-		return 18
-	case "MINSERT":
-		return 19
-	case "HOTKEYS":
-		return 20
-	case "CLIENT":
-		return 21
-	case "MONITOR":
-		return 22
-	default:
-		return 23 // OTHER
-	}
-}
-
 // auditSeed salts the audit sampling hash, fixed so the audited key
 // set is stable across restarts and WAL replay (replayed inserts
 // rebuild the same shadow) while staying uncorrelated with the
@@ -394,6 +304,12 @@ func New(cfg Config) *Server {
 	size := cfg.SlowLogSize
 	if size <= 0 {
 		size = defaultSlowLogSize
+	}
+	if cfg.SyncReplicaTimeout <= 0 {
+		cfg.SyncReplicaTimeout = 2 * time.Second
+	}
+	if cfg.CommandTimeout <= 0 {
+		cfg.CommandTimeout = time.Second
 	}
 	s := &Server{
 		cfg: cfg,
@@ -431,14 +347,14 @@ func New(cfg Config) *Server {
 		s.admit = newAdmission(cfg.MaxInflight)
 	}
 	if !cfg.DisableHistograms {
-		s.verbHist = make([]*obs.Histogram, len(commandVerbs))
+		s.verbHist = make([]*obs.Histogram, numVerbs)
 		for i := range s.verbHist {
 			s.verbHist[i] = &obs.Histogram{}
 		}
 		s.walSyncHist = &obs.Histogram{}
 		s.walChkHist = &obs.Histogram{}
 		s.walAppendHist = &obs.Histogram{}
-		s.exemplars = make([]atomic.Pointer[traceExemplar], len(commandVerbs))
+		s.exemplars = make([]atomic.Pointer[traceExemplar], numVerbs)
 	}
 	// The seed keeps two nodes started in the same process (tests) or
 	// at the same wall instant from minting colliding trace IDs.
@@ -450,8 +366,7 @@ func New(cfg Config) *Server {
 	s.traffic = traffic.New(traffic.Config{
 		SampleEvery: cfg.TrafficSample,
 		HotKeysK:    cfg.HotKeysK,
-		HotWindow:   cfg.HotKeysWindow,
-		Verbs:       commandVerbs[:],
+		Verbs:       verbNames(),
 	})
 	return s
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -104,12 +103,12 @@ func (st *shipTable) lookup(end wal.Cursor) *xtrace.Trace {
 // GET returns one compact JSON document per array line: trace
 // identity, wall-clock start, duration, and the spans with start
 // offsets and durations in nanoseconds.
-func (s *Server) cmdTrace(cmd Command, w *bufio.Writer) error {
-	sub := "GET"
-	if len(cmd.Args) > 0 {
-		sub = strings.ToUpper(cmd.Args[0])
+func (c *conn) cmdTrace(cmd Command) error {
+	s, w := c.s, c.w
+	if len(cmd.Args) == 0 {
+		cmd.Args = []string{"GET"} // bare TRACE means GET, as bare SLOWLOG does
 	}
-	switch sub {
+	switch strings.ToUpper(cmd.Args[0]) {
 	case "GET":
 		traces, err := s.traceSelect(cmd.Args[1:])
 		if err != nil {
@@ -182,15 +181,6 @@ func (s *Server) traceSelect(args []string) ([]*xtrace.Trace, error) {
 	}
 }
 
-// noteExemplar records a sampled command as its verb's histogram
-// exemplar.
-func (s *Server) noteExemplar(verb int, tr *xtrace.Trace, d time.Duration) {
-	if s.exemplars == nil || tr == nil {
-		return
-	}
-	s.exemplars[verb].Store(&traceExemplar{id: tr.ID(), dur: d})
-}
-
 // writeTraceMetrics renders the she_trace_* families: sampling state
 // and ring occupancy as gauges, lifetime sampling counters, and the
 // per-verb exemplar series tying she_command_seconds to a retained
@@ -207,13 +197,13 @@ func (s *Server) writeTraceMetrics(p *obs.PromWriter) {
 	if s.exemplars == nil {
 		return
 	}
-	for i, verb := range commandVerbs {
+	for i := range verbs {
 		ex := s.exemplars[i].Load()
 		if ex == nil {
 			continue
 		}
 		labels := fmt.Sprintf("verb=%q,trace_id=%q",
-			obs.EscapeLabel(verb), xtrace.FormatID(ex.id))
+			obs.EscapeLabel(verbs[i].name), xtrace.FormatID(ex.id))
 		p.Gauge("she_trace_exemplar_seconds", labels, ex.dur.Seconds())
 	}
 }

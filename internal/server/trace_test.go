@@ -240,6 +240,10 @@ func TestTraceVerbWire(t *testing.T) {
 	if got := getTraces(t, c, "TRACE GET"); len(got) != 0 {
 		t.Fatalf("ring not empty after RESET: %+v", got)
 	}
+	// A bare TRACE means TRACE GET (it used to panic the connection).
+	if got := c.cmd("TRACE"); got != "*0" {
+		t.Fatalf("bare TRACE = %q, want the empty ring", got)
+	}
 
 	for _, bad := range []string{
 		"TRACE GET zz-not-hex",

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"fmt"
 	"sort"
 	"strings"
@@ -21,10 +20,8 @@ import (
 // tracked sketch; with a name it lists that sketch's top-k keys,
 // counts scaled back to estimated raw traffic (sampled estimate ×
 // sample rate). Tracking only exists while sampling is on.
-func (s *Server) cmdHotkeys(cmd Command, w *bufio.Writer) error {
-	if len(cmd.Args) > 2 {
-		return fmt.Errorf("%s: want [name] [k]", cmd.Name)
-	}
+func (c *conn) cmdHotkeys(cmd Command) error {
+	s, w := c.s, c.w
 	if s.traffic.SampleEvery() <= 0 {
 		return fmt.Errorf("%s: traffic sampling is disabled (start shed with -traffic-sample)", cmd.Name)
 	}
@@ -85,12 +82,9 @@ func (s *Server) cmdHotkeys(cmd Command, w *bufio.Writer) error {
 // evicted by the ReplicaMaxLagBytes policy, which detaches its ack
 // cursor from the Tracker cleanly — an operator racing that state
 // with a raw close is exactly the corruption KILL must not offer.
-func (s *Server) cmdClient(cmd Command, tc *traffic.Client, w *bufio.Writer) error {
-	if len(cmd.Args) == 0 {
-		return fmt.Errorf("%s: want LIST, KILL addr, GETNAME or SETNAME name", cmd.Name)
-	}
-	sub := strings.ToUpper(cmd.Args[0])
-	switch sub {
+func (c *conn) cmdClient(cmd Command) error {
+	s, tc, w := c.s, c.tc, c.w
+	switch strings.ToUpper(cmd.Args[0]) {
 	case "LIST":
 		if len(cmd.Args) != 1 {
 			return fmt.Errorf("CLIENT LIST takes no arguments")
@@ -162,22 +156,26 @@ func renderClient(c traffic.ClientInfo) string {
 	return b.String()
 }
 
-// serveMonitor turns the connection into a MONITOR feed: +OK, then
+// cmdMonitor turns the connection into a MONITOR feed: +OK, then
 // one +frame line per sampled command until the client hangs up or
 // the server drains. The publisher never blocks on this consumer —
-// frames it cannot buffer are dropped and counted — and the feed's
-// writes carry the configured write deadline, so a stuck socket
-// cannot park this goroutine forever either.
-func (s *Server) serveMonitor(r *bufio.Reader, w *bufio.Writer, tc *traffic.Client) {
-	writeSimple(w, "OK")
-	if w.Flush() != nil {
-		return
-	}
-	tc.SetMonitor()
+// frames it cannot buffer are dropped and counted in
+// monitor_dropped_total — and the feed's writes carry the configured
+// write deadline, so a stuck socket cannot park this goroutine forever
+// either.
+func (c *conn) cmdMonitor(Command) error {
+	s, r, w := c.s, c.r, c.w
+	// Subscribed before +OK goes out: a command sent after the client has
+	// read the +OK is in the feed.
 	sub := s.traffic.Monitor().Subscribe()
 	defer s.traffic.Monitor().Unsubscribe(sub)
-	// The read loop's only job now is hangup detection (handleConn took
-	// the idle deadline off): any input or error ends the feed. Shutdown
+	writeSimple(w, "OK")
+	if w.Flush() != nil {
+		return nil
+	}
+	c.tc.SetMonitor()
+	// The read loop's only job now is hangup detection (the command loop
+	// took the idle deadline off): any input or error ends the feed. Shutdown
 	// still unblocks the read via its deadline poke.
 	hangup := make(chan struct{})
 	go func() {
@@ -192,18 +190,18 @@ func (s *Server) serveMonitor(r *bufio.Reader, w *bufio.Writer, tc *traffic.Clie
 		select {
 		case e, ok := <-sub.C:
 			if !ok {
-				return
+				return nil
 			}
 			// Redis MONITOR shape: epoch-seconds, origin, command.
 			writeSimple(w, fmt.Sprintf("%.6f [%s] %s",
 				float64(e.Time.UnixMicro())/1e6, e.Addr, e.Line))
 			if w.Flush() != nil {
-				return
+				return nil
 			}
 		case <-hangup:
-			return
+			return nil
 		case <-s.done:
-			return
+			return nil
 		}
 	}
 }

@@ -1,0 +1,100 @@
+package server
+
+import (
+	"os"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// TestVerbTable holds the command table to the invariants the loop and
+// the fast path lean on.
+func TestVerbTable(t *testing.T) {
+	seen := map[string]bool{}
+	for vi := range verbs {
+		v := &verbs[vi]
+		if v.name == "" || v.name != strings.ToUpper(v.name) || seen[v.name] {
+			t.Errorf("row %d: name %q is empty, not upper-case or taken", vi, v.name)
+		}
+		seen[v.name] = true
+		if got := lookupVerb(v.name); got != vi {
+			t.Errorf("lookupVerb(%q) = %d, want %d", v.name, got, vi)
+		}
+		if vi == verbOther {
+			continue
+		}
+		if v.run == nil {
+			t.Errorf("%s has no handler", v.name)
+		}
+		if v.usage != v.name && !strings.HasPrefix(v.usage, v.name+" ") {
+			t.Errorf("%s: usage %q does not start with the verb", v.name, v.usage)
+		}
+		if (v.min > 0 || v.max > 0) && v.usage == v.name {
+			t.Errorf("%s bounds its arguments and names none in its usage", v.name)
+		}
+		if v.max > 0 && v.max < v.min {
+			t.Errorf("%s: max %d < min %d", v.name, v.max, v.min)
+		}
+		if v.flags&vMutates != 0 && v.flags&vWriteGate == 0 {
+			t.Errorf("%s mutates and a replica would not refuse it", v.name)
+		}
+		if v.flags&vTakeover != 0 && v.flags&vNoAdmit == 0 {
+			t.Errorf("%s takes the connection over and would keep an admission slot", v.name)
+		}
+	}
+	if verbs[verbOther].name != "OTHER" || verbOther != len(verbs)-1 || verbs[verbOther].run != nil {
+		t.Errorf("OTHER must be the last row and have no handler")
+	}
+	for _, name := range []string{"", "ping", "NOSUCH", "SKETCH.NOPE"} {
+		if got := lookupVerb(name); got != verbOther {
+			t.Errorf("lookupVerb(%q) = %d, want OTHER", name, got)
+		}
+	}
+
+	// The scanner's own arity limits are the rows': a line is the fast
+	// path's exactly when its argument count is one the row accepts.
+	for _, vi := range []int{verbInsert, verbMinsert, verbQuery, verbCard} {
+		v := &verbs[vi]
+		for n := 0; n < MaxArgs; n++ {
+			line := []byte(strings.ToLower(v.name) + strings.Repeat(" 7", n))
+			want := n >= v.min && (v.max == 0 || n <= v.max)
+			if got, _, _, ok := scanLine(line, nil); ok != want || ok && got != vi {
+				t.Errorf("%s with %d arguments: scanLine = %d, %v; the row says %v", v.name, n, got, ok, want)
+			}
+		}
+	}
+}
+
+// TestVerbReference: the Commands list of doc.go and the verb reference
+// of the README name exactly the table's verbs, each with the table's
+// usage string.
+func TestVerbReference(t *testing.T) {
+	var want []string
+	for _, v := range verbs[:verbOther] {
+		want = append(want, v.usage)
+	}
+	slices.Sort(want)
+	section := func(file, from, to string, heading *regexp.Regexp) {
+		t.Helper()
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, text, ok := strings.Cut(string(data), from)
+		if !ok {
+			t.Fatalf("%s: no %q", file, from)
+		}
+		text, _, _ = strings.Cut(text, to)
+		var got []string
+		for _, m := range heading.FindAllStringSubmatch(text, -1) {
+			got = append(got, m[1])
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s lists\n%s\nthe verb table declares\n%s", file, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+	section("doc.go", "// Commands ", "// Example session", regexp.MustCompile(`(?m)^//\t([A-Z].*)$`))
+	section("../../README.md", "### Verb reference", "\n```\n\n", regexp.MustCompile(`(?m)^([A-Z][A-Z.]+( .*)?)$`))
+}
