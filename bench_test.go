@@ -10,6 +10,7 @@ package she
 // behind Figs. 10–11) under -benchmem.
 
 import (
+	"strconv"
 	"testing"
 
 	"she/internal/core"
@@ -317,6 +318,86 @@ func BenchmarkInsertSHECountMinCU(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cu.Insert(keys[i&(1<<16-1)])
 	}
+}
+
+// The batch benchmarks time the path shed runs — Sharded*.InsertBatch
+// at bench/'s geometry (8 shards; 4 Mi bits, 256 Ki counters, 16 Ki
+// registers; window 2²⁰; Zipf 1.2 keys), in batches of one MINSERT line
+// (64 keys) and of one sketch's share of a 64-line flush (1 365) — so
+// ROADMAP's ratio to Ideal can be read where the server spends its
+// time. The Ideal twins have no batch entry point and take the same
+// slices key by key. Compare as interleaved runs; not a CI gate.
+func benchInsertBatch(b *testing.B, insert func(keys []uint64)) {
+	gen := stream.NewZipf(1.2, 600_000, 1)
+	keys := make([]uint64, 1<<16)
+	for i := range keys {
+		keys[i] = gen.Next()
+	}
+	for _, size := range []int{64, 1365} {
+		b.Run(strconv.Itoa(size), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				lo := i * size % (len(keys) - size)
+				insert(keys[lo : lo+size])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/key")
+		})
+	}
+}
+
+var batchOpts = Options{Window: 1 << 20, Seed: 1}
+
+func BenchmarkInsertBatchSHEBloomFilter(b *testing.B) {
+	s, err := NewShardedBloomFilter(1<<22, 8, batchOpts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sc BatchScratch
+	benchInsertBatch(b, func(keys []uint64) { s.InsertBatch(keys, &sc) })
+}
+
+func BenchmarkInsertBatchIdealBloomFilter(b *testing.B) {
+	s := sketch.NewBloomFilter(1<<22, 8, 1)
+	benchInsertBatch(b, func(keys []uint64) {
+		for _, k := range keys {
+			s.Insert(k)
+		}
+	})
+}
+
+func BenchmarkInsertBatchSHECountMin(b *testing.B) {
+	s, err := NewShardedCountMin(1<<18, 8, batchOpts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sc BatchScratch
+	benchInsertBatch(b, func(keys []uint64) { s.InsertBatch(keys, &sc) })
+}
+
+func BenchmarkInsertBatchIdealCountMin(b *testing.B) {
+	s := sketch.NewCountMin(1<<18, 8, 1)
+	benchInsertBatch(b, func(keys []uint64) {
+		for _, k := range keys {
+			s.Insert(k)
+		}
+	})
+}
+
+func BenchmarkInsertBatchSHEHyperLogLog(b *testing.B) {
+	s, err := NewShardedHyperLogLog(1<<14, 8, batchOpts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sc BatchScratch
+	benchInsertBatch(b, func(keys []uint64) { s.InsertBatch(keys, &sc) })
+}
+
+func BenchmarkInsertBatchIdealHyperLogLog(b *testing.B) {
+	s := sketch.NewHLL(1<<14, 1)
+	benchInsertBatch(b, func(keys []uint64) {
+		for _, k := range keys {
+			s.Insert(k)
+		}
+	})
 }
 
 func BenchmarkShardedBloomFilterParallel(b *testing.B) {

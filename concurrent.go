@@ -24,6 +24,7 @@ import (
 type shardSketch interface {
 	InsertBatch(keys []uint64)
 	MemoryBits() int
+	ResidentBytes() int
 	Stats() SketchStats
 	MarshalBinary() ([]byte, error)
 }
@@ -146,6 +147,16 @@ func (s *sharded[T]) MemoryBits() int {
 	total := 0
 	for i := range s.shards {
 		total += s.shards[i].s.MemoryBits()
+	}
+	return total
+}
+
+// ResidentBytes totals what the shards hold allocated (see
+// BloomFilter.ResidentBytes).
+func (s *sharded[T]) ResidentBytes() int {
+	total := 0
+	for i := range s.shards {
+		total += s.shards[i].s.ResidentBytes()
 	}
 	return total
 }

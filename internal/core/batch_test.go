@@ -7,23 +7,69 @@ import (
 	"testing"
 
 	"she/internal/hashing"
+	"she/internal/sketch"
 )
 
-// TestInsertBatchMatchesInsert drives twins of BF, CM and HLL with one
-// random schedule — runs of count-based inserts, per key into one twin
-// and through InsertBatch into the other, interleaved with explicit-
-// time InsertAt/QueryAt calls that jump ahead by up to several cleaning
-// cycles (the §5.1 aliasing gaps included) — and requires identical
-// answers along the way and byte-identical snapshots at the end. Group
-// sizes include non-powers of two and geometries with a short last
-// group.
-func TestInsertBatchMatchesInsert(t *testing.T) {
-	type kernel interface {
-		Insert(key uint64)
-		InsertBatch(keys []uint64)
-		InsertAt(key, t uint64)
-		encoding.BinaryMarshaler
+// kernel is what the batch tests drive: the three entry points of an
+// insert and the snapshot.
+type kernel interface {
+	Insert(key uint64)
+	InsertBatch(keys []uint64)
+	InsertAt(key, t uint64)
+	encoding.BinaryMarshaler
+}
+
+// coldInsert is the kernels' insert written the cold way — fam.Index
+// (and fam.Hash) per location, the clock's and the cell array's own
+// methods — on the structure's own state: the reference the hoisted
+// loops over locals are held to. at == nil inserts at the next tick.
+func coldInsert(k kernel, key uint64, at *uint64) {
+	clock := func(tc *tickClock, gc *groupClock) clockTime {
+		if at != nil {
+			return gc.at(*at)
+		}
+		return tc.advance(gc)
 	}
+	switch s := k.(type) {
+	case *BF:
+		now := clock(&s.tickClock, s.gc)
+		for i := 0; i < s.fam.K(); i++ {
+			j := s.fam.Index(i, key, s.bits.Len())
+			if gid := s.grp.of(j); s.gc.stale(gid, now) {
+				s.reset(gid)
+			}
+			s.bits.Set(j)
+		}
+	case *CM:
+		now := clock(&s.tickClock, s.gc)
+		for i := 0; i < s.fam.K(); i++ {
+			j := s.fam.Index(i, key, s.counters.Len())
+			if gid := s.grp.of(j); s.gc.stale(gid, now) {
+				s.reset(gid)
+			}
+			s.counters.AddSat(j, 1)
+		}
+	case *HLL:
+		now := clock(&s.tickClock, s.gc)
+		i := s.fam.Index(0, key, s.regs.Len())
+		r := sketch.Rank32(uint32(s.fam.Hash(1, key)))
+		if s.gc.stale(i, now) || r > s.regs.Get(i) {
+			s.regs.Set(i, r)
+		}
+	}
+}
+
+// TestInsertBatchMatchesInsert drives triplets of BF, CM and HLL with
+// one random schedule — runs of count-based inserts, per key into one,
+// through InsertBatch into the second and through coldInsert into the
+// third, interleaved with explicit-time InsertAt/QueryAt calls that
+// jump ahead by up to several cleaning cycles (the §5.1 aliasing gaps
+// included) — and requires identical answers along the way and
+// byte-identical snapshots at the end: batch ≡ per-key ≡ the cold
+// Index loop. Group sizes include powers of two, non-powers of two and
+// geometries with a short last group, with 1, 4 and 8 hash functions,
+// and a counter width that saturates.
+func TestInsertBatchMatchesInsert(t *testing.T) {
 	cfg := WindowConfig{N: 400, Alpha: 1, Seed: 5}
 	probe := map[string]func(k kernel, key, t uint64) uint64{
 		"bf": func(k kernel, key, t uint64) uint64 {
@@ -40,22 +86,32 @@ func TestInsertBatchMatchesInsert(t *testing.T) {
 		mk   func() (kernel, error)
 	}{
 		{"bf", func() (kernel, error) { return NewBF(4096, 64, 4, cfg) }},
+		{"bf", func() (kernel, error) { return NewBF(4096, 64, 8, cfg) }},
+		{"bf", func() (kernel, error) { return NewBF(4096, 16, 1, cfg) }},
 		{"bf", func() (kernel, error) { return NewBF(1000, 24, 3, cfg) }},
+		{"bf", func() (kernel, error) { return NewBF(1000, 48, 8, cfg) }},
+		{"bf", func() (kernel, error) { return NewBF(1000, 48, 1, cfg) }},
 		{"bf", func() (kernel, error) { return NewBF(777, 1, 2, cfg) }},
 		{"cm", func() (kernel, error) { return NewCM(1024, 64, 4, 32, cfg) }},
+		{"cm", func() (kernel, error) { return NewCM(1024, 64, 8, 16, cfg) }},
+		{"cm", func() (kernel, error) { return NewCM(1024, 32, 1, 64, cfg) }},
 		{"cm", func() (kernel, error) { return NewCM(500, 48, 3, 8, cfg) }},
+		{"cm", func() (kernel, error) { return NewCM(500, 48, 8, 4, cfg) }},
+		{"cm", func() (kernel, error) { return NewCM(500, 24, 1, 2, cfg) }},
+		{"cm", func() (kernel, error) { return NewCM(500, 24, 4, 32, cfg) }},
 		{"hll", func() (kernel, error) { return NewHLL(128, cfg) }},
+		{"hll", func() (kernel, error) { return NewHLL(100, cfg) }},
 	}
 	for bi, b := range build {
 		rng := rand.New(rand.NewSource(int64(bi)))
-		one, err := b.mk()
-		if err != nil {
-			t.Fatal(err)
+		var twins [3]kernel // per key, batched, cold
+		for i := range twins {
+			var err error
+			if twins[i], err = b.mk(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		batched, err := b.mk()
-		if err != nil {
-			t.Fatal(err)
-		}
+		one, batched, cold := twins[0], twins[1], twins[2]
 		T := cfg.Tcycle()
 		clock := uint64(0) // explicit-time cursor, independent of the ticks
 		for step := 0; step < 400; step++ {
@@ -65,6 +121,7 @@ func TestInsertBatchMatchesInsert(t *testing.T) {
 				for i := range keys {
 					keys[i] = uint64(rng.Intn(900))
 					one.Insert(keys[i])
+					coldInsert(cold, keys[i], nil)
 				}
 				batched.InsertBatch(keys)
 			case 1: // explicit-time inserts after a jump of 0..5 cycles
@@ -72,11 +129,13 @@ func TestInsertBatchMatchesInsert(t *testing.T) {
 				key := uint64(rng.Intn(900))
 				one.InsertAt(key, clock)
 				batched.InsertAt(key, clock)
+				coldInsert(cold, key, &clock)
 			case 2: // explicit-time query, possibly far ahead
 				at := clock + uint64(rng.Int63n(int64(3*T+1)))
 				key := uint64(rng.Intn(900))
-				if a, c := probe[b.kind](one, key, at), probe[b.kind](batched, key, at); a != c {
-					t.Fatalf("build %d step %d: answers diverged at t=%d: %d vs %d", bi, step, at, a, c)
+				a := probe[b.kind](one, key, at)
+				if c, d := probe[b.kind](batched, key, at), probe[b.kind](cold, key, at); a != c || a != d {
+					t.Fatalf("build %d step %d: answers diverged at t=%d: per key %d, batched %d, cold %d", bi, step, at, a, c, d)
 				}
 				clock = at
 			}
@@ -85,12 +144,14 @@ func TestInsertBatchMatchesInsert(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		y, err := batched.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(x, y) {
-			t.Errorf("build %d (%s): InsertBatch left a different state than per-key Insert", bi, b.kind)
+		for i, name := range []string{"InsertBatch", "the cold Index loop"} {
+			y, err := twins[i+1].MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(x, y) {
+				t.Errorf("build %d (%s): %s left a different state than per-key Insert", bi, b.kind, name)
+			}
 		}
 	}
 }

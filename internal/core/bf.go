@@ -50,57 +50,54 @@ func NewBF(m, w, k int, cfg WindowConfig) (*BF, error) {
 func (f *BF) reset(gid int) { f.bits.ResetRange(f.grp.bounds(gid)) }
 
 // Insert records key at the next count-based tick.
-func (f *BF) Insert(key uint64) { f.insert(key, f.advance(f.gc)) }
+func (f *BF) Insert(key uint64) { f.insert(f.advance(f.gc), key) }
 
 // InsertAt records key at explicit time t.
-func (f *BF) InsertAt(key uint64, t uint64) { f.insert(key, f.gc.at(t)) }
+func (f *BF) InsertAt(key uint64, t uint64) { f.insert(f.gc.at(t), key) }
 
 // InsertBatch records keys at consecutive count-based ticks, in slice
 // order — the same state as calling Insert on each.
 func (f *BF) InsertBatch(keys []uint64) {
-	for _, key := range keys {
-		f.insert(key, f.advance(f.gc))
+	if len(keys) > 0 {
+		f.tick += uint64(len(keys))
+		f.now = f.insert(f.gc.next(f.now), keys...)
 	}
 }
 
-func (f *BF) insert(key uint64, now clockTime) {
-	m := f.bits.Len()
-	for i := 0; i < f.fam.K(); i++ {
-		j := f.fam.Index(i, key, m)
-		if gid := f.grp.of(j); f.gc.stale(gid, now) {
-			f.reset(gid)
+// insert records keys at consecutive times, the first at now, and
+// returns the time of the last: the one location loop behind Insert,
+// InsertAt and InsertBatch. What a location reads besides its own two
+// words sits in locals: its stores may alias the structure's fields,
+// which would otherwise be reloaded for every location.
+func (f *BF) insert(now clockTime, keys ...uint64) clockTime {
+	words, state, odd := f.bits.Words(), f.gc.state, f.fam.Multipliers()
+	m, grp, gc := uint64(f.bits.Len()), f.grp, f.gc
+	for ki, key := range keys {
+		if ki > 0 {
+			now = gc.next(now)
 		}
-		f.bits.Set(j)
+		base, ph := hashing.Mix64(key), now.phase()
+		for _, a := range odd {
+			j := hashing.Locate(base, a, m)
+			gid := grp.of(int(j))
+			if s := state[gid]; staleWord(s, ph) {
+				state[gid] = s ^ markBit
+				f.reset(gid)
+			}
+			words[j>>6] |= 1 << (j & 63)
+		}
 	}
+	return now
 }
 
 // Query reports whether key may have appeared within the last N items.
-func (f *BF) Query(key uint64) bool { return f.query(key, f.now) }
+func (f *BF) Query(key uint64) bool { return f.query(key, f.now, false) }
 
 // QueryAt reports whether key may have appeared in the window ending at
 // time t. Young bits are ignored; if every hashed bit is young the
 // filter has no evidence either way and conservatively answers true,
 // preserving one-sidedness.
-func (f *BF) QueryAt(key uint64, t uint64) bool { return f.query(key, f.gc.at(t)) }
-
-func (f *BF) query(key uint64, now clockTime) bool {
-	m := f.bits.Len()
-	for i := 0; i < f.fam.K(); i++ {
-		j := f.fam.Index(i, key, m)
-		gid := f.grp.of(j)
-		if f.gc.stale(gid, now) {
-			f.reset(gid)
-		}
-		// Only a mature cell holding 0 is evidence of absence; a young
-		// one is ignored, which preserves the one-sided error. The bit
-		// is tested first: it is set for every location of a present
-		// key, so that branch predicts, while a group's age does not.
-		if !f.bits.Get(j) && f.gc.mature(gid, now) {
-			return false
-		}
-	}
-	return true
-}
+func (f *BF) QueryAt(key uint64, t uint64) bool { return f.query(key, f.gc.at(t), false) }
 
 // QueryAllCells answers the membership query without age-sensitive
 // selection: young cells are treated like any other. This deliberately
@@ -108,14 +105,26 @@ func (f *BF) query(key uint64, now clockTime) bool {
 // hide an in-window item) and exists only for the selection ablation
 // benchmark, which quantifies how many false negatives the technique
 // prevents.
-func (f *BF) QueryAllCells(key uint64) bool {
-	m := f.bits.Len()
-	for i := 0; i < f.fam.K(); i++ {
-		j := f.fam.Index(i, key, m)
-		if gid := f.grp.of(j); f.gc.stale(gid, f.now) {
+func (f *BF) QueryAllCells(key uint64) bool { return f.query(key, f.now, true) }
+
+func (f *BF) query(key uint64, now clockTime, allCells bool) bool {
+	words, state, grp := f.bits.Words(), f.gc.state, f.grp
+	m, T, N := uint64(f.bits.Len()), f.gc.T, f.gc.N
+	base, ph := hashing.Mix64(key), now.phase()
+	for _, a := range f.fam.Multipliers() {
+		j := hashing.Locate(base, a, m)
+		gid := grp.of(int(j))
+		s := state[gid]
+		if staleWord(s, ph) {
+			s ^= markBit
+			state[gid] = s
 			f.reset(gid)
 		}
-		if !f.bits.Get(j) {
+		// Only a mature cell holding 0 is evidence of absence; a young
+		// one is ignored, which preserves the one-sided error. The bit
+		// is tested first: it is set for every location of a present
+		// key, so that branch predicts, while a group's age does not.
+		if words[j>>6]&(1<<(j&63)) == 0 && (allCells || ageOf(s, now, T) >= N) {
 			return false
 		}
 	}

@@ -101,9 +101,12 @@ func borrow(r, off uint64) uint64 { return (r - off) >> 63 }
 
 // age returns the time since the group's latest (virtual) cleaning:
 // (t + d_gid) mod Tcycle. Ages lie in [0, Tcycle).
-func (c *groupClock) age(gid int, now clockTime) uint64 {
-	off := c.off(gid)
-	return now.r - off + c.T&-borrow(now.r, off)
+func (c *groupClock) age(gid int, now clockTime) uint64 { return ageOf(c.state[gid], now, c.T) }
+
+// ageOf is age for a loop that holds the state word and Tcycle.
+func ageOf(s uint64, now clockTime, T uint64) uint64 {
+	off := s &^ markBit
+	return now.r - off + T&-borrow(now.r, off)
 }
 
 // stale performs the decision half of on-demand cleaning (Algorithm 1,
@@ -116,17 +119,23 @@ func (c *groupClock) age(gid int, now clockTime) uint64 {
 // group untouched for two full cycles lands back on the same mark and
 // keeps stale cells. Eq. 1 bounds how often that happens.
 func (c *groupClock) stale(gid int, now clockTime) bool {
-	// In r − state the top bit is [r < off] flipped by the stored mark
-	// (subtracting mark·2⁶³ flips it), and the current mark's parity is
-	// q's flipped by [r < off]: xor q's parity in and the top bit says
-	// whether stored and current mark differ.
 	s := c.state[gid]
-	if int64((now.r-s)^now.q<<63) >= 0 {
+	if !staleWord(s, now.phase()) {
 		return false
 	}
 	c.state[gid] = s ^ markBit
 	return true
 }
+
+// staleWord is stale's test on state word s, for a loop that holds the
+// state slice and stores s ^ markBit itself. In r − s the top bit is
+// [r < off] flipped by the stored mark (subtracting mark·2⁶³ flips it),
+// and the current mark's parity is q's flipped by [r < off]: with q's
+// parity added at the top (phase, computed once per time) the top bit
+// says whether stored and current mark differ.
+func staleWord(s, phase uint64) bool { return int64(phase-s) < 0 }
+
+func (t clockTime) phase() uint64 { return t.r + t.q<<63 }
 
 // mature reports whether the group's cells are old enough for a
 // one-sided query: age ≥ N (perfect or aged cells; Algorithm 1,
@@ -151,6 +160,15 @@ func (c *groupClock) legalTwoSided(gid int, now clockTime, floor uint64) bool {
 
 // memoryBits returns the bookkeeping overhead: one mark bit per group.
 func (c *groupClock) memoryBits() int { return len(c.state) }
+
+// residentBytes is what a structure holds allocated — its cell words
+// and the clock's word a group — where MemoryBits reports the paper's
+// payload, a mark bit a group (Table 2).
+func residentBytes(cells []uint64, c *groupClock) int { return 8 * (len(cells) + len(c.state)) }
+
+func (f *BF) ResidentBytes() int  { return residentBytes(f.bits.Words(), f.gc) }
+func (c *CM) ResidentBytes() int  { return residentBytes(c.counters.Words(), c.gc) }
+func (h *HLL) ResidentBytes() int { return residentBytes(h.regs.Words(), h.gc) }
 
 // tickClock is a structure's count-based time: the tick of its latest
 // Insert and that tick's clockTime, carried so Insert and the

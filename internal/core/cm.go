@@ -52,29 +52,47 @@ func NewCM(n, w, k int, width uint, cfg WindowConfig) (*CM, error) {
 func (c *CM) reset(gid int) { c.counters.ResetRange(c.grp.bounds(gid)) }
 
 // Insert adds one occurrence of key at the next count-based tick.
-func (c *CM) Insert(key uint64) { c.insert(key, c.advance(c.gc)) }
+func (c *CM) Insert(key uint64) { c.insert(c.advance(c.gc), key) }
 
 // InsertAt adds one occurrence of key at explicit time t.
-func (c *CM) InsertAt(key uint64, t uint64) { c.insert(key, c.gc.at(t)) }
+func (c *CM) InsertAt(key uint64, t uint64) { c.insert(c.gc.at(t), key) }
 
 // InsertBatch adds one occurrence of each key at consecutive
 // count-based ticks, in slice order — the same state as calling Insert
 // on each.
 func (c *CM) InsertBatch(keys []uint64) {
-	for _, key := range keys {
-		c.insert(key, c.advance(c.gc))
+	if len(keys) > 0 {
+		c.tick += uint64(len(keys))
+		c.now = c.insert(c.gc.next(c.now), keys...)
 	}
 }
 
-func (c *CM) insert(key uint64, now clockTime) {
-	n := c.counters.Len()
-	for i := 0; i < c.fam.K(); i++ {
-		j := c.fam.Index(i, key, n)
-		if gid := c.grp.of(j); c.gc.stale(gid, now) {
-			c.reset(gid)
+// insert adds keys at consecutive times, the first at now, and returns
+// the time of the last: one location loop over locals, as BF.insert.
+// The increment is bitpack's IncSatInWord: the width divides 64, so no
+// counter straddles two words.
+func (c *CM) insert(now clockTime, keys ...uint64) clockTime {
+	words, state, odd, grp, gc := c.counters.Words(), c.gc.state, c.fam.Multipliers(), c.grp, c.gc
+	n, width, max := uint64(c.counters.Len()), uint64(c.counters.Width()), c.counters.Max()
+	for ki, key := range keys {
+		if ki > 0 {
+			now = gc.next(now)
 		}
-		c.counters.IncSatInWord(j)
+		base, ph := hashing.Mix64(key), now.phase()
+		for _, a := range odd {
+			j := hashing.Locate(base, a, n)
+			gid := grp.of(int(j))
+			if s := state[gid]; staleWord(s, ph) {
+				state[gid] = s ^ markBit
+				c.reset(gid)
+			}
+			w, off := j*width>>6, j*width&63
+			if word := words[w]; word>>off&max != max {
+				words[w] = word + 1<<off
+			}
+		}
 	}
+	return now
 }
 
 // EstimateFrequency estimates key's frequency within the last N items.
@@ -88,18 +106,21 @@ func (c *CM) EstimateFrequency(key uint64) uint64 { return c.estimate(key, c.now
 func (c *CM) EstimateFrequencyAt(key uint64, t uint64) uint64 { return c.estimate(key, c.gc.at(t)) }
 
 func (c *CM) estimate(key uint64, now clockTime) uint64 {
-	n := c.counters.Len()
-	minMature := ^uint64(0)
-	minAll := ^uint64(0)
-	for i := 0; i < c.fam.K(); i++ {
-		j := c.fam.Index(i, key, n)
-		gid := c.grp.of(j)
-		if c.gc.stale(gid, now) {
+	words, state, grp, T, N := c.counters.Words(), c.gc.state, c.grp, c.gc.T, c.gc.N
+	n, width, max := uint64(c.counters.Len()), uint64(c.counters.Width()), c.counters.Max()
+	minMature, minAll, base, ph := ^uint64(0), ^uint64(0), hashing.Mix64(key), now.phase()
+	for _, a := range c.fam.Multipliers() {
+		j := hashing.Locate(base, a, n)
+		gid := grp.of(int(j))
+		s := state[gid]
+		if staleWord(s, ph) {
+			s ^= markBit
+			state[gid] = s
 			c.reset(gid)
 		}
-		v := c.counters.Get(j)
+		v := words[j*width>>6] >> (j * width & 63) & max
 		minAll = min(minAll, v)
-		minMature = min(minMature, v|c.gc.youngMask(gid, now))
+		minMature = min(minMature, v|-borrow(ageOf(s, now, T), N))
 	}
 	if minMature != ^uint64(0) {
 		return minMature

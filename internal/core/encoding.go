@@ -10,7 +10,8 @@ import (
 // Binary snapshot format, shared by the five structures. Everything is
 // little-endian. Layout:
 //
-//	magic   [4]byte  "SHE1"
+//	magic   [4]byte  "SHE2": the layout, and the position scheme
+//	                 (hashing.Locate) the cells were placed under
 //	kind    uint8    structure tag
 //	N       uint64
 //	alpha   float64
@@ -25,7 +26,11 @@ import (
 // restores an identical structure (same answers to every future query),
 // which the tests enforce.
 
-const snapshotMagic = "SHE1"
+const snapshotMagic = "SHE2"
+
+// ErrHashScheme refuses a "SHE1" snapshot: this layout, but with cells
+// where scheme 1 put them — decoded, every key would miss its own.
+var ErrHashScheme = errors.New(`core: snapshot "SHE1" was hashed under position scheme 1 (one mix per location); this build reads only "SHE2", scheme 2 (k positions from one mix) — rebuild the sketch from its stream`)
 
 // Structure tags.
 const (
@@ -115,6 +120,9 @@ func (d *snapDecoder) f64() (float64, error) {
 }
 
 func (d *snapDecoder) header(wantKind byte) (cfg WindowConfig, tick uint64, err error) {
+	if len(d.buf) >= 4 && string(d.buf[:4]) == "SHE1" {
+		return cfg, 0, ErrHashScheme
+	}
 	if len(d.buf) < 4 || string(d.buf[:4]) != snapshotMagic {
 		return cfg, 0, fmt.Errorf("core: bad snapshot magic")
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -23,11 +24,15 @@ func FuzzUnmarshalBF(f *testing.F) {
 	}
 	f.Add(valid)
 	f.Add([]byte{})
-	f.Add([]byte("SHE1"))
+	f.Add([]byte("SHE2"))
+	f.Add(append([]byte("SHE1"), valid[4:]...)) // the same bytes as position scheme 1 would have headed them
 	f.Add(valid[:len(valid)/2])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := UnmarshalBF(data)
+		if len(data) >= 4 && string(data[:4]) == "SHE1" && !errors.Is(err, ErrHashScheme) {
+			t.Fatalf("a SHE1 snapshot was not refused by scheme: err = %v", err)
+		}
 		if err != nil {
 			return
 		}

@@ -45,11 +45,15 @@ func (h *HLL) Insert(key uint64) { h.insert(key, h.advance(h.gc)) }
 func (h *HLL) InsertAt(key uint64, t uint64) { h.insert(key, h.gc.at(t)) }
 
 // InsertBatch records keys at consecutive count-based ticks, in slice
-// order — the same state as calling Insert on each.
+// order — the same state as calling Insert on each, the clock carried
+// in locals and written back once.
 func (h *HLL) InsertBatch(keys []uint64) {
+	gc, now := h.gc, h.now
 	for _, key := range keys {
-		h.insert(key, h.advance(h.gc))
+		now = gc.next(now)
+		h.insert(key, now)
 	}
+	h.tick, h.now = h.tick+uint64(len(keys)), now
 }
 
 func (h *HLL) insert(key uint64, now clockTime) {

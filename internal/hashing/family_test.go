@@ -89,9 +89,13 @@ func TestReduceRangeUniform(t *testing.T) {
 	}
 }
 
-// TestFamilyGoldenVectors pins Hash and Index outputs, recorded before
-// the family began storing Mix64(seed_i): every sketch snapshot, WAL
-// and shard routing depends on these values never drifting.
+// TestFamilyGoldenVectors pins Hash and Index outputs: every sketch
+// snapshot depends on Index never drifting within a position scheme,
+// and MinHash signatures, HLL ranks and shard routing on Hash and
+// Mix64. The Hash values were recorded before the family began storing
+// Mix64(seed_i) and have not moved since; the Index values are position
+// scheme 2's (Locate), recorded by the commit that introduced it — a
+// change to them is a new scheme and a new snapshot magic in core.
 func TestFamilyGoldenVectors(t *testing.T) {
 	for _, g := range []struct {
 		k      int
@@ -101,22 +105,22 @@ func TestFamilyGoldenVectors(t *testing.T) {
 		hash   uint64
 		index  int // Index(i, key, 524288)
 	}{
-		{8, 0x1, 0, 0x0, 0xb18a02f46d8d86c3, 363600},
-		{8, 0x1, 0, 0x123456789abcdef, 0x4f2af462e2f78fa1, 162135},
-		{8, 0x1, 0, 0xffffffffffffffff, 0x7badd00087a239ee, 253294},
-		{8, 0x1, 1, 0x0, 0x63a5277110f4425, 12754},
-		{8, 0x1, 3, 0x123456789abcdef, 0xf857266fdafa5f11, 508601},
-		{8, 0x1, 5, 0xffffffffffffffff, 0x23a065a52b561915, 72963},
-		{8, 0x1, 7, 0x0, 0xb95de140abef842a, 379631},
-		{8, 0x1, 7, 0x123456789abcdef, 0xf3c7fc878c63a47d, 499263},
-		{8, 0x1, 7, 0xffffffffffffffff, 0xb88f647a1b644814, 377979},
-		{2, 0x0, 0, 0x0, 0x238275bc38fcbe91, 72723},
-		{2, 0x0, 0, 0x123456789abcdef, 0x5774ed35627e870b, 179111},
-		{2, 0x0, 1, 0x0, 0x80abe802ac1e182e, 263519},
-		{2, 0x0, 1, 0xffffffffffffffff, 0x83aa265d37edb13a, 269649},
-		{3, 0xdeadbeefcafef00d, 0, 0x0, 0x411d1fa3cdf5b0fd, 133352},
-		{3, 0xdeadbeefcafef00d, 1, 0x123456789abcdef, 0x357b7a29832839e2, 109531},
-		{3, 0xdeadbeefcafef00d, 2, 0xffffffffffffffff, 0x526266cc0d68ab83, 168723},
+		{8, 0x1, 0, 0x0, 0xb18a02f46d8d86c3, 260171},
+		{8, 0x1, 0, 0x123456789abcdef, 0x4f2af462e2f78fa1, 484588},
+		{8, 0x1, 0, 0xffffffffffffffff, 0x7badd00087a239ee, 380964},
+		{8, 0x1, 1, 0x0, 0x63a5277110f4425, 3084},
+		{8, 0x1, 3, 0x123456789abcdef, 0xf857266fdafa5f11, 291778},
+		{8, 0x1, 5, 0xffffffffffffffff, 0x23a065a52b561915, 134184},
+		{8, 0x1, 7, 0x0, 0xb95de140abef842a, 455416},
+		{8, 0x1, 7, 0x123456789abcdef, 0xf3c7fc878c63a47d, 500742},
+		{8, 0x1, 7, 0xffffffffffffffff, 0xb88f647a1b644814, 437197},
+		{2, 0x0, 0, 0x0, 0x238275bc38fcbe91, 79336},
+		{2, 0x0, 0, 0x123456789abcdef, 0x5774ed35627e870b, 467265},
+		{2, 0x0, 1, 0x0, 0x80abe802ac1e182e, 11910},
+		{2, 0x0, 1, 0xffffffffffffffff, 0x83aa265d37edb13a, 27851},
+		{3, 0xdeadbeefcafef00d, 0, 0x0, 0x411d1fa3cdf5b0fd, 90629},
+		{3, 0xdeadbeefcafef00d, 1, 0x123456789abcdef, 0x357b7a29832839e2, 155882},
+		{3, 0xdeadbeefcafef00d, 2, 0xffffffffffffffff, 0x526266cc0d68ab83, 99897},
 	} {
 		f := NewFamily(g.k, g.master)
 		if got := f.Hash(g.i, g.key); got != g.hash {

@@ -22,7 +22,7 @@ const hotCounters = 4096
 // hotSeed salts the hot-key CountMin hashes, fixed and distinct from
 // the served sketches' seeds so telemetry error is uncorrelated with
 // the traffic being measured.
-const hotSeed = 0x707c0ffee7ea11ed
+const hotSeed = 0x707c0ffee7ea11ee
 
 // HotEntry is one reported hot key. Count is the estimated raw
 // (unsampled) window count — the sampled estimate scaled by the

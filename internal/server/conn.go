@@ -759,6 +759,7 @@ func (c *conn) cmdStats(cmd Command) error {
 		fmt.Sprintf("tcycle=%d", v.Tcycle),
 		fmt.Sprintf("inserts=%d", v.Inserts),
 		fmt.Sprintf("memory_bits=%d", v.MemoryBits),
+		fmt.Sprintf("resident_bytes=%d", v.ResidentBytes),
 		fmt.Sprintf("cells=%d", v.Cells),
 		fmt.Sprintf("filled_cells=%d", v.Filled),
 		fmt.Sprintf("fill_ratio=%.4f", v.FillRatio),

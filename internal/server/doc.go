@@ -86,7 +86,9 @@
 //	    inserts=... memory_kb=...
 //	SKETCH.STATS name|*
 //	    SHE-aware introspection. With a name, one +key=value line per
-//	    field: kind, shards, window, tcycle, inserts, memory_bits,
+//	    field: kind, shards, window, tcycle, inserts, memory_bits (the
+//	    paper's payload: cells plus a mark bit a group), resident_bytes
+//	    (cells plus the clock's word a group, as allocated),
 //	    cells, filled_cells, fill_ratio, cycle_position (fraction of
 //	    the current Tcycle = (1+alpha)*N timestamp cycle elapsed),
 //	    young_cells (age < N), perfect_cells (age == N) and aged_cells
@@ -239,7 +241,8 @@
 // # Overload protection
 //
 // Config.MaxMemory (shed -max-memory) arms a tracked memory budget
-// over everything the server allocates on purpose: sketch arrays,
+// over everything the server allocates on purpose: sketch arrays as
+// allocated (Sketch.ResidentBytes, not the paper's MemoryBits figure),
 // audit shadow windows, per-connection buffers, per-replica stream
 // state and fixed WAL overhead. An evaluator re-measures every 250ms
 // (and immediately on CREATE/DROP/LOAD) and maps usage onto a
@@ -296,7 +299,7 @@
 //	she_wal_fsync_seconds,                   histogram  WAL group-commit
 //	she_wal_checkpoint_seconds                          and checkpoint cost
 //	she_sketch_shards/_window/_inserts/      gauge    per-sketch geometry
-//	_memory_bits{sketch}
+//	_memory_bits/_resident_bytes{sketch}
 //	she_sketch_fill_ratio,                   gauge    SHE introspection:
 //	she_sketch_cycle_position,                        fill, fraction of the
 //	she_sketch_young_cells/_perfect_cells/            Tcycle=(1+α)N cycle
@@ -522,7 +525,13 @@
 // load, never restored. A damaged snapshot is quarantined to
 // <file>.she.corrupt and counted (snapshots_quarantined); the rest of
 // the directory still loads. Unsealed snapshots from before the
-// durability layer load as legacy files.
+// durability layer load as legacy files. A snapshot whose cells were
+// placed under position scheme 1 (core magic "SHE1", before the K
+// positions of a key came from one mix) is refused on every route —
+// LOAD, recovery, autosave restore, a follower's full sync — with an
+// error that names both schemes; on the file routes it is quarantined
+// like a damaged one, and a quarantined file outlives the checkpoint
+// generation it was found in.
 //
 // If an fsync of the log itself fails, durability of appended records
 // becomes unprovable, so the server fails stop: the failing batch's

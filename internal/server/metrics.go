@@ -93,6 +93,7 @@ func (s *Server) metricsHandler(w http.ResponseWriter, _ *http.Request) {
 		{"she_sketch_window", func(v sketchStatsView) float64 { return float64(v.Window) }},
 		{"she_sketch_inserts", func(v sketchStatsView) float64 { return float64(v.Inserts) }},
 		{"she_sketch_memory_bits", func(v sketchStatsView) float64 { return float64(v.MemoryBits) }},
+		{"she_sketch_resident_bytes", func(v sketchStatsView) float64 { return float64(v.ResidentBytes) }},
 		{"she_sketch_fill_ratio", func(v sketchStatsView) float64 { return v.FillRatio }},
 		{"she_sketch_cycle_position", func(v sketchStatsView) float64 { return v.CyclePosition }},
 		{"she_sketch_young_cells", func(v sketchStatsView) float64 { return float64(v.Young) }},
@@ -332,6 +333,7 @@ type sketchStatsView struct {
 	Tcycle        uint64
 	Inserts       uint64
 	MemoryBits    int
+	ResidentBytes int
 	Cells         int
 	Filled        int
 	FillRatio     float64
@@ -354,6 +356,7 @@ func statsView(in SketchInfo) sketchStatsView {
 		Tcycle:        st.Tcycle,
 		Inserts:       in.Inserts,
 		MemoryBits:    in.MemoryBits,
+		ResidentBytes: in.Sketch.ResidentBytes(),
 		Cells:         st.Cells,
 		Filled:        st.Filled,
 		FillRatio:     st.FillRatio(),

@@ -146,7 +146,7 @@ func (s *Server) startOverload() {
 func (s *Server) accountMemory() (cur, full int64) {
 	var sketch, aud, audFull int64
 	for _, sk := range s.reg.Snapshot() {
-		sketch += int64(sk.MemoryBits()) / 8
+		sketch += int64(sk.ResidentBytes())
 		if a := sk.Audit(); a != nil {
 			aud += a.MemoryBytes()
 			audFull += a.FullMemoryBytes()

@@ -52,8 +52,10 @@ func TestOverloadLadder(t *testing.T) {
 	}
 
 	// createTo grows accounted usage to target·limit with bloom sketches
-	// sized from the live INFO reading. Each create asks for well under
-	// the remaining gap (sketch overhead and the audit shadow err the
+	// sized from the live INFO reading. The budget counts resident
+	// bytes, and a bloom filter with the default 64-bit groups holds a
+	// clock word for every cell word — bits/4 bytes in all. Each create
+	// asks for well under the remaining gap (the audit shadow errs the
 	// actual footprint high), so the loop converges from below without
 	// overshooting past the next rung. A refused create ends the climb —
 	// that is the refuse_create rung doing its job.
@@ -64,7 +66,7 @@ func TestOverloadLadder(t *testing.T) {
 			if i > 100 {
 				t.Fatalf("createTo(%g) did not converge (used %d)", target, used())
 			}
-			bits := (int64(target*limit) - used()) * 8 * 3 / 5
+			bits := (int64(target*limit) - used()) * 4 * 3 / 5
 			if bits < 8000 {
 				bits = 8000
 			}

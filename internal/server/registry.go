@@ -61,44 +61,41 @@ func (sk *Sketch) Kind() string { return sk.kind }
 // created or loaded.
 func (sk *Sketch) Inserts() uint64 { return sk.inserts.Load() }
 
-// Shards returns the shard count.
-func (sk *Sketch) Shards() int {
+// structure returns the sharded structure behind the sketch, for what
+// every kind answers alike.
+func (sk *Sketch) structure() interface {
+	Shards() int
+	MemoryBits() int
+	ResidentBytes() int
+	Stats() she.SketchStats
+	MarshalBinary() ([]byte, error)
+} {
 	switch sk.kind {
 	case "bloom":
-		return sk.bloom.Shards()
+		return sk.bloom
 	case "cm":
-		return sk.cm.Shards()
+		return sk.cm
 	default:
-		return sk.hll.Shards()
+		return sk.hll
 	}
 }
 
-// MemoryBits returns the structure's total footprint.
-func (sk *Sketch) MemoryBits() int {
-	switch sk.kind {
-	case "bloom":
-		return sk.bloom.MemoryBits()
-	case "cm":
-		return sk.cm.MemoryBits()
-	default:
-		return sk.hll.MemoryBits()
-	}
-}
+// Shards returns the shard count.
+func (sk *Sketch) Shards() int { return sk.structure().Shards() }
+
+// MemoryBits returns the structure's payload as the paper counts it:
+// cells plus one mark bit per group.
+func (sk *Sketch) MemoryBits() int { return sk.structure().MemoryBits() }
+
+// ResidentBytes returns what the structure holds allocated — cell words
+// plus the group clocks' word a group — the figure -max-memory budgets.
+func (sk *Sketch) ResidentBytes() int { return sk.structure().ResidentBytes() }
 
 // Stats snapshots the structure's SHE window state — fill, cleaning
 // cycle position, young/perfect/aged cell counts — aggregated across
 // shards. Read-only: it never triggers cleaning, so the numbers are
 // approximate between cleanings (see she.SketchStats).
-func (sk *Sketch) Stats() she.SketchStats {
-	switch sk.kind {
-	case "bloom":
-		return sk.bloom.Stats()
-	case "cm":
-		return sk.cm.Stats()
-	default:
-		return sk.hll.Stats()
-	}
-}
+func (sk *Sketch) Stats() she.SketchStats { return sk.structure().Stats() }
 
 // Insert records key as the next item of the sketch's stream; see
 // InsertBatch, which is what the server itself calls.
@@ -221,16 +218,7 @@ const (
 // MarshalBinary snapshots the sketch: the server envelope (insert
 // counter) wrapping the library's sharded format.
 func (sk *Sketch) MarshalBinary() ([]byte, error) {
-	var payload []byte
-	var err error
-	switch sk.kind {
-	case "bloom":
-		payload, err = sk.bloom.MarshalBinary()
-	case "cm":
-		payload, err = sk.cm.MarshalBinary()
-	default:
-		payload, err = sk.hll.MarshalBinary()
-	}
+	payload, err := sk.structure().MarshalBinary()
 	if err != nil {
 		return nil, err
 	}

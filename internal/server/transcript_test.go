@@ -341,13 +341,14 @@ func pipelineTranscript() transcript {
 > SKETCH.QUERY b 7
 :3
 :1
-*13
+*14
 +kind=bloom
 +shards=2
 +window=1024
 +tcycle=4096
 +inserts=4
 +memory_bits=4160
++resident_bytes=1024
 +cells=4096
 +filled_cells=31
 +fill_ratio=0.0076
@@ -464,7 +465,7 @@ var transcripts = []transcript{
 > SKETCH.CARD
 -ERR SKETCH.CARD: want name
 > SKETCH.CARD h
-+3.3715365010504437
++7.1405936420547125
 > SKETCH.CARD h h
 -ERR SKETCH.CARD: want name
 > sketch.card b
@@ -474,13 +475,14 @@ var transcripts = []transcript{
 > SKETCH.STATS
 -ERR SKETCH.STATS: want name|*
 > SKETCH.STATS b
-*13
+*14
 +kind=bloom
 +shards=2
 +window=1024
 +tcycle=4096
 +inserts=4
 +memory_bits=4160
++resident_bytes=1024
 +cells=4096
 +filled_cells=31
 +fill_ratio=0.0076

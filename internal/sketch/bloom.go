@@ -10,7 +10,10 @@
 // cost baseline for the throughput experiments (Fig. 11).
 package sketch
 
-import "she/internal/bitpack"
+import (
+	"she/internal/bitpack"
+	"she/internal/hashing"
+)
 
 // BloomFilter is a classic Bloom filter over 64-bit keys: an m-bit
 // array with k hash functions. One-sided error: MightContain never
@@ -28,18 +31,18 @@ func NewBloomFilter(m, k int, seed uint64) *BloomFilter {
 
 // Insert adds key to the filter.
 func (bf *BloomFilter) Insert(key uint64) {
-	m := bf.bits.Len()
-	for i := 0; i < bf.fam.k; i++ {
-		bf.bits.Set(bf.fam.index(i, key, m))
+	m, base := uint64(bf.bits.Len()), hashing.Mix64(key)
+	for _, a := range bf.fam.odd() {
+		bf.bits.Set(int(hashing.Locate(base, a, m)))
 	}
 }
 
 // MightContain reports whether key may have been inserted. False means
 // definitely absent.
 func (bf *BloomFilter) MightContain(key uint64) bool {
-	m := bf.bits.Len()
-	for i := 0; i < bf.fam.k; i++ {
-		if !bf.bits.Get(bf.fam.index(i, key, m)) {
+	m, base := uint64(bf.bits.Len()), hashing.Mix64(key)
+	for _, a := range bf.fam.odd() {
+		if !bf.bits.Get(int(hashing.Locate(base, a, m))) {
 			return false
 		}
 	}

@@ -1,5 +1,7 @@
 package sketch
 
+import "she/internal/hashing"
+
 // CountMin is the Count-Min sketch of Cormode & Muthukrishnan in the
 // flat layout the SHE paper models: a single array of n counters, each
 // item updating k hashed counters, queries returning the minimum. (The
@@ -22,10 +24,9 @@ func NewCountMin(n, k int, seed uint64) *CountMin {
 
 // Insert adds one occurrence of key.
 func (cm *CountMin) Insert(key uint64) {
-	n := len(cm.counters)
-	for i := 0; i < cm.fam.k; i++ {
-		j := cm.fam.index(i, key, n)
-		if cm.counters[j] != ^uint32(0) {
+	n, base := uint64(len(cm.counters)), hashing.Mix64(key)
+	for _, a := range cm.fam.odd() {
+		if j := hashing.Locate(base, a, n); cm.counters[j] != ^uint32(0) {
 			cm.counters[j]++
 		}
 	}
@@ -34,10 +35,10 @@ func (cm *CountMin) Insert(key uint64) {
 // EstimateFrequency returns the count-min estimate of key's frequency:
 // the minimum over its k hashed counters. Never underestimates.
 func (cm *CountMin) EstimateFrequency(key uint64) uint64 {
-	n := len(cm.counters)
+	n, base := uint64(len(cm.counters)), hashing.Mix64(key)
 	min := ^uint32(0)
-	for i := 0; i < cm.fam.k; i++ {
-		if v := cm.counters[cm.fam.index(i, key, n)]; v < min {
+	for _, a := range cm.fam.odd() {
+		if v := cm.counters[hashing.Locate(base, a, n)]; v < min {
 			min = v
 		}
 	}

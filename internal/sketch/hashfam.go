@@ -16,3 +16,9 @@ func newHashFam(k int, seed uint64) *hashFam {
 func (h *hashFam) hash(i int, key uint64) uint64 { return h.fam.Hash(i, key) }
 
 func (h *hashFam) index(i int, key uint64, n int) int { return h.fam.Index(i, key, n) }
+
+// odd returns the multipliers hashing.Locate takes: the k-location
+// loops mix the key once, as the SHE kernels do, so that the ratio
+// between a kernel and its fixed-window twin is the framework's cost
+// and not a difference in hashing.
+func (h *hashFam) odd() []uint64 { return h.fam.Multipliers() }

@@ -336,3 +336,33 @@ func TestHLLEstimateMatchesAccessorForm(t *testing.T) {
 		}
 	}
 }
+
+// TestLocationLoopsMatchIndex: the Bloom filter's and Count-Min's
+// k-location loops mix the key once and call hashing.Locate themselves;
+// they must touch exactly the cells the family's cold Index names — the
+// ones a SHE kernel with the same seed touches.
+func TestLocationLoopsMatchIndex(t *testing.T) {
+	for _, k := range []int{1, 4, 8} {
+		bf := NewBloomFilter(1000, k, 3)
+		cm := NewCountMin(777, k, 3)
+		want := map[int]uint32{}
+		for key := uint64(0); key < 50; key++ {
+			bf.Insert(key)
+			cm.Insert(key)
+			for i := 0; i < k; i++ {
+				if !bf.bits.Get(bf.fam.index(i, key, 1000)) {
+					t.Fatalf("k=%d key %d: bloom bit of function %d not set", k, key, i)
+				}
+				want[cm.fam.index(i, key, 777)]++
+			}
+		}
+		if got := bf.bits.Ones(); got > 50*k {
+			t.Fatalf("k=%d: %d bits set by %d locations", k, got, 50*k)
+		}
+		for j, v := range cm.counters {
+			if v != want[j] {
+				t.Fatalf("k=%d: counter %d = %d, the cold Index loop gives %d", k, j, v, want[j])
+			}
+		}
+	}
+}

@@ -100,12 +100,15 @@ func WriteFileAtomic(fsys failfs.FS, path string, data []byte, perm fs.FileMode)
 	return fsys.SyncDir(filepath.Dir(path))
 }
 
+// quarantineExt marks a file Quarantine set aside; removeDir spares it.
+const quarantineExt = ".corrupt"
+
 // Quarantine renames a damaged file to <path>.corrupt so startup can
 // proceed without it while the bytes stay available for forensics. An
 // earlier quarantine of the same path is overwritten — the newest
 // corpse wins. It returns the quarantine path.
 func Quarantine(fsys failfs.FS, path string) (string, error) {
-	q := path + ".corrupt"
+	q := path + quarantineExt
 	if err := fsys.Rename(path, q); err != nil {
 		return "", err
 	}

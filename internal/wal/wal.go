@@ -333,14 +333,18 @@ func (l *Log) sweepLocked(entries []fs.DirEntry) {
 }
 
 // removeDir deletes a directory and its immediate contents
-// (generation dirs are flat).
+// (generation dirs are flat) — except files Quarantine set aside: a
+// snapshot recovery refused keeps its bytes, and the directory that
+// holds them, after the generation is superseded.
 func (l *Log) removeDir(dir string) {
 	entries, err := l.fs.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
-		l.fs.Remove(filepath.Join(dir, e.Name()))
+		if !strings.HasSuffix(e.Name(), quarantineExt) {
+			l.fs.Remove(filepath.Join(dir, e.Name()))
+		}
 	}
 	l.fs.Remove(dir)
 }

@@ -40,8 +40,15 @@ func (f *BloomFilter) Query(key uint64) bool { return f.inner.Query(key) }
 // QueryAt reports membership for the window ending at timestamp t.
 func (f *BloomFilter) QueryAt(key, t uint64) bool { return f.inner.QueryAt(key, t) }
 
-// MemoryBits returns the structure's memory footprint in bits.
+// MemoryBits returns the structure's memory footprint in bits, as the
+// paper counts it: the cells plus one time-mark bit per group.
 func (f *BloomFilter) MemoryBits() int { return f.inner.MemoryBits() }
+
+// ResidentBytes returns what the structure holds allocated: the cell
+// words plus the group clock, which spends a 64-bit word a group (the
+// group's offset beside its mark) where MemoryBits counts the mark bit
+// alone. It is the figure to size a process by.
+func (f *BloomFilter) ResidentBytes() int { return f.inner.ResidentBytes() }
 
 // Bitmap estimates the number of distinct keys within the sliding
 // window by linear counting. Suited to windows whose cardinality is
@@ -119,6 +126,10 @@ func (h *HyperLogLog) CardinalityAt(t uint64) float64 { return h.inner.EstimateC
 // MemoryBits returns the structure's memory footprint in bits.
 func (h *HyperLogLog) MemoryBits() int { return h.inner.MemoryBits() }
 
+// ResidentBytes returns what the structure holds allocated (see
+// BloomFilter.ResidentBytes).
+func (h *HyperLogLog) ResidentBytes() int { return h.inner.ResidentBytes() }
+
 // CountMin estimates per-key frequencies within the sliding window and
 // never underestimates an in-window key's count (up to the on-demand
 // cleaning slack).
@@ -155,6 +166,10 @@ func (c *CountMin) FrequencyAt(key, t uint64) uint64 { return c.inner.EstimateFr
 
 // MemoryBits returns the structure's memory footprint in bits.
 func (c *CountMin) MemoryBits() int { return c.inner.MemoryBits() }
+
+// ResidentBytes returns what the structure holds allocated (see
+// BloomFilter.ResidentBytes).
+func (c *CountMin) ResidentBytes() int { return c.inner.ResidentBytes() }
 
 // CountMinCU is the conservative-update variant of CountMin (SHE-CU,
 // an extension beyond the paper's five structures): insertions
