@@ -5,10 +5,8 @@
 //	shebench [flags] <experiment> [<experiment>...]
 //
 // Experiments: table2, table3, constraints, fig5, fig6, fig7, fig8,
-// fig9, fig10, fig11, ablation, all. With -trace FILE the 'throughput'
-// experiment replays a packet trace; with -addr HOST:PORT the 'server'
-// experiment drives a live shed with the MINSERT batch workload and
-// reports wire-level inserts/sec.
+// fig9, fig10, fig11, ablation, model, all. With -trace FILE the
+// 'throughput' experiment replays a packet trace.
 //
 // Flags:
 //
@@ -37,10 +35,6 @@ func main() {
 	n := flag.Uint64("n", 0, "override window size N")
 	seed := flag.Uint64("seed", 0, "override workload seed")
 	traceFile := flag.String("trace", "", "trace file for the 'throughput' experiment (SHET binary or text)")
-	addr := flag.String("addr", "", "address of a live shed for the 'server' experiment (MINSERT load generator)")
-	conns := flag.Int("conns", 8, "connections for the 'server' experiment")
-	batch := flag.Int("batch", 64, "keys per MINSERT line for the 'server' experiment")
-	loadFor := flag.Duration("load-for", 5*time.Second, "duration of the 'server' experiment")
 	flag.BoolVar(&jsonOut, "json", false, "emit JSON instead of text tables")
 	flag.Usage = usage
 	flag.Parse()
@@ -69,14 +63,6 @@ func main() {
 		}
 		registry["throughput"] = func(sc experiments.Scale) {
 			renderFigs([]metrics.Figure{experiments.ThroughputOnKeys(sc, keys)})
-		}
-	}
-	if *addr != "" {
-		registry["server"] = func(experiments.Scale) {
-			if err := loadgen(*addr, *conns, *batch, *loadFor); err != nil {
-				fmt.Fprintf(os.Stderr, "shebench: %v\n", err)
-				os.Exit(1)
-			}
 		}
 	}
 	if len(args) == 1 && args[0] == "all" {

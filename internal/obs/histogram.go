@@ -209,10 +209,9 @@ func (l *LocalHist) Flush(h *Histogram) {
 	*l = LocalHist{}
 }
 
-// HistogramSet is a collection of named histograms, mirroring
-// metrics.CounterSet: lookup takes the set's lock, but holding the
-// returned *Histogram and observing into it is lock-free, so hot paths
-// cache the pointer once.
+// HistogramSet is a collection of named histograms: lookup takes the
+// set's lock, but holding the returned *Histogram and observing into it
+// is lock-free, so hot paths cache the pointer once.
 type HistogramSet struct {
 	mu sync.Mutex
 	m  map[string]*Histogram

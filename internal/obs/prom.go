@@ -53,7 +53,7 @@ func (p *PromWriter) Counter(name, labels string, v float64) {
 }
 
 // Untyped writes one untyped sample — for values that are sometimes a
-// running total and sometimes a level (metrics.Counter doubles as a
+// running total and sometimes a level (a Counter doubles as a
 // gauge), where claiming either type would be a lie.
 func (p *PromWriter) Untyped(name, labels string, v float64) {
 	p.typeLine(name, "untyped")
@@ -129,15 +129,3 @@ var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 // EscapeLabel escapes a label value for inclusion inside double
 // quotes.
 func EscapeLabel(v string) string { return labelEscaper.Replace(v) }
-
-// SanitizeName maps an arbitrary identifier onto the Prometheus metric
-// name alphabet [a-zA-Z0-9_:], replacing anything else with '_'.
-func SanitizeName(name string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_', r == ':':
-			return r
-		}
-		return '_'
-	}, name)
-}

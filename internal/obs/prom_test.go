@@ -140,7 +140,4 @@ func TestEscapeAndSanitize(t *testing.T) {
 	if got := EscapeLabel(`a"b\c` + "\n"); got != `a\"b\\c\n` {
 		t.Fatalf("EscapeLabel = %q", got)
 	}
-	if got := SanitizeName("she_cmd-SKETCH.INSERT"); got != "she_cmd_SKETCH_INSERT" {
-		t.Fatalf("SanitizeName = %q", got)
-	}
 }

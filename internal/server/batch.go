@@ -63,13 +63,13 @@ func (b *syncWriter) barrier(trs []*xtrace.Trace) error {
 		startNs = obs.Nanotime()
 	}
 	if err := s.wal.Sync(); err != nil {
-		s.cWALErrors.Inc()
+		s.ctr.WALErrors.Inc()
 		return fmt.Errorf("wal sync failed: %w", err)
 	}
 	startNs = spanAll(trs, "fsync_wait", startNs)
 	if b.wrote && s.cfg.SyncReplicas > 0 {
 		if err := s.tracker.WaitAck(s.wal.Position(), s.cfg.SyncReplicas, s.cfg.SyncReplicaTimeout, s.done); err != nil {
-			s.cReplTimeouts.Inc()
+			s.ctr.ReplSyncTimeouts.Inc()
 			return err
 		}
 		spanAll(trs, "replack_wait", startNs)
@@ -334,7 +334,7 @@ func (b *connBatch) settle() {
 	if b.handled == 0 {
 		return
 	}
-	b.s.cCommands.Add(int64(b.handled))
+	b.s.ctr.Commands.Add(int64(b.handled))
 	b.tc.BatchSettle(b.counts[:], b.last, uint64(b.keys))
 	clear(b.counts[:])
 	b.handled, b.keys = 0, 0
@@ -393,10 +393,10 @@ func (b *connBatch) applyInserts() error {
 	if b.cmds == 0 {
 		return nil
 	}
-	s.cBatchApplies.Inc()
-	s.cBatchCommands.Add(int64(b.cmds))
-	s.cBatchKeys.Add(int64(b.nkeys))
-	s.cInserts.Add(int64(b.nkeys))
+	s.ctr.BatchApplies.Inc()
+	s.ctr.BatchCommands.Add(int64(b.cmds))
+	s.ctr.BatchKeys.Add(int64(b.nkeys))
+	s.ctr.Inserts.Add(int64(b.nkeys))
 	var err error
 	if s.wal == nil {
 		for i := 0; i < b.ngroups; i++ {

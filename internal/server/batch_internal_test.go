@@ -146,7 +146,7 @@ func newDiffNode(t testing.TB) *diffNode {
 		}
 	}
 	n := &diffNode{}
-	n.conn = &conn{s: s, timed: true, lats: &connLats{}, batch: connBatch{s: s},
+	n.conn = &conn{s: s, batch: connBatch{s: s},
 		r: bufio.NewReader(strings.NewReader("")), w: bufio.NewWriter(&n.out), bw: &syncWriter{s: s}}
 	return n
 }
@@ -159,7 +159,7 @@ func (n *diffNode) state(t testing.TB) string {
 	n.lats.flush(n.s)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "reply %q\ncommands_total %d inserts_total %d errors_total %d\n",
-		n.out.String(), n.s.cCommands.Value(), n.s.cInserts.Value(), n.s.cErrors.Value())
+		n.out.String(), n.s.ctr.Commands.Value(), n.s.ctr.Inserts.Value(), n.s.ctr.Errors.Value())
 	for i := range verbs {
 		if c := n.s.verbHist[i].Snapshot().Count; c > 0 {
 			fmt.Fprintf(&sb, "she_command_seconds{%s} %d\n", verbs[i].name, c)
@@ -249,7 +249,7 @@ func FuzzFastParseEquivalence(f *testing.F) {
 		if got, want := fast.state(t), slow.state(t); got != want {
 			t.Fatalf("line %q\nfast path left\n%s\nslow path left\n%s", line, got, want)
 		}
-		if fast.s.cErrors.Value() != 0 || fast.out.Bytes()[0] == '-' {
+		if fast.s.ctr.Errors.Value() != 0 || fast.out.Bytes()[0] == '-' {
 			t.Fatalf("the fast path rendered an error for %q: %q", line, fast.out.String())
 		}
 	})
@@ -304,7 +304,7 @@ func TestMinsertWALReplay(t *testing.T) {
 		c2.must("SKETCH.QUERY flows "+key, ":1")
 	}
 	c2.must("SKETCH.QUERY flows 999999", ":0")
-	if got := s2.Counters().Counter("wal_replay_skipped").Value(); got != 0 {
+	if got := s2.Counters()["wal_replay_skipped"]; got != 0 {
 		t.Fatalf("wal_replay_skipped = %d, want 0", got)
 	}
 }
@@ -501,11 +501,11 @@ func TestBatchCapMidPipeline(t *testing.T) {
 			}
 			// Line 131 finds 130 lines' keys pending, at the cap: they are
 			// applied there, the other 70 lines' at the drain.
-			if got := s.cBatchApplies.Value(); got != 2 {
+			if got := s.ctr.BatchApplies.Value(); got != 2 {
 				t.Errorf("batch_applies_total = %d, want 2: one forced at the cap, one at the drain", got)
 			}
-			if got, want := sk.Inserts(), uint64(lines*perLine); got != want || s.cBatchKeys.Value() != int64(want) {
-				t.Errorf("sketch holds %d inserts, batch_keys_total = %d, want %d", got, s.cBatchKeys.Value(), want)
+			if got, want := sk.Inserts(), uint64(lines*perLine); got != want || s.ctr.BatchKeys.Value() != int64(want) {
+				t.Errorf("sketch holds %d inserts, batch_keys_total = %d, want %d", got, s.ctr.BatchKeys.Value(), want)
 			}
 		})
 	}

@@ -144,7 +144,7 @@ func TestFollowerByteEqualAtEqualCursor(t *testing.T) {
 	fdir := t.TempDir()
 	follower := startFollower(t, fdir, primary, 4096)
 	eventually(t, "full sync", func() bool { return caughtUp(primary, follower) })
-	chk0 := follower.cCheckpoints.Value()
+	chk0 := follower.ctr.Checkpoints.Value()
 
 	runScript(t, primary, 1, scriptLines(1, 1500))
 	eventually(t, "follower at the primary's tip", func() bool { return caughtUp(primary, follower) })
@@ -153,7 +153,7 @@ func TestFollowerByteEqualAtEqualCursor(t *testing.T) {
 		t.Fatal("script left no sketch to compare")
 	}
 	sameImage(t, "follower at equal cursor", registryImage(t, follower), want)
-	if got := follower.cCheckpoints.Value() - chk0; got < 3 {
+	if got := follower.ctr.Checkpoints.Value() - chk0; got < 3 {
 		t.Fatalf("follower checkpointed %d times during the script; the bursts were meant to straddle several", got)
 	}
 	if st := follower.currentFollower().Status(); st.FullSyncs != 1 {
@@ -231,7 +231,7 @@ func TestBurstBoundariesLeaveNoTrace(t *testing.T) {
 			rest = rest[n:]
 		}
 		sameImage(t, tc.name, registryImage(t, s), want)
-		if got := s.cReplApplied.Value(); got != int64(len(recs)) {
+		if got := s.ctr.ReplApplied.Value(); got != int64(len(recs)) {
 			t.Fatalf("%s: repl_applied_records = %d, want %d", tc.name, got, len(recs))
 		}
 		s.Abort()
@@ -287,7 +287,7 @@ func TestBurstApplyErrorMidBurst(t *testing.T) {
 	if err := tgt.ApplyBurst([]repl.Record{{Payload: []byte("SKETCH.CREATE b bloom bits=8192 window=2048 shards=2")}}); err != nil {
 		t.Fatal(err)
 	}
-	applied, logged := s.cReplApplied.Value(), s.cWALRecords.Value()
+	applied, logged := s.ctr.ReplApplied.Value(), s.ctr.WALRecords.Value()
 	err := tgt.ApplyBurst([]repl.Record{
 		{Payload: AppendInsertRecord(nil, []byte("b"), []uint64{1, 2, 3})},
 		{Payload: AppendInsertRecord(nil, []byte("nosuch"), []uint64{4})},
@@ -299,10 +299,10 @@ func TestBurstApplyErrorMidBurst(t *testing.T) {
 	if got := getSketch(t, s, "b").Inserts(); got != 3 {
 		t.Fatalf("%d keys applied, want the 3 ahead of the failing record", got)
 	}
-	if got := s.cWALRecords.Value() - logged; got != 1 {
+	if got := s.ctr.WALRecords.Value() - logged; got != 1 {
 		t.Fatalf("%d records logged, want the one that was applied", got)
 	}
-	if got := s.cReplApplied.Value(); got != applied {
+	if got := s.ctr.ReplApplied.Value(); got != applied {
 		t.Fatalf("repl_applied_records moved by %d on a failed burst", got-applied)
 	}
 	// The pair survives a crash: replay matches what is in memory.

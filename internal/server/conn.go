@@ -84,22 +84,19 @@ type conn struct {
 
 	batch connBatch
 
-	// Clock reads are skipped entirely when nothing consumes them
-	// (histograms disabled and no slow threshold), and use the
-	// monotonic-only obs.Nanotime rather than time.Now(): full wall+mono
-	// reads are real money on a sub-microsecond command path.
-	timed bool
 	// lats holds the per-verb latency observations until a drain merges
 	// them into the shared histograms, so the steady state pays no
 	// LOCK-prefixed atomics per command and a /metrics scrape lags by at
-	// most the batch in flight. nil with histograms disabled.
-	lats *connLats
+	// most the batch in flight.
+	lats connLats
 	// startNs chains timestamps across a pipelined batch: when the next
 	// command is already buffered, the end reading of this command is
 	// the start reading of the next, so the steady state costs one clock
 	// read per command instead of two. Zero means "take a fresh reading
 	// after the next line is read", so a measured duration never covers time
-	// spent blocked waiting for input.
+	// spent blocked waiting for input. The readings are obs.Nanotime's,
+	// monotonic only: full wall+mono reads are real money on a
+	// sub-microsecond command path.
 	startNs int64
 
 	// tr is the current command's sampled trace, nil for the 255 in 256
@@ -117,7 +114,7 @@ type conn struct {
 }
 
 func (s *Server) newConn(nc net.Conn) *conn {
-	c := &conn{s: s, addr: nc.RemoteAddr().String(), timed: s.verbHist != nil || s.cfg.SlowThreshold > 0}
+	c := &conn{s: s, addr: nc.RemoteAddr().String()}
 	// Register for CLIENT LIST/KILL before wrapping: Kill closes the raw
 	// conn, and the counting wrapper accounts bytes per syscall so a
 	// pipelining client pays roughly one atomic add per batch, not per
@@ -129,9 +126,6 @@ func (s *Server) newConn(nc net.Conn) *conn {
 	c.bw = &syncWriter{s: s, conn: c.nc, armed: true}
 	c.w = bufio.NewWriterSize(c.bw, 32*1024)
 	c.batch = connBatch{s: s, tc: c.tc, addr: c.addr}
-	if s.verbHist != nil {
-		c.lats = &connLats{}
-	}
 	return c
 }
 
@@ -146,9 +140,9 @@ func (s *Server) handleConn(nc net.Conn) {
 	defer s.traffic.Clients().Unregister(c.tc)
 	s.trackConn(c.nc, true)
 	defer s.trackConn(c.nc, false)
-	s.cConnsTotal.Inc()
-	s.cConnsActive.Inc()
-	defer s.cConnsActive.Add(-1)
+	s.ctr.ConnsTotal.Inc()
+	s.ctr.ConnsActive.Inc()
+	defer s.ctr.ConnsActive.Add(-1)
 	defer c.commit()
 	defer c.contain()
 	for {
@@ -160,7 +154,7 @@ func (s *Server) handleConn(nc net.Conn) {
 		line, err := c.r.ReadSlice('\n')
 		if err != nil {
 			if errors.Is(err, bufio.ErrBufferFull) {
-				s.cErrors.Inc()
+				s.ctr.Errors.Inc()
 				writeError(c.w, "line too long")
 			}
 			return
@@ -171,7 +165,7 @@ func (s *Server) handleConn(nc net.Conn) {
 		if c.tr = s.tracer.Start(); c.tr == nil {
 			// Unsampled commands try the batch fast path (connBatch);
 			// what it declines, leaving no trace, is the slow path's.
-			if c.timed && c.startNs == 0 {
+			if c.startNs == 0 {
 				c.startNs = obs.Nanotime()
 			}
 			handled, vi, ferr := c.batch.tryFast(line, c.w, c.bw)
@@ -179,9 +173,7 @@ func (s *Server) handleConn(nc net.Conn) {
 				return // the deferred commit reports the sticky WAL failure
 			}
 			if handled {
-				if c.timed {
-					c.observe(vi, line, obs.Nanotime())
-				}
+				c.observe(vi, line, obs.Nanotime())
 				if c.r.Buffered() == 0 && c.commit() != nil {
 					return
 				}
@@ -207,7 +199,7 @@ func (c *conn) contain() {
 	if p == nil {
 		return
 	}
-	c.s.counters.Counter("panics_recovered").Inc()
+	c.s.ctr.PanicsRecovered.Inc()
 	c.batch.reset()
 	c.batch.release()
 	c.failed = true
@@ -287,14 +279,14 @@ func (c *conn) slow(line []byte) (over bool) {
 		c.openTrs = append(c.openTrs, tr)
 	}
 	if err != nil {
-		s.cErrors.Inc()
+		s.ctr.Errors.Inc()
 		writeError(c.w, err.Error())
 		tr.SetError()
 		c.startNs = 0
 		return false
 	}
 	v := &verbs[vi]
-	if c.timed && c.startNs == 0 {
+	if c.startNs == 0 {
 		c.startNs = obs.Nanotime()
 	}
 	c.tc.Command(vi)
@@ -313,9 +305,7 @@ func (c *conn) slow(line []byte) (over bool) {
 		c.bw.wrote = true
 	}
 	sp.End()
-	if c.timed {
-		c.observe(vi, line, obs.Nanotime())
-	}
+	c.observe(vi, line, obs.Nanotime())
 	if v.flags&vTakeover != 0 {
 		// The command is counted and timed up to here; the replies ahead
 		// of it go out, the idle deadline comes off (a replication
@@ -354,19 +344,19 @@ func (c *conn) dispatch(v *verb, cmd Command) {
 				return
 			}
 			if !ok {
-				s.cBusyRejects.Inc()
+				s.ctr.BusyRejects.Inc()
 				writeError(c.w, "BUSY too many in-flight commands; retry")
 				return
 			}
 		}
 		defer ad.release() // also on a panic, which handleConn recovers
 	}
-	s.cCommands.Inc()
+	s.ctr.Commands.Inc()
 	if testPanic != nil {
 		testPanic(cmd)
 	}
 	if err := c.run(v, cmd); err != nil {
-		s.cErrors.Inc()
+		s.ctr.Errors.Inc()
 		writeError(c.w, err.Error())
 		c.tr.SetError() // nil-safe; errored traces are pinned in the ring
 	}
@@ -418,11 +408,11 @@ func (s *Server) gate(f verbFlags) error {
 	}
 	lvl := s.overloadLevel()
 	if f&vAllocGate != 0 && lvl >= overRefuseCreate {
-		s.counters.Counter("overload_refused_creates").Inc()
+		s.ctr.RefusedCreates.Inc()
 		return fmt.Errorf("OOM memory budget exceeded (%s); refusing new sketch allocations", lvl)
 	}
 	if f&vInsertGate != 0 && lvl >= overRefuseInsert {
-		s.counters.Counter("overload_oom_inserts").Inc()
+		s.ctr.OOMInserts.Inc()
 		return fmt.Errorf("OOM memory budget exceeded; inserts refused (queries still served)")
 	}
 	return nil
@@ -437,9 +427,8 @@ type connLats struct {
 }
 
 // flush merges every accumulator into the shared per-verb histograms.
-// Nil-safe, so the histograms-disabled path can call it unconditionally.
 func (c *connLats) flush(s *Server) {
-	if c == nil || c.pending == 0 {
+	if c.pending == 0 {
 		return
 	}
 	for i, l := range c.verbs {
@@ -464,34 +453,32 @@ func (c *conn) observe(vi int, line []byte, endNs int64) {
 	if c.r.Buffered() > 0 {
 		c.startNs = endNs
 	}
-	if lats := c.lats; lats != nil { // nil when histograms are disabled but SlowThreshold isn't
-		l := lats.verbs[vi]
-		if l == nil {
-			l = &obs.LocalHist{}
-			lats.verbs[vi] = l
-		}
-		l.Observe(d)
-		if c.tr != nil {
-			// A sampled command becomes its verb's histogram exemplar, so
-			// /metrics can point at a concrete retained trace.
-			s.exemplars[vi].Store(&traceExemplar{id: c.tr.ID(), dur: d})
-		}
-		// A client that pipelines forever without draining never hits the
-		// batch-end flush, so cap the unflushed backlog here.
-		if lats.pending++; lats.pending >= obs.FlushLimit {
-			lats.flush(s)
-		}
+	l := c.lats.verbs[vi]
+	if l == nil {
+		l = &obs.LocalHist{}
+		c.lats.verbs[vi] = l
+	}
+	l.Observe(d)
+	if c.tr != nil {
+		// A sampled command becomes its verb's histogram exemplar, so
+		// /metrics can point at a concrete retained trace.
+		s.exemplars[vi].Store(&traceExemplar{id: c.tr.ID(), dur: d})
+	}
+	// A client that pipelines forever without draining never hits the
+	// batch-end flush, so cap the unflushed backlog here.
+	if c.lats.pending++; c.lats.pending >= obs.FlushLimit {
+		c.lats.flush(s)
 	}
 	if t := s.cfg.SlowThreshold; t > 0 && d >= t {
 		// At the shed_slowlog overload rung the ring stops absorbing
 		// rendered command text; the counter still ticks so the drop is
 		// visible, not silent.
 		if s.over.slowShed.Load() {
-			s.counters.Counter("overload_slowlog_dropped").Inc()
+			s.ctr.SlowlogDropped.Inc()
 			return
 		}
 		s.slow.Record(renderLine(line), d, time.Now(), c.addr, c.tr.ID())
-		s.cSlowCommands.Inc()
+		s.ctr.SlowCommands.Inc()
 		if s.logger.Enabled(obslog.LevelWarn) {
 			s.logger.Warn("slow command", "verb", verbs[vi].name, "duration", d.String())
 		}
@@ -578,7 +565,7 @@ func (c *conn) cmdInsert(cmd Command) error {
 			return err
 		}
 	}
-	s.cInserts.Add(int64(len(keys)))
+	s.ctr.Inserts.Add(int64(len(keys)))
 	writeInt(c.w, int64(len(keys)))
 	return nil
 }
@@ -626,7 +613,7 @@ func (c *conn) cmdSave(cmd Command) error {
 	if err := writeSketchFile(s.fs, path, sk); err != nil {
 		return err
 	}
-	s.counters.Counter("snapshots_saved").Inc()
+	s.ctr.SnapsSaved.Inc()
 	writeSimple(c.w, "OK")
 	return nil
 }
@@ -648,7 +635,7 @@ func (c *conn) cmdLoad(cmd Command) error {
 	if err != nil {
 		// Damaged bytes must never be retried into a sketch: park the
 		// file and tell the client why.
-		s.counters.Counter("snapshots_quarantined").Inc()
+		s.ctr.SnapsQuarantined.Inc()
 		if q, qerr := wal.Quarantine(s.fs, path); qerr == nil {
 			return fmt.Errorf("%v (quarantined to %s)", err, filepath.Base(q))
 		}
@@ -668,7 +655,7 @@ func (c *conn) cmdLoad(cmd Command) error {
 			return err
 		}
 	}
-	s.counters.Counter("snapshots_loaded").Inc()
+	s.ctr.SnapsLoaded.Inc()
 	writeSimple(c.w, "OK")
 	return nil
 }
@@ -736,10 +723,10 @@ func (c *conn) cmdStats(cmd Command) error {
 		infos := s.reg.List()
 		lines := make([]string, len(infos))
 		for i, in := range infos {
-			v := statsView(in)
+			st := in.Stats
 			lines[i] = fmt.Sprintf("%s kind=%s shards=%d window=%d inserts=%d fill_ratio=%.4f cycle_position=%.4f young=%d perfect=%d aged=%d",
-				in.Name, v.Kind, v.Shards, v.Window, v.Inserts,
-				v.FillRatio, v.CyclePosition, v.Young, v.Perfect, v.Aged)
+				in.Name, in.Sketch.Kind(), st.Shards, st.Window, in.Sketch.Inserts(),
+				st.FillRatio(), st.CyclePosition, st.Young, st.Perfect, st.Aged)
 		}
 		writeArray(w, lines)
 		return nil
@@ -748,25 +735,22 @@ func (c *conn) cmdStats(cmd Command) error {
 	if err != nil {
 		return err
 	}
-	v := statsView(SketchInfo{
-		Name: cmd.Args[0], Kind: sk.Kind(),
-		Inserts: sk.Inserts(), MemoryBits: sk.MemoryBits(), Sketch: sk,
-	})
+	st := sk.Stats()
 	writeArray(w, []string{
-		"kind=" + v.Kind,
-		fmt.Sprintf("shards=%d", v.Shards),
-		fmt.Sprintf("window=%d", v.Window),
-		fmt.Sprintf("tcycle=%d", v.Tcycle),
-		fmt.Sprintf("inserts=%d", v.Inserts),
-		fmt.Sprintf("memory_bits=%d", v.MemoryBits),
-		fmt.Sprintf("resident_bytes=%d", v.ResidentBytes),
-		fmt.Sprintf("cells=%d", v.Cells),
-		fmt.Sprintf("filled_cells=%d", v.Filled),
-		fmt.Sprintf("fill_ratio=%.4f", v.FillRatio),
-		fmt.Sprintf("cycle_position=%.4f", v.CyclePosition),
-		fmt.Sprintf("young_cells=%d", v.Young),
-		fmt.Sprintf("perfect_cells=%d", v.Perfect),
-		fmt.Sprintf("aged_cells=%d", v.Aged),
+		"kind=" + sk.Kind(),
+		fmt.Sprintf("shards=%d", st.Shards),
+		fmt.Sprintf("window=%d", st.Window),
+		fmt.Sprintf("tcycle=%d", st.Tcycle),
+		fmt.Sprintf("inserts=%d", sk.Inserts()),
+		fmt.Sprintf("memory_bits=%d", sk.MemoryBits()),
+		fmt.Sprintf("resident_bytes=%d", sk.ResidentBytes()),
+		fmt.Sprintf("cells=%d", st.Cells),
+		fmt.Sprintf("filled_cells=%d", st.Filled),
+		fmt.Sprintf("fill_ratio=%.4f", st.FillRatio()),
+		fmt.Sprintf("cycle_position=%.4f", st.CyclePosition),
+		fmt.Sprintf("young_cells=%d", st.Young),
+		fmt.Sprintf("perfect_cells=%d", st.Perfect),
+		fmt.Sprintf("aged_cells=%d", st.Aged),
 	})
 	return nil
 }
@@ -911,11 +895,11 @@ func (c *conn) cmdInfo(Command) error {
 			fmt.Sprintf("max_inflight=%d", s.admit.max))
 	}
 	if uptime > 0 {
-		cps := float64(s.counters.Counter("commands_total").Value()) / uptime
+		cps := float64(s.ctr.Commands.Value()) / uptime
 		lines = append(lines, fmt.Sprintf("commands_per_sec=%.1f", cps))
 	}
-	for _, name := range s.counters.Names() {
-		lines = append(lines, fmt.Sprintf("%s=%d", name, s.counters.Counter(name).Value()))
+	for _, r := range s.ctrRows {
+		lines = append(lines, fmt.Sprintf("%s=%d", r.Name, r.C.Value()))
 	}
 	writeArray(c.w, lines)
 	return nil
@@ -926,7 +910,7 @@ func (c *conn) cmdList(Command) error {
 	lines := make([]string, len(infos))
 	for i, in := range infos {
 		lines[i] = fmt.Sprintf("%s kind=%s shards=%d window=%d inserts=%d memory_kb=%.1f",
-			in.Name, in.Kind, in.Shards, in.Window, in.Inserts, float64(in.MemoryBits)/8192)
+			in.Name, in.Sketch.Kind(), in.Stats.Shards, in.Stats.Window, in.Sketch.Inserts(), float64(in.Sketch.MemoryBits())/8192)
 	}
 	writeArray(c.w, lines)
 	return nil

@@ -51,8 +51,8 @@
 //	        hll    cardinality   registers=N  (default 4096)
 //	    Common parameters: window=N (default 65536), shards=P (default
 //	    8), seed=N (default 1), alpha=F and hashes=K (0 = per-structure
-//	    defaults). Errors if the name is taken. Size parameters are
-//	    capped (MaxBits, MaxCounters, MaxRegisters, MaxShards, ...) so
+//	    defaults). Errors if the name is taken. Sizes are capped (in
+//	    the kind's row, registry.go; MaxWindow, MaxShards, MaxHashes) so
 //	    one CREATE cannot allocate unbounded memory.
 //	SKETCH.INSERT name key [key ...]
 //	    Insert keys; replies :n with the number inserted.
@@ -263,7 +263,7 @@
 // safe to retry after backoff. The semaphore takes an atomic fast
 // path when unsaturated, so the healthy-path cost of the whole
 // subsystem stays inside the < 5% insert-overhead budget
-// (BenchmarkServerInsertOverload, gated by scripts/benchsmoke.sh).
+// (BenchmarkServerInsertOverload against BenchmarkServerInsert).
 // PSYNC and REPLCONF bypass admission: replication must drain even on
 // a saturated server.
 //
@@ -281,17 +281,6 @@
 // The exported metric families, by group:
 //
 //	she_uptime_seconds                       gauge    seconds since start
-//	she_commands_total, she_inserts_total,   untyped  operational counters;
-//	she_errors_total, she_connections_*,              untyped because some
-//	she_slow_commands_total,                          (connections_active,
-//	she_panics_recovered, she_snapshots_*,            wal_bytes) also go
-//	she_checkpoints, she_checkpoint_errors,           down
-//	she_wal_records/_bytes/_errors/
-//	_torn_bytes/_replayed_records/
-//	_replay_skipped/_segments_quarantined
-//	she_batch_applies_total,                 untyped  batch engine: group
-//	she_batch_commands_total,                         commits and the
-//	she_batch_keys_total                              commands/keys in them
 //	she_command_seconds{verb}                histogram  per-verb latency;
 //	                                                    every verb present
 //	                                                    from the first
@@ -342,22 +331,11 @@
 //	she_repl_follower_next_retry_seconds              failures since the
 //	                                                  last good session and
 //	                                                  the current delay
-//	she_repl_full_syncs,                     untyped  replication counters:
-//	she_repl_partial_syncs,                           bootstraps vs cursor
-//	she_repl_promotions,                              catch-ups served,
-//	she_repl_sync_timeouts,                           promotions, semi-sync
-//	she_repl_applied_records,                         timeouts, applies,
-//	she_repl_slow_replica_drops                       evicted slow replicas
 //	she_overload_level,                      gauge    overload ladder rung
 //	she_overload_memory_used_bytes/                   (0=none ...
 //	_full_bytes/_limit_bytes,                         4=refuse_insert),
 //	she_overload_inflight_commands,                   accounted memory and
 //	she_overload_max_inflight                         admission occupancy
-//	she_overload_transitions,                untyped  overload counters:
-//	she_overload_oom_inserts,                         level changes, -ERR
-//	she_overload_refused_creates,                     OOM refusals, -ERR
-//	she_overload_busy_rejects,                        BUSY rejects, shed
-//	she_overload_slowlog_dropped                      slowlog entries
 //	she_wal_append_seconds                   histogram  per-record WAL
 //	                                                    append (buffer+write)
 //	                                                    cost, no fsync
@@ -401,13 +379,53 @@
 //	                                                    size classes
 //	go_goroutines                            gauge    Go runtime
 //
+// The operational counters are declared once (counters, metrics.go),
+// and /metrics, INFO and /debug/vars — the last two without the she_
+// prefix — list that declaration: every counter is present, at zero,
+// from the first scrape. One family each, exported untyped because some
+// (connections_active, wal_bytes) also go down.
+//
+//	she_batch_applies_total       batch engine applies (one group commit each)
+//	she_batch_commands_total      insert commands that went through a batch apply
+//	she_batch_keys_total          keys that went through a batch apply
+//	she_checkpoint_errors         WAL checkpoints that failed
+//	she_checkpoints               WAL checkpoints completed
+//	she_clients_killed            connections closed by CLIENT KILL
+//	she_commands_total            commands executed
+//	she_connections_active        client connections open now (a level)
+//	she_connections_rejected      connections refused at -max-conns
+//	she_connections_total         client connections accepted
+//	she_errors_total              commands answered -ERR
+//	she_inserts_total             keys inserted
+//	she_overload_busy_rejects     commands answered -ERR BUSY at -max-inflight
+//	she_overload_oom_inserts      inserts refused -ERR OOM at the refuse_insert rung
+//	she_overload_refused_creates  creates and loads refused -ERR OOM at the refuse_create rung
+//	she_overload_slowlog_dropped  slow commands kept out of the slowlog at the shed_slowlog rung
+//	she_overload_transitions      overload ladder level changes
+//	she_panics_recovered          handler panics contained to their connection
+//	she_repl_applied_records      records applied as a follower
+//	she_repl_full_syncs           replica bootstraps served from a checkpoint
+//	she_repl_partial_syncs        replica cursor catch-ups served from the log
+//	she_repl_promotions           REPLICAOF NO ONE promotions
+//	she_repl_slow_replica_drops   replicas disconnected for exceeding -repl-max-lag
+//	she_repl_sync_timeouts        semi-synchronous replica acks that timed out
+//	she_slow_commands_total       commands at or over -slow-ms
+//	she_snapshots_loaded          snapshots restored by SKETCH.LOAD
+//	she_snapshots_quarantined     unusable snapshot files set aside as .corrupt
+//	she_snapshots_saved           snapshots written by SKETCH.SAVE
+//	she_wal_bytes                 WAL bytes since the last checkpoint (a level)
+//	she_wal_errors                WAL appends and syncs that failed
+//	she_wal_records               WAL records appended
+//	she_wal_replay_skipped        logged records recovery could not apply
+//	she_wal_replayed_records      logged records replayed at startup
+//	she_wal_segments_quarantined  corrupt or orphaned WAL segments set aside at startup
+//	she_wal_torn_bytes            bytes of torn tail truncated at startup
+//
 // Command timing is engineered to be effectively free: a TSC-based
 // monotonic clock (internal/obs), timestamps chained across pipelined
 // batches (one clock read per command in the steady state), and
 // per-connection single-writer accumulators that merge into the shared
-// histograms only at batch drain points. The comparative benchmark
-// (scripts/benchsmoke.sh) holds the insert path's instrumentation cost
-// under 5%; Config.DisableHistograms turns timing off entirely.
+// histograms only at batch drain points — so it has no switch.
 // Commands at or above Config.SlowThreshold additionally land in the
 // slow-query ring served by SLOWLOG. Structured logs (logfmt) go to
 // the configured obslog logger.
@@ -435,9 +453,8 @@
 // SLOWLOG entries carry trace=<id> for sampled commands, and the
 // she_trace_exemplar_seconds{verb,trace_id} gauges link the per-verb
 // latency histograms to a concrete retained trace. The unsampled path
-// costs one atomic add per command, measured against the same < 5%
-// benchsmoke budget as the histograms (BenchmarkServerInsertTrace,
-// 1-in-256 sampling).
+// costs one atomic add per command, held to a < 5% budget on the
+// insert path (BenchmarkServerInsertTrace, 1-in-256 sampling).
 //
 // # Traffic self-telemetry
 //
@@ -474,7 +491,7 @@
 // monitor_dropped_total, and with no subscribers the sampled path
 // skips rendering entirely. A lagging or dead monitor can therefore
 // never block an insert (BenchmarkServerInsertTraffic rides the same
-// < 5% benchsmoke budget, 1-in-256 sampling).
+// < 5% budget, 1-in-256 sampling).
 //
 // # Accuracy auditing
 //
@@ -497,8 +514,8 @@
 // Memory is bounded by the shadow capacity and Config.AuditMaxKeys
 // distinct keys (default 65536); when the key cap binds, coverage < 1
 // reports the audited fraction. With auditing off the insert path
-// pays one nil check; at p=1/1024 the measured overhead is under the
-// 5% benchsmoke gate. Auditor state is not persisted: after a restart
+// pays one nil check; at p=1/1024 the measured overhead is under 5%
+// (BenchmarkServerInsertAudit). Auditor state is not persisted: after a restart
 // or SKETCH.LOAD the shadow refills within one window, and early
 // error samples are skewed until it does.
 //

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"she"
 	"she/internal/failfs"
 	"she/internal/wal"
 )
@@ -99,7 +100,7 @@ func TestWALSurvivesAbort(t *testing.T) {
 			t.Fatalf("acked key %d lost after recovery", 5000+i)
 		}
 	}
-	if got := s2.Counters().Counter("wal_replayed_records").Value(); got == 0 {
+	if got := s2.Counters()["wal_replayed_records"]; got == 0 {
 		t.Fatal("expected replayed records after an abort, got 0")
 	}
 }
@@ -272,7 +273,7 @@ func TestAutosaveQuarantine(t *testing.T) {
 			t.Fatalf("corrupt original %q.she left in place", name)
 		}
 	}
-	if got := s.Counters().Counter("snapshots_quarantined").Value(); got != 2 {
+	if got := s.Counters()["snapshots_quarantined"]; got != 2 {
 		t.Fatalf("snapshots_quarantined = %d, want 2", got)
 	}
 }
@@ -289,7 +290,7 @@ func TestPanicRecoveredPerConnection(t *testing.T) {
 	defer func() { testPanic = nil }()
 
 	// The fast path has no hook to inject through, and needs none: a
-	// sketch with no structure behind it dereferences nil in the batch
+	// sketch with a nil structure behind it dereferences nil in the batch
 	// apply (insert) and in the query kernel (query).
 	const nilDeref = "-ERR internal error: runtime error: invalid memory address or nil pointer dereference"
 	for _, tc := range []struct {
@@ -308,7 +309,7 @@ func TestPanicRecoveredPerConnection(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Abort()
-			s.reg.Put("hollow", &Sketch{kind: "bloom"})
+			s.reg.Put("hollow", &Sketch{row: lookupKind("bloom"), structure: (*she.ShardedBloomFilter)(nil)})
 			c1 := dialServer(t, s)
 			c1.must("PING", "+PONG")
 			c1.must(tc.cmd, tc.want)
@@ -329,7 +330,7 @@ func TestPanicRecoveredPerConnection(t *testing.T) {
 					t.Fatalf("checkpoint after a recovered panic: %v", err)
 				}
 			}
-			if got := s.Counters().Counter("panics_recovered").Value(); got != 1 {
+			if got := s.Counters()["panics_recovered"]; got != 1 {
 				t.Fatalf("panics_recovered = %d, want 1", got)
 			}
 		})
@@ -361,7 +362,7 @@ func TestWALSyncFailureFailStop(t *testing.T) {
 	if !ok || !strings.HasPrefix(reply, "-ERR") {
 		t.Fatalf("mutation after sticky log failure = %q (ok=%v), want error", reply, ok)
 	}
-	if got := s.Counters().Counter("wal_errors").Value(); got < 2 {
+	if got := s.Counters()["wal_errors"]; got < 2 {
 		t.Fatalf("wal_errors = %d, want >= 2", got)
 	}
 }
@@ -382,7 +383,7 @@ func TestShutdownCheckpointTruncatesLog(t *testing.T) {
 	if err := s1.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	if got := s1.Counters().Counter("checkpoints").Value(); got == 0 {
+	if got := s1.Counters()["checkpoints"]; got == 0 {
 		t.Fatal("no checkpoint ran despite CheckpointBytes=4096 and shutdown")
 	}
 
@@ -402,7 +403,7 @@ func TestShutdownCheckpointTruncatesLog(t *testing.T) {
 
 	s2 := startWAL(t, dir, nil, 4096)
 	defer s2.Abort()
-	if got := s2.Counters().Counter("wal_replayed_records").Value(); got != 0 {
+	if got := s2.Counters()["wal_replayed_records"]; got != 0 {
 		t.Fatalf("replayed %d records after graceful shutdown, want 0", got)
 	}
 	sk, err := s2.Registry().Get("flows")

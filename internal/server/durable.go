@@ -44,22 +44,19 @@ func (s *Server) recoverWAL() error {
 			return err
 		}
 	}
-	var replayed, skipped int64
 	buf := insertBufs.Get().(*insertBuf)
 	for _, r := range rec.Records {
 		if _, err := s.applyRecord(r, buf, nil); err != nil {
-			skipped++
+			s.ctr.WALReplaySkipped.Inc()
 			s.logger.Warn("wal replay: skipping record", "err", err)
 		} else {
-			replayed++
+			s.ctr.WALReplayed.Inc()
 		}
 	}
 	insertBufs.Put(buf)
 	s.wal = l
-	s.cWALReplayed.Add(replayed)
-	s.counters.Counter("wal_replay_skipped").Add(skipped)
-	s.counters.Counter("wal_torn_bytes").Add(rec.TornBytes)
-	s.counters.Counter("wal_segments_quarantined").Add(int64(len(rec.CorruptSegments) + len(rec.OrphanedSegments)))
+	s.ctr.WALTornBytes.Add(rec.TornBytes)
+	s.ctr.WALSegsQuarantine.Add(int64(len(rec.CorruptSegments) + len(rec.OrphanedSegments)))
 	if rec.TornBytes > 0 {
 		s.logger.Warn("wal: truncated torn tail (crash mid-append; bytes were never acknowledged)",
 			"torn_bytes", rec.TornBytes)
@@ -175,11 +172,11 @@ func (s *Server) walAppend(rec []byte, tr *xtrace.Trace) error {
 		err = s.wal.Append(rec)
 	}
 	if err != nil {
-		s.cWALErrors.Inc()
+		s.ctr.WALErrors.Inc()
 		return err
 	}
-	s.cWALRecords.Inc()
-	s.cWALBytes.Set(s.wal.BytesSinceCheckpoint())
+	s.ctr.WALRecords.Inc()
+	s.ctr.WALBytes.Set(s.wal.BytesSinceCheckpoint())
 	return nil
 }
 
@@ -188,11 +185,11 @@ func (s *Server) walAppend(rec []byte, tr *xtrace.Trace) error {
 // one write. Durability is the caller's later Sync, as for walAppend.
 func (s *Server) walAppendBatch(recs [][]byte) error {
 	if err := s.wal.AppendBatch(recs, nil); err != nil {
-		s.cWALErrors.Inc()
+		s.ctr.WALErrors.Inc()
 		return err
 	}
-	s.cWALRecords.Add(int64(len(recs)))
-	s.cWALBytes.Set(s.wal.BytesSinceCheckpoint())
+	s.ctr.WALRecords.Add(int64(len(recs)))
+	s.ctr.WALBytes.Set(s.wal.BytesSinceCheckpoint())
 	return nil
 }
 
@@ -255,11 +252,11 @@ func (s *Server) checkpointLocked(force bool) error {
 		return nil
 	})
 	if err != nil {
-		s.counters.Counter("checkpoint_errors").Inc()
+		s.ctr.CheckpointErrors.Inc()
 		return err
 	}
-	s.cCheckpoints.Inc()
-	s.cWALBytes.Set(s.wal.BytesSinceCheckpoint())
+	s.ctr.Checkpoints.Inc()
+	s.ctr.WALBytes.Set(s.wal.BytesSinceCheckpoint())
 	return nil
 }
 
@@ -311,7 +308,7 @@ func (s *Server) loadSnapshotDir(dir string) error {
 				where = "quarantined to " + filepath.Base(q)
 			}
 			s.logger.Warn("snapshot unusable", "path", path, "disposition", where, "err", err)
-			s.counters.Counter("snapshots_quarantined").Inc()
+			s.ctr.SnapsQuarantined.Inc()
 			continue
 		}
 		s.reg.Put(name, sk)

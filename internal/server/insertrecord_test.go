@@ -193,10 +193,10 @@ func TestReplayMixedFormatLog(t *testing.T) {
 
 	s := startWAL(t, dir, nil, 0)
 	defer s.Abort()
-	if got := s.Counters().Counter("wal_replay_skipped").Value(); got != 1 {
+	if got := s.Counters()["wal_replay_skipped"]; got != 1 {
 		t.Fatalf("wal_replay_skipped = %d, want 1 (the record for the dropped sketch)", got)
 	}
-	if got := s.Counters().Counter("wal_replayed_records").Value(); got != int64(records) {
+	if got := s.Counters()["wal_replayed_records"]; got != int64(records) {
 		t.Fatalf("wal_replayed_records = %d, want %d", got, records)
 	}
 	wantImg := make(map[string][]byte)
@@ -220,7 +220,7 @@ func TestInsertRecordSplit(t *testing.T) {
 	}
 	per := maxInsertRecordKeys(len("flows"))
 	keys := testKeys(7, 2*per+10)
-	before := s.cWALRecords.Value()
+	before := s.ctr.WALRecords.Value()
 	b := &connBatch{s: s}
 	g := b.group([]byte("flows"))
 	g.keys = append(g.keys, keys...)
@@ -228,7 +228,7 @@ func TestInsertRecordSplit(t *testing.T) {
 	if err := b.applyInserts(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.cWALRecords.Value() - before; got != 3 {
+	if got := s.ctr.WALRecords.Value() - before; got != 3 {
 		t.Fatalf("%d keys logged as %d records, want 3 (%d keys fit one)", len(keys), got, per)
 	}
 	for _, rec := range b.recs {

@@ -1,0 +1,108 @@
+package server
+
+import (
+	"fmt"
+	"os"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+
+	"she"
+)
+
+// TestKindTable takes every row of the kind table over the wire through
+// what a kind has to do — create at its default size and at a given one,
+// insert, answer its own verb and refuse the other by name, save, load,
+// answer the same, be audited as the row says — and holds the texts that
+// list the kinds to the rows. A row added tomorrow is exercised here
+// without an edit.
+func TestKindTable(t *testing.T) {
+	s := New(Config{Listen: "127.0.0.1:0", SnapshotDir: t.TempDir(), AuditSample: 1})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Abort()
+	c := dialServer(t, s)
+	get := func(name string) *Sketch {
+		t.Helper()
+		sk, err := s.reg.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sk
+	}
+
+	var names []string
+	for i := range kinds {
+		names = append(names, kinds[i].name)
+	}
+	list := strings.Join(names[:len(names)-1], ", ") + " or " + names[len(names)-1]
+	c.must("SKETCH.CREATE x nosuchkind", fmt.Sprintf(`-ERR unknown sketch kind "nosuchkind" (want %s)`, list))
+	var cardKinds []string
+	for i := range kinds {
+		if kinds[i].card != nil {
+			cardKinds = append(cardKinds, kinds[i].name)
+		}
+	}
+	doc, err := os.ReadFile("doc.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for i := range kinds {
+		k := &kinds[i]
+		if (k.query == nil) == (k.card == nil) {
+			t.Errorf("%s: a kind answers SKETCH.QUERY or SKETCH.CARD, one of them", k.name)
+		}
+		if lookupKind(k.name) != k || k.name != strings.ToLower(k.name) {
+			t.Errorf("%s: lookupKind does not find the row, or the name is not lower-case", k.name)
+		}
+		line := regexp.MustCompile(fmt.Sprintf(`(?m)^//\t        %s +\w+ +%s=N +\(default %d\)$`, k.name, k.size, k.def))
+		if !line.Match(doc) {
+			t.Errorf("%s: doc.go's SKETCH.CREATE entry has no line for the kind with %s=N (default %d)", k.name, k.size, k.def)
+		}
+
+		dflt, sized, loaded := k.name+"-default", k.name+"-sized", k.name+"-loaded"
+		c.must(fmt.Sprintf("SKETCH.CREATE %s %s", dflt, strings.ToUpper(k.name)), "+OK")
+		c.must(fmt.Sprintf("SKETCH.CREATE %s %s %s=%d window=1024 shards=2", sized, k.name, k.size, k.def/4), "+OK")
+		c.must(fmt.Sprintf("SKETCH.CREATE x %s %s=%d", k.name, k.size, k.max+1),
+			fmt.Sprintf("-ERR %s=%d exceeds maximum %d", k.size, k.max+1, k.max))
+		if d, z := get(dflt).Stats().Cells, get(sized).Stats().Cells; d <= z || z == 0 {
+			t.Errorf("%s: %d cells at the default %s, %d at a quarter of it", k.name, d, k.size, z)
+		}
+
+		keys := " 7 7"
+		for key := 100; key < 200; key++ {
+			keys += " " + strconv.Itoa(key)
+		}
+		c.must("MINSERT "+sized+keys, ":102")
+		ask, other, refusal := "SKETCH.QUERY "+sized+" 7", "SKETCH.CARD "+sized,
+			fmt.Sprintf("-ERR %s does not estimate cardinality; use %s", k.name, strings.Join(cardKinds, " or "))
+		if k.card != nil {
+			ask, other, refusal = other, ask, fmt.Sprintf("-ERR %s answers SKETCH.CARD, not SKETCH.QUERY", k.name)
+		}
+		answer, _ := c.try(ask)
+		if v, err := strconv.ParseFloat(strings.TrimLeft(answer, ":+"), 64); err != nil || v < 1 {
+			t.Errorf("%s: %s = %q after the inserts", k.name, ask, answer)
+		}
+		c.must(other, refusal)
+
+		c.must("SKETCH.SAVE "+sized, "+OK")
+		c.must("SKETCH.LOAD "+loaded+" "+sized, "+OK")
+		c.must(strings.Replace(ask, sized, loaded, 1), answer)
+		for _, name := range []string{sized, loaded} {
+			sk := get(name)
+			if a := sk.Audit(); a == nil || a.Snapshot().Kind != k.audit {
+				t.Errorf("%s: %s is not audited as %v", k.name, name, k.audit)
+			}
+			snap, err := sk.structure.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tag, err := she.ShardedSnapshotKind(snap); err != nil || tag != k.name || sk.Kind() != k.name {
+				t.Errorf("%s: %s's snapshot is tagged %q (%v), the sketch says %q", k.name, name, tag, err, sk.Kind())
+			}
+		}
+	}
+}

@@ -26,6 +26,52 @@ var buildInfo = sync.OnceValues(func() (version, goVersion string) {
 	return version, runtime.Version()
 })
 
+// counters declares the server's operational counters, each once: a
+// field is the counter's storage (an update site names it,
+// s.ctr.Commands.Inc()), its tags are its name on INFO and /debug/vars
+// and — behind she_ — on /metrics, and the help line the README's
+// counter table carries (TestCounterReference holds README and doc.go to
+// this list). New reads the tags into Server.ctrRows once, so every
+// counter is listed, at zero, from the first scrape. A new counter is
+// one line here and its line in the two references.
+type counters struct {
+	BatchApplies      obs.Counter `name:"batch_applies_total" help:"batch engine applies (one group commit each)"`
+	BatchCommands     obs.Counter `name:"batch_commands_total" help:"insert commands that went through a batch apply"`
+	BatchKeys         obs.Counter `name:"batch_keys_total" help:"keys that went through a batch apply"`
+	CheckpointErrors  obs.Counter `name:"checkpoint_errors" help:"WAL checkpoints that failed"`
+	Checkpoints       obs.Counter `name:"checkpoints" help:"WAL checkpoints completed"`
+	ClientsKilled     obs.Counter `name:"clients_killed" help:"connections closed by CLIENT KILL"`
+	Commands          obs.Counter `name:"commands_total" help:"commands executed"`
+	ConnsActive       obs.Counter `name:"connections_active" help:"client connections open now (a level)"`
+	ConnsRejected     obs.Counter `name:"connections_rejected" help:"connections refused at -max-conns"`
+	ConnsTotal        obs.Counter `name:"connections_total" help:"client connections accepted"`
+	Errors            obs.Counter `name:"errors_total" help:"commands answered -ERR"`
+	Inserts           obs.Counter `name:"inserts_total" help:"keys inserted"`
+	BusyRejects       obs.Counter `name:"overload_busy_rejects" help:"commands answered -ERR BUSY at -max-inflight"`
+	OOMInserts        obs.Counter `name:"overload_oom_inserts" help:"inserts refused -ERR OOM at the refuse_insert rung"`
+	RefusedCreates    obs.Counter `name:"overload_refused_creates" help:"creates and loads refused -ERR OOM at the refuse_create rung"`
+	SlowlogDropped    obs.Counter `name:"overload_slowlog_dropped" help:"slow commands kept out of the slowlog at the shed_slowlog rung"`
+	OverTransitions   obs.Counter `name:"overload_transitions" help:"overload ladder level changes"`
+	PanicsRecovered   obs.Counter `name:"panics_recovered" help:"handler panics contained to their connection"`
+	ReplApplied       obs.Counter `name:"repl_applied_records" help:"records applied as a follower"`
+	ReplFullSyncs     obs.Counter `name:"repl_full_syncs" help:"replica bootstraps served from a checkpoint"`
+	ReplPartialSyncs  obs.Counter `name:"repl_partial_syncs" help:"replica cursor catch-ups served from the log"`
+	ReplPromotions    obs.Counter `name:"repl_promotions" help:"REPLICAOF NO ONE promotions"`
+	ReplSlowDrops     obs.Counter `name:"repl_slow_replica_drops" help:"replicas disconnected for exceeding -repl-max-lag"`
+	ReplSyncTimeouts  obs.Counter `name:"repl_sync_timeouts" help:"semi-synchronous replica acks that timed out"`
+	SlowCommands      obs.Counter `name:"slow_commands_total" help:"commands at or over -slow-ms"`
+	SnapsLoaded       obs.Counter `name:"snapshots_loaded" help:"snapshots restored by SKETCH.LOAD"`
+	SnapsQuarantined  obs.Counter `name:"snapshots_quarantined" help:"unusable snapshot files set aside as .corrupt"`
+	SnapsSaved        obs.Counter `name:"snapshots_saved" help:"snapshots written by SKETCH.SAVE"`
+	WALBytes          obs.Counter `name:"wal_bytes" help:"WAL bytes since the last checkpoint (a level)"`
+	WALErrors         obs.Counter `name:"wal_errors" help:"WAL appends and syncs that failed"`
+	WALRecords        obs.Counter `name:"wal_records" help:"WAL records appended"`
+	WALReplaySkipped  obs.Counter `name:"wal_replay_skipped" help:"logged records recovery could not apply"`
+	WALReplayed       obs.Counter `name:"wal_replayed_records" help:"logged records replayed at startup"`
+	WALSegsQuarantine obs.Counter `name:"wal_segments_quarantined" help:"corrupt or orphaned WAL segments set aside at startup"`
+	WALTornBytes      obs.Counter `name:"wal_torn_bytes" help:"bytes of torn tail truncated at startup"`
+}
+
 // metricsHandler serves Prometheus text exposition (format version
 // 0.0.4) on the debug listener: operational counters, per-verb command
 // latency histograms, WAL fsync/checkpoint histograms, per-sketch SHE
@@ -52,57 +98,52 @@ func (s *Server) metricsHandler(w http.ResponseWriter, _ *http.Request) {
 		"wal=%q,audit_sample=\"%g\",trace_sample=\"%d\",traffic_sample=\"%d\",max_memory_bytes=\"%d\"",
 		wal, s.cfg.AuditSample, s.tracer.SampleEvery(), s.traffic.SampleEvery(), s.cfg.MaxMemory), 1)
 
-	// Operational counters, one family each. Untyped, not counter: a
-	// metrics.Counter doubles as a gauge (connections_active, wal_bytes
-	// go down), and claiming "counter" for those would be a lie.
-	snap := s.counters.Snapshot()
-	for _, name := range s.counters.Names() {
-		p.Untyped("she_"+obs.SanitizeName(name), "", float64(snap[name]))
+	// Operational counters, one family each. Untyped, not counter: an
+	// obs.Counter doubles as a gauge (connections_active, wal_bytes go
+	// down), and claiming "counter" for those would be a lie.
+	for _, r := range s.ctrRows {
+		p.Untyped("she_"+r.Name, "", float64(r.C.Value()))
 	}
 
-	if s.verbHist != nil {
-		// Every known verb appears, active or not, so dashboards can
-		// query a stable series set from the first scrape.
-		for i := range verbs {
-			labels := fmt.Sprintf("verb=%q", obs.EscapeLabel(verbs[i].name))
-			p.Histogram("she_command_seconds", labels, s.verbHist[i].Snapshot())
-		}
-		p.Histogram("she_wal_fsync_seconds", "", s.walSyncHist.Snapshot())
-		p.Histogram("she_wal_append_seconds", "", s.walAppendHist.Snapshot())
-		p.Histogram("she_wal_checkpoint_seconds", "", s.walChkHist.Snapshot())
+	// Every known verb appears, active or not, so dashboards can query a
+	// stable series set from the first scrape.
+	for i := range verbs {
+		labels := fmt.Sprintf("verb=%q", obs.EscapeLabel(verbs[i].name))
+		p.Histogram("she_command_seconds", labels, s.verbHist[i].Snapshot())
 	}
+	p.Histogram("she_wal_fsync_seconds", "", s.walSyncHist.Snapshot())
+	p.Histogram("she_wal_append_seconds", "", s.walAppendHist.Snapshot())
+	p.Histogram("she_wal_checkpoint_seconds", "", s.walChkHist.Snapshot())
 
-	// Per-sketch SHE introspection gauges. One Stats snapshot per
-	// sketch, reused across families; families stay contiguous (all
-	// series of a family under one # TYPE line), hence the loop per
-	// family rather than per sketch.
+	// Per-sketch SHE introspection gauges, from the listing's one Stats
+	// scan a sketch; families stay contiguous (all series of a family
+	// under one # TYPE line), hence the loop per family rather than per
+	// sketch. The scan is read-only (no lazy cleaning runs), so between
+	// cleanings the fill and age-class numbers include cells a query
+	// would clean on contact — approximate by design.
 	infos := s.reg.List()
-	stats := make([]struct {
-		labels string
-		st     sketchStatsView
-	}, len(infos))
+	labels := make([]string, len(infos))
 	for i, in := range infos {
-		stats[i].labels = fmt.Sprintf("sketch=%q", obs.EscapeLabel(in.Name))
-		stats[i].st = statsView(in)
+		labels[i] = fmt.Sprintf("sketch=%q", obs.EscapeLabel(in.Name))
 	}
 	families := []struct {
 		name  string
-		value func(sketchStatsView) float64
+		value func(*SketchInfo) float64
 	}{
-		{"she_sketch_shards", func(v sketchStatsView) float64 { return float64(v.Shards) }},
-		{"she_sketch_window", func(v sketchStatsView) float64 { return float64(v.Window) }},
-		{"she_sketch_inserts", func(v sketchStatsView) float64 { return float64(v.Inserts) }},
-		{"she_sketch_memory_bits", func(v sketchStatsView) float64 { return float64(v.MemoryBits) }},
-		{"she_sketch_resident_bytes", func(v sketchStatsView) float64 { return float64(v.ResidentBytes) }},
-		{"she_sketch_fill_ratio", func(v sketchStatsView) float64 { return v.FillRatio }},
-		{"she_sketch_cycle_position", func(v sketchStatsView) float64 { return v.CyclePosition }},
-		{"she_sketch_young_cells", func(v sketchStatsView) float64 { return float64(v.Young) }},
-		{"she_sketch_perfect_cells", func(v sketchStatsView) float64 { return float64(v.Perfect) }},
-		{"she_sketch_aged_cells", func(v sketchStatsView) float64 { return float64(v.Aged) }},
+		{"she_sketch_shards", func(in *SketchInfo) float64 { return float64(in.Stats.Shards) }},
+		{"she_sketch_window", func(in *SketchInfo) float64 { return float64(in.Stats.Window) }},
+		{"she_sketch_inserts", func(in *SketchInfo) float64 { return float64(in.Sketch.Inserts()) }},
+		{"she_sketch_memory_bits", func(in *SketchInfo) float64 { return float64(in.Sketch.MemoryBits()) }},
+		{"she_sketch_resident_bytes", func(in *SketchInfo) float64 { return float64(in.Sketch.ResidentBytes()) }},
+		{"she_sketch_fill_ratio", func(in *SketchInfo) float64 { return in.Stats.FillRatio() }},
+		{"she_sketch_cycle_position", func(in *SketchInfo) float64 { return in.Stats.CyclePosition }},
+		{"she_sketch_young_cells", func(in *SketchInfo) float64 { return float64(in.Stats.Young) }},
+		{"she_sketch_perfect_cells", func(in *SketchInfo) float64 { return float64(in.Stats.Perfect) }},
+		{"she_sketch_aged_cells", func(in *SketchInfo) float64 { return float64(in.Stats.Aged) }},
 	}
 	for _, fam := range families {
-		for _, row := range stats {
-			p.Gauge(fam.name, row.labels, fam.value(row.st))
+		for i := range infos {
+			p.Gauge(fam.name, labels[i], fam.value(&infos[i]))
 		}
 	}
 
@@ -262,7 +303,7 @@ func (s *Server) writeAuditMetrics(p *obs.PromWriter, infos []SketchInfo) {
 			p.Gauge(fam.name, row.labels, fam.value(row.st))
 		}
 	}
-	counters := []struct {
+	totals := []struct {
 		name  string
 		kind  audit.Kind
 		value func(audit.Stats) uint64
@@ -275,7 +316,7 @@ func (s *Server) writeAuditMetrics(p *obs.PromWriter, infos []SketchInfo) {
 		{"she_audit_false_positives_total", audit.Membership, func(st audit.Stats) uint64 { return st.FalsePositives }},
 		{"she_audit_card_checks_total", audit.Cardinality, func(st audit.Stats) uint64 { return st.CardChecks }},
 	}
-	for _, fam := range counters {
+	for _, fam := range totals {
 		for _, row := range rows {
 			if fam.kind >= 0 && row.st.Kind != fam.kind {
 				continue
@@ -305,12 +346,10 @@ func (s *Server) writeAuditMetrics(p *obs.PromWriter, infos []SketchInfo) {
 
 // writeOverloadMetrics renders the she_overload_* gauge families:
 // ladder level (0 = none … 4 = refuse_insert), accounted memory vs the
-// budget, and the admission-control occupancy. Counter-shaped overload
-// series (overload_transitions, overload_oom_inserts,
-// overload_refused_creates, overload_busy_rejects,
-// overload_slowlog_dropped) ride the ordinary counter export. Emitted
-// only when a budget or admission cap is configured, so unconfigured
-// servers keep their scrape unchanged.
+// budget, and the admission-control occupancy. The counter-shaped
+// overload_* series are counters rows like any other. Emitted only when
+// a budget or admission cap is configured, so unconfigured servers keep
+// their scrape unchanged.
 func (s *Server) writeOverloadMetrics(p *obs.PromWriter) {
 	if s.cfg.MaxMemory > 0 {
 		p.Gauge("she_overload_level", "", float64(s.overloadLevel()))
@@ -321,48 +360,5 @@ func (s *Server) writeOverloadMetrics(p *obs.PromWriter) {
 	if s.admit != nil {
 		p.Gauge("she_overload_inflight_commands", "", float64(s.admit.n.Load()))
 		p.Gauge("she_overload_max_inflight", "", float64(s.admit.max))
-	}
-}
-
-// sketchStatsView is the flattened per-sketch numbers /metrics and
-// SKETCH.STATS share.
-type sketchStatsView struct {
-	Kind          string
-	Shards        int
-	Window        uint64
-	Tcycle        uint64
-	Inserts       uint64
-	MemoryBits    int
-	ResidentBytes int
-	Cells         int
-	Filled        int
-	FillRatio     float64
-	CyclePosition float64
-	Young         int
-	Perfect       int
-	Aged          int
-}
-
-// statsView snapshots one sketch's SHE state. The Stats call is
-// read-only (no lazy cleaning runs), so between cleanings the fill and
-// age-class numbers include cells a query would clean on contact —
-// approximate by design.
-func statsView(in SketchInfo) sketchStatsView {
-	st := in.Sketch.Stats()
-	return sketchStatsView{
-		Kind:          in.Kind,
-		Shards:        st.Shards,
-		Window:        st.Window,
-		Tcycle:        st.Tcycle,
-		Inserts:       in.Inserts,
-		MemoryBits:    in.MemoryBits,
-		ResidentBytes: in.Sketch.ResidentBytes(),
-		Cells:         st.Cells,
-		Filled:        st.Filled,
-		FillRatio:     st.FillRatio(),
-		CyclePosition: st.CyclePosition,
-		Young:         st.Young,
-		Perfect:       st.Perfect,
-		Aged:          st.Aged,
 	}
 }

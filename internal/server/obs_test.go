@@ -286,25 +286,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestMetricsHistogramsDisabled: with DisableHistograms the latency
-// families vanish but counters and sketch gauges stay.
-func TestMetricsHistogramsDisabled(t *testing.T) {
-	s := startServer(t, server.Config{
-		DebugListen:       "127.0.0.1:0",
-		DisableHistograms: true,
-		Logger:            quiet(),
-	})
-	c := dial(t, s.Addr().String())
-	c.cmd("SKETCH.CREATE q bloom bits=65536 window=4096")
-	body, _ := fetch(t, "http://"+s.DebugAddr().String()+"/metrics")
-	if strings.Contains(body, "she_command_seconds") {
-		t.Error("command histograms present despite DisableHistograms")
-	}
-	if !strings.Contains(body, "she_commands_total") || !strings.Contains(body, `she_sketch_fill_ratio{sketch="q"}`) {
-		t.Error("counters or sketch gauges missing with DisableHistograms")
-	}
-}
-
 // TestDebugEndpointsUnderLoad scrapes /debug/vars and /metrics while
 // clients insert over TCP — under -race this is the data-race check for
 // the whole observability read path (satellite of PR 3).

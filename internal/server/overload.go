@@ -109,19 +109,10 @@ func (s *Server) overloadLevel() overLevel {
 	return overLevel(s.over.level.Load())
 }
 
-// startOverload pre-creates the transition counters (so INFO and
-// /metrics list them from the first scrape) and starts the evaluator.
-// No-op without a memory budget.
+// startOverload starts the evaluator. No-op without a memory budget.
 func (s *Server) startOverload() {
 	if s.cfg.MaxMemory <= 0 {
 		return
-	}
-	for _, name := range []string{
-		"overload_transitions", "overload_oom_inserts",
-		"overload_refused_creates", "overload_busy_rejects",
-		"overload_slowlog_dropped",
-	} {
-		s.counters.Counter(name)
 	}
 	s.evalOverload()
 	s.wg.Add(1)
@@ -196,7 +187,7 @@ func (s *Server) evalOverload() {
 	}
 	if next != old {
 		s.over.level.Store(int32(next))
-		s.counters.Counter("overload_transitions").Inc()
+		s.ctr.OverTransitions.Inc()
 		s.over.slowShed.Store(next >= overShedSlowlog)
 		if next < overShedAudit && old >= overShedAudit {
 			s.forEachAuditor(func(a *audit.Auditor) { a.Restore() })

@@ -50,7 +50,7 @@ func TestAdmissionControlBusy(t *testing.T) {
 	if !ok || !strings.HasPrefix(reply, "-ERR BUSY") {
 		t.Fatalf("PING while slot held = %q (ok=%v), want -ERR BUSY", reply, ok)
 	}
-	if got := s.Counters().Counter("overload_busy_rejects").Value(); got < 1 {
+	if got := s.Counters()["overload_busy_rejects"]; got < 1 {
 		t.Fatalf("overload_busy_rejects = %d, want >= 1", got)
 	}
 

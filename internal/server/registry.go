@@ -13,39 +13,147 @@ import (
 	"she/internal/audit"
 )
 
-// Default SKETCH.CREATE parameters.
+// Default SKETCH.CREATE parameters common to every kind; a kind's size
+// parameter has its default in the kind's row.
 const (
-	DefaultBits      = 1 << 20
-	DefaultCounters  = 1 << 16
-	DefaultRegisters = 4096
-	DefaultWindow    = 1 << 16
-	DefaultShards    = 8
-	DefaultSeed      = 1
+	DefaultWindow = 1 << 16
+	DefaultShards = 8
+	DefaultSeed   = 1
 )
 
-// Upper bounds on client-supplied SKETCH.CREATE parameters. Sizes are
-// totals across shards; the caps keep a single CREATE from allocating
-// unbounded memory on behalf of an unauthenticated client, and keep
-// every size well inside int range so nothing wraps negative on
-// conversion.
+// Upper bounds on client-supplied SKETCH.CREATE parameters, beside the
+// size caps in the kinds' rows. The caps keep a single CREATE from
+// allocating unbounded memory on behalf of an unauthenticated client,
+// and keep every size well inside int range so nothing wraps negative
+// on conversion.
 const (
-	MaxBits      = 1 << 30 // 128 MiB of filter bits
-	MaxCounters  = 1 << 26
-	MaxRegisters = 1 << 24
-	MaxWindow    = 1 << 32
-	MaxShards    = 1 << 12
-	MaxHashes    = 64
+	MaxWindow = 1 << 32
+	MaxShards = 1 << 12
+	MaxHashes = 64
 )
+
+// structure is what every sharded sliding-window structure does alike;
+// what differs from kind to kind is in the kind's row.
+type structure interface {
+	Insert(key uint64)
+	InsertBatch(keys []uint64, sc *she.BatchScratch)
+	Shards() int
+	// MemoryBits is the payload as the paper counts it: cells plus one
+	// mark bit per group. ResidentBytes is what is held allocated — cell
+	// words plus the group clocks' word a group — the figure -max-memory
+	// budgets.
+	MemoryBits() int
+	ResidentBytes() int
+	// Stats snapshots the SHE window state — fill, cleaning cycle
+	// position, young/perfect/aged cell counts — aggregated across
+	// shards. Read-only: it never triggers cleaning, so the numbers are
+	// approximate between cleanings (see she.SketchStats). It visits
+	// every cell under the shard locks; a listing calls it once a sketch.
+	Stats() she.SketchStats
+	MarshalBinary() ([]byte, error)
+}
+
+// kind is one row of the kind table: everything the server knows about
+// a sketch kind, declared once — the sketch analogue of a verbs row. A
+// new kind is one row here and its line under SKETCH.CREATE in doc.go;
+// TestKindTable takes every row through create, insert, answer, save,
+// load and audit.
+type kind struct {
+	// name is the SKETCH.CREATE token, what listings print, and the tag
+	// she.ShardedSnapshotKind reads off the kind's snapshots.
+	name string
+	// size is the SKETCH.CREATE parameter that sizes the structure — a
+	// total across shards — with its default and its cap.
+	size     string
+	def, max uint64
+	build    func(size, shards int, opts she.Options) (structure, error)
+	decode   func(data []byte) (structure, error)
+	// query answers SKETCH.QUERY and card SKETCH.CARD. A kind answers one
+	// of them; nil refuses the verb by the kind's name.
+	query func(st structure, key uint64) int64
+	card  func(st structure) float64
+	// audit is how the accuracy auditor scores the kind, probes the
+	// answers it holds against the exact shadow.
+	audit  audit.Kind
+	probes func(st structure) audit.Probes
+}
+
+var kinds = []kind{{
+	name: "bloom", size: "bits", def: 1 << 20, max: 1 << 30, // at most 128 MiB of filter bits
+	build:  func(n, p int, o she.Options) (structure, error) { return orNil(she.NewShardedBloomFilter(n, p, o)) },
+	decode: func(b []byte) (structure, error) { return orNil(she.UnmarshalShardedBloomFilter(b)) },
+	query: func(st structure, key uint64) int64 { // membership, 0 or 1
+		if st.(*she.ShardedBloomFilter).Query(key) {
+			return 1
+		}
+		return 0
+	},
+	audit:  audit.Membership,
+	probes: func(st structure) audit.Probes { return audit.Probes{Contains: st.(*she.ShardedBloomFilter).Query} },
+}, {
+	name: "cm", size: "counters", def: 1 << 16, max: 1 << 26,
+	build:  func(n, p int, o she.Options) (structure, error) { return orNil(she.NewShardedCountMin(n, p, o)) },
+	decode: func(b []byte) (structure, error) { return orNil(she.UnmarshalShardedCountMin(b)) },
+	query:  func(st structure, key uint64) int64 { return int64(st.(*she.ShardedCountMin).Frequency(key)) },
+	audit:  audit.Frequency,
+	probes: func(st structure) audit.Probes { return audit.Probes{Frequency: st.(*she.ShardedCountMin).Frequency} },
+}, {
+	name: "hll", size: "registers", def: 4096, max: 1 << 24,
+	build:  func(n, p int, o she.Options) (structure, error) { return orNil(she.NewShardedHyperLogLog(n, p, o)) },
+	decode: func(b []byte) (structure, error) { return orNil(she.UnmarshalShardedHyperLogLog(b)) },
+	card:   func(st structure) float64 { return st.(*she.ShardedHyperLogLog).Cardinality() },
+	audit:  audit.Cardinality,
+	probes: func(st structure) audit.Probes {
+		return audit.Probes{Cardinality: st.(*she.ShardedHyperLogLog).Cardinality}
+	},
+}}
+
+// orNil fits a constructor's or decoder's (*T, error) to a row's
+// signature: a nil *T must not become a non-nil structure.
+func orNil[T structure](st T, err error) (structure, error) {
+	if err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// lookupKind returns the row of the named kind, nil for a name with no
+// row. Only creates and loads look a kind up — a Sketch holds its row —
+// so a walk is enough.
+func lookupKind(name string) *kind {
+	for i := range kinds {
+		if kinds[i].name == name {
+			return &kinds[i]
+		}
+	}
+	return nil
+}
+
+// kindList spells the names of the rows — with cardOnly, of those that
+// answer SKETCH.CARD — the way an error text lists alternatives: "bloom,
+// cm or hll".
+func kindList(cardOnly bool) string {
+	var names []string
+	for i := range kinds {
+		if !cardOnly || kinds[i].card != nil {
+			names = append(names, kinds[i].name)
+		}
+	}
+	if n := len(names); n > 1 {
+		return strings.Join(names[:n-1], ", ") + " or " + names[n-1]
+	}
+	return strings.Join(names, "")
+}
 
 // Sketch is one named sketch hosted by the server: a sharded
-// sliding-window structure plus its insert counter. All methods are
+// sliding-window structure — embedded, so what every kind answers alike
+// (Shards, MemoryBits, ResidentBytes, Stats) is the structure's own
+// answer — the row of its kind, and its insert counter. All methods are
 // safe for concurrent use — writes go through the sharded wrappers, so
 // different keys proceed in parallel on different cores.
 type Sketch struct {
-	kind    string
-	bloom   *she.ShardedBloomFilter
-	cm      *she.ShardedCountMin
-	hll     *she.ShardedHyperLogLog
+	structure
+	row     *kind
 	inserts atomic.Uint64
 	// aud, when non-nil, audits this sketch's answers against a
 	// hash-sampled exact shadow (see internal/audit). Attached before
@@ -54,61 +162,18 @@ type Sketch struct {
 	aud *audit.Auditor
 }
 
-// Kind returns "bloom", "cm" or "hll".
-func (sk *Sketch) Kind() string { return sk.kind }
+// Kind returns the name of the sketch's kind: "bloom", "cm" or "hll".
+func (sk *Sketch) Kind() string { return sk.row.name }
 
 // Inserts returns how many keys this sketch has absorbed since it was
 // created or loaded.
 func (sk *Sketch) Inserts() uint64 { return sk.inserts.Load() }
 
-// structure returns the sharded structure behind the sketch, for what
-// every kind answers alike.
-func (sk *Sketch) structure() interface {
-	Shards() int
-	MemoryBits() int
-	ResidentBytes() int
-	Stats() she.SketchStats
-	MarshalBinary() ([]byte, error)
-} {
-	switch sk.kind {
-	case "bloom":
-		return sk.bloom
-	case "cm":
-		return sk.cm
-	default:
-		return sk.hll
-	}
-}
-
-// Shards returns the shard count.
-func (sk *Sketch) Shards() int { return sk.structure().Shards() }
-
-// MemoryBits returns the structure's payload as the paper counts it:
-// cells plus one mark bit per group.
-func (sk *Sketch) MemoryBits() int { return sk.structure().MemoryBits() }
-
-// ResidentBytes returns what the structure holds allocated — cell words
-// plus the group clocks' word a group — the figure -max-memory budgets.
-func (sk *Sketch) ResidentBytes() int { return sk.structure().ResidentBytes() }
-
-// Stats snapshots the structure's SHE window state — fill, cleaning
-// cycle position, young/perfect/aged cell counts — aggregated across
-// shards. Read-only: it never triggers cleaning, so the numbers are
-// approximate between cleanings (see she.SketchStats).
-func (sk *Sketch) Stats() she.SketchStats { return sk.structure().Stats() }
-
 // Insert records key as the next item of the sketch's stream; see
 // InsertBatch, which is what the server itself calls.
 func (sk *Sketch) Insert(key uint64) {
 	n := sk.inserts.Add(1)
-	switch sk.kind {
-	case "bloom":
-		sk.bloom.Insert(key)
-	case "cm":
-		sk.cm.Insert(key)
-	default:
-		sk.hll.Insert(key)
-	}
+	sk.structure.Insert(key)
 	if a := sk.aud; a != nil {
 		a.Observe(key, n)
 	}
@@ -129,30 +194,18 @@ func (sk *Sketch) InsertBatch(keys []uint64, sc *she.BatchScratch) {
 	n := sk.inserts.Add(uint64(len(keys))) - uint64(len(keys))
 	a := sk.aud
 	if a == nil {
-		sk.absorb(keys, sc)
+		sk.structure.InsertBatch(keys, sc)
 		return
 	}
 	pending := 0
 	for i, key := range keys {
 		if a.Sampled(key) {
-			sk.absorb(keys[pending:i+1], sc)
+			sk.structure.InsertBatch(keys[pending:i+1], sc)
 			pending = i + 1
 			a.Observe(key, n+uint64(i)+1)
 		}
 	}
-	sk.absorb(keys[pending:], sc)
-}
-
-// absorb hands keys to the sharded structure.
-func (sk *Sketch) absorb(keys []uint64, sc *she.BatchScratch) {
-	switch sk.kind {
-	case "bloom":
-		sk.bloom.InsertBatch(keys, sc)
-	case "cm":
-		sk.cm.InsertBatch(keys, sc)
-	default:
-		sk.hll.InsertBatch(keys, sc)
-	}
+	sk.structure.InsertBatch(keys[pending:], sc)
 }
 
 // Audit returns the attached accuracy auditor, nil when auditing is
@@ -164,44 +217,25 @@ func (sk *Sketch) Audit() *audit.Auditor { return sk.aud }
 // registry (Insert reads sk.aud without synchronization).
 func (sk *Sketch) attachAudit(cfg audit.Config) {
 	st := sk.Stats()
-	probes := audit.Probes{}
-	var kind audit.Kind
-	switch sk.kind {
-	case "cm":
-		kind = audit.Frequency
-		probes.Frequency = sk.cm.Frequency
-	case "bloom":
-		kind = audit.Membership
-		probes.Contains = sk.bloom.Query
-	default:
-		kind = audit.Cardinality
-		probes.Cardinality = sk.hll.Cardinality
-	}
-	sk.aud = audit.New(kind, cfg, st.Window, st.Tcycle, st.Shards, probes)
+	sk.aud = audit.New(sk.row.audit, cfg, st.Window, st.Tcycle, st.Shards, sk.row.probes(sk.structure))
 }
 
-// Query answers the per-key question the sketch supports: membership
-// (0/1) for bloom, windowed frequency for cm.
+// Query answers the per-key question the sketch's kind supports:
+// membership (0/1) for bloom, windowed frequency for cm.
 func (sk *Sketch) Query(key uint64) (int64, error) {
-	switch sk.kind {
-	case "bloom":
-		if sk.bloom.Query(key) {
-			return 1, nil
-		}
-		return 0, nil
-	case "cm":
-		return int64(sk.cm.Frequency(key)), nil
-	default:
-		return 0, fmt.Errorf("hll answers SKETCH.CARD, not SKETCH.QUERY")
+	if sk.row.query == nil {
+		return 0, fmt.Errorf("%s answers SKETCH.CARD, not SKETCH.QUERY", sk.row.name)
 	}
+	return sk.row.query(sk.structure, key), nil
 }
 
-// Cardinality answers the windowed distinct-count estimate (hll only).
+// Cardinality answers the windowed distinct-count estimate, for the
+// kinds that have one (hll).
 func (sk *Sketch) Cardinality() (float64, error) {
-	if sk.kind != "hll" {
-		return 0, fmt.Errorf("%s does not estimate cardinality; use hll", sk.kind)
+	if sk.row.card == nil {
+		return 0, fmt.Errorf("%s does not estimate cardinality; use %s", sk.row.name, kindList(true))
 	}
-	return sk.hll.Cardinality(), nil
+	return sk.row.card(sk.structure), nil
 }
 
 // Server snapshot envelope: the library's sharded snapshot prefixed
@@ -218,7 +252,7 @@ const (
 // MarshalBinary snapshots the sketch: the server envelope (insert
 // counter) wrapping the library's sharded format.
 func (sk *Sketch) MarshalBinary() ([]byte, error) {
-	payload, err := sk.structure().MarshalBinary()
+	payload, err := sk.structure.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
@@ -239,22 +273,19 @@ func UnmarshalSketch(data []byte) (*Sketch, error) {
 		inserts = binary.LittleEndian.Uint64(data[5:])
 		data = data[envelopeLen:]
 	}
-	kind, err := she.ShardedSnapshotKind(data)
+	name, err := she.ShardedSnapshotKind(data)
 	if err != nil {
 		return nil, err
 	}
-	sk := &Sketch{kind: kind}
-	switch kind {
-	case "bloom":
-		sk.bloom, err = she.UnmarshalShardedBloomFilter(data)
-	case "cm":
-		sk.cm, err = she.UnmarshalShardedCountMin(data)
-	default:
-		sk.hll, err = she.UnmarshalShardedHyperLogLog(data)
+	row := lookupKind(name)
+	if row == nil {
+		return nil, fmt.Errorf("unknown sketch kind %q (want %s)", name, kindList(false))
 	}
+	st, err := row.decode(data)
 	if err != nil {
 		return nil, err
 	}
+	sk := &Sketch{structure: st, row: row}
 	sk.inserts.Store(inserts)
 	return sk, nil
 }
@@ -263,26 +294,22 @@ func UnmarshalSketch(data []byte) (*Sketch, error) {
 // parameters; kv is consumed, and leftover (unknown) parameters are an
 // error.
 func NewSketch(kind string, kv map[string]string) (*Sketch, error) {
-	take := func(key string, def, max uint64) (uint64, error) {
+	// num consumes one integer parameter; the first one that is malformed
+	// or over its cap is the error NewSketch returns.
+	var firstErr error
+	num := func(key string, def, max uint64) uint64 {
 		v, ok := kv[key]
 		if !ok {
-			return def, nil
+			return def
 		}
 		delete(kv, key)
 		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil || n == 0 {
-			return 0, fmt.Errorf("bad %s=%q: want positive integer", key, v)
-		}
-		if n > max {
-			return 0, fmt.Errorf("%s=%d exceeds maximum %d", key, n, max)
-		}
-		return n, nil
-	}
-	var firstErr error
-	num := func(key string, def, max uint64) uint64 {
-		n, err := take(key, def, max)
-		if err != nil && firstErr == nil {
-			firstErr = err
+		switch {
+		case firstErr != nil:
+		case err != nil || n == 0:
+			firstErr = fmt.Errorf("bad %s=%q: want positive integer", key, v)
+		case n > max:
+			firstErr = fmt.Errorf("%s=%d exceeds maximum %d", key, n, max)
 		}
 		return n
 	}
@@ -299,23 +326,15 @@ func NewSketch(kind string, kv map[string]string) (*Sketch, error) {
 		}
 		alpha = f
 	}
-	opts := she.Options{Window: window, Alpha: alpha, Seed: seed, Hashes: int(hashes)}
-
-	sk := &Sketch{kind: strings.ToLower(kind)}
-	var err error
-	switch sk.kind {
-	case "bloom":
-		sk.bloom, err = she.NewShardedBloomFilter(int(num("bits", DefaultBits, MaxBits)), int(shards), opts)
-	case "cm":
-		sk.cm, err = she.NewShardedCountMin(int(num("counters", DefaultCounters, MaxCounters)), int(shards), opts)
-	case "hll":
-		sk.hll, err = she.NewShardedHyperLogLog(int(num("registers", DefaultRegisters, MaxRegisters)), int(shards), opts)
-	default:
-		return nil, fmt.Errorf("unknown sketch kind %q (want bloom, cm or hll)", kind)
+	row := lookupKind(strings.ToLower(kind))
+	if row == nil {
+		return nil, fmt.Errorf("unknown sketch kind %q (want %s)", kind, kindList(false))
 	}
+	size := num(row.size, row.def, row.max)
 	if firstErr != nil {
 		return nil, firstErr
 	}
+	st, err := row.build(int(size), int(shards), she.Options{Window: window, Alpha: alpha, Seed: seed, Hashes: int(hashes)})
 	if err != nil {
 		return nil, err
 	}
@@ -325,9 +344,9 @@ func NewSketch(kind string, kv map[string]string) (*Sketch, error) {
 			unknown = append(unknown, k)
 		}
 		sort.Strings(unknown)
-		return nil, fmt.Errorf("unknown parameters for %s: %s", sk.kind, strings.Join(unknown, ", "))
+		return nil, fmt.Errorf("unknown parameters for %s: %s", row.name, strings.Join(unknown, ", "))
 	}
-	return sk, nil
+	return &Sketch{structure: st, row: row}, nil
 }
 
 // Registry is the server's name → sketch map. The registry lock only
@@ -441,17 +460,15 @@ func (r *Registry) Snapshot() map[string]*Sketch {
 	return out
 }
 
-// SketchInfo is one row of Registry.List: a sketch's identity and the
-// cheap descriptive numbers every listing surface (SKETCH.LIST,
-// SKETCH.STATS *, /metrics, /debug/vars) agrees on.
+// SketchInfo is one row of Registry.List: a sketch under its name, with
+// the one Stats scan of its cells the listing made — every listing
+// surface (SKETCH.LIST, SKETCH.STATS *, /metrics, /debug/vars) renders
+// from it and scans nothing again. The shard count and the window are
+// in Stats; the rest are cheap reads of Sketch.
 type SketchInfo struct {
-	Name       string
-	Kind       string
-	Shards     int
-	Window     uint64
-	Inserts    uint64
-	MemoryBits int
-	Sketch     *Sketch
+	Name   string
+	Stats  she.SketchStats
+	Sketch *Sketch
 }
 
 // List returns a consistent, name-sorted listing of the registered
@@ -460,24 +477,11 @@ type SketchInfo struct {
 // numbers are read afterwards, outside the registry lock.
 func (r *Registry) List() []SketchInfo {
 	sketches := r.Snapshot()
-	names := make([]string, 0, len(sketches))
-	for name := range sketches {
-		names = append(names, name)
+	out := make([]SketchInfo, 0, len(sketches))
+	for name, sk := range sketches {
+		out = append(out, SketchInfo{Name: name, Stats: sk.Stats(), Sketch: sk})
 	}
-	sort.Strings(names)
-	out := make([]SketchInfo, 0, len(names))
-	for _, name := range names {
-		sk := sketches[name]
-		out = append(out, SketchInfo{
-			Name:       name,
-			Kind:       sk.Kind(),
-			Shards:     sk.Shards(),
-			Window:     sk.Stats().Window,
-			Inserts:    sk.Inserts(),
-			MemoryBits: sk.MemoryBits(),
-			Sketch:     sk,
-		})
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

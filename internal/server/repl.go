@@ -96,7 +96,7 @@ func (s *Server) promote() {
 		old.Stop()
 	}
 	if wasReplica {
-		s.counters.Counter("repl_promotions").Inc()
+		s.ctr.ReplPromotions.Inc()
 		s.logger.Info("promoted to primary")
 	}
 }
@@ -237,7 +237,7 @@ func (s *Server) attachReplica(w *bufio.Writer, id string, cursor wal.Cursor) (*
 		}
 		s.chkMu.RUnlock()
 		if err == nil {
-			s.counters.Counter("repl_partial_syncs").Inc()
+			s.ctr.ReplPartialSyncs.Inc()
 			fmt.Fprintf(w, "+CONTINUE %s\n", cursor)
 			return rep, nil
 		}
@@ -288,7 +288,7 @@ func (s *Server) attachReplica(w *bufio.Writer, id string, cursor wal.Cursor) (*
 	if err != nil {
 		return nil, err
 	}
-	s.counters.Counter("repl_full_syncs").Inc()
+	s.ctr.ReplFullSyncs.Inc()
 	fmt.Fprintf(w, "+FULLRESYNC %s %d\n", start, len(files))
 	for _, f := range files {
 		if err := repl.WriteSnapshotFile(w, f.name, f.data); err != nil {
@@ -448,7 +448,7 @@ func (s *Server) streamToReplica(r *bufio.Reader, w *bufio.Writer, rep *repl.Rep
 			// checkpointed away in the meantime.
 			if limit := s.cfg.ReplicaMaxLagBytes; limit > 0 {
 				if lag := s.wal.DistanceBytes(rep.AckedCursor(), cursor); lag > limit {
-					s.counters.Counter("repl_slow_replica_drops").Inc()
+					s.ctr.ReplSlowDrops.Inc()
 					return fmt.Errorf("replica lagging %d bytes (limit %d); disconnecting", lag, limit)
 				}
 			}
@@ -584,7 +584,7 @@ func (t *replTarget) ApplyBurst(recs []repl.Record) error {
 	if err != nil {
 		return err
 	}
-	s.cReplApplied.Add(int64(len(recs)))
+	s.ctr.ReplApplied.Add(int64(len(recs)))
 	s.maybeCheckpoint()
 	return nil
 }

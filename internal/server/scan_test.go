@@ -209,7 +209,7 @@ func traceOf(b *connBatch, w *bufio.Writer, bw *syncWriter) batchTrace {
 	tr := batchTrace{
 		Ngroups: b.ngroups, Cmds: b.cmds, Nkeys: b.nkeys, Admitted: b.admitted, Wrote: bw.wrote,
 		Counts: slices.Clone(b.counts[:]), Handled: b.handled, Keys: b.keys, Last: b.last,
-		Buffer: w.Buffered(), Commands: b.s.cCommands.Value(), Inserts: b.s.cInserts.Value(),
+		Buffer: w.Buffered(), Commands: b.s.ctr.Commands.Value(), Inserts: b.s.ctr.Inserts.Value(),
 	}
 	// Every slot of the backing array, not only the live ones: a group
 	// made and abandoned would keep its *Sketch beyond ngroups.

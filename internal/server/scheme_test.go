@@ -132,7 +132,7 @@ func TestScheme1Checkpoint(t *testing.T) {
 		if _, err := s2.Registry().Get("old"); err == nil {
 			t.Fatal("the scheme-1 snapshot was loaded")
 		}
-		if got := s2.Counters().Counter("snapshots_quarantined").Value(); got != 1 {
+		if got := s2.Counters()["snapshots_quarantined"]; got != 1 {
 			t.Fatalf("snapshots_quarantined = %d, want 1", got)
 		}
 		if l := logs.String(); !strings.Contains(l, "snapshot unusable") || !strings.Contains(l, "position scheme 1") {
@@ -145,7 +145,7 @@ func TestScheme1Checkpoint(t *testing.T) {
 		// The insert into the refused sketch is a record for a sketch
 		// that is not there: skipped, as after any quarantined
 		// checkpoint file.
-		if got := s2.Counters().Counter("wal_replay_skipped").Value(); tc.cfg.WALDir != "" && got != 1 {
+		if got := s2.Counters()["wal_replay_skipped"]; tc.cfg.WALDir != "" && got != 1 {
 			t.Fatalf("wal_replay_skipped = %d, want 1", got)
 		}
 	}

@@ -16,7 +16,6 @@ import (
 
 	"she/internal/audit"
 	"she/internal/failfs"
-	"she/internal/metrics"
 	"she/internal/obs"
 	obslog "she/internal/obs/log"
 	"she/internal/obs/traffic"
@@ -93,10 +92,6 @@ type Config struct {
 	// audit.DefaultMaxKeys. When the cap binds, the shadow spans a
 	// shorter effective window (reported as audit coverage < 1).
 	AuditMaxKeys int
-	// DisableHistograms turns off per-command and WAL latency
-	// histograms (and their clock reads). The comparative benchmark
-	// measures exactly this switch; production servers leave it off.
-	DisableHistograms bool
 	// TraceSample enables request tracing: one command in every
 	// TraceSample gets a Dapper-style trace with child spans for
 	// parse, mutation, WAL append, group-commit fsync, replication
@@ -187,25 +182,28 @@ const defaultSlowLogSize = 128
 // Server hosts a registry of named sketches behind a TCP listener, one
 // goroutine per connection.
 type Server struct {
-	cfg      Config
-	reg      *Registry
-	counters *metrics.CounterSet
-	start    time.Time
+	cfg   Config
+	reg   *Registry
+	start time.Time
+
+	// ctr is every operational counter (see counters), in an allocation
+	// of its own so the adds of every drain do not share a cache line
+	// with the fields below that every command reads; ctrRows lists the
+	// same fields by name, sorted, for the surfaces that show them all.
+	ctr     *counters
+	ctrRows []obs.CounterRow
 
 	// verbHist holds one latency histogram per row of the verb table
 	// (OTHER is every unknown name), indexed like it. Built once in New and
 	// read-only afterwards, so the hot path indexes and records without
-	// locks; nil when Config.DisableHistograms is set.
+	// locks.
 	verbHist []*obs.Histogram
-	// walSyncHist and walChkHist time WAL fsyncs and checkpoints; nil
-	// without a WAL or with histograms disabled.
-	walSyncHist *obs.Histogram
-	walChkHist  *obs.Histogram
-	// walAppendHist times WAL appends (no fsync); nil with histograms
-	// disabled.
-	walAppendHist *obs.Histogram
-	slow          *obs.SlowLog
-	logger        *obslog.Logger
+	// walSyncHist, walChkHist and walAppendHist time WAL fsyncs,
+	// checkpoints and appends (no fsync).
+	walSyncHist, walChkHist, walAppendHist *obs.Histogram
+
+	slow   *obs.SlowLog
+	logger *obslog.Logger
 
 	// tracer owns request-trace sampling and retention. Always
 	// non-nil: TRACE SAMPLE can enable tracing at runtime and a
@@ -217,8 +215,7 @@ type Server struct {
 	ship shipTable
 	// exemplars holds, per verb, the most recent sampled command's
 	// trace ID and duration — the histogram-to-trace link exported as
-	// she_trace_exemplar_seconds. Indexed like verbHist; nil when
-	// histograms are disabled.
+	// she_trace_exemplar_seconds. Indexed like verbHist.
 	exemplars []atomic.Pointer[traceExemplar]
 	// traffic owns self-telemetry: the 1-in-N command sampler feeding
 	// per-sketch hot-key trackers and the MONITOR hub, plus the
@@ -249,27 +246,6 @@ type Server struct {
 	// isReplica mirrors replPrimary != "" for the batch fast path,
 	// which cannot afford the replMu acquisition per command.
 	isReplica atomic.Bool
-
-	// Cached counter pointers for the per-command and per-batch
-	// sites: CounterSet.Counter takes a mutex and hashes the name, so
-	// the warm paths must not call it.
-	cCommands      *metrics.Counter
-	cInserts       *metrics.Counter
-	cWALRecords    *metrics.Counter
-	cWALBytes      *metrics.Counter
-	cWALErrors     *metrics.Counter
-	cWALReplayed   *metrics.Counter
-	cCheckpoints   *metrics.Counter
-	cReplApplied   *metrics.Counter
-	cReplTimeouts  *metrics.Counter
-	cBatchApplies  *metrics.Counter
-	cBatchCommands *metrics.Counter
-	cBatchKeys     *metrics.Counter
-	cErrors        *metrics.Counter
-	cSlowCommands  *metrics.Counter
-	cBusyRejects   *metrics.Counter
-	cConnsTotal    *metrics.Counter
-	cConnsActive   *metrics.Counter
 
 	// over is the overload-protection state; admit is the admission
 	// semaphore (nil without Config.MaxInflight).
@@ -318,43 +294,25 @@ func New(cfg Config) *Server {
 			MaxKeys:    cfg.AuditMaxKeys,
 			Seed:       auditSeed,
 		}),
-		counters: metrics.NewCounterSet(),
-		tracker:  repl.NewTracker(),
-		done:     make(chan struct{}),
-		conns:    make(map[net.Conn]struct{}),
-		fs:       fsys,
-		slow:     obs.NewSlowLog(size),
-		logger:   logger.With("component", "server"),
+		ctr:           new(counters),
+		verbHist:      make([]*obs.Histogram, numVerbs),
+		walSyncHist:   &obs.Histogram{},
+		walChkHist:    &obs.Histogram{},
+		walAppendHist: &obs.Histogram{},
+		exemplars:     make([]atomic.Pointer[traceExemplar], numVerbs),
+		tracker:       repl.NewTracker(),
+		done:          make(chan struct{}),
+		conns:         make(map[net.Conn]struct{}),
+		fs:            fsys,
+		slow:          obs.NewSlowLog(size),
+		logger:        logger.With("component", "server"),
 	}
-	s.cCommands = s.counters.Counter("commands_total")
-	s.cInserts = s.counters.Counter("inserts_total")
-	s.cWALRecords = s.counters.Counter("wal_records")
-	s.cWALBytes = s.counters.Counter("wal_bytes")
-	s.cWALErrors = s.counters.Counter("wal_errors")
-	s.cWALReplayed = s.counters.Counter("wal_replayed_records")
-	s.cCheckpoints = s.counters.Counter("checkpoints")
-	s.cReplApplied = s.counters.Counter("repl_applied_records")
-	s.cReplTimeouts = s.counters.Counter("repl_sync_timeouts")
-	s.cBatchApplies = s.counters.Counter("batch_applies_total")
-	s.cBatchCommands = s.counters.Counter("batch_commands_total")
-	s.cBatchKeys = s.counters.Counter("batch_keys_total")
-	s.cErrors = s.counters.Counter("errors_total")
-	s.cSlowCommands = s.counters.Counter("slow_commands_total")
-	s.cBusyRejects = s.counters.Counter("overload_busy_rejects")
-	s.cConnsTotal = s.counters.Counter("connections_total")
-	s.cConnsActive = s.counters.Counter("connections_active")
+	s.ctrRows = obs.CounterRows(s.ctr)
+	for i := range s.verbHist {
+		s.verbHist[i] = &obs.Histogram{}
+	}
 	if cfg.MaxInflight > 0 {
 		s.admit = newAdmission(cfg.MaxInflight)
-	}
-	if !cfg.DisableHistograms {
-		s.verbHist = make([]*obs.Histogram, numVerbs)
-		for i := range s.verbHist {
-			s.verbHist[i] = &obs.Histogram{}
-		}
-		s.walSyncHist = &obs.Histogram{}
-		s.walChkHist = &obs.Histogram{}
-		s.walAppendHist = &obs.Histogram{}
-		s.exemplars = make([]atomic.Pointer[traceExemplar], numVerbs)
 	}
 	// The seed keeps two nodes started in the same process (tests) or
 	// at the same wall instant from minting colliding trace IDs.
@@ -378,8 +336,15 @@ var traceSeedSalt atomic.Uint64
 // Registry exposes the sketch registry (tests, embedders).
 func (s *Server) Registry() *Registry { return s.reg }
 
-// Counters exposes the operational counters.
-func (s *Server) Counters() *metrics.CounterSet { return s.counters }
+// Counters snapshots every operational counter, name → value: what
+// /debug/vars serves, and how tests read one.
+func (s *Server) Counters() map[string]int64 {
+	out := make(map[string]int64, len(s.ctrRows))
+	for _, r := range s.ctrRows {
+		out[r.Name] = r.C.Value()
+	}
+	return out
+}
 
 // Tracer exposes the request tracer (tests, embedders).
 func (s *Server) Tracer() *xtrace.Tracer { return s.tracer }
@@ -470,7 +435,7 @@ func (s *Server) acceptLoop() {
 		}
 		if n := s.numConns.Add(1); s.cfg.MaxConns > 0 && n > int64(s.cfg.MaxConns) {
 			s.numConns.Add(-1)
-			s.counters.Counter("connections_rejected").Inc()
+			s.ctr.ConnsRejected.Inc()
 			conn.SetWriteDeadline(time.Now().Add(time.Second))
 			io.WriteString(conn, "-ERR too many connections\n")
 			conn.Close()
@@ -641,7 +606,7 @@ func (s *Server) debugVars(w http.ResponseWriter, _ *http.Request) {
 		Sketches       map[string]sketchInfo `json:"sketches"`
 	}{
 		UptimeSeconds: uptime,
-		Counters:      s.counters.Snapshot(),
+		Counters:      s.Counters(),
 		Sketches:      make(map[string]sketchInfo),
 	}
 	if uptime > 0 {
@@ -649,10 +614,10 @@ func (s *Server) debugVars(w http.ResponseWriter, _ *http.Request) {
 	}
 	for _, in := range s.reg.List() {
 		out.Sketches[in.Name] = sketchInfo{
-			Kind:       in.Kind,
-			Shards:     in.Shards,
-			Inserts:    in.Inserts,
-			MemoryBits: in.MemoryBits,
+			Kind:       in.Sketch.Kind(),
+			Shards:     in.Stats.Shards,
+			Inserts:    in.Sketch.Inserts(),
+			MemoryBits: in.Sketch.MemoryBits(),
 		}
 	}
 	json.NewEncoder(w).Encode(out)

@@ -194,9 +194,6 @@ func (s *Server) writeTraceMetrics(p *obs.PromWriter) {
 	p.Counter("she_trace_joined_total", "", float64(st.Joined))
 	p.Counter("she_trace_finished_total", "", float64(st.Finished))
 	p.Counter("she_trace_evicted_total", "", float64(st.Evicted))
-	if s.exemplars == nil {
-		return
-	}
 	for i := range verbs {
 		ex := s.exemplars[i].Load()
 		if ex == nil {

@@ -107,7 +107,7 @@ func (c *conn) cmdClient(cmd Command) error {
 			return fmt.Errorf("CLIENT KILL: %s is a replication link; refusing (slow replicas are evicted via -repl-max-lag)", cmd.Args[1])
 		}
 		victim.Kill()
-		s.counters.Counter("clients_killed").Inc()
+		s.ctr.ClientsKilled.Inc()
 		writeSimple(w, "OK")
 	case "GETNAME":
 		if len(cmd.Args) != 1 {

@@ -247,7 +247,7 @@ func TestClientListAfterFastPipeline(t *testing.T) {
 			t.Errorf("CLIENT LIST row %q lacks %q", row, want)
 		}
 	}
-	if got := s.Counters().Counter("commands_total").Value(); got != 4*n+3 {
+	if got := s.Counters()["commands_total"]; got != 4*n+3 {
 		t.Errorf("commands_total = %d, want %d", got, 4*n+3)
 	}
 }

@@ -667,9 +667,9 @@ var transcripts = []transcript{
 *1
 +id=# addr=ADDR name=me age=# idle=# in=# out=# cmds=121 keys=14 batches=10 verb=CLIENT replica=false monitor=false per_verb=CLIENT:15,HOTKEYS:4,MINSERT:5,OTHER:2,PING:3,REPLCONF:3,REPLICAOF:6,ROLE:2,SKETCH.AUDIT:8,SKETCH.CARD:5,SKETCH.CREATE:9,SKETCH.DROP:4,SKETCH.INSERT:5,SKETCH.LIST:2,SKETCH.LOAD:5,SKETCH.QUERY:10,SKETCH.SAVE:6,SKETCH.STATS:5,SLOWLOG:9,TRACE:13
 > INFO
-*keys: uptime_seconds role sketches connected_replicas clients_connected clients_monitor clients_bytes_in clients_bytes_out traffic_sample traffic_sampled_total monitor_dropped_total commands_per_sec batch_applies_total batch_commands_total batch_keys_total checkpoints commands_total connections_active connections_total errors_total inserts_total overload_busy_rejects repl_applied_records repl_sync_timeouts slow_commands_total snapshots_loaded snapshots_saved wal_bytes wal_errors wal_records wal_replayed_records
+*keys: uptime_seconds role sketches connected_replicas clients_connected clients_monitor clients_bytes_in clients_bytes_out traffic_sample traffic_sampled_total monitor_dropped_total commands_per_sec batch_applies_total batch_commands_total batch_keys_total checkpoint_errors checkpoints clients_killed commands_total connections_active connections_rejected connections_total errors_total inserts_total overload_busy_rejects overload_oom_inserts overload_refused_creates overload_slowlog_dropped overload_transitions panics_recovered repl_applied_records repl_full_syncs repl_partial_syncs repl_promotions repl_slow_replica_drops repl_sync_timeouts slow_commands_total snapshots_loaded snapshots_quarantined snapshots_saved wal_bytes wal_errors wal_records wal_replay_skipped wal_replayed_records wal_segments_quarantined wal_torn_bytes
 > INFO extra
-*keys: uptime_seconds role sketches connected_replicas clients_connected clients_monitor clients_bytes_in clients_bytes_out traffic_sample traffic_sampled_total monitor_dropped_total commands_per_sec batch_applies_total batch_commands_total batch_keys_total checkpoints commands_total connections_active connections_total errors_total inserts_total overload_busy_rejects repl_applied_records repl_sync_timeouts slow_commands_total snapshots_loaded snapshots_saved wal_bytes wal_errors wal_records wal_replayed_records
+*keys: uptime_seconds role sketches connected_replicas clients_connected clients_monitor clients_bytes_in clients_bytes_out traffic_sample traffic_sampled_total monitor_dropped_total commands_per_sec batch_applies_total batch_commands_total batch_keys_total checkpoint_errors checkpoints clients_killed commands_total connections_active connections_rejected connections_total errors_total inserts_total overload_busy_rejects overload_oom_inserts overload_refused_creates overload_slowlog_dropped overload_transitions panics_recovered repl_applied_records repl_full_syncs repl_partial_syncs repl_promotions repl_slow_replica_drops repl_sync_timeouts slow_commands_total snapshots_loaded snapshots_quarantined snapshots_saved wal_bytes wal_errors wal_records wal_replay_skipped wal_replayed_records wal_segments_quarantined wal_torn_bytes
 > QUIT extra
 +OK
 ~ closed

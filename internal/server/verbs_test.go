@@ -6,6 +6,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"she/internal/obs"
 )
 
 // TestVerbTable holds the command table to the invariants the loop and
@@ -66,6 +68,30 @@ func TestVerbTable(t *testing.T) {
 	}
 }
 
+// reference holds one list of a reference document to the table it
+// documents: what entry captures between from and to in file, spelled
+// by tmpl (a regexp template: "$1"), must be exactly want.
+func reference(t *testing.T, file, from, to string, entry *regexp.Regexp, tmpl string, want []string) {
+	t.Helper()
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, text, ok := strings.Cut(string(data), from)
+	if !ok {
+		t.Fatalf("%s: no %q", file, from)
+	}
+	text, _, _ = strings.Cut(text, to)
+	var got []string
+	for _, m := range entry.FindAllStringSubmatchIndex(text, -1) {
+		got = append(got, string(entry.ExpandString(nil, tmpl, text, m)))
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("%s lists\n%s\nthe table declares\n%s", file, strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 // TestVerbReference: the Commands list of doc.go and the verb reference
 // of the README name exactly the table's verbs, each with the table's
 // usage string.
@@ -75,26 +101,23 @@ func TestVerbReference(t *testing.T) {
 		want = append(want, v.usage)
 	}
 	slices.Sort(want)
-	section := func(file, from, to string, heading *regexp.Regexp) {
-		t.Helper()
-		data, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
+	reference(t, "doc.go", "// Commands ", "// Example session", regexp.MustCompile(`(?m)^//\t([A-Z].*)$`), "$1", want)
+	reference(t, "../../README.md", "### Verb reference", "\n```\n\n", regexp.MustCompile(`(?m)^([A-Z][A-Z.]+( .*)?)$`), "$1", want)
+}
+
+// TestCounterReference: the operational-counter lists of doc.go and the
+// README name exactly the declared counters, each with the help line of
+// its declaration. The names are in the Prometheus alphabet as declared,
+// so no surface sanitises them.
+func TestCounterReference(t *testing.T) {
+	var want []string
+	alphabet := regexp.MustCompile(`^[a-z][a-z_]*$`)
+	for _, r := range obs.CounterRows(new(counters)) {
+		if !alphabet.MatchString(r.Name) || r.Help == "" {
+			t.Errorf("counter %q: the name is outside [a-z_], or there is no help line", r.Name)
 		}
-		_, text, ok := strings.Cut(string(data), from)
-		if !ok {
-			t.Fatalf("%s: no %q", file, from)
-		}
-		text, _, _ = strings.Cut(text, to)
-		var got []string
-		for _, m := range heading.FindAllStringSubmatch(text, -1) {
-			got = append(got, m[1])
-		}
-		slices.Sort(got)
-		if !slices.Equal(got, want) {
-			t.Errorf("%s lists\n%s\nthe verb table declares\n%s", file, strings.Join(got, "\n"), strings.Join(want, "\n"))
-		}
+		want = append(want, "she_"+r.Name+" "+r.Help)
 	}
-	section("doc.go", "// Commands ", "// Example session", regexp.MustCompile(`(?m)^//\t([A-Z].*)$`))
-	section("../../README.md", "### Verb reference", "\n```\n\n", regexp.MustCompile(`(?m)^([A-Z][A-Z.]+( .*)?)$`))
+	reference(t, "doc.go", "// The operational counters", "// Command timing", regexp.MustCompile(`(?m)^//\t(she_\w+) +(.*)$`), "$1 $2", want)
+	reference(t, "../../README.md", "| Counter | Meaning |", "\n\n", regexp.MustCompile("(?m)^  \\| `(she_\\w+)` \\| (.*) \\|$"), "$1 $2", want)
 }
