@@ -26,7 +26,7 @@ type shardSketch interface {
 	MemoryBits() int
 	ResidentBytes() int
 	Stats() SketchStats
-	MarshalBinary() ([]byte, error)
+	AppendBinary(dst []byte) ([]byte, error)
 }
 
 // shard is one partition and the mutex that serializes it, padded to a

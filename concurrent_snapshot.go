@@ -15,19 +15,21 @@ import (
 //	kind   uint8    1=bloom 2=cm 3=hll
 //	salt   uint64   shard-routing salt
 //	shards uint32   shard count P
-//	per shard: uint32 length + that shard's MarshalBinary bytes
+//	per shard: uint32 length + that shard's snapshot (internal/core)
 //
-// MarshalBinary locks each shard while that shard is encoded, so every
-// shard's snapshot is internally consistent; the snapshot as a whole is
-// shard-sequential (concurrent writers may land between shards). A
-// restored structure routes every key to the same shard and answers
-// every per-key query exactly as the original would.
+// AppendBinary writes the whole snapshot into the caller's buffer in one
+// pass: it reserves a shard's length word, appends the shard behind it
+// and then fills the length in. It locks each shard while that shard is
+// encoded, so every shard's snapshot is internally consistent; the
+// snapshot as a whole is shard-sequential (concurrent writers may land
+// between shards). A restored structure routes every key to the same
+// shard and answers every per-key query exactly as the original would.
 //
 // This format carries no checksum of its own: it trusts its bytes, and
 // a bit flip in a length field could misalign every later shard.
 // Durable consumers must wrap it in an integrity envelope — shed seals
-// every snapshot file with internal/wal's CRC32C envelope (wal.Seal)
-// and verifies it before these bytes are ever parsed.
+// every snapshot file with internal/wal's CRC32C envelope, around its
+// own "SHED" header, and verifies it before these bytes are ever parsed.
 
 const shardedMagic = "SHES"
 
@@ -55,23 +57,6 @@ func ShardedSnapshotKind(data []byte) (string, error) {
 		return "hll", nil
 	}
 	return "", fmt.Errorf("she: unknown sharded snapshot kind %d", data[4])
-}
-
-func marshalSharded(kind byte, salt uint64, shards [][]byte) []byte {
-	size := 4 + 1 + 8 + 4
-	for _, b := range shards {
-		size += 4 + len(b)
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, shardedMagic...)
-	buf = append(buf, kind)
-	buf = binary.LittleEndian.AppendUint64(buf, salt)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(shards)))
-	for _, b := range shards {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
-		buf = append(buf, b...)
-	}
-	return buf
 }
 
 func unmarshalSharded(wantKind byte, data []byte) (salt uint64, shards [][]byte, err error) {
@@ -111,21 +96,28 @@ func unmarshalSharded(wantKind byte, data []byte) (salt uint64, shards [][]byte,
 	return salt, shards, nil
 }
 
-// marshal snapshots the structure under the given kind tag: the
-// routing salt plus every shard's full state.
-func (s *sharded[T]) marshal(kind byte) ([]byte, error) {
-	blobs := make([][]byte, len(s.shards))
+// appendBinary appends the snapshot under the given kind tag: the
+// routing salt, then every shard behind its length word. A shard is
+// encoded in place, under its lock, and its length filled in after.
+func (s *sharded[T]) appendBinary(dst []byte, kind byte) ([]byte, error) {
+	dst = append(dst, shardedMagic...)
+	dst = append(dst, kind)
+	dst = binary.LittleEndian.AppendUint64(dst, s.salt)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.shards)))
 	for i := range s.shards {
+		at := len(dst)
+		dst = append(dst, 0, 0, 0, 0)
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		b, err := sh.s.MarshalBinary()
+		var err error
+		dst, err = sh.s.AppendBinary(dst)
 		sh.mu.Unlock()
 		if err != nil {
 			return nil, err
 		}
-		blobs[i] = b
+		binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
 	}
-	return marshalSharded(kind, s.salt, blobs), nil
+	return dst, nil
 }
 
 // unmarshalShards restores a structure of the given kind, decoding
@@ -146,7 +138,12 @@ func unmarshalShards[T shardSketch](kind byte, data []byte, decode func([]byte) 
 
 // MarshalBinary snapshots the filter: the routing salt plus every
 // shard's full state.
-func (s *ShardedBloomFilter) MarshalBinary() ([]byte, error) { return s.marshal(shardedKindBloom) }
+func (s *ShardedBloomFilter) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
+
+// AppendBinary appends MarshalBinary's snapshot to dst.
+func (s *ShardedBloomFilter) AppendBinary(dst []byte) ([]byte, error) {
+	return s.appendBinary(dst, shardedKindBloom)
+}
 
 // UnmarshalShardedBloomFilter restores a filter from a snapshot.
 func UnmarshalShardedBloomFilter(data []byte) (*ShardedBloomFilter, error) {
@@ -159,7 +156,12 @@ func UnmarshalShardedBloomFilter(data []byte) (*ShardedBloomFilter, error) {
 
 // MarshalBinary snapshots the sketch: the routing salt plus every
 // shard's full state.
-func (s *ShardedCountMin) MarshalBinary() ([]byte, error) { return s.marshal(shardedKindCM) }
+func (s *ShardedCountMin) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
+
+// AppendBinary appends MarshalBinary's snapshot to dst.
+func (s *ShardedCountMin) AppendBinary(dst []byte) ([]byte, error) {
+	return s.appendBinary(dst, shardedKindCM)
+}
 
 // UnmarshalShardedCountMin restores a sketch from a snapshot.
 func UnmarshalShardedCountMin(data []byte) (*ShardedCountMin, error) {
@@ -172,7 +174,12 @@ func UnmarshalShardedCountMin(data []byte) (*ShardedCountMin, error) {
 
 // MarshalBinary snapshots the estimator: the routing salt plus every
 // shard's full state.
-func (s *ShardedHyperLogLog) MarshalBinary() ([]byte, error) { return s.marshal(shardedKindHLL) }
+func (s *ShardedHyperLogLog) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
+
+// AppendBinary appends MarshalBinary's snapshot to dst.
+func (s *ShardedHyperLogLog) AppendBinary(dst []byte) ([]byte, error) {
+	return s.appendBinary(dst, shardedKindHLL)
+}
 
 // UnmarshalShardedHyperLogLog restores an estimator from a snapshot.
 func UnmarshalShardedHyperLogLog(data []byte) (*ShardedHyperLogLog, error) {

@@ -24,7 +24,10 @@ import (
 //
 // Snapshots are self-describing and validated on load; a snapshot
 // restores an identical structure (same answers to every future query),
-// which the tests enforce.
+// which the tests enforce. The encoder appends to the caller's buffer,
+// so an outer format (the root package's sharded snapshot, and around
+// it shed's file) lays a structure down in place, behind its own
+// header, with no copy.
 
 const snapshotMagic = "SHE2"
 
@@ -50,7 +53,9 @@ func (e *snapEncoder) u32(v uint32)  { e.buf = binary.LittleEndian.AppendUint32(
 func (e *snapEncoder) u64(v uint64)  { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 func (e *snapEncoder) f64(v float64) { e.u64(math.Float64bits(v)) }
 
-func (e *snapEncoder) header(kind byte, cfg WindowConfig, tick uint64) {
+// header writes the common header, then the structure's geometry
+// fields.
+func (e *snapEncoder) header(kind byte, cfg WindowConfig, tick uint64, geom ...int) {
 	e.buf = append(e.buf, snapshotMagic...)
 	e.u8(kind)
 	e.u64(cfg.N)
@@ -58,30 +63,35 @@ func (e *snapEncoder) header(kind byte, cfg WindowConfig, tick uint64) {
 	e.f64(cfg.Beta)
 	e.u64(cfg.Seed)
 	e.u64(tick)
+	for _, g := range geom {
+		e.u32(uint32(g))
+	}
 }
 
-func (e *snapEncoder) marks(gc *groupClock) {
-	n := gc.groups()
-	e.u32(uint32(n))
-	var cur byte
-	for i := 0; i < n; i++ {
-		if gc.mark(i) {
-			cur |= 1 << (i % 8)
+// state writes the marks of each clock, then the words of each array.
+func (e *snapEncoder) state(clocks []*groupClock, arrays ...[]uint64) {
+	for _, gc := range clocks {
+		n := gc.groups()
+		e.u32(uint32(n))
+		var cur byte
+		for i := 0; i < n; i++ {
+			if gc.mark(i) {
+				cur |= 1 << (i % 8)
+			}
+			if i%8 == 7 {
+				e.u8(cur)
+				cur = 0
+			}
 		}
-		if i%8 == 7 {
+		if n%8 != 0 {
 			e.u8(cur)
-			cur = 0
 		}
 	}
-	if n%8 != 0 {
-		e.u8(cur)
-	}
-}
-
-func (e *snapEncoder) words(ws []uint64) {
-	e.u32(uint32(len(ws)))
-	for _, w := range ws {
-		e.u64(w)
+	for _, ws := range arrays {
+		e.u32(uint32(len(ws)))
+		for _, w := range ws {
+			e.u64(w)
+		}
 	}
 }
 
@@ -119,75 +129,96 @@ func (d *snapDecoder) f64() (float64, error) {
 	return math.Float64frombits(v), err
 }
 
-func (d *snapDecoder) header(wantKind byte) (cfg WindowConfig, tick uint64, err error) {
+// header reads the common header of a snapshot of the wanted kind, then
+// its n geometry fields.
+func (d *snapDecoder) header(wantKind byte, n int) (cfg WindowConfig, tick uint64, geom []uint32, err error) {
 	if len(d.buf) >= 4 && string(d.buf[:4]) == "SHE1" {
-		return cfg, 0, ErrHashScheme
+		return cfg, 0, nil, ErrHashScheme
 	}
 	if len(d.buf) < 4 || string(d.buf[:4]) != snapshotMagic {
-		return cfg, 0, fmt.Errorf("core: bad snapshot magic")
+		return cfg, 0, nil, fmt.Errorf("core: bad snapshot magic")
 	}
 	d.buf = d.buf[4:]
 	kind, err := d.u8()
 	if err != nil {
-		return cfg, 0, err
+		return cfg, 0, nil, err
 	}
 	if kind != wantKind {
-		return cfg, 0, fmt.Errorf("core: snapshot holds kind %d, want %d", kind, wantKind)
+		return cfg, 0, nil, fmt.Errorf("core: snapshot holds kind %d, want %d", kind, wantKind)
 	}
 	if cfg.N, err = d.u64(); err != nil {
-		return cfg, 0, err
+		return cfg, 0, nil, err
 	}
 	if cfg.Alpha, err = d.f64(); err != nil {
-		return cfg, 0, err
+		return cfg, 0, nil, err
 	}
 	if cfg.Beta, err = d.f64(); err != nil {
-		return cfg, 0, err
+		return cfg, 0, nil, err
 	}
 	if cfg.Seed, err = d.u64(); err != nil {
-		return cfg, 0, err
+		return cfg, 0, nil, err
 	}
 	if tick, err = d.u64(); err != nil {
-		return cfg, 0, err
+		return cfg, 0, nil, err
 	}
-	return cfg, tick, cfg.Validate()
-}
-
-func (d *snapDecoder) marks(gc *groupClock) error {
-	n, err := d.u32()
-	if err != nil {
-		return err
+	if err = cfg.Validate(); err != nil {
+		return cfg, 0, nil, err
 	}
-	if int(n) != gc.groups() {
-		return fmt.Errorf("core: snapshot has %d marks, structure has %d", n, gc.groups())
-	}
-	bytes := (int(n) + 7) / 8
-	if len(d.buf) < bytes {
-		return errSnapshot
-	}
-	for i := 0; i < int(n); i++ {
-		gc.setMark(i, d.buf[i/8]&(1<<(i%8)) != 0)
-	}
-	d.buf = d.buf[bytes:]
-	return nil
-}
-
-func (d *snapDecoder) words(ws []uint64) error {
-	n, err := d.u32()
-	if err != nil {
-		return err
-	}
-	if int(n) != len(ws) {
-		return fmt.Errorf("core: snapshot has %d words, structure has %d", n, len(ws))
-	}
-	for i := range ws {
-		if ws[i], err = d.u64(); err != nil {
-			return err
+	geom = make([]uint32, n)
+	for i := range geom {
+		if geom[i], err = d.u32(); err != nil {
+			return cfg, 0, nil, err
 		}
 	}
+	return cfg, tick, geom, nil
+}
+
+// fits refuses, before anything that size is allocated, a geometry
+// whose cells — bits in all — could not be in what is left of the
+// snapshot, or whose hash family outnumbers them: a damaged header must
+// not make a decoder allocate more than a small multiple of its input.
+func (d *snapDecoder) fits(bits uint64, hashes uint32) error {
+	if bits > 8*uint64(len(d.buf)) || uint64(hashes) > bits {
+		return fmt.Errorf("core: snapshot geometry (%d cell bits, %d hashes) does not fit its %d bytes", bits, hashes, len(d.buf))
+	}
 	return nil
 }
 
-func (d *snapDecoder) done() error {
+// state reads the marks of each clock, then the words of each array,
+// into the structure the header's geometry built, and requires that
+// nothing follows.
+func (d *snapDecoder) state(clocks []*groupClock, arrays ...[]uint64) error {
+	for _, gc := range clocks {
+		n, err := d.u32()
+		if err != nil {
+			return err
+		}
+		if int(n) != gc.groups() {
+			return fmt.Errorf("core: snapshot has %d marks, structure has %d", n, gc.groups())
+		}
+		bytes := (int(n) + 7) / 8
+		if len(d.buf) < bytes {
+			return errSnapshot
+		}
+		for i := 0; i < int(n); i++ {
+			gc.setMark(i, d.buf[i/8]&(1<<(i%8)) != 0)
+		}
+		d.buf = d.buf[bytes:]
+	}
+	for _, ws := range arrays {
+		n, err := d.u32()
+		if err != nil {
+			return err
+		}
+		if int(n) != len(ws) {
+			return fmt.Errorf("core: snapshot has %d words, structure has %d", n, len(ws))
+		}
+		for i := range ws {
+			if ws[i], err = d.u64(); err != nil {
+				return err
+			}
+		}
+	}
 	if len(d.buf) != 0 {
 		return fmt.Errorf("core: %d trailing bytes in snapshot", len(d.buf))
 	}

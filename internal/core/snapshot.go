@@ -1,219 +1,137 @@
 package core
 
-// Per-structure snapshot methods. Each MarshalBinary captures the full
-// state (configuration, clock, marks, cells); the matching Unmarshal
-// function rebuilds a structure that answers every future operation
-// identically — the round-trip property the tests enforce.
+// Per-structure snapshot methods. Each AppendBinary appends the full
+// state (configuration, clock, marks, cells) to dst, the caller's buffer,
+// and is the structure's only encoder; the matching Unmarshal function
+// rebuilds a structure that answers every future operation identically —
+// the round-trip property the tests enforce.
 
-// MarshalBinary snapshots the Bloom filter.
-func (f *BF) MarshalBinary() ([]byte, error) {
-	var e snapEncoder
-	e.header(kindBF, f.cfg, f.tick)
-	e.u32(uint32(f.bits.Len()))
-	e.u32(uint32(f.grp.w))
-	e.u32(uint32(f.fam.K()))
-	e.marks(f.gc)
-	e.words(f.bits.Words())
+// AppendBinary appends a snapshot of the Bloom filter to dst.
+func (f *BF) AppendBinary(dst []byte) ([]byte, error) {
+	e := snapEncoder{buf: dst}
+	e.header(kindBF, f.cfg, f.tick, f.bits.Len(), f.grp.w, f.fam.K())
+	e.state([]*groupClock{f.gc}, f.bits.Words())
 	return e.buf, nil
 }
 
 // UnmarshalBF restores a Bloom filter from a snapshot.
 func UnmarshalBF(data []byte) (*BF, error) {
 	d := snapDecoder{buf: data}
-	cfg, tick, err := d.header(kindBF)
+	cfg, tick, g, err := d.header(kindBF, 3) // m, w, k
+	if err == nil {
+		err = d.fits(uint64(g[0]), g[2])
+	}
 	if err != nil {
 		return nil, err
 	}
-	m, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	w, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	k, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	f, err := NewBF(int(m), int(w), int(k), cfg)
+	f, err := NewBF(int(g[0]), int(g[1]), int(g[2]), cfg)
 	if err != nil {
 		return nil, err
 	}
 	f.setTick(f.gc, tick)
-	if err := d.marks(f.gc); err != nil {
-		return nil, err
-	}
-	if err := d.words(f.bits.Words()); err != nil {
-		return nil, err
-	}
-	return f, d.done()
+	return f, d.state([]*groupClock{f.gc}, f.bits.Words())
 }
 
-// MarshalBinary snapshots the bitmap.
-func (b *BM) MarshalBinary() ([]byte, error) {
-	var e snapEncoder
-	e.header(kindBM, b.cfg, b.tick)
-	e.u32(uint32(b.bits.Len()))
-	e.u32(uint32(b.grp.w))
-	e.marks(b.gc)
-	e.words(b.bits.Words())
+// AppendBinary appends a snapshot of the bitmap to dst.
+func (b *BM) AppendBinary(dst []byte) ([]byte, error) {
+	e := snapEncoder{buf: dst}
+	e.header(kindBM, b.cfg, b.tick, b.bits.Len(), b.grp.w)
+	e.state([]*groupClock{b.gc}, b.bits.Words())
 	return e.buf, nil
 }
 
 // UnmarshalBM restores a bitmap from a snapshot.
 func UnmarshalBM(data []byte) (*BM, error) {
 	d := snapDecoder{buf: data}
-	cfg, tick, err := d.header(kindBM)
+	cfg, tick, g, err := d.header(kindBM, 2) // m, w
+	if err == nil {
+		err = d.fits(uint64(g[0]), 1)
+	}
 	if err != nil {
 		return nil, err
 	}
-	m, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	w, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	b, err := NewBM(int(m), int(w), cfg)
+	b, err := NewBM(int(g[0]), int(g[1]), cfg)
 	if err != nil {
 		return nil, err
 	}
 	b.setTick(b.gc, tick)
-	if err := d.marks(b.gc); err != nil {
-		return nil, err
-	}
-	if err := d.words(b.bits.Words()); err != nil {
-		return nil, err
-	}
-	return b, d.done()
+	return b, d.state([]*groupClock{b.gc}, b.bits.Words())
 }
 
-// MarshalBinary snapshots the HyperLogLog.
-func (h *HLL) MarshalBinary() ([]byte, error) {
-	var e snapEncoder
-	e.header(kindHLL, h.cfg, h.tick)
-	e.u32(uint32(h.regs.Len()))
-	e.marks(h.gc)
-	e.words(h.regs.Words())
+// AppendBinary appends a snapshot of the HyperLogLog to dst.
+func (h *HLL) AppendBinary(dst []byte) ([]byte, error) {
+	e := snapEncoder{buf: dst}
+	e.header(kindHLL, h.cfg, h.tick, h.regs.Len())
+	e.state([]*groupClock{h.gc}, h.regs.Words())
 	return e.buf, nil
 }
 
 // UnmarshalHLL restores a HyperLogLog from a snapshot.
 func UnmarshalHLL(data []byte) (*HLL, error) {
 	d := snapDecoder{buf: data}
-	cfg, tick, err := d.header(kindHLL)
+	cfg, tick, g, err := d.header(kindHLL, 1) // m
+	if err == nil {
+		err = d.fits(5*uint64(g[0]), 2) // 5-bit registers
+	}
 	if err != nil {
 		return nil, err
 	}
-	m, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	h, err := NewHLL(int(m), cfg)
+	h, err := NewHLL(int(g[0]), cfg)
 	if err != nil {
 		return nil, err
 	}
 	h.setTick(h.gc, tick)
-	if err := d.marks(h.gc); err != nil {
-		return nil, err
-	}
-	if err := d.words(h.regs.Words()); err != nil {
-		return nil, err
-	}
-	return h, d.done()
+	return h, d.state([]*groupClock{h.gc}, h.regs.Words())
 }
 
-// MarshalBinary snapshots the Count-Min sketch.
-func (c *CM) MarshalBinary() ([]byte, error) {
-	var e snapEncoder
-	e.header(kindCM, c.cfg, c.tick)
-	e.u32(uint32(c.counters.Len()))
-	e.u32(uint32(c.grp.w))
-	e.u32(uint32(c.fam.K()))
-	e.u32(uint32(c.counters.Width()))
-	e.marks(c.gc)
-	e.words(c.counters.Words())
+// AppendBinary appends a snapshot of the Count-Min sketch to dst.
+func (c *CM) AppendBinary(dst []byte) ([]byte, error) {
+	e := snapEncoder{buf: dst}
+	e.header(kindCM, c.cfg, c.tick, c.counters.Len(), c.grp.w, c.fam.K(), int(c.counters.Width()))
+	e.state([]*groupClock{c.gc}, c.counters.Words())
 	return e.buf, nil
 }
 
 // UnmarshalCM restores a Count-Min sketch from a snapshot.
 func UnmarshalCM(data []byte) (*CM, error) {
 	d := snapDecoder{buf: data}
-	cfg, tick, err := d.header(kindCM)
+	cfg, tick, g, err := d.header(kindCM, 4) // n, w, k, width
+	if err == nil {
+		err = d.fits(uint64(g[0])*uint64(g[3]), g[2])
+	}
 	if err != nil {
 		return nil, err
 	}
-	n, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	w, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	k, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	width, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	c, err := NewCM(int(n), int(w), int(k), uint(width), cfg)
+	c, err := NewCM(int(g[0]), int(g[1]), int(g[2]), uint(g[3]), cfg)
 	if err != nil {
 		return nil, err
 	}
 	c.setTick(c.gc, tick)
-	if err := d.marks(c.gc); err != nil {
-		return nil, err
-	}
-	if err := d.words(c.counters.Words()); err != nil {
-		return nil, err
-	}
-	return c, d.done()
+	return c, d.state([]*groupClock{c.gc}, c.counters.Words())
 }
 
-// MarshalBinary snapshots the MinHash pair.
-func (mh *MH) MarshalBinary() ([]byte, error) {
-	var e snapEncoder
-	e.header(kindMH, mh.cfg, mh.tick)
-	e.u32(uint32(mh.c1.Len()))
-	e.marks(mh.g1)
-	e.marks(mh.g2)
-	e.words(mh.c1.Words())
-	e.words(mh.c2.Words())
+// AppendBinary appends a snapshot of the MinHash pair to dst.
+func (mh *MH) AppendBinary(dst []byte) ([]byte, error) {
+	e := snapEncoder{buf: dst}
+	e.header(kindMH, mh.cfg, mh.tick, mh.c1.Len())
+	e.state([]*groupClock{mh.g1, mh.g2}, mh.c1.Words(), mh.c2.Words())
 	return e.buf, nil
 }
 
 // UnmarshalMH restores a MinHash pair from a snapshot.
 func UnmarshalMH(data []byte) (*MH, error) {
 	d := snapDecoder{buf: data}
-	cfg, tick, err := d.header(kindMH)
+	cfg, tick, g, err := d.header(kindMH, 1) // m
+	if err == nil {
+		err = d.fits(2*24*uint64(g[0]), g[0]) // two arrays of 24-bit signatures
+	}
 	if err != nil {
 		return nil, err
 	}
-	m, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	mh, err := NewMH(int(m), cfg)
+	mh, err := NewMH(int(g[0]), cfg)
 	if err != nil {
 		return nil, err
 	}
 	mh.setTick(mh.g1, tick)
-	if err := d.marks(mh.g1); err != nil {
-		return nil, err
-	}
-	if err := d.marks(mh.g2); err != nil {
-		return nil, err
-	}
-	if err := d.words(mh.c1.Words()); err != nil {
-		return nil, err
-	}
-	if err := d.words(mh.c2.Words()); err != nil {
-		return nil, err
-	}
-	return mh, d.done()
+	return mh, d.state([]*groupClock{mh.g1, mh.g2}, mh.c1.Words(), mh.c2.Words())
 }

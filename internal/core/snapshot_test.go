@@ -16,7 +16,7 @@ func TestBFSnapshotRoundTrip(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		bf.Insert(uint64(rng.Intn(2000)))
 	}
-	data, err := bf.MarshalBinary()
+	data, err := bf.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestBMSnapshotRoundTrip(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		bm.Insert(uint64(i % 700))
 	}
-	data, err := bm.MarshalBinary()
+	data, err := bm.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestHLLSnapshotRoundTrip(t *testing.T) {
 	for i := 0; i < 10_000; i++ {
 		h.Insert(uint64(i % 3000))
 	}
-	data, err := h.MarshalBinary()
+	data, err := h.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestCMSnapshotRoundTrip(t *testing.T) {
 	for i := 0; i < 8000; i++ {
 		cm.Insert(uint64(i % 150))
 	}
-	data, err := cm.MarshalBinary()
+	data, err := cm.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestMHSnapshotRoundTrip(t *testing.T) {
 		mh.InsertA(uint64(i % 300))
 		mh.InsertB(uint64(i%300 + 50))
 	}
-	data, err := mh.MarshalBinary()
+	data, err := mh.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := bf.MarshalBinary()
+	data, err := bf.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestSnapshotCrossKindRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := bm.MarshalBinary()
+	data, err := bm.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

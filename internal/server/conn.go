@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -15,7 +14,6 @@ import (
 	obslog "she/internal/obs/log"
 	"she/internal/obs/traffic"
 	"she/internal/obs/xtrace"
-	"she/internal/wal"
 )
 
 var (
@@ -627,18 +625,8 @@ func (c *conn) cmdLoad(cmd Command) error {
 	if err != nil {
 		return err
 	}
-	data, err := s.fs.ReadFile(path)
+	sk, err := s.loadSketchFile(path)
 	if err != nil {
-		return err
-	}
-	sk, err := parseSnapshot(data)
-	if err != nil {
-		// Damaged bytes must never be retried into a sketch: park the
-		// file and tell the client why.
-		s.ctr.SnapsQuarantined.Inc()
-		if q, qerr := wal.Quarantine(s.fs, path); qerr == nil {
-			return fmt.Errorf("%v (quarantined to %s)", err, filepath.Base(q))
-		}
 		return err
 	}
 	if s.wal == nil {

@@ -539,16 +539,19 @@
 // SKETCH.SAVE — is sealed in a checksummed envelope (wal.Seal: magic,
 // version, CRC32C, length) and replaced atomically (write tmp, fsync,
 // rename, fsync dir), so a torn or bit-flipped file is detected on
-// load, never restored. A damaged snapshot is quarantined to
-// <file>.she.corrupt and counted (snapshots_quarantined); the rest of
-// the directory still loads. Unsealed snapshots from before the
-// durability layer load as legacy files. A snapshot whose cells were
-// placed under position scheme 1 (core magic "SHE1", before the K
-// positions of a key came from one mix) is refused on every route —
-// LOAD, recovery, autosave restore, a follower's full sync — with an
-// error that names both schemes; on the file routes it is quarantined
-// like a damaged one, and a quarantined file outlives the checkpoint
-// generation it was found in.
+// load, never restored. A file loads only if it is sealed and carries
+// the server envelope ("SHED": version and insert counter) inside the
+// seal; anything else is quarantined to <file>.she.corrupt and counted
+// (snapshots_quarantined), and the rest of the directory still loads.
+// A snapshot whose cells were placed under position scheme 1 (core
+// magic "SHE1", before the K positions of a key came from one mix) is
+// refused on every route — LOAD, recovery, autosave restore, a
+// follower's full sync — with an error that names both schemes; on the
+// file routes it is quarantined like a damaged one, and a quarantined
+// file outlives the checkpoint generation it was found in. An unsealed
+// file — only builds from before the seal wrote one, and it holds
+// scheme-1 cells — is refused with the seal's error ("not sealed")
+// rather than the scheme's; it never loaded in this scheme either.
 //
 // If an fsync of the log itself fails, durability of appended records
 // becomes unprovable, so the server fails stop: the failing batch's

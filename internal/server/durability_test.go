@@ -6,11 +6,14 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -185,6 +188,69 @@ func TestWALCrashAtEveryFSOperation(t *testing.T) {
 	}
 }
 
+// TestRecoveryCheckpoint: recovery checkpoints at once when it found
+// damage — a torn tail it cut, a corrupt segment the checkpoint sets
+// aside — and otherwise leaves the log to the size threshold. Either
+// way a second kill and recovery answers what the first recovery did,
+// without a checkpoint.
+func TestRecoveryCheckpoint(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		damage      func(seg []byte) []byte
+		ctr         string // the damage's own counter
+		checkpoints int64  // at the first recovery
+	}{
+		{"clean", nil, "", 0},
+		{"torn-tail", func(b []byte) []byte { return append(b, 0x10, 0, 0) }, "wal_torn_bytes", 1},
+		{"corrupt", func(b []byte) []byte { b[len(b)-1] ^= 0x40; return b }, "wal_segments_quarantined", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := startWAL(t, dir, nil, 0)
+			c := dialServer(t, s)
+			c.must("SKETCH.CREATE flows cm counters=1024 window=65536 shards=2", "+OK")
+			c.must("SKETCH.INSERT flows 7 7 8", ":3")
+			s.Abort()
+			if tc.damage != nil {
+				segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+				if err != nil || len(segs) != 1 {
+					t.Fatalf("segments %v (%v), want one", segs, err)
+				}
+				data, err := os.ReadFile(segs[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(segs[0], tc.damage(data), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var first string
+			for restart, want := range []int64{tc.checkpoints, 0} {
+				s := startWAL(t, dir, nil, 0)
+				if got := s.Counters()["checkpoints"]; got != want {
+					t.Errorf("recovery %d: checkpoints = %d, want %d", restart+1, got, want)
+				}
+				if restart == 0 && tc.ctr != "" && s.Counters()[tc.ctr] == 0 {
+					t.Errorf("%s = 0 after the damage", tc.ctr)
+				}
+				answer, _ := dialServer(t, s).try("SKETCH.QUERY flows 7")
+				if restart == 0 {
+					first = answer
+				} else if answer != first {
+					t.Errorf("the second recovery answers %q, the first %q", answer, first)
+				}
+				s.Abort()
+			}
+			if tc.damage == nil && first != ":2" {
+				t.Errorf("a clean recovery answers %q, want :2", first)
+			}
+			if q, _ := filepath.Glob(filepath.Join(dir, "*.seg.corrupt")); tc.name == "corrupt" && len(q) != 1 {
+				t.Errorf("quarantined segments %v, want the corrupt one", q)
+			}
+		})
+	}
+}
+
 // TestSnapshotCorruptEveryOffset flips bits at every byte offset of a
 // sealed snapshot — and truncates it at every length — and asserts the
 // loader always fails cleanly: no panic, no silently loaded sketch.
@@ -200,7 +266,7 @@ func TestSnapshotCorruptEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealed := wal.Seal(payload)
+	sealed := seal(payload)
 	if _, err := parseSnapshot(sealed); err != nil {
 		t.Fatalf("pristine snapshot failed to load: %v", err)
 	}
@@ -220,9 +286,107 @@ func TestSnapshotCorruptEveryOffset(t *testing.T) {
 	}
 }
 
-// TestAutosaveQuarantine: one corrupt file in the autosave directory is
-// quarantined to *.corrupt and counted; the healthy files — sealed or
-// legacy unsealed — still load and the server still starts.
+// TestSnapshotFileBytes: the file writeSketchFile writes for each kind
+// from a fixed stream is byte for byte testdata/sealed_<kind>.she. The
+// bytes are the format, whichever code lays them down; -update-golden
+// rewrites them, which only a format change may do.
+func TestSnapshotFileBytes(t *testing.T) {
+	dir := t.TempDir()
+	keys := make([]uint64, 3000)
+	for i := range keys {
+		keys[i] = uint64(i*i) % 1999
+	}
+	for i := range kinds {
+		k := &kinds[i]
+		sk, err := NewSketch(k.name, map[string]string{
+			k.size: strconv.FormatUint(k.def/64, 10), "window": "1024", "shards": "2", "seed": "7"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sk.InsertBatch(keys, nil)
+		path := filepath.Join(dir, k.name+snapshotExt)
+		if err := writeSketchFile(failfs.OS{}, path, sk); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden := filepath.Join("testdata", "sealed_"+k.name+snapshotExt)
+		if *updateGolden {
+			if err := os.WriteFile(golden, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: writeSketchFile wrote %d bytes that differ from the %d of %s", k.name, len(got), len(want), golden)
+		}
+		if back, err := parseSnapshot(want); err != nil || back.Inserts() != uint64(len(keys)) || back.Kind() != k.name {
+			t.Errorf("%s: %s does not load back to the sketch it was written from: %v", k.name, golden, err)
+		}
+	}
+}
+
+// TestSnapshotWriteAllocs: a snapshot file is laid down in the one
+// buffer it is written from. At the benchmark's geometry a write
+// allocates no more than the file's length, a tenth of it again, and
+// 4 KiB for the file handle and paths.
+func TestSnapshotWriteAllocs(t *testing.T) {
+	dir := t.TempDir()
+	keys := make([]uint64, 1<<16)
+	for i := range keys {
+		keys[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	for _, create := range []string{"bloom bits=4194304", "cm counters=262144", "hll registers=16384"} {
+		f := strings.Fields(create)
+		kv, err := ParseKV(append(f[1:], "window=1048576", "shards=8"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sk, err := NewSketch(f[0], kv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sk.InsertBatch(keys, nil)
+		path := filepath.Join(dir, f[0]+snapshotExt)
+		// The least of three writes: a goroutine another test left behind
+		// may allocate during one of them.
+		least := ^uint64(0)
+		for try := 0; try < 3; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := writeSketchFile(failfs.OS{}, path, sk); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if limit := uint64(st.Size())*11/10 + 4096; least > limit {
+			t.Errorf("%s: writing a %d-byte file allocated %d bytes (%.1f×), want at most %d",
+				f[0], st.Size(), least, float64(least)/float64(st.Size()), limit)
+		}
+	}
+}
+
+// seal returns payload sealed as a snapshot file is: the envelope's
+// header reserved ahead of a copy of it, then filled in.
+func seal(payload []byte) []byte {
+	return wal.Seal(append(make([]byte, wal.SealHeader), payload...))
+}
+
+// TestAutosaveQuarantine: each unusable file in the autosave directory —
+// corrupt, junk, or an unsealed payload, which no shed that can read
+// this format ever wrote — is quarantined to *.corrupt and counted; the
+// healthy file still loads and the server still starts.
 func TestAutosaveQuarantine(t *testing.T) {
 	dir := t.TempDir()
 	mk := func(counters string) *Sketch {
@@ -236,14 +400,14 @@ func TestAutosaveQuarantine(t *testing.T) {
 	if err := writeSketchFile(failfs.OS{}, filepath.Join(dir, "good.she"), mk("64")); err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := mk("64").MarshalBinary()
+	unsealed, err := mk("64").MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "old.she"), legacy, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "old.she"), unsealed, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	bad := wal.Seal(legacy)
+	bad := seal(unsealed)
 	bad[len(bad)-1] ^= 0x40
 	if err := os.WriteFile(filepath.Join(dir, "bad.she"), bad, 0o644); err != nil {
 		t.Fatal(err)
@@ -257,12 +421,10 @@ func TestAutosaveQuarantine(t *testing.T) {
 		t.Fatalf("a corrupt autosave file must not prevent startup: %v", err)
 	}
 	defer s.Abort()
-	for _, name := range []string{"good", "old"} {
-		if _, err := s.Registry().Get(name); err != nil {
-			t.Fatalf("healthy snapshot %q not loaded: %v", name, err)
-		}
+	if _, err := s.Registry().Get("good"); err != nil {
+		t.Fatalf("healthy snapshot not loaded: %v", err)
 	}
-	for _, name := range []string{"bad", "junk"} {
+	for _, name := range []string{"old", "bad", "junk"} {
 		if _, err := s.Registry().Get(name); err == nil {
 			t.Fatalf("corrupt snapshot %q was loaded", name)
 		}
@@ -273,8 +435,8 @@ func TestAutosaveQuarantine(t *testing.T) {
 			t.Fatalf("corrupt original %q.she left in place", name)
 		}
 	}
-	if got := s.Counters()["snapshots_quarantined"]; got != 2 {
-		t.Fatalf("snapshots_quarantined = %d, want 2", got)
+	if got := s.Counters()["snapshots_quarantined"]; got != 3 {
+		t.Fatalf("snapshots_quarantined = %d, want 3", got)
 	}
 }
 

@@ -1,12 +1,13 @@
 package server
 
 import (
-	"errors"
+	"encoding/binary"
 	"fmt"
 	"path/filepath"
 	"sort"
 	"strings"
 
+	"she"
 	"she/internal/failfs"
 	"she/internal/obs/xtrace"
 	"she/internal/wal"
@@ -18,9 +19,10 @@ import (
 const DefaultCheckpointBytes = 8 << 20
 
 // recoverWAL restores durable state at startup: load the manifest's
-// snapshot generation, replay the log records on top of it, and — if
-// anything was replayed or damaged files were found — checkpoint right
-// away so the recovered state is durable again without them.
+// snapshot generation and replay the log records on top of it. If
+// damaged files were found it checkpoints right away, so the recovered
+// state is durable again without them; a clean log is left to the size
+// threshold, which counts the replayed segments.
 func (s *Server) recoverWAL() error {
 	var segBytes int64
 	if s.cfg.CheckpointBytes > 0 {
@@ -65,10 +67,8 @@ func (s *Server) recoverWAL() error {
 		s.logger.Warn("wal: segment failed CRC; quarantining",
 			"segment", seg, "quarantine", seg+".corrupt")
 	}
-	if len(rec.Records) > 0 || rec.Damaged() {
-		if err := s.checkpoint(true); err != nil {
-			return fmt.Errorf("server: post-recovery checkpoint: %w", err)
-		}
+	if err := s.checkpoint(rec.Damaged()); err != nil {
+		return fmt.Errorf("server: post-recovery checkpoint: %w", err)
 	}
 	return nil
 }
@@ -205,7 +205,7 @@ func (s *Server) maybeCheckpoint() {
 }
 
 // checkpoint takes the checkpoint lock and snapshots; force skips the
-// size threshold (shutdown, post-recovery, SKETCH.LOAD).
+// size threshold (shutdown, recovery that found damage, SKETCH.LOAD).
 func (s *Server) checkpoint(force bool) error {
 	if !force && s.wal.BytesSinceCheckpoint() < s.checkpointLimit() {
 		return nil
@@ -261,32 +261,55 @@ func (s *Server) checkpointLocked(force bool) error {
 }
 
 // writeSketchFile atomically replaces path with a sealed (checksummed)
-// snapshot of sk.
+// snapshot of sk. Every layer appends into one buffer, sized once: the
+// payload MemoryBits counts, packed, plus headers — under 128 bytes a
+// shard (core header, geometry, array lengths, word rounding, the
+// shard's length word) and 64 for the file's own three.
 func writeSketchFile(fsys failfs.FS, path string, sk *Sketch) error {
-	data, err := sk.MarshalBinary()
+	buf := make([]byte, wal.SealHeader, sk.MemoryBits()/8+128*sk.Shards()+64)
+	buf, err := sk.AppendBinary(buf)
 	if err != nil {
 		return err
 	}
-	return wal.WriteFileAtomic(fsys, path, wal.Seal(data), 0o644)
+	return wal.WriteFileAtomic(fsys, path, wal.Seal(buf), 0o644)
 }
 
-// parseSnapshot decodes snapshot file bytes: sealed envelopes are
-// verified (CRC32C over the payload); bytes without the envelope are
-// accepted as a legacy pre-durability snapshot for back-compat.
+// parseSnapshot is the one decoder of a snapshot file, whichever route
+// brought it: the seal must verify, the server envelope must be there
+// at this build's version, and the kind row the sharded tag names
+// decodes the rest.
 func parseSnapshot(data []byte) (*Sketch, error) {
 	payload, err := wal.Unseal(data)
-	if errors.Is(err, wal.ErrNoEnvelope) {
-		payload = data
-	} else if err != nil {
+	if err != nil {
 		return nil, err
 	}
-	return UnmarshalSketch(payload)
+	if len(payload) < envelopeLen || string(payload[:4]) != envelopeMagic {
+		return nil, fmt.Errorf("snapshot has no %q envelope", envelopeMagic)
+	}
+	if v := payload[4]; v != envelopeVersion {
+		return nil, fmt.Errorf("snapshot envelope version %d, want %d", v, envelopeVersion)
+	}
+	name, err := she.ShardedSnapshotKind(payload[envelopeLen:])
+	if err != nil {
+		return nil, err
+	}
+	row := lookupKind(name)
+	if row == nil {
+		return nil, fmt.Errorf("unknown sketch kind %q (want %s)", name, kindList(false))
+	}
+	st, err := row.decode(payload[envelopeLen:])
+	if err != nil {
+		return nil, err
+	}
+	sk := &Sketch{structure: st, row: row}
+	sk.inserts.Store(binary.LittleEndian.Uint64(payload[5:]))
+	return sk, nil
 }
 
 // loadSnapshotDir restores every *.she snapshot in dir into the
-// registry. One unreadable or corrupt file is quarantined to
-// <file>.corrupt and logged; it never aborts the rest of the
-// directory and never silently succeeds.
+// registry. One unusable file is logged, and quarantined as
+// loadSketchFile says; it never aborts the rest of the directory and
+// never silently succeeds.
 func (s *Server) loadSnapshotDir(dir string) error {
 	entries, err := s.fs.ReadDir(dir)
 	if err != nil {
@@ -303,12 +326,7 @@ func (s *Server) loadSnapshotDir(dir string) error {
 		path := filepath.Join(dir, e.Name())
 		sk, err := s.loadSketchFile(path)
 		if err != nil {
-			where := "in place"
-			if q, qerr := wal.Quarantine(s.fs, path); qerr == nil {
-				where = "quarantined to " + filepath.Base(q)
-			}
-			s.logger.Warn("snapshot unusable", "path", path, "disposition", where, "err", err)
-			s.ctr.SnapsQuarantined.Inc()
+			s.logger.Warn("snapshot unusable", "path", path, "err", err)
 			continue
 		}
 		s.reg.Put(name, sk)
@@ -316,11 +334,21 @@ func (s *Server) loadSnapshotDir(dir string) error {
 	return nil
 }
 
-// loadSketchFile reads and decodes one snapshot file.
+// loadSketchFile reads and decodes one snapshot file, for SKETCH.LOAD
+// and directory restore alike. Bytes that do not decode are never
+// retried into a sketch: the file is set aside as <file>.corrupt and
+// counted, and the error says where it went.
 func (s *Server) loadSketchFile(path string) (*Sketch, error) {
 	data, err := s.fs.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return parseSnapshot(data)
+	sk, err := parseSnapshot(data)
+	if err != nil {
+		s.ctr.SnapsQuarantined.Inc()
+		if q, qerr := wal.Quarantine(s.fs, path); qerr == nil {
+			return nil, fmt.Errorf("%v (quarantined to %s)", err, filepath.Base(q))
+		}
+	}
+	return sk, err
 }

@@ -1,8 +1,17 @@
 package server
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"she"
+	"she/internal/core"
+	"she/internal/wal"
 )
 
 // FuzzParseCommand hammers the wire-protocol parser with arbitrary
@@ -49,4 +58,86 @@ func FuzzParseCommand(f *testing.F) {
 			_ = ValidName(a)
 		}
 	})
+}
+
+// FuzzParseSnapshot hammers the one snapshot-file decoder below its
+// seal: the harness seals each input, so mutations get past the CRC to
+// the server envelope, the sharded framing and the core decoders. It
+// must never panic and never hand back a half-built sketch; a SHE1 core
+// header it reaches is refused by scheme; and an accepted file re-encodes
+// to a fixed point after one round trip. Seeded with a file of each kind,
+// each scheme-1 fixture as shed stored it, and their truncations.
+func FuzzParseSnapshot(f *testing.F) {
+	for i := range kinds {
+		name := kinds[i].name
+		file, err := os.ReadFile(filepath.Join("testdata", "sealed_"+name+snapshotExt))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, sealed := range [][]byte{file, scheme1File(f, name)} {
+			payload := sealed[wal.SealHeader:]
+			f.Add(payload)
+			f.Add(payload[:len(payload)/2])
+			f.Add(payload[:envelopeLen+17+4+4])
+		}
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		sk, err := parseSnapshot(seal(payload))
+		if err != nil {
+			if sk != nil {
+				t.Fatalf("a refused file (%v) came back as a sketch", err)
+			}
+			if sh, ok := firstShard(payload); ok && len(sh) >= 4 && string(sh[:4]) == "SHE1" && !errors.Is(err, core.ErrHashScheme) {
+				t.Fatalf("a SHE1 core header was not refused by scheme: %v", err)
+			}
+			return
+		}
+		if sk.structure == nil || sk.row == nil {
+			t.Fatal("an accepted file came back as a half-built sketch")
+		}
+		once, err := sk.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := parseSnapshot(seal(once))
+		if err != nil {
+			t.Fatalf("the re-encoding of an accepted file does not decode: %v", err)
+		}
+		if twice, err := again.AppendBinary(nil); err != nil || !bytes.Equal(once, twice) {
+			t.Fatalf("re-encoding is not a fixed point after one round trip (err = %v)", err)
+		}
+		// An accepted sketch must be operable.
+		sk.InsertBatch([]uint64{42, 43}, nil)
+		_, _ = sk.Query(42)
+		_, _ = sk.Cardinality()
+	})
+}
+
+// firstShard returns the first shard of a file payload whose server
+// envelope and sharded framing are whole — the first core header the
+// decoders reach — and ok=false when they are not.
+func firstShard(p []byte) (shard []byte, ok bool) {
+	if len(p) < envelopeLen || string(p[:4]) != envelopeMagic || p[4] != envelopeVersion {
+		return nil, false
+	}
+	p = p[envelopeLen:]
+	if _, err := she.ShardedSnapshotKind(p); err != nil || len(p) < 17 {
+		return nil, false
+	}
+	n := binary.LittleEndian.Uint32(p[13:])
+	if n == 0 || n > 1<<20 {
+		return nil, false
+	}
+	p = p[17:]
+	for i := uint32(0); i < n; i++ {
+		if len(p) < 4 || uint64(len(p)-4) < uint64(binary.LittleEndian.Uint32(p)) {
+			return nil, false
+		}
+		l := binary.LittleEndian.Uint32(p)
+		if i == 0 {
+			shard = p[4 : 4+l]
+		}
+		p = p[4+l:]
+	}
+	return shard, len(p) == 0
 }

@@ -96,7 +96,7 @@ func TestKindTable(t *testing.T) {
 			if a := sk.Audit(); a == nil || a.Snapshot().Kind != k.audit {
 				t.Errorf("%s: %s is not audited as %v", k.name, name, k.audit)
 			}
-			snap, err := sk.structure.MarshalBinary()
+			snap, err := sk.structure.AppendBinary(nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -50,7 +50,7 @@ type structure interface {
 	// approximate between cleanings (see she.SketchStats). It visits
 	// every cell under the shard locks; a listing calls it once a sketch.
 	Stats() she.SketchStats
-	MarshalBinary() ([]byte, error)
+	AppendBinary(dst []byte) ([]byte, error)
 }
 
 // kind is one row of the kind table: everything the server knows about
@@ -249,46 +249,19 @@ const (
 	envelopeLen     = 4 + 1 + 8
 )
 
-// MarshalBinary snapshots the sketch: the server envelope (insert
-// counter) wrapping the library's sharded format.
-func (sk *Sketch) MarshalBinary() ([]byte, error) {
-	payload, err := sk.structure.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 0, envelopeLen+len(payload))
-	buf = append(buf, envelopeMagic...)
-	buf = append(buf, envelopeVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, sk.Inserts())
-	return append(buf, payload...), nil
+// AppendBinary appends the sketch's snapshot to dst: the server
+// envelope (insert counter), then the library's sharded format. It
+// stands in front of the structure's own AppendBinary, which would leave
+// the envelope out.
+func (sk *Sketch) AppendBinary(dst []byte) ([]byte, error) {
+	dst = append(dst, envelopeMagic...)
+	dst = append(dst, envelopeVersion)
+	dst = binary.LittleEndian.AppendUint64(dst, sk.Inserts())
+	return sk.structure.AppendBinary(dst)
 }
 
-// UnmarshalSketch restores a sketch from a snapshot; the snapshot is
-// self-describing, so no kind argument is needed. Bare library
-// snapshots (she.Sharded*.MarshalBinary output, no server envelope)
-// also load; their insert counter starts at zero.
-func UnmarshalSketch(data []byte) (*Sketch, error) {
-	var inserts uint64
-	if len(data) >= envelopeLen && string(data[:4]) == envelopeMagic && data[4] == envelopeVersion {
-		inserts = binary.LittleEndian.Uint64(data[5:])
-		data = data[envelopeLen:]
-	}
-	name, err := she.ShardedSnapshotKind(data)
-	if err != nil {
-		return nil, err
-	}
-	row := lookupKind(name)
-	if row == nil {
-		return nil, fmt.Errorf("unknown sketch kind %q (want %s)", name, kindList(false))
-	}
-	st, err := row.decode(data)
-	if err != nil {
-		return nil, err
-	}
-	sk := &Sketch{structure: st, row: row}
-	sk.inserts.Store(inserts)
-	return sk, nil
-}
+// MarshalBinary snapshots the sketch: AppendBinary to a new buffer.
+func (sk *Sketch) MarshalBinary() ([]byte, error) { return sk.AppendBinary(nil) }
 
 // NewSketch builds a sketch of the given kind from SKETCH.CREATE
 // parameters; kv is consumed, and leftover (unknown) parameters are an

@@ -20,17 +20,18 @@ import (
 	"she/internal/core"
 	"she/internal/failfs"
 	obslog "she/internal/obs/log"
-	"she/internal/wal"
 )
 
-// scheme1File returns a scheme-1 snapshot as shed stores one: sealed.
-func scheme1File(t *testing.T, kind string) []byte {
+// scheme1File returns a scheme-1 snapshot as the last scheme-1 shed
+// stored one: the library's sharded snapshot behind the server envelope
+// (an insert counter of 0), sealed.
+func scheme1File(t testing.TB, kind string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "scheme1_"+kind+".snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return wal.Seal(data)
+	return seal(append(append([]byte(envelopeMagic), envelopeVersion, 0, 0, 0, 0, 0, 0, 0, 0), data...))
 }
 
 var schemeText = core.ErrHashScheme.Error()

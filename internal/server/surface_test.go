@@ -20,7 +20,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/surface.golden from this build")
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/surface.golden and testdata/sealed_*.she from this build")
 
 // surfaceVolatile masks, on top of volatile, what a scrape reads off a
 // clock, the Go runtime or the build: latency sums, uptime, rates,

@@ -23,7 +23,7 @@ func workload(fsys failfs.FS, dir string) (acked []string, err error) {
 	defer l.Close()
 	writeState := func(snapDir string, f failfs.FS) error {
 		payload := []byte(strings.Join(acked, "\n"))
-		return WriteFileAtomic(f, filepath.Join(snapDir, "state"), Seal(payload), 0o644)
+		return WriteFileAtomic(f, filepath.Join(snapDir, "state"), seal(payload), 0o644)
 	}
 	for i := 0; i < 12; i++ {
 		p := fmt.Sprintf("payload-%02d", i)

@@ -22,40 +22,40 @@ import (
 //	5       4     CRC32C of payload (little-endian)
 //	9       8     payload length (little-endian)
 //	17      —     payload
+//
+// The header comes first although the CRC and the length are known only
+// once the payload is: a writer reserves SealHeader bytes, appends the
+// payload behind them, and Seal fills the header in. The file is one
+// buffer, written once.
 const (
 	sealMagic   = "SHSN"
 	sealVersion = 1
-	sealHeader  = 4 + 1 + 4 + 8
+	// SealHeader is the length of the envelope's header.
+	SealHeader = 4 + 1 + 4 + 8
 )
 
-// ErrNoEnvelope reports data that does not start with the seal magic —
-// e.g. a legacy snapshot written before the durability layer. Callers
-// decide whether to fall back to parsing the bytes directly.
-var ErrNoEnvelope = errors.New("wal: no snapshot envelope")
-
-// ErrCorruptSnapshot reports a sealed snapshot whose envelope is
-// damaged: truncated header, length mismatch, unsupported version, or
+// ErrCorruptSnapshot reports data that is not a whole, intact envelope:
+// no magic, truncated header, length mismatch, unsupported version, or
 // CRC failure.
 var ErrCorruptSnapshot = errors.New("wal: corrupt snapshot")
 
-// Seal wraps payload in the checksummed envelope.
-func Seal(payload []byte) []byte {
-	buf := make([]byte, 0, sealHeader+len(payload))
-	buf = append(buf, sealMagic...)
-	buf = append(buf, sealVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	return append(buf, payload...)
+// Seal fills in the envelope header, buf[:SealHeader], for the payload
+// behind it, buf[SealHeader:], and returns buf.
+func Seal(buf []byte) []byte {
+	payload := buf[SealHeader:]
+	h := append(buf[:0], sealMagic...)
+	h = append(h, sealVersion)
+	h = binary.LittleEndian.AppendUint32(h, crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.AppendUint64(h, uint64(len(payload)))
+	return buf
 }
 
-// Unseal verifies the envelope and returns the payload (aliasing
-// data). Data without the magic returns ErrNoEnvelope; anything with
-// the magic but an invalid envelope returns ErrCorruptSnapshot.
+// Unseal verifies the envelope and returns the payload (aliasing data).
 func Unseal(data []byte) ([]byte, error) {
 	if len(data) < 4 || string(data[:4]) != sealMagic {
-		return nil, ErrNoEnvelope
+		return nil, fmt.Errorf("%w: not sealed (no %q magic)", ErrCorruptSnapshot, sealMagic)
 	}
-	if len(data) < sealHeader {
+	if len(data) < SealHeader {
 		return nil, fmt.Errorf("%w: truncated header (%d bytes)", ErrCorruptSnapshot, len(data))
 	}
 	if v := data[4]; v != sealVersion {
@@ -63,7 +63,7 @@ func Unseal(data []byte) ([]byte, error) {
 	}
 	crc := binary.LittleEndian.Uint32(data[5:])
 	length := binary.LittleEndian.Uint64(data[9:])
-	payload := data[sealHeader:]
+	payload := data[SealHeader:]
 	if uint64(len(payload)) != length {
 		return nil, fmt.Errorf("%w: payload is %d bytes, envelope says %d", ErrCorruptSnapshot, len(payload), length)
 	}

@@ -248,7 +248,7 @@ func TestCorruptBitEveryOffset(t *testing.T) {
 			}
 			// Checkpoint quarantines the damaged files.
 			err = l.Checkpoint(func(snapDir string, fsys failfs.FS) error {
-				return WriteFileAtomic(fsys, filepath.Join(snapDir, "state"), Seal([]byte("s")), 0o644)
+				return WriteFileAtomic(fsys, filepath.Join(snapDir, "state"), seal([]byte("s")), 0o644)
 			})
 			if err != nil {
 				t.Fatalf("off %d: checkpoint: %v", off, err)
@@ -270,7 +270,7 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	state := []string{}
 	writeState := func(snapDir string, fsys failfs.FS) error {
 		payload := []byte(strings.Join(state, "\n"))
-		return WriteFileAtomic(fsys, filepath.Join(snapDir, "state"), Seal(payload), 0o644)
+		return WriteFileAtomic(fsys, filepath.Join(snapDir, "state"), seal(payload), 0o644)
 	}
 	for i := 0; i < 10; i++ {
 		p := fmt.Sprintf("rec-%d", i)
@@ -330,7 +330,7 @@ func TestManifestCorruptRefusesStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := l.Checkpoint(func(snapDir string, fsys failfs.FS) error {
-		return WriteFileAtomic(fsys, filepath.Join(snapDir, "state"), Seal(nil), 0o644)
+		return WriteFileAtomic(fsys, filepath.Join(snapDir, "state"), seal(nil), 0o644)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -372,9 +372,13 @@ func TestManifestCorruptRefusesStart(t *testing.T) {
 	l2.Close()
 }
 
+// seal returns payload sealed: the header reserved ahead of a copy of
+// it, then filled in.
+func seal(payload []byte) []byte { return Seal(append(make([]byte, SealHeader), payload...)) }
+
 func TestSealUnseal(t *testing.T) {
 	payload := []byte("hello sealed world")
-	sealed := Seal(payload)
+	sealed := seal(payload)
 	got, err := Unseal(sealed)
 	if err != nil {
 		t.Fatal(err)
@@ -382,8 +386,8 @@ func TestSealUnseal(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("unsealed %q", got)
 	}
-	if _, err := Unseal([]byte("legacy bytes")); !errors.Is(err, ErrNoEnvelope) {
-		t.Fatalf("legacy bytes: %v", err)
+	if _, err := Unseal([]byte("legacy bytes")); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("unsealed bytes: %v", err)
 	}
 	for off := 0; off < len(sealed); off++ {
 		bad := append([]byte(nil), sealed...)
@@ -392,7 +396,7 @@ func TestSealUnseal(t *testing.T) {
 			t.Fatalf("off %d: corrupt seal accepted", off)
 		}
 	}
-	for cut := sealHeader - 1; cut < len(sealed); cut++ {
+	for cut := 0; cut < len(sealed); cut++ {
 		if _, err := Unseal(sealed[:cut]); !errors.Is(err, ErrCorruptSnapshot) {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
