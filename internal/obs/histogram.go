@@ -9,8 +9,6 @@ package obs
 import (
 	"math"
 	"math/bits"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -207,41 +205,4 @@ func (l *LocalHist) Flush(h *Histogram) {
 		}
 	}
 	*l = LocalHist{}
-}
-
-// HistogramSet is a collection of named histograms: lookup takes the
-// set's lock, but holding the returned *Histogram and observing into it
-// is lock-free, so hot paths cache the pointer once.
-type HistogramSet struct {
-	mu sync.Mutex
-	m  map[string]*Histogram
-}
-
-// NewHistogramSet returns an empty set.
-func NewHistogramSet() *HistogramSet {
-	return &HistogramSet{m: make(map[string]*Histogram)}
-}
-
-// Hist returns the named histogram, creating it on first use.
-func (s *HistogramSet) Hist(name string) *Histogram {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h := s.m[name]
-	if h == nil {
-		h = &Histogram{}
-		s.m[name] = h
-	}
-	return h
-}
-
-// Names returns the histogram names in sorted order.
-func (s *HistogramSet) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.m))
-	for name := range s.m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -137,19 +136,6 @@ func TestHistogramNilSafe(t *testing.T) {
 	h.Observe(time.Second) // must not panic
 	if s := h.Snapshot(); s.Count != 0 {
 		t.Fatalf("nil snapshot = %+v", s)
-	}
-}
-
-func TestHistogramSet(t *testing.T) {
-	s := NewHistogramSet()
-	a := s.Hist("cmd_a")
-	if s.Hist("cmd_a") != a {
-		t.Fatal("Hist not idempotent")
-	}
-	s.Hist("cmd_b")
-	names := s.Names()
-	if strings.Join(names, ",") != "cmd_a,cmd_b" {
-		t.Fatalf("Names = %v", names)
 	}
 }
 

@@ -528,6 +528,23 @@ func TestTrackerWaitAck(t *testing.T) {
 		t.Fatalf("WaitAck below acked position = %v", err)
 	}
 
+	// A replica that attaches with a full sync past the position covers
+	// it at once: the waiter is released by the attach, not its timeout.
+	go func() { errc <- tr.WaitAck(wal.Cursor{Gen: 1, Seg: 4, Off: 50}, 2, time.Minute, done) }()
+	time.Sleep(10 * time.Millisecond)
+	r.Ack(wal.Cursor{Gen: 1, Seg: 4, Off: 50}, 3, 350) // one of two
+	time.Sleep(10 * time.Millisecond)
+	r2 := tr.Register("replica-2", wal.Cursor{Gen: 2, Seg: 5, Off: 0}, true)
+	defer r2.Close()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("WaitAck after a full-sync attach = %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a full-sync attach past the position did not release the waiter")
+	}
+
 	// Shutdown unblocks a stuck waiter.
 	go func() { errc <- tr.WaitAck(wal.Cursor{Gen: 1, Seg: 9, Off: 0}, 1, time.Minute, done) }()
 	time.Sleep(10 * time.Millisecond)

@@ -72,7 +72,8 @@ func NewTracker() *Tracker {
 
 // Register attaches a replica whose stream starts at start. The
 // starting position counts as acknowledged: a full-syncing replica has
-// (by loading the snapshot) everything below its start cursor.
+// (by loading the snapshot) everything below its start cursor, so
+// semi-sync waiters are woken to recount.
 func (t *Tracker) Register(id string, start wal.Cursor, fullSync bool) *Replica {
 	r := &Replica{
 		t:           t,
@@ -84,6 +85,7 @@ func (t *Tracker) Register(id string, start wal.Cursor, fullSync bool) *Replica 
 	}
 	t.mu.Lock()
 	t.replicas[r] = struct{}{}
+	t.cond.Broadcast()
 	t.mu.Unlock()
 	return r
 }

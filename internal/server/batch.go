@@ -13,6 +13,7 @@ import (
 	"she/internal/obs"
 	"she/internal/obs/traffic"
 	"she/internal/obs/xtrace"
+	"she/internal/wal"
 )
 
 // batchMaxKeys bounds the keys a connection may buffer before the batch
@@ -32,22 +33,22 @@ const batchMaxKeys = 16384
 //
 // PSYNC disarms it: the replication stream must not wait for an
 // acknowledgement from the very replica whose stream would be blocked
-// behind the barrier. Owned by the connection goroutine; wrote tracks
-// whether the current batch contains mutations.
+// behind the barrier. Owned by the connection goroutine.
 type syncWriter struct {
 	s     *Server
 	conn  net.Conn
 	armed bool
-	wrote bool
+	end   wal.Cursor // of the last record logged since the last barrier; zero for none
 }
 
 // barrier is the one durability barrier, passed on both routes a reply
 // takes to the socket: with a WAL, a buffered acknowledgement must not
 // reach the client before the record it acknowledges reaches the disk,
-// and with Config.SyncReplicas set a batch containing mutations
-// additionally waits for that many replicas to acknowledge the durable
-// position — the semi-synchronous half of the zero-acked-loss failover
-// guarantee. Read-only batches never wait.
+// and with Config.SyncReplicas set it additionally waits until that
+// many replicas have acknowledged the connection's own last record
+// (not the log's tip, which a checkpoint leaves where no replica can
+// ack it) — the semi-synchronous half of the zero-acked-loss failover
+// guarantee. A batch that logged nothing never waits.
 //
 // trs holds the batch's sampled traces; each gets a fsync_wait span
 // around the group-commit sync (which amortises every command in the
@@ -67,14 +68,14 @@ func (b *syncWriter) barrier(trs []*xtrace.Trace) error {
 		return fmt.Errorf("wal sync failed: %w", err)
 	}
 	startNs = spanAll(trs, "fsync_wait", startNs)
-	if b.wrote && s.cfg.SyncReplicas > 0 {
-		if err := s.tracker.WaitAck(s.wal.Position(), s.cfg.SyncReplicas, s.cfg.SyncReplicaTimeout, s.done); err != nil {
+	if !b.end.IsZero() && s.cfg.SyncReplicas > 0 {
+		if err := s.tracker.WaitAck(b.end, s.cfg.SyncReplicas, s.cfg.SyncReplicaTimeout, s.done); err != nil {
 			s.ctr.ReplSyncTimeouts.Inc()
 			return err
 		}
 		spanAll(trs, "replack_wait", startNs)
 	}
-	b.wrote = false
+	b.end = wal.Cursor{}
 	return nil
 }
 
@@ -157,6 +158,7 @@ type insertGroup struct {
 // Everything here is owned by the connection goroutine.
 type connBatch struct {
 	s        *Server
+	bw       *syncWriter     // the connection's barrier, told where its records end
 	tc       *traffic.Client // this connection's accounting record
 	addr     string          // rendered remote address, for MONITOR frames
 	groups   []insertGroup
@@ -179,7 +181,8 @@ type connBatch struct {
 	scratch []byte           // reply rendering buffer
 	payload []byte           // flat WAL record build buffer
 	recOff  []int            // record boundaries into payload
-	recs    [][]byte         // per-record views of payload for AppendBatch
+	recs    [][]byte         // per-record views of payload for walAppend
+	ends    []wal.Cursor     // their end cursors
 }
 
 // tryFast attempts to handle one request line (terminator stripped) on
@@ -194,7 +197,7 @@ type connBatch struct {
 // only place an error reply is rendered. vi is the handled command's
 // verb index; a non-nil err (WAL failure during a forced mid-batch
 // apply) is terminal for the connection.
-func (b *connBatch) tryFast(line []byte, w *bufio.Writer, bw *syncWriter) (handled bool, vi int, err error) {
+func (b *connBatch) tryFast(line []byte, w *bufio.Writer) (handled bool, vi int, err error) {
 	s := b.s
 	vi, name, keys, ok := scanLine(line, b.kbuf[:0])
 	if !ok {
@@ -228,7 +231,6 @@ func (b *connBatch) tryFast(line []byte, w *bufio.Writer, bw *syncWriter) (handl
 	b.cmds++
 	b.keys += len(keys)
 	b.count(vi)
-	bw.wrote = true
 	if b.sampled(vi, line) {
 		s.traffic.NoteKeys(name, keys)
 	}
@@ -441,7 +443,25 @@ func (b *connBatch) applyWAL() error {
 	for i := 0; i+1 < len(b.recOff); i++ {
 		b.recs = append(b.recs, b.payload[b.recOff[i]:b.recOff[i+1]])
 	}
-	return s.walAppendBatch(b.recs)
+	return b.log(nil, nil)
+}
+
+// log appends records, when there is a WAL, and tells the barrier where
+// the last one ends: the batch's insert records, or a slow-path
+// command's one record rec, traced by tr, which borrows the batch's
+// buffers — the batch was applied before the command ran.
+func (b *connBatch) log(rec []byte, tr *xtrace.Trace) error {
+	if b.s.wal == nil {
+		return nil
+	}
+	if rec != nil {
+		b.recs = append(b.recs[:0], rec)
+	}
+	end, err := b.s.walAppend(b.recs, &b.ends, tr)
+	if err == nil {
+		b.bw.end = end
+	}
+	return err
 }
 
 // reset clears the pending inserts, keeping every backing array.

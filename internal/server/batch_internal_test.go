@@ -51,8 +51,8 @@ func TestInsertDispatchZeroAlloc(t *testing.T) {
 		defer s.Abort()
 		mustSketch(t, s, "b")
 
-		batch := &connBatch{s: s}
-		bw := &syncWriter{s: s} // disarmed: commit-time sync is not the dispatch path
+		// A disarmed barrier: commit-time sync is not the dispatch path.
+		batch := &connBatch{s: s, bw: &syncWriter{s: s}}
 		w := bufio.NewWriterSize(io.Discard, 32*1024)
 		var sb strings.Builder
 		sb.WriteString("MINSERT b")
@@ -62,7 +62,7 @@ func TestInsertDispatchZeroAlloc(t *testing.T) {
 		line := []byte(sb.String())
 
 		return testing.AllocsPerRun(200, func() {
-			handled, vi, err := batch.tryFast(line, w, bw)
+			handled, vi, err := batch.tryFast(line, w)
 			if !handled || vi != verbMinsert || err != nil {
 				t.Fatalf("tryFast = %v, %d, %v", handled, vi, err)
 			}
@@ -99,7 +99,6 @@ func TestQueryDispatchZeroAlloc(t *testing.T) {
 		}
 	}
 	batch := &connBatch{s: s}
-	bw := &syncWriter{s: s}
 	w := bufio.NewWriterSize(io.Discard, 32*1024)
 	for _, tc := range []struct {
 		line string
@@ -111,7 +110,7 @@ func TestQueryDispatchZeroAlloc(t *testing.T) {
 	} {
 		line := []byte(tc.line)
 		allocs := testing.AllocsPerRun(200, func() {
-			handled, vi, err := batch.tryFast(line, w, bw)
+			handled, vi, err := batch.tryFast(line, w)
 			if !handled || vi != tc.vi || err != nil {
 				t.Fatalf("tryFast(%q) = %v, %d, %v", tc.line, handled, vi, err)
 			}
@@ -227,7 +226,7 @@ func FuzzFastParseEquivalence(f *testing.F) {
 		}
 
 		fast := newDiffNode(t)
-		handled, vi, err := fast.batch.tryFast(line, fast.w, fast.bw)
+		handled, vi, err := fast.batch.tryFast(line, fast.w)
 		if err != nil {
 			t.Fatalf("tryFast(%q): %v", line, err)
 		}

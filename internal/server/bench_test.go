@@ -3,8 +3,10 @@ package server_test
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -154,21 +156,11 @@ func benchServerInsertSaturate(b *testing.B, cfg server.Config, withReplica bool
 		s.Shutdown(ctx)
 	}()
 
-	// Create the sketch before the replica connects so the full sync
-	// carries it; a streamed CREATE would race the polling below.
-	setup, err := net.Dial("tcp", s.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	sr := bufio.NewReader(setup)
-	fmt.Fprintf(setup, "SKETCH.CREATE bench bloom bits=1048576 window=1048576 shards=8\n")
-	if reply, err := sr.ReadString('\n'); err != nil || reply != "+OK\n" {
-		b.Fatalf("CREATE = %q, %v", reply, err)
-	}
-	setup.Close()
-
+	// The follower starts first: under semi-sync the CREATE below is
+	// acknowledged only once a replica holds it.
+	var rep *server.Server
 	if withReplica {
-		rep := server.New(server.Config{
+		rep = server.New(server.Config{
 			Listen:    "127.0.0.1:0",
 			Logger:    quiet(),
 			WALDir:    b.TempDir(),
@@ -182,8 +174,22 @@ func benchServerInsertSaturate(b *testing.B, cfg server.Config, withReplica bool
 			defer cancel()
 			rep.Shutdown(ctx)
 		}()
-		// Wait until the follower has full-synced (it serves the
-		// sketch) so the timed region measures steady-state streaming,
+	}
+
+	setup, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	sr := bufio.NewReader(setup)
+	fmt.Fprintf(setup, "SKETCH.CREATE bench bloom bits=1048576 window=1048576 shards=8\n")
+	if reply, err := sr.ReadString('\n'); err != nil || reply != "+OK\n" {
+		b.Fatalf("CREATE = %q, %v", reply, err)
+	}
+	setup.Close()
+
+	if rep != nil {
+		// Wait until the follower serves the sketch (by full sync or the
+		// stream) so the timed region measures steady-state streaming,
 		// not the bootstrap.
 		deadline := time.Now().Add(10 * time.Second)
 		for {
@@ -271,6 +277,45 @@ func benchServerInsertSaturate(b *testing.B, cfg server.Config, withReplica bool
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "inserts/sec")
+	if cfg.SyncReplicas > 0 && cfg.TraceSample > 0 {
+		reportSpan(b, s.Addr().String(), "replack_wait")
+	}
+}
+
+// reportSpan reports the median and 99th percentile of one span's
+// duration over the traces the server at addr retains (TRACE GET).
+func reportSpan(b *testing.B, addr, span string) {
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	fmt.Fprintf(c, "TRACE GET\n")
+	r := bufio.NewReader(c)
+	var n int
+	head, err := r.ReadString('\n')
+	if _, serr := fmt.Sscanf(head, "*%d", &n); err != nil || serr != nil {
+		b.Fatalf("TRACE GET = %q, %v", head, err)
+	}
+	var durs []int64
+	for range n {
+		line, err := r.ReadString('\n')
+		var v traceView
+		if err != nil || json.Unmarshal([]byte(strings.TrimPrefix(line, "+")), &v) != nil {
+			b.Fatalf("TRACE GET line %q, %v", line, err)
+		}
+		for _, sp := range v.Spans {
+			if sp.Name == span {
+				durs = append(durs, sp.DurNs)
+			}
+		}
+	}
+	if len(durs) == 0 {
+		return // a run too short to sample a command
+	}
+	slices.Sort(durs)
+	b.ReportMetric(float64(durs[len(durs)/2])/1e3, span+"_p50_us")
+	b.ReportMetric(float64(durs[len(durs)*99/100])/1e3, span+"_p99_us")
 }
 
 // BenchmarkServerInsertSaturate is the multi-connection saturation
@@ -287,8 +332,16 @@ func BenchmarkServerInsertSaturateWAL(b *testing.B) {
 }
 
 // BenchmarkServerInsertSaturateRepl is SaturateWAL plus one attached
-// follower tailing the WAL (asynchronous replication). The delta vs
-// SaturateWAL is what streaming costs the primary's insert path.
+// follower tailing the WAL. With asynchronous replication the delta vs
+// SaturateWAL is what streaming costs the primary's insert path; with
+// one semi-synchronous replica every commit also waits for the
+// follower's apply, fsync and ack, and the replack_wait span of the
+// traces it samples 1 in 64 is reported as its p50 and p99.
 func BenchmarkServerInsertSaturateRepl(b *testing.B) {
-	benchServerInsertSaturate(b, server.Config{WALDir: b.TempDir()}, true)
+	b.Run("async", func(b *testing.B) {
+		benchServerInsertSaturate(b, server.Config{WALDir: b.TempDir()}, true)
+	})
+	b.Run("sync-replicas=1", func(b *testing.B) {
+		benchServerInsertSaturate(b, server.Config{WALDir: b.TempDir(), SyncReplicas: 1, TraceSample: 64}, true)
+	})
 }

@@ -414,7 +414,7 @@ func TestRecordLargerThanReadBudgetShips(t *testing.T) {
 	var buf insertBuf
 	primary.chkMu.RLock() // the apply-then-log pair, as a mutating handler runs it
 	getSketch(t, primary, "flows").InsertBatch(keys, &buf.sc)
-	err := primary.walAppend(rec, nil)
+	_, err := primary.walAppend([][]byte{rec}, new([]wal.Cursor), nil)
 	primary.chkMu.RUnlock()
 	if err != nil {
 		t.Fatal(err)

@@ -123,7 +123,7 @@ func (s *Server) newConn(nc net.Conn) *conn {
 	c.r = bufio.NewReaderSize(c.ir, MaxLineBytes)
 	c.bw = &syncWriter{s: s, conn: c.nc, armed: true}
 	c.w = bufio.NewWriterSize(c.bw, 32*1024)
-	c.batch = connBatch{s: s, tc: c.tc, addr: c.addr}
+	c.batch = connBatch{s: s, bw: c.bw, tc: c.tc, addr: c.addr}
 	return c
 }
 
@@ -166,7 +166,7 @@ func (s *Server) handleConn(nc net.Conn) {
 			if c.startNs == 0 {
 				c.startNs = obs.Nanotime()
 			}
-			handled, vi, ferr := c.batch.tryFast(line, c.w, c.bw)
+			handled, vi, ferr := c.batch.tryFast(line, c.w)
 			if ferr != nil {
 				return // the deferred commit reports the sticky WAL failure
 			}
@@ -298,9 +298,6 @@ func (c *conn) slow(line []byte) (over bool) {
 	}
 	if v.flags&vTakeover == 0 {
 		c.dispatch(v, cmd)
-	}
-	if v.flags&vMutates != 0 {
-		c.bw.wrote = true
 	}
 	sp.End()
 	c.observe(vi, line, obs.Nanotime())
@@ -521,7 +518,7 @@ func (c *conn) cmdCreate(cmd Command) error {
 	}
 	// The record keeps the original parameter tokens, so replay builds
 	// an identical sketch through the same constructor.
-	if err := s.walAppend([]byte("SKETCH.CREATE "+strings.Join(cmd.Args, " ")), c.tr); err != nil {
+	if err := c.batch.log([]byte("SKETCH.CREATE "+strings.Join(cmd.Args, " ")), c.tr); err != nil {
 		return err
 	}
 	writeSimple(c.w, "OK")
@@ -536,7 +533,7 @@ func (c *conn) cmdDrop(cmd Command) error {
 	// The hot-key tracker follows the registry: a dropped sketch's
 	// telemetry window must not linger (or leak map entries).
 	s.traffic.Forget(cmd.Args[0])
-	if err := s.walAppend([]byte("SKETCH.DROP "+cmd.Args[0]), c.tr); err != nil {
+	if err := c.batch.log([]byte("SKETCH.DROP "+cmd.Args[0]), c.tr); err != nil {
 		return err
 	}
 	writeSimple(c.w, "OK")
@@ -558,8 +555,7 @@ func (c *conn) cmdInsert(cmd Command) error {
 	defer insertBufs.Put(buf)
 	keys := buf.insertTokens(sk, cmd.Args[1:])
 	if s.wal != nil {
-		rec := AppendInsertRecord(nil, []byte(cmd.Args[0]), keys)
-		if err := s.walAppend(rec, c.tr); err != nil {
+		if err := c.batch.log(AppendInsertRecord(nil, []byte(cmd.Args[0]), keys), c.tr); err != nil {
 			return err
 		}
 	}
@@ -618,6 +614,9 @@ func (c *conn) cmdSave(cmd Command) error {
 
 func (c *conn) cmdLoad(cmd Command) error {
 	s, name := c.s, cmd.Args[0]
+	if s.cfg.SyncReplicas > 0 {
+		return fmt.Errorf("SKETCH.LOAD is not replicated; refused while sync-replicas is %d", s.cfg.SyncReplicas)
+	}
 	if !ValidName(name) {
 		return fmt.Errorf("invalid sketch name %q", name)
 	}

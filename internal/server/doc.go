@@ -78,7 +78,8 @@
 //	    directory (the snapshot is self-describing, so no kind
 //	    argument). Same file-name rules as SKETCH.SAVE. The snapshot
 //	    carries the insert counter, so SKETCH.LIST keeps counting
-//	    across a save/load cycle.
+//	    across a save/load cycle. Not replicated, so refused under
+//	    Config.SyncReplicas (see # Replication).
 //	SKETCH.DROP name
 //	    Remove a sketch.
 //	SKETCH.LIST
@@ -227,8 +228,8 @@
 // Commit semantics are per batch and unchanged in strength: replies
 // for the whole batch are buffered and flushed together, after one
 // WAL fsync covering every record and — under Config.SyncReplicas —
-// one replica acknowledgement barrier at the batch's final log
-// position. An acknowledgement therefore never reaches the client
+// one replica acknowledgement barrier at the end of the connection's
+// last record. An acknowledgement therefore never reaches the client
 // before its record (and the records of every command before it on
 // that connection) is durable; a batch whose fsync fails withholds
 // every buffered reply, reports -ERR to the client and closes the
@@ -621,12 +622,15 @@
 // replicated stream, so replica-side error is measured, not assumed.
 //
 // Replication is asynchronous by default. Config.SyncReplicas > 0
-// (shed -sync-replicas) makes commits semi-synchronous: a batch
-// containing mutations is acknowledged only after that many replicas
-// have acked the batch's WAL position; if too few do within
-// Config.SyncReplicaTimeout (default 2s) the batch fails with -ERR
-// (counter repl_sync_timeouts) instead of overstating replication.
-// Read-only batches never wait.
+// (shed -sync-replicas) makes commits semi-synchronous: a batch is
+// acknowledged only after that many replicas have acked the end of the
+// last record the connection logged — its own records, not the log's
+// tip, which a checkpoint leaves where no replica can ack it; if too
+// few do within Config.SyncReplicaTimeout (default 2s) the batch fails
+// with -ERR (counter repl_sync_timeouts) instead of overstating
+// replication. A batch that logged nothing never waits. SKETCH.LOAD
+// writes a checkpoint, not a record, so no replica ever receives it:
+// it is refused under semi-sync, and an asynchronous replica misses it.
 //
 // Failover is operator-driven — there is deliberately no consensus
 // layer. REPLICAOF NO ONE promotes a follower in place (counter

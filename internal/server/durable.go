@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -147,50 +148,28 @@ func (s *Server) applyRecord(rec []byte, buf *insertBuf, relog *[]byte) (logged 
 	return nil, fmt.Errorf("unexpected record command %q", cmd.Name)
 }
 
-// walAppend logs one applied mutation. The record is only durable —
-// and the client only acknowledged — after the commit-time Sync; see
-// syncWriter.barrier.
-//
-// A sampled command (tr != nil) takes the position-returning append,
-// gets a wal_append span, and registers the record-end position in
-// the ship table so the replication stream can stamp the trace ID
-// onto the REC frame and continue the trace on the follower.
-func (s *Server) walAppend(rec []byte, tr *xtrace.Trace) error {
-	if s.wal == nil {
-		return nil
-	}
-	var err error
-	if tr != nil {
-		sp := tr.StartSpan("wal_append")
-		var pos wal.Cursor
-		pos, err = s.wal.AppendPos(rec)
-		sp.End()
-		if err == nil {
-			s.ship.put(pos, tr)
-		}
-	} else {
-		err = s.wal.Append(rec)
-	}
+// walAppend is the one way records enter the log — a slow-path
+// command's, a connection batch's, a follower's burst — with one lock
+// hold and one write. *ends, the caller's scratch, receives each one's
+// end cursor; the last is returned: what a replica acknowledges once it
+// holds them all, and so what a semi-synchronous barrier waits for.
+// They are durable only after the commit-time Sync. A sampled command's
+// record (tr != nil) gets a wal_append span and a ship-table entry at
+// its end cursor, so its REC frame carries the trace to the follower.
+func (s *Server) walAppend(recs [][]byte, ends *[]wal.Cursor, tr *xtrace.Trace) (wal.Cursor, error) {
+	*ends = slices.Grow((*ends)[:0], len(recs))[:len(recs)]
+	sp := tr.StartSpan("wal_append")
+	err := s.wal.AppendBatch(recs, *ends)
+	sp.End()
 	if err != nil {
 		s.ctr.WALErrors.Inc()
-		return err
+		return wal.Cursor{}, err
 	}
-	s.ctr.WALRecords.Inc()
-	s.ctr.WALBytes.Set(s.wal.BytesSinceCheckpoint())
-	return nil
-}
-
-// walAppendBatch logs the records of one apply — a connection batch on
-// a primary, a replicated burst on a follower — with one lock hold and
-// one write. Durability is the caller's later Sync, as for walAppend.
-func (s *Server) walAppendBatch(recs [][]byte) error {
-	if err := s.wal.AppendBatch(recs, nil); err != nil {
-		s.ctr.WALErrors.Inc()
-		return err
-	}
+	end := (*ends)[len(recs)-1]
+	s.ship.put(end, tr)
 	s.ctr.WALRecords.Add(int64(len(recs)))
 	s.ctr.WALBytes.Set(s.wal.BytesSinceCheckpoint())
-	return nil
+	return end, nil
 }
 
 // maybeCheckpoint checkpoints when the log has outgrown the

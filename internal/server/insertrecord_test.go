@@ -141,7 +141,7 @@ func TestReplayMixedFormatLog(t *testing.T) {
 	}
 	add := func(rec []byte) {
 		t.Helper()
-		if err := l.Append(rec); err != nil {
+		if err := l.AppendBatch([][]byte{rec}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -215,13 +215,14 @@ func TestInsertRecordSplit(t *testing.T) {
 	if err := s.reg.Create("flows", "bloom", map[string]string{"bits": "65536", "window": "65536", "shards": "2"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.walAppend([]byte("SKETCH.CREATE flows bloom bits=65536 window=65536 shards=2"), nil); err != nil {
+	create := []byte("SKETCH.CREATE flows bloom bits=65536 window=65536 shards=2")
+	if _, err := s.walAppend([][]byte{create}, new([]wal.Cursor), nil); err != nil {
 		t.Fatal(err)
 	}
 	per := maxInsertRecordKeys(len("flows"))
 	keys := testKeys(7, 2*per+10)
 	before := s.ctr.WALRecords.Value()
-	b := &connBatch{s: s}
+	b := &connBatch{s: s, bw: &syncWriter{s: s}}
 	g := b.group([]byte("flows"))
 	g.keys = append(g.keys, keys...)
 	b.cmds, b.nkeys = 1, len(keys)

@@ -509,6 +509,7 @@ type replTarget struct {
 	s      *Server
 	buf    insertBuf
 	logged [][]byte        // the burst's records as this node logs them
+	ends   []wal.Cursor    // their end cursors in this node's log
 	relog  []byte          // insert records re-rendered from an older primary's text lines
 	open   []*xtrace.Trace // joined traces of the burst
 }
@@ -622,7 +623,7 @@ func (t *replTarget) applyLogged(recs []repl.Record) error {
 		t.logged = append(t.logged, logged)
 	}
 	if len(t.logged) > 0 {
-		if err := s.walAppendBatch(t.logged); err != nil {
+		if _, err := s.walAppend(t.logged, &t.ends, nil); err != nil {
 			return err
 		}
 	}

@@ -171,12 +171,73 @@ func TestReplicationEndToEnd(t *testing.T) {
 // follower, and every insert the client was ever acked for is still
 // answerable — and the follower's online audit confirms the answers
 // are accurate, not just present.
+//
+// per-command acknowledges one SKETCH.INSERT at a time. In
+// across-checkpoints two connections write while the log checkpoints
+// under them, and a checkpoint leaves the log's tip at the start of an
+// empty segment: a commit must wait for its own records, not for that
+// tip, which no replica can acknowledge until someone appends again.
 func TestReplicationFailover(t *testing.T) {
-	primary := server.New(server.Config{
-		Listen:       "127.0.0.1:0",
-		WALDir:       t.TempDir(),
-		SyncReplicas: 1,
+	t.Run("per-command", func(t *testing.T) {
+		failover(t, server.Config{}, func(t *testing.T, addr string) []string {
+			pc := dial(t, addr)
+			keys := make([]string, 200)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("key-%d", i)
+				if got := pc.cmd("SKETCH.INSERT flows %s", keys[i]); got != ":1" {
+					t.Fatalf("INSERT %s = %q", keys[i], got)
+				}
+			}
+			return keys
+		})
 	})
+	t.Run("across-checkpoints", func(t *testing.T) {
+		failover(t, server.Config{CheckpointBytes: 16 << 10}, writeAcrossCheckpoints)
+	})
+}
+
+// writeAcrossCheckpoints has two connections to the primary at addr,
+// one sending MINSERT×64 and one single-key SKETCH.INSERTs, until the
+// log has checkpointed three times under them. They take turns, one
+// command in flight at a time, so no other writer's append can rescue a
+// commit that waits for the wrong cursor. Every reply must acknowledge
+// its keys and no semi-synchronous wait may time out; it returns the
+// acknowledged keys.
+func writeAcrossCheckpoints(t *testing.T, addr string) []string {
+	ic, mc, sc := dial(t, addr), dial(t, addr), dial(t, addr)
+	base := infoInt(ic, "checkpoints")
+	var keys []string
+	for i := 0; infoInt(ic, "checkpoints") < base+3; i++ {
+		if i == 1000 {
+			t.Fatalf("%d checkpoints after %d turns, want 3", infoInt(ic, "checkpoints")-base, i)
+		}
+		line := "MINSERT flows"
+		for j := range 64 {
+			line += fmt.Sprintf(" m%d-%d", i, j)
+		}
+		if got := mc.cmd("%s", line); got != ":64" {
+			t.Fatalf("MINSERT #%d = %q", i, got)
+		}
+		keys = append(keys, strings.Fields(line)[2:]...)
+		key := fmt.Sprintf("s%d", i)
+		if got := sc.cmd("SKETCH.INSERT flows %s", key); got != ":1" {
+			t.Fatalf("SKETCH.INSERT #%d = %q", i, got)
+		}
+		keys = append(keys, key)
+	}
+	if n := infoInt(ic, "repl_sync_timeouts"); n != 0 {
+		t.Fatalf("repl_sync_timeouts = %d, want 0", n)
+	}
+	return keys
+}
+
+// failover starts a semi-synchronous primary (cfg plus a WAL and
+// SyncReplicas 1) and an auditing follower, creates a cm sketch, lets
+// write acknowledge keys on the primary, crashes the primary and
+// promotes the follower, which must answer every acknowledged key.
+func failover(t *testing.T, cfg server.Config, write func(t *testing.T, addr string) []string) {
+	cfg.Listen, cfg.WALDir, cfg.SyncReplicas = "127.0.0.1:0", t.TempDir(), 1
+	primary := server.New(cfg)
 	if err := primary.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -204,12 +265,7 @@ func TestReplicationFailover(t *testing.T) {
 	if got := pc.cmd("SKETCH.CREATE flows cm counters=65536 window=1048576 shards=4"); got != "+OK" {
 		t.Fatalf("CREATE under semi-sync = %q", got)
 	}
-	const acked = 200
-	for i := 0; i < acked; i++ {
-		if got := pc.cmd("SKETCH.INSERT flows key-%d", i); got != ":1" {
-			t.Fatalf("INSERT key-%d = %q", i, got)
-		}
-	}
+	acked := write(t, primary.Addr().String())
 
 	// Crash the primary: no drain, no checkpoint, connections die.
 	primary.Abort()
@@ -226,9 +282,9 @@ func TestReplicationFailover(t *testing.T) {
 
 	// Zero acked-write loss: cm never undercounts within the window,
 	// so every acked key must answer at least 1.
-	for i := 0; i < acked; i++ {
-		if v := queryInt(fc, "SKETCH.QUERY flows key-%d", i); v < 1 {
-			t.Fatalf("acked insert key-%d lost after failover (count %d)", i, v)
+	for _, key := range acked {
+		if v := queryInt(fc, "SKETCH.QUERY flows %s", key); v < 1 {
+			t.Fatalf("acked insert %s lost after failover (count %d)", key, v)
 		}
 	}
 
@@ -271,6 +327,41 @@ func TestReplicationSemiSyncTimeout(t *testing.T) {
 	got := pc.cmd("SKETCH.CREATE flows cm counters=4096")
 	if !strings.HasPrefix(got, "-ERR") || !strings.Contains(got, "replica") {
 		t.Fatalf("semi-sync commit with no replicas = %q, want replica-ack error", got)
+	}
+}
+
+// TestReplicationSemiSyncRefusesLoad: SKETCH.LOAD writes a checkpoint,
+// not a log record, so no replica receives what it loads and no
+// acknowledgement could vouch for it. Under semi-sync it is refused by
+// name before anything loads, and the connection carries on.
+func TestReplicationSemiSyncRefusesLoad(t *testing.T) {
+	primary := startServer(t, server.Config{
+		WALDir:       t.TempDir(),
+		SnapshotDir:  t.TempDir(),
+		SyncReplicas: 1,
+	})
+	startServer(t, server.Config{WALDir: t.TempDir(), ReplicaOf: primary.Addr().String()})
+	pc := dial(t, primary.Addr().String())
+	for _, cmd := range []string{"SKETCH.CREATE flows cm counters=4096", "SKETCH.INSERT flows a", "SKETCH.SAVE flows"} {
+		if got := pc.cmd("%s", cmd); strings.HasPrefix(got, "-") {
+			t.Fatalf("%s = %q", cmd, got)
+		}
+	}
+	for _, cmd := range []string{"SKETCH.LOAD copy flows", "SKETCH.LOAD flows"} {
+		if got := pc.cmd("%s", cmd); !strings.HasPrefix(got, "-ERR SKETCH.LOAD is not replicated") {
+			t.Fatalf("%s under semi-sync = %q, want the refusal", cmd, got)
+		}
+	}
+	if list := pc.array("SKETCH.LIST"); len(list) != 1 || !strings.HasPrefix(list[0], "flows ") {
+		t.Fatalf("SKETCH.LIST after refused loads = %v, want flows alone", list)
+	}
+	if got := pc.cmd("SKETCH.INSERT flows b"); got != ":1" {
+		t.Fatalf("INSERT after refused loads = %q", got)
+	}
+	for _, key := range []string{"snapshots_loaded", "repl_sync_timeouts"} {
+		if got := infoInt(pc, key); got != 0 {
+			t.Errorf("%s = %d, want 0", key, got)
+		}
 	}
 }
 

@@ -15,6 +15,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"she/internal/wal"
 )
 
 // refScan is what ScanLine must return for line, from the slow path's
@@ -199,15 +201,16 @@ func TestScanRandom(t *testing.T) {
 type batchTrace struct {
 	Groups                      []string
 	Ngroups, Cmds, Nkeys        int
-	Admitted, Wrote             bool
+	Admitted                    bool
+	End                         wal.Cursor
 	Counts                      []uint64
 	Handled, Keys, Last, Buffer int
 	Commands, Inserts           int64
 }
 
-func traceOf(b *connBatch, w *bufio.Writer, bw *syncWriter) batchTrace {
+func traceOf(b *connBatch, w *bufio.Writer) batchTrace {
 	tr := batchTrace{
-		Ngroups: b.ngroups, Cmds: b.cmds, Nkeys: b.nkeys, Admitted: b.admitted, Wrote: bw.wrote,
+		Ngroups: b.ngroups, Cmds: b.cmds, Nkeys: b.nkeys, Admitted: b.admitted, End: b.bw.end,
 		Counts: slices.Clone(b.counts[:]), Handled: b.handled, Keys: b.keys, Last: b.last,
 		Buffer: w.Buffered(), Commands: b.s.ctr.Commands.Value(), Inserts: b.s.ctr.Inserts.Value(),
 	}
@@ -268,23 +271,22 @@ func TestFastDeclineLeavesNoTrace(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, pending := range []bool{false, true} {
-				b := &connBatch{s: s}
-				bw := &syncWriter{s: s}
+				b := &connBatch{s: s, bw: &syncWriter{s: s}}
 				w := bufio.NewWriterSize(io.Discard, 32*1024)
 				if pending {
 					for _, line := range []string{"MINSERT b 1 2 3", "MINSERT b2 4", "SKETCH.INSERT b 5"} {
-						if handled, _, err := b.tryFast([]byte(line), w, bw); !handled || err != nil {
+						if handled, _, err := b.tryFast([]byte(line), w); !handled || err != nil {
 							t.Fatalf("tryFast(%q) = %v, %v", line, handled, err)
 						}
 					}
 				}
 				for _, line := range declines {
-					before := traceOf(b, w, bw)
-					handled, _, err := b.tryFast([]byte(line), w, bw)
+					before := traceOf(b, w)
+					handled, _, err := b.tryFast([]byte(line), w)
 					if handled || err != nil {
 						t.Fatalf("tryFast(%q) = %v, %v, want a decline", line, handled, err)
 					}
-					if after := traceOf(b, w, bw); !reflect.DeepEqual(before, after) {
+					if after := traceOf(b, w); !reflect.DeepEqual(before, after) {
 						t.Fatalf("pending=%v: declined %q left a trace\nbefore %+v\nafter  %+v", pending, line, before, after)
 					}
 				}

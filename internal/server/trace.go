@@ -55,7 +55,7 @@ type shipEntry struct {
 	tr  *xtrace.Trace
 }
 
-// put registers a sampled append. pos is the AppendPos end cursor.
+// put registers a sampled append at its record's end cursor.
 func (st *shipTable) put(pos wal.Cursor, tr *xtrace.Trace) {
 	if tr == nil {
 		return

@@ -4,7 +4,7 @@ package server
 type verbFlags uint8
 
 const (
-	vMutates    verbFlags = 1 << iota // changes sketch state: its batch waits for the semi-synchronous replica ack
+	vMutates    verbFlags = 1 << iota // changes sketch state: one that is not an insert re-measures the memory budget (conn.run)
 	vWriteGate                        // refused READONLY on a replica
 	vAllocGate                        // refused at the refuse_create overload rung and above
 	vInsertGate                       // an insert verb (arguments past the name are keys): refused at refuse_insert

@@ -27,6 +27,11 @@
 // segments an older binary filled with decimal MINSERT lines still
 // replay.
 //
+// There is one append call, AppendBatch: one record or many, one lock
+// hold, and on request each record's end cursor — the position a
+// replica acknowledges once it holds that record, which is what a
+// semi-synchronous commit waits for. Records are durable after Sync.
+//
 // # Recovery
 //
 // Open scans segments at or above the floor in order. A torn tail —
@@ -49,7 +54,7 @@
 // generation and the segments below the new floor. A crash at any
 // point leaves either the old manifest (old snapshots + old segments
 // intact) or the new one (new snapshots + empty log) — never a
-// half-state. The caller must hold off concurrent Appends for the
+// half-state. The caller must hold off concurrent appends for the
 // duration; shed does this with a server-wide RWMutex so a checkpoint
 // observes a log position consistent with the snapshot it writes.
 //

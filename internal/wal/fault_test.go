@@ -27,7 +27,7 @@ func workload(fsys failfs.FS, dir string) (acked []string, err error) {
 	}
 	for i := 0; i < 12; i++ {
 		p := fmt.Sprintf("payload-%02d", i)
-		if err := l.Append([]byte(p)); err != nil {
+		if err := appendOne(l, []byte(p)); err != nil {
 			return acked, err
 		}
 		if err := l.Sync(); err != nil {
@@ -154,14 +154,14 @@ func TestSyncFailureIsSticky(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.Append([]byte("a")); err != nil {
+	if err := appendOne(l, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
 	fault.FailSyncs(1)
 	if err := l.Sync(); !errors.Is(err, failfs.ErrInjectedSync) {
 		t.Fatalf("Sync = %v, want injected error", err)
 	}
-	if err := l.Append([]byte("b")); !errors.Is(err, failfs.ErrInjectedSync) {
+	if err := appendOne(l, []byte("b")); !errors.Is(err, failfs.ErrInjectedSync) {
 		t.Fatalf("Append after failed sync = %v, want sticky error", err)
 	}
 	if err := l.Sync(); !errors.Is(err, failfs.ErrInjectedSync) {

@@ -19,7 +19,7 @@ func TestLatencyHistogramsWired(t *testing.T) {
 	l, _ := openT(t, dir, Options{SyncLatency: syncH, CheckpointLatency: chkH})
 
 	for _, p := range testPayloads(5) {
-		if err := l.Append(p); err != nil {
+		if err := appendOne(l, p); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Sync(); err != nil {
@@ -51,7 +51,7 @@ func TestLatencyHistogramsWired(t *testing.T) {
 
 	// Checkpoint rotates a dirty segment, which seal-syncs: append one
 	// record (dirty), checkpoint, and expect one more fsync observation.
-	if err := l.Append([]byte("post")); err != nil {
+	if err := appendOne(l, []byte("post")); err != nil {
 		t.Fatal(err)
 	}
 	before := syncH.Snapshot().Count
@@ -73,7 +73,7 @@ func TestLatencyHistogramsWired(t *testing.T) {
 func TestNilHistogramsSafe(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{})
-	if err := l.Append([]byte("x")); err != nil {
+	if err := appendOne(l, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Sync(); err != nil {

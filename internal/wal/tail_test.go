@@ -42,7 +42,7 @@ func TestTailReaderBasic(t *testing.T) {
 
 	start := l.Position()
 	for _, p := range []string{"one", "two", "three"} {
-		if err := l.Append([]byte(p)); err != nil {
+		if err := appendOne(l, []byte(p)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,7 +70,7 @@ func TestTailReaderUnsyncedInvisible(t *testing.T) {
 	defer l.Close()
 	start := l.Position()
 
-	if err := l.Append([]byte("volatile")); err != nil {
+	if err := appendOne(l, []byte("volatile")); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := readAll(t, l, start); len(got) != 0 {
@@ -94,7 +94,7 @@ func TestTailReaderTornTail(t *testing.T) {
 	defer l.Close()
 	start := l.Position()
 
-	if err := l.Append([]byte("whole")); err != nil {
+	if err := appendOne(l, []byte("whole")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Sync(); err != nil {
@@ -124,20 +124,26 @@ func TestTailReaderTornTail(t *testing.T) {
 }
 
 // TestTailReaderAcrossRotation: records stream seamlessly across a
-// segment rotation, and a cursor at the end of a sealed segment
-// advances into the next one.
+// segment rotation, a cursor at the end of a sealed segment advances
+// into the next one, and each record's End is the end cursor
+// AppendBatch reported for it — what a replica acknowledges is what a
+// semi-synchronous commit waits for, rotations inside the batch
+// included.
 func TestTailReaderAcrossRotation(t *testing.T) {
 	l, _ := mustOpen(t, t.TempDir(), Options{SegmentBytes: 64})
 	defer l.Close()
 	start := l.Position()
 
 	var want []string
-	for i := 0; i < 20; i++ {
+	payloads := make([][]byte, 20)
+	for i := range payloads {
 		p := string(rune('a'+i%26)) + "-payload-padding-0123456789"
 		want = append(want, p)
-		if err := l.Append([]byte(p)); err != nil {
-			t.Fatal(err)
-		}
+		payloads[i] = []byte(p)
+	}
+	ends := make([]Cursor, len(payloads))
+	if err := l.AppendBatch(payloads, ends); err != nil {
+		t.Fatal(err)
 	}
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
@@ -145,13 +151,16 @@ func TestTailReaderAcrossRotation(t *testing.T) {
 	if l.Position().Seg == start.Seg {
 		t.Fatal("expected at least one rotation")
 	}
-	got, next := readAll(t, l, start)
+	got, next, err := l.ReadFrom(start, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d records, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d = %q, want %q", i, got[i], want[i])
+		if string(got[i].Payload) != want[i] || got[i].End != ends[i] {
+			t.Fatalf("record %d = %q ending at %v, want %q ending at %v", i, got[i].Payload, got[i].End, want[i], ends[i])
 		}
 	}
 	if next != l.Position() {
@@ -188,7 +197,7 @@ func TestTailReaderCheckpointTruncation(t *testing.T) {
 	start := l.Position()
 
 	for i := 0; i < 10; i++ {
-		if err := l.Append([]byte("record-padding-padding-padding")); err != nil {
+		if err := appendOne(l, []byte("record-padding-padding-padding")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,7 +216,7 @@ func TestTailReaderCheckpointTruncation(t *testing.T) {
 	// keeps the old segments readable.
 	start2 := l.Position()
 	for i := 0; i < 10; i++ {
-		if err := l.Append([]byte("record-padding-padding-padding")); err != nil {
+		if err := appendOne(l, []byte("record-padding-padding-padding")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -233,7 +242,7 @@ func TestTailReaderSnapshotInfo(t *testing.T) {
 	if _, _, _, ok := l.SnapshotInfo(); ok {
 		t.Fatal("SnapshotInfo ok before first checkpoint")
 	}
-	if err := l.Append([]byte("pre")); err != nil {
+	if err := appendOne(l, []byte("pre")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Sync(); err != nil {
@@ -246,7 +255,7 @@ func TestTailReaderSnapshotInfo(t *testing.T) {
 	if !ok || gen == 0 || dir == "" {
 		t.Fatalf("SnapshotInfo = %d %q %v", gen, dir, ok)
 	}
-	if err := l.Append([]byte("post")); err != nil {
+	if err := appendOne(l, []byte("post")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Sync(); err != nil {
@@ -271,7 +280,7 @@ func TestTailReaderNotifyAndDistance(t *testing.T) {
 	default:
 	}
 	from := l.Position()
-	if err := l.Append([]byte("x")); err != nil {
+	if err := appendOne(l, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Sync(); err != nil {
@@ -299,7 +308,7 @@ func TestTailReaderRestartResume(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, dir, Options{})
 	start := l.Position()
-	if err := l.Append([]byte("before-restart")); err != nil {
+	if err := appendOne(l, []byte("before-restart")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Sync(); err != nil {
@@ -311,7 +320,7 @@ func TestTailReaderRestartResume(t *testing.T) {
 
 	l2, _ := mustOpen(t, dir, Options{})
 	defer l2.Close()
-	if err := l2.Append([]byte("after-restart")); err != nil {
+	if err := appendOne(l2, []byte("after-restart")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.Sync(); err != nil {
@@ -344,7 +353,7 @@ func TestTailReaderBudgetAndReuse(t *testing.T) {
 				p[j] = byte(round*31 + i*7 + j)
 			}
 			want = append(want, p)
-			if err := l.Append(p); err != nil {
+			if err := appendOne(l, p); err != nil {
 				t.Fatal(err)
 			}
 		}

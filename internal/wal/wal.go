@@ -49,9 +49,9 @@ type Options struct {
 	// histogram to watch for ack-latency regressions.
 	SyncLatency *obs.Histogram
 	// AppendLatency, when non-nil, records the duration of every
-	// Append (frame encode + buffered segment write, no fsync). Spikes
-	// here mean segment rotation or a stalled page cache, distinct
-	// from the fsync cost SyncLatency captures.
+	// AppendBatch, the one append call (frame encode + buffered segment
+	// write, no fsync). Spikes here mean segment rotation or a stalled
+	// page cache, distinct from the fsync cost SyncLatency captures.
 	AppendLatency *obs.Histogram
 	// CheckpointLatency, when non-nil, records the duration of each
 	// successful Checkpoint (snapshot write + manifest publish +
@@ -95,16 +95,16 @@ func (r *Recovery) Damaged() bool {
 }
 
 // Log is an append-only record log with segment rotation and
-// snapshot-then-truncate checkpointing. Append and Sync are safe for
-// concurrent use; Checkpoint additionally requires that the caller
-// exclude concurrent Appends whose effects the snapshot writer might
+// snapshot-then-truncate checkpointing. AppendBatch and Sync are safe
+// for concurrent use; Checkpoint additionally requires that the caller
+// exclude concurrent appends whose effects the snapshot writer might
 // miss (shed holds a server-wide RWMutex: mutations take it shared,
 // Checkpoint takes it exclusively).
 //
 // After any error that leaves on-disk state unknowable (a failed
 // write or fsync of the log itself), the Log turns sticky-failed:
-// every later Append/Sync/Checkpoint returns the same error rather
-// than pretending durability it cannot prove.
+// every later AppendBatch/Sync/Checkpoint returns the same error
+// rather than pretending durability it cannot prove.
 type Log struct {
 	fs       failfs.FS
 	dir      string
@@ -349,66 +349,16 @@ func (l *Log) removeDir(dir string) {
 	l.fs.Remove(dir)
 }
 
-// Append adds one record to the log. The record is durable — and the
-// operation it describes may be acknowledged — only after a subsequent
-// Sync returns nil.
-func (l *Log) Append(payload []byte) error {
-	_, err := l.AppendPos(payload)
-	return err
-}
-
-// AppendPos is Append returning the cursor just past the appended
-// record — the same position a tail reader's ReadFrom reports as that
-// record's End, so callers can correlate an append with its later
-// replication (request tracing keys its ship table on this).
-func (l *Log) AppendPos(payload []byte) (Cursor, error) {
-	if len(payload) == 0 || len(payload) > MaxRecordBytes {
-		return Cursor{}, fmt.Errorf("wal: record of %d bytes out of range", len(payload))
-	}
-	var start time.Time
-	if l.appLat != nil {
-		start = time.Now()
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.failed != nil {
-		return Cursor{}, l.failed
-	}
-	if l.f == nil {
-		return Cursor{}, ErrClosed
-	}
-	frame := EncodeRecord(make([]byte, 0, recordHeaderLen+len(payload)), payload)
-	if l.activeBytes > 0 && l.activeBytes+int64(len(frame)) > l.segBytes {
-		if err := l.rotateLocked(); err != nil {
-			l.failed = err
-			return Cursor{}, err
-		}
-	}
-	if _, err := l.f.Write(frame); err != nil {
-		// A partial frame may be on disk; recovery truncates it as a
-		// torn tail. In-process, durability is no longer provable.
-		l.failed = fmt.Errorf("wal: append: %w", err)
-		return Cursor{}, l.failed
-	}
-	l.activeBytes += int64(len(frame))
-	l.since += int64(len(frame))
-	l.dirty = true
-	if l.appLat != nil {
-		l.appLat.Observe(time.Since(start))
-	}
-	return Cursor{Gen: l.gen, Seg: l.active, Off: l.activeBytes}, nil
-}
-
-// AppendBatch appends every payload in order under a single lock
-// acquisition, framing the whole batch into a reused buffer and
-// writing it with one Write per segment run (rotation still happens
-// between records when a frame would overflow the active segment).
-// When ends is non-nil it must have len(payloads); ends[i] receives
-// the cursor just past record i — the same position AppendPos would
-// have returned — so batched appends stay traceable through the ship
-// table. Durability and failure semantics match Append: records are
-// durable only after a later Sync, and any write error turns the Log
-// sticky-failed.
+// AppendBatch is the log's one append: every payload in order under a
+// single lock acquisition, framed into a reused buffer and written with
+// one Write per segment run (rotation happens between records when a
+// frame would overflow the active segment). When ends is non-nil it
+// must have len(payloads); ends[i] receives the cursor just past record
+// i — the position a tail reader's ReadFrom reports as that record's
+// End, and so the one a replica acknowledges once it has applied it.
+// The records are durable — and the operations they describe may be
+// acknowledged — only after a later Sync returns nil. A write error
+// turns the Log sticky-failed.
 func (l *Log) AppendBatch(payloads [][]byte, ends []Cursor) error {
 	if len(payloads) == 0 {
 		return nil
@@ -439,9 +389,8 @@ func (l *Log) AppendBatch(payloads [][]byte, ends []Cursor) error {
 			return nil
 		}
 		if _, err := l.f.Write(buf); err != nil {
-			// As with Append: a partial run may be on disk, recovery
-			// truncates it as a torn tail, in-process durability is no
-			// longer provable.
+			// A partial run may be on disk; recovery truncates it as a
+			// torn tail. In-process, durability is no longer provable.
 			l.failed = fmt.Errorf("wal: append: %w", err)
 			return l.failed
 		}
@@ -572,7 +521,7 @@ func (l *Log) Gen() uint64 {
 // recovers to either the old manifest (old snapshots + old log) or the
 // new one (new snapshots + empty log) — never a mix.
 //
-// The caller must prevent concurrent Appends for the duration, so the
+// The caller must prevent concurrent appends for the duration, so the
 // snapshot reflects every record below the new floor and no record
 // above it. writeSnaps must write each file atomically (WriteFileAtomic)
 // on the provided filesystem.

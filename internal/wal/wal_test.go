@@ -20,6 +20,9 @@ func testPayloads(n int) [][]byte {
 	return out
 }
 
+// appendOne appends one record, a batch of one.
+func appendOne(l *Log, p []byte) error { return l.AppendBatch([][]byte{p}, nil) }
+
 func openT(t *testing.T, dir string, opts Options) (*Log, *Recovery) {
 	t.Helper()
 	l, rec, err := Open(dir, opts)
@@ -59,7 +62,7 @@ func TestAppendSyncReplay(t *testing.T) {
 	}
 	payloads := testPayloads(20)
 	for _, p := range payloads {
-		if err := l.Append(p); err != nil {
+		if err := appendOne(l, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -90,7 +93,7 @@ func TestSegmentRotation(t *testing.T) {
 	l, _ := openT(t, dir, Options{SegmentBytes: 64})
 	payloads := testPayloads(30)
 	for _, p := range payloads {
-		if err := l.Append(p); err != nil {
+		if err := appendOne(l, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -123,7 +126,7 @@ func segmentBytesAfter(t *testing.T, payloads [][]byte) (string, []byte) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{})
 	for _, p := range payloads {
-		if err := l.Append(p); err != nil {
+		if err := appendOne(l, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -274,7 +277,7 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		p := fmt.Sprintf("rec-%d", i)
-		if err := l.Append([]byte(p)); err != nil {
+		if err := appendOne(l, []byte(p)); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Sync(); err != nil {
@@ -326,7 +329,7 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 func TestManifestCorruptRefusesStart(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{})
-	if err := l.Append([]byte("x")); err != nil {
+	if err := appendOne(l, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Checkpoint(func(snapDir string, fsys failfs.FS) error {
