@@ -39,6 +39,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
 	"strconv"
@@ -46,7 +47,6 @@ import (
 	"syscall"
 	"time"
 
-	obslog "she/internal/obs/log"
 	"she/internal/server"
 )
 
@@ -71,23 +71,20 @@ func main() {
 	writeTimeout := flag.Duration("write-timeout", 10*time.Second, "per-flush reply write deadline (0 = none)")
 	maxConns := flag.Int("max-conns", 1024, "maximum concurrent client connections (0 = unlimited)")
 	slowMs := flag.Int64("slow-ms", 0, "log commands taking at least this many milliseconds to the SLOWLOG ring (0 = disabled)")
-	slowlogSize := flag.Int("slowlog-size", 128, "slow-query ring capacity")
 	auditSample := flag.Float64("audit-sample", 0, "online accuracy auditing: shadow this fraction of keys in an exact window and export she_audit_* error metrics (0 = disabled; try 0.001)")
 	auditMaxKeys := flag.Int("audit-max-keys", 0, "cap on distinct shadowed keys per audited sketch (0 = default 65536)")
 	traceSample := flag.Int("trace-sample", 0, "request tracing: trace 1 in this many commands end to end (parse, mutate, WAL, fsync, replication, follower ack) and serve them via TRACE GET (0 = disabled; try 256. Adjustable at runtime with TRACE SAMPLE)")
-	traceRing := flag.Int("trace-ring", 0, "retained-trace ring capacity; slow and errored traces are evicted last (0 = default 256)")
 	trafficSample := flag.Int("traffic-sample", 0, "traffic self-telemetry: sample 1 in this many commands into per-sketch hot-key sketches and the MONITOR feed (0 = disabled; try 64)")
-	hotkeysK := flag.Int("hotkeys-k", 0, "hot keys tracked per sketch for HOTKEYS and she_hotkeys_* (0 = default 10)")
 	enablePprof := flag.Bool("pprof", false, "serve net/http/pprof on the -debug listener")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 	flag.Parse()
 
-	level, err := obslog.ParseLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "shed: %v\n", err)
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
+		fmt.Fprintf(os.Stderr, "shed: -log-level: %v\n", err)
 		os.Exit(2)
 	}
-	logger := obslog.New(os.Stderr, level).With("app", "shed")
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level})).With("app", "shed")
 	fatal := func(msg string, err error) {
 		logger.Error(msg, "err", err)
 		os.Exit(1)
@@ -97,12 +94,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "shed: -audit-sample %g out of range [0,1]\n", *auditSample)
 		os.Exit(2)
 	}
-	if *traceSample < 0 || *traceRing < 0 {
-		fmt.Fprintln(os.Stderr, "shed: -trace-sample and -trace-ring must be non-negative")
-		os.Exit(2)
-	}
-	if *trafficSample < 0 || *hotkeysK < 0 {
-		fmt.Fprintln(os.Stderr, "shed: -traffic-sample and -hotkeys-k must be non-negative")
+	if *traceSample < 0 || *trafficSample < 0 {
+		fmt.Fprintln(os.Stderr, "shed: -trace-sample and -traffic-sample must be non-negative")
 		os.Exit(2)
 	}
 	if *walDir != "" && *autosave != "" {
@@ -150,13 +143,10 @@ func main() {
 		ReplRetryInterval:    *replRetry,
 		ReplMaxRetryInterval: *replRetryMax,
 		SlowThreshold:        time.Duration(*slowMs) * time.Millisecond,
-		SlowLogSize:          *slowlogSize,
 		AuditSample:          *auditSample,
 		AuditMaxKeys:         *auditMaxKeys,
 		TraceSample:          *traceSample,
-		TraceRing:            *traceRing,
 		TrafficSample:        *trafficSample,
-		HotKeysK:             *hotkeysK,
 		EnablePprof:          *enablePprof,
 		Logger:               logger,
 	})
@@ -186,7 +176,7 @@ func main() {
 		logger.Info("accuracy auditing enabled", "sample", *auditSample, "max_keys", *auditMaxKeys)
 	}
 	if *trafficSample > 0 {
-		logger.Info("traffic self-telemetry enabled", "sample", *trafficSample, "hotkeys_k", *hotkeysK)
+		logger.Info("traffic self-telemetry enabled", "sample", *trafficSample)
 	}
 	if maxMemoryBytes > 0 || *maxInflight > 0 {
 		logger.Info("overload protection enabled",

@@ -123,9 +123,9 @@ type ClientInfo struct {
 	Monitor    bool
 }
 
-// Clients is the connection registry. Registration and listing take
-// the mutex; per-command accounting touches only the Client's own
-// atomics.
+// Clients is the connection registry, and the server's one list of
+// live connections. Registration and listing take the mutex;
+// per-command accounting touches only the Client's own atomics.
 type Clients struct {
 	verbs  []string
 	nextID atomic.Uint64
@@ -248,6 +248,18 @@ func (r *Clients) Totals() (bytesIn, bytesOut int64, monitors int) {
 		}
 	}
 	return bytesIn, bytesOut, monitors
+}
+
+// Conns returns every registered connection, for a shutdown to poke or
+// close.
+func (r *Clients) Conns() []net.Conn {
+	var out []net.Conn
+	for _, c := range r.snapshot() {
+		if c.conn != nil {
+			out = append(out, c.conn)
+		}
+	}
+	return out
 }
 
 // Find returns the client with the given remote address (exact

@@ -53,9 +53,6 @@ type hotTrack struct {
 // insert path) take the RLock; track creation and Forget take the
 // write lock.
 type hotRegistry struct {
-	k      int
-	window uint64
-
 	mu     sync.RWMutex
 	tracks map[string]*hotTrack
 }
@@ -93,8 +90,8 @@ func (h *hotRegistry) create(name string) *hotTrack {
 	if len(h.tracks) >= maxHotTracks {
 		return nil
 	}
-	topk, err := she.NewTopK(h.k, hotCounters, she.Options{
-		Window: h.window,
+	topk, err := she.NewTopK(hotKeysK, hotCounters, she.Options{
+		Window: hotWindow,
 		Seed:   hotSeed,
 	})
 	if err != nil {
@@ -124,7 +121,7 @@ func (h *hotRegistry) top(name string, k, rate int) ([]HotEntry, bool) {
 		return nil, false
 	}
 	if k <= 0 {
-		k = h.k
+		k = hotKeysK
 	}
 	return tr.entries(k, rate), true
 }

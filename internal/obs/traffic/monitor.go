@@ -42,11 +42,7 @@ type Hub struct {
 
 // Subscribe attaches a new MONITOR consumer.
 func (h *Hub) Subscribe() *Sub {
-	ring := h.ring
-	if ring <= 0 {
-		ring = DefaultMonitorRing
-	}
-	s := &Sub{ch: make(chan Entry, ring), hub: h}
+	s := &Sub{ch: make(chan Entry, h.ring), hub: h}
 	s.C = s.ch
 	h.mu.Lock()
 	h.list = append(h.list, s)

@@ -1,22 +1,22 @@
 // Package traffic is shed's self-telemetry subsystem: the server
 // observes its own traffic with the same sketch machinery it serves.
-// It samples the command hot path 1-in-N and feeds three consumers:
+// The commands the server's obs.Sampler picks at its traffic rate feed
+// two consumers here, and a third sees every connection:
 //
 //   - per-sketch sliding-window hot-key tracking (she.TopK over the
 //     sampled insert keys), served by the HOTKEYS verb and the
 //     she_hotkeys_* metric families;
+//   - a MONITOR broadcast hub: bounded per-subscriber rings of sampled
+//     command frames, dropped (and counted) when a consumer lags;
 //   - a per-connection accounting registry (bytes, commands by verb,
 //     batch sizes, names), served by CLIENT LIST/KILL/GETNAME/SETNAME
-//     and the INFO clients section;
-//   - a MONITOR broadcast hub: bounded per-subscriber rings of sampled
-//     command frames, dropped (and counted) when a consumer lags.
+//     and the INFO clients section, and the server's one list of live
+//     connections.
 //
-// Hot-path discipline mirrors internal/obs/xtrace: with sampling off
-// the per-command cost is one atomic load; when on but the command is
-// unsampled, one atomic add. Only the 1-in-N sampled path takes locks
-// (the hot-key tracker's per-sketch mutex, the hub's subscriber list).
-// Connection accounting is always on but amortized: bytes are counted
-// per syscall, fast-path command counts settle per batch.
+// Only sampled commands take locks (the hot-key tracker's per-sketch
+// mutex, the hub's subscriber list). Connection accounting is always
+// on but amortized: bytes are counted per syscall, fast-path command
+// counts settle per batch.
 //
 // Sampling error model: 1-in-N sampling widens the TopK guarantee.
 // SHE-CM never undercounts an in-window key, so over the sampled
@@ -28,22 +28,8 @@
 // times N) and callers should treat keys with few samples as noise.
 package traffic
 
-import (
-	"sync/atomic"
-)
-
 // Config sizes a Tracker.
 type Config struct {
-	// SampleEvery samples one command per N for hot-key tracking and
-	// the MONITOR feed; 0 disables sampling (accounting stays on).
-	SampleEvery int
-	// HotKeysK is the per-sketch report width K (default 10). The
-	// tracker keeps 4·K candidates per sketch, the she.TopK bound.
-	HotKeysK int
-	// HotWindow is the hot-key sliding window in sampled inserts
-	// (default 65536); one raw-traffic window is SampleEvery times
-	// that. Exposed for tests that need fast decay.
-	HotWindow uint64
 	// MonitorRing bounds each MONITOR subscriber's frame buffer
 	// (default 1024); frames past it are dropped and counted.
 	MonitorRing int
@@ -52,20 +38,20 @@ type Config struct {
 	Verbs []string
 }
 
-// Defaults for the zero Config values.
 const (
-	DefaultHotKeysK    = 10
-	DefaultHotWindow   = 65536
-	DefaultMonitorRing = 1024
+	// hotKeysK is the hot keys HOTKEYS and she_hotkeys_est_count report
+	// per sketch; the tracker keeps 4·K candidates, the she.TopK bound.
+	hotKeysK = 10
+	// hotWindow is the hot-key sliding window in sampled inserts; one
+	// raw-traffic window is the sampling rate times that.
+	hotWindow = 65536
+	// defaultMonitorRing is Config.MonitorRing's zero value.
+	defaultMonitorRing = 1024
 )
 
-// Tracker owns the sampling decision and the three consumers. One per
-// server; always non-nil there, like xtrace.Tracer.
+// Tracker owns the consumers of sampled traffic and the connection
+// registry. One per server; always non-nil there, like xtrace.Tracer.
 type Tracker struct {
-	sampleEvery atomic.Int64 // 0 = off; N = 1-in-N
-	tick        atomic.Int64
-	sampled     atomic.Uint64 // commands that hit the sample
-
 	hot     hotRegistry
 	hub     Hub
 	clients Clients
@@ -73,64 +59,18 @@ type Tracker struct {
 
 // New returns a Tracker with cfg's zero values defaulted.
 func New(cfg Config) *Tracker {
-	k := cfg.HotKeysK
-	if k <= 0 {
-		k = DefaultHotKeysK
-	}
-	win := cfg.HotWindow
-	if win == 0 {
-		win = DefaultHotWindow
-	}
 	ring := cfg.MonitorRing
 	if ring <= 0 {
-		ring = DefaultMonitorRing
+		ring = defaultMonitorRing
 	}
 	t := &Tracker{}
-	t.sampleEvery.Store(int64(cfg.SampleEvery))
-	t.hot.k = k
-	t.hot.window = win
 	t.hub.ring = ring
 	t.clients.verbs = cfg.Verbs
 	return t
 }
 
-// Sampled is the per-command sampling decision: true for one command
-// in every SampleEvery. Off (or a nil receiver) costs one atomic
-// load; on-but-unsampled costs one atomic add — the xtrace shape, so
-// the fast path needs no branches beyond the return value.
-func (t *Tracker) Sampled() bool {
-	if t == nil {
-		return false
-	}
-	n := t.sampleEvery.Load()
-	if n <= 0 {
-		return false
-	}
-	if t.tick.Add(1)%n != 0 {
-		return false
-	}
-	t.sampled.Add(1)
-	return true
-}
-
-// SampleEvery returns the current rate (0 = off).
-func (t *Tracker) SampleEvery() int {
-	if t == nil {
-		return 0
-	}
-	return int(t.sampleEvery.Load())
-}
-
-// SampledTotal returns how many commands hit the sample.
-func (t *Tracker) SampledTotal() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.sampled.Load()
-}
-
 // NoteKeys records a sampled insert's keys against the named sketch's
-// hot-key tracker. Call only after Sampled() returned true.
+// hot-key tracker.
 func (t *Tracker) NoteKeys(sketch []byte, keys []uint64) {
 	if t == nil {
 		return
@@ -139,14 +79,14 @@ func (t *Tracker) NoteKeys(sketch []byte, keys []uint64) {
 }
 
 // HotKeys reports the named sketch's top-k sampled keys, heaviest
-// first, with counts scaled back to estimated raw traffic
-// (sampled estimate × SampleEvery). k <= 0 means the configured K;
+// first, with counts scaled back to estimated raw traffic (sampled
+// estimate × rate, the 1-in-N traffic rate). k <= 0 means hotKeysK;
 // ok is false when the sketch has no tracked traffic.
-func (t *Tracker) HotKeys(sketch string, k int) (entries []HotEntry, ok bool) {
+func (t *Tracker) HotKeys(sketch string, k, rate int) (entries []HotEntry, ok bool) {
 	if t == nil {
 		return nil, false
 	}
-	return t.hot.top(sketch, k, t.SampleEvery())
+	return t.hot.top(sketch, k, rate)
 }
 
 // HotSketches lists every tracked sketch name, sorted.
@@ -157,22 +97,23 @@ func (t *Tracker) HotSketches() []string {
 	return t.hot.names()
 }
 
-// HotStats snapshots every tracked sketch's top-k for /metrics.
-func (t *Tracker) HotStats() []HotStat {
+// HotStats snapshots every tracked sketch's top-k for /metrics, counts
+// scaled by rate as HotKeys scales them.
+func (t *Tracker) HotStats(rate int) []HotStat {
 	if t == nil {
 		return nil
 	}
-	return t.hot.stats(t.SampleEvery())
+	return t.hot.stats(rate)
 }
 
 // Hottest returns the single heaviest sampled key across every
-// tracked sketch — the overload ladder's blame line. ok is false when
-// nothing is tracked.
-func (t *Tracker) Hottest() (sketch string, e HotEntry, ok bool) {
+// tracked sketch, count scaled by rate — the overload ladder's blame
+// line. ok is false when nothing is tracked.
+func (t *Tracker) Hottest(rate int) (sketch string, e HotEntry, ok bool) {
 	if t == nil {
 		return "", HotEntry{}, false
 	}
-	return t.hot.hottest(t.SampleEvery())
+	return t.hot.hottest(rate)
 }
 
 // Monitor exposes the MONITOR hub.

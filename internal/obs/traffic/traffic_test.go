@@ -8,59 +8,11 @@ import (
 	"time"
 )
 
-// TestSamplerDisabled pins the off-switch contract: a zero rate (and a
-// nil tracker) never samples and costs nothing beyond the atomic load.
-func TestSamplerDisabled(t *testing.T) {
-	tr := New(Config{})
-	for i := 0; i < 1000; i++ {
-		if tr.Sampled() {
-			t.Fatal("disabled tracker sampled a command")
-		}
-	}
-	if tr.SampledTotal() != 0 {
-		t.Fatalf("SampledTotal = %d, want 0", tr.SampledTotal())
-	}
-	var nilTr *Tracker
-	if nilTr.Sampled() || nilTr.Wants() {
-		t.Fatal("nil tracker must be inert")
-	}
-	if _, _, ok := nilTr.Hottest(); ok {
-		t.Fatal("nil tracker reported a hottest key")
-	}
-}
-
-// TestSamplerRate checks the 1-in-N discipline: over M ticks exactly
-// M/N are sampled (the counter is deterministic, not probabilistic).
-func TestSamplerRate(t *testing.T) {
-	tr := New(Config{SampleEvery: 8})
-	sampled := 0
-	for i := 0; i < 800; i++ {
-		if tr.Sampled() {
-			sampled++
-		}
-	}
-	if sampled != 100 {
-		t.Fatalf("sampled %d of 800 at 1-in-8, want exactly 100", sampled)
-	}
-	if got := tr.SampledTotal(); got != 100 {
-		t.Fatalf("SampledTotal = %d, want 100", got)
-	}
-}
-
-// TestSamplerEveryCommand pins SampleEvery=1: every command sampled.
-func TestSamplerEveryCommand(t *testing.T) {
-	tr := New(Config{SampleEvery: 1})
-	for i := 0; i < 10; i++ {
-		if !tr.Sampled() {
-			t.Fatalf("tick %d unsampled at rate 1", i)
-		}
-	}
-}
-
 // TestHotKeysScaling checks that HOTKEYS estimates scale the sampled
-// counts back up by the sampling rate and rank heaviest-first.
+// counts back up by the sampling rate and rank heaviest-first, and that
+// a nil tracker is inert.
 func TestHotKeysScaling(t *testing.T) {
-	tr := New(Config{SampleEvery: 64, HotKeysK: 4})
+	tr := New(Config{})
 	name := []byte("fx")
 	for i := 0; i < 100; i++ {
 		tr.NoteKeys(name, []uint64{7})
@@ -68,7 +20,7 @@ func TestHotKeysScaling(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.NoteKeys(name, []uint64{8})
 	}
-	entries, ok := tr.HotKeys("fx", 0)
+	entries, ok := tr.HotKeys("fx", 0, 64)
 	if !ok || len(entries) < 2 {
 		t.Fatalf("HotKeys = %v, %v", entries, ok)
 	}
@@ -85,24 +37,32 @@ func TestHotKeysScaling(t *testing.T) {
 		t.Fatalf("count %d != sampled %d × rate 64", entries[0].Count, entries[0].Sampled)
 	}
 
-	if _, ok := tr.HotKeys("nope", 0); ok {
+	if _, ok := tr.HotKeys("nope", 0, 64); ok {
 		t.Fatal("untracked sketch reported ok")
 	}
-	sk, hot, ok := tr.Hottest()
+	sk, hot, ok := tr.Hottest(64)
 	if !ok || sk != "fx" || hot.Key != 7 {
 		t.Fatalf("Hottest = %q %v %v, want fx key 7", sk, hot, ok)
+	}
+
+	var nilTr *Tracker
+	if nilTr.Wants() {
+		t.Fatal("nil tracker wants frames")
+	}
+	if _, _, ok := nilTr.Hottest(64); ok {
+		t.Fatal("nil tracker reported a hottest key")
 	}
 }
 
 // TestForget checks DROP cleanup: a forgotten sketch's track is gone.
 func TestForget(t *testing.T) {
-	tr := New(Config{SampleEvery: 1})
+	tr := New(Config{})
 	tr.NoteKeys([]byte("fx"), []uint64{1})
-	if _, ok := tr.HotKeys("fx", 0); !ok {
+	if _, ok := tr.HotKeys("fx", 0, 1); !ok {
 		t.Fatal("tracked sketch missing")
 	}
 	tr.Forget("fx")
-	if _, ok := tr.HotKeys("fx", 0); ok {
+	if _, ok := tr.HotKeys("fx", 0, 1); ok {
 		t.Fatal("forgotten sketch still tracked")
 	}
 }
@@ -110,7 +70,7 @@ func TestForget(t *testing.T) {
 // TestHotTrackCap checks the registry refuses to grow without bound:
 // past maxHotTracks sketches, new names are not tracked.
 func TestHotTrackCap(t *testing.T) {
-	tr := New(Config{SampleEvery: 1})
+	tr := New(Config{})
 	for i := 0; i < maxHotTracks+10; i++ {
 		tr.NoteKeys([]byte(fmt.Sprintf("s%d", i)), []uint64{1})
 	}
@@ -122,7 +82,7 @@ func TestHotTrackCap(t *testing.T) {
 // TestMonitorHubDrops checks the bounded-feed contract: a subscriber
 // that never drains loses frames past its ring — counted, not blocked.
 func TestMonitorHubDrops(t *testing.T) {
-	tr := New(Config{SampleEvery: 1, MonitorRing: 4})
+	tr := New(Config{MonitorRing: 4})
 	if tr.Wants() {
 		t.Fatal("Wants true with no subscribers")
 	}
@@ -162,7 +122,7 @@ func TestMonitorHubDrops(t *testing.T) {
 // TestMonitorUnsubscribeCloses checks that Unsubscribe closes the
 // channel (the feed loop's exit signal) and publishes keep working.
 func TestMonitorUnsubscribeCloses(t *testing.T) {
-	tr := New(Config{SampleEvery: 1})
+	tr := New(Config{})
 	sub := tr.Monitor().Subscribe()
 	tr.Monitor().Unsubscribe(sub)
 	if _, ok := <-sub.C; ok {
@@ -219,7 +179,8 @@ func TestClientsRegistry(t *testing.T) {
 	}
 }
 
-// TestCountConn checks byte accounting through the net.Conn wrapper.
+// TestCountConn checks byte accounting through the net.Conn wrapper and
+// that the registry hands back the connection it was given.
 func TestCountConn(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
@@ -239,13 +200,17 @@ func TestCountConn(t *testing.T) {
 	if len(rows) != 1 || rows[0].BytesOut != 4 || rows[0].BytesIn != int64(n) {
 		t.Fatalf("rows = %+v, want out=4 in=%d", rows, n)
 	}
+	// The registry lists the raw connection, the one a shutdown closes.
+	if conns := tr.Clients().Conns(); len(conns) != 1 || conns[0] != a {
+		t.Fatalf("Conns = %v, want the registered pipe end", conns)
+	}
 }
 
 // TestTrackerConcurrency hammers every tracker surface from many
 // goroutines at once; run under -race this is the wait-free claim's
 // regression test.
 func TestTrackerConcurrency(t *testing.T) {
-	tr := New(Config{SampleEvery: 2, HotKeysK: 4, Verbs: []string{"A", "B"}})
+	tr := New(Config{Verbs: []string{"A", "B"}})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
@@ -256,7 +221,7 @@ func TestTrackerConcurrency(t *testing.T) {
 			c := tr.Clients().Register(fmt.Sprintf("c%d", g), nil)
 			defer tr.Clients().Unregister(c)
 			for i := 0; i < 2000; i++ {
-				if tr.Sampled() {
+				if i%2 == 0 { // the lines a 1-in-2 sampler picks
 					tr.NoteKeys(name, []uint64{uint64(i % 17)})
 					if tr.Wants() {
 						tr.Publish("x", "A", "A 1")
@@ -276,8 +241,8 @@ func TestTrackerConcurrency(t *testing.T) {
 			default:
 			}
 			sub := tr.Monitor().Subscribe()
-			tr.HotStats()
-			tr.Hottest()
+			tr.HotStats(2)
+			tr.Hottest(2)
 			tr.Clients().List()
 			tr.Monitor().Unsubscribe(sub)
 		}

@@ -9,11 +9,10 @@
 // The package is named xtrace (not trace) to avoid colliding with the
 // dataset-trace package internal/trace.
 //
-// Hot-path discipline mirrors internal/obs: when sampling is disabled
-// the per-command cost is one atomic load; when enabled but the
-// command is not sampled, one atomic add. Every method on *Tracer,
-// *Trace and Span is safe on a nil receiver, so call sites need no
-// "is tracing on?" branches.
+// Which commands are traced is not decided here: the caller's
+// obs.Sampler picks them, and Start opens a trace for one it picked.
+// Every method on *Tracer, *Trace and Span is safe on a nil receiver,
+// so call sites need no "is tracing on?" branches.
 package xtrace
 
 import (
@@ -33,9 +32,6 @@ const MaxSpans = 16
 
 // Config sizes a Tracer.
 type Config struct {
-	// SampleEvery samples one root trace per N commands; 0 disables
-	// root sampling (joins from a primary's trace IDs still record).
-	SampleEvery int
 	// RingSize bounds retained completed traces (default 256).
 	RingSize int
 	// PinSlow pins completed traces at least this slow so ring
@@ -50,17 +46,13 @@ type Config struct {
 	Clock func() int64
 }
 
-// Tracer owns the sampling decision, ID generation and the retention
-// ring. One per server.
+// Tracer owns ID generation and the retention ring. One per server.
 type Tracer struct {
-	sampleEvery atomic.Int64 // 0 = off; N = 1-in-N
-	tick        atomic.Int64 // commands seen since enable, mod sampleEvery
-	nextID      atomic.Uint64
-	seed        uint64
-	pinSlow     int64 // ns
-	clock       func() int64
+	nextID  atomic.Uint64
+	seed    uint64
+	pinSlow int64 // ns
+	clock   func() int64
 
-	sampled  atomic.Uint64 // root traces started
 	joined   atomic.Uint64 // follower joins
 	finished atomic.Uint64
 	evicted  atomic.Uint64
@@ -72,16 +64,14 @@ type Tracer struct {
 
 // Stats is a point-in-time snapshot of tracer counters for /metrics.
 type Stats struct {
-	SampleEvery int
-	Retained    int
-	Pinned      int
-	Sampled     uint64
-	Joined      uint64
-	Finished    uint64
-	Evicted     uint64
+	Retained int
+	Pinned   int
+	Joined   uint64
+	Finished uint64
+	Evicted  uint64
 }
 
-// New builds a Tracer. Always construct one even when cfg.SampleEvery
+// New builds a Tracer. Always construct one even when the trace rate
 // is 0: sampling can be enabled at runtime (TRACE SAMPLE) and
 // followers join primary-sampled traces regardless of the local rate.
 func New(cfg Config) *Tracer {
@@ -95,33 +85,12 @@ func New(cfg Config) *Tracer {
 	if clock == nil {
 		clock = obs.Nanotime
 	}
-	tr := &Tracer{
+	return &Tracer{
 		seed:    cfg.Seed,
 		pinSlow: cfg.PinSlow.Nanoseconds(),
 		clock:   clock,
 		cap:     cfg.RingSize,
 	}
-	tr.sampleEvery.Store(int64(cfg.SampleEvery))
-	return tr
-}
-
-// SetSampleEvery changes the sampling rate at runtime; 0 disables.
-func (tr *Tracer) SetSampleEvery(n int) {
-	if tr == nil {
-		return
-	}
-	if n < 0 {
-		n = 0
-	}
-	tr.sampleEvery.Store(int64(n))
-}
-
-// SampleEvery reports the current 1-in-N rate (0 = disabled).
-func (tr *Tracer) SampleEvery() int {
-	if tr == nil {
-		return 0
-	}
-	return int(tr.sampleEvery.Load())
 }
 
 // id derives the next trace ID: a counter mixed through a
@@ -142,20 +111,11 @@ func (tr *Tracer) id() uint64 {
 	}
 }
 
-// Start makes the root sampling decision for one command. Returns nil
-// (record nothing) unless this command is the 1-in-N winner.
+// Start opens the root trace of a command the caller's sampler picked.
 func (tr *Tracer) Start() *Trace {
 	if tr == nil {
 		return nil
 	}
-	n := tr.sampleEvery.Load()
-	if n <= 0 {
-		return nil
-	}
-	if tr.tick.Add(1)%n != 0 {
-		return nil
-	}
-	tr.sampled.Add(1)
 	return tr.newTrace(tr.id(), false)
 }
 
@@ -292,13 +252,11 @@ func (tr *Tracer) Snapshot() Stats {
 	retained := len(tr.ring)
 	tr.mu.Unlock()
 	return Stats{
-		SampleEvery: int(tr.sampleEvery.Load()),
-		Retained:    retained,
-		Pinned:      pinned,
-		Sampled:     tr.sampled.Load(),
-		Joined:      tr.joined.Load(),
-		Finished:    tr.finished.Load(),
-		Evicted:     tr.evicted.Load(),
+		Retained: retained,
+		Pinned:   pinned,
+		Joined:   tr.joined.Load(),
+		Finished: tr.finished.Load(),
+		Evicted:  tr.evicted.Load(),
 	}
 }
 

@@ -34,48 +34,11 @@ func newTestTracer(t *testing.T, cfg Config) (*Tracer, *fakeClock) {
 	return New(cfg), clk
 }
 
-func TestSamplingOneInN(t *testing.T) {
-	tr, _ := newTestTracer(t, Config{SampleEvery: 4})
-	sampled := 0
-	for i := 0; i < 100; i++ {
-		if tt := tr.Start(); tt != nil {
-			sampled++
-			tt.Finish()
-		}
-	}
-	if sampled != 25 {
-		t.Fatalf("sampled %d of 100 at 1-in-4, want 25", sampled)
-	}
-	if got := tr.Snapshot().Sampled; got != 25 {
-		t.Fatalf("Snapshot().Sampled = %d, want 25", got)
-	}
-}
-
-func TestDisabledTracerIsNil(t *testing.T) {
-	tr, _ := newTestTracer(t, Config{SampleEvery: 0})
-	for i := 0; i < 10; i++ {
-		if tt := tr.Start(); tt != nil {
-			t.Fatal("Start returned a trace while disabled")
-		}
-	}
-	// Runtime enable via SetSampleEvery.
-	tr.SetSampleEvery(1)
-	if tt := tr.Start(); tt == nil {
-		t.Fatal("Start returned nil at 1-in-1")
-	}
-	// Joins record even when root sampling is off.
-	tr.SetSampleEvery(0)
-	if tt := tr.Join(42); tt == nil {
-		t.Fatal("Join returned nil while root sampling off")
-	}
-}
-
 func TestNilReceiversSafe(t *testing.T) {
 	var tr *Tracer
 	if tr.Start() != nil || tr.Join(1) != nil {
 		t.Fatal("nil tracer produced a trace")
 	}
-	tr.SetSampleEvery(5)
 	tr.Reset()
 	_ = tr.Snapshot()
 	_ = tr.Len()
@@ -104,15 +67,14 @@ func TestNilReceiversSafe(t *testing.T) {
 // else is left.
 func TestRingEvictionDeterminism(t *testing.T) {
 	tr, clk := newTestTracer(t, Config{
-		SampleEvery: 1,
-		RingSize:    4,
-		PinSlow:     time.Millisecond,
+		RingSize: 4,
+		PinSlow:  time.Millisecond,
 	})
 
 	finish := func(verb string, slow bool) {
 		tt := tr.Start()
 		if tt == nil {
-			t.Fatalf("not sampled at 1-in-1")
+			t.Fatalf("Start returned nil")
 		}
 		tt.SetVerb(verb)
 		if slow {
@@ -174,7 +136,7 @@ func verbs(ts []*Trace) []string {
 }
 
 func TestErrorTracePinned(t *testing.T) {
-	tr, _ := newTestTracer(t, Config{SampleEvery: 1, RingSize: 2, PinSlow: time.Hour})
+	tr, _ := newTestTracer(t, Config{RingSize: 2, PinSlow: time.Hour})
 	e := tr.Start()
 	e.SetVerb("ERR")
 	e.SetError()
@@ -191,7 +153,7 @@ func TestErrorTracePinned(t *testing.T) {
 }
 
 func TestGetSlowestReset(t *testing.T) {
-	tr, clk := newTestTracer(t, Config{SampleEvery: 1, RingSize: 8, PinSlow: time.Hour})
+	tr, clk := newTestTracer(t, Config{RingSize: 8, PinSlow: time.Hour})
 	var ids []uint64
 	for i := 0; i < 3; i++ {
 		tt := tr.Start()
@@ -220,7 +182,7 @@ func TestGetSlowestReset(t *testing.T) {
 }
 
 func TestJoinAdoptsID(t *testing.T) {
-	tr, _ := newTestTracer(t, Config{SampleEvery: 0, RingSize: 4})
+	tr, _ := newTestTracer(t, Config{RingSize: 4})
 	tt := tr.Join(0xabc123)
 	if tt.ID() != 0xabc123 {
 		t.Fatalf("Join id = %x", tt.ID())
@@ -237,7 +199,7 @@ func TestJoinAdoptsID(t *testing.T) {
 }
 
 func TestSpanOverflowCounted(t *testing.T) {
-	tr, _ := newTestTracer(t, Config{SampleEvery: 1})
+	tr, _ := newTestTracer(t, Config{})
 	tt := tr.Start()
 	for i := 0; i < MaxSpans+3; i++ {
 		tt.AddSpan(fmt.Sprintf("s%d", i), int64(i), int64(i+1))
@@ -256,7 +218,7 @@ func TestSpanOverflowCounted(t *testing.T) {
 // replack from another goroutine). The view must stay consistent
 // under -race.
 func TestPostFinishSpanAppendConcurrent(t *testing.T) {
-	tr, _ := newTestTracer(t, Config{SampleEvery: 1, RingSize: 4})
+	tr, _ := newTestTracer(t, Config{RingSize: 4})
 	tt := tr.Start()
 	tt.AddSpan("execute", 1, 2)
 	tt.Finish()
@@ -303,7 +265,7 @@ func TestIDFormatParse(t *testing.T) {
 }
 
 func TestTraceIDsUniqueAndNonzero(t *testing.T) {
-	tr, _ := newTestTracer(t, Config{SampleEvery: 1, RingSize: 1})
+	tr, _ := newTestTracer(t, Config{RingSize: 1})
 	seen := map[uint64]bool{}
 	for i := 0; i < 1000; i++ {
 		tt := tr.Start()
@@ -318,7 +280,7 @@ func TestTraceIDsUniqueAndNonzero(t *testing.T) {
 }
 
 func TestViewSpanOrderingByStart(t *testing.T) {
-	tr, _ := newTestTracer(t, Config{SampleEvery: 1})
+	tr, _ := newTestTracer(t, Config{})
 	tt := tr.Start()
 	base := tt.start
 	tt.AddSpan("late", base+100, base+200)

@@ -166,6 +166,7 @@ type connBatch struct {
 	cmds     int // insert commands whose keys are pending
 	nkeys    int // pending keys across all groups
 	admitted bool
+	hot      bool // the current line was sampled for traffic
 
 	// Fast commands handled since the last settle, per verb and in
 	// total, the keys they carried and the latest verb: commands_total
@@ -291,17 +292,15 @@ func (b *connBatch) read(vi int, name []byte, keys []uint64, line []byte, w *buf
 	return true, vi, nil
 }
 
-// sampled is the self-telemetry sampling decision for one command, fast
-// path or slow: one atomic add for the unsampled majority (the xtrace
-// discipline). A sampled command becomes a MONITOR frame, but only when
-// someone is subscribed (rendering the line costs); a sampled insert's
-// caller then feeds its keys to the hot-key tracker.
+// sampled reports whether the command's line was sampled for traffic,
+// fast path or slow. A sampled command becomes a MONITOR frame, but only
+// when someone is subscribed (rendering the line costs); a sampled
+// insert's caller then feeds its keys to the hot-key tracker.
 func (b *connBatch) sampled(vi int, line []byte) bool {
-	t := b.s.traffic
-	if !t.Sampled() {
+	if !b.hot {
 		return false
 	}
-	if t.Wants() {
+	if t := b.s.traffic; t.Wants() {
 		t.Publish(b.addr, verbs[vi].name, renderLine(line))
 	}
 	return true

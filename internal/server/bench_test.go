@@ -112,8 +112,8 @@ func BenchmarkServerInsertOverload(b *testing.B) {
 
 // BenchmarkServerInsertTraffic turns traffic self-telemetry on at the
 // production-recommended 1-in-256 sampling. The 255 unsampled
-// commands pay one atomic add at the sampling decision (the same
-// xtrace discipline tracing uses); the sampled one feeds its already-
+// commands pay one atomic add at the sampling decision (the one
+// tracing shares); the sampled one feeds its already-
 // parsed keys into the sketch's hot-key TopK. Per-connection byte and
 // verb accounting is always on and rides the batch settle.
 func BenchmarkServerInsertTraffic(b *testing.B) {

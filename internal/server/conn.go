@@ -2,8 +2,10 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"strconv"
 	"strings"
@@ -11,7 +13,6 @@ import (
 
 	"she/internal/audit"
 	"she/internal/obs"
-	obslog "she/internal/obs/log"
 	"she/internal/obs/traffic"
 	"she/internal/obs/xtrace"
 )
@@ -133,14 +134,9 @@ func (s *Server) newConn(nc net.Conn) *conn {
 func (s *Server) handleConn(nc net.Conn) {
 	defer s.wg.Done()
 	defer nc.Close()
-	defer s.numConns.Add(-1)
+	defer s.ctr.ConnsActive.Add(-1) // raised by acceptLoop
 	c := s.newConn(nc)
 	defer s.traffic.Clients().Unregister(c.tc)
-	s.trackConn(c.nc, true)
-	defer s.trackConn(c.nc, false)
-	s.ctr.ConnsTotal.Inc()
-	s.ctr.ConnsActive.Inc()
-	defer s.ctr.ConnsActive.Add(-1)
 	defer c.commit()
 	defer c.contain()
 	for {
@@ -158,10 +154,15 @@ func (s *Server) handleConn(nc net.Conn) {
 			return
 		}
 		line = line[:len(line)-1]
-		// The sampling decision is one atomic add; a sampled command's
-		// trace opens before parse so the parse span lands inside it.
-		if c.tr = s.tracer.Start(); c.tr == nil {
-			// Unsampled commands try the batch fast path (connBatch);
+		// The one sampling decision for the line: a traced command's trace
+		// opens before parse so the parse span lands inside it, and a line
+		// sampled for traffic feeds MONITOR and the hot keys on either path.
+		traced, hot := s.sample.Line()
+		c.tr, c.batch.hot = nil, hot
+		if traced {
+			c.tr = s.tracer.Start()
+		} else {
+			// Untraced commands try the batch fast path (connBatch);
 			// what it declines, leaving no trace, is the slow path's.
 			if c.startNs == 0 {
 				c.startNs = obs.Nanotime()
@@ -246,7 +247,7 @@ func (c *conn) commit() error {
 
 // slow runs one request line on the general path: every verb but the
 // four the fast path serves, every line the fast path declined, and
-// every sampled command. The pending batch is applied first, so
+// every traced command. The pending batch is applied first, so
 // execution order — and WAL record order — is request order. It reports
 // whether the connection is over.
 func (c *conn) slow(line []byte) (over bool) {
@@ -439,7 +440,7 @@ func (c *connLats) flush(s *Server) {
 // past the configured threshold, into the slow-query log with the
 // client's remote address and the request line as sent. The slow-query
 // check sees every command's exact duration; only the histogram merge is
-// deferred. Fast-path commands are never sampled, so for them c.tr is
+// deferred. Fast-path commands are never traced, so for them c.tr is
 // nil: no exemplar, no trace ID.
 func (c *conn) observe(vi int, line []byte, endNs int64) {
 	s := c.s
@@ -474,7 +475,7 @@ func (c *conn) observe(vi int, line []byte, endNs int64) {
 		}
 		s.slow.Record(renderLine(line), d, time.Now(), c.addr, c.tr.ID())
 		s.ctr.SlowCommands.Inc()
-		if s.logger.Enabled(obslog.LevelWarn) {
+		if s.logger.Enabled(context.TODO(), slog.LevelWarn) {
 			s.logger.Warn("slow command", "verb", verbs[vi].name, "duration", d.String())
 		}
 	}
@@ -867,8 +868,8 @@ func (c *conn) cmdInfo(Command) error {
 		fmt.Sprintf("clients_monitor=%d", clMonitors),
 		fmt.Sprintf("clients_bytes_in=%d", clBytesIn),
 		fmt.Sprintf("clients_bytes_out=%d", clBytesOut),
-		fmt.Sprintf("traffic_sample=%d", s.traffic.SampleEvery()),
-		fmt.Sprintf("traffic_sampled_total=%d", s.traffic.SampledTotal()),
+		fmt.Sprintf("traffic_sample=%d", s.sample.Traffic.Every()),
+		fmt.Sprintf("traffic_sampled_total=%d", s.sample.Traffic.Sampled()),
 		fmt.Sprintf("monitor_dropped_total=%d", s.traffic.Monitor().Dropped()))
 	if s.cfg.MaxMemory > 0 {
 		lines = append(lines,

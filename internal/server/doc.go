@@ -428,14 +428,15 @@
 // per-connection single-writer accumulators that merge into the shared
 // histograms only at batch drain points — so it has no switch.
 // Commands at or above Config.SlowThreshold additionally land in the
-// slow-query ring served by SLOWLOG. Structured logs (logfmt) go to
-// the configured obslog logger.
+// slow-query ring served by SLOWLOG, which keeps the last 128. Logs go
+// to Config.Logger, a log/slog logger (slog's text format on stderr by
+// default).
 //
 // # Request tracing
 //
 // Config.TraceSample > 0 (shed -trace-sample) arms sampled end-to-end
 // request tracing (internal/obs/xtrace): 1 in every TraceSample
-// commands gets a trace — a 64-bit ID plus named spans covering the
+// request lines gets a trace — a 64-bit ID plus named spans covering the
 // whole life of the command. On a durable, replicated primary an
 // INSERT's trace carries parse, execute, mutate, wal_append,
 // fsync_wait (group-commit fsync), replack_wait (semi-sync replica
@@ -448,22 +449,26 @@
 // frames are byte-identical to the pre-tracing wire format, so mixed
 // versions interoperate.
 //
-// Finished traces land in a bounded ring (Config.TraceRing, default
-// 256); errored and slow (≥10ms) traces are evicted last, so the
-// interesting traces survive churn. TRACE GET renders them as JSON;
+// Finished traces land in a ring of the last 256; errored and slow
+// (≥10ms) traces are evicted last, so the interesting traces survive
+// churn. TRACE GET renders them as JSON;
 // SLOWLOG entries carry trace=<id> for sampled commands, and the
 // she_trace_exemplar_seconds{verb,trace_id} gauges link the per-verb
-// latency histograms to a concrete retained trace. The unsampled path
-// costs one atomic add per command, held to a < 5% budget on the
-// insert path (BenchmarkServerInsertTrace, 1-in-256 sampling).
+// latency histograms to a concrete retained trace. With a rate on, a
+// request line costs one atomic add, shared with traffic sampling,
+// held to a < 5% budget on the insert path
+// (BenchmarkServerInsertTrace, 1-in-256 sampling).
 //
 // # Traffic self-telemetry
 //
 // Config.TrafficSample > 0 (shed -traffic-sample) arms traffic
 // self-telemetry (internal/obs/traffic): 1 in every TrafficSample
-// commands is sampled — the same atomic-decision shape as tracing, so
-// the other TrafficSample-1 commands pay one atomic add each and a
-// disabled tracker costs one atomic load. A sampled insert feeds its
+// request lines is sampled. The sample shares the tracer's one
+// decision (obs.Sampler): one tick counts request lines, blank and
+// unparseable ones included, while either rate is on, and a line is
+// traced or traffic-sampled when the tick is a multiple of that rate —
+// one atomic add a line for both, two atomic loads with both off. A
+// sampled insert feeds its
 // already-parsed keys into a per-sketch sliding-window she.TopK — shed
 // measuring its own traffic with its own sketch — served by HOTKEYS
 // and the she_hotkeys_* families; a sampled command of any verb
@@ -482,8 +487,8 @@
 // order among genuinely hot keys is therefore stable (the integration
 // gate holds recall@10 ≥ 0.9 on a Zipf(1.1) stream at 1/64 sampling),
 // while tail keys churn; size R against the hottest traffic you need
-// to resolve, not the tail. Hot-key state is bounded: top-K per
-// sketch (Config.HotKeysK, default 10), a fixed CM behind it, at most
+// to resolve, not the tail. Hot-key state is bounded: the top 10 keys
+// per sketch, a fixed CM behind it, at most
 // 1024 tracked sketches, and SKETCH.DROP forgets the track.
 //
 // The MONITOR feed is bounded the same way the rest of the hot path

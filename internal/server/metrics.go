@@ -96,7 +96,7 @@ func (s *Server) metricsHandler(w http.ResponseWriter, _ *http.Request) {
 	}
 	p.Gauge("she_config_info", fmt.Sprintf(
 		"wal=%q,audit_sample=\"%g\",trace_sample=\"%d\",traffic_sample=\"%d\",max_memory_bytes=\"%d\"",
-		wal, s.cfg.AuditSample, s.tracer.SampleEvery(), s.traffic.SampleEvery(), s.cfg.MaxMemory), 1)
+		wal, s.cfg.AuditSample, s.sample.Trace.Every(), s.sample.Traffic.Every(), s.cfg.MaxMemory), 1)
 
 	// Operational counters, one family each. Untyped, not counter: an
 	// obs.Counter doubles as a gauge (connections_active, wal_bytes go

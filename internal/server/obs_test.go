@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"regexp"
@@ -13,19 +14,19 @@ import (
 	"testing"
 	"time"
 
-	obslog "she/internal/obs/log"
 	"she/internal/server"
 )
 
 // quiet returns a logger that drops everything below Error, so tests
 // exercising the slow-query path don't spray warnings on stderr.
-func quiet() *obslog.Logger { return obslog.New(io.Discard, obslog.LevelError) }
+func quiet() *slog.Logger {
+	return slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError}))
+}
 
 func TestSlowlogCommand(t *testing.T) {
 	// A 1ns threshold makes every command slow, deterministically.
 	s := startServer(t, server.Config{
 		SlowThreshold: time.Nanosecond,
-		SlowLogSize:   4,
 		Logger:        quiet(),
 	})
 	c := dial(t, s.Addr().String())
@@ -59,20 +60,21 @@ func TestSlowlogCommand(t *testing.T) {
 		t.Errorf("entries not newest-first: %v", entries)
 	}
 
-	// Bare SLOWLOG is GET; a count limits the result.
+	// The ring is bounded at its 128 entries.
+	for i := 0; i < 130; i++ {
+		c.cmd("PING")
+	}
+	if _, err := fmt.Sscanf(c.cmd("SLOWLOG LEN"), ":%d", &n); err != nil || n != 128 {
+		t.Fatalf("SLOWLOG LEN after overflow = %d, want 128 (ring capacity)", n)
+	}
+
+	// Bare SLOWLOG is GET (both read the full ring); a count limits the
+	// result.
 	if got := c.array("SLOWLOG"); len(got) != len(c.array("SLOWLOG GET")) {
 		t.Errorf("bare SLOWLOG != SLOWLOG GET")
 	}
 	if got := c.array("SLOWLOG GET 1"); len(got) != 1 {
 		t.Errorf("SLOWLOG GET 1 returned %d entries", len(got))
-	}
-
-	// The ring is bounded at SlowLogSize.
-	for i := 0; i < 10; i++ {
-		c.cmd("PING")
-	}
-	if _, err := fmt.Sscanf(c.cmd("SLOWLOG LEN"), ":%d", &n); err != nil || n != 4 {
-		t.Fatalf("SLOWLOG LEN after overflow = %d, want 4 (ring capacity)", n)
 	}
 
 	if got := c.cmd("SLOWLOG RESET"); got != "+OK" {

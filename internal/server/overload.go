@@ -143,7 +143,7 @@ func (s *Server) accountMemory() (cur, full int64) {
 			audFull += a.FullMemoryBytes()
 		}
 	}
-	base := sketch + s.numConns.Load()*connMemoryBytes +
+	base := sketch + s.ctr.ConnsActive.Value()*connMemoryBytes +
 		int64(s.tracker.Count())*replicaMemoryBytes
 	if s.wal != nil {
 		base += walMemoryBytes
@@ -205,7 +205,7 @@ func (s *Server) evalOverload() {
 		// so the operator's first question — what is hitting us — is
 		// answered by the same log line that reports the degradation.
 		if next > old {
-			if sk, hot, ok := s.traffic.Hottest(); ok {
+			if sk, hot, ok := s.traffic.Hottest(s.sample.Traffic.Every()); ok {
 				kv = append(kv, "hot_sketch", sk,
 					"hot_key", hot.Key, "hot_key_est_count", hot.Count)
 			}

@@ -41,7 +41,6 @@ func TestOverloadLadder(t *testing.T) {
 		AuditSample:   1,
 		AuditMaxKeys:  100,
 		SlowThreshold: time.Nanosecond, // every command qualifies as slow
-		SlowLogSize:   16,
 	})
 	c := dial(t, s.Addr().String())
 	used := func() int64 { return infoInt(c, "memory_used_bytes") }

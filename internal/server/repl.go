@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -382,8 +383,8 @@ func (s *Server) streamToReplica(r *bufio.Reader, w *bufio.Writer, rep *repl.Rep
 				ackErr <- err
 				return
 			}
-			recs, err1 := parseUint(fields[4])
-			bytes, err2 := parseUint(fields[5])
+			recs, err1 := strconv.ParseUint(fields[4], 10, 64)
+			bytes, err2 := strconv.ParseUint(fields[5], 10, 64)
 			if err1 != nil || err2 != nil {
 				ackErr <- fmt.Errorf("bad ack counts %q", line)
 				return
@@ -480,12 +481,6 @@ func readReplLine(r *bufio.Reader) (string, error) {
 		return "", err
 	}
 	return strings.TrimRight(line, "\r\n"), nil
-}
-
-func parseUint(s string) (uint64, error) {
-	var v uint64
-	_, err := fmt.Sscanf(s, "%d", &v)
-	return v, err
 }
 
 func (s *Server) isDone() bool {

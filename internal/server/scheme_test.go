@@ -10,6 +10,7 @@ package server
 
 import (
 	"bytes"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,7 +20,6 @@ import (
 
 	"she/internal/core"
 	"she/internal/failfs"
-	obslog "she/internal/obs/log"
 )
 
 // scheme1File returns a scheme-1 snapshot as the last scheme-1 shed
@@ -124,7 +124,7 @@ func TestScheme1Checkpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		var logs lockedBuffer
-		tc.cfg.Listen, tc.cfg.Logger = "127.0.0.1:0", obslog.New(&logs, obslog.LevelInfo)
+		tc.cfg.Listen, tc.cfg.Logger = "127.0.0.1:0", slog.New(slog.NewTextHandler(&logs, nil))
 		s2 := New(tc.cfg)
 		if err := s2.Start(); err != nil {
 			t.Fatalf("a scheme-1 checkpoint file must not prevent startup: %v", err)
@@ -178,7 +178,7 @@ func TestScheme1FullSync(t *testing.T) {
 	follower := New(Config{
 		Listen: "127.0.0.1:0", WALDir: t.TempDir(), ReplicaOf: primary.Addr().String(),
 		ReplRetryInterval: 10 * time.Millisecond, ReplMaxRetryInterval: 20 * time.Millisecond,
-		Logger: obslog.New(&logs, obslog.LevelInfo),
+		Logger: slog.New(slog.NewTextHandler(&logs, nil)),
 	})
 	if err := follower.Start(); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -17,7 +18,6 @@ import (
 	"she/internal/audit"
 	"she/internal/failfs"
 	"she/internal/obs"
-	obslog "she/internal/obs/log"
 	"she/internal/obs/traffic"
 	"she/internal/obs/xtrace"
 	"she/internal/repl"
@@ -68,11 +68,10 @@ type Config struct {
 	// the real one. Fault-injection tests substitute failfs.Fault.
 	FS failfs.FS
 	// SlowThreshold sends any command that takes at least this long to
-	// the slow-query log (SLOWLOG command) and the slow_commands_total
-	// counter (0 = slow-query logging disabled).
+	// the slow-query log (SLOWLOG command, the last slowLogSize entries)
+	// and the slow_commands_total counter (0 = slow-query logging
+	// disabled).
 	SlowThreshold time.Duration
-	// SlowLogSize caps the slow-query ring buffer (0 = 128 entries).
-	SlowLogSize int
 	// EnablePprof registers the net/http/pprof handlers on the debug
 	// listener (requires DebugListen). Off by default: profiling
 	// endpoints can stall the process and belong behind an explicit
@@ -92,32 +91,24 @@ type Config struct {
 	// audit.DefaultMaxKeys. When the cap binds, the shadow spans a
 	// shorter effective window (reported as audit coverage < 1).
 	AuditMaxKeys int
-	// TraceSample enables request tracing: one command in every
+	// TraceSample enables request tracing: one request line in every
 	// TraceSample gets a Dapper-style trace with child spans for
 	// parse, mutation, WAL append, group-commit fsync, replication
 	// ship and the follower's apply — cross-node, because the sampled
-	// trace ID rides the replicated record. Retained traces are served
-	// by the TRACE verb family and summarized as she_trace_* metrics.
-	// 0 disables root sampling (the per-command cost is one atomic
-	// load); TRACE SAMPLE changes the rate at runtime, and a replica
-	// joins primary-sampled traces regardless of its own rate.
+	// trace ID rides the replicated record. The last 256 traces are
+	// retained, slow or failed ones evicted last, served by the TRACE
+	// verb family and summarized as she_trace_* metrics. 0 disables
+	// root sampling; TRACE SAMPLE changes the rate at runtime, and a
+	// replica joins primary-sampled traces regardless of its own rate.
 	TraceSample int
-	// TraceRing bounds retained completed traces; slow or failed
-	// traces are pinned preferentially when the ring evicts.
-	// 0 = 256 entries.
-	TraceRing int
 	// TrafficSample enables traffic self-telemetry sampling: one
-	// command in every TrafficSample feeds the per-sketch hot-key
-	// trackers (HOTKEYS, she_hotkeys_*) and the MONITOR broadcast.
-	// 0 disables sampling — the per-command cost is then one atomic
-	// load — while per-connection accounting (CLIENT LIST, the INFO
-	// clients section) stays on; its cost is amortized per syscall
-	// and per batch, not per command.
+	// request line in every TrafficSample feeds the per-sketch hot-key
+	// trackers (HOTKEYS, she_hotkeys_*) and the MONITOR broadcast. It
+	// shares its tick with TraceSample (see obs.Sampler), so with both
+	// at 0 a line costs two atomic loads. Per-connection accounting
+	// (CLIENT LIST, the INFO clients section) is always on; its cost is
+	// amortized per syscall and per batch, not per command.
 	TrafficSample int
-	// HotKeysK is the hot keys reported per sketch by HOTKEYS and
-	// she_hotkeys_est_count; the tracker keeps 4·K candidates
-	// (she.TopK's bound). 0 = 10.
-	HotKeysK int
 	// ReplicaOf starts the server as a replica of the given primary
 	// address ("host:port"): it full-syncs from the primary's latest
 	// checkpoint, tails its WAL, serves reads, and refuses client
@@ -171,13 +162,12 @@ type Config struct {
 	// the accept-side fault-injection seam for chaos tests.
 	WrapConn func(net.Conn) net.Conn
 	// Logger receives the server's structured log lines; nil means
-	// stderr at Info level.
-	Logger *obslog.Logger
+	// slog's text format on stderr at Info level.
+	Logger *slog.Logger
 }
 
-// defaultSlowLogSize is the slow-query ring capacity when
-// Config.SlowLogSize is zero.
-const defaultSlowLogSize = 128
+// slowLogSize is the slow-query ring's capacity.
+const slowLogSize = 128
 
 // Server hosts a registry of named sketches behind a TCP listener, one
 // goroutine per connection.
@@ -203,11 +193,15 @@ type Server struct {
 	walSyncHist, walChkHist, walAppendHist *obs.Histogram
 
 	slow   *obs.SlowLog
-	logger *obslog.Logger
+	logger *slog.Logger
 
-	// tracer owns request-trace sampling and retention. Always
-	// non-nil: TRACE SAMPLE can enable tracing at runtime and a
-	// replica joins primary traces even with local sampling off.
+	// sample takes the one sampling decision per request line, for the
+	// tracer and for traffic, in an allocation of its own: its tick is
+	// written by every line while a rate is on.
+	sample *obs.Sampler
+	// tracer owns request-trace IDs and retention. Always non-nil:
+	// TRACE SAMPLE can enable tracing at runtime and a replica joins
+	// primary traces even with local sampling off.
 	tracer *xtrace.Tracer
 	// ship correlates a WAL append position with the sampled trace
 	// that produced it, so the replication stream can stamp the REC
@@ -217,9 +211,10 @@ type Server struct {
 	// trace ID and duration — the histogram-to-trace link exported as
 	// she_trace_exemplar_seconds. Indexed like verbHist.
 	exemplars []atomic.Pointer[traceExemplar]
-	// traffic owns self-telemetry: the 1-in-N command sampler feeding
-	// per-sketch hot-key trackers and the MONITOR hub, plus the
-	// always-on per-connection accounting registry. Always non-nil.
+	// traffic owns self-telemetry: the per-sketch hot-key trackers and
+	// the MONITOR hub the sampled lines feed, and the always-on
+	// per-connection registry — the one list of live connections.
+	// Always non-nil.
 	traffic *traffic.Tracker
 
 	ln        net.Listener
@@ -228,10 +223,6 @@ type Server struct {
 	done      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
-	numConns  atomic.Int64
-
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
 
 	// tracker registers attached replicas and their acknowledged
 	// positions; always non-nil, empty on a node with no replicas.
@@ -275,11 +266,7 @@ func New(cfg Config) *Server {
 	}
 	logger := cfg.Logger
 	if logger == nil {
-		logger = obslog.New(os.Stderr, obslog.LevelInfo)
-	}
-	size := cfg.SlowLogSize
-	if size <= 0 {
-		size = defaultSlowLogSize
+		logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
 	if cfg.SyncReplicaTimeout <= 0 {
 		cfg.SyncReplicaTimeout = 2 * time.Second
@@ -302,9 +289,8 @@ func New(cfg Config) *Server {
 		exemplars:     make([]atomic.Pointer[traceExemplar], numVerbs),
 		tracker:       repl.NewTracker(),
 		done:          make(chan struct{}),
-		conns:         make(map[net.Conn]struct{}),
 		fs:            fsys,
-		slow:          obs.NewSlowLog(size),
+		slow:          obs.NewSlowLog(slowLogSize),
 		logger:        logger.With("component", "server"),
 	}
 	s.ctrRows = obs.CounterRows(s.ctr)
@@ -317,15 +303,12 @@ func New(cfg Config) *Server {
 	// The seed keeps two nodes started in the same process (tests) or
 	// at the same wall instant from minting colliding trace IDs.
 	s.tracer = xtrace.New(xtrace.Config{
-		SampleEvery: cfg.TraceSample,
-		RingSize:    cfg.TraceRing,
-		Seed:        uint64(time.Now().UnixNano()) ^ uint64(traceSeedSalt.Add(0x9e3779b97f4a7c15)),
+		Seed: uint64(time.Now().UnixNano()) ^ uint64(traceSeedSalt.Add(0x9e3779b97f4a7c15)),
 	})
-	s.traffic = traffic.New(traffic.Config{
-		SampleEvery: cfg.TrafficSample,
-		HotKeysK:    cfg.HotKeysK,
-		Verbs:       verbNames(),
-	})
+	s.traffic = traffic.New(traffic.Config{Verbs: verbNames()})
+	s.sample = new(obs.Sampler)
+	s.sample.Trace.Set(cfg.TraceSample)
+	s.sample.Traffic.Set(cfg.TrafficSample)
 	return s
 }
 
@@ -433,14 +416,17 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed (shutdown) or fatal accept error
 		}
-		if n := s.numConns.Add(1); s.cfg.MaxConns > 0 && n > int64(s.cfg.MaxConns) {
-			s.numConns.Add(-1)
+		// Only this loop raises connections_active, so the check cannot
+		// let two connections past the last free slot.
+		if s.cfg.MaxConns > 0 && s.ctr.ConnsActive.Value() >= int64(s.cfg.MaxConns) {
 			s.ctr.ConnsRejected.Inc()
 			conn.SetWriteDeadline(time.Now().Add(time.Second))
 			io.WriteString(conn, "-ERR too many connections\n")
 			conn.Close()
 			continue
 		}
+		s.ctr.ConnsTotal.Inc()
+		s.ctr.ConnsActive.Inc()
 		if s.cfg.WrapConn != nil {
 			conn = s.cfg.WrapConn(conn)
 		}
@@ -469,16 +455,6 @@ func (s *Server) snapshotPath(file string) (string, error) {
 	return filepath.Join(dir, file+snapshotExt), nil
 }
 
-func (s *Server) trackConn(c net.Conn, add bool) {
-	s.mu.Lock()
-	if add {
-		s.conns[c] = struct{}{}
-	} else {
-		delete(s.conns, c)
-	}
-	s.mu.Unlock()
-}
-
 // Shutdown drains the server gracefully: stop accepting, let in-flight
 // commands finish, then close the connections. If ctx expires first
 // the remaining connections are closed hard. With an autosave
@@ -496,11 +472,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	// Unblock connections parked in a read; their loops notice s.done
 	// after answering whatever was in flight.
-	s.mu.Lock()
-	for c := range s.conns {
+	for _, c := range s.traffic.Clients().Conns() {
 		c.SetReadDeadline(time.Now())
 	}
-	s.mu.Unlock()
 
 	drained := make(chan struct{})
 	go func() {
@@ -512,11 +486,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-drained:
 	case <-ctx.Done():
 		err = ctx.Err()
-		s.mu.Lock()
-		for c := range s.conns {
+		for _, c := range s.traffic.Clients().Conns() {
 			c.Close()
 		}
-		s.mu.Unlock()
 	}
 	if s.wal != nil {
 		// Final checkpoint: restart recovers from snapshots alone.
@@ -550,11 +522,9 @@ func (s *Server) Abort() {
 	if s.debugSrv != nil {
 		s.debugSrv.Close()
 	}
-	s.mu.Lock()
-	for c := range s.conns {
+	for _, c := range s.traffic.Clients().Conns() {
 		c.Close()
 	}
-	s.mu.Unlock()
 	s.wg.Wait()
 }
 

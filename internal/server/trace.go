@@ -15,11 +15,12 @@ import (
 )
 
 // Request tracing: the server half of internal/obs/xtrace. The
-// per-connection loop samples a trace per command (conn.go), mutation
-// handlers add WAL-append spans and register the append position in
-// the ship table here, the replication stream (repl.go) looks the
-// position up to stamp the REC frame and record ship/ack spans, and
-// the TRACE verb family serves retained traces as JSON.
+// per-connection loop opens a trace for each line the sampler picks at
+// the trace rate (conn.go), mutation handlers add WAL-append spans and
+// register the append position in the ship table here, the
+// replication stream (repl.go) looks the position up to stamp the REC
+// frame and record ship/ack spans, and the TRACE verb family serves
+// retained traces as JSON.
 
 // traceExemplar links a verb's latency histogram to a concrete
 // retained trace: the most recent sampled command of that verb, with
@@ -126,13 +127,13 @@ func (c *conn) cmdTrace(cmd Command) error {
 	case "SAMPLE":
 		switch len(cmd.Args) {
 		case 1:
-			writeInt(w, int64(s.tracer.SampleEvery()))
+			writeInt(w, int64(s.sample.Trace.Every()))
 		case 2:
 			n, err := strconv.Atoi(cmd.Args[1])
 			if err != nil || n < 0 {
 				return fmt.Errorf("TRACE SAMPLE: bad rate %q (want a non-negative 1-in-N integer)", cmd.Args[1])
 			}
-			s.tracer.SetSampleEvery(n)
+			s.sample.Trace.Set(n)
 			writeSimple(w, "OK")
 		default:
 			return fmt.Errorf("TRACE SAMPLE: want at most one rate argument")
@@ -187,10 +188,10 @@ func (s *Server) traceSelect(args []string) ([]*xtrace.Trace, error) {
 // trace ID.
 func (s *Server) writeTraceMetrics(p *obs.PromWriter) {
 	st := s.tracer.Snapshot()
-	p.Gauge("she_trace_sample_every", "", float64(st.SampleEvery))
+	p.Gauge("she_trace_sample_every", "", float64(s.sample.Trace.Every()))
 	p.Gauge("she_trace_retained", "", float64(st.Retained))
 	p.Gauge("she_trace_pinned", "", float64(st.Pinned))
-	p.Counter("she_trace_sampled_total", "", float64(st.Sampled))
+	p.Counter("she_trace_sampled_total", "", float64(s.sample.Trace.Sampled()))
 	p.Counter("she_trace_joined_total", "", float64(st.Joined))
 	p.Counter("she_trace_finished_total", "", float64(st.Finished))
 	p.Counter("she_trace_evicted_total", "", float64(st.Evicted))

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -13,8 +14,8 @@ import (
 // Traffic self-telemetry verbs: HOTKEYS (per-sketch sliding-window
 // heavy hitters over the sampled insert stream), CLIENT (the
 // per-connection accounting registry) and MONITOR (a bounded live
-// feed of sampled commands). The sampling machinery lives in
-// internal/obs/traffic; this file is its wire surface.
+// feed of sampled commands). The consumers live in internal/obs/traffic,
+// the sampling decision in obs.Sampler; this file is their wire surface.
 
 // cmdHotkeys serves HOTKEYS [name] [k]. Bare HOTKEYS summarizes every
 // tracked sketch; with a name it lists that sketch's top-k keys,
@@ -22,11 +23,12 @@ import (
 // sample rate). Tracking only exists while sampling is on.
 func (c *conn) cmdHotkeys(cmd Command) error {
 	s, w := c.s, c.w
-	if s.traffic.SampleEvery() <= 0 {
+	rate := s.sample.Traffic.Every()
+	if rate <= 0 {
 		return fmt.Errorf("%s: traffic sampling is disabled (start shed with -traffic-sample)", cmd.Name)
 	}
 	if len(cmd.Args) == 0 {
-		stats := s.traffic.HotStats()
+		stats := s.traffic.HotStats(rate)
 		lines := make([]string, 0, len(stats))
 		for _, st := range stats {
 			row := fmt.Sprintf("%s sampled_keys=%d", st.Sketch, st.SampledKeys)
@@ -47,13 +49,13 @@ func (c *conn) cmdHotkeys(cmd Command) error {
 	}
 	k := 0
 	if len(cmd.Args) == 2 {
-		v, err := parseUint(cmd.Args[1])
+		v, err := strconv.ParseUint(cmd.Args[1], 10, 64)
 		if err != nil || v == 0 {
 			return fmt.Errorf("%s: bad k %q", cmd.Name, cmd.Args[1])
 		}
 		k = int(v)
 	}
-	entries, ok := s.traffic.HotKeys(cmd.Args[0], k)
+	entries, ok := s.traffic.HotKeys(cmd.Args[0], k, rate)
 	if !ok {
 		// Distinguish "no sketch" from "no sampled traffic yet":
 		// an existing sketch just has nothing tracked.
@@ -212,17 +214,17 @@ func (c *conn) cmdMonitor(Command) error {
 // bounded by K·sketches). Families are emitted in their own loops so
 // every series of a family stays contiguous under its # TYPE line.
 func (s *Server) writeTrafficMetrics(p *obs.PromWriter) {
-	t := s.traffic
+	t, rate := s.traffic, s.sample.Traffic.Every()
 	bytesIn, bytesOut, monitors := t.Clients().Totals()
-	p.Gauge("she_traffic_sample_every", "", float64(t.SampleEvery()))
-	p.Counter("she_traffic_sampled_total", "", float64(t.SampledTotal()))
+	p.Gauge("she_traffic_sample_every", "", float64(rate))
+	p.Counter("she_traffic_sampled_total", "", float64(s.sample.Traffic.Sampled()))
 	p.Gauge("she_traffic_clients", "", float64(t.Clients().Count()))
 	p.Gauge("she_traffic_client_bytes_in", "", float64(bytesIn))
 	p.Gauge("she_traffic_client_bytes_out", "", float64(bytesOut))
 	p.Gauge("she_traffic_monitor_subscribers", "", float64(monitors))
 	p.Counter("she_traffic_monitor_dropped_total", "", float64(t.Monitor().Dropped()))
 
-	stats := t.HotStats()
+	stats := t.HotStats(rate)
 	if len(stats) == 0 {
 		return
 	}

@@ -68,8 +68,10 @@ func TestHotkeysWire(t *testing.T) {
 	if got := c.cmd("HOTKEYS nosuch"); !strings.HasPrefix(got, "-ERR") {
 		t.Fatalf("HOTKEYS nosuch = %q", got)
 	}
-	if got := c.cmd("HOTKEYS fx zero"); !strings.HasPrefix(got, "-ERR") {
-		t.Fatalf("HOTKEYS fx zero = %q", got)
+	for _, k := range []string{"zero", "10abc", "1_000"} {
+		if got := c.cmd("HOTKEYS fx %s", k); !strings.HasPrefix(got, "-ERR") || !strings.Contains(got, "bad k") {
+			t.Fatalf("HOTKEYS fx %s = %q", k, got)
+		}
 	}
 
 	// DROP forgets the track.

@@ -10,6 +10,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"regexp"
 	"slices"
@@ -18,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	obslog "she/internal/obs/log"
 	"she/internal/wal"
 )
 
@@ -820,7 +820,7 @@ var transcripts = []transcript{
 	{name: "slowlog",
 		cfg: func(t *testing.T) Config {
 			return Config{Listen: "127.0.0.1:0", SlowThreshold: time.Nanosecond,
-				Logger: obslog.New(io.Discard, obslog.LevelError)}
+				Logger: slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError}))}
 		},
 		script: `
 = a
