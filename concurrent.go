@@ -14,11 +14,11 @@ import (
 // mutex, so different keys proceed in parallel on different cores.
 //
 // Window semantics under sharding: each shard's count-based window
-// covers its last Window/P items, which under hash partitioning is an
-// unbiased 1/P sample of the stream's last ~Window items. Per-key
-// queries (membership, frequency) are answered entirely by the key's
-// own shard, so the per-key guarantees (no false negatives, never
-// underestimates) carry over shard-locally.
+// covers the last Window/P items routed to it, by key. Only for evenly
+// spread keys is that the stream's last ~Window items: under skew a hot
+// shard's window is shorter, forgetting in-window keys (3.9–6.6 % false
+// negatives on Zipf keys at P = 8), and a light one's longer. Per-key
+// guarantees hold shard-locally, for that window (ROADMAP item 9).
 
 // shardSketch is what the wrappers need from the structure in a shard.
 type shardSketch interface {

@@ -160,7 +160,3 @@ func (t *TinyTable) Overflows() int { return t.overflow }
 func (t *TinyTable) MemoryBits() int {
 	return t.rem.MemoryBits() + t.cnt.MemoryBits() + t.disp.MemoryBits()
 }
-
-// FingerprintBits returns how many fingerprint bits the table consumes
-// (home-bucket index bits are implicit; remainders are stored).
-func (t *TinyTable) FingerprintBits() uint { return t.rbits }

@@ -35,9 +35,6 @@ func NewPacked(n int, width uint) *Packed {
 // Len returns the number of counters.
 func (p *Packed) Len() int { return p.n }
 
-// Width returns the bit width of each counter.
-func (p *Packed) Width() uint { return p.width }
-
 // Max returns the saturation value (all-ones for the width).
 func (p *Packed) Max() uint64 { return p.max }
 
@@ -72,18 +69,6 @@ func (p *Packed) AddSat(i int, delta uint64) {
 		return
 	}
 	p.Set(i, v+delta)
-}
-
-// IncSatInWord is AddSat(i, 1) for an array whose width divides 64, so
-// that no counter straddles two words (the caller's to guarantee): the
-// counter is bumped in place, which is small enough to inline into a
-// sketch's update loop.
-func (p *Packed) IncSatInWord(i int) {
-	bit := uint64(i) * uint64(p.width)
-	w, off := bit/wordBits, uint(bit%wordBits)
-	if word := p.words[w]; word>>off&p.max != p.max {
-		p.words[w] = word + 1<<off
-	}
 }
 
 // ResetRange zeroes counters [from, to).

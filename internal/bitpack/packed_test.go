@@ -72,38 +72,6 @@ func TestPackedAddSat(t *testing.T) {
 	}
 }
 
-// TestPackedIncSatInWordMatchesAddSat holds the inlinable in-word
-// increment to AddSat(i, 1) on twin arrays of every width that divides
-// 64, through saturation.
-func TestPackedIncSatInWordMatchesAddSat(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for width := uint(1); width <= 64; width++ {
-		if 64%width != 0 {
-			continue
-		}
-		const n = 37
-		a, b := NewPacked(n, width), NewPacked(n, width)
-		for i := 0; i < n; i++ { // every other counter starts near saturation
-			v := uint64(rng.Intn(3))
-			if i%2 == 1 {
-				v = a.Max() - v
-			}
-			a.Set(i, v)
-			b.Set(i, v)
-		}
-		for op := 0; op < 4000; op++ {
-			i := rng.Intn(n)
-			a.AddSat(i, 1)
-			b.IncSatInWord(i)
-		}
-		for i := 0; i < n; i++ {
-			if a.Get(i) != b.Get(i) {
-				t.Fatalf("width %d counter %d: AddSat %d, IncSatInWord %d", width, i, a.Get(i), b.Get(i))
-			}
-		}
-	}
-}
-
 func TestPackedResetRange(t *testing.T) {
 	p := NewPacked(64, 5)
 	for i := 0; i < 64; i++ {

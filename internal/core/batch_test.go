@@ -33,20 +33,22 @@ func coldInsert(k kernel, key uint64, at *uint64) {
 	case *BF:
 		now := clock(&s.tickClock, s.gc)
 		for i := 0; i < s.fam.K(); i++ {
-			j := s.fam.Index(i, key, s.bits.Len())
+			j := s.fam.Index(i, key, s.m)
 			if gid := s.grp.of(j); s.gc.stale(gid, now) {
-				s.reset(gid)
+				for b := range s.grp.size(gid) {
+					*bfWord(s, gid*s.grp.w+b) &^= bfMask(s, gid*s.grp.w+b)
+				}
 			}
-			s.bits.Set(j)
+			*bfWord(s, j) |= bfMask(s, j)
 		}
 	case *CM:
 		now := clock(&s.tickClock, s.gc)
 		for i := 0; i < s.fam.K(); i++ {
-			j := s.fam.Index(i, key, s.counters.Len())
+			j := s.fam.Index(i, key, len(s.cells))
 			if gid := s.grp.of(j); s.gc.stale(gid, now) {
 				s.reset(gid)
 			}
-			s.counters.AddSat(j, 1)
+			s.cells[j] = uint32(min(uint64(s.cells[j])+1, 1<<32-1))
 		}
 	case *HLL:
 		now := clock(&s.tickClock, s.gc)
@@ -58,6 +60,15 @@ func coldInsert(k kernel, key uint64, at *uint64) {
 	}
 }
 
+// bfWord and bfMask address bit j of a filter the cold way: group
+// j/w, bit j mod w of its bit words, which follow its clock word.
+func bfWord(f *BF, j int) *uint64 {
+	gid := j / f.grp.w
+	return &f.data[gid*f.gc.stride+1+(j-gid*f.grp.w)/64]
+}
+
+func bfMask(f *BF, j int) uint64 { return 1 << ((j % f.grp.w) % 64) }
+
 // TestInsertBatchMatchesInsert drives triplets of BF, CM and HLL with
 // one random schedule — runs of count-based inserts, per key into one,
 // through InsertBatch into the second and through coldInsert into the
@@ -66,8 +77,8 @@ func coldInsert(k kernel, key uint64, at *uint64) {
 // included) — and requires identical answers along the way and
 // byte-identical snapshots at the end: batch ≡ per-key ≡ the cold
 // Index loop. Group sizes include powers of two, non-powers of two and
-// geometries with a short last group, with 1, 4 and 8 hash functions,
-// and a counter width that saturates.
+// geometries with a short last group, with 1, 3, 4 and 8 hash
+// functions. (TestCMSaturatingWidth covers saturation.)
 func TestInsertBatchMatchesInsert(t *testing.T) {
 	cfg := WindowConfig{N: 400, Alpha: 1, Seed: 5}
 	probe := map[string]func(k kernel, key, t uint64) uint64{
@@ -92,11 +103,12 @@ func TestInsertBatchMatchesInsert(t *testing.T) {
 		{"bf", func() (kernel, error) { return NewBF(1000, 48, 1, cfg) }},
 		{"bf", func() (kernel, error) { return NewBF(777, 1, 2, cfg) }},
 		{"cm", func() (kernel, error) { return NewCM(1024, 64, 4, 32, cfg) }},
-		{"cm", func() (kernel, error) { return NewCM(1024, 64, 8, 16, cfg) }},
-		{"cm", func() (kernel, error) { return NewCM(1024, 32, 1, 64, cfg) }},
-		{"cm", func() (kernel, error) { return NewCM(500, 48, 3, 8, cfg) }},
-		{"cm", func() (kernel, error) { return NewCM(500, 48, 8, 4, cfg) }},
-		{"cm", func() (kernel, error) { return NewCM(500, 24, 1, 2, cfg) }},
+		{"cm", func() (kernel, error) { return NewCM(1024, 64, 8, 32, cfg) }},
+		{"cm", func() (kernel, error) { return NewCM(1000, 64, 3, 32, cfg) }},
+		{"cm", func() (kernel, error) { return NewCM(1024, 32, 1, 32, cfg) }},
+		{"cm", func() (kernel, error) { return NewCM(500, 48, 3, 32, cfg) }},
+		{"cm", func() (kernel, error) { return NewCM(500, 48, 8, 32, cfg) }},
+		{"cm", func() (kernel, error) { return NewCM(500, 24, 1, 32, cfg) }},
 		{"cm", func() (kernel, error) { return NewCM(500, 24, 4, 32, cfg) }},
 		{"hll", func() (kernel, error) { return NewHLL(128, cfg) }},
 		{"hll", func() (kernel, error) { return NewHLL(100, cfg) }},
@@ -248,7 +260,7 @@ func TestBFMatchesPhaseFormulaModel(t *testing.T) {
 			}
 		}
 		for j, want := range ref.bits {
-			if bf.bits.Get(j) != want {
+			if (*bfWord(bf, j)&bfMask(bf, j) != 0) != want {
 				t.Fatalf("geometry %+v: bit %d differs from the model at the end", geom, j)
 			}
 		}
@@ -260,8 +272,8 @@ func TestBFMatchesPhaseFormulaModel(t *testing.T) {
 // Insert at tick t must equal InsertAt(key, t).
 func TestCountBasedInsertNeverDrifts(t *testing.T) {
 	cfg := WindowConfig{N: 97, Alpha: 0.5, Seed: 3}
-	a, _ := NewCM(256, 16, 3, 16, cfg)
-	b, _ := NewCM(256, 16, 3, 16, cfg)
+	a, _ := NewCM(256, 16, 3, 32, cfg)
+	b, _ := NewCM(256, 16, 3, 32, cfg)
 	rng := rand.New(rand.NewSource(9))
 	for tick := uint64(1); tick <= 20*cfg.Tcycle(); tick++ {
 		key := uint64(rng.Intn(200))

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"she/internal/bitpack"
 	"she/internal/hashing"
 )
 
@@ -13,10 +12,16 @@ import (
 // structure keeps the Bloom filter's one-sided error — it never reports
 // false for a key inserted within the window (up to the on-demand
 // cleaning slack of §5.1).
+//
+// A group is stored as its clock word followed by its ⌈w/64⌉ bit words,
+// so everything one location touches is adjacent: at the default
+// w = 64 a group is 16 bytes, inside one cache line (PAPER.md §1,
+// constraint 2).
 type BF struct {
 	cfg  WindowConfig
-	bits *bitpack.BitArray
-	gc   *groupClock
+	data []uint64 // per group: clock word, then the group's bit words
+	m    int
+	gc   *groupClock // over data, stride 1+⌈w/64⌉
 	fam  *hashing.Family
 	grp  grouping
 	tickClock
@@ -35,19 +40,17 @@ func NewBF(m, w, k int, cfg WindowConfig) (*BF, error) {
 		return nil, fmt.Errorf("core: bloom needs at least one hash function, got %d", k)
 	}
 	grp := newGrouping(m, w)
+	stride := 1 + (w+63)/64
+	data := make([]uint64, grp.count()*stride)
 	return &BF{
 		cfg:  cfg,
-		bits: bitpack.NewBitArray(m),
-		gc:   newGroupClock(grp.count(), cfg.Tcycle(), cfg.N),
+		data: data,
+		m:    m,
+		gc:   clockIn(data, stride, cfg.Tcycle(), cfg.N),
 		fam:  hashing.NewFamily(k, cfg.Seed),
 		grp:  grp,
 	}, nil
 }
-
-// reset zeroes group gid — the cleaning half of Algorithm 1's
-// CheckGroup, kept out of line so the mark check inlines into the
-// per-location loops.
-func (f *BF) reset(gid int) { f.bits.ResetRange(f.grp.bounds(gid)) }
 
 // Insert records key at the next count-based tick.
 func (f *BF) Insert(key uint64) { f.insert(f.advance(f.gc), key) }
@@ -65,13 +68,21 @@ func (f *BF) InsertBatch(keys []uint64) {
 }
 
 // insert records keys at consecutive times, the first at now, and
-// returns the time of the last: the one location loop behind Insert,
-// InsertAt and InsertBatch. What a location reads besides its own two
-// words sits in locals: its stores may alias the structure's fields,
-// which would otherwise be reloaded for every location.
+// returns the time of the last. The served geometry, w = 64, has a loop
+// of its own whose addressing is constant.
 func (f *BF) insert(now clockTime, keys ...uint64) clockTime {
-	words, state, odd := f.bits.Words(), f.gc.state, f.fam.Multipliers()
-	m, grp, gc := uint64(f.bits.Len()), f.grp, f.gc
+	if f.grp.w == 64 {
+		return f.insert64(now, keys)
+	}
+	return f.insertAny(now, keys)
+}
+
+// insert64 is insertAny at w = 64: bit j lives in group j/64, whose
+// two words — clock, then bits — sit at 2·(j/64). What a location reads
+// besides those sits in locals: its stores may alias the structure's
+// fields, which would otherwise be reloaded for every location.
+func (f *BF) insert64(now clockTime, keys []uint64) clockTime {
+	data, odd, m, gc := f.data, f.fam.Multipliers(), uint64(f.m), f.gc
 	for ki, key := range keys {
 		if ki > 0 {
 			now = gc.next(now)
@@ -79,12 +90,35 @@ func (f *BF) insert(now clockTime, keys ...uint64) clockTime {
 		base, ph := hashing.Mix64(key), now.phase()
 		for _, a := range odd {
 			j := hashing.Locate(base, a, m)
-			gid := grp.of(int(j))
-			if s := state[gid]; staleWord(s, ph) {
-				state[gid] = s ^ markBit
-				f.reset(gid)
+			g := data[j>>6<<1 : j>>6<<1+2 : j>>6<<1+2]
+			if s := g[0]; staleWord(s, ph) {
+				g[0], g[1] = s^markBit, 0
 			}
-			words[j>>6] |= 1 << (j & 63)
+			g[1] |= 1 << (j & 63)
+		}
+	}
+	return now
+}
+
+// insertAny is the location loop for any w, the reference insert64 is
+// held to: bit j is bit j − gid·w of group gid's bit words.
+func (f *BF) insertAny(now clockTime, keys []uint64) clockTime {
+	data, odd, m, grp, gc, stride := f.data, f.fam.Multipliers(), uint64(f.m), f.grp, f.gc, f.gc.stride
+	for ki, key := range keys {
+		if ki > 0 {
+			now = gc.next(now)
+		}
+		base, ph := hashing.Mix64(key), now.phase()
+		for _, a := range odd {
+			j := int(hashing.Locate(base, a, m))
+			gid := grp.of(j)
+			off := j - gid*grp.w
+			g := data[gid*stride : (gid+1)*stride]
+			if s := g[0]; staleWord(s, ph) {
+				g[0] = s ^ markBit
+				clear(g[1:])
+			}
+			g[1+off>>6] |= 1 << (off & 63)
 		}
 	}
 	return now
@@ -107,36 +141,59 @@ func (f *BF) QueryAt(key uint64, t uint64) bool { return f.query(key, f.gc.at(t)
 // prevents.
 func (f *BF) QueryAllCells(key uint64) bool { return f.query(key, f.now, true) }
 
+// query picks the loop as insert does: the general one costs the
+// served geometry a third more a query.
 func (f *BF) query(key uint64, now clockTime, allCells bool) bool {
-	words, state, grp := f.bits.Words(), f.gc.state, f.grp
-	m, T, N := uint64(f.bits.Len()), f.gc.T, f.gc.N
+	if f.grp.w == 64 {
+		return f.query64(key, now, allCells)
+	}
+	return f.queryAny(key, now, allCells)
+}
+
+// query64 is queryAny at w = 64, addressed as insert64.
+func (f *BF) query64(key uint64, now clockTime, allCells bool) bool {
+	data, m, T, N := f.data, uint64(f.m), f.gc.T, f.gc.N
 	base, ph := hashing.Mix64(key), now.phase()
 	for _, a := range f.fam.Multipliers() {
 		j := hashing.Locate(base, a, m)
-		gid := grp.of(int(j))
-		s := state[gid]
-		if staleWord(s, ph) {
-			s ^= markBit
-			state[gid] = s
-			f.reset(gid)
+		g := data[j>>6<<1 : j>>6<<1+2 : j>>6<<1+2]
+		if s := g[0]; staleWord(s, ph) {
+			g[0], g[1] = s^markBit, 0
 		}
-		// Only a mature cell holding 0 is evidence of absence; a young
-		// one is ignored, which preserves the one-sided error. The bit
-		// is tested first: it is set for every location of a present
-		// key, so that branch predicts, while a group's age does not.
-		if words[j>>6]&(1<<(j&63)) == 0 && (allCells || ageOf(s, now, T) >= N) {
+		if g[1]&(1<<(j&63)) == 0 && (allCells || ageOf(g[0], now, T) >= N) {
 			return false
 		}
 	}
 	return true
 }
 
-// K returns the number of hash functions.
-func (f *BF) K() int { return f.fam.K() }
-
-// Config returns the window configuration.
-func (f *BF) Config() WindowConfig { return f.cfg }
+// queryAny is the query loop for any w, the reference query64 is held to.
+func (f *BF) queryAny(key uint64, now clockTime, allCells bool) bool {
+	data, grp, stride := f.data, f.grp, f.gc.stride
+	m, T, N := uint64(f.m), f.gc.T, f.gc.N
+	base, ph := hashing.Mix64(key), now.phase()
+	for _, a := range f.fam.Multipliers() {
+		j := int(hashing.Locate(base, a, m))
+		gid := grp.of(j)
+		off := j - gid*grp.w
+		g := data[gid*stride : (gid+1)*stride]
+		s := g[0]
+		if staleWord(s, ph) {
+			s ^= markBit
+			g[0] = s
+			clear(g[1:])
+		}
+		// Only a mature cell holding 0 is evidence of absence; a young
+		// one is ignored, which preserves the one-sided error. The bit
+		// is tested first: it is set for every location of a present
+		// key, so that branch predicts, while a group's age does not.
+		if g[1+off>>6]&(1<<(off&63)) == 0 && (allCells || ageOf(s, now, T) >= N) {
+			return false
+		}
+	}
+	return true
+}
 
 // MemoryBits returns the structure's payload memory: the bit array plus
 // one mark bit per group.
-func (f *BF) MemoryBits() int { return f.bits.MemoryBits() + f.gc.memoryBits() }
+func (f *BF) MemoryBits() int { return f.m + f.gc.memoryBits() }

@@ -22,13 +22,14 @@ import "math/bits"
 // mark and its §5.1 aliasing are untouched: the identity is exact, so a
 // group left alone for two cycles lands on the same mark as before.
 type groupClock struct {
-	// state[gid] = ⌊Tcycle·gid/G⌋ | mark<<63: the group's fixed offset
-	// and its stored time mark share a word (WindowConfig.Validate
-	// keeps Tcycle below 2⁶³), so a mark check reads one word besides
-	// the cell's own.
-	state []uint64
-	T     uint64
-	N     uint64
+	// state[gid·stride] = ⌊Tcycle·gid/G⌋ | mark<<63: the group's fixed
+	// offset and its stored time mark share a word (WindowConfig.Validate
+	// keeps Tcycle below 2⁶³). stride is 1, or in SHE-BF a group's size
+	// in words: there its clock word leads its bit words.
+	state  []uint64
+	stride int
+	T      uint64
+	N      uint64
 }
 
 const markBit = 1 << 63
@@ -46,27 +47,36 @@ func newGroupClock(G int, T, N uint64) *groupClock {
 	if G <= 0 {
 		panic("core: group count must be positive")
 	}
-	c := &groupClock{state: make([]uint64, G), T: T, N: N}
-	for gid := range c.state {
-		c.state[gid] = T * uint64(gid) / uint64(G)
+	return clockIn(make([]uint64, G), 1, T, N)
+}
+
+// clockIn builds the clock whose state words are every stride-th word
+// of state, in place: the caller owns the words in between.
+func clockIn(state []uint64, stride int, T, N uint64) *groupClock {
+	c := &groupClock{state: state, stride: stride, T: T, N: N}
+	for gid, G := 0, c.groups(); gid < G; gid++ {
+		c.state[gid*stride] = T * uint64(gid) / uint64(G)
 		c.setMark(gid, c.curMark(gid, clockTime{}))
 	}
 	return c
 }
 
-func (c *groupClock) groups() int { return len(c.state) }
+func (c *groupClock) groups() int { return len(c.state) / c.stride }
+
+// word returns group gid's state word.
+func (c *groupClock) word(gid int) uint64 { return c.state[gid*c.stride] }
 
 // off returns the group's offset ⌊Tcycle·gid/G⌋.
-func (c *groupClock) off(gid int) uint64 { return c.state[gid] &^ markBit }
+func (c *groupClock) off(gid int) uint64 { return c.word(gid) &^ markBit }
 
 // mark returns the group's stored time mark.
-func (c *groupClock) mark(gid int) bool { return c.state[gid]&markBit != 0 }
+func (c *groupClock) mark(gid int) bool { return c.word(gid)&markBit != 0 }
 
 // setMark overwrites the group's stored time mark (snapshot restore).
 func (c *groupClock) setMark(gid int, m bool) {
-	c.state[gid] &^= markBit
+	c.state[gid*c.stride] &^= markBit
 	if m {
-		c.state[gid] |= markBit
+		c.state[gid*c.stride] |= markBit
 	}
 }
 
@@ -101,7 +111,7 @@ func borrow(r, off uint64) uint64 { return (r - off) >> 63 }
 
 // age returns the time since the group's latest (virtual) cleaning:
 // (t + d_gid) mod Tcycle. Ages lie in [0, Tcycle).
-func (c *groupClock) age(gid int, now clockTime) uint64 { return ageOf(c.state[gid], now, c.T) }
+func (c *groupClock) age(gid int, now clockTime) uint64 { return ageOf(c.word(gid), now, c.T) }
 
 // ageOf is age for a loop that holds the state word and Tcycle.
 func ageOf(s uint64, now clockTime, T uint64) uint64 {
@@ -119,11 +129,11 @@ func ageOf(s uint64, now clockTime, T uint64) uint64 {
 // group untouched for two full cycles lands back on the same mark and
 // keeps stale cells. Eq. 1 bounds how often that happens.
 func (c *groupClock) stale(gid int, now clockTime) bool {
-	s := c.state[gid]
+	s := c.word(gid)
 	if !staleWord(s, now.phase()) {
 		return false
 	}
-	c.state[gid] = s ^ markBit
+	c.state[gid*c.stride] = s ^ markBit
 	return true
 }
 
@@ -144,14 +154,6 @@ func (c *groupClock) mature(gid int, now clockTime) bool {
 	return c.age(gid, now) >= c.N
 }
 
-// youngMask is all ones when the group is young (age < N) and zero when
-// it is mature — mature as a mask, for the query loops that fold the
-// age test into arithmetic: a hashed group is young about N/Tcycle of
-// the time, which no branch predictor learns.
-func (c *groupClock) youngMask(gid int, now clockTime) uint64 {
-	return -borrow(c.age(gid, now), c.N)
-}
-
 // legalTwoSided reports whether the group's age lies in [floor, Tcycle)
 // — the age window the two-sided estimators accept.
 func (c *groupClock) legalTwoSided(gid int, now clockTime, floor uint64) bool {
@@ -159,16 +161,14 @@ func (c *groupClock) legalTwoSided(gid int, now clockTime, floor uint64) bool {
 }
 
 // memoryBits returns the bookkeeping overhead: one mark bit per group.
-func (c *groupClock) memoryBits() int { return len(c.state) }
+func (c *groupClock) memoryBits() int { return c.groups() }
 
-// residentBytes is what a structure holds allocated — its cell words
-// and the clock's word a group — where MemoryBits reports the paper's
+// ResidentBytes is what a structure holds allocated — its cells and
+// the clock's word a group — where MemoryBits reports the paper's
 // payload, a mark bit a group (Table 2).
-func residentBytes(cells []uint64, c *groupClock) int { return 8 * (len(cells) + len(c.state)) }
-
-func (f *BF) ResidentBytes() int  { return residentBytes(f.bits.Words(), f.gc) }
-func (c *CM) ResidentBytes() int  { return residentBytes(c.counters.Words(), c.gc) }
-func (h *HLL) ResidentBytes() int { return residentBytes(h.regs.Words(), h.gc) }
+func (f *BF) ResidentBytes() int  { return 8 * len(f.data) }
+func (c *CM) ResidentBytes() int  { return 4*cap(c.cells) + 8*len(c.gc.state) }
+func (h *HLL) ResidentBytes() int { return 8 * (len(h.regs.Words()) + len(h.gc.state)) }
 
 // tickClock is a structure's count-based time: the tick of its latest
 // Insert and that tick's clockTime, carried so Insert and the
@@ -190,9 +190,6 @@ func (k *tickClock) setTick(gc *groupClock, tick uint64) {
 	k.tick = tick
 	k.now = gc.at(tick)
 }
-
-// Tick returns the current count-based tick (items inserted so far).
-func (k *tickClock) Tick() uint64 { return k.tick }
 
 // grouping maps the cells of an array onto cleaning groups of w cells
 // (the last group of an uneven geometry is short).

@@ -155,8 +155,8 @@ func TestGroupClockMatchesPhaseFormula(t *testing.T) {
 		if got, want := gc.age(gid, now), phase%gc.T; got != want {
 			t.Fatalf("T=%d G=%d gid=%d t=%d: age %d, phase formula %d", gc.T, gc.groups(), gid, tm, got, want)
 		}
-		if got, want := gc.youngMask(gid, now), phase%gc.T < gc.N; (got == ^uint64(0)) != want || (got != 0) != want {
-			t.Fatalf("T=%d G=%d gid=%d t=%d: youngMask %#x at age %d, N=%d", gc.T, gc.groups(), gid, tm, got, phase%gc.T, gc.N)
+		if got, want := gc.mature(gid, now), phase%gc.T >= gc.N; got != want {
+			t.Fatalf("T=%d G=%d gid=%d t=%d: mature %v at age %d, N=%d", gc.T, gc.groups(), gid, tm, got, phase%gc.T, gc.N)
 		}
 	}
 	for trial := 0; trial < 2000; trial++ {

@@ -102,15 +102,11 @@ func TestCMRejectsBadParameters(t *testing.T) {
 	if _, err := NewCM(64, 8, 0, 32, cfg); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	// Counters must not straddle words: the update path increments in
-	// place. A snapshot carries the width, so 0 and 65 arrive from
-	// untrusted bytes and must be errors, not NewPacked's panic.
-	for _, width := range []uint{0, 3, 24, 65} {
+	// Counters are 32-bit cells; the width parameter names that and
+	// nothing else.
+	for _, width := range []uint{0, 3, 8, 16, 24, 64, 65} {
 		if _, err := NewCM(64, 8, 2, width, cfg); err == nil {
 			t.Fatalf("width=%d accepted", width)
-		}
-		if _, err := NewCU(64, 8, 2, width, cfg); err == nil {
-			t.Fatalf("cu width=%d accepted", width)
 		}
 	}
 }
@@ -129,15 +125,24 @@ func TestCMUnknownKeyLowEstimate(t *testing.T) {
 }
 
 func TestCMSaturatingWidth(t *testing.T) {
-	// A 4-bit counter saturates at 15 instead of wrapping.
-	cm, err := NewCM(64, 8, 1, 4, cmConfig(1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		cm.Insert(9)
-	}
-	if got := cm.EstimateFrequency(9); got != 15 {
-		t.Fatalf("saturating counter reads %d, want 15", got)
+	// A 32-bit counter saturates at 2³²−1 instead of wrapping, in the
+	// served-geometry loop (w = 64) and the general one (w = 8).
+	for _, w := range []int{64, 8} {
+		cm, err := NewCM(64, w, 1, 32, cmConfig(1000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm.Insert(9) // cleans the key's group, so the preset survives
+		for i := range cm.cells {
+			if cm.cells[i] != 0 {
+				cm.cells[i] = 1<<32 - 2
+			}
+		}
+		for i := 0; i < 3; i++ {
+			cm.Insert(9)
+		}
+		if got := cm.EstimateFrequency(9); got != 1<<32-1 {
+			t.Fatalf("w=%d: saturating counter reads %d, want %d", w, got, uint64(1<<32-1))
+		}
 	}
 }

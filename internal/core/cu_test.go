@@ -14,7 +14,7 @@ func cuConfig(n uint64) WindowConfig {
 
 func TestCUAlmostNeverUnderestimates(t *testing.T) {
 	const N = 2048
-	cu, err := NewCU(1<<13, 64, 8, 32, cuConfig(N))
+	cu, err := NewCU(1<<13, 64, 8, cuConfig(N))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestCUMoreAccurateThanCMUnderPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cu, err := NewCU(counters, 64, 4, 32, cuConfig(N))
+	cu, err := NewCU(counters, 64, 4, cuConfig(N))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestCUMoreAccurateThanCMUnderPressure(t *testing.T) {
 
 func TestCUExpiresOldCounts(t *testing.T) {
 	const N = 1024
-	cu, err := NewCU(1<<13, 64, 8, 32, cuConfig(N))
+	cu, err := NewCU(1<<13, 64, 8, cuConfig(N))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,22 +106,22 @@ func TestCUExpiresOldCounts(t *testing.T) {
 
 func TestCURejectsBadParameters(t *testing.T) {
 	cfg := cuConfig(100)
-	if _, err := NewCU(0, 64, 8, 32, cfg); err == nil {
+	if _, err := NewCU(0, 64, 8, cfg); err == nil {
 		t.Fatal("n=0 accepted")
 	}
-	if _, err := NewCU(64, 0, 8, 32, cfg); err == nil {
+	if _, err := NewCU(64, 0, 8, cfg); err == nil {
 		t.Fatal("w=0 accepted")
 	}
-	if _, err := NewCU(64, 8, 0, 32, cfg); err == nil {
+	if _, err := NewCU(64, 8, 0, cfg); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := NewCU(64, 8, 4, 32, WindowConfig{}); err == nil {
+	if _, err := NewCU(64, 8, 4, WindowConfig{}); err == nil {
 		t.Fatal("zero config accepted")
 	}
 }
 
 func TestCUTimeBased(t *testing.T) {
-	cu, err := NewCU(4096, 64, 4, 32, cuConfig(500))
+	cu, err := NewCU(4096, 64, 4, cuConfig(500))
 	if err != nil {
 		t.Fatal(err)
 	}

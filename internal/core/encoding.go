@@ -69,28 +69,116 @@ func (e *snapEncoder) header(kind byte, cfg WindowConfig, tick uint64, geom ...i
 }
 
 // state writes the marks of each clock, then the words of each array.
-func (e *snapEncoder) state(clocks []*groupClock, arrays ...[]uint64) {
+func (e *snapEncoder) state(clocks []*groupClock, arrays ...array) {
 	for _, gc := range clocks {
 		n := gc.groups()
 		e.u32(uint32(n))
-		var cur byte
-		for i := 0; i < n; i++ {
-			if gc.mark(i) {
-				cur |= 1 << (i % 8)
+		for i := 0; i < n; i += 8 {
+			var b byte
+			for j := i; j < min(i+8, n); j++ {
+				if gc.mark(j) {
+					b |= 1 << (j - i)
+				}
 			}
-			if i%8 == 7 {
-				e.u8(cur)
-				cur = 0
-			}
-		}
-		if n%8 != 0 {
-			e.u8(cur)
+			e.u8(b)
 		}
 	}
-	for _, ws := range arrays {
-		e.u32(uint32(len(ws)))
-		for _, w := range ws {
-			e.u64(w)
+	for _, a := range arrays {
+		e.u32(uint32(a.words()))
+		e.buf = a.appendTo(e.buf)
+	}
+}
+
+// array is one cell array of a snapshot: its length in words, then the
+// words, little-endian.
+type array interface {
+	words() int
+	appendTo(buf []byte) []byte
+	load(raw []byte) // raw holds words() words
+}
+
+// words64 is an array stored as it is held.
+type words64 []uint64
+
+func (ws words64) words() int { return len(ws) }
+
+func (ws words64) appendTo(buf []byte) []byte {
+	for _, w := range ws {
+		buf = binary.LittleEndian.AppendUint64(buf, w)
+	}
+	return buf
+}
+
+func (ws words64) load(raw []byte) {
+	for i := range ws {
+		ws[i] = binary.LittleEndian.Uint64(raw[8*i:])
+	}
+}
+
+// cells32 is 32-bit counters as the format has always held them, a
+// packed array of 32-bit fields: two cells a word, then the slack word
+// a packed array kept for fields that straddle words.
+type cells32 []uint32
+
+func (c cells32) words() int { return (len(c)+1)/2 + 1 }
+
+func (c cells32) appendTo(buf []byte) []byte {
+	for _, v := range c {
+		buf = binary.LittleEndian.AppendUint32(buf, v)
+	}
+	return append(buf, make([]byte, 8*c.words()-4*len(c))...)
+}
+
+func (c cells32) load(raw []byte) {
+	for i := range c {
+		c[i] = binary.LittleEndian.Uint32(raw[4*i:])
+	}
+}
+
+// bfBits is a filter's bits as the format has always held them: one
+// flat array, group gid's w bits from bit gid·w. They move a group word
+// at a time, shifted into place.
+type bfBits struct{ *BF }
+
+func (f bfBits) words() int { return (f.m + 63) / 64 }
+
+func (f bfBits) appendTo(buf []byte) []byte {
+	var acc uint64 // the next output word, its low n bits filled
+	n := 0
+	for gid := range f.gc.groups() {
+		for i, size := 0, f.grp.size(gid); 64*i < size; i++ {
+			w, b := f.data[gid*f.gc.stride+1+i], min(64, size-64*i)
+			acc |= w << n
+			if n+b >= 64 {
+				buf = binary.LittleEndian.AppendUint64(buf, acc)
+				acc = w >> (64 - n)
+			}
+			n = (n + b) % 64
+		}
+	}
+	if n > 0 {
+		buf = binary.LittleEndian.AppendUint64(buf, acc)
+	}
+	return buf
+}
+
+func (f bfBits) load(raw []byte) {
+	var acc uint64 // input bits not yet placed, the next in bit 0
+	n := 0
+	for gid := range f.gc.groups() {
+		for i, size := 0, f.grp.size(gid); 64*i < size; i++ {
+			b := min(64, size-64*i)
+			w := acc
+			if n < b {
+				next := binary.LittleEndian.Uint64(raw)
+				raw = raw[8:]
+				w |= next << n
+				acc = next >> (b - n)
+			} else {
+				acc >>= b
+			}
+			n = (n - b + 64) % 64
+			f.data[gid*f.gc.stride+1+i] = w & (^uint64(0) >> (64 - b))
 		}
 	}
 }
@@ -187,7 +275,7 @@ func (d *snapDecoder) fits(bits uint64, hashes uint32) error {
 // state reads the marks of each clock, then the words of each array,
 // into the structure the header's geometry built, and requires that
 // nothing follows.
-func (d *snapDecoder) state(clocks []*groupClock, arrays ...[]uint64) error {
+func (d *snapDecoder) state(clocks []*groupClock, arrays ...array) error {
 	for _, gc := range clocks {
 		n, err := d.u32()
 		if err != nil {
@@ -205,19 +293,19 @@ func (d *snapDecoder) state(clocks []*groupClock, arrays ...[]uint64) error {
 		}
 		d.buf = d.buf[bytes:]
 	}
-	for _, ws := range arrays {
+	for _, a := range arrays {
 		n, err := d.u32()
 		if err != nil {
 			return err
 		}
-		if int(n) != len(ws) {
-			return fmt.Errorf("core: snapshot has %d words, structure has %d", n, len(ws))
+		if int(n) != a.words() {
+			return fmt.Errorf("core: snapshot has %d words, structure has %d", n, a.words())
 		}
-		for i := range ws {
-			if ws[i], err = d.u64(); err != nil {
-				return err
-			}
+		if len(d.buf) < 8*int(n) {
+			return errSnapshot
 		}
+		a.load(d.buf[:8*n])
+		d.buf = d.buf[8*n:]
 	}
 	if len(d.buf) != 0 {
 		return fmt.Errorf("core: %d trailing bytes in snapshot", len(d.buf))

@@ -97,7 +97,7 @@ func FuzzUnmarshalBF(f *testing.F) {
 // FuzzUnmarshalCM mirrors FuzzUnmarshalBF for the counter sketch, whose
 // header carries an extra width field worth stressing.
 func FuzzUnmarshalCM(f *testing.F) {
-	cm, err := NewCM(256, 64, 4, 8, WindowConfig{N: 100, Alpha: 1, Seed: 2})
+	cm, err := NewCM(256, 64, 4, 32, WindowConfig{N: 100, Alpha: 1, Seed: 2})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -110,10 +110,19 @@ func FuzzUnmarshalCM(f *testing.F) {
 	}
 	f.Add(valid)
 	f.Add(valid[:20])
+	f.Add(withWidth(valid, 8)) // refused: 32-bit counters only
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecoded(t, unmarshalers[3], data)
 	})
+}
+
+// withWidth is a count-min snapshot with its counter width field
+// (offset 57) rewritten.
+func withWidth(snap []byte, width uint32) []byte {
+	out := append([]byte(nil), snap...)
+	binary.LittleEndian.PutUint32(out[57:], width)
+	return out
 }
 
 // FuzzUnmarshal hammers the five snapshot decoders with arbitrary bytes:
@@ -129,7 +138,7 @@ func FuzzUnmarshal(f *testing.F) {
 	bf, err1 := NewBF(1024, 64, 4, cfg)
 	bm, err2 := NewBM(1024, 64, cfg)
 	hll, err3 := NewHLL(256, cfg)
-	cm, err4 := NewCM(256, 64, 4, 8, cfg)
+	cm, err4 := NewCM(256, 64, 4, 32, cfg)
 	mh, err5 := NewMH(64, cfg)
 	if err := errors.Join(err1, err2, err3, err4, err5); err != nil {
 		f.Fatal(err)
@@ -161,6 +170,11 @@ func FuzzUnmarshal(f *testing.F) {
 			f.Add(huge)
 		}
 	}
+	cmSnap, err := cm.AppendBinary([]byte{3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append([]byte{3}, withWidth(cmSnap[1:], 8)...)) // refused: 32-bit counters only
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {

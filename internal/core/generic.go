@@ -194,11 +194,6 @@ type CellView struct {
 // the min over legal values, and so on.
 func (g *Generic) Fold(key uint64, fn func(CellView)) int { return g.fold(key, g.now, fn) }
 
-// FoldAt is Fold at explicit time t.
-func (g *Generic) FoldAt(key uint64, t uint64, fn func(CellView)) int {
-	return g.fold(key, g.gc.at(t), fn)
-}
-
 func (g *Generic) fold(key uint64, now clockTime, fn func(CellView)) int {
 	legal, minAge := 0, g.minAge()
 	for _, j := range g.locations(key) {
@@ -217,9 +212,6 @@ func (g *Generic) fold(key uint64, now clockTime, fn func(CellView)) int {
 // FoldAll visits every legal cell of the array (estimator-style
 // queries: Bitmap zero counting, HyperLogLog register harvesting).
 func (g *Generic) FoldAll(fn func(CellView)) int { return g.foldAll(g.now, fn) }
-
-// FoldAllAt is FoldAll at explicit time t.
-func (g *Generic) FoldAllAt(t uint64, fn func(CellView)) int { return g.foldAll(g.gc.at(t), fn) }
 
 func (g *Generic) foldAll(now clockTime, fn func(CellView)) int {
 	legal, minAge := 0, g.minAge()
@@ -255,9 +247,6 @@ func (g *Generic) Cell(i int) uint64 { return g.cells.Get(i) }
 
 // Cells returns the array length M.
 func (g *Generic) Cells() int { return g.csm.Cells }
-
-// Config returns the window configuration.
-func (g *Generic) Config() WindowConfig { return g.cfg }
 
 // MemoryBits returns payload memory: cells plus group marks.
 func (g *Generic) MemoryBits() int { return g.cells.MemoryBits() + g.gc.memoryBits() }

@@ -93,12 +93,6 @@ func (h *HLL) estimate(now clockTime) float64 {
 	return legal.Estimate() * float64(h.regs.Len()) / float64(k)
 }
 
-// Registers returns the total number of registers M.
-func (h *HLL) Registers() int { return h.regs.Len() }
-
-// Config returns the window configuration.
-func (h *HLL) Config() WindowConfig { return h.cfg }
-
 // MemoryBits returns payload memory: 5-bit registers plus 1 mark bit
 // per register.
 func (h *HLL) MemoryBits() int { return h.regs.MemoryBits() + h.gc.memoryBits() }

@@ -79,8 +79,8 @@ func TestMatureCellsIndependent(t *testing.T) {
 		fam   *hashing.Family
 		cells int
 	}{
-		{"bf α=3", bf.gc, bf.grp, bf.fam, bf.bits.Len()},
-		{"cm α=1", cm.gc, cm.grp, cm.fam, cm.counters.Len()},
+		{"bf α=3", bf.gc, bf.grp, bf.fam, bf.m},
+		{"cm α=1", cm.gc, cm.grp, cm.fam, len(cm.cells)},
 	} {
 		k := tc.fam.K()
 		shipped := matureCountChi2(tc.gc, tc.grp, k, func(i int, key uint64) int { return tc.fam.Index(i, key, tc.cells) })

@@ -116,12 +116,6 @@ func (mh *MH) similarity(now clockTime) float64 {
 	return float64(eq) / float64(k)
 }
 
-// Size returns the number of signature slots per stream.
-func (mh *MH) Size() int { return mh.c1.Len() }
-
-// Config returns the window configuration.
-func (mh *MH) Config() WindowConfig { return mh.cfg }
-
 // MemoryBits returns payload memory for both arrays plus marks.
 func (mh *MH) MemoryBits() int {
 	return mh.c1.MemoryBits() + mh.c2.MemoryBits() + mh.g1.memoryBits() + mh.g2.memoryBits()

@@ -1,5 +1,7 @@
 package core
 
+import "fmt"
+
 // Per-structure snapshot methods. Each AppendBinary appends the full
 // state (configuration, clock, marks, cells) to dst, the caller's buffer,
 // and is the structure's only encoder; the matching Unmarshal function
@@ -9,8 +11,8 @@ package core
 // AppendBinary appends a snapshot of the Bloom filter to dst.
 func (f *BF) AppendBinary(dst []byte) ([]byte, error) {
 	e := snapEncoder{buf: dst}
-	e.header(kindBF, f.cfg, f.tick, f.bits.Len(), f.grp.w, f.fam.K())
-	e.state([]*groupClock{f.gc}, f.bits.Words())
+	e.header(kindBF, f.cfg, f.tick, f.m, f.grp.w, f.fam.K())
+	e.state([]*groupClock{f.gc}, bfBits{f})
 	return e.buf, nil
 }
 
@@ -29,14 +31,14 @@ func UnmarshalBF(data []byte) (*BF, error) {
 		return nil, err
 	}
 	f.setTick(f.gc, tick)
-	return f, d.state([]*groupClock{f.gc}, f.bits.Words())
+	return f, d.state([]*groupClock{f.gc}, bfBits{f})
 }
 
 // AppendBinary appends a snapshot of the bitmap to dst.
 func (b *BM) AppendBinary(dst []byte) ([]byte, error) {
 	e := snapEncoder{buf: dst}
 	e.header(kindBM, b.cfg, b.tick, b.bits.Len(), b.grp.w)
-	e.state([]*groupClock{b.gc}, b.bits.Words())
+	e.state([]*groupClock{b.gc}, words64(b.bits.Words()))
 	return e.buf, nil
 }
 
@@ -55,14 +57,14 @@ func UnmarshalBM(data []byte) (*BM, error) {
 		return nil, err
 	}
 	b.setTick(b.gc, tick)
-	return b, d.state([]*groupClock{b.gc}, b.bits.Words())
+	return b, d.state([]*groupClock{b.gc}, words64(b.bits.Words()))
 }
 
 // AppendBinary appends a snapshot of the HyperLogLog to dst.
 func (h *HLL) AppendBinary(dst []byte) ([]byte, error) {
 	e := snapEncoder{buf: dst}
 	e.header(kindHLL, h.cfg, h.tick, h.regs.Len())
-	e.state([]*groupClock{h.gc}, h.regs.Words())
+	e.state([]*groupClock{h.gc}, words64(h.regs.Words()))
 	return e.buf, nil
 }
 
@@ -81,14 +83,14 @@ func UnmarshalHLL(data []byte) (*HLL, error) {
 		return nil, err
 	}
 	h.setTick(h.gc, tick)
-	return h, d.state([]*groupClock{h.gc}, h.regs.Words())
+	return h, d.state([]*groupClock{h.gc}, words64(h.regs.Words()))
 }
 
 // AppendBinary appends a snapshot of the Count-Min sketch to dst.
 func (c *CM) AppendBinary(dst []byte) ([]byte, error) {
 	e := snapEncoder{buf: dst}
-	e.header(kindCM, c.cfg, c.tick, c.counters.Len(), c.grp.w, c.fam.K(), int(c.counters.Width()))
-	e.state([]*groupClock{c.gc}, c.counters.Words())
+	e.header(kindCM, c.cfg, c.tick, len(c.cells), c.grp.w, c.fam.K(), counterBits)
+	e.state([]*groupClock{c.gc}, cells32(c.cells))
 	return e.buf, nil
 }
 
@@ -96,25 +98,28 @@ func (c *CM) AppendBinary(dst []byte) ([]byte, error) {
 func UnmarshalCM(data []byte) (*CM, error) {
 	d := snapDecoder{buf: data}
 	cfg, tick, g, err := d.header(kindCM, 4) // n, w, k, width
+	if err == nil && g[3] != counterBits {
+		err = fmt.Errorf("core: count-min snapshot has %d-bit counters; this build reads only %d-bit ones", g[3], counterBits)
+	}
 	if err == nil {
-		err = d.fits(uint64(g[0])*uint64(g[3]), g[2])
+		err = d.fits(uint64(g[0])*counterBits, g[2])
 	}
 	if err != nil {
 		return nil, err
 	}
-	c, err := NewCM(int(g[0]), int(g[1]), int(g[2]), uint(g[3]), cfg)
+	c, err := NewCM(int(g[0]), int(g[1]), int(g[2]), counterBits, cfg)
 	if err != nil {
 		return nil, err
 	}
 	c.setTick(c.gc, tick)
-	return c, d.state([]*groupClock{c.gc}, c.counters.Words())
+	return c, d.state([]*groupClock{c.gc}, cells32(c.cells))
 }
 
 // AppendBinary appends a snapshot of the MinHash pair to dst.
 func (mh *MH) AppendBinary(dst []byte) ([]byte, error) {
 	e := snapEncoder{buf: dst}
 	e.header(kindMH, mh.cfg, mh.tick, mh.c1.Len())
-	e.state([]*groupClock{mh.g1, mh.g2}, mh.c1.Words(), mh.c2.Words())
+	e.state([]*groupClock{mh.g1, mh.g2}, words64(mh.c1.Words()), words64(mh.c2.Words()))
 	return e.buf, nil
 }
 
@@ -133,5 +138,5 @@ func UnmarshalMH(data []byte) (*MH, error) {
 		return nil, err
 	}
 	mh.setTick(mh.g1, tick)
-	return mh, d.state([]*groupClock{mh.g1, mh.g2}, mh.c1.Words(), mh.c2.Words())
+	return mh, d.state([]*groupClock{mh.g1, mh.g2}, words64(mh.c1.Words()), words64(mh.c2.Words()))
 }

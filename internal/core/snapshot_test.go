@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -165,5 +167,29 @@ func TestSnapshotCrossKindRejected(t *testing.T) {
 	}
 	if _, err := UnmarshalCM(data); err == nil {
 		t.Fatal("BM snapshot restored as CM")
+	}
+}
+
+// TestCMSnapshotRefusesOtherWidths: counters are 32-bit cells, so a
+// count-min snapshot whose width field says anything else is refused,
+// naming the width, before any cell is read.
+func TestCMSnapshotRefusesOtherWidths(t *testing.T) {
+	cm, err := NewCM(256, 64, 4, 32, WindowConfig{N: 100, Alpha: 1, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm.Insert(7)
+	snap, err := cm.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalCM(snap); err != nil {
+		t.Fatalf("the 32-bit snapshot: %v", err)
+	}
+	for _, width := range []uint32{0, 4, 8, 16, 64} {
+		_, err := UnmarshalCM(withWidth(snap, width))
+		if want := fmt.Sprintf("%d-bit counters", width); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("width %d: err = %v, want one naming %q", width, err, want)
+		}
 	}
 }

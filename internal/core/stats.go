@@ -1,5 +1,7 @@
 package core
 
+import "math/bits"
+
 // SketchStats is a read-only snapshot of a structure's sliding-window
 // runtime state — the invisible machinery the paper's accuracy
 // analysis runs on: where the virtual cleaning process sits in its
@@ -55,7 +57,7 @@ func (s SketchStats) FillRatio() float64 {
 // now. cellsIn reports how many cells group gid holds (the last group
 // of an uneven geometry is short). Read-only: no cleaning runs.
 func (c *groupClock) ageClasses(now clockTime, cellsIn func(gid int) int) (young, perfect, aged int) {
-	for gid := range c.state {
+	for gid := range c.groups() {
 		n := cellsIn(gid)
 		switch age := c.age(gid, now); {
 		case age < c.N:
@@ -103,22 +105,23 @@ func countFilled(get func(i int) uint64, n int, reset uint64) int {
 
 // Stats snapshots the filter's window state; see SketchStats.
 func (f *BF) Stats() SketchStats {
-	st := statsCommon(f.cfg, f.tickClock, f.gc, f.bits.Len(), f.grp.size)
-	st.Filled = f.bits.Ones()
+	st := statsCommon(f.cfg, f.tickClock, f.gc, f.m, f.grp.size)
+	for g := 0; g < len(f.data); g += f.gc.stride { // skip each clock word
+		for _, w := range f.data[g+1 : g+f.gc.stride] {
+			st.Filled += bits.OnesCount64(w)
+		}
+	}
 	return st
 }
 
 // Stats snapshots the sketch's window state; see SketchStats.
-func (c *CM) Stats() SketchStats {
-	st := statsCommon(c.cfg, c.tickClock, c.gc, c.counters.Len(), c.grp.size)
-	st.Filled = countFilled(c.counters.Get, c.counters.Len(), 0)
-	return st
-}
-
-// Stats snapshots the sketch's window state; see SketchStats.
-func (c *CU) Stats() SketchStats {
-	st := statsCommon(c.cfg, c.tickClock, c.gc, c.counters.Len(), c.grp.size)
-	st.Filled = countFilled(c.counters.Get, c.counters.Len(), 0)
+func (c *counters) Stats() SketchStats {
+	st := statsCommon(c.cfg, c.tickClock, c.gc, len(c.cells), c.grp.size)
+	for _, v := range c.cells {
+		if v != 0 {
+			st.Filled++
+		}
+	}
 	return st
 }
 

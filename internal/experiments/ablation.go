@@ -40,7 +40,7 @@ func AblationConservativeUpdate(sc Scale) metrics.Table {
 		cmARE := areRun(sc, n, stream.CAIDA(sc.Seed), warm, cm.Insert,
 			sheEstimate(cm.EstimateFrequency), nil)
 
-		cu, err := core.NewCU(counters, groupW(counters), core.DefaultHashes, 32,
+		cu, err := core.NewCU(counters, groupW(counters), core.DefaultHashes,
 			core.WindowConfig{N: n, Alpha: core.DefaultAlphaCM, Seed: sc.Seed})
 		if err != nil {
 			panic(err)

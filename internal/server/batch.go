@@ -123,14 +123,6 @@ func appendKeys(dst []uint64, toks []string) []uint64 {
 	return dst
 }
 
-// insertTokens parses toks as keys and inserts them into sk as one
-// batch. The returned keys are buf's, valid until buf is reused.
-func (buf *insertBuf) insertTokens(sk *Sketch, toks []string) []uint64 {
-	buf.keys = appendKeys(buf.keys[:0], toks)
-	sk.InsertBatch(buf.keys, &buf.sc)
-	return buf.keys
-}
-
 // insertGroup accumulates one sketch's parsed keys within a batch.
 // The name is a copy (the read buffer that produced it is recycled on
 // the next ReadSlice); both backing arrays are reused across batches.

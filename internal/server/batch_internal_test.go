@@ -212,6 +212,10 @@ func FuzzFastParseEquivalence(f *testing.F) {
 		f.Add([]byte("MINSERT b 12345" + strings.Repeat(" ", 1+i%8) + tok))
 		f.Add([]byte("sketch.query c\t" + tok + "\r"))
 	}
+	for i, run := range scanLongRuns {
+		f.Add([]byte("MINSERT b" + strings.Repeat(" ", 1+i%8) + run))
+		f.Add([]byte("MINSERT b " + run + " 1234567"))
+	}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		if len(line) > MaxLineBytes {
 			return

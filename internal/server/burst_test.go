@@ -167,12 +167,10 @@ func TestFollowerByteEqualAtEqualCursor(t *testing.T) {
 }
 
 // burstRecords renders a script as the records a primary would ship:
-// text CREATE/DROP lines and insert records, with every fifth insert as
-// the text line an older primary would send instead.
+// text CREATE/DROP lines and insert records.
 func burstRecords(t *testing.T, lines []string) []repl.Record {
 	t.Helper()
 	var recs []repl.Record
-	inserts := 0
 	for _, l := range lines {
 		cmd, err := ParseCommand(l)
 		if err != nil {
@@ -184,11 +182,7 @@ func burstRecords(t *testing.T, lines []string) []repl.Record {
 			for i, tok := range cmd.Args[1:] {
 				keys[i] = ParseKey(tok)
 			}
-			if inserts++; inserts%5 == 0 {
-				rec = textInsertLine(cmd.Name, cmd.Args[0], keys)
-			} else {
-				rec = AppendInsertRecord(nil, []byte(cmd.Args[0]), keys)
-			}
+			rec = AppendInsertRecord(nil, []byte(cmd.Args[0]), keys)
 		}
 		recs = append(recs, repl.Record{Payload: rec})
 	}
@@ -199,8 +193,7 @@ func burstRecords(t *testing.T, lines []string) []repl.Record {
 // burst, in random bursts and as one maximal burst leave followers with
 // identical sketches — equal to a server that executed the script as
 // commands — and identical logs: each, killed, replays to those same
-// sketches. No text insert line reaches a follower's log: what an older
-// primary sent as text is logged as an insert record.
+// sketches. No text insert line reaches a follower's log.
 func TestBurstBoundariesLeaveNoTrace(t *testing.T) {
 	lines := scriptLines(2, 800)
 	recs := burstRecords(t, lines)

@@ -554,7 +554,9 @@ func (c *conn) cmdInsert(cmd Command) error {
 	}
 	buf := insertBufs.Get().(*insertBuf)
 	defer insertBufs.Put(buf)
-	keys := buf.insertTokens(sk, cmd.Args[1:])
+	keys := appendKeys(buf.keys[:0], cmd.Args[1:])
+	buf.keys = keys
+	sk.InsertBatch(keys, &buf.sc)
 	if s.wal != nil {
 		if err := c.batch.log(AppendInsertRecord(nil, []byte(cmd.Args[0]), keys), c.tr); err != nil {
 			return err

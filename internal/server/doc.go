@@ -612,9 +612,9 @@
 // an insert record from the text lines SKETCH.CREATE and SKETCH.DROP
 // are logged as; the length + CRC32C framing is the WAL's, unchanged.
 // Replay and follower apply decode it straight into
-// Sketch.InsertBatch. Decimal INSERT/MINSERT lines in segments and
-// streams written by an older binary are still applied, never written:
-// upgrade followers before the primary. At 8.0 bytes a key instead of
+// Sketch.InsertBatch. A decimal INSERT/MINSERT line, which only
+// binaries from before position scheme 2 logged, is refused by name and
+// counted in wal_replay_skipped. At 8.0 bytes a key instead of
 // about 20, Config.CheckpointBytes and Config.ReplicaMaxLagBytes
 // (-repl-max-lag) cover about 2.5x as many keys per byte as they did.
 // See DESIGN.md §9.

@@ -49,7 +49,7 @@ func (s *Server) recoverWAL() error {
 	}
 	buf := insertBufs.Get().(*insertBuf)
 	for _, r := range rec.Records {
-		if _, err := s.applyRecord(r, buf, nil); err != nil {
+		if err := s.applyRecord(r, buf); err != nil {
 			s.ctr.WALReplaySkipped.Inc()
 			s.logger.Warn("wal replay: skipping record", "err", err)
 		} else {
@@ -78,74 +78,57 @@ func (s *Server) recoverWAL() error {
 // follower. The first byte picks the arm: an insert record goes
 // straight from its bytes to Sketch.InsertBatch through buf; anything
 // else is a protocol-shaped line and shares the wire parser —
-// SKETCH.CREATE and SKETCH.DROP, and the INSERT/MINSERT lines of
-// segments and streams an older binary wrote, whose decimal keys
-// ParseKey maps back to themselves. Semantic conflicts (a record for a
+// SKETCH.CREATE and SKETCH.DROP. Semantic conflicts (a record for a
 // sketch missing after a quarantined-segment gap) are returned for the
 // caller to count and log — one bad record must not abort recovery of
 // the rest.
-//
-// logged is the record as this binary writes it, for a follower to
-// append to its own log: rec itself, except that with relog non-nil a
-// text insert line is re-rendered as an insert record at the end of
-// *relog.
-func (s *Server) applyRecord(rec []byte, buf *insertBuf, relog *[]byte) (logged []byte, err error) {
+func (s *Server) applyRecord(rec []byte, buf *insertBuf) error {
 	if isInsertRecord(rec) {
 		name, keys, err := decodeInsertRecord(rec, buf.keys)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		buf.keys = keys
 		sk := s.reg.GetBytes(name)
 		if sk == nil {
-			return nil, fmt.Errorf("no such sketch %q", name)
+			return fmt.Errorf("no such sketch %q", name)
 		}
 		sk.InsertBatch(keys, &buf.sc)
-		return rec, nil
+		return nil
 	}
 	cmd, err := ParseCommand(string(rec))
 	if err != nil {
-		return nil, fmt.Errorf("record %.60q: %w", rec, err)
+		return fmt.Errorf("record %.60q: %w", rec, err)
 	}
 	switch cmd.Name {
 	case "SKETCH.CREATE":
 		if len(cmd.Args) < 2 {
-			return nil, fmt.Errorf("short CREATE record %.60q", rec)
+			return fmt.Errorf("short CREATE record %.60q", rec)
 		}
 		kv, err := ParseKV(cmd.Args[2:])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		sk, err := NewSketch(cmd.Args[1], kv)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// The log is authoritative about state at this position, so a
 		// CREATE replaces any sketch already registered under the name.
 		s.reg.Put(cmd.Args[0], sk)
-		return rec, nil
+		return nil
 	case "SKETCH.INSERT", "MINSERT":
-		if len(cmd.Args) < 2 {
-			return nil, fmt.Errorf("short INSERT record %.60q", rec)
-		}
-		sk, err := s.reg.Get(cmd.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		keys := buf.insertTokens(sk, cmd.Args[1:])
-		if relog == nil {
-			return rec, nil
-		}
-		start := len(*relog)
-		*relog = AppendInsertRecord(*relog, []byte(cmd.Args[0]), keys)
-		return (*relog)[start:], nil
+		// Only binaries older than the insert record logged inserts as
+		// text, and those also predate position scheme 2: their state
+		// cannot load here either (DESIGN.md §9, §12).
+		return fmt.Errorf("text %s record %.60q predates insert records; not replayed", cmd.Name, rec)
 	case "SKETCH.DROP":
 		if len(cmd.Args) != 1 {
-			return nil, fmt.Errorf("short DROP record %.60q", rec)
+			return fmt.Errorf("short DROP record %.60q", rec)
 		}
-		return rec, s.reg.Drop(cmd.Args[0])
+		return s.reg.Drop(cmd.Args[0])
 	}
-	return nil, fmt.Errorf("unexpected record command %q", cmd.Name)
+	return fmt.Errorf("unexpected record command %q", cmd.Name)
 }
 
 // walAppend is the one way records enter the log — a slow-path

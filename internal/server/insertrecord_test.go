@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"she/internal/repl"
 	"she/internal/wal"
 )
 
@@ -121,12 +122,13 @@ func sameImage(t testing.TB, what string, got, want map[string][]byte) {
 	}
 }
 
-// TestReplayMixedFormatLog: a log an older binary started — text
-// SKETCH.CREATE, text MINSERT and SKETCH.INSERT lines — and this one
-// continued with insert records recovers to exactly the sketches that
-// the same keys, fed in the same order through Insert, build. An insert
-// record naming a dropped sketch is counted as skipped and the records
-// behind it still replay.
+// TestReplayMixedFormatLog: in a log that interleaves text MINSERT and
+// SKETCH.INSERT lines — what binaries before the insert record wrote —
+// with insert records, each text insert line is refused and counted in
+// wal_replay_skipped, and the rest recovers to exactly the sketches that
+// the insert records' keys, fed in the same order through Insert, build.
+// An insert record naming a dropped sketch is counted as skipped too,
+// and the records behind it still replay.
 func TestReplayMixedFormatLog(t *testing.T) {
 	specs := []struct{ name, kind, params string }{
 		{"b", "bloom", "bits=8192 window=4096 shards=2"},
@@ -160,22 +162,25 @@ func TestReplayMixedFormatLog(t *testing.T) {
 			want[name].Insert(k)
 		}
 	}
-	records := 3
+	records, text := 3, 0
 	for round := 0; round < 40; round++ {
 		sp := specs[round%3]
 		keys := testKeys(int64(round), 1+round*7%120)
 		switch {
-		case round < 12: // what the parent's batch engine wrote
+		case round < 12: // what an older batch engine wrote
 			add(textInsertLine("MINSERT", sp.name, keys))
+			text++
 		case round < 20: // what its slow path wrote
 			add(textInsertLine("SKETCH.INSERT", sp.name, keys))
-		case round%5 == 0: // the formats interleave across an upgrade
+			text++
+		case round%5 == 0:
 			add(textInsertLine("MINSERT", sp.name, keys))
+			text++
 		default:
 			add(AppendInsertRecord(nil, []byte(sp.name), keys))
+			feed(sp.name, keys)
+			records++
 		}
-		feed(sp.name, keys)
-		records++
 	}
 	add([]byte("SKETCH.CREATE gone bloom bits=4096 window=1024"))
 	add([]byte("SKETCH.DROP gone"))
@@ -193,8 +198,8 @@ func TestReplayMixedFormatLog(t *testing.T) {
 
 	s := startWAL(t, dir, nil, 0)
 	defer s.Abort()
-	if got := s.Counters()["wal_replay_skipped"]; got != 1 {
-		t.Fatalf("wal_replay_skipped = %d, want 1 (the record for the dropped sketch)", got)
+	if got := s.Counters()["wal_replay_skipped"]; got != int64(text+1) {
+		t.Fatalf("wal_replay_skipped = %d, want %d (the text insert lines and the record for the dropped sketch)", got, text+1)
 	}
 	if got := s.Counters()["wal_replayed_records"]; got != int64(records) {
 		t.Fatalf("wal_replayed_records = %d, want %d", got, records)
@@ -204,6 +209,13 @@ func TestReplayMixedFormatLog(t *testing.T) {
 		wantImg[name] = mustMarshal(t, sk)
 	}
 	sameImage(t, "recovered registry", registryImage(t, s), wantImg)
+
+	// A follower refuses the same line by name, and the burst fails.
+	line := textInsertLine("MINSERT", "c", []uint64{1})
+	err = (&replTarget{s: s}).ApplyBurst([]repl.Record{{Payload: line}})
+	if err == nil || !strings.Contains(err.Error(), "predates insert records") {
+		t.Fatalf("ApplyBurst(%q) = %v, want it refused by name", line, err)
+	}
 }
 
 // TestInsertRecordSplit: a sketch's run longer than one record can

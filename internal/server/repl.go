@@ -503,9 +503,8 @@ func (s *Server) isDone() bool {
 type replTarget struct {
 	s      *Server
 	buf    insertBuf
-	logged [][]byte        // the burst's records as this node logs them
+	logged [][]byte        // the burst's records that applied
 	ends   []wal.Cursor    // their end cursors in this node's log
-	relog  []byte          // insert records re-rendered from an older primary's text lines
 	open   []*xtrace.Trace // joined traces of the burst
 }
 
@@ -593,7 +592,7 @@ func (t *replTarget) ApplyBurst(recs []repl.Record) error {
 // they are in the sketches — and the error is returned.
 func (t *replTarget) applyLogged(recs []repl.Record) error {
 	s := t.s
-	t.logged, t.relog = t.logged[:0], t.relog[:0]
+	t.logged = t.logged[:0]
 	s.chkMu.RLock()
 	defer s.chkMu.RUnlock()
 	var applyErr error
@@ -607,7 +606,7 @@ func (t *replTarget) applyLogged(recs []repl.Record) error {
 			sp = tr.StartSpan("apply")
 			t.open = append(t.open, tr)
 		}
-		logged, err := s.applyRecord(rec.Payload, &t.buf, &t.relog)
+		err := s.applyRecord(rec.Payload, &t.buf)
 		if tr != nil {
 			sp.End()
 		}
@@ -615,7 +614,7 @@ func (t *replTarget) applyLogged(recs []repl.Record) error {
 			applyErr = err
 			break
 		}
-		t.logged = append(t.logged, logged)
+		t.logged = append(t.logged, rec.Payload)
 	}
 	if len(t.logged) > 0 {
 		if _, err := s.walAppend(t.logged, &t.ends, nil); err != nil {

@@ -68,28 +68,46 @@ func shiftIn(v, over, p, d uint64) (uint64, uint64) {
 	return v, over | hi | carry
 }
 
+// nonDigits marks, in bit 7 of each byte, the bytes of the
+// little-endian word w that are not ASCII digits. In x = w ^ "00000000"
+// a digit byte is 0…9, so adding 0x76 to its low seven bits sets bit 7
+// exactly when it is not one (no carry leaves a byte).
+func nonDigits(w uint64) uint64 {
+	x := w ^ 0x3030303030303030
+	return (((x & 0x7f7f7f7f7f7f7f7f) + 0x7676767676767676) | x) & 0x8080808080808080
+}
+
 // scanUint reads the decimal run that starts at line[i] as
 // little-endian 8-byte words and returns its value and end. ok means it
 // is a whole token strconv.ParseUint accepts: at least one digit, ended
 // by a separator or the line, fitting a uint64.
 //
-// In x = w ^ "00000000" a digit byte is 0…9, so adding 0x76 to its low
-// seven bits sets bit 7 exactly when it is not one (no carry leaves a
-// byte): m marks the non-digit bytes. m == 0 is eight digits — the
-// branch a predictor learns, so the next load does not wait for this
-// word's arithmetic. Otherwise the trailing-zero count of m is the
-// number of digits k ahead of the first other byte; shifted to the top
-// of the word, with the bytes vacated below them reading as '0', they
-// convert like eight. The last fewer-than-8 bytes are loaded as the
-// word that ends at len(line), shifted down: the zero bytes that fill
-// it are not digits, and no byte past the line is read (line holds a
-// verb, a separator and a name, so it is never shorter than a word).
-// The value is carried at 128 bits into a sticky overflow flag; a
-// prefix of a number never exceeds it, so the flag is clear exactly
-// when the run fits.
+// A run of 16–23 digits with 24 bytes of line from i — the shape of a
+// hashed or random 64-bit key — is converted in straight-line code: two
+// all-digit words, then the digits that lead the third. Any other run
+// takes the loop, a word at a time: m == 0 is eight digits, the branch
+// a predictor learns, so the next load does not wait for this word's
+// arithmetic. Otherwise the trailing-zero count of m is the number of
+// digits k ahead of the first other byte; shifted to the top of the
+// word, with the bytes vacated below them reading as '0', they convert
+// like eight. The last fewer-than-8 bytes are loaded as the word that
+// ends at len(line), shifted down: the zero bytes that fill it are not
+// digits, and no byte past the line is read (line holds a verb, a
+// separator and a name, so it is never shorter than a word). The value
+// is carried at 128 bits into a sticky overflow flag; a prefix of a
+// number never exceeds it, so the flag is clear exactly when the run
+// fits. Both ways return the same (v, j, ok) for every input.
 func scanUint(line []byte, i int) (v uint64, j int, ok bool) {
 	var over uint64
 	n := len(line)
+	if i+24 <= n {
+		w0, w1, w2 := binary.LittleEndian.Uint64(line[i:]), binary.LittleEndian.Uint64(line[i+8:]), binary.LittleEndian.Uint64(line[i+16:])
+		if m := nonDigits(w2); nonDigits(w0)|nonDigits(w1) == 0 && m != 0 {
+			k := bits.TrailingZeros64(m) >> 3 // w2<<64 is 0: no digits
+			v, over = shiftIn(digits8(w0)*1e8+digits8(w1), 0, pow10[k], digits8(w2<<(64-8*uint(k))))
+			return v, i + 16 + k, over == 0 && isSep(line[i+16+k])
+		}
+	}
 	for j = i; ; j += 8 {
 		var w uint64
 		if j+8 <= n {
@@ -97,8 +115,7 @@ func scanUint(line []byte, i int) (v uint64, j int, ok bool) {
 		} else {
 			w = binary.LittleEndian.Uint64(line[n-8:]) >> (8 * uint(8-(n-j)))
 		}
-		x := w ^ 0x3030303030303030
-		m := (((x & 0x7f7f7f7f7f7f7f7f) + 0x7676767676767676) | x) & 0x8080808080808080
+		m := nonDigits(w)
 		if m == 0 {
 			v, over = shiftIn(v, over, 1e8, digits8(w))
 			continue

@@ -158,6 +158,50 @@ func TestScanEdges(t *testing.T) {
 	}
 }
 
+// scanLongRuns are the runs scanUint converts in straight-line code
+// when 24 bytes of line follow their start: 16–23 digits, with and
+// without leading zeros, around the largest uint64; they also seed
+// FuzzFastParseEquivalence.
+var scanLongRuns = []string{
+	"1234567890123456", "12345678901234567", "999999999999999999", "1844674407370955161",
+	"18446744073709551615", "18446744073709551616", "99999999999999999999", "00000000000000000000",
+	"018446744073709551615", "0018446744073709551615", "00018446744073709551615",
+	"018446744073709551616", "00018446744073709551616", "000000000000000000000007",
+	"100000000000000000000", "12345678901234567890123", "1234567890123456a", "12345678901234567890x",
+	"1234567890123456789\x01", "123456789012345678901/", "12345678901234567890123:",
+}
+
+// TestScanLongRuns holds the straight-line conversion to the reference
+// at the edges of its guard: each long run ends the line, is followed by
+// 0–9 more bytes (so the 24-byte guard falls before, at and after the
+// run's end), by a non-separator byte, or by another key.
+func TestScanLongRuns(t *testing.T) {
+	for _, run := range scanLongRuns {
+		for pad := 1; pad <= 8; pad++ {
+			head := "MINSERT b" + strings.Repeat(" ", pad)
+			for _, tail := range []string{"", " ", "x", "\x80", " 1", "  12", " 123", " 1234", " 12345678", "\t123456789", "a 1234567"} {
+				checkScan(t, []byte(head+run+tail))
+				checkScan(t, []byte("SKETCH.QUERY b"+strings.Repeat(" ", pad)+run+tail))
+			}
+		}
+	}
+	for _, tok := range scanEdgeTokens {
+		checkScan(t, []byte("MINSERT b "+tok+" 12345678"))
+	}
+	// A stray byte anywhere in the first two words of a run whose third
+	// word ends it.
+	for _, c := range []byte{' ', '\t', 'a', '/', ':', 0x01, 0x80} {
+		for pos := 0; pos < 16; pos++ {
+			for _, third := range []string{"12345678", "7 123456", "1234567 "} {
+				run := []byte("1234567890123456" + third)
+				run[pos] = c
+				checkScan(t, append([]byte("MINSERT b "), run...))
+				checkScan(t, append([]byte("MINSERT b 1 "), append(run, " 7"...)...))
+			}
+		}
+	}
+}
+
 // TestScanRandom throws lines assembled from the shapes above at the
 // scanner: mostly well-formed, with every kind of token, separator and
 // stray byte mixed in.

@@ -48,9 +48,6 @@ func (mh *MinHash) Similarity(other *MinHash) float64 {
 	return float64(eq) / float64(len(mh.sig))
 }
 
-// Signature returns slot i of the signature vector.
-func (mh *MinHash) Signature(i int) uint32 { return mh.sig[i] }
-
 // Size returns the number of signature slots.
 func (mh *MinHash) Size() int { return len(mh.sig) }
 

@@ -186,7 +186,7 @@ type CountMinCU struct {
 // NewCountMinCU returns a sliding-window conservative-update sketch
 // with counters 32-bit counters.
 func NewCountMinCU(counters int, opts Options) (*CountMinCU, error) {
-	inner, err := core.NewCU(counters, opts.groupSize(), opts.hashes(), 32, opts.config(core.DefaultAlphaCM))
+	inner, err := core.NewCU(counters, opts.groupSize(), opts.hashes(), opts.config(core.DefaultAlphaCM))
 	if err != nil {
 		return nil, err
 	}
