@@ -79,6 +79,16 @@ func (w *Window) Len() int { return w.size }
 // Cap returns the window capacity N.
 func (w *Window) Cap() int { return len(w.ring) }
 
+// At returns the entry depth items back from the newest: At(0) is the
+// last key pushed, At(Len()-1) the oldest held. depth must be below Len.
+func (w *Window) At(depth int) uint64 {
+	i := w.head - 1 - depth
+	if i < 0 {
+		i += len(w.ring)
+	}
+	return w.ring[i]
+}
+
 // Distinct calls fn for every distinct key in the window with its
 // count. Iteration order is unspecified.
 func (w *Window) Distinct(fn func(key uint64, count uint64)) {

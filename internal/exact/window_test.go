@@ -174,6 +174,20 @@ func TestWindowEviction(t *testing.T) {
 	}
 }
 
+// TestWindowAt reads entries by depth, newest first, across the ring's
+// wrap point.
+func TestWindowAt(t *testing.T) {
+	w := NewWindow(4)
+	for k := uint64(1); k <= 6; k++ {
+		w.Push(k)
+		for d := 0; d < w.Len(); d++ {
+			if got := w.At(d); got != k-uint64(d) {
+				t.Fatalf("after pushing %d: At(%d) = %d, want %d", k, d, got, k-uint64(d))
+			}
+		}
+	}
+}
+
 func TestWindowDistinctIteration(t *testing.T) {
 	w := NewWindow(10)
 	for _, k := range []uint64{7, 7, 8, 9, 9, 9} {

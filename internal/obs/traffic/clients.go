@@ -134,11 +134,12 @@ type Clients struct {
 	byID map[uint64]*Client
 }
 
+// NewClients returns an empty registry that counts commands by the
+// verb table verbs; entry len(verbs)-1 is the catchall.
+func NewClients(verbs []string) *Clients { return &Clients{verbs: verbs} }
+
 // Register adds a connection and returns its accounting record.
 func (r *Clients) Register(addr string, conn net.Conn) *Client {
-	if r == nil {
-		return nil
-	}
 	now := time.Now()
 	c := &Client{
 		ID:      r.nextID.Add(1),
@@ -158,11 +159,8 @@ func (r *Clients) Register(addr string, conn net.Conn) *Client {
 	return c
 }
 
-// Unregister removes a closed connection. Nil-safe on both sides.
+// Unregister removes a closed connection.
 func (r *Clients) Unregister(c *Client) {
-	if r == nil || c == nil {
-		return
-	}
 	r.mu.Lock()
 	delete(r.byID, c.ID)
 	r.mu.Unlock()
@@ -170,9 +168,6 @@ func (r *Clients) Unregister(c *Client) {
 
 // Count returns the number of registered connections.
 func (r *Clients) Count() int {
-	if r == nil {
-		return 0
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.byID)
@@ -223,9 +218,6 @@ func (r *Clients) info(c *Client, now time.Time) ClientInfo {
 
 // List returns every connection's accounting row, accept order.
 func (r *Clients) List() []ClientInfo {
-	if r == nil {
-		return nil
-	}
 	now := time.Now()
 	snap := r.snapshot()
 	out := make([]ClientInfo, len(snap))
@@ -237,9 +229,6 @@ func (r *Clients) List() []ClientInfo {
 
 // Totals sums bytes in/out across current connections for INFO.
 func (r *Clients) Totals() (bytesIn, bytesOut int64, monitors int) {
-	if r == nil {
-		return 0, 0, 0
-	}
 	for _, c := range r.snapshot() {
 		bytesIn += c.bytesIn.Load()
 		bytesOut += c.bytesOut.Load()
@@ -265,9 +254,6 @@ func (r *Clients) Conns() []net.Conn {
 // Find returns the client with the given remote address (exact
 // match); nil if none. Addresses are unique per live connection.
 func (r *Clients) Find(addr string) *Client {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, c := range r.byID {

@@ -49,18 +49,18 @@ type hotTrack struct {
 	sampled uint64 // sampled keys fed in
 }
 
-// hotRegistry maps sketch names to their trackers. Reads (the sampled
-// insert path) take the RLock; track creation and Forget take the
-// write lock.
-type hotRegistry struct {
+// HotKeys maps sketch names to their hot-key tracks; the zero value is
+// empty and ready. Reads (the sampled insert path) take the RLock;
+// track creation and Forget take the write lock.
+type HotKeys struct {
 	mu     sync.RWMutex
 	tracks map[string]*hotTrack
 }
 
-// note feeds one sampled insert's keys into the named sketch's
-// tracker, creating it on first contact. name arrives as bytes from
+// Note feeds one sampled insert's keys into the named sketch's
+// track, creating it on first contact. name arrives as bytes from
 // the fast path's tokenizer; the map lookup does not retain it.
-func (h *hotRegistry) note(name []byte, keys []uint64) {
+func (h *HotKeys) Note(name []byte, keys []uint64) {
 	h.mu.RLock()
 	tr := h.tracks[string(name)] // no alloc: map lookup by []byte conversion
 	h.mu.RUnlock()
@@ -78,7 +78,7 @@ func (h *hotRegistry) note(name []byte, keys []uint64) {
 	tr.mu.Unlock()
 }
 
-func (h *hotRegistry) create(name string) *hotTrack {
+func (h *HotKeys) create(name string) *hotTrack {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if tr, ok := h.tracks[name]; ok {
@@ -102,18 +102,18 @@ func (h *hotRegistry) create(name string) *hotTrack {
 	return tr
 }
 
-// Forget drops a sketch's tracker (its sketch was dropped).
-func (t *Tracker) Forget(name string) {
-	if t == nil {
-		return
-	}
-	t.hot.mu.Lock()
-	delete(t.hot.tracks, name)
-	t.hot.mu.Unlock()
+// Forget drops a sketch's track (its sketch was dropped).
+func (h *HotKeys) Forget(name string) {
+	h.mu.Lock()
+	delete(h.tracks, name)
+	h.mu.Unlock()
 }
 
-// top reports one sketch's top-k, counts scaled by rate.
-func (h *hotRegistry) top(name string, k, rate int) ([]HotEntry, bool) {
+// Top reports the named sketch's top-k sampled keys, heaviest first,
+// with counts scaled back to estimated raw traffic (sampled estimate ×
+// rate, the 1-in-N traffic rate). k <= 0 means hotKeysK; ok is false
+// when the sketch has no tracked traffic.
+func (h *HotKeys) Top(name string, k, rate int) (entries []HotEntry, ok bool) {
 	h.mu.RLock()
 	tr := h.tracks[name]
 	h.mu.RUnlock()
@@ -142,7 +142,7 @@ func (tr *hotTrack) entries(k, rate int) []HotEntry {
 }
 
 // names lists tracked sketches, sorted for stable wire output.
-func (h *hotRegistry) names() []string {
+func (h *HotKeys) names() []string {
 	h.mu.RLock()
 	out := make([]string, 0, len(h.tracks))
 	for name := range h.tracks {
@@ -153,9 +153,10 @@ func (h *hotRegistry) names() []string {
 	return out
 }
 
-// stats snapshots every track for /metrics, sorted by sketch name so
-// metric series order is stable scrape to scrape.
-func (h *hotRegistry) stats(rate int) []HotStat {
+// Stats snapshots every track for /metrics, counts scaled by rate as
+// Top scales them, sorted by sketch name so metric series order is
+// stable scrape to scrape.
+func (h *HotKeys) Stats(rate int) []HotStat {
 	names := h.names()
 	out := make([]HotStat, 0, len(names))
 	for _, name := range names {
@@ -177,11 +178,13 @@ func (h *hotRegistry) stats(rate int) []HotStat {
 	return out
 }
 
-// hottest scans every track for the single heaviest key.
-func (h *hotRegistry) hottest(rate int) (string, HotEntry, bool) {
+// Hottest returns the single heaviest sampled key across every track,
+// count scaled by rate — the overload ladder's blame line. ok is false
+// when nothing is tracked.
+func (h *HotKeys) Hottest(rate int) (sketch string, e HotEntry, ok bool) {
 	var bestName string
 	var best HotEntry
-	for _, st := range h.stats(rate) {
+	for _, st := range h.Stats(rate) {
 		if len(st.Entries) > 0 && st.Entries[0].Count > best.Count {
 			bestName, best = st.Sketch, st.Entries[0]
 		}

@@ -4,22 +4,17 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"she/internal/obs"
 )
 
-// Entry is one MONITOR frame: a sampled command with its origin.
-type Entry struct {
-	Time time.Time
-	Addr string
-	Verb string
-	Line string // rendered command, bounded by the caller
-}
-
-// Sub is one MONITOR subscriber: a fixed-capacity frame ring
+// Sub is one MONITOR subscriber: a fixed-capacity frame buffer
 // (a buffered channel — FIFO, newest dropped when full) the consumer
-// drains at its own pace. The publisher never blocks on it.
+// drains at its own pace. The publisher never blocks on it. A frame
+// is an obs.Command with its Time, Addr and Line set.
 type Sub struct {
-	C       <-chan Entry
-	ch      chan Entry
+	C       <-chan obs.Command
+	ch      chan obs.Command
 	dropped atomic.Uint64
 	hub     *Hub
 }
@@ -27,12 +22,11 @@ type Sub struct {
 // Dropped returns how many frames this subscriber lost to lag.
 func (s *Sub) Dropped() uint64 { return s.dropped.Load() }
 
-// Hub broadcasts sampled command frames to MONITOR subscribers.
-// The subscriber count is an atomic so the no-subscriber publish path
-// (the common case) is one load and out — frames are not even
-// rendered then (see Tracker.Wants).
+// Hub broadcasts sampled command frames to MONITOR subscribers; the
+// zero value has none. The subscriber count is an atomic so the
+// no-subscriber path (the common case) is one load and out — frames
+// are not even rendered then (see Wants).
 type Hub struct {
-	ring    int
 	subs    atomic.Int64
 	dropped atomic.Uint64 // frames lost across all subscribers
 
@@ -42,7 +36,7 @@ type Hub struct {
 
 // Subscribe attaches a new MONITOR consumer.
 func (h *Hub) Subscribe() *Sub {
-	s := &Sub{ch: make(chan Entry, h.ring), hub: h}
+	s := &Sub{ch: make(chan obs.Command, monitorRing), hub: h}
 	s.C = s.ch
 	h.mu.Lock()
 	h.list = append(h.list, s)
@@ -69,18 +63,16 @@ func (h *Hub) Unsubscribe(s *Sub) {
 // Dropped returns the total frames lost to lagging consumers.
 func (h *Hub) Dropped() uint64 { return h.dropped.Load() }
 
-// Subscribers returns the attached consumer count.
-func (h *Hub) Subscribers() int { return int(h.subs.Load()) }
+// Wants reports whether a Publish would reach anyone, so call sites
+// can skip rendering the frame when no MONITOR is attached.
+func (h *Hub) Wants() bool { return h.subs.Load() > 0 }
 
-// publish fans one frame out without ever blocking: a subscriber
-// whose ring is full loses the frame, counted on both the subscriber
-// and the hub. Runs only on the sampled path, and only when
-// Subscribers() > 0 (callers gate on Wants).
-func (h *Hub) publish(addr, verb, line string) {
-	if h.subs.Load() == 0 {
-		return
-	}
-	e := Entry{Time: time.Now(), Addr: addr, Verb: verb, Line: line}
+// Publish fans one sampled command frame out without ever blocking: a
+// subscriber whose buffer is full loses the frame, counted on both the
+// subscriber and the hub. Call only on the sampled path, after Wants —
+// rendering line costs.
+func (h *Hub) Publish(addr, line string) {
+	e := obs.Command{Time: time.Now(), Addr: addr, Line: line}
 	h.mu.Lock()
 	for _, s := range h.list {
 		select {

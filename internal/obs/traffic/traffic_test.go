@@ -9,18 +9,17 @@ import (
 )
 
 // TestHotKeysScaling checks that HOTKEYS estimates scale the sampled
-// counts back up by the sampling rate and rank heaviest-first, and that
-// a nil tracker is inert.
+// counts back up by the sampling rate and rank heaviest-first.
 func TestHotKeysScaling(t *testing.T) {
-	tr := New(Config{})
+	var tr HotKeys
 	name := []byte("fx")
 	for i := 0; i < 100; i++ {
-		tr.NoteKeys(name, []uint64{7})
+		tr.Note(name, []uint64{7})
 	}
 	for i := 0; i < 10; i++ {
-		tr.NoteKeys(name, []uint64{8})
+		tr.Note(name, []uint64{8})
 	}
-	entries, ok := tr.HotKeys("fx", 0, 64)
+	entries, ok := tr.Top("fx", 0, 64)
 	if !ok || len(entries) < 2 {
 		t.Fatalf("HotKeys = %v, %v", entries, ok)
 	}
@@ -37,32 +36,28 @@ func TestHotKeysScaling(t *testing.T) {
 		t.Fatalf("count %d != sampled %d × rate 64", entries[0].Count, entries[0].Sampled)
 	}
 
-	if _, ok := tr.HotKeys("nope", 0, 64); ok {
+	if _, ok := tr.Top("nope", 0, 64); ok {
 		t.Fatal("untracked sketch reported ok")
 	}
 	sk, hot, ok := tr.Hottest(64)
 	if !ok || sk != "fx" || hot.Key != 7 {
 		t.Fatalf("Hottest = %q %v %v, want fx key 7", sk, hot, ok)
 	}
-
-	var nilTr *Tracker
-	if nilTr.Wants() {
-		t.Fatal("nil tracker wants frames")
-	}
-	if _, _, ok := nilTr.Hottest(64); ok {
-		t.Fatal("nil tracker reported a hottest key")
+	var empty HotKeys
+	if _, _, ok := empty.Hottest(64); ok {
+		t.Fatal("empty registry reported a hottest key")
 	}
 }
 
 // TestForget checks DROP cleanup: a forgotten sketch's track is gone.
 func TestForget(t *testing.T) {
-	tr := New(Config{})
-	tr.NoteKeys([]byte("fx"), []uint64{1})
-	if _, ok := tr.HotKeys("fx", 0, 1); !ok {
+	var tr HotKeys
+	tr.Note([]byte("fx"), []uint64{1})
+	if _, ok := tr.Top("fx", 0, 1); !ok {
 		t.Fatal("tracked sketch missing")
 	}
 	tr.Forget("fx")
-	if _, ok := tr.HotKeys("fx", 0, 1); ok {
+	if _, ok := tr.Top("fx", 0, 1); ok {
 		t.Fatal("forgotten sketch still tracked")
 	}
 }
@@ -70,33 +65,33 @@ func TestForget(t *testing.T) {
 // TestHotTrackCap checks the registry refuses to grow without bound:
 // past maxHotTracks sketches, new names are not tracked.
 func TestHotTrackCap(t *testing.T) {
-	tr := New(Config{})
+	var tr HotKeys
 	for i := 0; i < maxHotTracks+10; i++ {
-		tr.NoteKeys([]byte(fmt.Sprintf("s%d", i)), []uint64{1})
+		tr.Note([]byte(fmt.Sprintf("s%d", i)), []uint64{1})
 	}
-	if n := len(tr.HotSketches()); n != maxHotTracks {
+	if n := len(tr.Stats(1)); n != maxHotTracks {
 		t.Fatalf("tracked %d sketches, want cap %d", n, maxHotTracks)
 	}
 }
 
 // TestMonitorHubDrops checks the bounded-feed contract: a subscriber
-// that never drains loses frames past its ring — counted, not blocked.
+// that never drains loses frames past its buffer — counted, not blocked.
 func TestMonitorHubDrops(t *testing.T) {
-	tr := New(Config{MonitorRing: 4})
-	if tr.Wants() {
+	var hub Hub
+	if hub.Wants() {
 		t.Fatal("Wants true with no subscribers")
 	}
-	sub := tr.Monitor().Subscribe()
-	defer tr.Monitor().Unsubscribe(sub)
-	if !tr.Wants() {
+	sub := hub.Subscribe()
+	defer hub.Unsubscribe(sub)
+	if !hub.Wants() {
 		t.Fatal("Wants false with a subscriber")
 	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		// Publishes must complete promptly even though nobody reads.
-		for i := 0; i < 100; i++ {
-			tr.Publish("1.2.3.4:5", "PING", "PING")
+		for i := 0; i < monitorRing+100; i++ {
+			hub.Publish("1.2.3.4:5", fmt.Sprintf("PING %d", i))
 		}
 	}()
 	select {
@@ -104,16 +99,16 @@ func TestMonitorHubDrops(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("publish blocked on a lagging subscriber")
 	}
-	if got := sub.Dropped(); got != 96 {
-		t.Fatalf("sub dropped %d, want 96 (ring 4 of 100)", got)
+	if got := sub.Dropped(); got != 100 {
+		t.Fatalf("sub dropped %d, want 100 (buffer %d of %d)", got, monitorRing, monitorRing+100)
 	}
-	if got := tr.Monitor().Dropped(); got != 96 {
-		t.Fatalf("hub dropped %d, want 96", got)
+	if got := hub.Dropped(); got != 100 {
+		t.Fatalf("hub dropped %d, want 100", got)
 	}
-	// The ring still holds the first 4 frames, in order.
-	for i := 0; i < 4; i++ {
+	// The buffer still holds the first frames, in order.
+	for i := 0; i < monitorRing; i++ {
 		e := <-sub.C
-		if e.Verb != "PING" || e.Addr != "1.2.3.4:5" {
+		if e.Line != fmt.Sprintf("PING %d", i) || e.Addr != "1.2.3.4:5" {
 			t.Fatalf("frame %d = %+v", i, e)
 		}
 	}
@@ -122,14 +117,14 @@ func TestMonitorHubDrops(t *testing.T) {
 // TestMonitorUnsubscribeCloses checks that Unsubscribe closes the
 // channel (the feed loop's exit signal) and publishes keep working.
 func TestMonitorUnsubscribeCloses(t *testing.T) {
-	tr := New(Config{})
-	sub := tr.Monitor().Subscribe()
-	tr.Monitor().Unsubscribe(sub)
+	var hub Hub
+	sub := hub.Subscribe()
+	hub.Unsubscribe(sub)
 	if _, ok := <-sub.C; ok {
 		t.Fatal("channel not closed after Unsubscribe")
 	}
-	tr.Publish("a", "PING", "PING") // must not panic
-	if tr.Wants() {
+	hub.Publish("a", "PING") // must not panic
+	if hub.Wants() {
 		t.Fatal("Wants true after last unsubscribe")
 	}
 }
@@ -137,8 +132,7 @@ func TestMonitorUnsubscribeCloses(t *testing.T) {
 // TestClientsRegistry covers Register/List/Find/Totals/Unregister and
 // the per-verb accounting.
 func TestClientsRegistry(t *testing.T) {
-	tr := New(Config{Verbs: []string{"PING", "SKETCH.INSERT", "OTHER"}})
-	reg := tr.Clients()
+	reg := NewClients([]string{"PING", "SKETCH.INSERT", "OTHER"})
 	c1 := reg.Register("10.0.0.1:101", nil)
 	c2 := reg.Register("10.0.0.2:102", nil)
 	if reg.Count() != 2 {
@@ -185,8 +179,8 @@ func TestCountConn(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	tr := New(Config{})
-	c := tr.Clients().Register("pipe", a)
+	reg := NewClients(nil)
+	c := reg.Register("pipe", a)
 	wrapped := CountConn(a, c)
 	go func() {
 		buf := make([]byte, 16)
@@ -196,21 +190,25 @@ func TestCountConn(t *testing.T) {
 	wrapped.Write([]byte("ping"))
 	buf := make([]byte, 16)
 	n, _ := wrapped.Read(buf)
-	rows := tr.Clients().List()
+	rows := reg.List()
 	if len(rows) != 1 || rows[0].BytesOut != 4 || rows[0].BytesIn != int64(n) {
 		t.Fatalf("rows = %+v, want out=4 in=%d", rows, n)
 	}
 	// The registry lists the raw connection, the one a shutdown closes.
-	if conns := tr.Clients().Conns(); len(conns) != 1 || conns[0] != a {
+	if conns := reg.Conns(); len(conns) != 1 || conns[0] != a {
 		t.Fatalf("Conns = %v, want the registered pipe end", conns)
 	}
 }
 
-// TestTrackerConcurrency hammers every tracker surface from many
-// goroutines at once; run under -race this is the wait-free claim's
-// regression test.
+// TestTrackerConcurrency hammers the hot-key tracks, the MONITOR hub
+// and the client registry from many goroutines at once; run under
+// -race this is the wait-free claim's regression test.
 func TestTrackerConcurrency(t *testing.T) {
-	tr := New(Config{Verbs: []string{"A", "B"}})
+	var (
+		hot HotKeys
+		hub Hub
+	)
+	clients := NewClients([]string{"A", "B"})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
@@ -218,13 +216,13 @@ func TestTrackerConcurrency(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			name := []byte{byte('a' + g%2)}
-			c := tr.Clients().Register(fmt.Sprintf("c%d", g), nil)
-			defer tr.Clients().Unregister(c)
+			c := clients.Register(fmt.Sprintf("c%d", g), nil)
+			defer clients.Unregister(c)
 			for i := 0; i < 2000; i++ {
 				if i%2 == 0 { // the lines a 1-in-2 sampler picks
-					tr.NoteKeys(name, []uint64{uint64(i % 17)})
-					if tr.Wants() {
-						tr.Publish("x", "A", "A 1")
+					hot.Note(name, []uint64{uint64(i % 17)})
+					if hub.Wants() {
+						hub.Publish("x", "A 1")
 					}
 				}
 				c.Command(i % 2)
@@ -240,11 +238,11 @@ func TestTrackerConcurrency(t *testing.T) {
 				return
 			default:
 			}
-			sub := tr.Monitor().Subscribe()
-			tr.HotStats(2)
-			tr.Hottest(2)
-			tr.Clients().List()
-			tr.Monitor().Unsubscribe(sub)
+			sub := hub.Subscribe()
+			hot.Stats(2)
+			hot.Hottest(2)
+			clients.List()
+			hub.Unsubscribe(sub)
 		}
 	}()
 	wg.Wait()

@@ -11,8 +11,9 @@
 //
 // Which commands are traced is not decided here: the caller's
 // obs.Sampler picks them, and Start opens a trace for one it picked.
-// Every method on *Tracer, *Trace and Span is safe on a nil receiver,
-// so call sites need no "is tracing on?" branches.
+// Every method on *Trace and Span is safe on a nil receiver — a nil
+// *Trace is a command that was not sampled — so call sites need no "is
+// tracing on?" branches.
 package xtrace
 
 import (
@@ -30,14 +31,16 @@ import (
 // ship/ack spans. Appends past the cap are counted and dropped.
 const MaxSpans = 16
 
-// Config sizes a Tracer.
+const (
+	// ringSize bounds the retained completed traces.
+	ringSize = 256
+	// pinSlow pins completed traces at least this slow, so the ring
+	// evicts fast, boring traces first. Error traces are always pinned.
+	pinSlow = 10 * time.Millisecond
+)
+
+// Config seeds a Tracer.
 type Config struct {
-	// RingSize bounds retained completed traces (default 256).
-	RingSize int
-	// PinSlow pins completed traces at least this slow so ring
-	// eviction prefers dropping fast, boring traces first (default
-	// 10ms). Error traces are always pinned.
-	PinSlow time.Duration
 	// Seed perturbs trace-ID generation so two nodes started at the
 	// same time don't collide. IDs only need uniqueness within a
 	// deployment's retention horizon.
@@ -48,18 +51,15 @@ type Config struct {
 
 // Tracer owns ID generation and the retention ring. One per server.
 type Tracer struct {
-	nextID  atomic.Uint64
-	seed    uint64
-	pinSlow int64 // ns
-	clock   func() int64
+	nextID atomic.Uint64
+	seed   uint64
+	clock  func() int64
 
 	joined   atomic.Uint64 // follower joins
 	finished atomic.Uint64
 	evicted  atomic.Uint64
 
-	mu   sync.Mutex
-	ring []*Trace // completed traces, oldest first
-	cap  int
+	ring *obs.Ring[*Trace] // completed traces, slow and failed ones pinned
 }
 
 // Stats is a point-in-time snapshot of tracer counters for /metrics.
@@ -75,21 +75,14 @@ type Stats struct {
 // is 0: sampling can be enabled at runtime (TRACE SAMPLE) and
 // followers join primary-sampled traces regardless of the local rate.
 func New(cfg Config) *Tracer {
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 256
-	}
-	if cfg.PinSlow <= 0 {
-		cfg.PinSlow = 10 * time.Millisecond
-	}
 	clock := cfg.Clock
 	if clock == nil {
 		clock = obs.Nanotime
 	}
 	return &Tracer{
-		seed:    cfg.Seed,
-		pinSlow: cfg.PinSlow.Nanoseconds(),
-		clock:   clock,
-		cap:     cfg.RingSize,
+		seed:  cfg.Seed,
+		clock: clock,
+		ring:  obs.NewRing(ringSize, func(t *Trace) bool { return t.pinned }),
 	}
 }
 
@@ -113,9 +106,6 @@ func (tr *Tracer) id() uint64 {
 
 // Start opens the root trace of a command the caller's sampler picked.
 func (tr *Tracer) Start() *Trace {
-	if tr == nil {
-		return nil
-	}
 	return tr.newTrace(tr.id(), false)
 }
 
@@ -123,7 +113,7 @@ func (tr *Tracer) Start() *Trace {
 // of a cross-node trace. The sampling decision was made at the root,
 // so joins ignore the local rate. A zero id returns nil.
 func (tr *Tracer) Join(id uint64) *Trace {
-	if tr == nil || id == 0 {
+	if id == 0 {
 		return nil
 	}
 	tr.joined.Add(1)
@@ -145,43 +135,20 @@ func (t *Trace) Finish() {
 	}
 	tr := t.tracer
 	t.end.Store(tr.clock())
-	t.pinned = t.errFlag.Load() || t.Duration() >= time.Duration(tr.pinSlow)
+	t.pinned = t.errFlag.Load() || t.Duration() >= pinSlow
 	tr.finished.Add(1)
-
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if len(tr.ring) >= tr.cap {
-		// Evict the oldest non-pinned trace; if everything is pinned,
-		// the oldest pinned one. Deterministic, so tests can assert
-		// exactly which traces survive.
-		victim := -1
-		for i, old := range tr.ring {
-			if !old.pinned {
-				victim = i
-				break
-			}
-		}
-		if victim < 0 {
-			victim = 0
-		}
-		tr.ring = append(tr.ring[:victim], tr.ring[victim+1:]...)
+	if tr.ring.Push(t) {
 		tr.evicted.Add(1)
 	}
-	tr.ring = append(tr.ring, t)
 }
 
-// Get returns the completed trace with the given ID, or nil.
+// Get returns the completed trace with the given ID, or nil. Newest
+// first: after an ID collision the most recent trace is the one being
+// asked about.
 func (tr *Tracer) Get(id uint64) *Trace {
-	if tr == nil {
-		return nil
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	// Newest first: after an ID collision (ring wraparound horizons)
-	// the most recent trace is the one being asked about.
-	for i := len(tr.ring) - 1; i >= 0; i-- {
-		if tr.ring[i].id == id {
-			return tr.ring[i]
+	for _, t := range tr.All() {
+		if t.id == id {
+			return t
 		}
 	}
 	return nil
@@ -189,75 +156,42 @@ func (tr *Tracer) Get(id uint64) *Trace {
 
 // All returns retained traces, newest first.
 func (tr *Tracer) All() []*Trace {
-	if tr == nil {
-		return nil
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	out := make([]*Trace, len(tr.ring))
-	for i, t := range tr.ring {
-		out[len(tr.ring)-1-i] = t
+	held := tr.ring.Newest()
+	out := make([]*Trace, len(held))
+	for i, e := range held {
+		out[i] = e.V
 	}
 	return out
 }
 
 // Slowest returns up to n retained traces ordered by descending
-// duration (ties broken newest first).
+// duration (ties broken newest first); n ≥ 1.
 func (tr *Tracer) Slowest(n int) []*Trace {
-	if tr == nil || n <= 0 {
-		return nil
-	}
 	all := tr.All()
 	sort.SliceStable(all, func(i, j int) bool {
 		return all[i].Duration() > all[j].Duration()
 	})
-	if len(all) > n {
-		all = all[:n]
-	}
-	return all
+	return all[:min(n, len(all))]
 }
 
 // Reset drops all retained traces.
-func (tr *Tracer) Reset() {
-	if tr == nil {
-		return
-	}
-	tr.mu.Lock()
-	tr.ring = nil
-	tr.mu.Unlock()
-}
-
-// Len reports the number of retained traces.
-func (tr *Tracer) Len() int {
-	if tr == nil {
-		return 0
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return len(tr.ring)
-}
+func (tr *Tracer) Reset() { tr.ring.Reset() }
 
 // Snapshot returns tracer counters for /metrics.
 func (tr *Tracer) Snapshot() Stats {
-	if tr == nil {
-		return Stats{}
-	}
-	tr.mu.Lock()
-	pinned := 0
-	for _, t := range tr.ring {
-		if t.pinned {
-			pinned++
-		}
-	}
-	retained := len(tr.ring)
-	tr.mu.Unlock()
-	return Stats{
-		Retained: retained,
-		Pinned:   pinned,
+	all := tr.All()
+	st := Stats{
+		Retained: len(all),
 		Joined:   tr.joined.Load(),
 		Finished: tr.finished.Load(),
 		Evicted:  tr.evicted.Load(),
 	}
+	for _, t := range all {
+		if t.pinned {
+			st.Pinned++
+		}
+	}
+	return st
 }
 
 // span slots publish via state (0 empty → 1 reserved → 2 done) with
@@ -286,7 +220,7 @@ type Trace struct {
 	end     atomic.Int64
 	errFlag atomic.Bool
 	done    atomic.Bool
-	pinned  bool // written under done CAS in Finish, read under ring mu
+	pinned  bool // written under done CAS in Finish, before the ring push
 
 	n       atomic.Int32 // span slots reserved
 	dropped atomic.Int32 // appends past MaxSpans
@@ -452,24 +386,4 @@ func (t *Trace) View() TraceView {
 		return v.Spans[i].StartNs < v.Spans[j].StartNs
 	})
 	return v
-}
-
-// SpanNames returns the names of published spans, in insertion order.
-// Test helper shape, exported because server integration tests need
-// it too.
-func (t *Trace) SpanNames() []string {
-	if t == nil {
-		return nil
-	}
-	var names []string
-	n := int(t.n.Load())
-	if n > MaxSpans {
-		n = MaxSpans
-	}
-	for i := 0; i < n; i++ {
-		if t.spans[i].state.Load() == 2 {
-			names = append(names, t.spans[i].name)
-		}
-	}
-	return names
 }

@@ -27,25 +27,13 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func newTestTracer(t *testing.T, cfg Config) (*Tracer, *fakeClock) {
+func newTestTracer(t *testing.T) (*Tracer, *fakeClock) {
 	t.Helper()
 	clk := &fakeClock{}
-	cfg.Clock = clk.now
-	return New(cfg), clk
+	return New(Config{Clock: clk.now}), clk
 }
 
 func TestNilReceiversSafe(t *testing.T) {
-	var tr *Tracer
-	if tr.Start() != nil || tr.Join(1) != nil {
-		t.Fatal("nil tracer produced a trace")
-	}
-	tr.Reset()
-	_ = tr.Snapshot()
-	_ = tr.Len()
-	_ = tr.All()
-	_ = tr.Slowest(3)
-	_ = tr.Get(1)
-
 	var tt *Trace
 	tt.SetVerb("X")
 	tt.SetRemote("a")
@@ -57,8 +45,9 @@ func TestNilReceiversSafe(t *testing.T) {
 	if tt.ID() != 0 || tt.Duration() != 0 || tt.Err() {
 		t.Fatal("nil trace reported non-zero state")
 	}
-	_ = tt.View()
-	_ = tt.SpanNames()
+	if v := tt.View(); v.ID != "" || v.Spans != nil {
+		t.Fatalf("nil trace view = %+v", v)
+	}
 }
 
 // TestRingEvictionDeterminism: fill the ring past capacity with a mix
@@ -66,64 +55,60 @@ func TestNilReceiversSafe(t *testing.T) {
 // survive — oldest unpinned evicted first, pinned only when nothing
 // else is left.
 func TestRingEvictionDeterminism(t *testing.T) {
-	tr, clk := newTestTracer(t, Config{
-		RingSize: 4,
-		PinSlow:  time.Millisecond,
-	})
+	tr, clk := newTestTracer(t)
 
 	finish := func(verb string, slow bool) {
 		tt := tr.Start()
-		if tt == nil {
-			t.Fatalf("Start returned nil")
-		}
 		tt.SetVerb(verb)
 		if slow {
-			clk.advance(2 * time.Millisecond)
+			clk.advance(pinSlow)
 		}
 		tt.Finish()
 	}
-
-	// fast0 fast1 SLOW2 fast3 — ring full, nothing evicted.
-	finish("fast0", false)
-	finish("fast1", false)
-	finish("SLOW2", true)
-	finish("fast3", false)
-	if tr.Len() != 4 {
-		t.Fatalf("ring len = %d, want 4", tr.Len())
+	oldest := func() string {
+		all := verbs(tr.All())
+		return all[len(all)-1]
 	}
 
-	// fast4 evicts fast0 (oldest unpinned); SLOW2 must survive.
-	finish("fast4", false)
-	wantOrder := []string{"fast4", "fast3", "SLOW2", "fast1"} // newest first
-	got := verbs(tr.All())
-	if fmt.Sprint(got) != fmt.Sprint(wantOrder) {
-		t.Fatalf("after 1 eviction: got %v, want %v", got, wantOrder)
+	// fast0 fast1 SLOW2 fast3 ...: the ring full, nothing evicted.
+	for i := 0; i < ringSize; i++ {
+		if i == 2 {
+			finish("SLOW2", true)
+		} else {
+			finish(fmt.Sprintf("fast%d", i), false)
+		}
+	}
+	if st := tr.Snapshot(); st.Retained != ringSize || st.Evicted != 0 || st.Pinned != 1 {
+		t.Fatalf("full ring: %+v", st)
 	}
 
-	// Three more slow traces: evict fast1, fast3, fast4 in age order.
-	finish("SLOW5", true)
-	finish("SLOW6", true)
-	finish("SLOW7", true)
-	wantOrder = []string{"SLOW7", "SLOW6", "SLOW5", "SLOW2"}
-	got = verbs(tr.All())
-	if fmt.Sprint(got) != fmt.Sprint(wantOrder) {
-		t.Fatalf("after pinned fill: got %v, want %v", got, wantOrder)
+	// One more fast trace evicts fast0, the oldest unpinned.
+	finish("fastN", false)
+	if got := oldest(); got != "fast1" {
+		t.Fatalf("after 1 eviction the oldest is %s, want fast1", got)
 	}
 
-	// Ring now all pinned: next completion evicts the OLDEST pinned.
-	finish("SLOW8", true)
-	wantOrder = []string{"SLOW8", "SLOW7", "SLOW6", "SLOW5"}
-	got = verbs(tr.All())
-	if fmt.Sprint(got) != fmt.Sprint(wantOrder) {
-		t.Fatalf("after all-pinned eviction: got %v, want %v", got, wantOrder)
+	// ringSize-1 slow traces evict every fast one in age order; SLOW2
+	// outlives them all.
+	for i := 0; i < ringSize-1; i++ {
+		finish(fmt.Sprintf("SLOW%d", 100+i), true)
+	}
+	if got := oldest(); got != "SLOW2" {
+		t.Fatalf("after pinned fill the oldest is %s, want SLOW2", got)
+	}
+
+	// Ring now all pinned: the next completion evicts the OLDEST pinned.
+	finish("SLOWN", true)
+	if got := oldest(); got != "SLOW100" {
+		t.Fatalf("after all-pinned eviction the oldest is %s, want SLOW100", got)
+	}
+	if got := verbs(tr.All())[0]; got != "SLOWN" {
+		t.Fatalf("newest = %s, want SLOWN", got)
 	}
 
 	st := tr.Snapshot()
-	if st.Evicted != 5 {
-		t.Fatalf("Evicted = %d, want 5", st.Evicted)
-	}
-	if st.Pinned != 4 {
-		t.Fatalf("Pinned = %d, want 4", st.Pinned)
+	if st.Evicted != uint64(ringSize+1) || st.Pinned != ringSize || st.Retained != ringSize {
+		t.Fatalf("Snapshot = %+v, want %d evicted, all %d pinned", st, ringSize+1, ringSize)
 	}
 }
 
@@ -136,24 +121,24 @@ func verbs(ts []*Trace) []string {
 }
 
 func TestErrorTracePinned(t *testing.T) {
-	tr, _ := newTestTracer(t, Config{RingSize: 2, PinSlow: time.Hour})
+	tr, _ := newTestTracer(t)
 	e := tr.Start()
 	e.SetVerb("ERR")
 	e.SetError()
 	e.Finish()
-	for i := 0; i < 5; i++ {
+	for i := 0; i < ringSize+5; i++ {
 		tt := tr.Start()
 		tt.SetVerb(fmt.Sprintf("ok%d", i))
 		tt.Finish()
 	}
 	got := verbs(tr.All())
-	if len(got) != 2 || got[1] != "ERR" {
+	if len(got) != ringSize || got[ringSize-1] != "ERR" {
 		t.Fatalf("error trace not retained: ring = %v", got)
 	}
 }
 
 func TestGetSlowestReset(t *testing.T) {
-	tr, clk := newTestTracer(t, Config{RingSize: 8, PinSlow: time.Hour})
+	tr, clk := newTestTracer(t)
 	var ids []uint64
 	for i := 0; i < 3; i++ {
 		tt := tr.Start()
@@ -176,13 +161,13 @@ func TestGetSlowestReset(t *testing.T) {
 		t.Fatalf("Slowest(2) = %v", verbs(slow))
 	}
 	tr.Reset()
-	if tr.Len() != 0 || tr.Get(ids[0]) != nil {
+	if len(tr.All()) != 0 || tr.Get(ids[0]) != nil {
 		t.Fatal("Reset did not clear the ring")
 	}
 }
 
 func TestJoinAdoptsID(t *testing.T) {
-	tr, _ := newTestTracer(t, Config{RingSize: 4})
+	tr, _ := newTestTracer(t)
 	tt := tr.Join(0xabc123)
 	if tt.ID() != 0xabc123 {
 		t.Fatalf("Join id = %x", tt.ID())
@@ -199,7 +184,7 @@ func TestJoinAdoptsID(t *testing.T) {
 }
 
 func TestSpanOverflowCounted(t *testing.T) {
-	tr, _ := newTestTracer(t, Config{})
+	tr, _ := newTestTracer(t)
 	tt := tr.Start()
 	for i := 0; i < MaxSpans+3; i++ {
 		tt.AddSpan(fmt.Sprintf("s%d", i), int64(i), int64(i+1))
@@ -218,7 +203,7 @@ func TestSpanOverflowCounted(t *testing.T) {
 // replack from another goroutine). The view must stay consistent
 // under -race.
 func TestPostFinishSpanAppendConcurrent(t *testing.T) {
-	tr, _ := newTestTracer(t, Config{RingSize: 4})
+	tr, _ := newTestTracer(t)
 	tt := tr.Start()
 	tt.AddSpan("execute", 1, 2)
 	tt.Finish()
@@ -232,13 +217,12 @@ func TestPostFinishSpanAppendConcurrent(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
 			_ = tt.View()
-			_ = tt.SpanNames()
 		}
 	}()
 	wg.Wait()
-	names := tt.SpanNames()
-	if len(names) != 2 || names[0] != "execute" || names[1] != "replack" {
-		t.Fatalf("SpanNames = %v", names)
+	spans := tt.View().Spans
+	if len(spans) != 2 || spans[0].Name != "execute" || spans[1].Name != "replack" {
+		t.Fatalf("spans = %+v", spans)
 	}
 }
 
@@ -265,7 +249,7 @@ func TestIDFormatParse(t *testing.T) {
 }
 
 func TestTraceIDsUniqueAndNonzero(t *testing.T) {
-	tr, _ := newTestTracer(t, Config{RingSize: 1})
+	tr, _ := newTestTracer(t)
 	seen := map[uint64]bool{}
 	for i := 0; i < 1000; i++ {
 		tt := tr.Start()
@@ -280,7 +264,7 @@ func TestTraceIDsUniqueAndNonzero(t *testing.T) {
 }
 
 func TestViewSpanOrderingByStart(t *testing.T) {
-	tr, _ := newTestTracer(t, Config{})
+	tr, _ := newTestTracer(t)
 	tt := tr.Start()
 	base := tt.start
 	tt.AddSpan("late", base+100, base+200)

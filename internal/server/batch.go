@@ -225,7 +225,7 @@ func (b *connBatch) tryFast(line []byte, w *bufio.Writer) (handled bool, vi int,
 	b.keys += len(keys)
 	b.count(vi)
 	if b.sampled(vi, line) {
-		s.traffic.NoteKeys(name, keys)
+		s.hot.Note(name, keys)
 	}
 	// The reply is buffered before the batch is applied. If the buffer
 	// is nearly full, the write below could auto-flush — and the
@@ -292,8 +292,8 @@ func (b *connBatch) sampled(vi int, line []byte) bool {
 	if !b.hot {
 		return false
 	}
-	if t := b.s.traffic; t.Wants() {
-		t.Publish(b.addr, verbs[vi].name, renderLine(line))
+	if h := &b.s.hub; h.Wants() {
+		h.Publish(b.addr, renderLine(line))
 	}
 	return true
 }

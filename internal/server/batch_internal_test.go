@@ -164,13 +164,12 @@ func (n *diffNode) state(t testing.TB) string {
 			fmt.Fprintf(&sb, "she_command_seconds{%s} %d\n", verbs[i].name, c)
 		}
 	}
-	for _, name := range n.s.reg.Names() {
-		sk, _ := n.s.reg.Get(name)
-		data, err := sk.MarshalBinary()
+	for _, in := range n.s.reg.List() {
+		data, err := in.Sketch.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&sb, "%s inserts=%d %x\n", name, sk.Inserts(), data)
+		fmt.Fprintf(&sb, "%s inserts=%d %x\n", in.Name, in.Sketch.Inserts(), data)
 	}
 	return sb.String()
 }

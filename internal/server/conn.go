@@ -118,7 +118,7 @@ func (s *Server) newConn(nc net.Conn) *conn {
 	// conn, and the counting wrapper accounts bytes per syscall so a
 	// pipelining client pays roughly one atomic add per batch, not per
 	// command.
-	c.tc = s.traffic.Clients().Register(c.addr, nc)
+	c.tc = s.clients.Register(c.addr, nc)
 	c.nc = traffic.CountConn(nc, c.tc)
 	c.ir = &idleReader{s: s, conn: c.nc, idle: s.cfg.IdleTimeout}
 	c.r = bufio.NewReaderSize(c.ir, MaxLineBytes)
@@ -136,7 +136,7 @@ func (s *Server) handleConn(nc net.Conn) {
 	defer nc.Close()
 	defer s.ctr.ConnsActive.Add(-1) // raised by acceptLoop
 	c := s.newConn(nc)
-	defer s.traffic.Clients().Unregister(c.tc)
+	defer s.clients.Unregister(c.tc)
 	defer c.commit()
 	defer c.contain()
 	for {
@@ -295,7 +295,7 @@ func (c *conn) slow(line []byte) (over bool) {
 	}
 	if c.batch.sampled(vi, line) && insert {
 		// Runs 1-in-TrafficSample, so the allocation is off the common path.
-		s.traffic.NoteKeys([]byte(cmd.Args[0]), appendKeys(nil, cmd.Args[1:]))
+		s.hot.Note([]byte(cmd.Args[0]), appendKeys(nil, cmd.Args[1:]))
 	}
 	if v.flags&vTakeover == 0 {
 		c.dispatch(v, cmd)
@@ -473,7 +473,7 @@ func (c *conn) observe(vi int, line []byte, endNs int64) {
 			s.ctr.SlowlogDropped.Inc()
 			return
 		}
-		s.slow.Record(renderLine(line), d, time.Now(), c.addr, c.tr.ID())
+		s.slow.Push(obs.Command{Time: time.Now(), Dur: d, Addr: c.addr, Line: renderLine(line), TraceID: c.tr.ID()})
 		s.ctr.SlowCommands.Inc()
 		if s.logger.Enabled(context.TODO(), slog.LevelWarn) {
 			s.logger.Warn("slow command", "verb", verbs[vi].name, "duration", d.String())
@@ -533,7 +533,7 @@ func (c *conn) cmdDrop(cmd Command) error {
 	}
 	// The hot-key tracker follows the registry: a dropped sketch's
 	// telemetry window must not linger (or leak map entries).
-	s.traffic.Forget(cmd.Args[0])
+	s.hot.Forget(cmd.Args[0])
 	if err := c.batch.log([]byte("SKETCH.DROP "+cmd.Args[0]), c.tr); err != nil {
 		return err
 	}
@@ -672,7 +672,7 @@ func (c *conn) cmdSlowlog(cmd Command) error {
 		if len(cmd.Args) > 2 {
 			return fmt.Errorf("SLOWLOG GET: want at most one count argument")
 		}
-		entries := s.slow.Entries()
+		entries := s.slow.Newest()
 		if n >= 0 && n < len(entries) {
 			entries = entries[:n]
 		}
@@ -682,12 +682,12 @@ func (c *conn) cmdSlowlog(cmd Command) error {
 			// command was not sampled. Slow traces are pinned in the
 			// trace ring, so the id usually still resolves.
 			tid := "-"
-			if e.TraceID != 0 {
-				tid = xtrace.FormatID(e.TraceID)
+			if e.V.TraceID != 0 {
+				tid = xtrace.FormatID(e.V.TraceID)
 			}
 			lines[i] = fmt.Sprintf("id=%d time=%s duration_us=%d addr=%s trace=%s command=%q",
-				e.ID, e.Time.UTC().Format("2006-01-02T15:04:05.000Z"),
-				e.Duration.Microseconds(), e.RemoteAddr, tid, e.Command)
+				e.Seq, e.V.Time.UTC().Format("2006-01-02T15:04:05.000Z"),
+				e.V.Dur.Microseconds(), e.V.Addr, tid, e.V.Line)
 		}
 		writeArray(w, lines)
 	case "LEN":
@@ -864,15 +864,15 @@ func (c *conn) cmdInfo(Command) error {
 	}
 	// clients section: the per-connection accounting registry plus
 	// the self-telemetry sampler's health.
-	clBytesIn, clBytesOut, clMonitors := s.traffic.Clients().Totals()
+	clBytesIn, clBytesOut, clMonitors := s.clients.Totals()
 	lines = append(lines,
-		fmt.Sprintf("clients_connected=%d", s.traffic.Clients().Count()),
+		fmt.Sprintf("clients_connected=%d", s.clients.Count()),
 		fmt.Sprintf("clients_monitor=%d", clMonitors),
 		fmt.Sprintf("clients_bytes_in=%d", clBytesIn),
 		fmt.Sprintf("clients_bytes_out=%d", clBytesOut),
 		fmt.Sprintf("traffic_sample=%d", s.sample.Traffic.Every()),
 		fmt.Sprintf("traffic_sampled_total=%d", s.sample.Traffic.Sampled()),
-		fmt.Sprintf("monitor_dropped_total=%d", s.traffic.Monitor().Dropped()))
+		fmt.Sprintf("monitor_dropped_total=%d", s.hub.Dropped()))
 	if s.cfg.MaxMemory > 0 {
 		lines = append(lines,
 			"overload_level="+s.overloadLevel().String(),

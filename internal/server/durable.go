@@ -149,7 +149,9 @@ func (s *Server) walAppend(recs [][]byte, ends *[]wal.Cursor, tr *xtrace.Trace) 
 		return wal.Cursor{}, err
 	}
 	end := (*ends)[len(recs)-1]
-	s.ship.put(end, tr)
+	if tr != nil {
+		s.ship.Push(tracedRec{seg: end.Seg, off: end.Off, tr: tr})
+	}
 	s.ctr.WALRecords.Add(int64(len(recs)))
 	s.ctr.WALBytes.Set(s.wal.BytesSinceCheckpoint())
 	return end, nil

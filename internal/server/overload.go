@@ -205,7 +205,7 @@ func (s *Server) evalOverload() {
 		// so the operator's first question — what is hitting us — is
 		// answered by the same log line that reports the degradation.
 		if next > old {
-			if sk, hot, ok := s.traffic.Hottest(s.sample.Traffic.Every()); ok {
+			if sk, hot, ok := s.hot.Hottest(s.sample.Traffic.Every()); ok {
 				kv = append(kv, "hot_sketch", sk,
 					"hot_key", hot.Key, "hot_key_est_count", hot.Count)
 			}

@@ -446,7 +446,7 @@ type SketchInfo struct {
 
 // List returns a consistent, name-sorted listing of the registered
 // sketches. The set is captured under one lock acquisition (no
-// Names-then-Get race with concurrent CREATE/DROP); the per-sketch
+// list-then-Get race with concurrent CREATE/DROP); the per-sketch
 // numbers are read afterwards, outside the registry lock.
 func (r *Registry) List() []SketchInfo {
 	sketches := r.Snapshot()
@@ -456,18 +456,6 @@ func (r *Registry) List() []SketchInfo {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Names returns the registered names in sorted order.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	names := make([]string, 0, len(r.sketches))
-	for name := range r.sketches {
-		names = append(names, name)
-	}
-	r.mu.RUnlock()
-	sort.Strings(names)
-	return names
 }
 
 // Len returns the number of registered sketches.

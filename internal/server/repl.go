@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"she/internal/obs"
@@ -301,70 +299,13 @@ func (s *Server) attachReplica(w *bufio.Writer, id string, cursor wal.Cursor) (*
 	return rep, nil
 }
 
-// pendingAck is a shipped traced record awaiting the follower's
-// REPLACK: the replack span runs from the ship flush to the ack that
-// covers the record's end position.
-type pendingAck struct {
-	seg    uint64
-	off    int64
-	shipNs int64
-	tr     *xtrace.Trace
-}
-
-// ackSpanCap bounds one replication session's pending replack spans;
-// past it the oldest span is dropped (its trace simply lacks a
-// replack span) rather than growing against a mute follower.
-const ackSpanCap = 512
-
-// ackSpans tracks shipped-but-unacked traced records for one
-// replication session. The stream loop adds, the session's ack
-// goroutine completes; the atomic count keeps the ack hot path free
-// of the lock while no traces are in flight.
-type ackSpans struct {
-	n       atomic.Int64
-	mu      sync.Mutex
-	pending []pendingAck
-}
-
-func (a *ackSpans) add(end wal.Cursor, shipNs int64, tr *xtrace.Trace) {
-	a.mu.Lock()
-	if len(a.pending) >= ackSpanCap {
-		a.pending = a.pending[1:]
-		a.n.Add(-1)
-	}
-	a.pending = append(a.pending, pendingAck{seg: end.Seg, off: end.Off, shipNs: shipNs, tr: tr})
-	a.n.Add(1)
-	a.mu.Unlock()
-}
-
-// complete closes the replack span of every pending record at or
-// before the acknowledged position. Generations are ignored for the
-// same reason the ship table ignores them: they can advance across a
-// checkpoint while segment numbering keeps rising.
-func (a *ackSpans) complete(ack wal.Cursor) {
-	if a.n.Load() == 0 {
-		return
-	}
-	now := obs.Nanotime()
-	a.mu.Lock()
-	kept := a.pending[:0]
-	for _, p := range a.pending {
-		if p.seg < ack.Seg || (p.seg == ack.Seg && p.off <= ack.Off) {
-			p.tr.AddSpan("replack", p.shipNs, now)
-			a.n.Add(-1)
-		} else {
-			kept = append(kept, p)
-		}
-	}
-	a.pending = kept
-	a.mu.Unlock()
-}
-
 // streamToReplica tails the WAL into the connection until it dies or
 // the server stops. A concurrent goroutine consumes the follower's
 // REPLACK lines into the tracker; it exits when the connection closes.
 func (s *Server) streamToReplica(r *bufio.Reader, w *bufio.Writer, rep *repl.Replica) error {
-	acks := &ackSpans{}
+	// acks holds this session's shipped, traced records until a REPLACK
+	// covers them and closes their replack span.
+	acks := obs.NewRing[tracedRec](ackTableSize, nil)
 	ackErr := make(chan error, 1)
 	go func() {
 		for {
@@ -390,7 +331,14 @@ func (s *Server) streamToReplica(r *bufio.Reader, w *bufio.Writer, rep *repl.Rep
 				return
 			}
 			rep.Ack(c, recs, bytes)
-			acks.complete(c)
+			if covered := acks.TakeAll(func(p tracedRec) bool {
+				return p.seg < c.Seg || (p.seg == c.Seg && p.off <= c.Off)
+			}); covered != nil {
+				now := obs.Nanotime()
+				for _, p := range covered {
+					p.tr.AddSpan("replack", p.shipNs, now)
+				}
+			}
 		}
 	}()
 
@@ -413,16 +361,21 @@ func (s *Server) streamToReplica(r *bufio.Reader, w *bufio.Writer, rep *repl.Rep
 			// covers first write through flush, and the trace ID rides the
 			// REC frame so the follower joins the same trace. Clock reads
 			// and span work only happen when the ship table has entries.
-			var shipped []pendingAck
+			// Taking an entry consumes it: with several replicas only the
+			// first ship traces — span bloat from N replicas is worse than
+			// the loss.
+			var shipped []tracedRec
 			var shipStartNs int64
 			for _, rec := range recs {
 				var tid uint64
-				if tr := s.ship.lookup(rec.End); tr != nil {
+				if sh, ok := s.ship.TakeNewest(func(e tracedRec) bool {
+					return e.seg == rec.End.Seg && e.off == rec.End.Off
+				}); ok {
 					if shipStartNs == 0 {
 						shipStartNs = obs.Nanotime()
 					}
-					tid = tr.ID()
-					shipped = append(shipped, pendingAck{seg: rec.End.Seg, off: rec.End.Off, tr: tr})
+					tid = sh.tr.ID()
+					shipped = append(shipped, sh)
 				}
 				if err := repl.WriteRecord(w, rec.End, rec.Payload, tid); err != nil {
 					return err
@@ -436,7 +389,8 @@ func (s *Server) streamToReplica(r *bufio.Reader, w *bufio.Writer, rep *repl.Rep
 				endNs := obs.Nanotime()
 				for _, sh := range shipped {
 					sh.tr.AddSpan("repl_ship", shipStartNs, endNs)
-					acks.add(wal.Cursor{Seg: sh.seg, Off: sh.off}, endNs, sh.tr)
+					sh.shipNs = endNs
+					acks.Push(sh)
 				}
 			}
 			rep.NoteSent(uint64(len(recs)), payloadBytes)

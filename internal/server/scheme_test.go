@@ -77,8 +77,8 @@ func TestScheme1Load(t *testing.T) {
 		}
 	}
 	c.must("SKETCH.QUERY b 7", ":1")
-	if got := s.Registry().Names(); len(got) != 1 || got[0] != "b" {
-		t.Fatalf("registry after the refused loads holds %v, want [b]", got)
+	if got := s.Registry().List(); len(got) != 1 || got[0].Name != "b" {
+		t.Fatalf("registry after the refused loads holds %d sketches, want only b", len(got))
 	}
 }
 
@@ -198,7 +198,7 @@ func TestScheme1FullSync(t *testing.T) {
 	if l := logs.String(); !strings.Contains(l, "position scheme 1") {
 		t.Fatalf("the follower's log does not carry the scheme error:\n%s", l)
 	}
-	if got := follower.Registry().Names(); len(got) != 0 {
-		t.Fatalf("follower registry holds %v after a refused sync", got)
+	if got := follower.Registry().List(); len(got) != 0 {
+		t.Fatalf("follower registry holds %d sketches after a refused sync", len(got))
 	}
 }

@@ -5,13 +5,10 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"she/internal/obs"
 	"she/internal/obs/xtrace"
-	"she/internal/wal"
 )
 
 // Request tracing: the server half of internal/obs/xtrace. The
@@ -30,67 +27,28 @@ type traceExemplar struct {
 	dur time.Duration
 }
 
-// shipEntryCap bounds the ship table. Entries are only needed between
-// a sampled append and its replication ship — moments on a healthy
-// stream — so a small FIFO suffices; at 1-in-256 sampling the cap is
-// ~256k unsampled commands of slack.
-const shipEntryCap = 1024
-
-// shipTable maps a WAL append position to the sampled trace that
-// produced the record. Keyed by (segment, offset) only: the snapshot
+// tracedRec is a sampled command's WAL record on its way to a replica:
+// its end position, its trace and, once shipped, when the ship flush
+// ended. Positions compare by segment and offset only: the snapshot
 // generation can advance between the append and the tail read, but
-// segment numbering survives checkpoints. The count is kept in an
-// atomic so the replication stream skips the lock entirely while no
-// traces are in flight — the common case at production sample rates.
-type shipTable struct {
-	n  atomic.Int64
-	mu sync.Mutex
-	// entries is FIFO, oldest first; lookups scan backwards because
-	// the streamed record is almost always the newest entry.
-	entries []shipEntry
+// segment numbering survives checkpoints.
+type tracedRec struct {
+	seg    uint64
+	off    int64
+	shipNs int64
+	tr     *xtrace.Trace
 }
 
-type shipEntry struct {
-	seg uint64
-	off int64
-	tr  *xtrace.Trace
-}
-
-// put registers a sampled append at its record's end cursor.
-func (st *shipTable) put(pos wal.Cursor, tr *xtrace.Trace) {
-	if tr == nil {
-		return
-	}
-	st.mu.Lock()
-	if len(st.entries) >= shipEntryCap {
-		st.entries = st.entries[1:]
-		st.n.Add(-1)
-	}
-	st.entries = append(st.entries, shipEntry{seg: pos.Seg, off: pos.Off, tr: tr})
-	st.n.Add(1)
-	st.mu.Unlock()
-}
-
-// lookup returns the trace registered at the record-end position, or
-// nil. The entry is consumed: each record ships to each replica once
-// per session, and with several replicas only the first ship traces —
-// span bloat from N replicas is worse than the loss.
-func (st *shipTable) lookup(end wal.Cursor) *xtrace.Trace {
-	if st.n.Load() == 0 {
-		return nil
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for i := len(st.entries) - 1; i >= 0; i-- {
-		e := st.entries[i]
-		if e.seg == end.Seg && e.off == end.Off {
-			st.entries = append(st.entries[:i], st.entries[i+1:]...)
-			st.n.Add(-1)
-			return e.tr
-		}
-	}
-	return nil
-}
+// The ship table (Server.ship) holds sampled appends until the stream
+// ships them, and each replication session's replack table holds the
+// shipped ones until the follower acknowledges them. An entry is only
+// needed for moments on a healthy stream, so small rings suffice: at
+// 1-in-256 sampling the ship table is ~256k commands of slack, and
+// past either size the oldest trace merely lacks that span.
+const (
+	shipTableSize = 1024
+	ackTableSize  = 512
+)
 
 // cmdTrace serves the TRACE verb family:
 //

@@ -28,7 +28,7 @@ func (c *conn) cmdHotkeys(cmd Command) error {
 		return fmt.Errorf("%s: traffic sampling is disabled (start shed with -traffic-sample)", cmd.Name)
 	}
 	if len(cmd.Args) == 0 {
-		stats := s.traffic.HotStats(rate)
+		stats := s.hot.Stats(rate)
 		lines := make([]string, 0, len(stats))
 		for _, st := range stats {
 			row := fmt.Sprintf("%s sampled_keys=%d", st.Sketch, st.SampledKeys)
@@ -55,7 +55,7 @@ func (c *conn) cmdHotkeys(cmd Command) error {
 		}
 		k = int(v)
 	}
-	entries, ok := s.traffic.HotKeys(cmd.Args[0], k, rate)
+	entries, ok := s.hot.Top(cmd.Args[0], k, rate)
 	if !ok {
 		// Distinguish "no sketch" from "no sampled traffic yet":
 		// an existing sketch just has nothing tracked.
@@ -91,7 +91,7 @@ func (c *conn) cmdClient(cmd Command) error {
 		if len(cmd.Args) != 1 {
 			return fmt.Errorf("CLIENT LIST takes no arguments")
 		}
-		rows := s.traffic.Clients().List()
+		rows := s.clients.List()
 		lines := make([]string, len(rows))
 		for i, c := range rows {
 			lines[i] = renderClient(c)
@@ -101,7 +101,7 @@ func (c *conn) cmdClient(cmd Command) error {
 		if len(cmd.Args) != 2 {
 			return fmt.Errorf("CLIENT KILL: want addr")
 		}
-		victim := s.traffic.Clients().Find(cmd.Args[1])
+		victim := s.clients.Find(cmd.Args[1])
 		if victim == nil {
 			return fmt.Errorf("CLIENT KILL: no such client %q", cmd.Args[1])
 		}
@@ -169,8 +169,8 @@ func (c *conn) cmdMonitor(Command) error {
 	s, r, w := c.s, c.r, c.w
 	// Subscribed before +OK goes out: a command sent after the client has
 	// read the +OK is in the feed.
-	sub := s.traffic.Monitor().Subscribe()
-	defer s.traffic.Monitor().Unsubscribe(sub)
+	sub := s.hub.Subscribe()
+	defer s.hub.Unsubscribe(sub)
 	writeSimple(w, "OK")
 	if w.Flush() != nil {
 		return nil
@@ -214,17 +214,17 @@ func (c *conn) cmdMonitor(Command) error {
 // bounded by K·sketches). Families are emitted in their own loops so
 // every series of a family stays contiguous under its # TYPE line.
 func (s *Server) writeTrafficMetrics(p *obs.PromWriter) {
-	t, rate := s.traffic, s.sample.Traffic.Every()
-	bytesIn, bytesOut, monitors := t.Clients().Totals()
+	rate := s.sample.Traffic.Every()
+	bytesIn, bytesOut, monitors := s.clients.Totals()
 	p.Gauge("she_traffic_sample_every", "", float64(rate))
 	p.Counter("she_traffic_sampled_total", "", float64(s.sample.Traffic.Sampled()))
-	p.Gauge("she_traffic_clients", "", float64(t.Clients().Count()))
+	p.Gauge("she_traffic_clients", "", float64(s.clients.Count()))
 	p.Gauge("she_traffic_client_bytes_in", "", float64(bytesIn))
 	p.Gauge("she_traffic_client_bytes_out", "", float64(bytesOut))
 	p.Gauge("she_traffic_monitor_subscribers", "", float64(monitors))
-	p.Counter("she_traffic_monitor_dropped_total", "", float64(t.Monitor().Dropped()))
+	p.Counter("she_traffic_monitor_dropped_total", "", float64(s.hub.Dropped()))
 
-	stats := t.HotStats(rate)
+	stats := s.hot.Stats(rate)
 	if len(stats) == 0 {
 		return
 	}

@@ -845,7 +845,7 @@ var transcripts = []transcript{
 		},
 		hooks: map[string]func(*testing.T, *Server){
 			"subscribed": func(t *testing.T, s *Server) {
-				for i := 0; s.traffic.Monitor().Subscribers() == 0; i++ {
+				for i := 0; !s.hub.Wants(); i++ {
 					if i > 5000 {
 						t.Fatal("MONITOR never subscribed")
 					}
