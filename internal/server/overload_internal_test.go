@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -64,4 +65,52 @@ func TestAdmissionControlBusy(t *testing.T) {
 	}
 	c2.must("PING", "+PONG")
 	holder.must("PING", "+PONG")
+}
+
+// TestMonitorLaggingDrops is the bounded-feed acceptance test: a
+// subscriber that never drains costs the hot path nothing — inserts
+// all succeed promptly, overflow frames are dropped and counted.
+func TestMonitorLaggingDrops(t *testing.T) {
+	s := New(Config{Listen: "127.0.0.1:0", TrafficSample: 1})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Abort()
+	// Subscribe straight at the hub and never read: the worst consumer.
+	sub := s.hub.Subscribe()
+	defer s.hub.Unsubscribe(sub)
+
+	c := dialServer(t, s)
+	c.must("SKETCH.CREATE fx cm counters=65536 window=65536 shards=4", "+OK")
+	const n = 3000
+	var payload strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&payload, "SKETCH.INSERT fx %d\n", i)
+	}
+	start := time.Now()
+	c.conn.SetDeadline(start.Add(30 * time.Second))
+	if _, err := c.conn.Write([]byte(payload.String())); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if line, err := c.r.ReadString('\n'); err != nil || line != ":1\n" {
+			t.Fatalf("insert %d reply %q, %v", i, line, err)
+		}
+	}
+	if d := time.Since(start); d > 30*time.Second {
+		t.Fatalf("inserts took %v behind a dead monitor", d)
+	}
+	if s.hub.Dropped() == 0 {
+		t.Fatal("no frames dropped despite a never-draining subscriber")
+	}
+	head, _ := c.try("INFO")
+	k, _ := strconv.Atoi(strings.TrimPrefix(head, "*"))
+	var info strings.Builder
+	for i := 0; i < k; i++ {
+		line, _ := c.r.ReadString('\n')
+		info.WriteString(line)
+	}
+	if !strings.Contains(info.String(), "monitor_dropped_total=") {
+		t.Fatalf("INFO missing monitor_dropped_total:\n%s%s", head, info.String())
+	}
 }
