@@ -21,7 +21,8 @@
 // On every sampled insert the auditor compares the live sketch answer
 // against shadow truth — per-key frequency (ARE/AAE) for frequency
 // sketches, membership (false positives against expired keys, false
-// negatives against present keys) for filters, and periodically a
+// negatives against present keys) for filters, both probing a key
+// from the middle of the window (bandKey), and periodically a
 // scaled distinct-count comparison for cardinality estimators — and
 // buckets each observed error by the sketch's cleaning-cycle phase
 // (CyclePos/Tcycle, PhaseBuckets buckets), turning the paper's
@@ -277,7 +278,7 @@ type Auditor struct {
 	expiredLen  int
 	expiredNext int // next write slot
 	probeNext   int // next probe slot
-	presentNext int // next present-key probe, as a step into the band
+	bandNext    int // next band probe (bandKey), as a step into the band
 	sinceCard   int
 }
 
@@ -379,9 +380,9 @@ func (a *Auditor) observeSampled(key, tick uint64) {
 	phase := a.phaseBucket(tick)
 	switch a.kind {
 	case Frequency:
-		a.observeFrequency(key, phase)
+		a.observeFrequency(a.bandKey(key, tick), phase)
 	case Membership:
-		a.observeMembership(key, tick, phase)
+		a.observeMembership(a.bandKey(key, tick), phase)
 	case Cardinality:
 		if a.sinceCard++; a.sinceCard >= cardCheckInterval {
 			a.sinceCard = 0
@@ -390,9 +391,37 @@ func (a *Auditor) observeSampled(key, tick uint64) {
 	}
 }
 
-// observeFrequency compares the sketch's count for key against the
-// shadow's. The key was just pushed, so truth ≥ 1 and the relative
-// error needs no guard.
+// bandKey picks the shadow key an observation probes: an entry whose
+// stream age, in items since its insert, lies in [N/2, 3N/4) — old
+// enough that a sketch keeping too short a window has forgotten it or
+// under-counts it, young enough that inserts reaching the sketch ahead
+// of their audit cannot age it out. Age is counted in ticks, not shadow
+// depth: sampling is by key, so under skew the depth says little about
+// how far back an entry lies. While no entry is that old it is key, the
+// one just pushed. Successive calls walk the band from its old end to
+// its young end. Either way the key is in the shadow, so its truth is
+// at least 1.
+func (a *Auditor) bandKey(key, tick uint64) uint64 {
+	age := func(d int) uint64 { return tick - a.ticks[(a.tickNext-1-d+len(a.ticks))%len(a.ticks)] }
+	lo, hi := a.window/2, a.window*3/4
+	// Ages grow with depth, so the band is a run of depths.
+	dlo := sort.Search(a.shadow.Len(), func(d int) bool { return age(d) >= lo })
+	dhi := sort.Search(a.shadow.Len(), func(d int) bool { return age(d) >= hi })
+	if dhi > dlo {
+		k := a.bandNext % (dhi - dlo)
+		a.bandNext = k + 1
+		// Concurrent inserts can reach the audit out of tick order, so
+		// the chosen entry's own age is checked.
+		if d := dhi - 1 - k; age(d) >= lo && age(d) < hi {
+			return a.shadow.At(d)
+		}
+	}
+	return key
+}
+
+// observeFrequency compares the sketch's count for key, a bandKey,
+// against the shadow's. The key is in the shadow, so truth ≥ 1 and the
+// relative error needs no guard.
 func (a *Auditor) observeFrequency(key uint64, phase int) {
 	truth := float64(a.shadow.Frequency(key))
 	est := float64(a.probes.Frequency(key))
@@ -401,34 +430,10 @@ func (a *Auditor) observeFrequency(key uint64, phase int) {
 	a.recordErr(rel, abs, phase)
 }
 
-// observeMembership round-robins one present key for a false negative
-// and one expired key for a false positive. The phase profile records a
-// 0/1 wrong-answer indicator per probe.
-//
-// The present key is a shadow entry whose stream age, in items since
-// its insert, lies in [N/2, 3N/4): old enough that a sketch keeping too
-// short a window has forgotten it, young enough that inserts reaching
-// the sketch ahead of their audit cannot age it out. Age is counted in
-// ticks, not shadow depth: sampling is by key, so under skew the depth
-// says little about how far back an entry lies. While no entry is that
-// old, the key just pushed is probed. Successive probes walk the band
-// from its old end to its young end.
-func (a *Auditor) observeMembership(key, tick uint64, phase int) {
-	present := key
-	age := func(d int) uint64 { return tick - a.ticks[(a.tickNext-1-d+len(a.ticks))%len(a.ticks)] }
-	lo, hi := a.window/2, a.window*3/4
-	// Ages grow with depth, so the band is a run of depths.
-	dlo := sort.Search(a.shadow.Len(), func(d int) bool { return age(d) >= lo })
-	dhi := sort.Search(a.shadow.Len(), func(d int) bool { return age(d) >= hi })
-	if dhi > dlo {
-		k := a.presentNext % (dhi - dlo)
-		a.presentNext = k + 1
-		// Concurrent inserts can reach the audit out of tick order, so
-		// the chosen entry's own age is checked.
-		if d := dhi - 1 - k; age(d) >= lo && age(d) < hi {
-			present = a.shadow.At(d)
-		}
-	}
+// observeMembership probes present, a bandKey, for a false negative
+// and round-robins one expired key for a false positive. The phase
+// profile records a 0/1 wrong-answer indicator per probe.
+func (a *Auditor) observeMembership(present uint64, phase int) {
 	a.st.PresentProbes++
 	wrong := 0.0
 	if !a.probes.Contains(present) {
@@ -515,7 +520,7 @@ func (a *Auditor) resetLocked() {
 		ShadowCap:  a.shadow.Cap(),
 		Coverage:   a.coverage * float64(a.shadow.Cap()) / float64(a.fullCap),
 	}
-	a.expiredLen, a.expiredNext, a.probeNext, a.presentNext, a.sinceCard, a.tickNext = 0, 0, 0, 0, 0, 0
+	a.expiredLen, a.expiredNext, a.probeNext, a.bandNext, a.sinceCard, a.tickNext = 0, 0, 0, 0, 0, 0
 }
 
 // Shed shrinks the shadow window to frac of its configured capacity

@@ -40,15 +40,16 @@ func zipfish(n int) []uint64 {
 // TestFrequencyAREMatchesOffline is the acceptance check for the
 // auditor's frequency math: at p=1 the shadow is a full exact window,
 // and the streamed ARE/AAE must agree with an offline exact.Window
-// comparison replaying the identical estimate sequence.
+// comparison replaying the identical estimate sequence, each against
+// the truth of the key the auditor probed.
 func TestFrequencyAREMatchesOffline(t *testing.T) {
 	const window = 512
 	cm := newCM(t, window)
-	var lastEst uint64
+	var lastKey, lastEst uint64
 	a := audit.New(audit.Frequency, audit.Config{SampleProb: 1},
 		window, window, 1, audit.Probes{
 			Frequency: func(k uint64) uint64 {
-				lastEst = cm.Frequency(k)
+				lastKey, lastEst = k, cm.Frequency(k)
 				return lastEst
 			},
 		})
@@ -60,7 +61,7 @@ func TestFrequencyAREMatchesOffline(t *testing.T) {
 		cm.Insert(k)
 		a.Observe(k, uint64(tick+1))
 		offline.Push(k)
-		truth := float64(offline.Frequency(k))
+		truth := float64(offline.Frequency(lastKey))
 		abs := math.Abs(float64(lastEst) - truth)
 		offSamples++
 		offSumRel += abs / truth
@@ -90,11 +91,11 @@ func TestFrequencyAREMatchesOffline(t *testing.T) {
 func TestFrequencySampledMatchesOffline(t *testing.T) {
 	const window = 1024
 	cm := newCM(t, window)
-	var lastEst uint64
+	var lastKey, lastEst uint64
 	a := audit.New(audit.Frequency, audit.Config{SampleProb: 0.25, Seed: 7},
 		window, window, 1, audit.Probes{
 			Frequency: func(k uint64) uint64 {
-				lastEst = cm.Frequency(k)
+				lastKey, lastEst = k, cm.Frequency(k)
 				return lastEst
 			},
 		})
@@ -109,7 +110,7 @@ func TestFrequencySampledMatchesOffline(t *testing.T) {
 			continue
 		}
 		offline.Push(k)
-		truth := float64(offline.Frequency(k))
+		truth := float64(offline.Frequency(lastKey))
 		offSamples++
 		offSumRel += math.Abs(float64(lastEst)-truth) / truth
 	}
@@ -415,6 +416,62 @@ func TestMembershipSeesForgottenKeys(t *testing.T) {
 		if got := st.FalseNegatives > 0; got != tc.wantFN {
 			t.Fatalf("%s: FN = %d of %d probes, want FN > 0 to be %v",
 				tc.name, st.FalseNegatives, st.PresentProbes, tc.wantFN)
+		}
+	}
+}
+
+// recencyCM counts a key's occurrences among the last span items
+// pushed: an exact Count-Min whose window is span.
+type recencyCM struct {
+	seen map[uint64][]int
+	pos  int
+	span int
+}
+
+func (f *recencyCM) push(k uint64) { f.pos++; f.seen[k] = append(f.seen[k], f.pos) }
+
+func (f *recencyCM) frequency(k uint64) uint64 {
+	n := uint64(0)
+	for _, p := range f.seen[k] {
+		if f.pos-p < f.span {
+			n++
+		}
+	}
+	return n
+}
+
+// TestFrequencySeesForgottenKeys: a Count-Min that keeps only half the
+// window under-counts in-window keys, and the audit's frequency probe
+// must see it; one that keeps the whole window reads no error. On a
+// stream of distinct keys, probing only the key just pushed reads 0
+// for both.
+func TestFrequencySeesForgottenKeys(t *testing.T) {
+	const window = 1024
+	for _, tc := range []struct {
+		name    string
+		p       float64
+		span    int
+		wantErr bool
+	}{
+		{"half window", 1, window / 2, true},
+		{"whole window", 1, window, false},
+		{"half window, p=1/16", 1.0 / 16, window / 2, true},
+		{"whole window, p=1/16", 1.0 / 16, window, false},
+	} {
+		f := &recencyCM{seen: map[uint64][]int{}, span: tc.span}
+		a := audit.New(audit.Frequency, audit.Config{SampleProb: tc.p, Seed: 1},
+			window, window, 1, audit.Probes{Frequency: f.frequency})
+		for i := 0; i < 20000; i++ {
+			k := uint64(1e9 + i)
+			f.push(k)
+			a.Observe(k, uint64(i+1))
+		}
+		st := a.Snapshot()
+		if st.ErrSamples == 0 || st.ErrSamples != st.Observations {
+			t.Fatalf("%s: %d error samples, want one per observation (%d)", tc.name, st.ErrSamples, st.Observations)
+		}
+		if got := st.ARE() > 0; got != tc.wantErr {
+			t.Fatalf("%s: ARE = %g over %d samples, want ARE > 0 to be %v", tc.name, st.ARE(), st.ErrSamples, tc.wantErr)
 		}
 	}
 }

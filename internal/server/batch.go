@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"strconv"
-	"sync"
 	"time"
 
 	"she"
@@ -103,17 +102,12 @@ func (b *syncWriter) Write(p []byte) (int, error) {
 }
 
 // insertBuf is the reusable memory of one InsertBatch call made
-// outside a connection batch: the keys parsed from text tokens or
-// decoded from an insert record, and the shard-partition scratch.
+// outside a connection batch — WAL replay's and a follower's: the keys
+// decoded from an insert record and the shard-partition scratch.
 type insertBuf struct {
 	keys []uint64
 	sc   she.BatchScratch
 }
-
-// insertBufs serves the insert paths that have no connection batch to
-// borrow buffers from: the slow-path verbs, WAL replay and follower
-// apply.
-var insertBufs = sync.Pool{New: func() any { return new(insertBuf) }}
 
 // appendKeys parses toks as keys onto dst.
 func appendKeys(dst []uint64, toks []string) []uint64 {
@@ -174,7 +168,7 @@ type connBatch struct {
 	scratch []byte           // reply rendering buffer
 	payload []byte           // flat WAL record build buffer
 	recOff  []int            // record boundaries into payload
-	recs    [][]byte         // per-record views of payload for walAppend
+	recs    [][]byte         // per-record views of payload, logged by mutate
 	ends    []wal.Cursor     // their end cursors
 }
 
@@ -347,6 +341,12 @@ func (b *connBatch) group(name []byte) *insertGroup {
 	if sk == nil {
 		return nil
 	}
+	return b.add(sk, name)
+}
+
+// add opens an empty group for sk, called name, after the batch's
+// others.
+func (b *connBatch) add(sk *Sketch, name []byte) *insertGroup {
 	if b.ngroups == len(b.groups) {
 		b.groups = append(b.groups, insertGroup{})
 	}
@@ -390,66 +390,63 @@ func (b *connBatch) applyInserts() error {
 	s.ctr.BatchCommands.Add(int64(b.cmds))
 	s.ctr.BatchKeys.Add(int64(b.nkeys))
 	s.ctr.Inserts.Add(int64(b.nkeys))
-	var err error
-	if s.wal == nil {
-		for i := 0; i < b.ngroups; i++ {
-			g := &b.groups[i]
-			g.sk.InsertBatch(g.keys, &b.sc)
-		}
-	} else {
-		err = b.applyWAL()
-	}
+	err := b.insertGroups(nil)
 	b.reset()
-	if err == nil && s.wal != nil {
-		s.maybeCheckpoint()
-	}
 	return err
 }
 
-// applyWAL inserts the batch's keys and renders their insert records —
-// one per sketch, split only where a record would outgrow
-// wal.MaxRecordBytes — under one shared checkpoint-lock acquisition,
-// then appends them all in one WAL batch. The insert and the log ride
-// the same lock hold, preserving the invariant that a checkpoint
-// observes none or all of an apply-then-log pair.
-func (b *connBatch) applyWAL() error {
-	s := b.s
-	b.payload = b.payload[:0]
-	b.recOff = b.recOff[:0]
-	s.chkMu.RLock()
-	defer s.chkMu.RUnlock() // by defer: a panic below must not wedge checkpoints
-	for i := 0; i < b.ngroups; i++ {
-		g := &b.groups[i]
-		keys := g.keys
-		g.sk.InsertBatch(keys, &b.sc)
-		for per := maxInsertRecordKeys(len(g.name)); len(keys) > 0; {
-			n := min(len(keys), per)
-			b.recOff = append(b.recOff, len(b.payload))
-			b.payload = AppendInsertRecord(b.payload, g.name, keys[:n])
-			keys = keys[n:]
+// insertGroups inserts each group's keys into its sketch and, with a
+// WAL, renders their insert records — one per sketch, split only where
+// a record would outgrow wal.MaxRecordBytes — all in one pass through
+// the server's apply-then-log path (mutate). A slow-path insert, traced
+// by tr, runs its one group through here too, so both paths log the
+// same records.
+func (b *connBatch) insertGroups(tr *xtrace.Trace) error {
+	return b.mutate(tr, func() ([][]byte, error) {
+		b.payload = b.payload[:0]
+		b.recOff = b.recOff[:0]
+		for i := 0; i < b.ngroups; i++ {
+			g := &b.groups[i]
+			keys := g.keys
+			g.sk.InsertBatch(keys, &b.sc)
+			if b.s.wal == nil {
+				continue
+			}
+			for per := maxInsertRecordKeys(len(g.name)); len(keys) > 0; {
+				n := min(len(keys), per)
+				b.recOff = append(b.recOff, len(b.payload))
+				b.payload = AppendInsertRecord(b.payload, g.name, keys[:n])
+				keys = keys[n:]
+			}
 		}
-	}
-	b.recOff = append(b.recOff, len(b.payload))
-	b.recs = b.recs[:0]
-	for i := 0; i+1 < len(b.recOff); i++ {
-		b.recs = append(b.recs, b.payload[b.recOff[i]:b.recOff[i+1]])
-	}
-	return b.log(nil, nil)
+		b.recOff = append(b.recOff, len(b.payload))
+		b.recs = b.recs[:0]
+		for i := 0; i+1 < len(b.recOff); i++ {
+			b.recs = append(b.recs, b.payload[b.recOff[i]:b.recOff[i+1]])
+		}
+		return b.recs, nil
+	})
 }
 
-// log appends records, when there is a WAL, and tells the barrier where
-// the last one ends: the batch's insert records, or a slow-path
-// command's one record rec, traced by tr, which borrows the batch's
-// buffers — the batch was applied before the command ran.
-func (b *connBatch) log(rec []byte, tr *xtrace.Trace) error {
-	if b.s.wal == nil {
-		return nil
-	}
-	if rec != nil {
+// logText runs a slow-path command's registry change through mutate
+// and, once change has applied, logs the command's text record rec.
+func (b *connBatch) logText(tr *xtrace.Trace, rec []byte, change func() error) error {
+	return b.mutate(tr, func() ([][]byte, error) {
+		if err := change(); err != nil {
+			return nil, err
+		}
 		b.recs = append(b.recs[:0], rec)
-	}
-	end, err := b.s.walAppend(b.recs, &b.ends, tr)
-	if err == nil {
+		return b.recs, nil
+	})
+}
+
+// mutate runs apply through the server's one apply-then-log path with
+// the batch's append scratch, and tells the barrier where the records
+// it logged end. A slow-path command borrows the batch this way: the
+// batch was applied before the command ran.
+func (b *connBatch) mutate(tr *xtrace.Trace, apply func() ([][]byte, error)) error {
+	end, err := b.s.mutate(tr, &b.ends, apply)
+	if !end.IsZero() {
 		b.bw.end = end
 	}
 	return err

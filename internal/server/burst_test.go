@@ -405,10 +405,10 @@ func TestRecordLargerThanReadBudgetShips(t *testing.T) {
 	}
 	c.must("MINSERT flows 1 2 3", ":3") // a small record ahead of it
 	var buf insertBuf
-	primary.chkMu.RLock() // the apply-then-log pair, as a mutating handler runs it
-	getSketch(t, primary, "flows").InsertBatch(keys, &buf.sc)
-	_, err := primary.walAppend([][]byte{rec}, new([]wal.Cursor), nil)
-	primary.chkMu.RUnlock()
+	_, err := primary.mutate(nil, new([]wal.Cursor), func() ([][]byte, error) {
+		getSketch(t, primary, "flows").InsertBatch(keys, &buf.sc)
+		return [][]byte{rec}, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -313,11 +313,7 @@ func (c *conn) slow(line []byte) (over bool) {
 		}
 		return true
 	}
-	if c.quit {
-		return true
-	}
-	s.maybeCheckpoint()
-	return false
+	return c.quit
 }
 
 // testPanic, when set by a test before the server starts, is called
@@ -359,10 +355,8 @@ func (c *conn) dispatch(v *verb, cmd Command) {
 }
 
 // run takes cmd through its row: the gates the row names, its arity,
-// then the handler — for an apply-then-log pair under the shared side
-// of the checkpoint lock, so a checkpoint observes none or all of it
-// and the snapshot it writes is consistent with the log position it
-// truncates to.
+// then the handler. A handler that changes logged state does so through
+// mutate, or checkpoint for a whole-state replacement.
 func (c *conn) run(v *verb, cmd Command) error {
 	s := c.s
 	if v.run == nil {
@@ -378,14 +372,6 @@ func (c *conn) run(v *verb, cmd Command) error {
 	}
 	if n := len(cmd.Args); n < v.min || v.max > 0 && n > v.max {
 		return fmt.Errorf("%s: want %s", v.name, v.usage[len(v.name)+1:])
-	}
-	if v.flags&vChkLock != 0 {
-		sp := c.tr.StartSpan("mutate")
-		defer sp.End()
-		if s.wal != nil {
-			s.chkMu.RLock()
-			defer s.chkMu.RUnlock()
-		}
 	}
 	return v.run(c, cmd)
 }
@@ -514,12 +500,11 @@ func (c *conn) cmdCreate(cmd Command) error {
 	if err != nil {
 		return err
 	}
-	if err := s.reg.Create(name, cmd.Args[1], kv); err != nil {
-		return err
-	}
 	// The record keeps the original parameter tokens, so replay builds
 	// an identical sketch through the same constructor.
-	if err := c.batch.log([]byte("SKETCH.CREATE "+strings.Join(cmd.Args, " ")), c.tr); err != nil {
+	if err := c.batch.logText(c.tr, []byte("SKETCH.CREATE "+strings.Join(cmd.Args, " ")), func() error {
+		return s.reg.Create(name, cmd.Args[1], kv)
+	}); err != nil {
 		return err
 	}
 	writeSimple(c.w, "OK")
@@ -528,13 +513,15 @@ func (c *conn) cmdCreate(cmd Command) error {
 
 func (c *conn) cmdDrop(cmd Command) error {
 	s := c.s
-	if err := s.reg.Drop(cmd.Args[0]); err != nil {
-		return err
-	}
-	// The hot-key tracker follows the registry: a dropped sketch's
-	// telemetry window must not linger (or leak map entries).
-	s.hot.Forget(cmd.Args[0])
-	if err := c.batch.log([]byte("SKETCH.DROP "+cmd.Args[0]), c.tr); err != nil {
+	if err := c.batch.logText(c.tr, []byte("SKETCH.DROP "+cmd.Args[0]), func() error {
+		if err := s.reg.Drop(cmd.Args[0]); err != nil {
+			return err
+		}
+		// The hot-key tracker follows the registry: a dropped sketch's
+		// telemetry window must not linger (or leak map entries).
+		s.hot.Forget(cmd.Args[0])
+		return nil
+	}); err != nil {
 		return err
 	}
 	writeSimple(c.w, "OK")
@@ -543,27 +530,26 @@ func (c *conn) cmdDrop(cmd Command) error {
 
 // cmdInsert serves both insert verbs — SKETCH.INSERT and its batch
 // alias MINSERT — on the slow path (sampled commands and anything the
-// fast path refused). It logs the same insert record the batch engine
-// does: the parsed uint64 keys, so replay is exact without depending on
-// how the original token hashed.
+// fast path refused). The batch was applied before the command ran, so
+// the command's keys become its one group and go through the batch's
+// own insertGroups: the same insert record the fast path logs — the
+// parsed uint64 keys, so replay is exact without depending on how the
+// original token hashed.
 func (c *conn) cmdInsert(cmd Command) error {
-	s := c.s
-	sk, err := s.reg.Get(cmd.Args[0])
+	b, n := &c.batch, len(cmd.Args)-1
+	sk, err := c.s.reg.Get(cmd.Args[0])
 	if err != nil {
 		return err
 	}
-	buf := insertBufs.Get().(*insertBuf)
-	defer insertBufs.Put(buf)
-	keys := appendKeys(buf.keys[:0], cmd.Args[1:])
-	buf.keys = keys
-	sk.InsertBatch(keys, &buf.sc)
-	if s.wal != nil {
-		if err := c.batch.log(AppendInsertRecord(nil, []byte(cmd.Args[0]), keys), c.tr); err != nil {
-			return err
-		}
+	g := b.add(sk, []byte(cmd.Args[0]))
+	g.keys = appendKeys(g.keys, cmd.Args[1:])
+	err = b.insertGroups(c.tr)
+	b.reset()
+	if err != nil {
+		return err
 	}
-	s.ctr.Inserts.Add(int64(len(keys)))
-	writeInt(c.w, int64(len(keys)))
+	c.s.ctr.Inserts.Add(int64(n))
+	writeInt(c.w, int64(n))
 	return nil
 }
 
@@ -631,19 +617,11 @@ func (c *conn) cmdLoad(cmd Command) error {
 	if err != nil {
 		return err
 	}
-	if s.wal == nil {
-		s.reg.Put(name, sk)
-	} else {
-		// A load replaces whole-sketch state, which the record log
-		// cannot express; checkpoint before acknowledging so the
-		// loaded state is durable and replay stays consistent.
-		s.chkMu.Lock()
-		s.reg.Put(name, sk)
-		err := s.checkpointLocked(true)
-		s.chkMu.Unlock()
-		if err != nil {
-			return err
-		}
+	// A load replaces whole-sketch state, which the record log cannot
+	// express; with a WAL it checkpoints before acknowledging, so the
+	// loaded state is durable and replay stays consistent.
+	if err := s.checkpoint(true, func() { s.reg.Put(name, sk) }); err != nil {
+		return err
 	}
 	s.ctr.SnapsLoaded.Inc()
 	writeSimple(c.w, "OK")

@@ -20,149 +20,9 @@
 //	-ERR <msg>   command failed; the connection stays open
 //	*<n>         array header, followed by n +lines (INFO, SKETCH.LIST)
 //
-// Commands — each is one row of the command table in verbs.go, and the
-// headings below are the rows' usage strings (a wrong argument count
-// answers "-ERR <VERB>: want <arguments>"; verbs are case-insensitive):
-//
-//	PING
-//	    Liveness probe; replies +PONG.
-//	ROLE
-//	    Replication role. On a primary, an array: one
-//	    "role=primary replicas=n" line, then one line per attached
-//	    replica (addr, acked cursor, lag in records, ms since last
-//	    ack, full_sync). On a follower: role=replica, primary=,
-//	    connected=, cursor=gen/seg/off, full_syncs=, reconnects=,
-//	    applied_records=.
-//	REPLICAOF host port | NO ONE
-//	    Reconfigure replication at runtime. host port (re)points this
-//	    server at a primary and starts syncing (requires a WAL). NO
-//	    ONE promotes a follower to a writable primary (a no-op on a
-//	    primary). Replies +OK.
-//	INFO
-//	    Server counters (uptime, connections, commands, errors, ...),
-//	    one +name=value line per counter, plus role= and
-//	    connected_replicas= lines.
-//	QUIT
-//	    Replies +OK and closes the connection.
-//	SKETCH.CREATE name kind [param=value ...]
-//	    Create a named sketch. Kinds and their size parameter:
-//	        bloom  membership    bits=N       (default 1048576)
-//	        cm     frequency     counters=N   (default 65536)
-//	        hll    cardinality   registers=N  (default 4096)
-//	    Common parameters: window=N (default 65536), shards=P (default
-//	    8), seed=N (default 1), alpha=F and hashes=K (0 = per-structure
-//	    defaults). Errors if the name is taken. Sizes are capped (in
-//	    the kind's row, registry.go; MaxWindow, MaxShards, MaxHashes) so
-//	    one CREATE cannot allocate unbounded memory.
-//	SKETCH.INSERT name key [key ...]
-//	    Insert keys; replies :n with the number inserted.
-//	MINSERT name key [key ...]
-//	    Bulk insert: identical semantics to SKETCH.INSERT (up to 127
-//	    keys, one :n reply), spelled as its own verb so batch-oriented
-//	    clients and the WAL speak the insert path's native shape. Both
-//	    verbs ride the batch execution engine; see # Batched execution
-//	    below.
-//	SKETCH.QUERY name key
-//	    bloom: membership in the window, :1 or :0. cm: windowed
-//	    frequency estimate :n.
-//	SKETCH.CARD name
-//	    hll: windowed distinct-count estimate, +<float>.
-//	SKETCH.SAVE name [file]
-//	    Write a snapshot of the sketch into the server's snapshot
-//	    directory as <file>.she (default file: the sketch name). The
-//	    file argument is a bare name in the sketch-name alphabet —
-//	    never a path — and the command is refused when the server has
-//	    no snapshot directory configured.
-//	SKETCH.LOAD name [file]
-//	    Create or replace <name> from <file>.she in the snapshot
-//	    directory (the snapshot is self-describing, so no kind
-//	    argument). Same file-name rules as SKETCH.SAVE. The snapshot
-//	    carries the insert counter, so SKETCH.LIST keeps counting
-//	    across a save/load cycle. Not replicated, so refused under
-//	    Config.SyncReplicas (see # Replication).
-//	SKETCH.DROP name
-//	    Remove a sketch.
-//	SKETCH.LIST
-//	    One +line per sketch: name kind=... shards=... window=...
-//	    inserts=... memory_kb=...
-//	SKETCH.STATS name|*
-//	    SHE-aware introspection. With a name, one +key=value line per
-//	    field: kind, shards, window, tcycle, inserts, memory_bits (the
-//	    paper's payload: cells plus a mark bit a group), resident_bytes
-//	    (cells plus the clock's word a group, as allocated),
-//	    cells, filled_cells, fill_ratio, cycle_position (fraction of
-//	    the current Tcycle = (1+alpha)*N timestamp cycle elapsed),
-//	    young_cells (age < N), perfect_cells (age == N) and aged_cells
-//	    (age > N) — the paper's cell-age classes. With *, one summary
-//	    line per sketch. The numbers come from a read-only snapshot (no
-//	    lazy cleaning runs), so fill and age-class counts are
-//	    approximate between cleanings: stale cells a query would clean
-//	    on contact are still counted.
-//	SKETCH.AUDIT name|* [RESET]
-//	    The online accuracy auditor (armed by Config.AuditSample / shed
-//	    -audit-sample; enabled=false otherwise). With a name, one
-//	    +key=value line per field: the shadow geometry (sample_prob,
-//	    shadow_len/cap/keys, coverage, observations), the kind-specific
-//	    error summary (cm: err_samples, are, aae, last_rel_err; bloom:
-//	    present/absent probe and false positive/negative counts and
-//	    rates; hll: card_checks, are, last estimate and truth), and the
-//	    phase_are / phase_obs lines — 16 comma-separated buckets of
-//	    mean error and sample count across the cleaning-cycle phase
-//	    CyclePos/Tcycle. With *, one summary line per audited sketch.
-//	    RESET restarts the measurement in place (shadow and counters
-//	    cleared, same sampling).
-//	SLOWLOG [GET [n] | LEN | RESET]
-//	    The slow-query ring (armed by Config.SlowThreshold / shed
-//	    -slow-ms; empty otherwise). GET returns up to n entries newest
-//	    first, one +id=... time=... duration_us=... addr=... trace=...
-//	    command="..." line each (addr is the client that ran the
-//	    command; command is the request line as the client sent it —
-//	    its case and spacing kept, the line ending dropped — cut at 256
-//	    bytes; trace is the request-trace ID when the command was
-//	    sampled, else "-"); LEN replies :n; RESET clears the ring (+OK)
-//	    without reusing IDs.
-//	TRACE [GET [id | SLOWEST [n]] | SAMPLE [n] | RESET]
-//	    The request-trace ring (see # Request tracing). GET — which a
-//	    bare TRACE means too — returns the retained traces newest
-//	    first, one +JSON line each; GET <id>
-//	    returns that trace or -ERR; GET SLOWEST n the n longest. SAMPLE
-//	    reads (:n) or sets (+OK) the sampling rate — trace 1 in n
-//	    commands, 0 disables. RESET clears the ring.
-//	HOTKEYS [name] [k]
-//	    Sliding-window heavy hitters over the sampled insert stream
-//	    (armed by Config.TrafficSample / shed -traffic-sample; see
-//	    # Traffic self-telemetry). Bare HOTKEYS summarizes every
-//	    tracked sketch, one "+name sampled_keys=N top=key:count,..."
-//	    line each; HOTKEYS <name> [k] lists that sketch's top keys,
-//	    one "+key=K est_count=E sampled=S" line each, where E is the
-//	    sampled estimate scaled back by the sampling rate.
-//	CLIENT LIST, KILL addr, GETNAME or SETNAME name
-//	    Per-connection accounting. LIST returns one +id=... addr=...
-//	    name=... age=... idle=... in=... out=... cmds=... keys=...
-//	    batches=... verb=... replica=... monitor=... per_verb=...
-//	    line per connection (bytes counted per syscall; per-verb
-//	    command counts and idle settled per batch drain for the
-//	    fast-path verbs). KILL closes the connection
-//	    with that remote addr — but refuses replication links, whose
-//	    ack cursors must detach through the -repl-max-lag eviction
-//	    path. SETNAME labels this connection (sketch-name alphabet).
-//	MONITOR
-//	    Turn this connection into a live feed of sampled commands:
-//	    +OK, then one "+<epoch-seconds> [addr] <command>" frame per
-//	    sampled command until the client hangs up, <command> being the
-//	    request line as sent, rendered as SLOWLOG renders it. The feed
-//	    is bounded: a consumer that cannot keep up loses frames
-//	    (counted in monitor_dropped_total), never the server. Exempt
-//	    from admission control, like the two replication verbs: the
-//	    feed would hold its slot for as long as it runs.
-//	REPLCONF [option value]
-//	    Replication handshake, sent by a follower before PSYNC:
-//	    "listening-port <port>" advertises the port ROLE lists the
-//	    replica under. Other options are accepted and ignored. +OK.
-//	PSYNC ? | gen seg off
-//	    Turn this connection into a replication channel (see
-//	    # Replication): ? asks for a full sync, a cursor to continue
-//	    from it. A refusal is the connection's last line.
+// Commands: README.md's "Verb reference" is the one reference — every
+// verb's usage, what it does and what it replies — and TestVerbReference
+// holds its headings to the command table in verbs.go.
 //
 // Example session (nc localhost 6380):
 //
@@ -384,43 +244,9 @@
 // and /metrics, INFO and /debug/vars — the last two without the she_
 // prefix — list that declaration: every counter is present, at zero,
 // from the first scrape. One family each, exported untyped because some
-// (connections_active, wal_bytes) also go down.
-//
-//	she_batch_applies_total       batch engine applies (one group commit each)
-//	she_batch_commands_total      insert commands that went through a batch apply
-//	she_batch_keys_total          keys that went through a batch apply
-//	she_checkpoint_errors         WAL checkpoints that failed
-//	she_checkpoints               WAL checkpoints completed
-//	she_clients_killed            connections closed by CLIENT KILL
-//	she_commands_total            commands executed
-//	she_connections_active        client connections open now (a level)
-//	she_connections_rejected      connections refused at -max-conns
-//	she_connections_total         client connections accepted
-//	she_errors_total              commands answered -ERR
-//	she_inserts_total             keys inserted
-//	she_overload_busy_rejects     commands answered -ERR BUSY at -max-inflight
-//	she_overload_oom_inserts      inserts refused -ERR OOM at the refuse_insert rung
-//	she_overload_refused_creates  creates and loads refused -ERR OOM at the refuse_create rung
-//	she_overload_slowlog_dropped  slow commands kept out of the slowlog at the shed_slowlog rung
-//	she_overload_transitions      overload ladder level changes
-//	she_panics_recovered          handler panics contained to their connection
-//	she_repl_applied_records      records applied as a follower
-//	she_repl_full_syncs           replica bootstraps served from a checkpoint
-//	she_repl_partial_syncs        replica cursor catch-ups served from the log
-//	she_repl_promotions           REPLICAOF NO ONE promotions
-//	she_repl_slow_replica_drops   replicas disconnected for exceeding -repl-max-lag
-//	she_repl_sync_timeouts        semi-synchronous replica acks that timed out
-//	she_slow_commands_total       commands at or over -slow-ms
-//	she_snapshots_loaded          snapshots restored by SKETCH.LOAD
-//	she_snapshots_quarantined     unusable snapshot files set aside as .corrupt
-//	she_snapshots_saved           snapshots written by SKETCH.SAVE
-//	she_wal_bytes                 WAL bytes since the last checkpoint (a level)
-//	she_wal_errors                WAL appends and syncs that failed
-//	she_wal_records               WAL records appended
-//	she_wal_replay_skipped        logged records recovery could not apply
-//	she_wal_replayed_records      logged records replayed at startup
-//	she_wal_segments_quarantined  corrupt or orphaned WAL segments set aside at startup
-//	she_wal_torn_bytes            bytes of torn tail truncated at startup
+// (connections_active, wal_bytes) also go down. README.md's
+// "Observability" section lists them with their help lines
+// (TestCounterReference).
 //
 // Command timing is engineered to be effectively free: a TSC-based
 // monotonic clock (internal/obs), timestamps chained across pipelined
@@ -517,11 +343,12 @@
 // of capacity ⌈p·N⌉ — the sub-stream arrives at rate p, so the small
 // shadow spans approximately the sketch's own N most recent stream
 // positions — and compares each live sketch answer against exact
-// truth at insert time. Frequency sketches get streaming ARE/AAE,
-// membership gets false-positive/negative rates (absent-key probes
-// drawn from a ring of expired sampled keys, present-key probes from
-// shadow entries N/2 to 3N/4 stream items old, which a sketch keeping
-// too short a window has forgotten), cardinality gets
+// truth at insert time. Frequency and membership probe shadow entries
+// N/2 to 3N/4 stream items old, which a sketch keeping too short a
+// window has forgotten or under-counts: frequency sketches get
+// streaming ARE/AAE, membership gets false-positive/negative rates
+// (absent-key probes drawn from a ring of expired sampled keys),
+// cardinality gets
 // relative error with truth scaled by 1/p. Every error is also
 // bucketed by cleaning-cycle phase (16 buckets of CyclePos/Tcycle),
 // which makes error breathing across the lazy-cleaning sweep directly
@@ -550,6 +377,15 @@
 // and truncates the log (SKETCH.LOAD, which the record log cannot
 // express, forces one before acking). When WALDir is set it supersedes
 // AutosaveDir entirely.
+//
+// Two functions hold the checkpoint lock around a state change. mutate
+// is the one apply-then-log path: a connection batch, a slow-path
+// CREATE, DROP or insert and a follower's burst each apply and append
+// their records inside one shared hold. checkpoint holds it
+// exclusively, around a whole-state replacement (LOAD, a full sync's
+// wipe) and the snapshot. So a checkpoint sees none or all of an
+// apply-and-append, and its snapshot is the state at the log position
+// it truncates to.
 //
 // Every snapshot file the server writes — WAL checkpoints, autosaves,
 // SKETCH.SAVE — is sealed in a checksummed envelope (wal.Seal: magic,
@@ -610,8 +446,8 @@
 // follower's acked state survives its own kill -9, recoverable by
 // restarting without -replicaof. It does so a burst at a time: the REC
 // frames its reader holds (at most 256 KiB of payload) are applied in
-// order and logged with one batched append under one shared hold of
-// the checkpoint lock, fsynced once and acknowledged once. A follower restart deliberately
+// order and logged with one batched append, in one pass through
+// mutate, fsynced once and acknowledged once. A follower restart deliberately
 // full-syncs: a persisted-but-stale cursor would double-apply
 // non-idempotent inserts, and an ahead-of-disk one would skip records.
 //

@@ -488,7 +488,7 @@ func TestPanicRecoveredPerConnection(t *testing.T) {
 			c2.must("SKETCH.QUERY ok 7", ":1")
 			if tc.cfg.WALDir != "" {
 				s.reg.Drop("hollow") // it cannot be snapshotted either
-				if err := s.checkpoint(true); err != nil {
+				if err := s.checkpoint(true, nil); err != nil {
 					t.Fatalf("checkpoint after a recovered panic: %v", err)
 				}
 			}

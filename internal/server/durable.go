@@ -47,16 +47,15 @@ func (s *Server) recoverWAL() error {
 			return err
 		}
 	}
-	buf := insertBufs.Get().(*insertBuf)
+	var buf insertBuf
 	for _, r := range rec.Records {
-		if err := s.applyRecord(r, buf); err != nil {
+		if err := s.applyRecord(r, &buf); err != nil {
 			s.ctr.WALReplaySkipped.Inc()
 			s.logger.Warn("wal replay: skipping record", "err", err)
 		} else {
 			s.ctr.WALReplayed.Inc()
 		}
 	}
-	insertBufs.Put(buf)
 	s.wal = l
 	s.ctr.WALTornBytes.Add(rec.TornBytes)
 	s.ctr.WALSegsQuarantine.Add(int64(len(rec.CorruptSegments) + len(rec.OrphanedSegments)))
@@ -68,7 +67,7 @@ func (s *Server) recoverWAL() error {
 		s.logger.Warn("wal: segment failed CRC; quarantining",
 			"segment", seg, "quarantine", seg+".corrupt")
 	}
-	if err := s.checkpoint(rec.Damaged()); err != nil {
+	if err := s.checkpoint(rec.Damaged(), nil); err != nil {
 		return fmt.Errorf("server: post-recovery checkpoint: %w", err)
 	}
 	return nil
@@ -131,14 +130,51 @@ func (s *Server) applyRecord(rec []byte, buf *insertBuf) error {
 	return fmt.Errorf("unexpected record command %q", cmd.Name)
 }
 
-// walAppend is the one way records enter the log — a slow-path
-// command's, a connection batch's, a follower's burst — with one lock
-// hold and one write. *ends, the caller's scratch, receives each one's
-// end cursor; the last is returned: what a replica acknowledges once it
-// holds them all, and so what a semi-synchronous barrier waits for.
-// They are durable only after the commit-time Sync. A sampled command's
-// record (tr != nil) gets a wal_append span and a ship-table entry at
-// its end cursor, so its REC frame carries the trace to the follower.
+// mutate is the one apply-then-log path: a connection batch, a
+// slow-path SKETCH.CREATE, SKETCH.DROP or insert, and a follower's burst
+// all change state through it. Under the shared side of chkMu it runs
+// apply and appends the records apply returns — also when apply returns
+// an error with them, since those records are in the sketches — so a
+// checkpoint sees none or all of an apply-and-append. *ends is the
+// caller's walAppend scratch; the end cursor of the last record is
+// returned (zero when nothing was logged). A sampled command's mutate
+// span covers the apply and the append. After the lock is released, a
+// log that has outgrown its bound is checkpointed. Without a WAL apply
+// just runs.
+func (s *Server) mutate(tr *xtrace.Trace, ends *[]wal.Cursor, apply func() ([][]byte, error)) (end wal.Cursor, err error) {
+	sp := tr.StartSpan("mutate")
+	if s.wal == nil {
+		_, err = apply()
+		sp.End()
+		return end, err
+	}
+	func() {
+		s.chkMu.RLock()
+		defer s.chkMu.RUnlock() // by defer: a panic in apply must not wedge checkpoints
+		recs, aerr := apply()
+		if len(recs) > 0 {
+			end, err = s.walAppend(recs, ends, tr)
+		}
+		if err == nil {
+			err = aerr
+		}
+	}()
+	sp.End()
+	if err == nil {
+		if cerr := s.checkpoint(false, nil); cerr != nil {
+			s.logger.Error("checkpoint failed", "err", cerr)
+		}
+	}
+	return end, err
+}
+
+// walAppend is how mutate's records enter the log, with one lock hold
+// and one write. *ends receives each one's end cursor; the last is
+// returned: what a replica acknowledges once it holds them all, and so
+// what a semi-synchronous barrier waits for. They are durable only
+// after the commit-time Sync. A sampled command's record (tr != nil)
+// gets a wal_append span and a ship-table entry at its end cursor, so
+// its REC frame carries the trace to the follower.
 func (s *Server) walAppend(recs [][]byte, ends *[]wal.Cursor, tr *xtrace.Trace) (wal.Cursor, error) {
 	*ends = slices.Grow((*ends)[:0], len(recs))[:len(recs)]
 	sp := tr.StartSpan("wal_append")
@@ -157,40 +193,34 @@ func (s *Server) walAppend(recs [][]byte, ends *[]wal.Cursor, tr *xtrace.Trace) 
 	return end, nil
 }
 
-// maybeCheckpoint checkpoints when the log has outgrown the
-// configured bound. Called from connection loops with no locks held.
-func (s *Server) maybeCheckpoint() {
+// checkpoint is the one exclusive hold of chkMu. It runs change — a
+// replacement of registry state the log cannot express: SKETCH.LOAD's
+// Put, a full sync's Reset — then writes every sketch into a fresh WAL
+// snapshot generation and truncates the log, so no apply-and-append
+// falls between the change, the snapshot and the new log floor. force
+// skips the size threshold (shutdown, recovery that found damage, full
+// sync, and every change); without it the log is checkpointed only once
+// it has outgrown Config.CheckpointBytes. Without a WAL only change runs.
+func (s *Server) checkpoint(force bool, change func()) error {
 	if s.wal == nil {
-		return
+		if change != nil {
+			change()
+		}
+		return nil
 	}
-	if err := s.checkpoint(false); err != nil {
-		s.logger.Error("checkpoint failed", "err", err)
+	limit := s.cfg.CheckpointBytes
+	if limit <= 0 {
+		limit = DefaultCheckpointBytes
 	}
-}
-
-// checkpoint takes the checkpoint lock and snapshots; force skips the
-// size threshold (shutdown, recovery that found damage, SKETCH.LOAD).
-func (s *Server) checkpoint(force bool) error {
-	if !force && s.wal.BytesSinceCheckpoint() < s.checkpointLimit() {
+	if !force && s.wal.BytesSinceCheckpoint() < limit {
 		return nil
 	}
 	s.chkMu.Lock()
 	defer s.chkMu.Unlock()
-	return s.checkpointLocked(force)
-}
-
-func (s *Server) checkpointLimit() int64 {
-	if s.cfg.CheckpointBytes > 0 {
-		return s.cfg.CheckpointBytes
+	if change != nil {
+		change()
 	}
-	return DefaultCheckpointBytes
-}
-
-// checkpointLocked writes every sketch into a fresh WAL snapshot
-// generation and truncates the log. Caller holds chkMu exclusively,
-// so no mutation can slip between the snapshot and the new log floor.
-func (s *Server) checkpointLocked(force bool) error {
-	if !force && s.wal.BytesSinceCheckpoint() < s.checkpointLimit() {
+	if !force && s.wal.BytesSinceCheckpoint() < limit {
 		return nil // another connection checkpointed while we waited
 	}
 	// Keep every segment an attached replica still needs: truncation

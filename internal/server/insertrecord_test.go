@@ -224,11 +224,10 @@ func TestReplayMixedFormatLog(t *testing.T) {
 func TestInsertRecordSplit(t *testing.T) {
 	dir := t.TempDir()
 	s := startWAL(t, dir, nil, 64<<20)
-	if err := s.reg.Create("flows", "bloom", map[string]string{"bits": "65536", "window": "65536", "shards": "2"}); err != nil {
-		t.Fatal(err)
-	}
 	create := []byte("SKETCH.CREATE flows bloom bits=65536 window=65536 shards=2")
-	if _, err := s.walAppend([][]byte{create}, new([]wal.Cursor), nil); err != nil {
+	if _, err := s.mutate(nil, new([]wal.Cursor), func() ([][]byte, error) {
+		return [][]byte{create}, s.reg.Create("flows", "bloom", map[string]string{"bits": "65536", "window": "65536", "shards": "2"})
+	}); err != nil {
 		t.Fatal(err)
 	}
 	per := maxInsertRecordKeys(len("flows"))

@@ -45,7 +45,7 @@ func TestKindTable(t *testing.T) {
 			cardKinds = append(cardKinds, kinds[i].name)
 		}
 	}
-	doc, err := os.ReadFile("doc.go")
+	doc, err := os.ReadFile("../../README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,9 +58,9 @@ func TestKindTable(t *testing.T) {
 		if lookupKind(k.name) != k || k.name != strings.ToLower(k.name) {
 			t.Errorf("%s: lookupKind does not find the row, or the name is not lower-case", k.name)
 		}
-		line := regexp.MustCompile(fmt.Sprintf(`(?m)^//\t        %s +\w+ +%s=N +\(default %d\)$`, k.name, k.size, k.def))
+		line := regexp.MustCompile(fmt.Sprintf(`(?m)^        %s +\w+ +%s=N +\(default %d\)$`, k.name, k.size, k.def))
 		if !line.Match(doc) {
-			t.Errorf("%s: doc.go's SKETCH.CREATE entry has no line for the kind with %s=N (default %d)", k.name, k.size, k.def)
+			t.Errorf("%s: the README's SKETCH.CREATE entry has no line for the kind with %s=N (default %d)", k.name, k.size, k.def)
 		}
 
 		dflt, sized, loaded := k.name+"-default", k.name+"-sized", k.name+"-loaded"

@@ -30,10 +30,10 @@ var buildInfo = sync.OnceValues(func() (version, goVersion string) {
 // field is the counter's storage (an update site names it,
 // s.ctr.Commands.Inc()), its tags are its name on INFO and /debug/vars
 // and — behind she_ — on /metrics, and the help line the README's
-// counter table carries (TestCounterReference holds README and doc.go to
+// counter table carries (TestCounterReference holds the README to
 // this list). New reads the tags into Server.ctrRows once, so every
 // counter is listed, at zero, from the first scrape. A new counter is
-// one line here and its line in the two references.
+// one line here and its line in the README's table.
 type counters struct {
 	BatchApplies      obs.Counter `name:"batch_applies_total" help:"batch engine applies (one group commit each)"`
 	BatchCommands     obs.Counter `name:"batch_commands_total" help:"insert commands that went through a batch apply"`

@@ -55,9 +55,9 @@ type structure interface {
 
 // kind is one row of the kind table: everything the server knows about
 // a sketch kind, declared once — the sketch analogue of a verbs row. A
-// new kind is one row here and its line under SKETCH.CREATE in doc.go;
-// TestKindTable takes every row through create, insert, answer, save,
-// load and audit.
+// new kind is one row here and its line under SKETCH.CREATE in the
+// README; TestKindTable takes every row through create, insert, answer,
+// save, load and audit.
 type kind struct {
 	// name is the SKETCH.CREATE token, what listings print, and the tag
 	// she.ShardedSnapshotKind reads off the kind's snapshots.

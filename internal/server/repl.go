@@ -249,7 +249,7 @@ func (s *Server) attachReplica(w *bufio.Writer, id string, cursor wal.Cursor) (*
 
 	// Fresh checkpoint, so the snapshot the replica bootstraps from is
 	// the current state and the tail it must then replay is minimal.
-	if err := s.checkpoint(true); err != nil {
+	if err := s.checkpoint(true, nil); err != nil {
 		return nil, fmt.Errorf("checkpoint for full sync: %v", err)
 	}
 	type snapFile struct {
@@ -466,11 +466,7 @@ type replTarget struct {
 // checkpoint truncates the local WAL to an empty generation, so
 // nothing stale survives alongside the incoming snapshot.
 func (t *replTarget) BeginFullSync() error {
-	s := t.s
-	s.chkMu.Lock()
-	defer s.chkMu.Unlock()
-	s.reg.Reset()
-	return s.checkpointLocked(true)
+	return t.s.checkpoint(true, t.s.reg.Reset)
 }
 
 // SnapshotFile loads one streamed snapshot into the registry.
@@ -490,10 +486,7 @@ func (t *replTarget) SnapshotFile(name string, data []byte) error {
 // recovery starts from the transferred snapshot rather than an empty
 // log.
 func (t *replTarget) EndFullSync(start wal.Cursor) error {
-	s := t.s
-	s.chkMu.Lock()
-	defer s.chkMu.Unlock()
-	return s.checkpointLocked(true)
+	return t.s.checkpoint(true, nil)
 }
 
 // ApplyBurst applies and logs the burst, then fsyncs the replica's WAL;
@@ -534,48 +527,41 @@ func (t *replTarget) ApplyBurst(recs []repl.Record) error {
 		return err
 	}
 	s.ctr.ReplApplied.Add(int64(len(recs)))
-	s.maybeCheckpoint()
 	return nil
 }
 
 // applyLogged replays recs in order, exactly as crash recovery would,
-// and appends them to the replica's own WAL in one batch, all under
-// one shared hold of the checkpoint lock: the apply-then-log pairing a
-// client batch gets, so a checkpoint observes none or all of the burst.
-// When a record fails to apply, the ones before it are still logged —
-// they are in the sketches — and the error is returned.
+// and appends them to the replica's own WAL in one batch: one pass
+// through mutate, the path a client batch takes, so a checkpoint
+// observes none or all of the burst. When a record fails to apply, the
+// ones before it are still logged — they are in the sketches — and the
+// error is returned.
 func (t *replTarget) applyLogged(recs []repl.Record) error {
 	s := t.s
-	t.logged = t.logged[:0]
-	s.chkMu.RLock()
-	defer s.chkMu.RUnlock()
-	var applyErr error
-	for i := range recs {
-		rec := &recs[i]
-		tr := s.tracer.Join(rec.TraceID)
-		var sp xtrace.Span
-		if tr != nil {
-			tr.SetVerb(recordVerb(rec.Payload))
-			tr.SetRemote(s.primaryAddr())
-			sp = tr.StartSpan("apply")
-			t.open = append(t.open, tr)
+	_, err := s.mutate(nil, &t.ends, func() ([][]byte, error) {
+		t.logged = t.logged[:0]
+		for i := range recs {
+			rec := &recs[i]
+			tr := s.tracer.Join(rec.TraceID)
+			var sp xtrace.Span
+			if tr != nil {
+				tr.SetVerb(recordVerb(rec.Payload))
+				tr.SetRemote(s.primaryAddr())
+				sp = tr.StartSpan("apply")
+				t.open = append(t.open, tr)
+			}
+			err := s.applyRecord(rec.Payload, &t.buf)
+			if tr != nil {
+				sp.End()
+			}
+			if err != nil {
+				return t.logged, err
+			}
+			t.logged = append(t.logged, rec.Payload)
 		}
-		err := s.applyRecord(rec.Payload, &t.buf)
-		if tr != nil {
-			sp.End()
-		}
-		if err != nil {
-			applyErr = err
-			break
-		}
-		t.logged = append(t.logged, rec.Payload)
-	}
-	if len(t.logged) > 0 {
-		if _, err := s.walAppend(t.logged, &t.ends, nil); err != nil {
-			return err
-		}
-	}
-	return applyErr
+		return t.logged, nil
+	})
+	return err
 }
 
 // recordVerb names a replicated record's command for the joined

@@ -97,7 +97,7 @@ func TestScheme1Checkpoint(t *testing.T) {
 	c.must("SKETCH.CREATE old bloom bits=4096 window=1024 shards=2", "+OK")
 	c.must("SKETCH.CREATE kept cm counters=1024 window=1024 shards=2", "+OK")
 	c.must("SKETCH.INSERT kept 5 5 5", ":3")
-	if err := s1.checkpoint(true); err != nil {
+	if err := s1.checkpoint(true, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s1.saveAutosaves(); err != nil {

@@ -247,10 +247,12 @@ type Server struct {
 
 	fs  failfs.FS
 	wal *wal.Log
-	// chkMu orders mutations against checkpoints: every state-changing
-	// command holds it shared around its apply-then-log pair, and a
-	// checkpoint holds it exclusively, so the snapshot it writes is
-	// exactly the state at the log position it truncates to.
+	// chkMu orders mutations against checkpoints. Two functions hold it
+	// around a mutation: mutate shared, around every apply-and-append,
+	// and checkpoint exclusively, around a whole-state change and the
+	// snapshot. So a checkpoint sees none or all of an apply-and-append,
+	// and the snapshot it writes is exactly the state at the log
+	// position it truncates to.
 	chkMu sync.RWMutex
 }
 
@@ -489,7 +491,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	if s.wal != nil {
 		// Final checkpoint: restart recovers from snapshots alone.
-		if cerr := s.checkpoint(true); err == nil {
+		if cerr := s.checkpoint(true, nil); err == nil {
 			err = cerr
 		}
 		if cerr := s.wal.Close(); err == nil {

@@ -8,7 +8,6 @@ const (
 	vWriteGate                        // refused READONLY on a replica
 	vAllocGate                        // refused at the refuse_create overload rung and above
 	vInsertGate                       // an insert verb (arguments past the name are keys): refused at refuse_insert
-	vChkLock                          // an apply-then-log pair: runs under the shared checkpoint lock (conn.run)
 	vTakeover                         // the handler takes the connection over for good (conn.slow)
 	// vNoAdmit exempts a verb from admission control (Config.MaxInflight).
 	// A replication link must not be answered BUSY by the load it exists
@@ -23,7 +22,7 @@ const (
 type verb struct {
 	name string
 	// usage is the verb with its argument synopsis: the heading of its
-	// entry in doc.go and the README (TestVerbReference), and after
+	// entry in the README's verb reference (TestVerbReference), and after
 	// "want" the arity error.
 	usage string
 	// min and max bound the argument count; max 0 is no upper bound.
@@ -70,9 +69,9 @@ var verbs = [numVerbs]verb{
 	verbInfo:      {name: "INFO", usage: "INFO", run: (*conn).cmdInfo},
 	verbSlowlog:   {name: "SLOWLOG", usage: "SLOWLOG [GET [n] | LEN | RESET]", run: (*conn).cmdSlowlog},
 	verbList:      {name: "SKETCH.LIST", usage: "SKETCH.LIST", run: (*conn).cmdList},
-	verbCreate:    {name: "SKETCH.CREATE", usage: "SKETCH.CREATE name kind [param=value ...]", min: 2, flags: vMutates | vWriteGate | vAllocGate | vChkLock, run: (*conn).cmdCreate},
-	verbDrop:      {name: "SKETCH.DROP", usage: "SKETCH.DROP name", min: 1, max: 1, flags: vMutates | vWriteGate | vChkLock, run: (*conn).cmdDrop},
-	verbInsert:    {name: "SKETCH.INSERT", usage: "SKETCH.INSERT name key [key ...]", min: 2, flags: vMutates | vWriteGate | vInsertGate | vChkLock, run: (*conn).cmdInsert},
+	verbCreate:    {name: "SKETCH.CREATE", usage: "SKETCH.CREATE name kind [param=value ...]", min: 2, flags: vMutates | vWriteGate | vAllocGate, run: (*conn).cmdCreate},
+	verbDrop:      {name: "SKETCH.DROP", usage: "SKETCH.DROP name", min: 1, max: 1, flags: vMutates | vWriteGate, run: (*conn).cmdDrop},
+	verbInsert:    {name: "SKETCH.INSERT", usage: "SKETCH.INSERT name key [key ...]", min: 2, flags: vMutates | vWriteGate | vInsertGate, run: (*conn).cmdInsert},
 	verbQuery:     {name: "SKETCH.QUERY", usage: "SKETCH.QUERY name key", min: 2, max: 2, run: (*conn).cmdQuery},
 	verbCard:      {name: "SKETCH.CARD", usage: "SKETCH.CARD name", min: 1, max: 1, run: (*conn).cmdCard},
 	verbStats:     {name: "SKETCH.STATS", usage: "SKETCH.STATS name|*", min: 1, max: 1, run: (*conn).cmdStats},
@@ -84,7 +83,7 @@ var verbs = [numVerbs]verb{
 	verbReplconf:  {name: "REPLCONF", usage: "REPLCONF [option value]", flags: vNoAdmit, run: (*conn).cmdReplconf},
 	verbPsync:     {name: "PSYNC", usage: "PSYNC ? | gen seg off", flags: vTakeover | vNoAdmit, run: (*conn).cmdPsync},
 	verbTrace:     {name: "TRACE", usage: "TRACE [GET [id | SLOWEST [n]] | SAMPLE [n] | RESET]", run: (*conn).cmdTrace},
-	verbMinsert:   {name: "MINSERT", usage: "MINSERT name key [key ...]", min: 2, flags: vMutates | vWriteGate | vInsertGate | vChkLock, run: (*conn).cmdInsert},
+	verbMinsert:   {name: "MINSERT", usage: "MINSERT name key [key ...]", min: 2, flags: vMutates | vWriteGate | vInsertGate, run: (*conn).cmdInsert},
 	verbHotkeys:   {name: "HOTKEYS", usage: "HOTKEYS [name] [k]", max: 2, run: (*conn).cmdHotkeys},
 	verbClient:    {name: "CLIENT", usage: "CLIENT LIST, KILL addr, GETNAME or SETNAME name", min: 1, run: (*conn).cmdClient},
 	verbMonitor:   {name: "MONITOR", usage: "MONITOR", flags: vTakeover | vNoAdmit, run: (*conn).cmdMonitor},

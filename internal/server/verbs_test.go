@@ -92,22 +92,20 @@ func reference(t *testing.T, file, from, to string, entry *regexp.Regexp, tmpl s
 	}
 }
 
-// TestVerbReference: the Commands list of doc.go and the verb reference
-// of the README name exactly the table's verbs, each with the table's
-// usage string.
+// TestVerbReference: the README's verb reference names exactly the
+// table's verbs, each headed by the table's usage string.
 func TestVerbReference(t *testing.T) {
 	var want []string
 	for _, v := range verbs[:verbOther] {
 		want = append(want, v.usage)
 	}
 	slices.Sort(want)
-	reference(t, "doc.go", "// Commands ", "// Example session", regexp.MustCompile(`(?m)^//\t([A-Z].*)$`), "$1", want)
 	reference(t, "../../README.md", "### Verb reference", "\n```\n\n", regexp.MustCompile(`(?m)^([A-Z][A-Z.]+( .*)?)$`), "$1", want)
 }
 
-// TestCounterReference: the operational-counter lists of doc.go and the
-// README name exactly the declared counters, each with the help line of
-// its declaration. The names are in the Prometheus alphabet as declared,
+// TestCounterReference: the README's operational-counter table names
+// exactly the declared counters, each with the help line of its
+// declaration. The names are in the Prometheus alphabet as declared,
 // so no surface sanitises them.
 func TestCounterReference(t *testing.T) {
 	var want []string
@@ -118,6 +116,5 @@ func TestCounterReference(t *testing.T) {
 		}
 		want = append(want, "she_"+r.Name+" "+r.Help)
 	}
-	reference(t, "doc.go", "// The operational counters", "// Command timing", regexp.MustCompile(`(?m)^//\t(she_\w+) +(.*)$`), "$1 $2", want)
 	reference(t, "../../README.md", "| Counter | Meaning |", "\n\n", regexp.MustCompile("(?m)^  \\| `(she_\\w+)` \\| (.*) \\|$"), "$1 $2", want)
 }
