@@ -117,13 +117,13 @@ func appendKeys(dst []uint64, toks []string) []uint64 {
 	return dst
 }
 
-// insertGroup accumulates one sketch's parsed keys within a batch.
-// The name is a copy (the read buffer that produced it is recycled on
-// the next ReadSlice); both backing arrays are reused across batches.
+// insertGroup accumulates one sketch's parsed keys within a batch, by
+// name (a copy: the read buffer is recycled on the next ReadSlice), and
+// their insert record once applied; every backing array is reused.
 type insertGroup struct {
-	sk   *Sketch
 	name []byte
 	keys []uint64
+	rec  []byte
 }
 
 // connBatch is one connection's batch engine: the zero-allocation fast
@@ -166,9 +166,7 @@ type connBatch struct {
 	kbuf    []uint64         // the line being scanned: its keys, at most MaxArgs-2
 	sc      she.BatchScratch // shard-partition scratch for InsertBatch
 	scratch []byte           // reply rendering buffer
-	payload []byte           // flat WAL record build buffer
-	recOff  []int            // record boundaries into payload
-	recs    [][]byte         // per-record views of payload, logged by mutate
+	recs    [][]byte         // the records mutate logs
 	ends    []wal.Cursor     // their end cursors
 }
 
@@ -327,9 +325,9 @@ func (b *connBatch) settle() {
 	b.handled, b.keys = 0, 0
 }
 
-// group returns the batch's accumulator for the named sketch,
-// resolving the registry only on the first command per sketch per
-// batch; nil when no such sketch exists.
+// group returns the batch's accumulator for the named sketch, or nil
+// when its first command in the batch names no registered sketch; the
+// keys' sketch itself is resolved when the batch applies.
 func (b *connBatch) group(name []byte) *insertGroup {
 	for i := 0; i < b.ngroups; i++ {
 		g := &b.groups[i]
@@ -337,22 +335,20 @@ func (b *connBatch) group(name []byte) *insertGroup {
 			return g
 		}
 	}
-	sk := b.s.reg.GetBytes(name)
-	if sk == nil {
+	if b.s.reg.GetBytes(name) == nil {
 		return nil
 	}
-	return b.add(sk, name)
+	return b.add(name)
 }
 
-// add opens an empty group for sk, called name, after the batch's
+// add opens an empty group for the named sketch after the batch's
 // others.
-func (b *connBatch) add(sk *Sketch, name []byte) *insertGroup {
+func (b *connBatch) add(name []byte) *insertGroup {
 	if b.ngroups == len(b.groups) {
 		b.groups = append(b.groups, insertGroup{})
 	}
 	g := &b.groups[b.ngroups]
 	b.ngroups++
-	g.sk = sk
 	g.name = append(g.name[:0], name...)
 	g.keys = g.keys[:0]
 	return g
@@ -390,39 +386,26 @@ func (b *connBatch) applyInserts() error {
 	s.ctr.BatchCommands.Add(int64(b.cmds))
 	s.ctr.BatchKeys.Add(int64(b.nkeys))
 	s.ctr.Inserts.Add(int64(b.nkeys))
-	err := b.insertGroups(nil)
-	b.reset()
-	return err
+	return b.insertGroups(nil)
 }
 
-// insertGroups inserts each group's keys into its sketch and, with a
-// WAL, renders their insert records — one per sketch, split only where
-// a record would outgrow wal.MaxRecordBytes — all in one pass through
-// the server's apply-then-log path (mutate). A slow-path insert, traced
-// by tr, runs its one group through here too, so both paths log the
-// same records.
+// insertGroups empties the batch through the server's apply-then-log
+// path (mutate): each group's keys go to insertRun and, with a WAL, into
+// one insert record (insertrecord.go bounds its size). A group whose
+// sketch was dropped since its lines were answered is skipped, neither
+// inserted nor logged, as if the drop had come after it. A slow-path
+// insert, traced by tr, runs its one group through here too, so both
+// paths log the same records.
 func (b *connBatch) insertGroups(tr *xtrace.Trace) error {
+	defer func() { b.ngroups, b.cmds, b.nkeys = 0, 0, 0 }()
 	return b.mutate(tr, func() ([][]byte, error) {
-		b.payload = b.payload[:0]
-		b.recOff = b.recOff[:0]
+		b.recs = b.recs[:0]
 		for i := 0; i < b.ngroups; i++ {
 			g := &b.groups[i]
-			keys := g.keys
-			g.sk.InsertBatch(keys, &b.sc)
-			if b.s.wal == nil {
-				continue
+			if b.s.insertRun(g.name, g.keys, &b.sc) && b.s.wal != nil {
+				g.rec = AppendInsertRecord(g.rec[:0], g.name, g.keys)
+				b.recs = append(b.recs, g.rec)
 			}
-			for per := maxInsertRecordKeys(len(g.name)); len(keys) > 0; {
-				n := min(len(keys), per)
-				b.recOff = append(b.recOff, len(b.payload))
-				b.payload = AppendInsertRecord(b.payload, g.name, keys[:n])
-				keys = keys[n:]
-			}
-		}
-		b.recOff = append(b.recOff, len(b.payload))
-		b.recs = b.recs[:0]
-		for i := 0; i+1 < len(b.recOff); i++ {
-			b.recs = append(b.recs, b.payload[b.recOff[i]:b.recOff[i+1]])
 		}
 		return b.recs, nil
 	})
@@ -450,15 +433,4 @@ func (b *connBatch) mutate(tr *xtrace.Trace, apply func() ([][]byte, error)) err
 		b.bw.end = end
 	}
 	return err
-}
-
-// reset clears the pending inserts, keeping every backing array.
-func (b *connBatch) reset() {
-	for i := 0; i < b.ngroups; i++ {
-		b.groups[i].keys = b.groups[i].keys[:0]
-		b.groups[i].sk = nil
-	}
-	b.ngroups = 0
-	b.cmds = 0
-	b.nkeys = 0
 }

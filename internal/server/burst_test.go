@@ -106,35 +106,46 @@ func scriptLines(seed int64, n int) []string {
 // records and bursts, come in every size — and checks no line fails.
 func runScript(t *testing.T, s *Server, seed int64, lines []string) {
 	t.Helper()
-	conn, err := net.Dial("tcp", s.Addr().String())
-	if err != nil {
+	rng := rand.New(rand.NewSource(seed))
+	if err := sendScript(s, lines, func(left int) int { return min(left, 1+rng.Intn(60)) }); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// sendScript sends lines over one connection, flush(left) of them at a
+// time, reading every reply of a flush before the next; it fails on the
+// first error reply. Safe to run from several goroutines.
+func sendScript(s *Server, lines []string, flush func(left int) int) error {
+	conn, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		return err
+	}
 	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	conn.SetDeadline(time.Now().Add(60 * time.Second))
 	r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
-	rng := rand.New(rand.NewSource(seed))
 	for len(lines) > 0 {
-		n := min(len(lines), 1+rng.Intn(60))
+		n := flush(len(lines))
 		for _, l := range lines[:n] {
 			w.WriteString(l + "\n")
 		}
 		if err := w.Flush(); err != nil {
-			t.Fatal(err)
+			return err
 		}
 		for _, l := range lines[:n] {
 			reply, err := r.ReadString('\n')
 			if err != nil || strings.HasPrefix(reply, "-") {
-				t.Fatalf("%.40s = %q, %v", l, reply, err)
+				return fmt.Errorf("%.40s = %q, %v", l, reply, err)
 			}
 		}
 		lines = lines[n:]
 	}
+	return nil
 }
 
-// TestFollowerByteEqualAtEqualCursor: after a random
-// MINSERT/INSERT/CREATE/DROP script, a follower that has acknowledged
-// the primary's tip holds byte-for-byte the primary's sketches, although
+// TestFollowerByteEqualAtEqualCursor: after two writers' random
+// MINSERT/INSERT/CREATE/DROP scripts — each on its own names, both
+// feeding one shared sketch — a follower that has acknowledged the
+// primary's tip holds byte-for-byte the primary's sketches, although
 // it checkpointed many times while the bursts came in; and what it
 // acknowledged is in its own log: killed and restarted on its own, it
 // recovers the same bytes.
@@ -146,7 +157,28 @@ func TestFollowerByteEqualAtEqualCursor(t *testing.T) {
 	eventually(t, "full sync", func() bool { return caughtUp(primary, follower) })
 	chk0 := follower.ctr.Checkpoints.Value()
 
-	runScript(t, primary, 1, scriptLines(1, 1500))
+	dialServer(t, primary).must("SKETCH.CREATE shared cm counters=2048 window=2048 shards=2", "+OK")
+	errs := make(chan error, 2)
+	for wr, prefix := range []string{"s", "t"} {
+		var lines []string
+		for i, l := range scriptLines(int64(1+wr), 1500) {
+			f := strings.SplitN(l, " ", 3)
+			f[1] = prefix + f[1][1:]
+			lines = append(lines, strings.Join(f, " "))
+			if i%4 == 0 {
+				lines = append(lines, fmt.Sprintf("MINSERT shared %d %d %d", wr, i, i*i))
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(1 + wr)))
+		go func() {
+			errs <- sendScript(primary, lines, func(left int) int { return min(left, 1+rng.Intn(60)) })
+		}()
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
 	eventually(t, "follower at the primary's tip", func() bool { return caughtUp(primary, follower) })
 	want := registryImage(t, primary)
 	if len(want) == 0 {

@@ -199,7 +199,6 @@ func (c *conn) contain() {
 		return
 	}
 	c.s.ctr.PanicsRecovered.Inc()
-	c.batch.reset()
 	c.batch.release()
 	c.failed = true
 	c.nc.SetWriteDeadline(time.Now().Add(time.Second))
@@ -500,10 +499,14 @@ func (c *conn) cmdCreate(cmd Command) error {
 	if err != nil {
 		return err
 	}
-	// The record keeps the original parameter tokens, so replay builds
-	// an identical sketch through the same constructor.
+	// The arrays are allocated before mutate's ordering point; the record
+	// keeps the parameter tokens, so replay builds an identical sketch.
+	sk, err := s.reg.Build(name, cmd.Args[1], kv)
+	if err != nil {
+		return err
+	}
 	if err := c.batch.logText(c.tr, []byte("SKETCH.CREATE "+strings.Join(cmd.Args, " ")), func() error {
-		return s.reg.Create(name, cmd.Args[1], kv)
+		return s.reg.Add(name, sk)
 	}); err != nil {
 		return err
 	}
@@ -537,15 +540,12 @@ func (c *conn) cmdDrop(cmd Command) error {
 // original token hashed.
 func (c *conn) cmdInsert(cmd Command) error {
 	b, n := &c.batch, len(cmd.Args)-1
-	sk, err := c.s.reg.Get(cmd.Args[0])
-	if err != nil {
+	if _, err := c.s.reg.Get(cmd.Args[0]); err != nil {
 		return err
 	}
-	g := b.add(sk, []byte(cmd.Args[0]))
+	g := b.add([]byte(cmd.Args[0]))
 	g.keys = appendKeys(g.keys, cmd.Args[1:])
-	err = b.insertGroups(c.tr)
-	b.reset()
-	if err != nil {
+	if err := b.insertGroups(c.tr); err != nil {
 		return err
 	}
 	c.s.ctr.Inserts.Add(int64(n))

@@ -65,13 +65,13 @@
 // exactly the key ParseKey gives the token — and a line with a byte
 // outside printable ASCII, or a shape the four fast verbs do not have,
 // is left to the general path untouched. The keys are grouped by
-// target sketch, and the batch is applied at the next drain point:
-// the connection's input buffer running empty, a non-insert command
-// arriving, the per-connection cap of 16384 buffered keys, or
-// reply-buffer pressure.
-// One apply pays a single registry lookup and lock acquisition per
-// distinct sketch, a single WAL append for all of the batch's records
-// and a single admission-control slot.
+// target sketch name, and the batch is applied at the next drain
+// point: the connection's input buffer running empty, a non-insert
+// command arriving, the per-connection cap of 16384 buffered keys, or
+// reply-buffer pressure. The apply resolves each name (insertRun, as
+// replay and followers do) and pays one lock acquisition and one
+// insert record per distinct sketch, one WAL append and one admission
+// slot.
 //
 // The two read verbs ride the same fast path: a SKETCH.QUERY <name>
 // <key> or SKETCH.CARD <name> line is answered from the same single
@@ -385,7 +385,8 @@
 // exclusively, around a whole-state replacement (LOAD, a full sync's
 // wipe) and the snapshot. So a checkpoint sees none or all of an
 // apply-and-append, and its snapshot is the state at the log position
-// it truncates to.
+// it truncates to. mutate also holds one ordering mutex across both,
+// so writers apply in log order and the log rebuilds the state exactly.
 //
 // Every snapshot file the server writes — WAL checkpoints, autosaves,
 // SKETCH.SAVE — is sealed in a checksummed envelope (wal.Seal: magic,
@@ -458,7 +459,7 @@
 // an insert record from the text lines SKETCH.CREATE and SKETCH.DROP
 // are logged as; the length + CRC32C framing is the WAL's, unchanged.
 // Replay and follower apply decode it straight into
-// Sketch.InsertBatch. A decimal INSERT/MINSERT line, which only
+// insertRun. A decimal INSERT/MINSERT line, which only
 // binaries from before position scheme 2 logged, is refused by name and
 // counted in wal_replay_skipped. At 8.0 bytes a key instead of
 // about 20, Config.CheckpointBytes and Config.ReplicaMaxLagBytes

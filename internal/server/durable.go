@@ -75,12 +75,11 @@ func (s *Server) recoverWAL() error {
 
 // applyRecord re-applies one logged mutation, during replay and on a
 // follower. The first byte picks the arm: an insert record goes
-// straight from its bytes to Sketch.InsertBatch through buf; anything
-// else is a protocol-shaped line and shares the wire parser —
-// SKETCH.CREATE and SKETCH.DROP. Semantic conflicts (a record for a
-// sketch missing after a quarantined-segment gap) are returned for the
-// caller to count and log — one bad record must not abort recovery of
-// the rest.
+// straight from its bytes to insertRun through buf; anything else is a
+// protocol-shaped line and shares the wire parser — SKETCH.CREATE and
+// SKETCH.DROP. Semantic conflicts (a record for a sketch missing after
+// a quarantined-segment gap) are returned for the caller to count and
+// log — one bad record must not abort recovery of the rest.
 func (s *Server) applyRecord(rec []byte, buf *insertBuf) error {
 	if isInsertRecord(rec) {
 		name, keys, err := decodeInsertRecord(rec, buf.keys)
@@ -88,11 +87,9 @@ func (s *Server) applyRecord(rec []byte, buf *insertBuf) error {
 			return err
 		}
 		buf.keys = keys
-		sk := s.reg.GetBytes(name)
-		if sk == nil {
+		if !s.insertRun(name, keys, &buf.sc) {
 			return fmt.Errorf("no such sketch %q", name)
 		}
-		sk.InsertBatch(keys, &buf.sc)
 		return nil
 	}
 	cmd, err := ParseCommand(string(rec))
@@ -130,17 +127,30 @@ func (s *Server) applyRecord(rec []byte, buf *insertBuf) error {
 	return fmt.Errorf("unexpected record command %q", cmd.Name)
 }
 
+// insertRun is the one way from an insert to sketch state: WAL replay,
+// a follower's burst, the connection batch and the slow-path insert all
+// resolve the named sketch here, the last three inside mutate's
+// ordering point. False means no such sketch.
+func (s *Server) insertRun(name []byte, keys []uint64, sc *she.BatchScratch) bool {
+	sk := s.reg.GetBytes(name)
+	if sk != nil {
+		sk.InsertBatch(keys, sc)
+	}
+	return sk != nil
+}
+
 // mutate is the one apply-then-log path: a connection batch, a
 // slow-path SKETCH.CREATE, SKETCH.DROP or insert, and a follower's burst
 // all change state through it. Under the shared side of chkMu it runs
 // apply and appends the records apply returns — also when apply returns
 // an error with them, since those records are in the sketches — so a
-// checkpoint sees none or all of an apply-and-append. *ends is the
+// checkpoint sees none or all of an apply-and-append; ordMu, held
+// across both, makes writers apply in the order they log. *ends is the
 // caller's walAppend scratch; the end cursor of the last record is
 // returned (zero when nothing was logged). A sampled command's mutate
-// span covers the apply and the append. After the lock is released, a
-// log that has outgrown its bound is checkpointed. Without a WAL apply
-// just runs.
+// span covers the apply and the append. After the locks are released,
+// a log that has outgrown its bound is checkpointed. Without a WAL
+// apply just runs, under no lock of mutate's.
 func (s *Server) mutate(tr *xtrace.Trace, ends *[]wal.Cursor, apply func() ([][]byte, error)) (end wal.Cursor, err error) {
 	sp := tr.StartSpan("mutate")
 	if s.wal == nil {
@@ -151,6 +161,8 @@ func (s *Server) mutate(tr *xtrace.Trace, ends *[]wal.Cursor, apply func() ([][]
 	func() {
 		s.chkMu.RLock()
 		defer s.chkMu.RUnlock() // by defer: a panic in apply must not wedge checkpoints
+		s.ordMu.Lock()
+		defer s.ordMu.Unlock() // nor other writers
 		recs, aerr := apply()
 		if len(recs) > 0 {
 			end, err = s.walAppend(recs, ends, tr)

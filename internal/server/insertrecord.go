@@ -14,23 +14,23 @@ import (
 //	insertTag · len(name) · name · n × little-endian uint64
 //
 // with n read off the record's length. Every other record is a
-// protocol-shaped text line (SKETCH.CREATE, SKETCH.DROP, and the decimal
-// INSERT/MINSERT lines older binaries logged); none of those can begin
-// with insertTag, a control byte ParseCommand rejects and strings.Fields
-// does not skip as space, so the first byte tells the two apart and
-// neither decoder accepts the other's records. Framing (length, CRC32C)
-// is wal.EncodeRecord's, the same for both.
+// protocol-shaped text line, SKETCH.CREATE or SKETCH.DROP; neither can
+// begin with insertTag, a control byte ParseCommand rejects and
+// strings.Fields does not skip as space, so the first byte tells the
+// two apart and neither decoder accepts the other's records. Framing
+// (length, CRC32C) is wal.EncodeRecord's, the same for both. Decimal
+// INSERT/MINSERT lines, which older binaries logged, are refused by name
+// (wal_replay_skipped on replay; a follower's burst fails on one).
 const insertTag = 0x01
 
 // maxNameLen is the longest sketch name (ValidName); it fits the
 // record's one length byte.
 const maxNameLen = 128
 
-// maxInsertRecordKeys is how many keys fit a record for a sketch whose
-// name has nameLen bytes; a longer run is split into several records.
-func maxInsertRecordKeys(nameLen int) int {
-	return (wal.MaxRecordBytes - 2 - nameLen) / 8
-}
+// A batch holds one group per sketch and under batchMaxKeys keys before
+// a line adds its MaxArgs-2, so a sketch's run in a batch is one record:
+// this does not compile if that could pass wal.MaxRecordBytes.
+const _ = uint(wal.MaxRecordBytes - (2 + maxNameLen + 8*(batchMaxKeys+MaxArgs-2)))
 
 // isInsertRecord reports whether rec is an insert record rather than a
 // text line.

@@ -218,38 +218,32 @@ func TestReplayMixedFormatLog(t *testing.T) {
 	}
 }
 
-// TestInsertRecordSplit: a sketch's run longer than one record can
-// hold is logged as several records, cut at wal.MaxRecordBytes and
-// nowhere else, and replays to the same sketch.
+// TestInsertRecordSplit: the largest run a batch can hold for one
+// sketch — batchMaxKeys-1 keys and then one more line of MaxArgs-2 — is
+// one record for the longest name, within wal.MaxRecordBytes, and
+// replays to the same sketch. That bound is what the compile-time guard
+// in insertrecord.go holds for every batch.
 func TestInsertRecordSplit(t *testing.T) {
 	dir := t.TempDir()
 	s := startWAL(t, dir, nil, 64<<20)
-	create := []byte("SKETCH.CREATE flows bloom bits=65536 window=65536 shards=2")
-	if _, err := s.mutate(nil, new([]wal.Cursor), func() ([][]byte, error) {
-		return [][]byte{create}, s.reg.Create("flows", "bloom", map[string]string{"bits": "65536", "window": "65536", "shards": "2"})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	per := maxInsertRecordKeys(len("flows"))
-	keys := testKeys(7, 2*per+10)
+	defer s.Abort()
+	name := strings.Repeat("f", maxNameLen)
+	c := dialServer(t, s)
+	c.must("SKETCH.CREATE "+name+" bloom bits=65536 window=65536 shards=2", "+OK")
+	keys := testKeys(7, batchMaxKeys+MaxArgs-3)
 	before := s.ctr.WALRecords.Value()
 	b := &connBatch{s: s, bw: &syncWriter{s: s}}
-	g := b.group([]byte("flows"))
+	g := b.group([]byte(name))
 	g.keys = append(g.keys, keys...)
 	b.cmds, b.nkeys = 1, len(keys)
 	if err := b.applyInserts(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.ctr.WALRecords.Value() - before; got != 3 {
-		t.Fatalf("%d keys logged as %d records, want 3 (%d keys fit one)", len(keys), got, per)
+	if got := s.ctr.WALRecords.Value() - before; got != 1 {
+		t.Fatalf("%d keys logged as %d records, want 1", len(keys), got)
 	}
-	for _, rec := range b.recs {
-		if len(rec) > wal.MaxRecordBytes {
-			t.Fatalf("record of %d bytes exceeds wal.MaxRecordBytes", len(rec))
-		}
-	}
-	if len(b.recs[0]) != 2+len("flows")+8*per {
-		t.Fatalf("first record holds %d bytes, want a full one", len(b.recs[0]))
+	if n := len(b.recs[0]); n != 2+maxNameLen+8*len(keys) || n > wal.MaxRecordBytes {
+		t.Fatalf("record of %d bytes, want %d, at most wal.MaxRecordBytes", n, 2+maxNameLen+8*len(keys))
 	}
 	if err := s.wal.Sync(); err != nil {
 		t.Fatal(err)

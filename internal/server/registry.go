@@ -340,22 +340,33 @@ func NewRegistry(auditCfg audit.Config) *Registry {
 	return &Registry{sketches: make(map[string]*Sketch), audit: auditCfg}
 }
 
-// Create builds and registers a new sketch; it errors if name is
-// taken. The (possibly large) arrays are allocated outside the lock.
+// Create builds and registers a new sketch; it errors if name is taken.
 func (r *Registry) Create(name, kind string, kv map[string]string) error {
-	r.mu.RLock()
-	_, exists := r.sketches[name]
-	r.mu.RUnlock()
-	if exists {
-		return fmt.Errorf("sketch %q already exists", name)
+	sk, err := r.Build(name, kind, kv)
+	if err == nil {
+		err = r.Add(name, sk)
+	}
+	return err
+}
+
+// Build makes the sketch SKETCH.CREATE registers with Add: it refuses a
+// taken name, then allocates the arrays and auditor outside every lock.
+func (r *Registry) Build(name, kind string, kv map[string]string) (*Sketch, error) {
+	if r.GetBytes([]byte(name)) != nil {
+		return nil, fmt.Errorf("sketch %q already exists", name)
 	}
 	sk, err := NewSketch(kind, kv)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if r.audit.SampleProb > 0 {
 		sk.attachAudit(r.audit)
 	}
+	return sk, nil
+}
+
+// Add registers sk, made by Build, under name unless name is taken.
+func (r *Registry) Add(name string, sk *Sketch) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, exists := r.sketches[name]; exists {

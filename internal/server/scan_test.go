@@ -259,9 +259,9 @@ func traceOf(b *connBatch, w *bufio.Writer) batchTrace {
 		Buffer: w.Buffered(), Commands: b.s.ctr.Commands.Value(), Inserts: b.s.ctr.Inserts.Value(),
 	}
 	// Every slot of the backing array, not only the live ones: a group
-	// made and abandoned would keep its *Sketch beyond ngroups.
+	// made and abandoned would keep its name and keys beyond ngroups.
 	for _, g := range b.groups[:cap(b.groups)] {
-		tr.Groups = append(tr.Groups, fmt.Sprintf("%p %q %v", g.sk, g.name, g.keys))
+		tr.Groups = append(tr.Groups, fmt.Sprintf("%q %v", g.name, g.keys))
 	}
 	return tr
 }

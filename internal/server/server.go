@@ -254,6 +254,9 @@ type Server struct {
 	// and the snapshot it writes is exactly the state at the log
 	// position it truncates to.
 	chkMu sync.RWMutex
+	// ordMu is mutate's ordering point: the log order is the apply
+	// order. Not the log's own lock, which Log.Sync holds across fsync.
+	ordMu sync.Mutex
 }
 
 // auditSeed salts the audit sampling hash, fixed so the audited key
