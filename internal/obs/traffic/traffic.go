@@ -1,12 +1,11 @@
 // Package traffic is shed's self-telemetry subsystem: the server
 // observes its own traffic with the same sketch machinery it serves.
 // The commands the server's obs.Sampler picks at its traffic rate feed
-// two consumers here, and a third sees every connection. The server
-// holds one of each:
+// two consumers here, and a third sees every connection:
 //
-//   - HotKeys, per-sketch sliding-window hot-key tracking (she.TopK
-//     over the sampled insert keys), served by the HOTKEYS verb and the
-//     she_hotkeys_* metric families;
+//   - Track, one sketch's sliding-window hot-key tracker (she.TopK over
+//     the sampled insert keys), held by the sketch it describes and
+//     served by the HOTKEYS verb and the she_hotkeys_* metric families;
 //   - Hub, the MONITOR broadcast: bounded per-subscriber channels of
 //     sampled command frames, dropped (and counted) when a consumer lags;
 //   - Clients, the per-connection accounting registry (bytes, commands by verb,

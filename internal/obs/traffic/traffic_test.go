@@ -11,17 +11,19 @@ import (
 // TestHotKeysScaling checks that HOTKEYS estimates scale the sampled
 // counts back up by the sampling rate and rank heaviest-first.
 func TestHotKeysScaling(t *testing.T) {
-	var tr HotKeys
-	name := []byte("fx")
+	tr := NewTrack()
+	if entries, sampled := tr.Top(0, 64); len(entries) != 0 || sampled != 0 {
+		t.Fatalf("empty track = %v, %d sampled", entries, sampled)
+	}
 	for i := 0; i < 100; i++ {
-		tr.Note(name, []uint64{7})
+		tr.Note([]uint64{7})
 	}
 	for i := 0; i < 10; i++ {
-		tr.Note(name, []uint64{8})
+		tr.Note([]uint64{8})
 	}
-	entries, ok := tr.Top("fx", 0, 64)
-	if !ok || len(entries) < 2 {
-		t.Fatalf("HotKeys = %v, %v", entries, ok)
+	entries, sampled := tr.Top(0, 64)
+	if sampled != 110 || len(entries) < 2 {
+		t.Fatalf("Top = %v, %d sampled", entries, sampled)
 	}
 	if entries[0].Key != 7 || entries[1].Key != 8 {
 		t.Fatalf("ranking = %v, want key 7 then 8", entries)
@@ -35,42 +37,11 @@ func TestHotKeysScaling(t *testing.T) {
 	if entries[0].Count != entries[0].Sampled*64 {
 		t.Fatalf("count %d != sampled %d × rate 64", entries[0].Count, entries[0].Sampled)
 	}
-
-	if _, ok := tr.Top("nope", 0, 64); ok {
-		t.Fatal("untracked sketch reported ok")
+	if top1, _ := tr.Top(1, 64); len(top1) != 1 || top1[0] != entries[0] {
+		t.Fatalf("Top(1) = %v, want the first of %v", top1, entries)
 	}
-	sk, hot, ok := tr.Hottest(64)
-	if !ok || sk != "fx" || hot.Key != 7 {
-		t.Fatalf("Hottest = %q %v %v, want fx key 7", sk, hot, ok)
-	}
-	var empty HotKeys
-	if _, _, ok := empty.Hottest(64); ok {
-		t.Fatal("empty registry reported a hottest key")
-	}
-}
-
-// TestForget checks DROP cleanup: a forgotten sketch's track is gone.
-func TestForget(t *testing.T) {
-	var tr HotKeys
-	tr.Note([]byte("fx"), []uint64{1})
-	if _, ok := tr.Top("fx", 0, 1); !ok {
-		t.Fatal("tracked sketch missing")
-	}
-	tr.Forget("fx")
-	if _, ok := tr.Top("fx", 0, 1); ok {
-		t.Fatal("forgotten sketch still tracked")
-	}
-}
-
-// TestHotTrackCap checks the registry refuses to grow without bound:
-// past maxHotTracks sketches, new names are not tracked.
-func TestHotTrackCap(t *testing.T) {
-	var tr HotKeys
-	for i := 0; i < maxHotTracks+10; i++ {
-		tr.Note([]byte(fmt.Sprintf("s%d", i)), []uint64{1})
-	}
-	if n := len(tr.Stats(1)); n != maxHotTracks {
-		t.Fatalf("tracked %d sketches, want cap %d", n, maxHotTracks)
+	if tr.MemoryBytes() < hotCounters*4 {
+		t.Fatalf("MemoryBytes = %d, want at least %d counters of 4 bytes", tr.MemoryBytes(), hotCounters)
 	}
 }
 
@@ -200,12 +171,12 @@ func TestCountConn(t *testing.T) {
 	}
 }
 
-// TestTrackerConcurrency hammers the hot-key tracks, the MONITOR hub
+// TestTrackerConcurrency hammers a hot-key track, the MONITOR hub
 // and the client registry from many goroutines at once; run under
 // -race this is the wait-free claim's regression test.
 func TestTrackerConcurrency(t *testing.T) {
 	var (
-		hot HotKeys
+		hot = NewTrack()
 		hub Hub
 	)
 	clients := NewClients([]string{"A", "B"})
@@ -215,12 +186,11 @@ func TestTrackerConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			name := []byte{byte('a' + g%2)}
 			c := clients.Register(fmt.Sprintf("c%d", g), nil)
 			defer clients.Unregister(c)
 			for i := 0; i < 2000; i++ {
 				if i%2 == 0 { // the lines a 1-in-2 sampler picks
-					hot.Note(name, []uint64{uint64(i % 17)})
+					hot.Note([]uint64{uint64(i % 17)})
 					if hub.Wants() {
 						hub.Publish("x", "A 1")
 					}
@@ -239,8 +209,7 @@ func TestTrackerConcurrency(t *testing.T) {
 			default:
 			}
 			sub := hub.Subscribe()
-			hot.Stats(2)
-			hot.Hottest(2)
+			hot.Top(0, 2)
 			clients.List()
 			hub.Unsubscribe(sub)
 		}

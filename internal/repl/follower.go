@@ -52,6 +52,14 @@ type Record struct {
 // the follower is behind.
 const maxBurstBytes = 256 << 10
 
+const (
+	// dialTimeout bounds connection establishment.
+	dialTimeout = 5 * time.Second
+	// linkTimeout bounds the wait for stream traffic; the primary
+	// heartbeats idle channels, so expiry means the link is dead.
+	linkTimeout = 30 * time.Second
+)
+
 // FollowerConfig parameterises a replication client.
 type FollowerConfig struct {
 	// PrimaryAddr is the host:port of the primary's wire listener.
@@ -59,12 +67,6 @@ type FollowerConfig struct {
 	// ListenPort is this node's own client port, reported via
 	// REPLCONF LISTENING-PORT for the primary's ROLE output.
 	ListenPort int
-	// DialTimeout bounds connection establishment. Default 5s.
-	DialTimeout time.Duration
-	// ReadTimeout bounds the wait for stream traffic; the primary
-	// heartbeats idle channels, so expiry means the link is dead.
-	// Default 30s.
-	ReadTimeout time.Duration
 	// RetryInterval is the base pause between reconnection attempts;
 	// consecutive failures double it (with ±25% jitter) up to
 	// MaxRetryInterval. Default 1s.
@@ -115,12 +117,6 @@ type Follower struct {
 
 // NewFollower builds a follower; Run starts it.
 func NewFollower(cfg FollowerConfig, target Target) *Follower {
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
-	if cfg.ReadTimeout <= 0 {
-		cfg.ReadTimeout = 30 * time.Second
-	}
 	if cfg.RetryInterval <= 0 {
 		cfg.RetryInterval = time.Second
 	}
@@ -251,7 +247,7 @@ func (f *Follower) isStopped() bool {
 // then the streaming loop. Any returned error tears the connection
 // down; Run reconnects.
 func (f *Follower) session() error {
-	conn, err := f.cfg.Dial("tcp", f.cfg.PrimaryAddr, f.cfg.DialTimeout)
+	conn, err := f.cfg.Dial("tcp", f.cfg.PrimaryAddr, dialTimeout)
 	if err != nil {
 		return err
 	}
@@ -271,7 +267,7 @@ func (f *Follower) session() error {
 		f.mu.Unlock()
 	}()
 
-	link := linkConn{conn, f.cfg.ReadTimeout}
+	link := linkConn{conn}
 	r := bufio.NewReaderSize(link, 1<<16)
 	w := bufio.NewWriterSize(link, 1<<16)
 
@@ -353,23 +349,20 @@ func (f *Follower) session() error {
 }
 
 // linkConn arms the link's deadline where bytes meet the socket:
-// ReadTimeout from each read and each write, not from each protocol
+// linkTimeout from each read and each write, not from each protocol
 // line, so a burst of frames pays one clock read and one poller update
 // per socket read (the idleReader shape of internal/server), and a
 // frame that arrives in pieces has the full timeout from its latest
 // piece.
-type linkConn struct {
-	net.Conn
-	timeout time.Duration
-}
+type linkConn struct{ net.Conn }
 
 func (c linkConn) Read(p []byte) (int, error) {
-	c.Conn.SetReadDeadline(time.Now().Add(c.timeout))
+	c.Conn.SetReadDeadline(time.Now().Add(linkTimeout))
 	return c.Conn.Read(p)
 }
 
 func (c linkConn) Write(p []byte) (int, error) {
-	c.Conn.SetWriteDeadline(time.Now().Add(c.timeout))
+	c.Conn.SetWriteDeadline(time.Now().Add(linkTimeout))
 	return c.Conn.Write(p)
 }
 

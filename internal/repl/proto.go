@@ -78,6 +78,27 @@ func WriteAck(w *bufio.Writer, c wal.Cursor, recs, bytes uint64) error {
 	return err
 }
 
+// ReadAck reads one acknowledgement frame, as WriteAck writes it.
+func ReadAck(r *bufio.Reader) (c wal.Cursor, recs, bytes uint64, err error) {
+	line, err := readLine(r)
+	if err != nil {
+		return c, 0, 0, err
+	}
+	f := strings.Fields(line)
+	if len(f) != 6 || f[0] != verbAck {
+		return c, 0, 0, fmt.Errorf("repl: bad ack line %q", line)
+	}
+	if c, err = ParseCursor(f[1], f[2], f[3]); err != nil {
+		return c, 0, 0, err
+	}
+	recs, err1 := strconv.ParseUint(f[4], 10, 64)
+	bytes, err2 := strconv.ParseUint(f[5], 10, 64)
+	if err1 != nil || err2 != nil {
+		return c, 0, 0, fmt.Errorf("repl: bad ack counts %q", line)
+	}
+	return c, recs, bytes, nil
+}
+
 // appendCursor appends " gen seg off" in decimal.
 func appendCursor(b []byte, c wal.Cursor) []byte {
 	b = strconv.AppendUint(append(b, ' '), c.Gen, 10)

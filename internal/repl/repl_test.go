@@ -157,7 +157,7 @@ func TestFollowerFullSyncAndStream(t *testing.T) {
 	start := wal.Cursor{Gen: 3, Seg: 7, Off: 0}
 	rec1End := wal.Cursor{Gen: 3, Seg: 7, Off: 40}
 	rec2End := wal.Cursor{Gen: 3, Seg: 7, Off: 80}
-	ackc := make(chan string, 8)
+	ackc := make(chan wal.Cursor, 8)
 
 	p := startFakePrimary(t, func(r *bufio.Reader, w *bufio.Writer) error {
 		args, err := handshake(r, w)
@@ -176,11 +176,11 @@ func TestFollowerFullSyncAndStream(t *testing.T) {
 		WriteRecord(w, rec2End, []byte("I pageviews 3 4"), 0xfeedface)
 		w.Flush()
 		for i := 0; i < 2; i++ {
-			line, err := readLine(r)
+			c, _, _, err := ReadAck(r)
 			if err != nil {
 				return nil // follower may batch into one ack
 			}
-			ackc <- line
+			ackc <- c
 		}
 		return nil
 	})
@@ -216,14 +216,8 @@ func TestFollowerFullSyncAndStream(t *testing.T) {
 	// One ack per burst, each for the cursor of its burst's last record;
 	// the two records may have come as one burst or as two.
 	for c := (wal.Cursor{}); c != rec2End; {
-		ack := <-ackc
-		fields := strings.Fields(ack)
-		if len(fields) != 6 || fields[0] != "REPLACK" {
-			t.Fatalf("ack = %q", ack)
-		}
-		var err error
-		if c, err = ParseCursor(fields[1], fields[2], fields[3]); err != nil || c.Before(rec1End) {
-			t.Fatalf("ack cursor = %v (err %v), want >= %v", c, err, rec1End)
+		if c = <-ackc; c.Before(rec1End) {
+			t.Fatalf("ack cursor = %v, want >= %v", c, rec1End)
 		}
 	}
 
@@ -626,6 +620,27 @@ func TestProtoRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseCursor("1", "2", "-3"); err == nil {
 		t.Fatal("negative offset accepted")
+	}
+
+	// REPLACK: ReadAck reads what WriteAck writes, byte for byte the
+	// frame on the wire, and refuses a malformed one.
+	sb.Reset()
+	w.Reset(&sb)
+	if err := WriteAck(w, end, 12, 345); err != nil {
+		t.Fatal(err)
+	}
+	w.Flush()
+	if sb.String() != "REPLACK 9 8 7 12 345\n" {
+		t.Fatalf("ack frame = %q", sb.String())
+	}
+	c, recs, bytes, err := ReadAck(bufio.NewReader(strings.NewReader(sb.String())))
+	if err != nil || c != end || recs != 12 || bytes != 345 {
+		t.Fatalf("ReadAck = %v %d %d err %v", c, recs, bytes, err)
+	}
+	for _, bad := range []string{"REPLACK 9 8 7 12\n", "REC 9 8 7 12 345\n", "REPLACK 9 8 7 x 345\n", "REPLACK 9 8 -7 12 345\n"} {
+		if _, _, _, err := ReadAck(bufio.NewReader(strings.NewReader(bad))); err == nil {
+			t.Fatalf("ReadAck accepted %q", bad)
+		}
 	}
 }
 

@@ -217,7 +217,7 @@ func (b *connBatch) tryFast(line []byte, w *bufio.Writer) (handled bool, vi int,
 	b.keys += len(keys)
 	b.count(vi)
 	if b.sampled(vi, line) {
-		s.hot.Note(name, keys)
+		s.reg.noteHot(name, keys)
 	}
 	// The reply is buffered before the batch is applied. If the buffer
 	// is nearly full, the write below could auto-flush — and the
@@ -279,7 +279,7 @@ func (b *connBatch) read(vi int, name []byte, keys []uint64, line []byte, w *buf
 // sampled reports whether the command's line was sampled for traffic,
 // fast path or slow. A sampled command becomes a MONITOR frame, but only
 // when someone is subscribed (rendering the line costs); a sampled
-// insert's caller then feeds its keys to the hot-key tracker.
+// insert's caller then feeds its keys to its sketch's hot-key track.
 func (b *connBatch) sampled(vi int, line []byte) bool {
 	if !b.hot {
 		return false

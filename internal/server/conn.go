@@ -294,7 +294,7 @@ func (c *conn) slow(line []byte) (over bool) {
 	}
 	if c.batch.sampled(vi, line) && insert {
 		// Runs 1-in-TrafficSample, so the allocation is off the common path.
-		s.hot.Note([]byte(cmd.Args[0]), appendKeys(nil, cmd.Args[1:]))
+		s.reg.noteHot([]byte(cmd.Args[0]), appendKeys(nil, cmd.Args[1:]))
 	}
 	if v.flags&vTakeover == 0 {
 		c.dispatch(v, cmd)
@@ -517,13 +517,7 @@ func (c *conn) cmdCreate(cmd Command) error {
 func (c *conn) cmdDrop(cmd Command) error {
 	s := c.s
 	if err := c.batch.logText(c.tr, []byte("SKETCH.DROP "+cmd.Args[0]), func() error {
-		if err := s.reg.Drop(cmd.Args[0]); err != nil {
-			return err
-		}
-		// The hot-key tracker follows the registry: a dropped sketch's
-		// telemetry window must not linger (or leak map entries).
-		s.hot.Forget(cmd.Args[0])
-		return nil
+		return s.reg.Drop(cmd.Args[0])
 	}); err != nil {
 		return err
 	}

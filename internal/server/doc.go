@@ -271,9 +271,8 @@
 // trace ID onto the sampled record's REC frame, and the follower
 // joins the SAME trace — regardless of its own sampling rate — adding
 // apply and commit_fsync spans, so TRACE GET <id> on each node
-// returns the two halves of one distributed trace. Unsampled REC
-// frames are byte-identical to the pre-tracing wire format, so mixed
-// versions interoperate.
+// returns the two halves of one distributed trace. An unsampled REC
+// header still has five fields; a sampled one carries a sixth.
 //
 // What telemetry retains sits in one bounded ring type, obs.Ring, with
 // one retention policy: a full ring drops its oldest entry. SLOWLOG
@@ -302,9 +301,9 @@
 // unparseable ones included, while either rate is on, and a line is
 // traced or traffic-sampled when the tick is a multiple of that rate —
 // one atomic add a line for both, two atomic loads with both off. A
-// sampled insert feeds its
-// already-parsed keys into a per-sketch sliding-window she.TopK — shed
-// measuring its own traffic with its own sketch — served by HOTKEYS
+// sampled insert feeds its already-parsed keys into its sketch's own
+// sliding-window she.TopK — shed measuring its own traffic with its
+// own sketch — served by HOTKEYS
 // and the she_hotkeys_* families; a sampled command of any verb
 // becomes a MONITOR frame when (and only when) a monitor is attached.
 // Per-connection accounting (CLIENT LIST) is always on and amortized:
@@ -321,9 +320,10 @@
 // order among genuinely hot keys is therefore stable (the integration
 // gate holds recall@10 ≥ 0.9 on a Zipf(1.1) stream at 1/64 sampling),
 // while tail keys churn; size R against the hottest traffic you need
-// to resolve, not the tail. Hot-key state is bounded: the top 10 keys
-// per sketch, a fixed CM behind it, at most
-// 1024 tracked sketches, and SKETCH.DROP forgets the track.
+// to resolve, not the tail. Hot-key state is the top 10 keys and a
+// fixed CM per sketch with sampled inserts. It belongs to the sketch:
+// DROP, LOAD and a full sync take it, a missing name builds none, and
+// -max-memory counts it.
 //
 // The MONITOR feed is bounded the same way the rest of the hot path
 // is wait-free: each subscriber gets a fixed ring of frames, a

@@ -133,11 +133,12 @@ func (s *Server) startOverload() {
 
 // accountMemory sums the tracked footprint. cur is what the process
 // holds now; full is what it would hold with audit shadows at their
-// configured capacity — the number downward transitions judge by.
+// configured capacity — the number downward transitions judge by. A
+// hot-key track counts with its sketch: the budget is what bounds them.
 func (s *Server) accountMemory() (cur, full int64) {
 	var sketch, aud, audFull int64
 	for _, sk := range s.reg.Snapshot() {
-		sketch += int64(sk.ResidentBytes())
+		sketch += int64(sk.ResidentBytes()) + sk.hot.Load().MemoryBytes()
 		if a := sk.Audit(); a != nil {
 			aud += a.MemoryBytes()
 			audFull += a.FullMemoryBytes()
@@ -205,9 +206,15 @@ func (s *Server) evalOverload() {
 		// so the operator's first question — what is hitting us — is
 		// answered by the same log line that reports the degradation.
 		if next > old {
-			if sk, hot, ok := s.hot.Hottest(s.sample.Traffic.Every()); ok {
-				kv = append(kv, "hot_sketch", sk,
-					"hot_key", hot.Key, "hot_key_est_count", hot.Count)
+			var hot hotRow
+			for _, h := range s.hotRows(1, s.sample.Traffic.Every()) {
+				if len(h.top) > 0 && (hot.top == nil || h.top[0].Count > hot.top[0].Count) {
+					hot = h
+				}
+			}
+			if hot.top != nil {
+				kv = append(kv, "hot_sketch", hot.name,
+					"hot_key", hot.top[0].Key, "hot_key_est_count", hot.top[0].Count)
 			}
 		}
 		lvlLog("overload level change", kv...)

@@ -11,6 +11,7 @@ import (
 
 	"she"
 	"she/internal/audit"
+	"she/internal/obs/traffic"
 )
 
 // Default SKETCH.CREATE parameters common to every kind; a kind's size
@@ -148,8 +149,9 @@ func kindList(cardOnly bool) string {
 // Sketch is one named sketch hosted by the server: a sharded
 // sliding-window structure — embedded, so what every kind answers alike
 // (Shards, MemoryBits, ResidentBytes, Stats) is the structure's own
-// answer — the row of its kind, and its insert counter. All methods are
-// safe for concurrent use — writes go through the sharded wrappers, so
+// answer — the row of its kind, its insert counter and the telemetry of
+// its stream, which comes and goes with it. All methods are safe for
+// concurrent use — writes go through the sharded wrappers, so
 // different keys proceed in parallel on different cores.
 type Sketch struct {
 	structure
@@ -160,6 +162,8 @@ type Sketch struct {
 	// the sketch is published to the registry map, so the insert path
 	// reads it without atomics: one nil check when auditing is off.
 	aud *audit.Auditor
+	// hot tracks the hot keys of the sampled inserts (Registry.noteHot).
+	hot atomic.Pointer[traffic.Track]
 }
 
 // Kind returns the name of the sketch's kind: "bloom", "cm" or "hll".
@@ -397,10 +401,22 @@ func (r *Registry) GetBytes(name []byte) *Sketch {
 	return sk
 }
 
+// noteHot feeds one sampled insert's keys to the named sketch's hot-key
+// track, which its first sampled insert builds. A name with no sketch
+// has no track.
+func (r *Registry) noteHot(name []byte, keys []uint64) {
+	if sk := r.GetBytes(name); sk != nil {
+		if sk.hot.Load() == nil {
+			sk.hot.CompareAndSwap(nil, traffic.NewTrack())
+		}
+		sk.hot.Load().Note(keys)
+	}
+}
+
 // Put registers sk under name, replacing any existing sketch
 // (SKETCH.LOAD semantics). A loaded sketch starts with an empty audit
-// shadow: its window content predates the auditor, so error samples
-// are skewed until the shadow spans a full window again.
+// shadow and no hot-key track: its window content predates both, so
+// error samples are skewed until the shadow spans a full window again.
 func (r *Registry) Put(name string, sk *Sketch) {
 	if r.audit.SampleProb > 0 && sk.aud == nil {
 		sk.attachAudit(r.audit)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
@@ -309,25 +308,9 @@ func (s *Server) streamToReplica(r *bufio.Reader, w *bufio.Writer, rep *repl.Rep
 	ackErr := make(chan error, 1)
 	go func() {
 		for {
-			line, err := readReplLine(r)
+			c, recs, bytes, err := repl.ReadAck(r)
 			if err != nil {
 				ackErr <- err
-				return
-			}
-			fields := strings.Fields(line)
-			if len(fields) != 6 || fields[0] != "REPLACK" {
-				ackErr <- fmt.Errorf("bad ack line %q", line)
-				return
-			}
-			c, err := repl.ParseCursor(fields[1], fields[2], fields[3])
-			if err != nil {
-				ackErr <- err
-				return
-			}
-			recs, err1 := strconv.ParseUint(fields[4], 10, 64)
-			bytes, err2 := strconv.ParseUint(fields[5], 10, 64)
-			if err1 != nil || err2 != nil {
-				ackErr <- fmt.Errorf("bad ack counts %q", line)
 				return
 			}
 			rep.Ack(c, recs, bytes)
@@ -425,16 +408,6 @@ func (s *Server) streamToReplica(r *bufio.Reader, w *bufio.Writer, rep *repl.Rep
 			return nil
 		}
 	}
-}
-
-// readReplLine reads one LF-terminated ack line from the replication
-// channel.
-func readReplLine(r *bufio.Reader) (string, error) {
-	line, err := r.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimRight(line, "\r\n"), nil
 }
 
 func (s *Server) isDone() bool {

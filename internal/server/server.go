@@ -102,8 +102,8 @@ type Config struct {
 	// replica joins primary-sampled traces regardless of its own rate.
 	TraceSample int
 	// TrafficSample enables traffic self-telemetry sampling: one
-	// request line in every TrafficSample feeds the per-sketch hot-key
-	// trackers (HOTKEYS, she_hotkeys_*) and the MONITOR broadcast. It
+	// request line in every TrafficSample feeds the hot-key track of its
+	// sketch (HOTKEYS, she_hotkeys_*) and the MONITOR broadcast. It
 	// shares its tick with TraceSample (see obs.Sampler), so with both
 	// at 0 a line costs two atomic loads. Per-connection accounting
 	// (CLIENT LIST, the INFO clients section) is always on; its cost is
@@ -212,10 +212,9 @@ type Server struct {
 	// trace ID and duration — the histogram-to-trace link exported as
 	// she_trace_exemplar_seconds. Indexed like verbHist.
 	exemplars []atomic.Pointer[traceExemplar]
-	// Traffic self-telemetry: the per-sketch hot-key tracks and the
-	// MONITOR hub that sampled lines feed, and the always-on
+	// Traffic self-telemetry: the MONITOR hub that sampled lines feed
+	// (each sketch holds its own hot-key track), and the always-on
 	// per-connection registry — the one list of live connections.
-	hot     traffic.HotKeys
 	hub     traffic.Hub
 	clients *traffic.Clients
 

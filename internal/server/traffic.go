@@ -17,10 +17,30 @@ import (
 // feed of sampled commands). The consumers live in internal/obs/traffic,
 // the sampling decision in obs.Sampler; this file is their wire surface.
 
+// hotRow is one sketch's track: its sampled keys and scaled top keys.
+type hotRow struct {
+	name    string
+	sampled uint64
+	top     []traffic.HotEntry
+}
+
+// hotRows reads every sketch's track, in name order, for HOTKEYS,
+// /metrics and the overload ladder's blame line; k is as for Track.Top.
+func (s *Server) hotRows(k, rate int) []hotRow {
+	var rows []hotRow
+	for name, sk := range s.reg.Snapshot() {
+		if top, sampled := sk.hot.Load().Top(k, rate); sampled > 0 {
+			rows = append(rows, hotRow{name, sampled, top})
+		}
+	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
+	return rows
+}
+
 // cmdHotkeys serves HOTKEYS [name] [k]. Bare HOTKEYS summarizes every
-// tracked sketch; with a name it lists that sketch's top-k keys,
+// sketch with a track; with a name it lists that sketch's top-k keys,
 // counts scaled back to estimated raw traffic (sampled estimate ×
-// sample rate). Tracking only exists while sampling is on.
+// sample rate). A track exists while sampling is on, and with its sketch.
 func (c *conn) cmdHotkeys(cmd Command) error {
 	s, w := c.s, c.w
 	rate := s.sample.Traffic.Every()
@@ -28,18 +48,14 @@ func (c *conn) cmdHotkeys(cmd Command) error {
 		return fmt.Errorf("%s: traffic sampling is disabled (start shed with -traffic-sample)", cmd.Name)
 	}
 	if len(cmd.Args) == 0 {
-		stats := s.hot.Stats(rate)
-		lines := make([]string, 0, len(stats))
-		for _, st := range stats {
-			row := fmt.Sprintf("%s sampled_keys=%d", st.Sketch, st.SampledKeys)
-			if len(st.Entries) > 0 {
-				top := make([]string, 0, 3)
-				for i, e := range st.Entries {
-					if i == 3 {
-						break
-					}
-					top = append(top, fmt.Sprintf("%d:%d", e.Key, e.Count))
-				}
+		var lines []string
+		for _, h := range s.hotRows(3, rate) {
+			row := fmt.Sprintf("%s sampled_keys=%d", h.name, h.sampled)
+			top := make([]string, len(h.top))
+			for i, e := range h.top {
+				top[i] = fmt.Sprintf("%d:%d", e.Key, e.Count)
+			}
+			if len(top) > 0 {
 				row += " top=" + strings.Join(top, ",")
 			}
 			lines = append(lines, row)
@@ -55,16 +71,11 @@ func (c *conn) cmdHotkeys(cmd Command) error {
 		}
 		k = int(v)
 	}
-	entries, ok := s.hot.Top(cmd.Args[0], k, rate)
-	if !ok {
-		// Distinguish "no sketch" from "no sampled traffic yet":
-		// an existing sketch just has nothing tracked.
-		if _, err := s.reg.Get(cmd.Args[0]); err != nil {
-			return err
-		}
-		writeArray(w, nil)
-		return nil
+	sk, err := s.reg.Get(cmd.Args[0])
+	if err != nil {
+		return err
 	}
+	entries, _ := sk.hot.Load().Top(k, rate)
 	lines := make([]string, len(entries))
 	for i, e := range entries {
 		lines[i] = fmt.Sprintf("key=%d est_count=%d sampled=%d", e.Key, e.Count, e.Sampled)
@@ -224,19 +235,19 @@ func (s *Server) writeTrafficMetrics(p *obs.PromWriter) {
 	p.Gauge("she_traffic_monitor_subscribers", "", float64(monitors))
 	p.Counter("she_traffic_monitor_dropped_total", "", float64(s.hub.Dropped()))
 
-	stats := s.hot.Stats(rate)
-	if len(stats) == 0 {
+	rows := s.hotRows(0, rate)
+	if len(rows) == 0 {
 		return
 	}
-	p.Gauge("she_hotkeys_tracked_sketches", "", float64(len(stats)))
-	for _, st := range stats {
+	p.Gauge("she_hotkeys_tracked_sketches", "", float64(len(rows)))
+	for _, h := range rows {
 		p.Counter("she_hotkeys_sampled_keys_total",
-			fmt.Sprintf("sketch=%q", obs.EscapeLabel(st.Sketch)), float64(st.SampledKeys))
+			fmt.Sprintf("sketch=%q", obs.EscapeLabel(h.name)), float64(h.sampled))
 	}
-	for _, st := range stats {
-		for _, e := range st.Entries {
+	for _, h := range rows {
+		for _, e := range h.top {
 			p.Gauge("she_hotkeys_est_count",
-				fmt.Sprintf("sketch=%q,key=\"%d\"", obs.EscapeLabel(st.Sketch), e.Key),
+				fmt.Sprintf("sketch=%q,key=\"%d\"", obs.EscapeLabel(h.name), e.Key),
 				float64(e.Count))
 		}
 	}

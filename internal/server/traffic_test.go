@@ -157,6 +157,83 @@ func TestHotkeysZipfRecall(t *testing.T) {
 	}
 }
 
+// TestHotkeysNoSketchNoTrack: a sampled insert to a name with no
+// sketch is refused and builds no hot-key track, so HOTKEYS has nothing
+// to say about that name — a track belongs to its sketch.
+func TestHotkeysNoSketchNoTrack(t *testing.T) {
+	s := startServer(t, server.Config{TrafficSample: 1, Logger: quiet()})
+	c := dial(t, s.Addr().String())
+	for _, line := range []string{"SKETCH.INSERT nosuch 1 2 3", "MINSERT nosuch 4 5"} {
+		if got := c.cmd(line); got != `-ERR no such sketch "nosuch"` {
+			t.Fatalf("%s = %q", line, got)
+		}
+	}
+	if rows := c.array("HOTKEYS"); len(rows) != 0 {
+		t.Fatalf("HOTKEYS after refused inserts = %v, want empty", rows)
+	}
+	if got := c.cmd("HOTKEYS nosuch"); got != `-ERR no such sketch "nosuch"` {
+		t.Fatalf("HOTKEYS nosuch = %q", got)
+	}
+}
+
+// TestHotkeysFullSyncEmpties: a node that fed x and then full-syncs
+// from a primary without x loses x's hot-key track with x itself.
+func TestHotkeysFullSyncEmpties(t *testing.T) {
+	primary := startServer(t, server.Config{WALDir: t.TempDir(), Logger: quiet()})
+	pc := dial(t, primary.Addr().String())
+	if got := pc.cmd("SKETCH.CREATE y cm counters=4096 window=4096"); got != "+OK" {
+		t.Fatalf("primary CREATE = %q", got)
+	}
+	node := startServer(t, server.Config{WALDir: t.TempDir(), TrafficSample: 1, Logger: quiet()})
+	nc := dial(t, node.Addr().String())
+	nc.cmd("SKETCH.CREATE x cm counters=4096 window=4096")
+	nc.cmd("SKETCH.INSERT x 5 5 5 6")
+	if rows := nc.array("HOTKEYS"); len(rows) != 1 || rows[0] != "x sampled_keys=4 top=5:3,6:1" {
+		t.Fatalf("HOTKEYS before the sync = %v", rows)
+	}
+
+	host, port := splitAddr(t, primary.Addr().String())
+	if got := nc.cmd("REPLICAOF %s %s", host, port); got != "+OK" {
+		t.Fatalf("REPLICAOF = %q", got)
+	}
+	waitUntil(t, "full sync", func() bool {
+		list := nc.array("SKETCH.LIST")
+		return len(list) == 1 && strings.HasPrefix(list[0], "y ")
+	})
+	if rows := nc.array("HOTKEYS"); len(rows) != 0 {
+		t.Fatalf("HOTKEYS after the full sync = %v, want empty", rows)
+	}
+	if got := nc.cmd("HOTKEYS x"); got != `-ERR no such sketch "x"` {
+		t.Fatalf("HOTKEYS x after the full sync = %q", got)
+	}
+}
+
+// TestHotkeysTrackInMemoryBudget: a hot-key track is sketch memory.
+// The first sampled insert builds it and INFO memory_used_bytes rises
+// by its size; SKETCH.DROP takes it away with the sketch.
+func TestHotkeysTrackInMemoryBudget(t *testing.T) {
+	s := startServer(t, server.Config{MaxMemory: 1 << 30, TrafficSample: 1, Logger: quiet()})
+	c := dial(t, s.Addr().String())
+	used := func() int64 { return infoInt(c, "memory_used_bytes") }
+	waitUntil(t, "the connection in the budget", func() bool { return used() > 0 })
+	base := used()
+	// CREATE and DROP re-measure before they answer.
+	c.cmd("SKETCH.CREATE fx cm counters=4096 window=4096 shards=1")
+	created := used()
+	if created <= base {
+		t.Fatalf("memory_used_bytes %d after CREATE, want above %d", created, base)
+	}
+	c.cmd("SKETCH.INSERT fx 7")
+	waitUntil(t, "the track in the budget", func() bool { return used() > created })
+	if grew := used() - created; grew < 16<<10 {
+		t.Fatalf("the track added %d bytes, want at least its 4096 counters (16 KiB)", grew)
+	}
+	c.cmd("SKETCH.DROP fx")
+	if got := used(); got != base {
+		t.Fatalf("memory_used_bytes %d after DROP, want %d as before CREATE", got, base)
+	}
+}
+
 // TestClientCommands covers CLIENT LIST / SETNAME / GETNAME / KILL on
 // live connections.
 func TestClientCommands(t *testing.T) {

@@ -21,11 +21,11 @@
 // The log does not look inside a record. shed logs SKETCH.CREATE and
 // SKETCH.DROP as the text lines a client sent and an insert as a binary
 // insert record — a tag byte no text line begins with, the sketch
-// name, 8 little-endian bytes a key — one per sketch per batch, cut
-// only at MaxRecordBytes (internal/server/insertrecord.go, DESIGN.md
-// §9). Framing, CRC and everything below are the same for both, and
-// segments an older binary filled with decimal MINSERT lines still
-// replay.
+// name, 8 little-endian bytes a key — one per sketch per batch, which a
+// compile-time bound keeps under MaxRecordBytes
+// (internal/server/insertrecord.go, DESIGN.md §9). Framing, CRC and
+// everything below are the same for both. A decimal MINSERT line, which
+// an older binary logged for an insert, is refused by name at replay.
 //
 // There is one append call, AppendBatch: one record or many, one lock
 // hold, and on request each record's end cursor — the position a
