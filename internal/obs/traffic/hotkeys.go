@@ -82,10 +82,11 @@ func (tr *Track) Top(k, rate int) (entries []HotEntry, sampled uint64) {
 	return entries, sampled
 }
 
-// MemoryBytes is the track's footprint for the memory budget.
+// MemoryBytes is the track's footprint for the memory budget: what its
+// TopK holds allocated, counted as the sketches it rides beside are.
 func (tr *Track) MemoryBytes() int64 {
 	if tr == nil {
 		return 0
 	}
-	return int64(tr.topk.MemoryBits() / 8)
+	return int64(tr.topk.ResidentBytes())
 }

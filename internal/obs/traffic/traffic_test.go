@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"she"
 )
 
 // TestHotKeysScaling checks that HOTKEYS estimates scale the sampled
@@ -42,6 +44,22 @@ func TestHotKeysScaling(t *testing.T) {
 	}
 	if tr.MemoryBytes() < hotCounters*4 {
 		t.Fatalf("MemoryBytes = %d, want at least %d counters of 4 bytes", tr.MemoryBytes(), hotCounters)
+	}
+}
+
+// TestTrackMemoryBytes: a track counts at least what its CountMin holds
+// allocated — the measure the memory budget applies to sketches — and
+// its candidate heap on top; a nil track counts nothing.
+func TestTrackMemoryBytes(t *testing.T) {
+	cm, err := she.NewCountMin(hotCounters, she.Options{Window: hotWindow, Seed: hotSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, min := NewTrack().MemoryBytes(), int64(cm.ResidentBytes()); got <= min {
+		t.Fatalf("MemoryBytes = %d, want more than the CountMin's %d resident bytes", got, min)
+	}
+	if got := (*Track)(nil).MemoryBytes(); got != 0 {
+		t.Fatalf("nil track MemoryBytes = %d", got)
 	}
 }
 

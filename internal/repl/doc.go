@@ -4,12 +4,12 @@
 // # Topology
 //
 // One primary accepts mutations; any number of followers connect to it
-// over the ordinary wire protocol, bootstrap from a sealed SHSN
-// snapshot generation (a full sync), and then tail the primary's live
-// WAL, applying each record through the same replay path crash
-// recovery uses — a burst of records at a time, logged to the
-// follower's own WAL in one batch and fsynced before the one
-// acknowledgement that covers it. Followers serve queries,
+// over the ordinary wire protocol, bootstrap from the primary's
+// sketches sealed (SHSN) at the tip of its log (a full sync), and then
+// tail the primary's live WAL, applying each record through the same
+// replay path crash recovery uses — a burst of records at a time,
+// logged to the follower's own WAL in one batch and fsynced before the
+// one acknowledgement that covers it. Followers serve queries,
 // SKETCH.STATS and SKETCH.AUDIT read-only and refuse mutations; sketch
 // answers are approximate by contract, so replica staleness is just
 // extra sliding-window slack (a follower lagging by L inserts answers
@@ -26,18 +26,22 @@
 //	PSYNC <gen> <seg> <off>       → +CONTINUE <gen> <seg> <off>
 //	                                (or +FULLRESYNC … when the cursor is gone)
 //
-// A replication cursor is the triple (gen, seg, off): the snapshot
-// generation bootstrapped from, a WAL segment sequence number, and a
-// byte offset at a record-frame boundary inside it. Segment sequences
+// A replication cursor is the triple (gen, seg, off): the primary's
+// checkpoint generation at that point, a WAL segment sequence number,
+// and a byte offset at a record-frame boundary inside it. Segment sequences
 // are globally monotonic, so (seg, off) totally orders positions; gen
 // is carried for observability.
 //
-// After +FULLRESYNC the primary sends nfiles sealed snapshot files —
+// +FULLRESYNC's cursor is the primary's log tip when it sealed the
+// files, and its gen is informational. The primary sends nfiles sealed
+// snapshot files —
 //
 //	SNAP <name> <size>\n<size raw bytes>\n … ENDSNAP\n
 //
-// — and then, as after +CONTINUE, the connection becomes a dedicated
-// replication channel:
+// — the follower loads them, makes them durable and acknowledges the
+// start cursor with a REPLACK (only then does a semi-synchronous
+// commit count it), and then, as after +CONTINUE, the connection
+// becomes a dedicated replication channel:
 //
 //	primary → follower:  REC <gen> <seg> <off> <len>\n<len raw bytes>\n
 //	                     PING\n                       (idle heartbeat)

@@ -323,7 +323,7 @@ func (f *Follower) session() error {
 		if err != nil || nfiles < 0 {
 			return fmt.Errorf("repl: bad FULLRESYNC file count %q", fields[4])
 		}
-		if err := f.fullSync(r, start, nfiles); err != nil {
+		if err := f.fullSync(r, w, start, nfiles); err != nil {
 			return err
 		}
 		cur = start
@@ -366,8 +366,11 @@ func (c linkConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// fullSync ingests the snapshot file transfer that follows +FULLRESYNC.
-func (f *Follower) fullSync(r *bufio.Reader, start wal.Cursor, nfiles int) error {
+// fullSync ingests the snapshot file transfer that follows +FULLRESYNC,
+// then acknowledges start: the snapshot is loaded and, once EndFullSync
+// returns, locally durable, which is what lets a semi-synchronous
+// primary count this replica from here on.
+func (f *Follower) fullSync(r *bufio.Reader, w *bufio.Writer, start wal.Cursor, nfiles int) error {
 	f.cfg.Logf("repl follower: full sync from %s: %d files, start cursor %s", f.cfg.PrimaryAddr, nfiles, start)
 	if err := f.target.BeginFullSync(); err != nil {
 		return err
@@ -405,8 +408,12 @@ func (f *Follower) fullSync(r *bufio.Reader, start wal.Cursor, nfiles int) error
 	}
 	f.mu.Lock()
 	f.status.FullSyncs++
+	applied, appliedBytes := f.status.AppliedRecs, f.status.AppliedBytes
 	f.mu.Unlock()
-	return nil
+	if err := WriteAck(w, start, applied, appliedBytes); err != nil {
+		return err
+	}
+	return w.Flush()
 }
 
 // stream applies REC frames until the connection dies, a burst at a

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"slices"
 	"strings"
@@ -172,6 +173,10 @@ func TestFollowerFullSyncAndStream(t *testing.T) {
 		WriteSnapshotFile(w, "uniques.shsn", []byte("sketch-bytes-2"))
 		w.WriteString("ENDSNAP\n")
 		w.Flush()
+		// The follower acknowledges the start once the snapshot is in.
+		if c, _, _, err := ReadAck(r); err != nil || c != start {
+			return fmt.Errorf("start ack = %v, %v; want %v", c, err, start)
+		}
 		WriteRecord(w, rec1End, []byte("I pageviews 1 2"), 0)
 		WriteRecord(w, rec2End, []byte("I pageviews 3 4"), 0xfeedface)
 		w.Flush()
@@ -304,7 +309,7 @@ func TestFollowerApplyErrorForcesResync(t *testing.T) {
 					// Hold the second session open with no traffic.
 					fmt.Fprintf(w, "+FULLRESYNC 1 2 0 0\nENDSNAP\n")
 					w.Flush()
-					readLine(r)
+					io.Copy(io.Discard, r)
 					return
 				}
 				// One flush, so the three frames reach the follower as one
@@ -448,7 +453,7 @@ func TestFollowerBackoffResetsOnConnect(t *testing.T) {
 				}
 				w.WriteString("+FULLRESYNC 1 1 0 0\nENDSNAP\n")
 				w.Flush()
-				readLine(r) // hold the session open
+				io.Copy(io.Discard, r) // hold the session open, past the start ack
 			}(conn)
 		}
 	}()
@@ -522,21 +527,29 @@ func TestTrackerWaitAck(t *testing.T) {
 		t.Fatalf("WaitAck below acked position = %v", err)
 	}
 
-	// A replica that attaches with a full sync past the position covers
-	// it at once: the waiter is released by the attach, not its timeout.
+	// A replica that attaches with a full sync past the position holds
+	// nothing yet: the attach alone releases no waiter; its ack of its
+	// start, once the snapshot is loaded and durable, does.
 	go func() { errc <- tr.WaitAck(wal.Cursor{Gen: 1, Seg: 4, Off: 50}, 2, time.Minute, done) }()
 	time.Sleep(10 * time.Millisecond)
 	r.Ack(wal.Cursor{Gen: 1, Seg: 4, Off: 50}, 3, 350) // one of two
 	time.Sleep(10 * time.Millisecond)
-	r2 := tr.Register("replica-2", wal.Cursor{Gen: 2, Seg: 5, Off: 0}, true)
+	start2 := wal.Cursor{Gen: 2, Seg: 5, Off: 0}
+	r2 := tr.Register("replica-2", start2, true)
 	defer r2.Close()
 	select {
 	case err := <-errc:
+		t.Fatalf("a full-sync attach released the waiter before the replica acked: %v", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	r2.Ack(start2, 0, 0)
+	select {
+	case err := <-errc:
 		if err != nil {
-			t.Fatalf("WaitAck after a full-sync attach = %v", err)
+			t.Fatalf("WaitAck after the full-sync replica's start ack = %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("a full-sync attach past the position did not release the waiter")
+		t.Fatal("the full-sync replica's start ack did not release the waiter")
 	}
 
 	// Shutdown unblocks a stuck waiter.

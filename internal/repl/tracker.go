@@ -31,6 +31,7 @@ type Replica struct {
 	id          string // remote address of the replication connection
 	connectedAt time.Time
 	fullSync    bool // this session started with a full resync
+	loading     bool // full-syncing, and no ack yet: WaitAck skips it
 
 	ack       wal.Cursor // position the follower has applied (and fsynced)
 	lastAck   time.Time
@@ -70,16 +71,20 @@ func NewTracker() *Tracker {
 	return t
 }
 
-// Register attaches a replica whose stream starts at start. The
-// starting position counts as acknowledged: a full-syncing replica has
-// (by loading the snapshot) everything below its start cursor, so
-// semi-sync waiters are woken to recount.
+// Register attaches a replica whose stream starts at start. A
+// continuing replica holds everything below start already, so it counts
+// as acknowledged there at once and semi-sync waiters are woken to
+// recount. A full-syncing one holds nothing until it has loaded,
+// fsynced and acknowledged the snapshot: WaitAck counts it from its
+// first Ack. Its start is still the retention floor (MinAckSeg) from
+// the attach on.
 func (t *Tracker) Register(id string, start wal.Cursor, fullSync bool) *Replica {
 	r := &Replica{
 		t:           t,
 		id:          id,
 		connectedAt: time.Now(),
 		fullSync:    fullSync,
+		loading:     fullSync,
 		ack:         start,
 		lastAck:     time.Now(),
 	}
@@ -111,6 +116,7 @@ func (r *Replica) Ack(c wal.Cursor, recs, bytes uint64) {
 	if bytes > r.ackBytes {
 		r.ackBytes = bytes
 	}
+	r.loading = false
 	r.lastAck = time.Now()
 	r.t.cond.Broadcast()
 	r.t.mu.Unlock()
@@ -209,7 +215,7 @@ func (t *Tracker) WaitAck(pos wal.Cursor, n int, timeout time.Duration, done <-c
 	for {
 		acked := 0
 		for r := range t.replicas {
-			if !r.ack.Before(pos) {
+			if !r.loading && !r.ack.Before(pos) {
 				acked++
 			}
 		}

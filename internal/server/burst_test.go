@@ -148,7 +148,8 @@ func sendScript(s *Server, lines []string, flush func(left int) int) error {
 // primary's tip holds byte-for-byte the primary's sketches, although
 // it checkpointed many times while the bursts came in; and what it
 // acknowledged is in its own log: killed and restarted on its own, it
-// recovers the same bytes.
+// recovers the same bytes. A second follower that full-syncs while the
+// writers run holds the same bytes at the same cursor.
 func TestFollowerByteEqualAtEqualCursor(t *testing.T) {
 	primary := startWAL(t, t.TempDir(), nil, 0)
 	defer primary.Abort()
@@ -174,6 +175,11 @@ func TestFollowerByteEqualAtEqualCursor(t *testing.T) {
 			errs <- sendScript(primary, lines, func(left int) int { return min(left, 1+rng.Intn(60)) })
 		}()
 	}
+	// A second follower full-syncs while both writers run: its snapshot
+	// is sealed at the log tip between their apply-and-appends.
+	eventually(t, "the writers under way", func() bool { return primary.ctr.WALRecords.Value() > 200 })
+	late := startFollower(t, t.TempDir(), primary, 4096)
+	defer late.Abort()
 	for range 2 {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
@@ -185,6 +191,8 @@ func TestFollowerByteEqualAtEqualCursor(t *testing.T) {
 		t.Fatal("script left no sketch to compare")
 	}
 	sameImage(t, "follower at equal cursor", registryImage(t, follower), want)
+	eventually(t, "late follower at the primary's tip", func() bool { return caughtUp(primary, late) })
+	sameImage(t, "follower attached mid-script", registryImage(t, late), want)
 	if got := follower.ctr.Checkpoints.Value() - chk0; got < 3 {
 		t.Fatalf("follower checkpointed %d times during the script; the bursts were meant to straddle several", got)
 	}

@@ -378,15 +378,15 @@
 // express, forces one before acking). When WALDir is set it supersedes
 // AutosaveDir entirely.
 //
-// Two functions hold the checkpoint lock around a state change. mutate
-// is the one apply-then-log path: a connection batch, a slow-path
-// CREATE, DROP or insert and a follower's burst each apply and append
-// their records inside one shared hold. checkpoint holds it
-// exclusively, around a whole-state replacement (LOAD, a full sync's
-// wipe) and the snapshot. So a checkpoint sees none or all of an
-// apply-and-append, and its snapshot is the state at the log position
-// it truncates to. mutate also holds one ordering mutex across both,
-// so writers apply in log order and the log rebuilds the state exactly.
+// One lock orders the log (ordMu). mutate is the one apply-then-log
+// path: a connection batch, a slow-path CREATE, DROP or insert and a
+// follower's burst each apply and append their records inside one
+// hold, so writers apply in log order and the log rebuilds the state
+// exactly. checkpoint holds it around a whole-state replacement (LOAD)
+// and the snapshot, and a full sync around its seal of the registry at
+// the log tip. So a checkpoint or a full sync sees none or all of an
+// apply-and-append, and a snapshot is the state at the log position it
+// is taken at.
 //
 // Every snapshot file the server writes — WAL checkpoints, autosaves,
 // SKETCH.SAVE — is sealed in a checksummed envelope (wal.Seal: magic,
@@ -436,7 +436,14 @@
 //
 // The replication cursor (gen, seg, off) is a position in the
 // primary's log: checkpoint generation, WAL segment sequence number,
-// byte offset after the last applied record. A PSYNC cursor whose
+// byte offset after the last applied record. A full sync reads no
+// checkpoint: in one hold of the log's ordering lock the primary seals
+// every sketch, syncs the log and sends its tip as the start cursor, so
+// the files hold exactly the records before it. The follower loads
+// them into an emptied registry and checkpoints once, when the
+// transfer is complete (a crash before that recovers its previous
+// state), then acknowledges the start — a semi-synchronous commit
+// counts it from that ack, not from the attach. A PSYNC cursor whose
 // segments were checkpointed away gets +FULLRESYNC instead of
 // +CONTINUE; while a replica is attached, checkpoints retain every
 // segment at or after its acked cursor, so lag grows the log rather

@@ -480,7 +480,7 @@ func TestPanicRecoveredPerConnection(t *testing.T) {
 			}
 			// The daemon keeps serving — with MaxInflight 1 only if the
 			// dead connection gave its admission slot back, with a WAL
-			// only if it let go of the checkpoint lock.
+			// only if it let go of the log's ordering lock.
 			c2 := dialServer(t, s)
 			c2.must("PING", "+PONG")
 			c2.must("SKETCH.CREATE ok bloom bits=1024 window=1024 shards=1", "+OK")

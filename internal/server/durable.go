@@ -141,16 +141,14 @@ func (s *Server) insertRun(name []byte, keys []uint64, sc *she.BatchScratch) boo
 
 // mutate is the one apply-then-log path: a connection batch, a
 // slow-path SKETCH.CREATE, SKETCH.DROP or insert, and a follower's burst
-// all change state through it. Under the shared side of chkMu it runs
-// apply and appends the records apply returns — also when apply returns
-// an error with them, since those records are in the sketches — so a
-// checkpoint sees none or all of an apply-and-append; ordMu, held
-// across both, makes writers apply in the order they log. *ends is the
-// caller's walAppend scratch; the end cursor of the last record is
-// returned (zero when nothing was logged). A sampled command's mutate
-// span covers the apply and the append. After the locks are released,
-// a log that has outgrown its bound is checkpointed. Without a WAL
-// apply just runs, under no lock of mutate's.
+// all change state through it. Under ordMu it runs apply and appends
+// the records apply returns — also when apply returns an error with
+// them, since those records are in the sketches. *ends is the caller's
+// walAppend scratch; the end cursor of the last record is returned
+// (zero when nothing was logged). A sampled command's mutate span
+// covers the apply and the append. After the lock is released, a log
+// that has outgrown its bound is checkpointed. Without a WAL apply just
+// runs, under no lock of mutate's.
 func (s *Server) mutate(tr *xtrace.Trace, ends *[]wal.Cursor, apply func() ([][]byte, error)) (end wal.Cursor, err error) {
 	sp := tr.StartSpan("mutate")
 	if s.wal == nil {
@@ -159,10 +157,8 @@ func (s *Server) mutate(tr *xtrace.Trace, ends *[]wal.Cursor, apply func() ([][]
 		return end, err
 	}
 	func() {
-		s.chkMu.RLock()
-		defer s.chkMu.RUnlock() // by defer: a panic in apply must not wedge checkpoints
 		s.ordMu.Lock()
-		defer s.ordMu.Unlock() // nor other writers
+		defer s.ordMu.Unlock() // by defer: a panic in apply must not wedge the log
 		recs, aerr := apply()
 		if len(recs) > 0 {
 			end, err = s.walAppend(recs, ends, tr)
@@ -205,12 +201,12 @@ func (s *Server) walAppend(recs [][]byte, ends *[]wal.Cursor, tr *xtrace.Trace) 
 	return end, nil
 }
 
-// checkpoint is the one exclusive hold of chkMu. It runs change — a
-// replacement of registry state the log cannot express: SKETCH.LOAD's
-// Put, a full sync's Reset — then writes every sketch into a fresh WAL
-// snapshot generation and truncates the log, so no apply-and-append
-// falls between the change, the snapshot and the new log floor. force
-// skips the size threshold (shutdown, recovery that found damage, full
+// checkpoint runs change — a replacement of registry state the log
+// cannot express: SKETCH.LOAD's Put — then writes every sketch into a
+// fresh WAL snapshot generation and truncates the log, all in one hold
+// of ordMu, so no apply-and-append falls between the change, the
+// snapshot and the new log floor. force skips the size threshold
+// (shutdown, recovery that found damage, the end of a replica's full
 // sync, and every change); without it the log is checkpointed only once
 // it has outgrown Config.CheckpointBytes. Without a WAL only change runs.
 func (s *Server) checkpoint(force bool, change func()) error {
@@ -227,8 +223,8 @@ func (s *Server) checkpoint(force bool, change func()) error {
 	if !force && s.wal.BytesSinceCheckpoint() < limit {
 		return nil
 	}
-	s.chkMu.Lock()
-	defer s.chkMu.Unlock()
+	s.ordMu.Lock()
+	defer s.ordMu.Unlock()
 	if change != nil {
 		change()
 	}
@@ -244,18 +240,9 @@ func (s *Server) checkpoint(force bool, change func()) error {
 		s.wal.SetRetain(^uint64(0))
 	}
 	err := s.wal.Checkpoint(func(dir string, fsys failfs.FS) error {
-		sketches := s.reg.Snapshot()
-		names := make([]string, 0, len(sketches))
-		for name := range sketches {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			if err := writeSketchFile(fsys, filepath.Join(dir, name+snapshotExt), sketches[name]); err != nil {
-				return fmt.Errorf("snapshot %s: %w", name, err)
-			}
-		}
-		return nil
+		return s.sealAll(func(name string, data []byte) error {
+			return wal.WriteFileAtomic(fsys, filepath.Join(dir, name+snapshotExt), data, 0o644)
+		})
 	})
 	if err != nil {
 		s.ctr.CheckpointErrors.Inc()
@@ -266,18 +253,47 @@ func (s *Server) checkpoint(force bool, change func()) error {
 	return nil
 }
 
-// writeSketchFile atomically replaces path with a sealed (checksummed)
-// snapshot of sk. Every layer appends into one buffer, sized once: the
+// sealAll seals every registered sketch, in name order, and hands each
+// to put: the files of a checkpoint generation, and of a full sync.
+func (s *Server) sealAll(put func(name string, data []byte) error) error {
+	sketches := s.reg.Snapshot()
+	names := make([]string, 0, len(sketches))
+	for name := range sketches {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		data, err := sealSketch(sketches[name])
+		if err == nil {
+			err = put(name, data)
+		}
+		if err != nil {
+			return fmt.Errorf("snapshot %s: %w", name, err)
+		}
+	}
+	return nil
+}
+
+// sealSketch renders sk as the bytes of its snapshot file, sealed
+// (checksummed). Every layer appends into one buffer, sized once: the
 // payload MemoryBits counts, packed, plus headers — under 128 bytes a
 // shard (core header, geometry, array lengths, word rounding, the
 // shard's length word) and 64 for the file's own three.
+func sealSketch(sk *Sketch) ([]byte, error) {
+	buf, err := sk.AppendBinary(make([]byte, wal.SealHeader, sk.MemoryBits()/8+128*sk.Shards()+64))
+	if err != nil {
+		return nil, err
+	}
+	return wal.Seal(buf), nil
+}
+
+// writeSketchFile atomically replaces path with sk's sealed snapshot.
 func writeSketchFile(fsys failfs.FS, path string, sk *Sketch) error {
-	buf := make([]byte, wal.SealHeader, sk.MemoryBits()/8+128*sk.Shards()+64)
-	buf, err := sk.AppendBinary(buf)
+	data, err := sealSketch(sk)
 	if err != nil {
 		return err
 	}
-	return wal.WriteFileAtomic(fsys, path, wal.Seal(buf), 0o644)
+	return wal.WriteFileAtomic(fsys, path, data, 0o644)
 }
 
 // parseSnapshot is the one decoder of a snapshot file, whichever route

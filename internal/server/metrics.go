@@ -54,7 +54,7 @@ type counters struct {
 	OverTransitions   obs.Counter `name:"overload_transitions" help:"overload ladder level changes"`
 	PanicsRecovered   obs.Counter `name:"panics_recovered" help:"handler panics contained to their connection"`
 	ReplApplied       obs.Counter `name:"repl_applied_records" help:"records applied as a follower"`
-	ReplFullSyncs     obs.Counter `name:"repl_full_syncs" help:"replica bootstraps served from a checkpoint"`
+	ReplFullSyncs     obs.Counter `name:"repl_full_syncs" help:"replica bootstraps served from the sketches sealed at the log tip"`
 	ReplPartialSyncs  obs.Counter `name:"repl_partial_syncs" help:"replica cursor catch-ups served from the log"`
 	ReplPromotions    obs.Counter `name:"repl_promotions" help:"REPLICAOF NO ONE promotions"`
 	ReplSlowDrops     obs.Counter `name:"repl_slow_replica_drops" help:"replicas disconnected for exceeding -repl-max-lag"`

@@ -71,10 +71,7 @@ func runLogged(t *testing.T, lines []string, traceSample int) loggedRun {
 	follower := startFollower(t, t.TempDir(), s, 0)
 	defer follower.Abort()
 	eventually(t, "full sync", func() bool { return caughtUp(s, follower) })
-	_, _, from, ok := s.wal.SnapshotInfo()
-	if !ok {
-		t.Fatal("no checkpoint generation after the full sync")
-	}
+	from := s.wal.Position()
 
 	var run loggedRun
 	c := dialServer(t, s)

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"fmt"
 	"net"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -16,7 +15,7 @@ import (
 )
 
 // Replication: the server side of internal/repl. A primary serves
-// PSYNC — full sync from the latest checkpoint generation, then a live
+// PSYNC — full sync of the sketches sealed at the log tip, then a live
 // tail of the WAL — and tracks replica acknowledgements; a replica
 // runs a repl.Follower that applies the stream through the same
 // replay path crash recovery uses, refuses client mutations, and can
@@ -219,77 +218,58 @@ func (c *conn) cmdPsync(cmd Command) error {
 	return nil
 }
 
-// attachReplica decides CONTINUE vs FULLRESYNC, writes the reply (and
-// any snapshot transfer) into w, and registers the replica with the
-// tracker. Registration happens under the shared checkpoint lock that
-// validated the cursor (or pinned the snapshot generation), so a
-// concurrent checkpoint cannot truncate the position before the
-// tracker's retention floor protects it.
+// attachReplica decides CONTINUE vs FULLRESYNC and registers the
+// replica in one hold of ordMu, so no checkpoint truncates its start
+// before the tracker's retention floor protects it; then it writes the
+// reply, and any snapshot files, into w. A full sync seals every
+// sketch, syncs the log and starts the replica at its tip. Every append
+// goes through mutate and the log rotates only inside AppendBatch or
+// Checkpoint, so under ordMu the synced tip is the applied tip: the
+// files hold exactly the records before the start cursor, and none a
+// crash of this node could lose. A primary that never appended answers
+// the zero cursor, so its follower full-syncs again if it reconnects
+// before the first record — harmless: the registry is empty.
 func (s *Server) attachReplica(w *bufio.Writer, id string, cursor wal.Cursor) (*repl.Replica, error) {
-	if !cursor.IsZero() {
-		s.chkMu.RLock()
-		_, _, err := s.wal.ReadFrom(cursor, 1, nil)
-		var rep *repl.Replica
-		if err == nil {
-			rep = s.tracker.Register(id, cursor, false)
-		}
-		s.chkMu.RUnlock()
-		if err == nil {
-			s.ctr.ReplPartialSyncs.Inc()
-			fmt.Fprintf(w, "+CONTINUE %s\n", cursor)
-			return rep, nil
-		}
-		if err != wal.ErrCursorGone {
-			return nil, err
-		}
-		// The cursor's segments are gone (checkpointed away): fall
-		// through to a full resync.
-	}
-
-	// Fresh checkpoint, so the snapshot the replica bootstraps from is
-	// the current state and the tail it must then replay is minimal.
-	if err := s.checkpoint(true, nil); err != nil {
-		return nil, fmt.Errorf("checkpoint for full sync: %v", err)
-	}
-	type snapFile struct {
-		name string
-		data []byte
-	}
-	var files []snapFile
-	s.chkMu.RLock()
-	_, dir, start, ok := s.wal.SnapshotInfo()
-	var rep *repl.Replica
-	var err error
-	if !ok {
-		err = fmt.Errorf("no snapshot generation after checkpoint")
-	} else {
-		entries, derr := s.fs.ReadDir(dir)
-		if derr != nil {
-			err = derr
-		}
-		for _, e := range entries {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), snapshotExt) {
-				continue
+	var names []string
+	var files [][]byte
+	full := cursor.IsZero()
+	rep, err := func() (*repl.Replica, error) {
+		s.ordMu.Lock()
+		defer s.ordMu.Unlock()
+		if !full {
+			_, _, err := s.wal.ReadFrom(cursor, 1, nil)
+			if err != nil && err != wal.ErrCursorGone {
+				return nil, err
 			}
-			data, rerr := s.fs.ReadFile(filepath.Join(dir, e.Name()))
-			if rerr != nil {
-				err = rerr
-				break
+			full = err != nil // the cursor's segments were checkpointed away
+		}
+		if full {
+			err := s.sealAll(func(name string, data []byte) error {
+				names, files = append(names, name), append(files, data)
+				return nil
+			})
+			if err == nil {
+				err = s.wal.Sync()
 			}
-			files = append(files, snapFile{strings.TrimSuffix(e.Name(), snapshotExt), data})
+			if err != nil {
+				return nil, err
+			}
+			cursor = s.wal.Position()
 		}
-		if err == nil {
-			rep = s.tracker.Register(id, start, true)
-		}
-	}
-	s.chkMu.RUnlock()
+		return s.tracker.Register(id, cursor, full), nil
+	}()
 	if err != nil {
 		return nil, err
 	}
+	if !full {
+		s.ctr.ReplPartialSyncs.Inc()
+		fmt.Fprintf(w, "+CONTINUE %s\n", cursor)
+		return rep, nil
+	}
 	s.ctr.ReplFullSyncs.Inc()
-	fmt.Fprintf(w, "+FULLRESYNC %s %d\n", start, len(files))
-	for _, f := range files {
-		if err := repl.WriteSnapshotFile(w, f.name, f.data); err != nil {
+	fmt.Fprintf(w, "+FULLRESYNC %s %d\n", cursor, len(files))
+	for i, data := range files {
+		if err := repl.WriteSnapshotFile(w, names[i], data); err != nil {
 			rep.Close()
 			return nil, err
 		}
@@ -435,11 +415,12 @@ type replTarget struct {
 	open   []*xtrace.Trace // joined traces of the burst
 }
 
-// BeginFullSync wipes local state: the registry empties and a forced
-// checkpoint truncates the local WAL to an empty generation, so
-// nothing stale survives alongside the incoming snapshot.
+// BeginFullSync empties the registry for the incoming snapshot. The
+// checkpoint and log on disk stay as they are until EndFullSync, so a
+// crash mid-transfer recovers the replica's previous state.
 func (t *replTarget) BeginFullSync() error {
-	return t.s.checkpoint(true, t.s.reg.Reset)
+	t.s.reg.Reset()
+	return nil
 }
 
 // SnapshotFile loads one streamed snapshot into the registry.
@@ -455,9 +436,8 @@ func (t *replTarget) SnapshotFile(name string, data []byte) error {
 	return nil
 }
 
-// EndFullSync checkpoints the bootstrapped state, so the replica's own
-// recovery starts from the transferred snapshot rather than an empty
-// log.
+// EndFullSync takes the full sync's one checkpoint: the replica's own
+// recovery starts from the transferred snapshot, not its older log.
 func (t *replTarget) EndFullSync(start wal.Cursor) error {
 	return t.s.checkpoint(true, nil)
 }

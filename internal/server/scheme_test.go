@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"she/internal/core"
-	"she/internal/failfs"
 )
 
 // scheme1File returns a scheme-1 snapshot as the last scheme-1 shed
@@ -105,11 +104,12 @@ func TestScheme1Checkpoint(t *testing.T) {
 	}
 	c.must("SKETCH.INSERT kept 5", ":1")
 	c.must("SKETCH.INSERT old 9", ":1")
-	_, snapDir, _, ok := s1.wal.SnapshotInfo()
-	if !ok {
-		t.Fatal("no snapshot generation after a checkpoint")
-	}
 	s1.Abort()
+	snapDirs, err := filepath.Glob(filepath.Join(walDir, "snap-*"))
+	if err != nil || len(snapDirs) != 1 {
+		t.Fatalf("snapshot generations after a checkpoint: %q, %v", snapDirs, err)
+	}
+	snapDir := snapDirs[0]
 
 	old := scheme1File(t, "bloom")
 	for _, tc := range []struct {
@@ -152,31 +152,14 @@ func TestScheme1Checkpoint(t *testing.T) {
 	}
 }
 
-// scheme1FS hands out a scheme-1 snapshot for every *.she file read:
-// what a primary that still ran scheme 1 would send in a full sync.
-type scheme1FS struct {
-	failfs.FS
-	file []byte
-}
-
-func (f scheme1FS) ReadFile(name string) ([]byte, error) {
-	if strings.HasSuffix(name, snapshotExt) {
-		return f.file, nil
-	}
-	return f.FS.ReadFile(name)
-}
-
 // TestScheme1FullSync: a follower offered a scheme-1 file in a full
 // sync fails that sync with the scheme error, holds no sketch from it,
 // and comes back on its usual backoff.
 func TestScheme1FullSync(t *testing.T) {
-	primary := startWAL(t, t.TempDir(), scheme1FS{failfs.OS{}, scheme1File(t, "bloom")}, 0)
-	defer primary.Abort()
-	dialServer(t, primary).must("SKETCH.CREATE b bloom bits=4096 window=1024 shards=2", "+OK")
-
+	primary := fullSyncPrimary(t, 1, "b", scheme1File(t, "bloom"))
 	var logs lockedBuffer
 	follower := New(Config{
-		Listen: "127.0.0.1:0", WALDir: t.TempDir(), ReplicaOf: primary.Addr().String(),
+		Listen: "127.0.0.1:0", WALDir: t.TempDir(), ReplicaOf: primary,
 		ReplRetryInterval: 10 * time.Millisecond, ReplMaxRetryInterval: 20 * time.Millisecond,
 		Logger: slog.New(slog.NewTextHandler(&logs, nil)),
 	})

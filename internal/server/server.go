@@ -110,9 +110,9 @@ type Config struct {
 	// amortized per syscall and per batch, not per command.
 	TrafficSample int
 	// ReplicaOf starts the server as a replica of the given primary
-	// address ("host:port"): it full-syncs from the primary's latest
-	// checkpoint, tails its WAL, serves reads, and refuses client
-	// mutations until REPLICAOF NO ONE promotes it. Requires WALDir —
+	// address ("host:port"): it full-syncs from the primary's sketches
+	// sealed at its log tip, tails its WAL, serves reads, and refuses
+	// client mutations until REPLICAOF NO ONE promotes it. Requires WALDir —
 	// a replica's acknowledgements promise local durability.
 	ReplicaOf string
 	// SyncReplicas makes commits semi-synchronous on a primary: a
@@ -246,15 +246,13 @@ type Server struct {
 
 	fs  failfs.FS
 	wal *wal.Log
-	// chkMu orders mutations against checkpoints. Two functions hold it
-	// around a mutation: mutate shared, around every apply-and-append,
-	// and checkpoint exclusively, around a whole-state change and the
-	// snapshot. So a checkpoint sees none or all of an apply-and-append,
-	// and the snapshot it writes is exactly the state at the log
-	// position it truncates to.
-	chkMu sync.RWMutex
-	// ordMu is mutate's ordering point: the log order is the apply
-	// order. Not the log's own lock, which Log.Sync holds across fsync.
+	// ordMu is the one lock of the log: mutate holds it across every
+	// apply-and-append, checkpoint across a state change, the snapshot
+	// and the truncate, and attachReplica across a full sync's seal of
+	// the registry at the log tip. So the log order is the apply order,
+	// and a snapshot is exactly the state at the log position it is
+	// taken at. Not the log's own lock, which Log.Sync holds across
+	// fsync; the order is ordMu, then Log.mu.
 	ordMu sync.Mutex
 }
 

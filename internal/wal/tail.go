@@ -89,21 +89,6 @@ func (l *Log) SetRetain(seg uint64) {
 	l.retain = seg
 }
 
-// SnapshotInfo names the current checkpoint: its generation, the
-// directory of sealed snapshot files, and the cursor a replica that
-// loads those snapshots should tail from. ok is false before the first
-// checkpoint (gen 0 has no snapshot to bootstrap from). The caller
-// must hold its checkpoint lock while using dir, or a concurrent
-// checkpoint may delete the generation mid-read.
-func (l *Log) SnapshotInfo() (gen uint64, dir string, start Cursor, ok bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.gen == 0 {
-		return 0, "", Cursor{}, false
-	}
-	return l.gen, filepath.Join(l.dir, snapDirName(l.gen)), Cursor{Gen: l.gen, Seg: l.floor, Off: 0}, true
-}
-
 // TailBuf is the memory a tailing reader lends ReadFrom: the segment
 // bytes of one call and the records cut from them, and the path of the
 // segment being tailed, rendered when the reader moves to another one.

@@ -233,15 +233,12 @@ func TestTailReaderCheckpointTruncation(t *testing.T) {
 	}
 }
 
-// TestTailReaderSnapshotInfo: before any checkpoint there is nothing
-// to bootstrap from; after one, the start cursor equals the manifest
-// floor and replays every post-checkpoint record.
+// TestTailReaderSnapshotInfo: the tip taken just after a checkpoint is
+// where a replica bootstrapped from that snapshot tails from: it
+// replays exactly the records that follow, none from before.
 func TestTailReaderSnapshotInfo(t *testing.T) {
 	l, _ := mustOpen(t, t.TempDir(), Options{})
 	defer l.Close()
-	if _, _, _, ok := l.SnapshotInfo(); ok {
-		t.Fatal("SnapshotInfo ok before first checkpoint")
-	}
 	if err := appendOne(l, []byte("pre")); err != nil {
 		t.Fatal(err)
 	}
@@ -251,19 +248,18 @@ func TestTailReaderSnapshotInfo(t *testing.T) {
 	if err := l.Checkpoint(func(dir string, fsys failfs.FS) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	gen, dir, startC, ok := l.SnapshotInfo()
-	if !ok || gen == 0 || dir == "" {
-		t.Fatalf("SnapshotInfo = %d %q %v", gen, dir, ok)
-	}
-	if err := appendOne(l, []byte("post")); err != nil {
-		t.Fatal(err)
+	startC := l.Position()
+	for _, p := range []string{"post", "post2"} {
+		if err := appendOne(l, []byte(p)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := readAll(t, l, startC)
-	if len(got) != 1 || got[0] != "post" {
-		t.Fatalf("post-checkpoint stream = %q, want [post]", got)
+	if len(got) != 2 || got[0] != "post" || got[1] != "post2" {
+		t.Fatalf("post-checkpoint stream = %q, want [post post2]", got)
 	}
 }
 

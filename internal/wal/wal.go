@@ -500,20 +500,6 @@ func (l *Log) BytesSinceCheckpoint() int64 {
 	return l.since
 }
 
-// Err returns the sticky failure, if any.
-func (l *Log) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.failed
-}
-
-// Gen returns the current snapshot generation.
-func (l *Log) Gen() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.gen
-}
-
 // Checkpoint bounds the log: it rotates to a fresh segment, has
 // writeSnaps write a full state snapshot into a new generation
 // directory, atomically publishes the new manifest, and then deletes

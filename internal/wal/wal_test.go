@@ -291,8 +291,8 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 			if got := l.BytesSinceCheckpoint(); got != 0 {
 				t.Fatalf("BytesSinceCheckpoint after checkpoint = %d", got)
 			}
-			if l.Gen() != 1 {
-				t.Fatalf("gen = %d, want 1", l.Gen())
+			if gen := l.Position().Gen; gen != 1 {
+				t.Fatalf("gen = %d, want 1", gen)
 			}
 		}
 	}

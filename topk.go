@@ -125,6 +125,13 @@ func (t *TopK) Frequency(key uint64) uint64 { return t.cm.Frequency(key) }
 // O(k) words on top).
 func (t *TopK) MemoryBits() int { return t.cm.MemoryBits() }
 
+// ResidentBytes returns what the tracker holds allocated: the CountMin's
+// resident bytes plus, over-estimated, the candidate heap and its index
+// at their capacity of 4·K — per candidate a heap slot (8 B), the
+// candidate (24 B in a 32 B size class) and an index entry (16 B, 48 B
+// with the map's control bytes, load-factor slack and growth headroom).
+func (t *TopK) ResidentBytes() int { return t.cm.ResidentBytes() + 4*t.k*(8+32+48) }
+
 // candidate is one heap entry; owner backlinks let the heap maintain
 // the key→position index during swaps.
 type candidate struct {
