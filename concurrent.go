@@ -45,22 +45,23 @@ type sharded[T shardSketch] struct {
 	shards []shard[T]
 	salt   uint64 // keys the routing hash U64(key, salt)
 	mixed  uint64 // Mix64(salt), so that routing a key costs one Mix64
+	kind   byte   // the snapshot's structure tag
 }
 
-func makeSharded[T shardSketch](p int, salt uint64) sharded[T] {
-	return sharded[T]{shards: make([]shard[T], p), salt: salt, mixed: hashing.Mix64(salt)}
+func makeSharded[T shardSketch](kind byte, p int, salt uint64) sharded[T] {
+	return sharded[T]{shards: make([]shard[T], p), salt: salt, mixed: hashing.Mix64(salt), kind: kind}
 }
 
-// newSharded builds p shards with build, handing each its own seed and
-// a 1/p share of the window; salt keys the routing hash.
-func newSharded[T shardSketch](p int, opts Options, salt uint64, build func(Options) (T, error)) (sharded[T], error) {
+// newSharded builds p shards of the kind with build, handing each its
+// own seed and a 1/p share of the window; salt keys the routing hash.
+func newSharded[T shardSketch](kind byte, p int, opts Options, salt uint64, build func(Options) (T, error)) (sharded[T], error) {
 	if p <= 0 {
 		return sharded[T]{}, fmt.Errorf("she: shard count must be positive, got %d", p)
 	}
 	if opts.Window < uint64(p) {
 		return sharded[T]{}, fmt.Errorf("she: window %d smaller than shard count %d", opts.Window, p)
 	}
-	s := makeSharded[T](p, hashing.Mix64(opts.Seed^salt))
+	s := makeSharded[T](kind, p, hashing.Mix64(opts.Seed^salt))
 	shardOpts := opts
 	shardOpts.Window = opts.Window / uint64(p)
 	for i := range s.shards {
@@ -184,7 +185,7 @@ type ShardedBloomFilter struct {
 // NewShardedBloomFilter splits a filter of the given total bits and
 // options across p shards.
 func NewShardedBloomFilter(bits, p int, opts Options) (*ShardedBloomFilter, error) {
-	s, err := newSharded(p, opts, 0x5a4d, func(o Options) (*BloomFilter, error) { return NewBloomFilter(bits/p, o) })
+	s, err := newSharded(shardedKindBloom, p, opts, 0x5a4d, func(o Options) (*BloomFilter, error) { return NewBloomFilter(bits/p, o) })
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +220,7 @@ type ShardedCountMin struct {
 // NewShardedCountMin splits a sketch of the given total counters and
 // options across p shards.
 func NewShardedCountMin(counters, p int, opts Options) (*ShardedCountMin, error) {
-	s, err := newSharded(p, opts, 0xc43d, func(o Options) (*CountMin, error) { return NewCountMin(counters/p, o) })
+	s, err := newSharded(shardedKindCM, p, opts, 0xc43d, func(o Options) (*CountMin, error) { return NewCountMin(counters/p, o) })
 	if err != nil {
 		return nil, err
 	}
@@ -255,7 +256,7 @@ type ShardedHyperLogLog struct {
 // NewShardedHyperLogLog splits registers total registers across p
 // shards.
 func NewShardedHyperLogLog(registers, p int, opts Options) (*ShardedHyperLogLog, error) {
-	s, err := newSharded(p, opts, 0x411, func(o Options) (*HyperLogLog, error) { return NewHyperLogLog(registers/p, o) })
+	s, err := newSharded(shardedKindHLL, p, opts, 0x411, func(o Options) (*HyperLogLog, error) { return NewHyperLogLog(registers/p, o) })
 	if err != nil {
 		return nil, err
 	}

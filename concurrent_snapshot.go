@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 )
 
 // Sharded snapshot format: a thin wrapper around the per-shard core
@@ -19,10 +20,12 @@ import (
 //
 // AppendBinary writes the whole snapshot into the caller's buffer in one
 // pass: it reserves a shard's length word, appends the shard behind it
-// and then fills the length in. It locks each shard while that shard is
-// encoded, so every shard's snapshot is internally consistent; the
-// snapshot as a whole is shard-sequential (concurrent writers may land
-// between shards). A restored structure routes every key to the same
+// and then fills the length in. WriteBinary is the same pass, except
+// that it writes the buffer out after every shard and reuses it, so no
+// more than one shard's encoding is held at once. Both lock each shard
+// while that shard is encoded, so every shard's snapshot is internally
+// consistent; the snapshot as a whole is shard-sequential (concurrent
+// writers may land between shards). A restored structure routes every key to the same
 // shard and answers every per-key query exactly as the original would.
 //
 // This format carries no checksum of its own: it trusts its bytes, and
@@ -96,12 +99,27 @@ func unmarshalSharded(wantKind byte, data []byte) (salt uint64, shards [][]byte,
 	return salt, shards, nil
 }
 
-// appendBinary appends the snapshot under the given kind tag: the
-// routing salt, then every shard behind its length word. A shard is
-// encoded in place, under its lock, and its length filled in after.
-func (s *sharded[T]) appendBinary(dst []byte, kind byte) ([]byte, error) {
+// MarshalBinary snapshots the structure: the routing salt plus every
+// shard's full state.
+func (s *sharded[T]) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
+
+// AppendBinary appends MarshalBinary's snapshot to dst.
+func (s *sharded[T]) AppendBinary(dst []byte) ([]byte, error) { return s.appendBinary(dst, nil) }
+
+// WriteBinary writes MarshalBinary's snapshot to w, encoding it into
+// buf (behind what buf already holds) one shard at a time; it returns
+// buf, emptied, for reuse.
+func (s *sharded[T]) WriteBinary(w io.Writer, buf []byte) ([]byte, error) {
+	return s.appendBinary(buf, w)
+}
+
+// appendBinary appends the snapshot: the kind tag and routing salt,
+// then every shard behind its length word. A shard is encoded in place,
+// under its lock, and its length filled in after. With a spill writer,
+// dst is written to it after every shard and emptied.
+func (s *sharded[T]) appendBinary(dst []byte, spill io.Writer) ([]byte, error) {
 	dst = append(dst, shardedMagic...)
-	dst = append(dst, kind)
+	dst = append(dst, s.kind)
 	dst = binary.LittleEndian.AppendUint64(dst, s.salt)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.shards)))
 	for i := range s.shards {
@@ -116,6 +134,12 @@ func (s *sharded[T]) appendBinary(dst []byte, kind byte) ([]byte, error) {
 			return nil, err
 		}
 		binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+		if spill != nil {
+			if _, err := spill.Write(dst); err != nil {
+				return nil, err
+			}
+			dst = dst[:0]
+		}
 	}
 	return dst, nil
 }
@@ -127,22 +151,13 @@ func unmarshalShards[T shardSketch](kind byte, data []byte, decode func([]byte) 
 	if err != nil {
 		return sharded[T]{}, err
 	}
-	s := makeSharded[T](len(blobs), salt)
+	s := makeSharded[T](kind, len(blobs), salt)
 	for i, b := range blobs {
 		if s.shards[i].s, err = decode(b); err != nil {
 			return sharded[T]{}, fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
 	return s, nil
-}
-
-// MarshalBinary snapshots the filter: the routing salt plus every
-// shard's full state.
-func (s *ShardedBloomFilter) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
-
-// AppendBinary appends MarshalBinary's snapshot to dst.
-func (s *ShardedBloomFilter) AppendBinary(dst []byte) ([]byte, error) {
-	return s.appendBinary(dst, shardedKindBloom)
 }
 
 // UnmarshalShardedBloomFilter restores a filter from a snapshot.
@@ -154,15 +169,6 @@ func UnmarshalShardedBloomFilter(data []byte) (*ShardedBloomFilter, error) {
 	return &ShardedBloomFilter{s}, nil
 }
 
-// MarshalBinary snapshots the sketch: the routing salt plus every
-// shard's full state.
-func (s *ShardedCountMin) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
-
-// AppendBinary appends MarshalBinary's snapshot to dst.
-func (s *ShardedCountMin) AppendBinary(dst []byte) ([]byte, error) {
-	return s.appendBinary(dst, shardedKindCM)
-}
-
 // UnmarshalShardedCountMin restores a sketch from a snapshot.
 func UnmarshalShardedCountMin(data []byte) (*ShardedCountMin, error) {
 	s, err := unmarshalShards(shardedKindCM, data, UnmarshalCountMin)
@@ -170,15 +176,6 @@ func UnmarshalShardedCountMin(data []byte) (*ShardedCountMin, error) {
 		return nil, err
 	}
 	return &ShardedCountMin{s}, nil
-}
-
-// MarshalBinary snapshots the estimator: the routing salt plus every
-// shard's full state.
-func (s *ShardedHyperLogLog) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
-
-// AppendBinary appends MarshalBinary's snapshot to dst.
-func (s *ShardedHyperLogLog) AppendBinary(dst []byte) ([]byte, error) {
-	return s.appendBinary(dst, shardedKindHLL)
 }
 
 // UnmarshalShardedHyperLogLog restores an estimator from a snapshot.

@@ -8,10 +8,11 @@
 // package plus a directory-fsync helper that os does not expose.
 //
 // The interface is deliberately small: whole-file reads, append/create
-// writes, rename, remove, truncate, and the two fsyncs (file and
-// directory) that crash-safe file replacement needs. Nothing here
-// seeks or memory-maps; segments and snapshots are bounded, so whole
-// files are read at once.
+// writes (and a write at an offset, for a sealed file's header),
+// rename, remove, truncate, and the two fsyncs (file and directory)
+// that crash-safe file replacement needs. Nothing here seeks or
+// memory-maps; segments and snapshots are bounded, so whole files are
+// read at once.
 package failfs
 
 import (
@@ -21,9 +22,12 @@ import (
 )
 
 // File is the writable handle returned by FS.OpenFile. Durability code
-// only ever appends and syncs; reads go through FS.ReadFile.
+// appends and syncs; the one write behind the end is a sealed file's
+// header, put over the bytes reserved for it once the payload is
+// written. Reads go through FS.ReadFile.
 type File interface {
 	io.Writer
+	io.WriterAt
 	// Sync flushes the file to stable storage (fsync).
 	Sync() error
 	Close() error

@@ -105,6 +105,33 @@ func TestFaultTornWrite(t *testing.T) {
 	}
 }
 
+// TestFaultTornWriteAt: a write at an offset is a crash point too, torn
+// the same way — half the buffer lands at the offset.
+func TestFaultTornWriteAt(t *testing.T) {
+	fault := NewFault(OS{})
+	path := filepath.Join(t.TempDir(), "torn")
+	f, err := fault.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644) // step 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("..........")); err != nil { // step 2
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("ab"), 8); err != nil { // step 3
+		t.Fatal(err)
+	}
+	fault.CrashAt(4)
+	if _, err := f.WriteAt([]byte("0123"), 2); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("WriteAt = %v, want crash", err)
+	}
+	if fault.Steps() != 4 {
+		t.Fatalf("steps = %d, want 4", fault.Steps())
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != "..01....ab" {
+		t.Fatalf("torn WriteAt left %q, %v, want the half at the offset", data, err)
+	}
+}
+
 func TestFaultSyncErrorNotSticky(t *testing.T) {
 	fault := NewFault(OS{})
 	dir := t.TempDir()

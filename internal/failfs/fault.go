@@ -216,16 +216,24 @@ type faultFile struct {
 // Write crashes mid-write when the crash point fires: half the buffer
 // reaches the file (a torn write), the rest is lost, and the error
 // reports the crash. Recovery code must cope with that torn tail.
-func (ff *faultFile) Write(p []byte) (int, error) {
+func (ff *faultFile) Write(p []byte) (int, error) { return ff.write(p, ff.inner.Write) }
+
+// WriteAt is a crash point like Write, torn the same way: half the
+// buffer reaches the file at off.
+func (ff *faultFile) WriteAt(p []byte, off int64) (int, error) {
+	return ff.write(p, func(b []byte) (int, error) { return ff.inner.WriteAt(b, off) })
+}
+
+func (ff *faultFile) write(p []byte, write func([]byte) (int, error)) (int, error) {
 	torn, err := ff.f.stepWrite()
 	if err != nil {
 		if torn && len(p) > 0 {
-			n, _ := ff.inner.Write(p[:len(p)/2])
+			n, _ := write(p[:len(p)/2])
 			return n, err
 		}
 		return 0, err
 	}
-	return ff.inner.Write(p)
+	return write(p)
 }
 
 func (ff *faultFile) Sync() error {

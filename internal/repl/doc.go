@@ -64,6 +64,8 @@
 // REPLICAOF NO ONE promotes a follower: replication stops and the node
 // starts accepting mutations at its current position. REPLICAOF <host>
 // <port> points a node at a (new) primary; it full-syncs and discards
-// local state. Promotion is operator-driven (or driven by an external
+// local state once the transfer is complete (Target.EndFullSync). A
+// transfer that ends early — a cut link, a bad file, Stop — aborts
+// (Target.AbortFullSync) and the node keeps the state it had. Promotion is operator-driven (or driven by an external
 // watchdog); the subsystem deliberately ships no consensus layer.
 package repl

@@ -17,7 +17,7 @@ import (
 // server's registry + local durability, behind a small seam so the
 // follower loop can be unit-tested without a server.
 type Target interface {
-	// BeginFullSync discards all local state ahead of a snapshot
+	// BeginFullSync sets all local state aside ahead of a snapshot
 	// transfer.
 	BeginFullSync() error
 	// SnapshotFile ingests one sealed snapshot file from the primary.
@@ -25,6 +25,11 @@ type Target interface {
 	// EndFullSync finishes the bootstrap; start is the cursor the
 	// stream resumes from (everything below it is in the snapshot).
 	EndFullSync(start wal.Cursor) error
+	// AbortFullSync undoes BeginFullSync when the transfer ends before
+	// EndFullSync succeeds — a cut link, a bad file, a failed EndFullSync
+	// or Stop: the target goes back to the state it had, which is what
+	// the follower's cursor still describes.
+	AbortFullSync()
 	// ApplyBurst replays the records of one burst — what the stream
 	// had ready when the follower looked — in order, and makes them
 	// locally durable (fsync) before it returns; the follower
@@ -375,6 +380,23 @@ func (f *Follower) fullSync(r *bufio.Reader, w *bufio.Writer, start wal.Cursor, 
 	if err := f.target.BeginFullSync(); err != nil {
 		return err
 	}
+	if err := f.loadSnapshot(r, start, nfiles); err != nil {
+		f.target.AbortFullSync()
+		return err
+	}
+	f.mu.Lock()
+	f.status.FullSyncs++
+	applied, appliedBytes := f.status.AppliedRecs, f.status.AppliedBytes
+	f.mu.Unlock()
+	if err := WriteAck(w, start, applied, appliedBytes); err != nil {
+		return err
+	}
+	return w.Flush()
+}
+
+// loadSnapshot hands the transfer's files to the target and ends the
+// full sync at ENDSNAP.
+func (f *Follower) loadSnapshot(r *bufio.Reader, start wal.Cursor, nfiles int) error {
 	for i := 0; i < nfiles; i++ {
 		line, err := readLine(r)
 		if err != nil {
@@ -403,17 +425,7 @@ func (f *Follower) fullSync(r *bufio.Reader, w *bufio.Writer, start wal.Cursor, 
 	if line != verbEndSnap {
 		return fmt.Errorf("repl: expected ENDSNAP, got %q", line)
 	}
-	if err := f.target.EndFullSync(start); err != nil {
-		return err
-	}
-	f.mu.Lock()
-	f.status.FullSyncs++
-	applied, appliedBytes := f.status.AppliedRecs, f.status.AppliedBytes
-	f.mu.Unlock()
-	if err := WriteAck(w, start, applied, appliedBytes); err != nil {
-		return err
-	}
-	return w.Flush()
+	return f.target.EndFullSync(start)
 }
 
 // stream applies REC frames until the connection dies, a burst at a

@@ -20,6 +20,7 @@ import (
 // lock-free copy its snapshot method hands to assertions.
 type memState struct {
 	wiped   int
+	aborted int
 	files   map[string][]byte
 	start   wal.Cursor
 	applied []string
@@ -61,6 +62,12 @@ func (m *memTarget) EndFullSync(start wal.Cursor) error {
 	defer m.mu.Unlock()
 	m.start = start
 	return nil
+}
+
+func (m *memTarget) AbortFullSync() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.aborted++
 }
 
 func (m *memTarget) ApplyBurst(recs []Record) error {
@@ -229,6 +236,31 @@ func TestFollowerFullSyncAndStream(t *testing.T) {
 	st := f.Status()
 	if !st.Connected || st.FullSyncs != 1 || st.AppliedRecs != 2 || st.Cursor != rec2End {
 		t.Fatalf("status = %+v", st)
+	}
+}
+
+// TestFollowerCutFullSyncAborts: a transfer cut after its first file
+// aborts the full sync: the target is told, EndFullSync never runs and
+// no full sync is counted.
+func TestFollowerCutFullSyncAborts(t *testing.T) {
+	p := startFakePrimary(t, func(r *bufio.Reader, w *bufio.Writer) error {
+		if _, err := handshake(r, w); err != nil {
+			return err
+		}
+		w.WriteString("+FULLRESYNC 3 7 0 2\n")
+		WriteSnapshotFile(w, "pageviews.shsn", []byte("sketch-bytes-1"))
+		return w.Flush()
+	})
+	tgt := newMemTarget()
+	f := NewFollower(FollowerConfig{PrimaryAddr: p.ln.Addr().String(), RetryInterval: time.Hour}, tgt)
+	go f.Run()
+	defer f.Stop()
+	waitFor(t, "the cut transfer aborted", func() bool { return tgt.snapshot().aborted == 1 })
+	if got := tgt.snapshot(); got.wiped != 1 || !got.start.IsZero() {
+		t.Fatalf("BeginFullSync calls = %d, EndFullSync start = %v; want 1 and none", got.wiped, got.start)
+	}
+	if st := f.Status(); st.FullSyncs != 0 {
+		t.Fatalf("status = %+v, want no full sync counted", st)
 	}
 }
 

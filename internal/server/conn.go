@@ -587,7 +587,7 @@ func (c *conn) cmdSave(cmd Command) error {
 	}
 	// Sealed + atomic: a concurrent crash leaves either the previous
 	// file or the new one, and a later load verifies the checksum.
-	if err := writeSketchFile(s.fs, path, sk); err != nil {
+	if _, err := writeSketchFile(s.fs, path, sk, nil); err != nil {
 		return err
 	}
 	s.ctr.SnapsSaved.Inc()

@@ -389,10 +389,16 @@
 // is taken at.
 //
 // Every snapshot file the server writes — WAL checkpoints, autosaves,
-// SKETCH.SAVE — is sealed in a checksummed envelope (wal.Seal: magic,
-// version, CRC32C, length) and replaced atomically (write tmp, fsync,
-// rename, fsync dir), so a torn or bit-flipped file is detected on
-// load, never restored. A file loads only if it is sealed and carries
+// SKETCH.SAVE — is sealed in a checksummed envelope (magic, version,
+// CRC32C, length) and replaced atomically, so a torn or bit-flipped
+// file is detected on load, never restored. It streams into place one
+// shard at a time (wal.WriteSealed): the header's bytes are reserved in
+// a temporary file, each shard is encoded under its lock into one
+// reused buffer and written behind them, the header goes over the
+// reservation last, and then fsync, rename, fsync dir. No copy of the
+// whole sketch is made; a full sync, which sends the files to a socket
+// after releasing ordMu, seals them in memory instead (wal.Seal), the
+// same bytes. A file loads only if it is sealed and carries
 // the server envelope ("SHED": version and insert counter) inside the
 // seal; anything else is quarantined to <file>.she.corrupt and counted
 // (snapshots_quarantined), and the rest of the directory still loads.

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -240,8 +241,9 @@ func (s *Server) checkpoint(force bool, change func()) error {
 		s.wal.SetRetain(^uint64(0))
 	}
 	err := s.wal.Checkpoint(func(dir string, fsys failfs.FS) error {
-		return s.sealAll(func(name string, data []byte) error {
-			return wal.WriteFileAtomic(fsys, filepath.Join(dir, name+snapshotExt), data, 0o644)
+		return s.eachSketch(func(name string, sk *Sketch) (err error) {
+			s.chkBuf, err = writeSketchFile(fsys, filepath.Join(dir, name+snapshotExt), sk, s.chkBuf)
+			return err
 		})
 	})
 	if err != nil {
@@ -253,9 +255,10 @@ func (s *Server) checkpoint(force bool, change func()) error {
 	return nil
 }
 
-// sealAll seals every registered sketch, in name order, and hands each
-// to put: the files of a checkpoint generation, and of a full sync.
-func (s *Server) sealAll(put func(name string, data []byte) error) error {
+// eachSketch calls fn on every registered sketch, in name order, and
+// stops at the first error: the files of a checkpoint generation, and
+// of a full sync.
+func (s *Server) eachSketch(fn func(name string, sk *Sketch) error) error {
 	sketches := s.reg.Snapshot()
 	names := make([]string, 0, len(sketches))
 	for name := range sketches {
@@ -263,11 +266,7 @@ func (s *Server) sealAll(put func(name string, data []byte) error) error {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		data, err := sealSketch(sketches[name])
-		if err == nil {
-			err = put(name, data)
-		}
-		if err != nil {
+		if err := fn(name, sketches[name]); err != nil {
 			return fmt.Errorf("snapshot %s: %w", name, err)
 		}
 	}
@@ -275,10 +274,11 @@ func (s *Server) sealAll(put func(name string, data []byte) error) error {
 }
 
 // sealSketch renders sk as the bytes of its snapshot file, sealed
-// (checksummed). Every layer appends into one buffer, sized once: the
-// payload MemoryBits counts, packed, plus headers — under 128 bytes a
-// shard (core header, geometry, array lengths, word rounding, the
-// shard's length word) and 64 for the file's own three.
+// (checksummed), in memory: what a full sync sends. Every layer appends
+// into one buffer, sized once: the payload MemoryBits counts, packed,
+// plus headers — under 128 bytes a shard (core header, geometry, array
+// lengths, word rounding, the shard's length word) and 64 for the
+// file's own three.
 func sealSketch(sk *Sketch) ([]byte, error) {
 	buf, err := sk.AppendBinary(make([]byte, wal.SealHeader, sk.MemoryBits()/8+128*sk.Shards()+64))
 	if err != nil {
@@ -287,13 +287,22 @@ func sealSketch(sk *Sketch) ([]byte, error) {
 	return wal.Seal(buf), nil
 }
 
-// writeSketchFile atomically replaces path with sk's sealed snapshot.
-func writeSketchFile(fsys failfs.FS, path string, sk *Sketch) error {
-	data, err := sealSketch(sk)
-	if err != nil {
-		return err
+// writeSketchFile atomically replaces path with sk's sealed snapshot —
+// the bytes sealSketch renders — streamed one shard at a time through
+// buf, so no more than a shard's encoding is held at once. It returns
+// buf for the next file.
+func writeSketchFile(fsys failfs.FS, path string, sk *Sketch, buf []byte) ([]byte, error) {
+	// One shard's share of sealSketch's estimate (a sketch's shards are
+	// one size, to a word); made, not grown: slices.Grow allocates it
+	// twice under the race detector.
+	if n := sk.MemoryBits()/8/sk.Shards() + 128 + 64; cap(buf) < n {
+		buf = make([]byte, 0, n)
 	}
-	return wal.WriteFileAtomic(fsys, path, data, 0o644)
+	err := wal.WriteSealed(fsys, path, 0o644, func(w io.Writer) (err error) {
+		buf, err = sk.structure.WriteBinary(w, sk.appendEnvelope(buf[:0]))
+		return err
+	})
+	return buf, err
 }
 
 // parseSnapshot is the one decoder of a snapshot file, whichever route

@@ -22,8 +22,9 @@ import (
 // fullSyncPrimary stands in for a primary: it answers every replication
 // handshake with a +FULLRESYNC that announces files snapshot files, and
 // sends one of them: file, under name. When one is all it announced,
-// ENDSNAP follows and the session is held open; otherwise the connection
-// is cut mid-transfer. It returns the listener's address.
+// ENDSNAP follows; otherwise the transfer stalls after the first file.
+// Either way the session is held open until the follower hangs up. It
+// returns the listener's address.
 func fullSyncPrimary(t *testing.T, files int, name string, file []byte) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -51,10 +52,9 @@ func fullSyncPrimary(t *testing.T, files int, name string, file []byte) string {
 				repl.WriteSnapshotFile(w, name, file)
 				if files == 1 {
 					w.WriteString("ENDSNAP\n")
-					w.Flush()
-					io.Copy(io.Discard, r)
 				}
 				w.Flush()
+				io.Copy(io.Discard, r)
 			}()
 		}
 	}()
@@ -100,7 +100,7 @@ func TestReplicationFullSyncTakesNoPrimaryCheckpoint(t *testing.T) {
 
 // TestFollowerCrashMidFullSyncKeepsState: a full sync leaves the
 // replica's checkpoint and log alone until the transfer is complete. A
-// node killed after the first file of a cut transfer recovers,
+// node killed after the first file of a stalled transfer recovers,
 // restarted on its own, exactly what it held before REPLICAOF.
 func TestFollowerCrashMidFullSyncKeepsState(t *testing.T) {
 	dir := t.TempDir()
@@ -130,6 +130,45 @@ func TestFollowerCrashMidFullSyncKeepsState(t *testing.T) {
 	defer alone.Abort()
 	sameImage(t, "restarted after a cut full sync", registryImage(t, alone), want)
 	dialServer(t, alone).must("SKETCH.QUERY old 5", ":3")
+}
+
+// TestFollowerPromoteMidFullSyncKeepsRegistry: REPLICAOF NO ONE in the
+// middle of a full sync's transfer puts back the sketches the node held
+// before REPLICAOF — what its untouched checkpoint and log recover — so
+// the promoted node serves no partial registry, and what it then
+// acknowledges survives a crash.
+func TestFollowerPromoteMidFullSyncKeepsRegistry(t *testing.T) {
+	dir := t.TempDir()
+	s := startWAL(t, dir, nil, 0)
+	c := dialServer(t, s)
+	c.must("SKETCH.CREATE old cm counters=1024 window=1024 shards=2", "+OK")
+	c.must("SKETCH.INSERT old 5 5 5", ":3")
+	want := registryImage(t, s)
+
+	fresh, err := NewSketch("bloom", map[string]string{"bits": "4096"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := sealSketch(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, port, _ := net.SplitHostPort(fullSyncPrimary(t, 2, "new", file))
+	c.must("REPLICAOF "+host+" "+port, "+OK")
+	eventually(t, "the first file loaded", func() bool {
+		_, err := s.Registry().Get("new")
+		return err == nil
+	})
+	c.must("REPLICAOF NO ONE", "+OK")
+	sameImage(t, "promoted mid-transfer", registryImage(t, s), want)
+	c.must("SKETCH.INSERT old 7", ":1")
+	want = registryImage(t, s)
+	s.Abort()
+
+	alone := startWAL(t, dir, nil, 0)
+	defer alone.Abort()
+	sameImage(t, "restarted after the promotion", registryImage(t, alone), want)
+	dialServer(t, alone).must("SKETCH.QUERY old 7", ":1")
 }
 
 // TestReplicationSemiSyncWaitsForFullSyncAck: a replica that was sent a

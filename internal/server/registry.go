@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -52,6 +53,7 @@ type structure interface {
 	// every cell under the shard locks; a listing calls it once a sketch.
 	Stats() she.SketchStats
 	AppendBinary(dst []byte) ([]byte, error)
+	WriteBinary(w io.Writer, buf []byte) ([]byte, error)
 }
 
 // kind is one row of the kind table: everything the server knows about
@@ -258,10 +260,14 @@ const (
 // stands in front of the structure's own AppendBinary, which would leave
 // the envelope out.
 func (sk *Sketch) AppendBinary(dst []byte) ([]byte, error) {
+	return sk.structure.AppendBinary(sk.appendEnvelope(dst))
+}
+
+// appendEnvelope appends the server envelope.
+func (sk *Sketch) appendEnvelope(dst []byte) []byte {
 	dst = append(dst, envelopeMagic...)
 	dst = append(dst, envelopeVersion)
-	dst = binary.LittleEndian.AppendUint64(dst, sk.Inserts())
-	return sk.structure.AppendBinary(dst)
+	return binary.LittleEndian.AppendUint64(dst, sk.Inserts())
 }
 
 // MarshalBinary snapshots the sketch: AppendBinary to a new buffer.
@@ -426,12 +432,15 @@ func (r *Registry) Put(name string, sk *Sketch) {
 	r.mu.Unlock()
 }
 
-// Reset drops every sketch (a replica wiping local state ahead of a
-// full sync).
-func (r *Registry) Reset() {
+// Swap installs sketches as the whole registry and returns the mapping
+// it replaces, which the registry no longer touches: a replica sets its
+// state aside for a full sync, and puts it back if the sync fails.
+func (r *Registry) Swap(sketches map[string]*Sketch) map[string]*Sketch {
 	r.mu.Lock()
-	r.sketches = make(map[string]*Sketch)
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	old := r.sketches
+	r.sketches = sketches
+	return old
 }
 
 // Drop removes the named sketch.

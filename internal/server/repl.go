@@ -87,11 +87,13 @@ func (s *Server) promote() {
 	wasReplica := s.replPrimary != ""
 	s.follower = nil
 	s.replPrimary = ""
-	s.isReplica.Store(false)
 	s.replMu.Unlock()
 	if old != nil {
-		old.Stop()
+		old.Stop() // first: a full sync it cuts short puts the replica's state back
 	}
+	s.replMu.Lock()
+	s.isReplica.Store(s.follower != nil) // writes open; unless REPLICAOF came in between
+	s.replMu.Unlock()
 	if wasReplica {
 		s.ctr.ReplPromotions.Inc()
 		s.logger.Info("promoted to primary")
@@ -244,9 +246,10 @@ func (s *Server) attachReplica(w *bufio.Writer, id string, cursor wal.Cursor) (*
 			full = err != nil // the cursor's segments were checkpointed away
 		}
 		if full {
-			err := s.sealAll(func(name string, data []byte) error {
+			err := s.eachSketch(func(name string, sk *Sketch) error {
+				data, err := sealSketch(sk)
 				names, files = append(names, name), append(files, data)
-				return nil
+				return err
 			})
 			if err == nil {
 				err = s.wal.Sync()
@@ -409,18 +412,27 @@ func (s *Server) isDone() bool {
 // follower goroutine touches them, so no lock.
 type replTarget struct {
 	s      *Server
+	prev   map[string]*Sketch // the registry a full sync in progress set aside
 	buf    insertBuf
 	logged [][]byte        // the burst's records that applied
 	ends   []wal.Cursor    // their end cursors in this node's log
 	open   []*xtrace.Trace // joined traces of the burst
 }
 
-// BeginFullSync empties the registry for the incoming snapshot. The
-// checkpoint and log on disk stay as they are until EndFullSync, so a
-// crash mid-transfer recovers the replica's previous state.
+// BeginFullSync sets the registry aside, by reference, and starts an
+// empty one for the incoming snapshot. The checkpoint and log on disk
+// stay as they are until EndFullSync, so a crash mid-transfer recovers
+// the replica's previous state, and AbortFullSync puts that same state
+// back in memory.
 func (t *replTarget) BeginFullSync() error {
-	t.s.reg.Reset()
+	t.prev = t.s.reg.Swap(make(map[string]*Sketch))
 	return nil
+}
+
+// AbortFullSync restores the registry BeginFullSync set aside.
+func (t *replTarget) AbortFullSync() {
+	t.s.reg.Swap(t.prev)
+	t.prev = nil
 }
 
 // SnapshotFile loads one streamed snapshot into the registry.
@@ -439,7 +451,11 @@ func (t *replTarget) SnapshotFile(name string, data []byte) error {
 // EndFullSync takes the full sync's one checkpoint: the replica's own
 // recovery starts from the transferred snapshot, not its older log.
 func (t *replTarget) EndFullSync(start wal.Cursor) error {
-	return t.s.checkpoint(true, nil)
+	err := t.s.checkpoint(true, nil)
+	if err == nil {
+		t.prev = nil
+	}
+	return err
 }
 
 // ApplyBurst applies and logs the burst, then fsyncs the replica's WAL;

@@ -254,6 +254,9 @@ type Server struct {
 	// taken at. Not the log's own lock, which Log.Sync holds across
 	// fsync; the order is ordMu, then Log.mu.
 	ordMu sync.Mutex
+	// chkBuf is the checkpoint's encode buffer, under ordMu: it holds one
+	// shard's encoding at a time and is reused from file to file.
+	chkBuf []byte
 }
 
 // auditSeed salts the audit sampling hash, fixed so the audited key
@@ -544,8 +547,10 @@ func (s *Server) loadAutosaves() error {
 // mid-save can never leave a torn snapshot behind.
 func (s *Server) saveAutosaves() error {
 	var firstErr error
+	var buf []byte
 	for name, sk := range s.reg.Snapshot() {
-		err := writeSketchFile(s.fs, filepath.Join(s.cfg.AutosaveDir, name+snapshotExt), sk)
+		var err error
+		buf, err = writeSketchFile(s.fs, filepath.Join(s.cfg.AutosaveDir, name+snapshotExt), sk, buf)
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("server: autosave %s: %w", name, err)
 		}

@@ -51,11 +51,15 @@
 // Checkpoint implements snapshot-then-truncate: rotate to a fresh
 // segment, write every snapshot into a new generation directory, fsync
 // it, atomically publish the new CURRENT, and only then delete the old
-// generation and the segments below the new floor. A crash at any
+// generation and the segments below the new floor. Each snapshot file
+// streams through WriteSealed: a temporary file gets the header's bytes
+// reserved, then the payload in as many writes as the caller makes
+// (shed's: one a shard), then the header at offset 0, then fsync,
+// rename and a directory fsync. A crash at any
 // point leaves either the old manifest (old snapshots + old segments
 // intact) or the new one (new snapshots + empty log) — never a
 // half-state. The caller must hold off concurrent appends for the
-// duration; shed does this with a server-wide RWMutex so a checkpoint
+// duration; shed holds its one ordering lock (ordMu) so a checkpoint
 // observes a log position consistent with the snapshot it writes.
 //
 // All file I/O goes through failfs.FS, so the fault-injection tests in

@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -21,9 +22,20 @@ func workload(fsys failfs.FS, dir string) (acked []string, err error) {
 		return nil, err
 	}
 	defer l.Close()
+	// The state streams in one write a payload, so a crash can tear the
+	// sealed file between them, and at its header.
 	writeState := func(snapDir string, f failfs.FS) error {
-		payload := []byte(strings.Join(acked, "\n"))
-		return WriteFileAtomic(f, filepath.Join(snapDir, "state"), seal(payload), 0o644)
+		return WriteSealed(f, filepath.Join(snapDir, "state"), 0o644, func(w io.Writer) error {
+			for i, p := range acked {
+				if i > 0 {
+					p = "\n" + p
+				}
+				if _, err := io.WriteString(w, p); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 	}
 	for i := 0; i < 12; i++ {
 		p := fmt.Sprintf("payload-%02d", i)

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"path/filepath"
 	"testing"
 
 	"she/internal/failfs"
@@ -38,7 +37,7 @@ func TestLatencyHistogramsWired(t *testing.T) {
 	}
 
 	if err := l.Checkpoint(func(gdir string, fsys failfs.FS) error {
-		return WriteFileAtomic(fsys, filepath.Join(gdir, "state"), []byte("s"), 0o644)
+		return writeState(fsys, gdir, "s")
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +55,7 @@ func TestLatencyHistogramsWired(t *testing.T) {
 	}
 	before := syncH.Snapshot().Count
 	if err := l.Checkpoint(func(gdir string, fsys failfs.FS) error {
-		return WriteFileAtomic(fsys, filepath.Join(gdir, "state"), []byte("s"), 0o644)
+		return writeState(fsys, gdir, "s")
 	}); err != nil {
 		t.Fatal(err)
 	}

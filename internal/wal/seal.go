@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -24,9 +25,11 @@ import (
 //	17      —     payload
 //
 // The header comes first although the CRC and the length are known only
-// once the payload is: a writer reserves SealHeader bytes, appends the
-// payload behind them, and Seal fills the header in. The file is one
-// buffer, written once.
+// once the payload is: a writer reserves SealHeader bytes and puts the
+// payload behind them. In memory, Seal fills the header in over the
+// reserved bytes; on disk, WriteSealed streams the payload and writes
+// the header over the reservation last, before the file is synced and
+// renamed into place.
 const (
 	sealMagic   = "SHSN"
 	sealVersion = 1
@@ -43,11 +46,17 @@ var ErrCorruptSnapshot = errors.New("wal: corrupt snapshot")
 // behind it, buf[SealHeader:], and returns buf.
 func Seal(buf []byte) []byte {
 	payload := buf[SealHeader:]
-	h := append(buf[:0], sealMagic...)
-	h = append(h, sealVersion)
-	h = binary.LittleEndian.AppendUint32(h, crc32.Checksum(payload, castagnoli))
-	binary.LittleEndian.AppendUint64(h, uint64(len(payload)))
+	appendSealHeader(buf[:0], crc32.Checksum(payload, castagnoli), uint64(len(payload)))
 	return buf
+}
+
+// appendSealHeader appends the header of a payload of n bytes whose
+// CRC32C is crc.
+func appendSealHeader(dst []byte, crc uint32, n uint64) []byte {
+	dst = append(dst, sealMagic...)
+	dst = append(dst, sealVersion)
+	dst = binary.LittleEndian.AppendUint32(dst, crc)
+	return binary.LittleEndian.AppendUint64(dst, n)
 }
 
 // Unseal verifies the envelope and returns the payload (aliasing data).
@@ -73,17 +82,54 @@ func Unseal(data []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// WriteFileAtomic replaces path with data crash-safely: write to a
-// temporary file in the same directory, fsync it, rename it over
+// WriteSealed replaces path crash-safely with a sealed file whose
+// payload is what write writes to the io.Writer it is handed, in as
+// many pieces as it likes: the header's bytes are reserved first, the
+// payload streams behind them while its CRC32C and length accumulate,
+// and the header is written over the reservation last. Then the file
+// is synced, renamed over path and the directory synced, as
+// writeFileAtomic does, so no one ever sees an unsealed file at path.
+func WriteSealed(fsys failfs.FS, path string, perm fs.FileMode, write func(io.Writer) error) error {
+	return writeFileAtomic(fsys, path, perm, func(f failfs.File) error {
+		var h [SealHeader]byte
+		if _, err := f.Write(h[:]); err != nil {
+			return err
+		}
+		pw := payloadWriter{f: f}
+		if err := write(&pw); err != nil {
+			return err
+		}
+		_, err := f.WriteAt(appendSealHeader(h[:0], pw.crc, pw.n), 0)
+		return err
+	})
+}
+
+// payloadWriter writes a sealed file's payload through to the file and
+// keeps its CRC32C and length for the header.
+type payloadWriter struct {
+	f   failfs.File
+	crc uint32
+	n   uint64
+}
+
+func (w *payloadWriter) Write(p []byte) (int, error) {
+	n, err := w.f.Write(p)
+	w.crc = crc32.Update(w.crc, castagnoli, p[:n])
+	w.n += uint64(n)
+	return n, err
+}
+
+// writeFileAtomic replaces path crash-safely with what write writes to
+// a temporary file in the same directory: fsync it, rename it over
 // path, and fsync the directory. A crash at any point leaves either
 // the old file or the new one, never a torn mix.
-func WriteFileAtomic(fsys failfs.FS, path string, data []byte, perm fs.FileMode) error {
+func writeFileAtomic(fsys failfs.FS, path string, perm fs.FileMode, write func(failfs.File) error) error {
 	tmp := path + ".tmp"
 	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
 	if err != nil {
 		return err
 	}
-	_, err = f.Write(data)
+	err = write(f)
 	if err == nil {
 		err = f.Sync()
 	}

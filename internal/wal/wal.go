@@ -509,8 +509,8 @@ func (l *Log) BytesSinceCheckpoint() int64 {
 //
 // The caller must prevent concurrent appends for the duration, so the
 // snapshot reflects every record below the new floor and no record
-// above it. writeSnaps must write each file atomically (WriteFileAtomic)
-// on the provided filesystem.
+// above it. writeSnaps must write each file atomically (WriteSealed) on
+// the provided filesystem.
 func (l *Log) Checkpoint(writeSnaps func(dir string, fsys failfs.FS) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -540,7 +540,11 @@ func (l *Log) Checkpoint(writeSnaps func(dir string, fsys failfs.FS) error) erro
 	if err := l.fs.SyncDir(genDir); err != nil {
 		return fmt.Errorf("wal: checkpoint: %w", err)
 	}
-	if err := WriteFileAtomic(l.fs, filepath.Join(l.dir, currentFile), formatManifest(newGen, newFloor), 0o644); err != nil {
+	manifest := formatManifest(newGen, newFloor)
+	if err := writeFileAtomic(l.fs, filepath.Join(l.dir, currentFile), 0o644, func(f failfs.File) error {
+		_, err := f.Write(manifest)
+		return err
+	}); err != nil {
 		return fmt.Errorf("wal: checkpoint manifest: %w", err)
 	}
 	l.gen, l.floor = newGen, newFloor

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -251,7 +252,7 @@ func TestCorruptBitEveryOffset(t *testing.T) {
 			}
 			// Checkpoint quarantines the damaged files.
 			err = l.Checkpoint(func(snapDir string, fsys failfs.FS) error {
-				return WriteFileAtomic(fsys, filepath.Join(snapDir, "state"), seal([]byte("s")), 0o644)
+				return writeState(fsys, snapDir, "s")
 			})
 			if err != nil {
 				t.Fatalf("off %d: checkpoint: %v", off, err)
@@ -272,8 +273,7 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	l, _ := openT(t, dir, Options{})
 	state := []string{}
 	writeState := func(snapDir string, fsys failfs.FS) error {
-		payload := []byte(strings.Join(state, "\n"))
-		return WriteFileAtomic(fsys, filepath.Join(snapDir, "state"), seal(payload), 0o644)
+		return writeState(fsys, snapDir, strings.Join(state, "\n"))
 	}
 	for i := 0; i < 10; i++ {
 		p := fmt.Sprintf("rec-%d", i)
@@ -333,7 +333,7 @@ func TestManifestCorruptRefusesStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := l.Checkpoint(func(snapDir string, fsys failfs.FS) error {
-		return WriteFileAtomic(fsys, filepath.Join(snapDir, "state"), seal(nil), 0o644)
+		return writeState(fsys, snapDir, "")
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -379,6 +379,14 @@ func TestManifestCorruptRefusesStart(t *testing.T) {
 // it, then filled in.
 func seal(payload []byte) []byte { return Seal(append(make([]byte, SealHeader), payload...)) }
 
+// writeState writes payload as the sealed file "state" in dir.
+func writeState(fsys failfs.FS, dir, payload string) error {
+	return WriteSealed(fsys, filepath.Join(dir, "state"), 0o644, func(w io.Writer) error {
+		_, err := io.WriteString(w, payload)
+		return err
+	})
+}
+
 func TestSealUnseal(t *testing.T) {
 	payload := []byte("hello sealed world")
 	sealed := seal(payload)
@@ -403,6 +411,31 @@ func TestSealUnseal(t *testing.T) {
 		if _, err := Unseal(sealed[:cut]); !errors.Is(err, ErrCorruptSnapshot) {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
+	}
+
+	// WriteSealed lays down Seal's bytes however the payload is split,
+	// and a failed payload leaves neither the file nor its temporary.
+	dir := t.TempDir()
+	path := filepath.Join(dir, "s")
+	for _, split := range []int{0, 1, 7, len(payload)} {
+		err := WriteSealed(failfs.OS{}, path, 0o644, func(w io.Writer) error {
+			w.Write(payload[:split])
+			_, err := w.Write(payload[split:])
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, sealed) {
+			t.Fatalf("split %d: WriteSealed wrote %q (%v), want %q", split, got, err, sealed)
+		}
+	}
+	fail := errors.New("payload failed")
+	if err := WriteSealed(failfs.OS{}, filepath.Join(dir, "f"), 0o644, func(io.Writer) error { return fail }); !errors.Is(err, fail) {
+		t.Fatalf("failed payload: %v", err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "f*")); len(left) != 0 {
+		t.Fatalf("failed payload left %q", left)
 	}
 }
 
