@@ -34,14 +34,15 @@ func validateExposition(t *testing.T, text string) {
 func TestPromGaugeCounterUntyped(t *testing.T) {
 	var b strings.Builder
 	p := NewPromWriter(&b)
-	p.Gauge("she_up", "", 1)
-	p.Counter("she_ops_total", `verb="PING"`, 42)
-	p.Counter("she_ops_total", `verb="INFO"`, 7) // TYPE emitted once
-	p.Untyped("she_wal_bytes", "", 1024)
+	p.Gauge("she_up", 1)
+	p.Counter("she_ops_total", 42, "verb", "PING")
+	p.Untyped("she_wal_bytes", 1024)
+	p.Counter("she_ops_total", 7, "verb", "INFO") // joins its family
+	p.Flush()
 	out := b.String()
 	validateExposition(t, out)
-	if strings.Count(out, "# TYPE she_ops_total counter") != 1 {
-		t.Fatalf("TYPE line not deduplicated:\n%s", out)
+	if !strings.Contains(out, "# TYPE she_ops_total counter\n"+`she_ops_total{verb="PING"} 42`+"\n"+`she_ops_total{verb="INFO"} 7`+"\n") {
+		t.Fatalf("family not kept together under one TYPE line:\n%s", out)
 	}
 	for _, want := range []string{
 		"she_up 1\n",
@@ -61,7 +62,8 @@ func TestPromHistogram(t *testing.T) {
 	h.Observe(2 * time.Millisecond)
 	var b strings.Builder
 	p := NewPromWriter(&b)
-	p.Histogram("she_command_seconds", `verb="SKETCH.INSERT"`, h.Snapshot())
+	p.Histogram("she_command_seconds", h.Snapshot(), "verb", "SKETCH.INSERT")
+	p.Flush()
 	out := b.String()
 	validateExposition(t, out)
 	if !strings.Contains(out, "# TYPE she_command_seconds histogram") {
@@ -95,7 +97,8 @@ func TestPromHistogramEdges(t *testing.T) {
 	counts := []uint64{2, 0, 3, 1} // last = overflow
 	var b strings.Builder
 	p := NewPromWriter(&b)
-	p.HistogramEdges("she_audit_rel_err", `sketch="m"`, edges, counts, 4.5)
+	p.HistogramEdges("she_audit_rel_err", edges, counts, 4.5, "sketch", "m")
+	p.Flush()
 	out := b.String()
 	validateExposition(t, out)
 	for _, want := range []string{
@@ -118,7 +121,9 @@ func TestPromHistogramEdges(t *testing.T) {
 
 func TestPromHistogramEdgesEmpty(t *testing.T) {
 	var b strings.Builder
-	NewPromWriter(&b).HistogramEdges("she_audit_rel_err", "", []float64{1}, []uint64{0, 0}, 0)
+	p := NewPromWriter(&b)
+	p.HistogramEdges("she_audit_rel_err", []float64{1}, []uint64{0, 0}, 0)
+	p.Flush()
 	out := b.String()
 	validateExposition(t, out)
 	if !strings.Contains(out, `she_audit_rel_err_bucket{le="+Inf"} 0`) {
@@ -128,7 +133,9 @@ func TestPromHistogramEdgesEmpty(t *testing.T) {
 
 func TestPromEmptyHistogram(t *testing.T) {
 	var b strings.Builder
-	NewPromWriter(&b).Histogram("she_idle_seconds", "", HistSnapshot{})
+	p := NewPromWriter(&b)
+	p.Histogram("she_idle_seconds", HistSnapshot{})
+	p.Flush()
 	out := b.String()
 	validateExposition(t, out)
 	if !strings.Contains(out, `she_idle_seconds_bucket{le="+Inf"} 0`) {
@@ -136,8 +143,15 @@ func TestPromEmptyHistogram(t *testing.T) {
 	}
 }
 
+// TestEscapeAndSanitize: a raw label value is escaped once, by the
+// 0.0.4 rules — `"`, `\` and newline, nothing else.
 func TestEscapeAndSanitize(t *testing.T) {
-	if got := EscapeLabel(`a"b\c` + "\n"); got != `a\"b\\c\n` {
-		t.Fatalf("EscapeLabel = %q", got)
+	var b strings.Builder
+	p := NewPromWriter(&b)
+	p.Gauge("she_x", 1, "replica", `1"2\3`+"\n4")
+	p.Flush()
+	if want := "# TYPE she_x gauge\n" + `she_x{replica="1\"2\\3\n4"} 1` + "\n"; b.String() != want {
+		t.Fatalf("got %q, want %q", b.String(), want)
 	}
+	validateExposition(t, b.String())
 }

@@ -131,8 +131,8 @@ type insertGroup struct {
 // SKETCH.QUERY and SKETCH.CARD. Inserts are scanned in one pass (scanLine),
 // grouped by target sketch, and held until a drain point (input buffer
 // empty, a read, a slow-path command, the batchMaxKeys cap, or
-// reply-buffer pressure); applying them pays one checkpoint-lock
-// acquisition and one WAL lock acquisition (AppendBatch) for the whole
+// reply-buffer pressure); applying them takes the log-order lock (ordMu,
+// only with a WAL) once and the WAL lock once (AppendBatch) for the whole
 // batch, and one admission slot covers every fast command up to the
 // drain. Insert replies are written optimistically at enqueue — safe
 // because they are buffered behind the group commit (and the syncWriter

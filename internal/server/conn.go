@@ -685,7 +685,7 @@ func (c *conn) cmdStats(cmd Command) error {
 		infos := s.reg.List()
 		lines := make([]string, len(infos))
 		for i, in := range infos {
-			st := in.Stats
+			st := in.Sketch.Stats()
 			lines[i] = fmt.Sprintf("%s kind=%s shards=%d window=%d inserts=%d fill_ratio=%.4f cycle_position=%.4f young=%d perfect=%d aged=%d",
 				in.Name, in.Sketch.Kind(), st.Shards, st.Window, in.Sketch.Inserts(),
 				st.FillRatio(), st.CyclePosition, st.Young, st.Perfect, st.Aged)
@@ -871,8 +871,9 @@ func (c *conn) cmdList(Command) error {
 	infos := c.s.reg.List()
 	lines := make([]string, len(infos))
 	for i, in := range infos {
+		st := in.Sketch.Stats()
 		lines[i] = fmt.Sprintf("%s kind=%s shards=%d window=%d inserts=%d memory_kb=%.1f",
-			in.Name, in.Sketch.Kind(), in.Stats.Shards, in.Stats.Window, in.Sketch.Inserts(), float64(in.Sketch.MemoryBits())/8192)
+			in.Name, in.Sketch.Kind(), st.Shards, st.Window, in.Sketch.Inserts(), float64(in.Sketch.MemoryBits())/8192)
 	}
 	writeArray(c.w, lines)
 	return nil

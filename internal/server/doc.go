@@ -139,106 +139,11 @@
 //	               (shed -pprof) — profiling can stall the process, so
 //	               it is an explicit opt-in even on loopback.
 //
-// The exported metric families, by group:
-//
-//	she_uptime_seconds                       gauge    seconds since start
-//	she_command_seconds{verb}                histogram  per-verb latency;
-//	                                                    every verb present
-//	                                                    from the first
-//	                                                    scrape
-//	she_wal_fsync_seconds,                   histogram  WAL group-commit
-//	she_wal_checkpoint_seconds                          and checkpoint cost
-//	she_sketch_shards/_window/_inserts/      gauge    per-sketch geometry
-//	_memory_bits/_resident_bytes{sketch}
-//	she_sketch_fill_ratio,                   gauge    SHE introspection:
-//	she_sketch_cycle_position,                        fill, fraction of the
-//	she_sketch_young_cells/_perfect_cells/            Tcycle=(1+α)N cycle
-//	_aged_cells{sketch}                               elapsed, cell-age
-//	                                                  classes (read-only
-//	                                                  snapshot, approximate
-//	                                                  between cleanings)
-//	she_audit_sample_prob, she_audit_        gauge    auditor config and
-//	coverage, she_audit_shadow_len/                   shadow occupancy
-//	_cap/_keys{sketch}
-//	she_audit_observations_total,            counter  audited inserts and
-//	she_audit_err_samples_total{sketch}               error measurements
-//	she_audit_freq_are/_aae{sketch}          gauge    cm: streaming ARE/AAE
-//	she_audit_false_positive_rate,           gauge    bloom: error rates,
-//	she_audit_false_negative_rate, plus      counter  probe and miss counts
-//	she_audit_present_probes_total/
-//	_absent_probes_total/
-//	_false_positives_total/
-//	_false_negatives_total{sketch}
-//	she_audit_card_rel_err,                  gauge    hll: cardinality
-//	she_audit_card_last_est/_truth,          counter  error vs exact truth
-//	she_audit_card_checks_total{sketch}
-//	she_audit_rel_err{sketch}                histogram  relative-error
-//	                                                    distribution,
-//	                                                    dimensionless edges
-//	                                                    0.001 – 100
-//	she_audit_phase_err,                     gauge    mean error and sample
-//	she_audit_phase_observations                      count per 1/16th of
-//	{sketch,phase}                                    the cleaning cycle
-//	she_repl_is_replica,                     gauge    role (1 = follower)
-//	she_repl_connected_replicas                       and attached replicas
-//	she_repl_lag_bytes/_records,             gauge    primary-side lag per
-//	she_repl_ack_age_seconds{replica}                 replica: unacked WAL
-//	                                                  behind the durable
-//	                                                  tip, ack staleness
-//	she_repl_follower_connected/             gauge    follower-side link
-//	_full_syncs/_reconnects/                          state; staleness is
-//	_applied_records/_staleness_seconds               the added window slack
-//	she_repl_follower_consecutive_failures,  gauge    reconnect backoff:
-//	she_repl_follower_next_retry_seconds              failures since the
-//	                                                  last good session and
-//	                                                  the current delay
-//	she_overload_level,                      gauge    overload ladder rung
-//	she_overload_memory_used_bytes/                   (0=none ...
-//	_full_bytes/_limit_bytes,                         4=refuse_insert),
-//	she_overload_inflight_commands,                   accounted memory and
-//	she_overload_max_inflight                         admission occupancy
-//	she_wal_append_seconds                   histogram  per-record WAL
-//	                                                    append (buffer+write)
-//	                                                    cost, no fsync
-//	she_trace_sample_every,                  gauge    tracing config and
-//	she_trace_retained, she_trace_pinned              ring occupancy
-//	she_trace_sampled_total,                 counter  traces started,
-//	she_trace_joined_total,                           joined from a
-//	she_trace_finished_total,                         primary's REC frame,
-//	she_trace_evicted_total                           finished, evicted
-//	she_trace_exemplar_seconds               gauge    latest sampled
-//	{verb,trace_id}                                   duration per verb —
-//	                                                  an exemplar linking
-//	                                                  she_command_seconds
-//	                                                  to a TRACE GET id
-//	she_traffic_sample_every,                gauge    traffic telemetry:
-//	she_traffic_clients,                              sampling config,
-//	she_traffic_client_bytes_in/_out,                 connection count and
-//	she_traffic_monitor_subscribers                   byte totals, MONITOR
-//	                                                  audience
-//	she_traffic_sampled_total,               counter  sampled commands and
-//	she_traffic_monitor_dropped_total                 dropped MONITOR
-//	                                                  frames
-//	she_hotkeys_tracked_sketches,            gauge    hot-key tracking:
-//	she_hotkeys_est_count{sketch,key}                 sketches tracked,
-//	                                                  top-k estimates
-//	                                                  scaled by the rate
-//	she_hotkeys_sampled_keys_total{sketch}   counter  keys fed per sketch
-//	she_build_info{version,go_version}       gauge    constant 1; build
-//	                                                  identification
-//	she_config_info{wal,audit_sample,        gauge    constant 1; the
-//	trace_sample,traffic_sample,                      node's configuration
-//	max_memory_bytes}                                 as labels
-//	she_go_gomaxprocs_threads,               gauge    runtime/metrics: the
-//	she_go_goroutines,                                scheduler and heap
-//	she_go_heap_objects_bytes,                        shape
-//	she_go_memory_total_bytes
-//	she_go_gc_pauses_seconds,                histogram  runtime/metrics
-//	she_go_sched_latency_seconds,                       distributions: GC
-//	she_go_heap_allocs_by_size_bytes                    pauses, scheduling
-//	                                                    latency, allocation
-//	                                                    size classes
-//	go_goroutines                            gauge    Go runtime
+// README.md's "Observability" section lists every metric family with
+// its type and meaning (TestMetricReference holds the table to what a
+// node with every telemetry layer on emits). One writer, obs.PromWriter,
+// keeps each family's samples together under its # TYPE line and
+// escapes label values.
 //
 // The operational counters are declared once (counters, metrics.go),
 // and /metrics, INFO and /debug/vars — the last two without the she_
@@ -509,7 +414,7 @@
 // the delay starts at Config.ReplRetryInterval (shed -repl-retry,
 // default 1s), doubles per consecutive failure with jitter, and is
 // capped at Config.ReplMaxRetryInterval (-repl-retry-max, default
-// 30s); the state shows in ROLE (connect_failures=, next_retry_ms=)
+// 30s); the state shows in ROLE (consecutive_failures=, next_retry_ms=)
 // and the follower backoff gauges. On the primary,
 // Config.ReplicaMaxLagBytes (-repl-max-lag) bounds how much WAL a
 // slow replica may pin: a replica whose acked cursor falls further

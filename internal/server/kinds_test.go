@@ -6,6 +6,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"she"
@@ -104,5 +105,48 @@ func TestKindTable(t *testing.T) {
 				t.Errorf("%s: %s's snapshot is tagged %q (%v), the sketch says %q", k.name, name, tag, err, sk.Kind())
 			}
 		}
+	}
+}
+
+// statsCounter is a structure that counts its Stats calls: a scan of
+// every cell under the shard locks.
+type statsCounter struct {
+	structure
+	scans atomic.Int64
+}
+
+func (c *statsCounter) Stats() she.SketchStats {
+	c.scans.Add(1)
+	return c.structure.Stats()
+}
+
+// TestListingsWithoutCellStatsScanNoCells: SKETCH.AUDIT * and
+// /debug/vars show no cell statistics, so they scan no sketch's cells.
+func TestListingsWithoutCellStatsScanNoCells(t *testing.T) {
+	s := New(Config{Listen: "127.0.0.1:0", DebugListen: "127.0.0.1:0", AuditSample: 1})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Abort()
+	st, err := kinds[0].build(4096, 2, she.Options{Window: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk := &Sketch{structure: st, row: &kinds[0]}
+	sk.attachAudit(s.reg.audit) // probes the bloom filter itself
+	counted := &statsCounter{structure: st}
+	sk.structure = counted
+	if err := s.reg.Add("x", sk); err != nil {
+		t.Fatal(err)
+	}
+	counted.scans.Store(0)
+	if got, _ := dialServer(t, s).try("SKETCH.AUDIT *"); got != "*1" {
+		t.Fatalf("SKETCH.AUDIT * = %q", got)
+	}
+	if body := httpBody(t, "http://"+s.DebugAddr().String()+"/debug/vars"); !strings.Contains(body, `"x":{"kind":"bloom","shards":2`) {
+		t.Fatalf("/debug/vars does not list x: %s", body)
+	}
+	if n := counted.scans.Load(); n != 0 {
+		t.Errorf("SKETCH.AUDIT * and /debug/vars scanned the cells %d times, want 0", n)
 	}
 }

@@ -1,13 +1,13 @@
 package server
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"net/http"
 	"runtime"
 	"runtime/debug"
 	rtmetrics "runtime/metrics"
+	"strconv"
 	"sync"
 	"time"
 
@@ -74,89 +74,87 @@ type counters struct {
 
 // metricsHandler serves Prometheus text exposition (format version
 // 0.0.4) on the debug listener: operational counters, per-verb command
-// latency histograms, WAL fsync/checkpoint histograms, per-sketch SHE
-// gauges and a few Go runtime numbers. The body is rendered into a
-// buffer first, so a slow scrape holds no server locks while draining.
+// latency histograms, WAL fsync/checkpoint histograms, per-sketch SHE,
+// audit and hot-key samples and a few Go runtime numbers. The body is
+// rendered in full before it is written, so a slow scrape holds no
+// server locks while draining.
 func (s *Server) metricsHandler(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var buf bytes.Buffer
-	p := obs.NewPromWriter(&buf)
+	p := obs.NewPromWriter(w)
 
-	p.Gauge("she_uptime_seconds", "", time.Since(s.start).Seconds())
+	p.Gauge("she_uptime_seconds", time.Since(s.start).Seconds())
 	// Constant-1 info gauge: the labels carry the build identity, the
 	// standard Prometheus idiom for joining version onto other series.
 	version, goVersion := buildInfo()
-	p.Gauge("she_build_info", fmt.Sprintf("version=%q,go_version=%q",
-		obs.EscapeLabel(version), obs.EscapeLabel(goVersion)), 1)
+	p.Gauge("she_build_info", 1, "version", version, "go_version", goVersion)
 	// Constant-1 config gauge: a scrape alone identifies how the node
 	// is configured — durability, sampling rates, memory budget.
 	wal := "off"
 	if s.cfg.WALDir != "" {
 		wal = "on"
 	}
-	p.Gauge("she_config_info", fmt.Sprintf(
-		"wal=%q,audit_sample=\"%g\",trace_sample=\"%d\",traffic_sample=\"%d\",max_memory_bytes=\"%d\"",
-		wal, s.cfg.AuditSample, s.sample.Trace.Every(), s.sample.Traffic.Every(), s.cfg.MaxMemory), 1)
+	p.Gauge("she_config_info", 1, "wal", wal, "audit_sample", fmt.Sprintf("%g", s.cfg.AuditSample),
+		"trace_sample", strconv.Itoa(s.sample.Trace.Every()), "traffic_sample", strconv.Itoa(s.sample.Traffic.Every()),
+		"max_memory_bytes", strconv.FormatInt(s.cfg.MaxMemory, 10))
 
 	// Operational counters, one family each. Untyped, not counter: an
 	// obs.Counter doubles as a gauge (connections_active, wal_bytes go
 	// down), and claiming "counter" for those would be a lie.
 	for _, r := range s.ctrRows {
-		p.Untyped("she_"+r.Name, "", float64(r.C.Value()))
+		p.Untyped("she_"+r.Name, float64(r.C.Value()))
 	}
 
 	// Every known verb appears, active or not, so dashboards can query a
 	// stable series set from the first scrape.
 	for i := range verbs {
-		labels := fmt.Sprintf("verb=%q", obs.EscapeLabel(verbs[i].name))
-		p.Histogram("she_command_seconds", labels, s.verbHist[i].Snapshot())
+		p.Histogram("she_command_seconds", s.verbHist[i].Snapshot(), "verb", verbs[i].name)
 	}
-	p.Histogram("she_wal_fsync_seconds", "", s.walSyncHist.Snapshot())
-	p.Histogram("she_wal_append_seconds", "", s.walAppendHist.Snapshot())
-	p.Histogram("she_wal_checkpoint_seconds", "", s.walChkHist.Snapshot())
+	p.Histogram("she_wal_fsync_seconds", s.walSyncHist.Snapshot())
+	p.Histogram("she_wal_append_seconds", s.walAppendHist.Snapshot())
+	p.Histogram("she_wal_checkpoint_seconds", s.walChkHist.Snapshot())
 
-	// Per-sketch SHE introspection gauges, from the listing's one Stats
-	// scan a sketch; families stay contiguous (all series of a family
-	// under one # TYPE line), hence the loop per family rather than per
-	// sketch. The scan is read-only (no lazy cleaning runs), so between
+	// One visit a sketch: its SHE introspection gauges from one Stats
+	// scan, its audit figures when audited, its hot keys when sampled.
+	// The scan is read-only (no lazy cleaning runs), so between
 	// cleanings the fill and age-class numbers include cells a query
 	// would clean on contact — approximate by design.
-	infos := s.reg.List()
-	labels := make([]string, len(infos))
-	for i, in := range infos {
-		labels[i] = fmt.Sprintf("sketch=%q", obs.EscapeLabel(in.Name))
-	}
-	families := []struct {
-		name  string
-		value func(*SketchInfo) float64
-	}{
-		{"she_sketch_shards", func(in *SketchInfo) float64 { return float64(in.Stats.Shards) }},
-		{"she_sketch_window", func(in *SketchInfo) float64 { return float64(in.Stats.Window) }},
-		{"she_sketch_inserts", func(in *SketchInfo) float64 { return float64(in.Sketch.Inserts()) }},
-		{"she_sketch_memory_bits", func(in *SketchInfo) float64 { return float64(in.Sketch.MemoryBits()) }},
-		{"she_sketch_resident_bytes", func(in *SketchInfo) float64 { return float64(in.Sketch.ResidentBytes()) }},
-		{"she_sketch_fill_ratio", func(in *SketchInfo) float64 { return in.Stats.FillRatio() }},
-		{"she_sketch_cycle_position", func(in *SketchInfo) float64 { return in.Stats.CyclePosition }},
-		{"she_sketch_young_cells", func(in *SketchInfo) float64 { return float64(in.Stats.Young) }},
-		{"she_sketch_perfect_cells", func(in *SketchInfo) float64 { return float64(in.Stats.Perfect) }},
-		{"she_sketch_aged_cells", func(in *SketchInfo) float64 { return float64(in.Stats.Aged) }},
-	}
-	for _, fam := range families {
-		for i := range infos {
-			p.Gauge(fam.name, labels[i], fam.value(&infos[i]))
+	rate, tracked := s.sample.Traffic.Every(), 0
+	for _, in := range s.reg.List() {
+		sk, st, l := in.Sketch, in.Sketch.Stats(), []string{"sketch", in.Name}
+		p.Gauge("she_sketch_shards", float64(st.Shards), l...)
+		p.Gauge("she_sketch_window", float64(st.Window), l...)
+		p.Gauge("she_sketch_inserts", float64(sk.Inserts()), l...)
+		p.Gauge("she_sketch_memory_bits", float64(sk.MemoryBits()), l...)
+		p.Gauge("she_sketch_resident_bytes", float64(sk.ResidentBytes()), l...)
+		p.Gauge("she_sketch_fill_ratio", st.FillRatio(), l...)
+		p.Gauge("she_sketch_cycle_position", st.CyclePosition, l...)
+		p.Gauge("she_sketch_young_cells", float64(st.Young), l...)
+		p.Gauge("she_sketch_perfect_cells", float64(st.Perfect), l...)
+		p.Gauge("she_sketch_aged_cells", float64(st.Aged), l...)
+		if a := sk.Audit(); a != nil {
+			writeAuditMetrics(p, a.Snapshot(), in.Name)
+		}
+		// Top-k only, so the label cardinality is bounded by K·sketches.
+		if top, sampled := sk.hot.Load().Top(0, rate); sampled > 0 {
+			tracked++
+			p.Counter("she_hotkeys_sampled_keys_total", float64(sampled), l...)
+			for _, e := range top {
+				p.Gauge("she_hotkeys_est_count", float64(e.Count), "sketch", in.Name, "key", strconv.FormatUint(e.Key, 10))
+			}
 		}
 	}
+	if tracked > 0 {
+		p.Gauge("she_hotkeys_tracked_sketches", float64(tracked))
+	}
 
-	s.writeAuditMetrics(p, infos)
 	s.writeReplMetrics(p)
 	s.writeOverloadMetrics(p)
 	s.writeTraceMetrics(p)
 	s.writeTrafficMetrics(p)
 
-	p.Gauge("go_goroutines", "", float64(runtime.NumGoroutine()))
+	p.Gauge("go_goroutines", float64(runtime.NumGoroutine()))
 	writeGoMetrics(p)
-
-	w.Write(buf.Bytes())
+	p.Flush()
 }
 
 // goMetricNames are the runtime/metrics samples the she_go_* families
@@ -190,19 +188,19 @@ func writeGoMetrics(p *obs.PromWriter) {
 		switch sm.Name {
 		case "/sched/gomaxprocs:threads":
 			if sm.Value.Kind() == rtmetrics.KindUint64 {
-				p.Gauge("she_go_gomaxprocs_threads", "", float64(sm.Value.Uint64()))
+				p.Gauge("she_go_gomaxprocs_threads", float64(sm.Value.Uint64()))
 			}
 		case "/sched/goroutines:goroutines":
 			if sm.Value.Kind() == rtmetrics.KindUint64 {
-				p.Gauge("she_go_goroutines", "", float64(sm.Value.Uint64()))
+				p.Gauge("she_go_goroutines", float64(sm.Value.Uint64()))
 			}
 		case "/memory/classes/heap/objects:bytes":
 			if sm.Value.Kind() == rtmetrics.KindUint64 {
-				p.Gauge("she_go_heap_objects_bytes", "", float64(sm.Value.Uint64()))
+				p.Gauge("she_go_heap_objects_bytes", float64(sm.Value.Uint64()))
 			}
 		case "/memory/classes/total:bytes":
 			if sm.Value.Kind() == rtmetrics.KindUint64 {
-				p.Gauge("she_go_memory_total_bytes", "", float64(sm.Value.Uint64()))
+				p.Gauge("she_go_memory_total_bytes", float64(sm.Value.Uint64()))
 			}
 		case "/gc/pauses:seconds":
 			writeGoHistogram(p, "she_go_gc_pauses_seconds", sm)
@@ -250,97 +248,46 @@ func writeGoHistogram(p *obs.PromWriter, name string, sm rtmetrics.Sample) {
 		}
 		sum += float64(n) * mid
 	}
-	p.HistogramEdges(name, "", edges, counts, sum)
+	p.HistogramEdges(name, edges, counts, sum)
 }
 
-// writeAuditMetrics renders the she_audit_* families: per-audited-
-// sketch shadow geometry, streaming error summaries, the relative-
-// error histogram, and the 16-bucket error-vs-cleaning-cycle-phase
-// profile. One auditor Snapshot per sketch, reused across families so
-// every family's series stay contiguous under its # TYPE line;
-// kind-specific families (freq ARE, membership FP rate, cardinality
-// error) emit series only for sketches of that kind.
-func (s *Server) writeAuditMetrics(p *obs.PromWriter, infos []SketchInfo) {
-	type auditRow struct {
-		labels string
-		st     audit.Stats
+// writeAuditMetrics renders one audited sketch's she_audit_* samples:
+// shadow geometry, streaming error summaries, the relative-error
+// histogram and the 16-bucket error-vs-cleaning-cycle-phase profile.
+// The kind-specific figures (frequency ARE, membership FP rate,
+// cardinality error) are those of the sketch's kind.
+func writeAuditMetrics(p *obs.PromWriter, st audit.Stats, name string) {
+	l := []string{"sketch", name}
+	p.Gauge("she_audit_sample_prob", st.SampleProb, l...)
+	p.Gauge("she_audit_shadow_len", float64(st.ShadowLen), l...)
+	p.Gauge("she_audit_shadow_cap", float64(st.ShadowCap), l...)
+	p.Gauge("she_audit_shadow_keys", float64(st.ShadowKeys), l...)
+	p.Gauge("she_audit_coverage", st.Coverage, l...)
+	p.Counter("she_audit_observations_total", float64(st.Observations), l...)
+	p.Counter("she_audit_err_samples_total", float64(st.ErrSamples), l...)
+	switch st.Kind {
+	case audit.Frequency:
+		p.Gauge("she_audit_freq_are", st.ARE(), l...)
+		p.Gauge("she_audit_freq_aae", st.AAE(), l...)
+	case audit.Membership:
+		p.Gauge("she_audit_false_positive_rate", st.FPRate(), l...)
+		p.Gauge("she_audit_false_negative_rate", st.FNRate(), l...)
+		p.Counter("she_audit_present_probes_total", float64(st.PresentProbes), l...)
+		p.Counter("she_audit_false_negatives_total", float64(st.FalseNegatives), l...)
+		p.Counter("she_audit_absent_probes_total", float64(st.AbsentProbes), l...)
+		p.Counter("she_audit_false_positives_total", float64(st.FalsePositives), l...)
+	case audit.Cardinality:
+		p.Gauge("she_audit_card_rel_err", st.ARE(), l...)
+		p.Gauge("she_audit_card_last_est", st.LastCardEst, l...)
+		p.Gauge("she_audit_card_last_truth", st.LastCardTruth, l...)
+		p.Counter("she_audit_card_checks_total", float64(st.CardChecks), l...)
 	}
-	var rows []auditRow
-	for _, in := range infos {
-		if a := in.Sketch.Audit(); a != nil {
-			rows = append(rows, auditRow{
-				labels: fmt.Sprintf("sketch=%q", obs.EscapeLabel(in.Name)),
-				st:     a.Snapshot(),
-			})
-		}
-	}
-	if len(rows) == 0 {
-		return
-	}
-	gauges := []struct {
-		name  string
-		kind  audit.Kind // -1 = every kind
-		value func(audit.Stats) float64
-	}{
-		{"she_audit_sample_prob", -1, func(st audit.Stats) float64 { return st.SampleProb }},
-		{"she_audit_shadow_len", -1, func(st audit.Stats) float64 { return float64(st.ShadowLen) }},
-		{"she_audit_shadow_cap", -1, func(st audit.Stats) float64 { return float64(st.ShadowCap) }},
-		{"she_audit_shadow_keys", -1, func(st audit.Stats) float64 { return float64(st.ShadowKeys) }},
-		{"she_audit_coverage", -1, func(st audit.Stats) float64 { return st.Coverage }},
-		{"she_audit_freq_are", audit.Frequency, audit.Stats.ARE},
-		{"she_audit_freq_aae", audit.Frequency, audit.Stats.AAE},
-		{"she_audit_false_positive_rate", audit.Membership, audit.Stats.FPRate},
-		{"she_audit_false_negative_rate", audit.Membership, audit.Stats.FNRate},
-		{"she_audit_card_rel_err", audit.Cardinality, audit.Stats.ARE},
-		{"she_audit_card_last_est", audit.Cardinality, func(st audit.Stats) float64 { return st.LastCardEst }},
-		{"she_audit_card_last_truth", audit.Cardinality, func(st audit.Stats) float64 { return st.LastCardTruth }},
-	}
-	for _, fam := range gauges {
-		for _, row := range rows {
-			if fam.kind >= 0 && row.st.Kind != fam.kind {
-				continue
-			}
-			p.Gauge(fam.name, row.labels, fam.value(row.st))
-		}
-	}
-	totals := []struct {
-		name  string
-		kind  audit.Kind
-		value func(audit.Stats) uint64
-	}{
-		{"she_audit_observations_total", -1, func(st audit.Stats) uint64 { return st.Observations }},
-		{"she_audit_err_samples_total", -1, func(st audit.Stats) uint64 { return st.ErrSamples }},
-		{"she_audit_present_probes_total", audit.Membership, func(st audit.Stats) uint64 { return st.PresentProbes }},
-		{"she_audit_false_negatives_total", audit.Membership, func(st audit.Stats) uint64 { return st.FalseNegatives }},
-		{"she_audit_absent_probes_total", audit.Membership, func(st audit.Stats) uint64 { return st.AbsentProbes }},
-		{"she_audit_false_positives_total", audit.Membership, func(st audit.Stats) uint64 { return st.FalsePositives }},
-		{"she_audit_card_checks_total", audit.Cardinality, func(st audit.Stats) uint64 { return st.CardChecks }},
-	}
-	for _, fam := range totals {
-		for _, row := range rows {
-			if fam.kind >= 0 && row.st.Kind != fam.kind {
-				continue
-			}
-			p.Counter(fam.name, row.labels, float64(fam.value(row.st)))
-		}
-	}
-	for _, row := range rows {
-		p.HistogramEdges("she_audit_rel_err", row.labels,
-			audit.ErrEdges[:], row.st.ErrHist.Counts[:], row.st.ErrHist.Sum)
-	}
+	p.HistogramEdges("she_audit_rel_err", audit.ErrEdges[:], st.ErrHist.Counts[:], st.ErrHist.Sum, l...)
 	// Phase profile: mean error and sample count per cleaning-cycle
 	// phase bucket, phase = ⌊CyclePos/Tcycle · 16⌋.
-	for _, row := range rows {
-		for i, b := range row.st.Phase {
-			p.Gauge("she_audit_phase_err",
-				fmt.Sprintf("%s,phase=\"%d\"", row.labels, i), b.Mean())
-		}
-	}
-	for _, row := range rows {
-		for i, b := range row.st.Phase {
-			p.Gauge("she_audit_phase_observations",
-				fmt.Sprintf("%s,phase=\"%d\"", row.labels, i), float64(b.Observations))
-		}
+	for i, b := range st.Phase {
+		p.Gauge("she_audit_phase_err", b.Mean(), "sketch", name, "phase", strconv.Itoa(i))
+		p.Gauge("she_audit_phase_observations", float64(b.Observations), "sketch", name, "phase", strconv.Itoa(i))
 	}
 }
 
@@ -352,13 +299,13 @@ func (s *Server) writeAuditMetrics(p *obs.PromWriter, infos []SketchInfo) {
 // their scrape unchanged.
 func (s *Server) writeOverloadMetrics(p *obs.PromWriter) {
 	if s.cfg.MaxMemory > 0 {
-		p.Gauge("she_overload_level", "", float64(s.overloadLevel()))
-		p.Gauge("she_overload_memory_used_bytes", "", float64(s.over.usedBytes.Load()))
-		p.Gauge("she_overload_memory_full_bytes", "", float64(s.over.fullBytes.Load()))
-		p.Gauge("she_overload_memory_limit_bytes", "", float64(s.cfg.MaxMemory))
+		p.Gauge("she_overload_level", float64(s.overloadLevel()))
+		p.Gauge("she_overload_memory_used_bytes", float64(s.over.usedBytes.Load()))
+		p.Gauge("she_overload_memory_full_bytes", float64(s.over.fullBytes.Load()))
+		p.Gauge("she_overload_memory_limit_bytes", float64(s.cfg.MaxMemory))
 	}
 	if s.admit != nil {
-		p.Gauge("she_overload_inflight_commands", "", float64(s.admit.n.Load()))
-		p.Gauge("she_overload_max_inflight", "", float64(s.admit.max))
+		p.Gauge("she_overload_inflight_commands", float64(s.admit.n.Load()))
+		p.Gauge("she_overload_max_inflight", float64(s.admit.max))
 	}
 }

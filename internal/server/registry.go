@@ -469,26 +469,22 @@ func (r *Registry) Snapshot() map[string]*Sketch {
 	return out
 }
 
-// SketchInfo is one row of Registry.List: a sketch under its name, with
-// the one Stats scan of its cells the listing made — every listing
-// surface (SKETCH.LIST, SKETCH.STATS *, /metrics, /debug/vars) renders
-// from it and scans nothing again. The shard count and the window are
-// in Stats; the rest are cheap reads of Sketch.
+// SketchInfo is one row of Registry.List: a sketch under its name. A
+// listing that shows cell statistics scans each sketch's cells once, with
+// its own Sketch.Stats call; one that shows none scans nothing.
 type SketchInfo struct {
 	Name   string
-	Stats  she.SketchStats
 	Sketch *Sketch
 }
 
 // List returns a consistent, name-sorted listing of the registered
 // sketches. The set is captured under one lock acquisition (no
-// list-then-Get race with concurrent CREATE/DROP); the per-sketch
-// numbers are read afterwards, outside the registry lock.
+// list-then-Get race with concurrent CREATE/DROP).
 func (r *Registry) List() []SketchInfo {
 	sketches := r.Snapshot()
 	out := make([]SketchInfo, 0, len(sketches))
 	for name, sk := range sketches {
-		out = append(out, SketchInfo{Name: name, Stats: sk.Stats(), Sketch: sk})
+		out = append(out, SketchInfo{name, sk})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

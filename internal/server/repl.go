@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"time"
 
@@ -157,10 +158,14 @@ func (c *conn) cmdRole(Command) error {
 }
 
 // cmdReplconf records the listening port a replica advertises, for
-// ROLE output. Unknown options are accepted and ignored so the handshake
-// stays forward-compatible.
+// ROLE output and the replica label: a decimal port, 0 when the replica
+// cannot tell (listenPort). Unknown options are accepted and ignored so
+// the handshake stays forward-compatible.
 func (c *conn) cmdReplconf(cmd Command) error {
 	if len(cmd.Args) == 2 && strings.EqualFold(cmd.Args[0], "LISTENING-PORT") {
+		if _, err := strconv.ParseUint(cmd.Args[1], 10, 16); err != nil {
+			return fmt.Errorf("%s: bad port %q", cmd.Name, cmd.Args[1])
+		}
 		c.replPort = cmd.Args[1]
 	}
 	writeSimple(c.w, "OK")
@@ -557,22 +562,14 @@ func (s *Server) writeReplMetrics(p *obs.PromWriter) {
 	if s.primaryAddr() != "" {
 		isReplica = 1
 	}
-	p.Gauge("she_repl_is_replica", "", isReplica)
-	p.Gauge("she_repl_connected_replicas", "", float64(s.tracker.Count()))
+	p.Gauge("she_repl_is_replica", isReplica)
+	p.Gauge("she_repl_connected_replicas", float64(s.tracker.Count()))
 	if s.wal != nil {
 		tip := s.wal.Position()
-		infos := s.tracker.Infos()
-		for _, in := range infos {
-			labels := fmt.Sprintf("replica=%q", obs.EscapeLabel(in.ID))
-			p.Gauge("she_repl_lag_bytes", labels, float64(s.wal.DistanceBytes(in.Ack, tip)))
-		}
-		for _, in := range infos {
-			labels := fmt.Sprintf("replica=%q", obs.EscapeLabel(in.ID))
-			p.Gauge("she_repl_lag_records", labels, float64(in.UnackedRecords()))
-		}
-		for _, in := range infos {
-			labels := fmt.Sprintf("replica=%q", obs.EscapeLabel(in.ID))
-			p.Gauge("she_repl_ack_age_seconds", labels, time.Since(in.LastAck).Seconds())
+		for _, in := range s.tracker.Infos() {
+			p.Gauge("she_repl_lag_bytes", float64(s.wal.DistanceBytes(in.Ack, tip)), "replica", in.ID)
+			p.Gauge("she_repl_lag_records", float64(in.UnackedRecords()), "replica", in.ID)
+			p.Gauge("she_repl_ack_age_seconds", time.Since(in.LastAck).Seconds(), "replica", in.ID)
 		}
 	}
 	if f := s.currentFollower(); f != nil {
@@ -581,14 +578,14 @@ func (s *Server) writeReplMetrics(p *obs.PromWriter) {
 		if st.Connected {
 			connected = 1
 		}
-		p.Gauge("she_repl_follower_connected", "", connected)
-		p.Gauge("she_repl_follower_full_syncs", "", float64(st.FullSyncs))
-		p.Gauge("she_repl_follower_reconnects", "", float64(st.Reconnects))
-		p.Gauge("she_repl_follower_applied_records", "", float64(st.AppliedRecs))
-		p.Gauge("she_repl_follower_consecutive_failures", "", float64(st.ConsecutiveFailures))
-		p.Gauge("she_repl_follower_next_retry_seconds", "", st.NextRetryDelay.Seconds())
+		p.Gauge("she_repl_follower_connected", connected)
+		p.Gauge("she_repl_follower_full_syncs", float64(st.FullSyncs))
+		p.Gauge("she_repl_follower_reconnects", float64(st.Reconnects))
+		p.Gauge("she_repl_follower_applied_records", float64(st.AppliedRecs))
+		p.Gauge("she_repl_follower_consecutive_failures", float64(st.ConsecutiveFailures))
+		p.Gauge("she_repl_follower_next_retry_seconds", st.NextRetryDelay.Seconds())
 		if !st.LastRecord.IsZero() {
-			p.Gauge("she_repl_follower_staleness_seconds", "", time.Since(st.LastRecord).Seconds())
+			p.Gauge("she_repl_follower_staleness_seconds", time.Since(st.LastRecord).Seconds())
 		}
 	}
 }

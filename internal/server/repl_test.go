@@ -455,6 +455,24 @@ func TestReplicaofValidation(t *testing.T) {
 	}
 }
 
+// TestReplconfListeningPort: the port a replica advertises becomes part
+// of its ID — in ROLE and in the replica label of she_repl_* — so only a
+// decimal port, 0 to 65535, is accepted; 0 is what a follower sends when
+// it cannot tell its own.
+func TestReplconfListeningPort(t *testing.T) {
+	c := dial(t, startServer(t, server.Config{}).Addr().String())
+	for _, port := range []string{`1"2`, "7\xff", "65536", "x"} {
+		if got := c.cmd("REPLCONF LISTENING-PORT %s", port); !strings.HasPrefix(got, "-ERR") {
+			t.Errorf("REPLCONF LISTENING-PORT %q = %q, want -ERR", port, got)
+		}
+	}
+	for _, port := range []string{"7000", "0"} {
+		if got := c.cmd("REPLCONF LISTENING-PORT %s", port); got != "+OK" {
+			t.Errorf("REPLCONF LISTENING-PORT %q = %q, want +OK", port, got)
+		}
+	}
+}
+
 // TestSlowReplicaDisconnect: a replica that takes the stream but never
 // acknowledges pins WAL segments and stream buffers without bound, so
 // past ReplicaMaxLagBytes the primary cuts it loose and counts the

@@ -589,7 +589,7 @@ func (s *Server) debugVars(w http.ResponseWriter, _ *http.Request) {
 	for _, in := range s.reg.List() {
 		out.Sketches[in.Name] = sketchInfo{
 			Kind:       in.Sketch.Kind(),
-			Shards:     in.Stats.Shards,
+			Shards:     in.Sketch.Shards(),
 			Inserts:    in.Sketch.Inserts(),
 			MemoryBits: in.Sketch.MemoryBits(),
 		}

@@ -146,20 +146,18 @@ func (s *Server) traceSelect(args []string) ([]*xtrace.Trace, error) {
 // trace ID.
 func (s *Server) writeTraceMetrics(p *obs.PromWriter) {
 	st := s.tracer.Snapshot()
-	p.Gauge("she_trace_sample_every", "", float64(s.sample.Trace.Every()))
-	p.Gauge("she_trace_retained", "", float64(st.Retained))
-	p.Gauge("she_trace_pinned", "", float64(st.Pinned))
-	p.Counter("she_trace_sampled_total", "", float64(s.sample.Trace.Sampled()))
-	p.Counter("she_trace_joined_total", "", float64(st.Joined))
-	p.Counter("she_trace_finished_total", "", float64(st.Finished))
-	p.Counter("she_trace_evicted_total", "", float64(st.Evicted))
+	p.Gauge("she_trace_sample_every", float64(s.sample.Trace.Every()))
+	p.Gauge("she_trace_retained", float64(st.Retained))
+	p.Gauge("she_trace_pinned", float64(st.Pinned))
+	p.Counter("she_trace_sampled_total", float64(s.sample.Trace.Sampled()))
+	p.Counter("she_trace_joined_total", float64(st.Joined))
+	p.Counter("she_trace_finished_total", float64(st.Finished))
+	p.Counter("she_trace_evicted_total", float64(st.Evicted))
 	for i := range verbs {
 		ex := s.exemplars[i].Load()
 		if ex == nil {
 			continue
 		}
-		labels := fmt.Sprintf("verb=%q,trace_id=%q",
-			obs.EscapeLabel(verbs[i].name), xtrace.FormatID(ex.id))
-		p.Gauge("she_trace_exemplar_seconds", labels, ex.dur.Seconds())
+		p.Gauge("she_trace_exemplar_seconds", ex.dur.Seconds(), "verb", verbs[i].name, "trace_id", xtrace.FormatID(ex.id))
 	}
 }

@@ -24,8 +24,8 @@ type hotRow struct {
 	top     []traffic.HotEntry
 }
 
-// hotRows reads every sketch's track, in name order, for HOTKEYS,
-// /metrics and the overload ladder's blame line; k is as for Track.Top.
+// hotRows reads every sketch's track, in name order, for HOTKEYS
+// and the overload ladder's blame line; k is as for Track.Top.
 func (s *Server) hotRows(k, rate int) []hotRow {
 	var rows []hotRow
 	for name, sk := range s.reg.Snapshot() {
@@ -219,36 +219,16 @@ func (c *conn) cmdMonitor(Command) error {
 	}
 }
 
-// writeTrafficMetrics renders the she_traffic_* and she_hotkeys_*
-// families: sampler state, client accounting totals, MONITOR health,
-// and per-sketch hot keys (top-k only, so the label cardinality is
-// bounded by K·sketches). Families are emitted in their own loops so
-// every series of a family stays contiguous under its # TYPE line.
+// writeTrafficMetrics renders the she_traffic_* families: sampler
+// state, client accounting totals and MONITOR health. The she_hotkeys_*
+// samples are written at each sketch's visit in metricsHandler.
 func (s *Server) writeTrafficMetrics(p *obs.PromWriter) {
-	rate := s.sample.Traffic.Every()
 	bytesIn, bytesOut, monitors := s.clients.Totals()
-	p.Gauge("she_traffic_sample_every", "", float64(rate))
-	p.Counter("she_traffic_sampled_total", "", float64(s.sample.Traffic.Sampled()))
-	p.Gauge("she_traffic_clients", "", float64(s.clients.Count()))
-	p.Gauge("she_traffic_client_bytes_in", "", float64(bytesIn))
-	p.Gauge("she_traffic_client_bytes_out", "", float64(bytesOut))
-	p.Gauge("she_traffic_monitor_subscribers", "", float64(monitors))
-	p.Counter("she_traffic_monitor_dropped_total", "", float64(s.hub.Dropped()))
-
-	rows := s.hotRows(0, rate)
-	if len(rows) == 0 {
-		return
-	}
-	p.Gauge("she_hotkeys_tracked_sketches", "", float64(len(rows)))
-	for _, h := range rows {
-		p.Counter("she_hotkeys_sampled_keys_total",
-			fmt.Sprintf("sketch=%q", obs.EscapeLabel(h.name)), float64(h.sampled))
-	}
-	for _, h := range rows {
-		for _, e := range h.top {
-			p.Gauge("she_hotkeys_est_count",
-				fmt.Sprintf("sketch=%q,key=\"%d\"", obs.EscapeLabel(h.name), e.Key),
-				float64(e.Count))
-		}
-	}
+	p.Gauge("she_traffic_sample_every", float64(s.sample.Traffic.Every()))
+	p.Counter("she_traffic_sampled_total", float64(s.sample.Traffic.Sampled()))
+	p.Gauge("she_traffic_clients", float64(s.clients.Count()))
+	p.Gauge("she_traffic_client_bytes_in", float64(bytesIn))
+	p.Gauge("she_traffic_client_bytes_out", float64(bytesOut))
+	p.Gauge("she_traffic_monitor_subscribers", float64(monitors))
+	p.Counter("she_traffic_monitor_dropped_total", float64(s.hub.Dropped()))
 }

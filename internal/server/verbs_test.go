@@ -118,3 +118,28 @@ func TestCounterReference(t *testing.T) {
 	}
 	reference(t, "../../README.md", "| Counter | Meaning |", "\n\n", regexp.MustCompile("(?m)^  \\| `(she_\\w+)` \\| (.*) \\|$"), "$1 $2", want)
 }
+
+// TestMetricReference: the README's family table names exactly the
+// families an armed node and its replica emit (testdata/armed.golden,
+// which TestArmedSurface holds to a live scrape), less the operational
+// counters, which have their own table.
+func TestMetricReference(t *testing.T) {
+	data, err := os.ReadFile("testdata/armed.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter := map[string]bool{}
+	for _, r := range obs.CounterRows(new(counters)) {
+		counter["she_"+r.Name] = true
+	}
+	var want []string
+	for _, m := range regexp.MustCompile(`(?m)^# TYPE (\S+) `).FindAllStringSubmatch(string(data), -1) {
+		if !counter[m[1]] && !slices.Contains(want, m[1]) {
+			want = append(want, m[1])
+		}
+	}
+	slices.Sort(want)
+	// A family is named in a row's first cell: at the row's start or
+	// after a comma.
+	reference(t, "../../README.md", "| Family | Type | Meaning |", "\n\n", regexp.MustCompile("(?m)(?:^  \\| |, )`((?:she|go)_\\w+)"), "$1", want)
+}

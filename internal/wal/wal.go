@@ -98,8 +98,8 @@ func (r *Recovery) Damaged() bool {
 // snapshot-then-truncate checkpointing. AppendBatch and Sync are safe
 // for concurrent use; Checkpoint additionally requires that the caller
 // exclude concurrent appends whose effects the snapshot writer might
-// miss (shed holds a server-wide RWMutex: mutations take it shared,
-// Checkpoint takes it exclusively).
+// miss (shed holds one mutex across a mutation's apply and append and
+// across a checkpoint's snapshot and truncate).
 //
 // After any error that leaves on-disk state unknowable (a failed
 // write or fsync of the log itself), the Log turns sticky-failed:
