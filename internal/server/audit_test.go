@@ -1,4 +1,4 @@
-package server_test
+package server
 
 import (
 	"fmt"
@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"she/internal/audit"
-	"she/internal/server"
 )
 
 // insertMany pushes n keys drawn from a space of `space` distinct
@@ -40,7 +39,7 @@ func insertMany(t *testing.T, c *client, name string, n, space int) {
 // series after a realistic volume of inserts, and the same numbers
 // are visible over the wire via SKETCH.AUDIT.
 func TestAuditEndToEnd(t *testing.T) {
-	s := startServer(t, server.Config{
+	s := startServer(t, Config{
 		DebugListen: "127.0.0.1:0",
 		AuditSample: 1.0 / 1024,
 		Logger:      quiet(),
@@ -99,7 +98,7 @@ func TestAuditEndToEnd(t *testing.T) {
 // TestAuditCommand pins the SKETCH.AUDIT wire protocol at sample
 // probability 1 (every key shadowed, deterministic counts).
 func TestAuditCommand(t *testing.T) {
-	s := startServer(t, server.Config{AuditSample: 1, Logger: quiet()})
+	s := startServer(t, Config{AuditSample: 1, Logger: quiet()})
 	c := dial(t, s.Addr().String())
 	c.cmd("SKETCH.CREATE fr cm counters=65536 window=4096")
 	c.cmd("SKETCH.CREATE mb bloom bits=65536 window=4096")
@@ -176,7 +175,7 @@ func TestAuditCommand(t *testing.T) {
 // TestAuditDisabled: without -audit-sample the command still answers,
 // RESET refuses, and /metrics carries no she_audit_* families at all.
 func TestAuditDisabled(t *testing.T) {
-	s := startServer(t, server.Config{DebugListen: "127.0.0.1:0", Logger: quiet()})
+	s := startServer(t, Config{DebugListen: "127.0.0.1:0", Logger: quiet()})
 	c := dial(t, s.Addr().String())
 	c.cmd("SKETCH.CREATE off cm counters=65536 window=4096")
 	insertMany(t, c, "off", 128, 16)
@@ -224,7 +223,7 @@ func family(name string, declared map[string]string) string {
 // contiguous (never interleaved or re-opened) and no family declares
 // TYPE twice.
 func TestMetricsStrictExposition(t *testing.T) {
-	s := startServer(t, server.Config{
+	s := startServer(t, Config{
 		DebugListen:   "127.0.0.1:0",
 		WALDir:        t.TempDir(),
 		AuditSample:   1,
@@ -341,7 +340,7 @@ func TestAuditBloomShardsZipf(t *testing.T) {
 		shards string
 		p      float64
 	}{{"1", 1}, {"1", 1.0 / 1024}, {"8", 1}} {
-		reg := server.NewRegistry(audit.Config{SampleProb: tc.p})
+		reg := NewRegistry(audit.Config{SampleProb: tc.p})
 		if err := reg.Create("b", "bloom", map[string]string{
 			"bits": "262144", "window": "65536", "shards": tc.shards, "seed": "7"}); err != nil {
 			t.Fatal(err)

@@ -1,8 +1,7 @@
-package server_test
+package server
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -12,8 +11,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"she/internal/server"
 )
 
 // benchServerInsert measures end-to-end server-side inserts/sec over
@@ -24,18 +21,9 @@ import (
 // Run them by hand, interleaved and with a real -benchtime: one
 // iteration measures nothing and a single pair is inside the box's
 // noise. The numbers of record come from bench/.
-func benchServerInsert(b *testing.B, cfg server.Config) {
-	cfg.Listen = "127.0.0.1:0"
+func benchServerInsert(b *testing.B, cfg Config) {
 	cfg.Logger = quiet()
-	s := server.New(cfg)
-	if err := s.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	}()
+	s := startServer(b, cfg)
 
 	conn, err := net.Dial("tcp", s.Addr().String())
 	if err != nil {
@@ -78,7 +66,7 @@ func benchServerInsert(b *testing.B, cfg server.Config) {
 // BenchmarkServerInsert runs with the default observability on: every
 // command is clocked into its verb's latency histogram.
 func BenchmarkServerInsert(b *testing.B) {
-	benchServerInsert(b, server.Config{})
+	benchServerInsert(b, Config{})
 }
 
 // BenchmarkServerInsertAudit turns the accuracy auditor on at the
@@ -86,7 +74,7 @@ func BenchmarkServerInsert(b *testing.B) {
 // hash-and-compare per key, and the shadow window only on the ~1/1024
 // sampled keys.
 func BenchmarkServerInsertAudit(b *testing.B) {
-	benchServerInsert(b, server.Config{AuditSample: 1.0 / 1024})
+	benchServerInsert(b, Config{AuditSample: 1.0 / 1024})
 }
 
 // BenchmarkServerInsertTrace turns request tracing on at the
@@ -95,7 +83,7 @@ func BenchmarkServerInsertAudit(b *testing.B) {
 // check at every span site; the sampled one pays the clock reads and
 // span appends.
 func BenchmarkServerInsertTrace(b *testing.B) {
-	benchServerInsert(b, server.Config{TraceSample: 256})
+	benchServerInsert(b, Config{TraceSample: 256})
 }
 
 // BenchmarkServerInsertOverload turns the overload machinery on with
@@ -104,7 +92,7 @@ func BenchmarkServerInsertTrace(b *testing.B) {
 // no rung ever engages. The delta vs BenchmarkServerInsert is what
 // overload protection costs a healthy server.
 func BenchmarkServerInsertOverload(b *testing.B) {
-	benchServerInsert(b, server.Config{
+	benchServerInsert(b, Config{
 		MaxMemory:   1 << 30,
 		MaxInflight: 64,
 	})
@@ -117,7 +105,7 @@ func BenchmarkServerInsertOverload(b *testing.B) {
 // parsed keys into the sketch's hot-key TopK. Per-connection byte and
 // verb accounting is always on and rides the batch settle.
 func BenchmarkServerInsertTraffic(b *testing.B) {
-	benchServerInsert(b, server.Config{TrafficSample: 256})
+	benchServerInsert(b, Config{TrafficSample: 256})
 }
 
 // benchSaturateConns is the connection count for the saturation
@@ -143,37 +131,15 @@ const benchSaturateKeysPerCmd = 64
 // above keep the per-line SKETCH.INSERT shape for the overhead gates.
 // withReplica additionally attaches a live follower (its own WAL dir,
 // async replication), so the primary streams every record it fsyncs.
-func benchServerInsertSaturate(b *testing.B, cfg server.Config, withReplica bool) {
-	cfg.Listen = "127.0.0.1:0"
+func benchServerInsertSaturate(b *testing.B, cfg Config, withReplica bool) {
 	cfg.Logger = quiet()
-	s := server.New(cfg)
-	if err := s.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	}()
+	s := startServer(b, cfg)
 
 	// The follower starts first: under semi-sync the CREATE below is
 	// acknowledged only once a replica holds it.
-	var rep *server.Server
+	var rep *Server
 	if withReplica {
-		rep = server.New(server.Config{
-			Listen:    "127.0.0.1:0",
-			Logger:    quiet(),
-			WALDir:    b.TempDir(),
-			ReplicaOf: s.Addr().String(),
-		})
-		if err := rep.Start(); err != nil {
-			b.Fatal(err)
-		}
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			rep.Shutdown(ctx)
-		}()
+		rep = startServer(b, Config{Logger: quiet(), WALDir: b.TempDir(), ReplicaOf: s.Addr().String()})
 	}
 
 	setup, err := net.Dial("tcp", s.Addr().String())
@@ -321,14 +287,14 @@ func reportSpan(b *testing.B, addr, span string) {
 // BenchmarkServerInsertSaturate is the multi-connection saturation
 // figure with the default config: 8 pipelining connections, no WAL.
 func BenchmarkServerInsertSaturate(b *testing.B) {
-	benchServerInsertSaturate(b, server.Config{}, false)
+	benchServerInsertSaturate(b, Config{}, false)
 }
 
 // BenchmarkServerInsertSaturateWAL adds the durable WAL — the
 // baseline a streaming primary is measured against (group commit
 // across the 8 connections).
 func BenchmarkServerInsertSaturateWAL(b *testing.B) {
-	benchServerInsertSaturate(b, server.Config{WALDir: b.TempDir()}, false)
+	benchServerInsertSaturate(b, Config{WALDir: b.TempDir()}, false)
 }
 
 // BenchmarkServerInsertSaturateRepl is SaturateWAL plus one attached
@@ -339,9 +305,9 @@ func BenchmarkServerInsertSaturateWAL(b *testing.B) {
 // traces it samples 1 in 64 is reported as its p50 and p99.
 func BenchmarkServerInsertSaturateRepl(b *testing.B) {
 	b.Run("async", func(b *testing.B) {
-		benchServerInsertSaturate(b, server.Config{WALDir: b.TempDir()}, true)
+		benchServerInsertSaturate(b, Config{WALDir: b.TempDir()}, true)
 	})
 	b.Run("sync-replicas=1", func(b *testing.B) {
-		benchServerInsertSaturate(b, server.Config{WALDir: b.TempDir(), SyncReplicas: 1, TraceSample: 64}, true)
+		benchServerInsertSaturate(b, Config{WALDir: b.TempDir(), SyncReplicas: 1, TraceSample: 64}, true)
 	})
 }

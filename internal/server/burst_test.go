@@ -3,46 +3,21 @@ package server
 // Burst-apply tests: a follower applies what its stream had ready as one
 // burst — apply all, log all in one batch, fsync once, acknowledge once.
 // They check that the burst boundaries never show in the follower's
-// state or its log, against the primary, against a reference fed key by
-// key, across follower checkpoints, after an error in the middle of a
-// burst, and after a crash at every filesystem operation.
+// state or its log: against a reference fed key by key, after an error
+// in the middle of a burst, and after a crash at every filesystem
+// operation. TestFollowerByteEqualAtEqualCursor holds a follower that
+// checkpoints between bursts to its primary.
 
 import (
-	"bufio"
 	"fmt"
 	"math/rand"
-	"net"
 	"strings"
 	"testing"
-	"time"
 
 	"she/internal/failfs"
 	"she/internal/repl"
 	"she/internal/wal"
 )
-
-func eventually(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
-		if cond() {
-			return
-		}
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
-// startFollower starts a replica of primary with its own WAL in dir.
-func startFollower(t *testing.T, dir string, primary *Server, chkBytes int64) *Server {
-	t.Helper()
-	s := New(Config{
-		Listen: "127.0.0.1:0", WALDir: dir, CheckpointBytes: chkBytes,
-		ReplicaOf: primary.Addr().String(), ReplRetryInterval: 10 * time.Millisecond,
-	})
-	if err := s.Start(); err != nil {
-		t.Fatalf("Start follower: %v", err)
-	}
-	return s
-}
 
 // caughtUp reports whether the follower has acknowledged the primary's
 // durable tip.
@@ -101,111 +76,6 @@ func scriptLines(seed int64, n int) []string {
 	return lines
 }
 
-// runScript sends lines over one connection in pipelined flushes of
-// random length — so the primary's batches, and with them the follower's
-// records and bursts, come in every size — and checks no line fails.
-func runScript(t *testing.T, s *Server, seed int64, lines []string) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	if err := sendScript(s, lines, func(left int) int { return min(left, 1+rng.Intn(60)) }); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// sendScript sends lines over one connection, flush(left) of them at a
-// time, reading every reply of a flush before the next; it fails on the
-// first error reply. Safe to run from several goroutines.
-func sendScript(s *Server, lines []string, flush func(left int) int) error {
-	conn, err := net.Dial("tcp", s.Addr().String())
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(60 * time.Second))
-	r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
-	for len(lines) > 0 {
-		n := flush(len(lines))
-		for _, l := range lines[:n] {
-			w.WriteString(l + "\n")
-		}
-		if err := w.Flush(); err != nil {
-			return err
-		}
-		for _, l := range lines[:n] {
-			reply, err := r.ReadString('\n')
-			if err != nil || strings.HasPrefix(reply, "-") {
-				return fmt.Errorf("%.40s = %q, %v", l, reply, err)
-			}
-		}
-		lines = lines[n:]
-	}
-	return nil
-}
-
-// TestFollowerByteEqualAtEqualCursor: after two writers' random
-// MINSERT/INSERT/CREATE/DROP scripts — each on its own names, both
-// feeding one shared sketch — a follower that has acknowledged the
-// primary's tip holds byte-for-byte the primary's sketches, although
-// it checkpointed many times while the bursts came in; and what it
-// acknowledged is in its own log: killed and restarted on its own, it
-// recovers the same bytes. A second follower that full-syncs while the
-// writers run holds the same bytes at the same cursor.
-func TestFollowerByteEqualAtEqualCursor(t *testing.T) {
-	primary := startWAL(t, t.TempDir(), nil, 0)
-	defer primary.Abort()
-	fdir := t.TempDir()
-	follower := startFollower(t, fdir, primary, 4096)
-	eventually(t, "full sync", func() bool { return caughtUp(primary, follower) })
-	chk0 := follower.ctr.Checkpoints.Value()
-
-	dialServer(t, primary).must("SKETCH.CREATE shared cm counters=2048 window=2048 shards=2", "+OK")
-	errs := make(chan error, 2)
-	for wr, prefix := range []string{"s", "t"} {
-		var lines []string
-		for i, l := range scriptLines(int64(1+wr), 1500) {
-			f := strings.SplitN(l, " ", 3)
-			f[1] = prefix + f[1][1:]
-			lines = append(lines, strings.Join(f, " "))
-			if i%4 == 0 {
-				lines = append(lines, fmt.Sprintf("MINSERT shared %d %d %d", wr, i, i*i))
-			}
-		}
-		rng := rand.New(rand.NewSource(int64(1 + wr)))
-		go func() {
-			errs <- sendScript(primary, lines, func(left int) int { return min(left, 1+rng.Intn(60)) })
-		}()
-	}
-	// A second follower full-syncs while both writers run: its snapshot
-	// is sealed at the log tip between their apply-and-appends.
-	eventually(t, "the writers under way", func() bool { return primary.ctr.WALRecords.Value() > 200 })
-	late := startFollower(t, t.TempDir(), primary, 4096)
-	defer late.Abort()
-	for range 2 {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-	eventually(t, "follower at the primary's tip", func() bool { return caughtUp(primary, follower) })
-	want := registryImage(t, primary)
-	if len(want) == 0 {
-		t.Fatal("script left no sketch to compare")
-	}
-	sameImage(t, "follower at equal cursor", registryImage(t, follower), want)
-	eventually(t, "late follower at the primary's tip", func() bool { return caughtUp(primary, late) })
-	sameImage(t, "follower attached mid-script", registryImage(t, late), want)
-	if got := follower.ctr.Checkpoints.Value() - chk0; got < 3 {
-		t.Fatalf("follower checkpointed %d times during the script; the bursts were meant to straddle several", got)
-	}
-	if st := follower.currentFollower().Status(); st.FullSyncs != 1 {
-		t.Fatalf("follower needed %d full syncs", st.FullSyncs)
-	}
-
-	follower.Abort()
-	alone := startWAL(t, fdir, nil, 0)
-	defer alone.Abort()
-	sameImage(t, "follower recovered from its own log", registryImage(t, alone), want)
-}
-
 // burstRecords renders a script as the records a primary would ship:
 // text CREATE/DROP lines and insert records.
 func burstRecords(t *testing.T, lines []string) []repl.Record {
@@ -238,9 +108,10 @@ func TestBurstBoundariesLeaveNoTrace(t *testing.T) {
 	lines := scriptLines(2, 800)
 	recs := burstRecords(t, lines)
 
-	ref := startServerNoWAL(t)
-	defer ref.Abort()
-	runScript(t, ref, 2, lines)
+	ref := startServer(t, Config{})
+	if _, err := sendScript(ref, lines, randomFlush(2)); err != nil {
+		t.Fatal(err)
+	}
 	want := registryImage(t, ref)
 
 	rng := rand.New(rand.NewSource(3))
@@ -300,15 +171,6 @@ func getSketch(t *testing.T, s *Server, name string) *Sketch {
 	return sk
 }
 
-func startServerNoWAL(t *testing.T) *Server {
-	t.Helper()
-	s := New(Config{Listen: "127.0.0.1:0"})
-	if err := s.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	return s
-}
-
 // TestBurstApplyErrorMidBurst: a record that cannot apply fails the
 // burst where it stands. The records ahead of it are applied and logged
 // as a pair, as ever; the ones behind it are not touched; none counts as
@@ -345,24 +207,21 @@ func TestBurstApplyErrorMidBurst(t *testing.T) {
 	want := registryImage(t, s)
 	s.Abort()
 	again := startWAL(t, dir, nil, 0)
-	defer again.Abort()
 	sameImage(t, "replay after the failed burst", registryImage(t, again), want)
 }
 
-// followerCrashScript applies bursts of three insert records to a
-// follower whose filesystem is fsys until one fails, and returns the
-// keys of the bursts ApplyBurst reported durable — the ones a follower
-// would have acknowledged.
-func followerCrashScript(t *testing.T, fsys failfs.FS, dir string) (acked []uint64) {
-	t.Helper()
+// followerCrashScript applies a CREATE, then bursts of three insert
+// records, to a follower until one fails; what ApplyBurst reported
+// durable is what a follower would have acknowledged.
+func followerCrashScript(t *testing.T, fsys failfs.FS, dir string) (created bool, acked []uint64) {
 	s := New(Config{Listen: "127.0.0.1:0", WALDir: dir, CheckpointBytes: 512, FS: fsys})
 	if err := s.Start(); err != nil {
-		return nil // crashed during start-up
+		return false, nil // crashed during start-up
 	}
 	defer s.Abort()
 	tgt := &replTarget{s: s}
 	if tgt.ApplyBurst([]repl.Record{{Payload: []byte("SKETCH.CREATE flows cm counters=512 window=65536 shards=1")}}) != nil {
-		return nil
+		return false, nil
 	}
 	for burst := 0; burst < 8; burst++ {
 		var recs []repl.Record
@@ -373,56 +232,19 @@ func followerCrashScript(t *testing.T, fsys failfs.FS, dir string) (acked []uint
 			keys = append(keys, ks...)
 		}
 		if tgt.ApplyBurst(recs) != nil {
-			return acked
+			return true, acked
 		}
 		acked = append(acked, keys...)
 	}
-	return acked
+	return true, acked
 }
 
-// TestFollowerBurstCrashAtEveryFSOperation runs the sweep of
-// TestWALCrashAtEveryFSOperation over a follower applying bursts: the
-// filesystem dies at every mutating operation in turn — mid batch
-// append, mid fsync, mid checkpoint — and the follower recovered from
-// the surviving directory holds every record below the last position it
-// acknowledged, plus at most the one burst that was in flight.
+// TestFollowerBurstCrashAtEveryFSOperation runs the crash sweep over a
+// follower applying bursts: recovered, it holds every record below the
+// last position it acknowledged, plus at most the one burst of 6 keys
+// that was in flight.
 func TestFollowerBurstCrashAtEveryFSOperation(t *testing.T) {
-	probe := failfs.NewFault(failfs.OS{})
-	if acked := followerCrashScript(t, probe, t.TempDir()); len(acked) != 48 {
-		t.Fatalf("probe run incomplete: %d keys acked", len(acked))
-	}
-	total := probe.Steps()
-	if total < 40 {
-		t.Fatalf("suspiciously few fault points: %d", total)
-	}
-	for k := int64(1); k <= total; k++ {
-		dir := t.TempDir()
-		fault := failfs.NewFault(failfs.OS{})
-		fault.CrashAt(k)
-		acked := followerCrashScript(t, fault, dir)
-		if !fault.Crashed() {
-			t.Fatalf("crash at step %d never fired", k)
-		}
-		s := New(Config{Listen: "127.0.0.1:0", WALDir: dir})
-		if err := s.Start(); err != nil {
-			t.Fatalf("crash at step %d: recovery failed: %v", k, err)
-		}
-		sk, err := s.Registry().Get("flows")
-		if len(acked) > 0 && err != nil {
-			t.Fatalf("crash at step %d: sketch of %d acked keys missing: %v", k, len(acked), err)
-		}
-		for _, key := range acked {
-			if v, _ := sk.Query(key); v < 1 {
-				t.Fatalf("crash at step %d: acked key %d lost", k, key)
-			}
-		}
-		if sk != nil {
-			if n := sk.Inserts(); n < uint64(len(acked)) || n > uint64(len(acked))+6 {
-				t.Fatalf("crash at step %d: recovered %d inserts, acked %d (+ at most one burst of 6)", k, n, len(acked))
-			}
-		}
-		s.Abort()
-	}
+	crashSweep(t, followerCrashScript, 48, 6)
 }
 
 // TestRecordLargerThanReadBudgetShips: one insert record bigger than
@@ -431,11 +253,9 @@ func TestFollowerBurstCrashAtEveryFSOperation(t *testing.T) {
 // acknowledged like any other.
 func TestRecordLargerThanReadBudgetShips(t *testing.T) {
 	primary := startWAL(t, t.TempDir(), nil, 0)
-	defer primary.Abort()
-	c := dialServer(t, primary)
+	c := dial(t, primary.Addr().String())
 	c.must("SKETCH.CREATE flows bloom bits=1048576 window=262144 shards=4", "+OK")
 	follower := startFollower(t, t.TempDir(), primary, 0)
-	defer follower.Abort()
 	eventually(t, "full sync", func() bool { return caughtUp(primary, follower) })
 
 	keys := testKeys(11, replReadBudget/8+5000)

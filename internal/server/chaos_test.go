@@ -1,8 +1,7 @@
-package server_test
+package server
 
 import (
 	"bufio"
-	"context"
 	"fmt"
 	"net"
 	"os"
@@ -13,7 +12,6 @@ import (
 	"time"
 
 	"she/internal/failnet"
-	"she/internal/server"
 )
 
 // Jepsen-lite: replication and the wire protocol under a hostile
@@ -85,7 +83,7 @@ func TestChaosPartitionHealCatchup(t *testing.T) {
 	// Tracing on: sampled traces must survive partitions — ship-table
 	// entries for records stuck behind the partition, follower joins
 	// after the heal — without leaking goroutines or wedging the stream.
-	primary := startServer(t, server.Config{WALDir: t.TempDir(), TraceSample: 16})
+	primary := startServer(t, Config{WALDir: t.TempDir(), TraceSample: 16})
 	pc := dial(t, primary.Addr().String())
 	// Presence is verified on the bloom sketch (SHE-BF never
 	// false-negatives for an in-window key — a hard suite property);
@@ -95,7 +93,7 @@ func TestChaosPartitionHealCatchup(t *testing.T) {
 	pc.cmd("SKETCH.CREATE flows bloom bits=4194304 window=1048576 shards=4")
 	pc.cmd("SKETCH.CREATE freq cm counters=262144 window=1048576 shards=4")
 
-	follower := startServer(t, server.Config{
+	follower := startServer(t, Config{
 		WALDir:               t.TempDir(),
 		ReplicaOf:            primary.Addr().String(),
 		ReplDial:             nw.DialTimeout,
@@ -120,7 +118,7 @@ func TestChaosPartitionHealCatchup(t *testing.T) {
 		}
 	}
 	insert(100)
-	waitUntil(t, "pre-partition sync", func() bool {
+	eventually(t, "pre-partition sync", func() bool {
 		return queryInt(fc, "SKETCH.QUERY flows chaos-key-99") >= 1
 	})
 
@@ -140,7 +138,7 @@ func TestChaosPartitionHealCatchup(t *testing.T) {
 	}
 	nw.Heal()
 
-	waitUntil(t, "catch-up after heal", func() bool { return replicaCaughtUp(pc) })
+	eventually(t, "catch-up after heal", func() bool { return replicaCaughtUp(pc) })
 	// Zero acked-insert loss: bloom never false-negatives within the
 	// window, so every acked key must answer :1 on the follower.
 	for i := 0; i < keys; i++ {
@@ -161,7 +159,7 @@ func TestChaosPartitionHealCatchup(t *testing.T) {
 // wire, so mis-framing bugs surface as parse errors. Whatever step
 // dies, the follower's retry loop must converge to a full replica.
 func TestChaosResetEveryHandshakeStep(t *testing.T) {
-	primary := startServer(t, server.Config{WALDir: t.TempDir()})
+	primary := startServer(t, Config{WALDir: t.TempDir()})
 	pc := dial(t, primary.Addr().String())
 	pc.cmd("SKETCH.CREATE flows bloom bits=1048576 window=65536 shards=4")
 	for i := 0; i < 20; i++ {
@@ -170,30 +168,21 @@ func TestChaosResetEveryHandshakeStep(t *testing.T) {
 
 	bootFollower := func(nw *failnet.Network) (*client, func()) {
 		t.Helper()
-		f := server.New(server.Config{
-			Listen:               "127.0.0.1:0",
+		f := startServer(t, Config{
 			WALDir:               t.TempDir(),
 			ReplicaOf:            primary.Addr().String(),
 			ReplDial:             nw.DialTimeout,
 			ReplRetryInterval:    10 * time.Millisecond,
 			ReplMaxRetryInterval: 50 * time.Millisecond,
 		})
-		if err := f.Start(); err != nil {
-			t.Fatal(err)
-		}
-		stop := func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			f.Shutdown(ctx)
-		}
-		return dial(t, f.Addr().String()), stop
+		return dial(t, f.Addr().String()), f.Abort
 	}
 
 	// Clean run: count how many network operations one attach-and-sync
 	// takes; that is the step range the fault sweep must cover.
 	probe := failnet.New(99)
 	fc0, stop0 := bootFollower(probe)
-	waitUntil(t, "clean baseline sync", func() bool {
+	eventually(t, "clean baseline sync", func() bool {
 		return queryInt(fc0, "SKETCH.QUERY flows seed-19") >= 1
 	})
 	steps := probe.Steps()
@@ -213,13 +202,13 @@ func TestChaosResetEveryHandshakeStep(t *testing.T) {
 		nw := failnet.New(1000 + n)
 		nw.ResetAt(n)
 		fc, stop := bootFollower(nw)
-		waitUntil(t, fmt.Sprintf("recovery from reset at network op %d/%d", n, maxN), func() bool {
+		eventually(t, fmt.Sprintf("recovery from reset at network op %d/%d", n, maxN), func() bool {
 			return queryInt(fc, "SKETCH.QUERY flows seed-19") >= 1
 		})
 		// The sweep only proves something if the fault actually fired;
 		// on an established channel the op counter keeps moving
 		// (heartbeats, acks), so an armed step is always reached.
-		waitUntil(t, fmt.Sprintf("reset %d fired", n), func() bool {
+		eventually(t, fmt.Sprintf("reset %d fired", n), func() bool {
 			return nw.Resets() >= 1
 		})
 		stop()
@@ -236,23 +225,12 @@ func TestChaosKillPromoteChain(t *testing.T) {
 	nw := failnet.New(7)
 	nw.SetLatency(500 * time.Microsecond)
 
-	a := server.New(server.Config{
-		Listen:       "127.0.0.1:0",
+	a := startServer(t, Config{
 		WALDir:       t.TempDir(),
 		SyncReplicas: 1,
 	})
-	if err := a.Start(); err != nil {
-		t.Fatal(err)
-	}
-	aLive := true
-	defer func() {
-		if aLive {
-			a.Abort()
-		}
-	}()
 
-	b := server.New(server.Config{
-		Listen:               "127.0.0.1:0",
+	b := startServer(t, Config{
 		WALDir:               t.TempDir(),
 		ReplicaOf:            a.Addr().String(),
 		ReplDial:             nw.DialTimeout,
@@ -260,17 +238,8 @@ func TestChaosKillPromoteChain(t *testing.T) {
 		ReplMaxRetryInterval: 100 * time.Millisecond,
 		AuditSample:          1,
 	})
-	if err := b.Start(); err != nil {
-		t.Fatal(err)
-	}
-	bLive := true
-	defer func() {
-		if bLive {
-			b.Abort()
-		}
-	}()
 	bc := dial(t, b.Addr().String())
-	waitUntil(t, "B attached to A", func() bool {
+	eventually(t, "B attached to A", func() bool {
 		return strings.Contains(strings.Join(bc.array("ROLE"), "\n"), "connected=true")
 	})
 
@@ -295,13 +264,12 @@ func TestChaosKillPromoteChain(t *testing.T) {
 
 	// Kill A, promote B.
 	a.Abort()
-	aLive = false
 	if got := bc.cmd("REPLICAOF NO ONE"); got != "+OK" {
 		t.Fatalf("B promotion = %q", got)
 	}
 
 	// C attaches to the new primary and full-syncs round 1.
-	c := startServer(t, server.Config{
+	c := startServer(t, Config{
 		WALDir:               t.TempDir(),
 		ReplicaOf:            b.Addr().String(),
 		ReplDial:             nw.DialTimeout,
@@ -310,7 +278,7 @@ func TestChaosKillPromoteChain(t *testing.T) {
 		AuditSample:          1,
 	})
 	cc := dial(t, c.Addr().String())
-	waitUntil(t, "C full-synced round 1 from B", func() bool {
+	eventually(t, "C full-synced round 1 from B", func() bool {
 		return queryInt(cc, "SKETCH.QUERY flows chain-key-0") >= 1
 	})
 
@@ -323,11 +291,10 @@ func TestChaosKillPromoteChain(t *testing.T) {
 			t.Fatalf("round-2 INSERT freq %d = %q", i, got)
 		}
 	}
-	waitUntil(t, "C caught up on round 2", func() bool { return replicaCaughtUp(bc) })
+	eventually(t, "C caught up on round 2", func() bool { return replicaCaughtUp(bc) })
 
 	// Kill B, promote C.
 	b.Abort()
-	bLive = false
 	if got := cc.cmd("REPLICAOF NO ONE"); got != "+OK" {
 		t.Fatalf("C promotion = %q", got)
 	}
@@ -361,7 +328,7 @@ func TestChaosKillPromoteChain(t *testing.T) {
 // -race this is also the write-path concurrency check.
 func TestChaosTornClientReplies(t *testing.T) {
 	nw := failnet.New(11)
-	s := startServer(t, server.Config{WrapConn: nw.WrapConn, WriteTimeout: 2 * time.Second})
+	s := startServer(t, Config{WrapConn: nw.WrapConn, WriteTimeout: 2 * time.Second})
 	c0 := dial(t, s.Addr().String())
 	if got := c0.cmd("SKETCH.CREATE t bloom bits=65536 window=4096 shards=1"); got != "+OK" {
 		t.Fatalf("CREATE = %q", got)
@@ -417,7 +384,7 @@ func TestChaosTornClientReplies(t *testing.T) {
 	if got := c1.cmd("SKETCH.QUERY t a"); got != ":1" {
 		t.Fatalf("fresh connection QUERY = %q", got)
 	}
-	waitUntil(t, "connection goroutines drained", func() bool {
+	eventually(t, "connection goroutines drained", func() bool {
 		runtime.GC()
 		return runtime.NumGoroutine() <= base+4
 	})

@@ -871,9 +871,9 @@ func (c *conn) cmdList(Command) error {
 	infos := c.s.reg.List()
 	lines := make([]string, len(infos))
 	for i, in := range infos {
-		st := in.Sketch.Stats()
+		sk := in.Sketch
 		lines[i] = fmt.Sprintf("%s kind=%s shards=%d window=%d inserts=%d memory_kb=%.1f",
-			in.Name, in.Sketch.Kind(), st.Shards, st.Window, in.Sketch.Inserts(), float64(in.Sketch.MemoryBits())/8192)
+			in.Name, sk.Kind(), sk.Shards(), sk.window, sk.Inserts(), float64(sk.MemoryBits())/8192)
 	}
 	writeArray(c.w, lines)
 	return nil

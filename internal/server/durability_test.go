@@ -1,8 +1,11 @@
 package server
 
-// Durability tests live inside the package: they reach the registry,
-// the snapshot codec, the testPanic hook, and Abort — the simulated
-// kill -9 — none of which are wire-visible.
+// Durability tests: an acknowledged mutation survives an abrupt kill
+// (Abort, which writes nothing, like kill -9), a filesystem that crashes
+// at any operation, a torn or corrupt log segment and a graceful
+// restart; a failed fsync withholds the ack; a corrupt snapshot never
+// loads; a snapshot file holds the format's bytes, streamed one shard at
+// a time; and a panic costs one connection, not the node.
 
 import (
 	"bufio"
@@ -23,60 +26,12 @@ import (
 	"she/internal/wal"
 )
 
-// dconn is a minimal synchronous client: one command, one reply line.
-type dconn struct {
-	t    *testing.T
-	conn net.Conn
-	r    *bufio.Reader
-}
-
-func dialServer(t *testing.T, s *Server) *dconn {
-	t.Helper()
-	conn, err := net.Dial("tcp", s.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	return &dconn{t: t, conn: conn, r: bufio.NewReader(conn)}
-}
-
-// try sends one command and returns the reply; ok=false means the
-// connection died before a reply line arrived (never an ack).
-func (c *dconn) try(cmd string) (string, bool) {
-	c.conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if _, err := fmt.Fprintf(c.conn, "%s\n", cmd); err != nil {
-		return "", false
-	}
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", false
-	}
-	return strings.TrimSpace(line), true
-}
-
-func (c *dconn) must(cmd, want string) {
-	c.t.Helper()
-	reply, ok := c.try(cmd)
-	if !ok || reply != want {
-		c.t.Fatalf("%s = %q (ok=%v), want %q", cmd, reply, ok, want)
-	}
-}
-
-func startWAL(t *testing.T, dir string, fsys failfs.FS, chkBytes int64) *Server {
-	t.Helper()
-	s := New(Config{Listen: "127.0.0.1:0", WALDir: dir, CheckpointBytes: chkBytes, FS: fsys})
-	if err := s.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	return s
-}
-
 // TestWALSurvivesAbort: every acknowledged mutation survives an abrupt
 // kill (Abort — no drain, no shutdown checkpoint) purely via the log.
 func TestWALSurvivesAbort(t *testing.T) {
 	dir := t.TempDir()
 	s1 := startWAL(t, dir, nil, 0)
-	c := dialServer(t, s1)
+	c := dial(t, s1.Addr().String())
 	c.must("SKETCH.CREATE flows cm counters=1024 window=65536 shards=2", "+OK")
 	c.must("SKETCH.CREATE seen bloom bits=4096 window=65536 shards=2", "+OK")
 	for i := 0; i < 200; i++ {
@@ -87,7 +42,6 @@ func TestWALSurvivesAbort(t *testing.T) {
 	s1.Abort()
 
 	s2 := startWAL(t, dir, nil, 0)
-	defer s2.Abort()
 	if _, err := s2.Registry().Get("seen"); err == nil {
 		t.Fatal("acked DROP was lost: sketch still present after recovery")
 	}
@@ -108,18 +62,73 @@ func TestWALSurvivesAbort(t *testing.T) {
 	}
 }
 
-// walCrashScript drives a fixed command script over TCP against a
-// server whose filesystem is fsys. It returns which mutations were
-// acknowledged; a vanished connection or error reply stops the script
-// (the filesystem crashed underneath the server).
-func walCrashScript(t *testing.T, fsys failfs.FS, dir string) (createAcked bool, acked []uint64) {
-	t.Helper()
+// crashScript runs a fixed script on a node whose filesystem is fsys,
+// logging to dir, until the filesystem crashes under it. It reports
+// whether the node acknowledged the script's SKETCH.CREATE of flows and
+// which keys it acknowledged inserting there.
+type crashScript func(t *testing.T, fsys failfs.FS, dir string) (created bool, acked []uint64)
+
+// crashSweep is the end-to-end fault-injection loop. A probe run on a
+// healthy filesystem counts the script's filesystem operations, at least
+// 40, and must acknowledge all keys. Then the filesystem crashes at each
+// operation in turn — mid log append, mid fsync, mid checkpoint rename,
+// everywhere — and a node recovering from the surviving directory on the
+// real filesystem must hold the acknowledged sketch and answer every
+// acknowledged key, with at most slack inserts beyond them: what was in
+// flight when the filesystem died.
+func crashSweep(t *testing.T, script crashScript, keys int, slack uint64) {
+	probe := failfs.NewFault(failfs.OS{})
+	if created, acked := script(t, probe, t.TempDir()); !created || len(acked) != keys {
+		t.Fatalf("probe run incomplete: create=%v acked=%d, want %d", created, len(acked), keys)
+	}
+	total := probe.Steps()
+	if total < 40 {
+		t.Fatalf("suspiciously few fault points: %d", total)
+	}
+	for k := int64(1); k <= total; k++ {
+		dir := t.TempDir()
+		fault := failfs.NewFault(failfs.OS{})
+		fault.CrashAt(k)
+		created, acked := script(t, fault, dir)
+		if !fault.Crashed() {
+			t.Fatalf("crash at step %d never fired", k)
+		}
+		if !created && len(acked) > 0 {
+			t.Fatalf("crash at step %d: inserts acked without an acked create", k)
+		}
+		// The crashed process is gone; only the directory survives.
+		s := New(Config{Listen: "127.0.0.1:0", WALDir: dir})
+		if err := s.Start(); err != nil {
+			t.Fatalf("crash at step %d: recovery failed: %v", k, err)
+		}
+		sk, err := s.Registry().Get("flows")
+		if created && err != nil {
+			t.Fatalf("crash at step %d: acked sketch missing: %v", k, err)
+		}
+		for _, key := range acked {
+			if v, _ := sk.Query(key); v < 1 {
+				t.Fatalf("crash at step %d: acked key %d lost", k, key)
+			}
+		}
+		if sk != nil {
+			if n := sk.Inserts(); n < uint64(len(acked)) || n > uint64(len(acked))+slack {
+				t.Fatalf("crash at step %d: recovered %d inserts, acked %d (+ at most %d in flight)", k, n, len(acked), slack)
+			}
+		}
+		s.Abort()
+	}
+}
+
+// walCrashScript sends a fixed command script over TCP: a CREATE, then
+// twelve single-key inserts. A vanished connection or an error reply
+// stops it.
+func walCrashScript(t *testing.T, fsys failfs.FS, dir string) (created bool, acked []uint64) {
 	s := New(Config{Listen: "127.0.0.1:0", WALDir: dir, CheckpointBytes: 256, FS: fsys})
 	if err := s.Start(); err != nil {
 		return false, nil // crashed during recovery/startup
 	}
 	defer s.Abort()
-	c := dialServer(t, s)
+	c := dial(t, s.Addr().String())
 	if reply, ok := c.try("SKETCH.CREATE flows cm counters=512 window=65536 shards=1"); !ok || reply != "+OK" {
 		return false, nil
 	}
@@ -133,59 +142,11 @@ func walCrashScript(t *testing.T, fsys failfs.FS, dir string) (createAcked bool,
 	return true, acked
 }
 
-// TestWALCrashAtEveryFSOperation is the end-to-end fault-injection
-// test: the whole server runs on a failfs.Fault, the filesystem
-// crashes at every single mutating operation in turn — mid WAL append,
-// mid fsync, mid checkpoint rename, everywhere — and after each crash
-// a fresh server recovering from the surviving directory must hold
-// every acknowledged write.
+// TestWALCrashAtEveryFSOperation runs the crash sweep over a WAL node
+// serving clients: at most the one insert in flight, which the script
+// stops at, can exceed the acknowledged set.
 func TestWALCrashAtEveryFSOperation(t *testing.T) {
-	probe := failfs.NewFault(failfs.OS{})
-	createAcked, acked := walCrashScript(t, probe, t.TempDir())
-	if !createAcked || len(acked) != 12 {
-		t.Fatalf("probe run incomplete: create=%v acked=%d", createAcked, len(acked))
-	}
-	total := probe.Steps()
-	if total < 40 {
-		t.Fatalf("suspiciously few fault points: %d", total)
-	}
-
-	for k := int64(1); k <= total; k++ {
-		dir := t.TempDir()
-		fault := failfs.NewFault(failfs.OS{})
-		fault.CrashAt(k)
-		createAcked, acked := walCrashScript(t, fault, dir)
-		if !fault.Crashed() {
-			t.Fatalf("crash at step %d never fired", k)
-		}
-
-		// Restart on the real filesystem: the crashed process is gone,
-		// only the directory survives.
-		s := New(Config{Listen: "127.0.0.1:0", WALDir: dir})
-		if err := s.Start(); err != nil {
-			t.Fatalf("crash at step %d: recovery failed: %v", k, err)
-		}
-		sk, err := s.Registry().Get("flows")
-		if createAcked && err != nil {
-			t.Fatalf("crash at step %d: acked sketch missing: %v", k, err)
-		}
-		if !createAcked && len(acked) > 0 {
-			t.Fatalf("crash at step %d: inserts acked without an acked create", k)
-		}
-		for _, key := range acked {
-			if v, _ := sk.Query(key); v < 1 {
-				t.Fatalf("crash at step %d: acked key %d lost", k, key)
-			}
-		}
-		if sk != nil {
-			// At most one in-flight insert can exceed the acked set: the
-			// script stops at the first unacknowledged command.
-			if n := sk.Inserts(); n < uint64(len(acked)) || n > uint64(len(acked))+1 {
-				t.Fatalf("crash at step %d: recovered %d inserts, acked %d", k, n, len(acked))
-			}
-		}
-		s.Abort()
-	}
+	crashSweep(t, walCrashScript, 12, 1)
 }
 
 // TestRecoveryCheckpoint: recovery checkpoints at once when it found
@@ -207,7 +168,7 @@ func TestRecoveryCheckpoint(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			s := startWAL(t, dir, nil, 0)
-			c := dialServer(t, s)
+			c := dial(t, s.Addr().String())
 			c.must("SKETCH.CREATE flows cm counters=1024 window=65536 shards=2", "+OK")
 			c.must("SKETCH.INSERT flows 7 7 8", ":3")
 			s.Abort()
@@ -233,7 +194,7 @@ func TestRecoveryCheckpoint(t *testing.T) {
 				if restart == 0 && tc.ctr != "" && s.Counters()[tc.ctr] == 0 {
 					t.Errorf("%s = 0 after the damage", tc.ctr)
 				}
-				answer, _ := dialServer(t, s).try("SKETCH.QUERY flows 7")
+				answer, _ := dial(t, s.Addr().String()).try("SKETCH.QUERY flows 7")
 				if restart == 0 {
 					first = answer
 				} else if answer != first {
@@ -432,8 +393,7 @@ func TestSnapshotStreamByteEqual(t *testing.T) {
 // MB of snapshot) allocates no more than 64 KiB.
 func TestCheckpointAllocatesNoSketchCopy(t *testing.T) {
 	s := startWAL(t, t.TempDir(), nil, 0)
-	defer s.Abort()
-	c := dialServer(t, s)
+	c := dial(t, s.Addr().String())
 	for _, create := range []string{"b bloom bits=4194304", "c cm counters=262144", "h hll registers=16384"} {
 		c.must("SKETCH.CREATE "+create+" window=1048576 shards=8", "+OK")
 		c.must("SKETCH.INSERT "+create[:1]+" 1 2 3", ":3")
@@ -547,14 +507,9 @@ func TestPanicRecoveredPerConnection(t *testing.T) {
 		{"fast-query", "SKETCH.QUERY hollow 7", nilDeref, Config{MaxInflight: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.cfg.Listen = "127.0.0.1:0"
-			s := New(tc.cfg)
-			if err := s.Start(); err != nil {
-				t.Fatal(err)
-			}
-			defer s.Abort()
+			s := startServer(t, tc.cfg)
 			s.reg.Put("hollow", &Sketch{row: lookupKind("bloom"), structure: (*she.ShardedBloomFilter)(nil)})
-			c1 := dialServer(t, s)
+			c1 := dial(t, s.Addr().String())
 			c1.must("PING", "+PONG")
 			c1.must(tc.cmd, tc.want)
 			if _, ok := c1.try("PING"); ok {
@@ -563,7 +518,7 @@ func TestPanicRecoveredPerConnection(t *testing.T) {
 			// The daemon keeps serving — with MaxInflight 1 only if the
 			// dead connection gave its admission slot back, with a WAL
 			// only if it let go of the log's ordering lock.
-			c2 := dialServer(t, s)
+			c2 := dial(t, s.Addr().String())
 			c2.must("PING", "+PONG")
 			c2.must("SKETCH.CREATE ok bloom bits=1024 window=1024 shards=1", "+OK")
 			c2.must("SKETCH.INSERT ok 7", ":1")
@@ -588,9 +543,8 @@ func TestPanicRecoveredPerConnection(t *testing.T) {
 func TestWALSyncFailureFailStop(t *testing.T) {
 	fault := failfs.NewFault(failfs.OS{})
 	s := startWAL(t, t.TempDir(), fault, 0)
-	defer s.Abort()
 
-	c1 := dialServer(t, s)
+	c1 := dial(t, s.Addr().String())
 	c1.must("SKETCH.CREATE d bloom bits=1024 window=1024 shards=1", "+OK")
 	fault.FailSyncs(1)
 	reply, ok := c1.try("SKETCH.INSERT d 7")
@@ -601,7 +555,7 @@ func TestWALSyncFailureFailStop(t *testing.T) {
 		t.Fatal("connection survived a failed commit")
 	}
 
-	c2 := dialServer(t, s)
+	c2 := dial(t, s.Addr().String())
 	reply, ok = c2.try("SKETCH.INSERT d 8")
 	if !ok || !strings.HasPrefix(reply, "-ERR") {
 		t.Fatalf("mutation after sticky log failure = %q (ok=%v), want error", reply, ok)
@@ -617,7 +571,7 @@ func TestWALSyncFailureFailStop(t *testing.T) {
 func TestShutdownCheckpointTruncatesLog(t *testing.T) {
 	dir := t.TempDir()
 	s1 := startWAL(t, dir, nil, 4096)
-	c := dialServer(t, s1)
+	c := dial(t, s1.Addr().String())
 	c.must("SKETCH.CREATE flows cm counters=1024 window=65536 shards=2", "+OK")
 	for i := 0; i < 300; i++ {
 		c.must(fmt.Sprintf("SKETCH.INSERT flows %d", i), ":1")
@@ -646,7 +600,6 @@ func TestShutdownCheckpointTruncatesLog(t *testing.T) {
 	}
 
 	s2 := startWAL(t, dir, nil, 4096)
-	defer s2.Abort()
 	if got := s2.Counters()["wal_replayed_records"]; got != 0 {
 		t.Fatalf("replayed %d records after graceful shutdown, want 0", got)
 	}
@@ -667,15 +620,7 @@ func TestShutdownCheckpointTruncatesLog(t *testing.T) {
 // BenchmarkServerInsertWAL is BenchmarkServerInsert with durability on:
 // same pipelining client, every batch commits through a WAL fsync.
 func BenchmarkServerInsertWAL(b *testing.B) {
-	s := New(Config{Listen: "127.0.0.1:0", WALDir: b.TempDir()})
-	if err := s.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	}()
+	s := startWAL(b, b.TempDir(), nil, 0)
 
 	conn, err := net.Dial("tcp", s.Addr().String())
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 
 	"she"
@@ -259,15 +258,9 @@ func (s *Server) checkpoint(force bool, change func()) error {
 // stops at the first error: the files of a checkpoint generation, and
 // of a full sync.
 func (s *Server) eachSketch(fn func(name string, sk *Sketch) error) error {
-	sketches := s.reg.Snapshot()
-	names := make([]string, 0, len(sketches))
-	for name := range sketches {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if err := fn(name, sketches[name]); err != nil {
-			return fmt.Errorf("snapshot %s: %w", name, err)
+	for _, in := range s.reg.List() {
+		if err := fn(in.Name, in.Sketch); err != nil {
+			return fmt.Errorf("snapshot %s: %w", in.Name, err)
 		}
 	}
 	return nil
@@ -332,7 +325,7 @@ func parseSnapshot(data []byte) (*Sketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	sk := &Sketch{structure: st, row: row}
+	sk := &Sketch{structure: st, row: row, window: st.Stats().Window}
 	sk.inserts.Store(binary.LittleEndian.Uint64(payload[5:]))
 	return sk, nil
 }

@@ -69,8 +69,7 @@ func fullSyncPrimary(t *testing.T, files int, name string, file []byte) string {
 func TestReplicationFullSyncTakesNoPrimaryCheckpoint(t *testing.T) {
 	pdir := t.TempDir()
 	primary := startWAL(t, pdir, nil, 0)
-	defer primary.Abort()
-	c := dialServer(t, primary)
+	c := dial(t, primary.Addr().String())
 	c.must("SKETCH.CREATE flows cm counters=1024 window=1024 shards=2", "+OK")
 	c.must("SKETCH.INSERT flows 1 2 3", ":3")
 	if err := primary.checkpoint(true, nil); err != nil {
@@ -84,7 +83,6 @@ func TestReplicationFullSyncTakesNoPrimaryCheckpoint(t *testing.T) {
 	}
 
 	follower := startFollower(t, t.TempDir(), primary, 0)
-	defer follower.Abort()
 	eventually(t, "full sync", func() bool { return caughtUp(primary, follower) })
 	sameImage(t, "follower after the full sync", registryImage(t, follower), registryImage(t, primary))
 	if got := primary.ctr.Checkpoints.Value(); got != chk {
@@ -105,7 +103,7 @@ func TestReplicationFullSyncTakesNoPrimaryCheckpoint(t *testing.T) {
 func TestFollowerCrashMidFullSyncKeepsState(t *testing.T) {
 	dir := t.TempDir()
 	s := startWAL(t, dir, nil, 0)
-	c := dialServer(t, s)
+	c := dial(t, s.Addr().String())
 	c.must("SKETCH.CREATE old cm counters=1024 window=1024 shards=2", "+OK")
 	c.must("SKETCH.INSERT old 5 5 5", ":3")
 	want := registryImage(t, s)
@@ -127,9 +125,8 @@ func TestFollowerCrashMidFullSyncKeepsState(t *testing.T) {
 	s.Abort()
 
 	alone := startWAL(t, dir, nil, 0)
-	defer alone.Abort()
 	sameImage(t, "restarted after a cut full sync", registryImage(t, alone), want)
-	dialServer(t, alone).must("SKETCH.QUERY old 5", ":3")
+	dial(t, alone.Addr().String()).must("SKETCH.QUERY old 5", ":3")
 }
 
 // TestFollowerPromoteMidFullSyncKeepsRegistry: REPLICAOF NO ONE in the
@@ -140,7 +137,7 @@ func TestFollowerCrashMidFullSyncKeepsState(t *testing.T) {
 func TestFollowerPromoteMidFullSyncKeepsRegistry(t *testing.T) {
 	dir := t.TempDir()
 	s := startWAL(t, dir, nil, 0)
-	c := dialServer(t, s)
+	c := dial(t, s.Addr().String())
 	c.must("SKETCH.CREATE old cm counters=1024 window=1024 shards=2", "+OK")
 	c.must("SKETCH.INSERT old 5 5 5", ":3")
 	want := registryImage(t, s)
@@ -166,9 +163,8 @@ func TestFollowerPromoteMidFullSyncKeepsRegistry(t *testing.T) {
 	s.Abort()
 
 	alone := startWAL(t, dir, nil, 0)
-	defer alone.Abort()
 	sameImage(t, "restarted after the promotion", registryImage(t, alone), want)
-	dialServer(t, alone).must("SKETCH.QUERY old 7", ":1")
+	dial(t, alone.Addr().String()).must("SKETCH.QUERY old 7", ":1")
 }
 
 // TestReplicationSemiSyncWaitsForFullSyncAck: a replica that was sent a
@@ -177,28 +173,24 @@ func TestFollowerPromoteMidFullSyncKeepsRegistry(t *testing.T) {
 // sends PSYNC ? and nothing else must not release an insert waiting on
 // the barrier.
 func TestReplicationSemiSyncWaitsForFullSyncAck(t *testing.T) {
-	s := New(Config{
-		Listen: "127.0.0.1:0", WALDir: t.TempDir(),
+	s := startServer(t, Config{
+		WALDir:       t.TempDir(),
 		SyncReplicas: 1, SyncReplicaTimeout: 300 * time.Millisecond,
 	})
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Abort()
 	const timedOut = "-ERR repl: timed out"
 	// A failed barrier closes its connection: the insert takes another.
-	if reply, _ := dialServer(t, s).try("SKETCH.CREATE flows cm counters=1024"); !strings.HasPrefix(reply, timedOut) {
+	if reply, _ := dial(t, s.Addr().String()).try("SKETCH.CREATE flows cm counters=1024"); !strings.HasPrefix(reply, timedOut) {
 		t.Fatalf("CREATE with no replica = %q, want %s…", reply, timedOut)
 	}
 	before := s.wal.Position()
 	replies := make(chan string, 1)
-	c := dialServer(t, s)
+	c := dial(t, s.Addr().String())
 	go func() {
 		reply, _ := c.try("SKETCH.INSERT flows a")
 		replies <- reply
 	}()
 	eventually(t, "the insert durable and waiting on the barrier", func() bool { return s.wal.Position() != before })
-	if reply, _ := dialServer(t, s).try("PSYNC ?"); !strings.HasPrefix(reply, "+FULLRESYNC ") {
+	if reply, _ := dial(t, s.Addr().String()).try("PSYNC ?"); !strings.HasPrefix(reply, "+FULLRESYNC ") {
 		t.Fatalf("PSYNC ? = %q", reply)
 	}
 	if reply := <-replies; !strings.HasPrefix(reply, timedOut) {

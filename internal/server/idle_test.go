@@ -1,4 +1,4 @@
-package server_test
+package server
 
 // What the idle read deadline and Shutdown promise, pinned from the
 // client's side. The deadline is armed before each socket read (see
@@ -14,8 +14,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"she/internal/server"
 )
 
 // idleT is the IdleTimeout these tests run under. Every wait below is a
@@ -36,7 +34,7 @@ func reapedAfter(t *testing.T, c *client, since time.Time) time.Duration {
 
 func TestIdleReapAfterPipelinedBurst(t *testing.T) {
 	t.Parallel()
-	s := startServer(t, server.Config{IdleTimeout: idleT})
+	s := startServer(t, Config{IdleTimeout: idleT})
 	c := dial(t, s.Addr().String())
 	if got := c.cmd("SKETCH.CREATE b bloom bits=65536 window=65536 shards=2"); got != "+OK" {
 		t.Fatalf("CREATE = %q", got)
@@ -69,7 +67,7 @@ func TestIdleReapAfterPipelinedBurst(t *testing.T) {
 
 func TestIdleHalfLine(t *testing.T) {
 	t.Parallel()
-	s := startServer(t, server.Config{IdleTimeout: idleT})
+	s := startServer(t, Config{IdleTimeout: idleT})
 	addr := s.Addr().String()
 
 	// A line and a half after 0.8·T of silence, the rest 0.5·T later:
@@ -119,7 +117,7 @@ func TestIdleHalfLine(t *testing.T) {
 
 func TestIdleActiveClientNeverReaped(t *testing.T) {
 	t.Parallel()
-	s := startServer(t, server.Config{IdleTimeout: idleT})
+	s := startServer(t, Config{IdleTimeout: idleT})
 	c := dial(t, s.Addr().String())
 	for end := time.Now().Add(3 * idleT); time.Now().Before(end); time.Sleep(idleT / 4) {
 		if got := c.cmd("PING"); got != "+PONG" {
@@ -136,10 +134,7 @@ func TestShutdownDrainsBusyAndIdleClients(t *testing.T) {
 	for _, idle := range []time.Duration{0, time.Minute} {
 		t.Run(fmt.Sprint("idle=", idle), func(t *testing.T) {
 			t.Parallel()
-			s := server.New(server.Config{Listen: "127.0.0.1:0", IdleTimeout: idle})
-			if err := s.Start(); err != nil {
-				t.Fatal(err)
-			}
+			s := startServer(t, Config{IdleTimeout: idle})
 			quiet := dial(t, s.Addr().String())
 			if got := quiet.cmd("SKETCH.CREATE b bloom bits=65536 window=65536 shards=2"); got != "+OK" {
 				t.Fatalf("CREATE = %q", got)

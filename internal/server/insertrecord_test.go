@@ -104,8 +104,8 @@ func mustMarshal(t testing.TB, sk *Sketch) []byte {
 func registryImage(t testing.TB, s *Server) map[string][]byte {
 	t.Helper()
 	img := make(map[string][]byte)
-	for name, sk := range s.reg.Snapshot() {
-		img[name] = mustMarshal(t, sk)
+	for _, in := range s.reg.List() {
+		img[in.Name] = mustMarshal(t, in.Sketch)
 	}
 	return img
 }
@@ -197,7 +197,6 @@ func TestReplayMixedFormatLog(t *testing.T) {
 	}
 
 	s := startWAL(t, dir, nil, 0)
-	defer s.Abort()
 	if got := s.Counters()["wal_replay_skipped"]; got != int64(text+1) {
 		t.Fatalf("wal_replay_skipped = %d, want %d (the text insert lines and the record for the dropped sketch)", got, text+1)
 	}
@@ -226,9 +225,8 @@ func TestReplayMixedFormatLog(t *testing.T) {
 func TestInsertRecordSplit(t *testing.T) {
 	dir := t.TempDir()
 	s := startWAL(t, dir, nil, 64<<20)
-	defer s.Abort()
 	name := strings.Repeat("f", maxNameLen)
-	c := dialServer(t, s)
+	c := dial(t, s.Addr().String())
 	c.must("SKETCH.CREATE "+name+" bloom bits=65536 window=65536 shards=2", "+OK")
 	keys := testKeys(7, batchMaxKeys+MaxArgs-3)
 	before := s.ctr.WALRecords.Value()
@@ -252,6 +250,5 @@ func TestInsertRecordSplit(t *testing.T) {
 	s.Abort()
 
 	s2 := startWAL(t, dir, nil, 64<<20)
-	defer s2.Abort()
 	sameImage(t, "replayed registry", registryImage(t, s2), want)
 }

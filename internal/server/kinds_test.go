@@ -19,12 +19,8 @@ import (
 // list the kinds to the rows. A row added tomorrow is exercised here
 // without an edit.
 func TestKindTable(t *testing.T) {
-	s := New(Config{Listen: "127.0.0.1:0", SnapshotDir: t.TempDir(), AuditSample: 1})
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Abort()
-	c := dialServer(t, s)
+	s := startServer(t, Config{SnapshotDir: t.TempDir(), AuditSample: 1})
+	c := dial(t, s.Addr().String())
 	get := func(name string) *Sketch {
 		t.Helper()
 		sk, err := s.reg.Get(name)
@@ -120,14 +116,11 @@ func (c *statsCounter) Stats() she.SketchStats {
 	return c.structure.Stats()
 }
 
-// TestListingsWithoutCellStatsScanNoCells: SKETCH.AUDIT * and
-// /debug/vars show no cell statistics, so they scan no sketch's cells.
+// TestListingsWithoutCellStatsScanNoCells: SKETCH.LIST, SKETCH.AUDIT *
+// and /debug/vars show no cell statistics, so they scan no sketch's
+// cells; SKETCH.LIST's window is fixed when the sketch is built.
 func TestListingsWithoutCellStatsScanNoCells(t *testing.T) {
-	s := New(Config{Listen: "127.0.0.1:0", DebugListen: "127.0.0.1:0", AuditSample: 1})
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Abort()
+	s := startServer(t, Config{DebugListen: "127.0.0.1:0", AuditSample: 1})
 	st, err := kinds[0].build(4096, 2, she.Options{Window: 1024})
 	if err != nil {
 		t.Fatal(err)
@@ -140,13 +133,17 @@ func TestListingsWithoutCellStatsScanNoCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	counted.scans.Store(0)
-	if got, _ := dialServer(t, s).try("SKETCH.AUDIT *"); got != "*1" {
+	c := dial(t, s.Addr().String())
+	if got := c.array("SKETCH.AUDIT *"); len(got) != 1 {
 		t.Fatalf("SKETCH.AUDIT * = %q", got)
 	}
-	if body := httpBody(t, "http://"+s.DebugAddr().String()+"/debug/vars"); !strings.Contains(body, `"x":{"kind":"bloom","shards":2`) {
+	if got := c.array("SKETCH.LIST"); len(got) != 1 || !strings.HasPrefix(got[0], "x kind=bloom shards=2 ") {
+		t.Fatalf("SKETCH.LIST = %q", got)
+	}
+	if body, _ := fetch(t, "http://"+s.DebugAddr().String()+"/debug/vars"); !strings.Contains(body, `"x":{"kind":"bloom","shards":2`) {
 		t.Fatalf("/debug/vars does not list x: %s", body)
 	}
 	if n := counted.scans.Load(); n != 0 {
-		t.Errorf("SKETCH.AUDIT * and /debug/vars scanned the cells %d times, want 0", n)
+		t.Errorf("SKETCH.LIST, SKETCH.AUDIT * and /debug/vars scanned the cells %d times, want 0", n)
 	}
 }

@@ -1,4 +1,4 @@
-package server_test
+package server
 
 import (
 	"bufio"
@@ -6,15 +6,12 @@ import (
 	"io"
 	"log/slog"
 	"net"
-	"net/http"
 	"regexp"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"she/internal/server"
 )
 
 // quiet returns a logger that drops everything below Error, so tests
@@ -25,7 +22,7 @@ func quiet() *slog.Logger {
 
 func TestSlowlogCommand(t *testing.T) {
 	// A 1ns threshold makes every command slow, deterministically.
-	s := startServer(t, server.Config{
+	s := startServer(t, Config{
 		SlowThreshold: time.Nanosecond,
 		Logger:        quiet(),
 	})
@@ -101,7 +98,7 @@ func TestSlowlogCommand(t *testing.T) {
 // TestSlowlogDisabled: without a threshold nothing is recorded, but the
 // SLOWLOG command still answers.
 func TestSlowlogDisabled(t *testing.T) {
-	s := startServer(t, server.Config{Logger: quiet()})
+	s := startServer(t, Config{Logger: quiet()})
 	c := dial(t, s.Addr().String())
 	c.cmd("PING")
 	if got := c.cmd("SLOWLOG LEN"); got != ":0" {
@@ -127,7 +124,7 @@ func kvLines(t *testing.T, lines []string) map[string]string {
 }
 
 func TestSketchStatsCommand(t *testing.T) {
-	s := startServer(t, server.Config{Logger: quiet()})
+	s := startServer(t, Config{Logger: quiet()})
 	c := dial(t, s.Addr().String())
 	c.cmd("SKETCH.CREATE st bloom bits=65536 window=4096 shards=4")
 	c.cmd("SKETCH.CREATE hh hll registers=4096 window=65536 shards=4")
@@ -197,22 +194,8 @@ func TestSketchStatsCommand(t *testing.T) {
 // promLine matches one exposition sample: name{labels} value.
 var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? [^ ]+$`)
 
-func fetch(t *testing.T, url string) (string, *http.Response) {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(body), resp
-}
-
 func TestMetricsEndpoint(t *testing.T) {
-	s := startServer(t, server.Config{
+	s := startServer(t, Config{
 		DebugListen: "127.0.0.1:0",
 		WALDir:      t.TempDir(),
 		Logger:      quiet(),
@@ -292,7 +275,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // clients insert over TCP — under -race this is the data-race check for
 // the whole observability read path (satellite of PR 3).
 func TestDebugEndpointsUnderLoad(t *testing.T) {
-	s := startServer(t, server.Config{
+	s := startServer(t, Config{
 		DebugListen:   "127.0.0.1:0",
 		SlowThreshold: time.Nanosecond, // exercise the slow-log writer too
 		Logger:        quiet(),
@@ -340,11 +323,11 @@ func TestDebugEndpointsUnderLoad(t *testing.T) {
 }
 
 func TestPprofEndpoints(t *testing.T) {
-	on := startServer(t, server.Config{DebugListen: "127.0.0.1:0", EnablePprof: true, Logger: quiet()})
+	on := startServer(t, Config{DebugListen: "127.0.0.1:0", EnablePprof: true, Logger: quiet()})
 	if _, resp := fetch(t, "http://"+on.DebugAddr().String()+"/debug/pprof/cmdline"); resp.StatusCode != 200 {
 		t.Fatalf("pprof enabled: cmdline status %d", resp.StatusCode)
 	}
-	off := startServer(t, server.Config{DebugListen: "127.0.0.1:0", Logger: quiet()})
+	off := startServer(t, Config{DebugListen: "127.0.0.1:0", Logger: quiet()})
 	if _, resp := fetch(t, "http://"+off.DebugAddr().String()+"/debug/pprof/cmdline"); resp.StatusCode != 404 {
 		t.Fatalf("pprof disabled: cmdline status %d, want 404", resp.StatusCode)
 	}

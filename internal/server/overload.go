@@ -137,9 +137,9 @@ func (s *Server) startOverload() {
 // hot-key track counts with its sketch: the budget is what bounds them.
 func (s *Server) accountMemory() (cur, full int64) {
 	var sketch, aud, audFull int64
-	for _, sk := range s.reg.Snapshot() {
-		sketch += int64(sk.ResidentBytes()) + sk.hot.Load().MemoryBytes()
-		if a := sk.Audit(); a != nil {
+	for _, in := range s.reg.List() {
+		sketch += int64(in.Sketch.ResidentBytes()) + in.Sketch.hot.Load().MemoryBytes()
+		if a := in.Sketch.Audit(); a != nil {
 			aud += a.MemoryBytes()
 			audFull += a.FullMemoryBytes()
 		}
@@ -227,8 +227,8 @@ func (s *Server) evalOverload() {
 }
 
 func (s *Server) forEachAuditor(fn func(*audit.Auditor)) {
-	for _, sk := range s.reg.Snapshot() {
-		if a := sk.Audit(); a != nil {
+	for _, in := range s.reg.List() {
+		if a := in.Sketch.Audit(); a != nil {
 			fn(a)
 		}
 	}

@@ -1,12 +1,15 @@
-package server_test
+package server
+
+// Overload tests: the degradation ladder under a memory budget,
+// admission control under an in-flight cap, and a MONITOR subscriber
+// that never reads, which costs the insert path nothing.
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
-
-	"she/internal/server"
 )
 
 // infoValue extracts one key=value line from INFO, "" when absent.
@@ -35,7 +38,7 @@ func infoInt(c *client, key string) int64 {
 // restores the audit shadows.
 func TestOverloadLadder(t *testing.T) {
 	const limit = 1 << 20
-	s := startServer(t, server.Config{
+	s := startServer(t, Config{
 		DebugListen:   "127.0.0.1:0",
 		MaxMemory:     limit,
 		AuditSample:   1,
@@ -89,7 +92,7 @@ func TestOverloadLadder(t *testing.T) {
 	if got := level(); got != "shed_audit" {
 		t.Fatalf("at %d/%d bytes overload_level = %q, want shed_audit", used(), limit, got)
 	}
-	waitUntil(t, "audit shadows shed", func() bool {
+	eventually(t, "audit shadows shed", func() bool {
 		return strings.Contains(scrape(t, s), `she_audit_shadow_cap{sketch="s1"} 25`)
 	})
 
@@ -141,7 +144,7 @@ func TestOverloadLadder(t *testing.T) {
 	idle2 := dial(t, s.Addr().String())
 	idle1.cmd("PING")
 	idle2.cmd("PING")
-	waitUntil(t, "refuse_insert rung", func() bool { return level() == "refuse_insert" })
+	eventually(t, "refuse_insert rung", func() bool { return level() == "refuse_insert" })
 	if got := c.cmd("SKETCH.INSERT s1 rejected"); !strings.HasPrefix(got, "-ERR OOM") {
 		t.Fatalf("INSERT at refuse_insert = %q, want -ERR OOM", got)
 	}
@@ -180,8 +183,8 @@ func TestOverloadLadder(t *testing.T) {
 			t.Fatalf("DROP s%d = %q", i, got)
 		}
 	}
-	waitUntil(t, "ladder descent to none", func() bool { return level() == "none" })
-	waitUntil(t, "audit shadows restored", func() bool {
+	eventually(t, "ladder descent to none", func() bool { return level() == "none" })
+	eventually(t, "audit shadows restored", func() bool {
 		return strings.Contains(scrape(t, s), `she_audit_shadow_cap{sketch="s1"} 100`)
 	})
 	if got := c.cmd("SKETCH.CREATE again bloom bits=8000 window=4096"); got != "+OK" {
@@ -189,5 +192,103 @@ func TestOverloadLadder(t *testing.T) {
 	}
 	if got := infoInt(c, "overload_transitions"); got < 5 {
 		t.Errorf("overload_transitions = %d, want >= 5 (4 up + at least 1 down)", got)
+	}
+}
+
+// TestAdmissionControlBusy: with MaxInflight 1, a command that arrives
+// while the only slot is held waits up to CommandTimeout and is then
+// answered -ERR BUSY instead of queueing without bound — and once the
+// slot frees, the same connection is served normally. The slot is held
+// via the testPanic hook, which blocks a marker command mid-execute.
+func TestAdmissionControlBusy(t *testing.T) {
+	block := make(chan struct{})
+	release := make(chan struct{})
+	testPanic = func(cmd Command) {
+		if cmd.Name == "SKETCH.CARD" && len(cmd.Args) == 1 && cmd.Args[0] == "hold-slot" {
+			close(block)
+			<-release
+		}
+	}
+	defer func() { testPanic = nil }()
+
+	s := startServer(t, Config{
+		MaxInflight:    1,
+		CommandTimeout: 100 * time.Millisecond,
+	})
+
+	// Occupy the only admission slot.
+	holder := dial(t, s.Addr().String())
+	if _, err := fmt.Fprintf(holder.conn, "SKETCH.CARD hold-slot\n"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-block:
+	case <-time.After(5 * time.Second):
+		t.Fatal("slot-holding command never started executing")
+	}
+
+	// A second client cannot get the slot within the timeout.
+	c2 := dial(t, s.Addr().String())
+	reply, ok := c2.try("PING")
+	if !ok || !strings.HasPrefix(reply, "-ERR BUSY") {
+		t.Fatalf("PING while slot held = %q (ok=%v), want -ERR BUSY", reply, ok)
+	}
+	if got := s.Counters()["overload_busy_rejects"]; got < 1 {
+		t.Fatalf("overload_busy_rejects = %d, want >= 1", got)
+	}
+
+	// The rejection is a reply, not a disconnect: freeing the slot lets
+	// the same connection through.
+	close(release)
+	holder.conn.SetDeadline(time.Now().Add(5 * time.Second))
+	line, err := holder.r.ReadString('\n') // the held command's own reply
+	if err != nil || !strings.HasPrefix(line, "-ERR") {
+		t.Fatalf("held command reply = %q, %v; want -ERR no such sketch", line, err)
+	}
+	c2.must("PING", "+PONG")
+	holder.must("PING", "+PONG")
+}
+
+// TestMonitorLaggingDrops is the bounded-feed acceptance test: a
+// subscriber that never drains costs the hot path nothing — inserts
+// all succeed promptly, overflow frames are dropped and counted.
+func TestMonitorLaggingDrops(t *testing.T) {
+	s := startServer(t, Config{TrafficSample: 1})
+	// Subscribe straight at the hub and never read: the worst consumer.
+	sub := s.hub.Subscribe()
+	defer s.hub.Unsubscribe(sub)
+
+	c := dial(t, s.Addr().String())
+	c.must("SKETCH.CREATE fx cm counters=65536 window=65536 shards=4", "+OK")
+	const n = 3000
+	var payload strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&payload, "SKETCH.INSERT fx %d\n", i)
+	}
+	start := time.Now()
+	c.conn.SetDeadline(start.Add(30 * time.Second))
+	if _, err := c.conn.Write([]byte(payload.String())); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if line, err := c.r.ReadString('\n'); err != nil || line != ":1\n" {
+			t.Fatalf("insert %d reply %q, %v", i, line, err)
+		}
+	}
+	if d := time.Since(start); d > 30*time.Second {
+		t.Fatalf("inserts took %v behind a dead monitor", d)
+	}
+	if s.hub.Dropped() == 0 {
+		t.Fatal("no frames dropped despite a never-draining subscriber")
+	}
+	head, _ := c.try("INFO")
+	k, _ := strconv.Atoi(strings.TrimPrefix(head, "*"))
+	var info strings.Builder
+	for i := 0; i < k; i++ {
+		line, _ := c.r.ReadString('\n')
+		info.WriteString(line)
+	}
+	if !strings.Contains(info.String(), "monitor_dropped_total=") {
+		t.Fatalf("INFO missing monitor_dropped_total:\n%s%s", head, info.String())
 	}
 }

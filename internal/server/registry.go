@@ -159,6 +159,9 @@ type Sketch struct {
 	structure
 	row     *kind
 	inserts atomic.Uint64
+	// window is Stats().Window, the sum of the shards' windows, which
+	// the geometry fixes: SKETCH.LIST reads it without a cell scan.
+	window uint64
 	// aud, when non-nil, audits this sketch's answers against a
 	// hash-sampled exact shadow (see internal/audit). Attached before
 	// the sketch is published to the registry map, so the insert path
@@ -329,7 +332,7 @@ func NewSketch(kind string, kv map[string]string) (*Sketch, error) {
 		sort.Strings(unknown)
 		return nil, fmt.Errorf("unknown parameters for %s: %s", row.name, strings.Join(unknown, ", "))
 	}
-	return &Sketch{structure: st, row: row}, nil
+	return &Sketch{structure: st, row: row, window: window / shards * shards}, nil
 }
 
 // Registry is the server's name → sketch map. The registry lock only
@@ -454,21 +457,6 @@ func (r *Registry) Drop(name string) error {
 	return nil
 }
 
-// Snapshot returns the current name → sketch mapping as one
-// consistent copy taken under a single lock acquisition, so snapshot
-// writers (checkpoints, autosave) see a set that existed at one
-// instant instead of racing Names against Get while sketches are
-// created and dropped.
-func (r *Registry) Snapshot() map[string]*Sketch {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]*Sketch, len(r.sketches))
-	for name, sk := range r.sketches {
-		out[name] = sk
-	}
-	return out
-}
-
 // SketchInfo is one row of Registry.List: a sketch under its name. A
 // listing that shows cell statistics scans each sketch's cells once, with
 // its own Sketch.Stats call; one that shows none scans nothing.
@@ -477,15 +465,17 @@ type SketchInfo struct {
 	Sketch *Sketch
 }
 
-// List returns a consistent, name-sorted listing of the registered
-// sketches. The set is captured under one lock acquisition (no
-// list-then-Get race with concurrent CREATE/DROP).
+// List returns the registered sketches in name order, captured under
+// one lock acquisition, so a snapshot writer (checkpoint, autosave) or a
+// listing sees a set that existed at one instant instead of racing a
+// name walk against Get while sketches are created and dropped.
 func (r *Registry) List() []SketchInfo {
-	sketches := r.Snapshot()
-	out := make([]SketchInfo, 0, len(sketches))
-	for name, sk := range sketches {
+	r.mu.RLock()
+	out := make([]SketchInfo, 0, len(r.sketches))
+	for name, sk := range r.sketches {
 		out = append(out, SketchInfo{name, sk})
 	}
+	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

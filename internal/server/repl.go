@@ -48,12 +48,18 @@ func (s *Server) currentFollower() *repl.Follower {
 	return s.follower
 }
 
-// startReplication begins replicating from addr: any current follower
-// stops, local state is handed to the follower's full-sync/catch-up
-// logic, and mutations are refused until promotion.
+// startReplication begins replicating from addr, whose port must be one
+// a follower can dial: any current follower stops, local state is handed
+// to the follower's full-sync/catch-up logic, and mutations are refused
+// until promotion.
 func (s *Server) startReplication(addr string) error {
 	if s.wal == nil {
 		return fmt.Errorf("REPLICAOF requires a WAL (-wal): a replica's acks promise local durability")
+	}
+	if _, port, err := net.SplitHostPort(addr); err != nil {
+		return fmt.Errorf("REPLICAOF: %w", err)
+	} else if p, err := strconv.ParseUint(port, 10, 16); err != nil || p == 0 {
+		return fmt.Errorf("REPLICAOF: bad port %q (want 1-65535)", port)
 	}
 	s.replMu.Lock()
 	old := s.follower

@@ -1,31 +1,14 @@
-package server_test
+package server
 
 import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
-
-	"she/internal/server"
 )
-
-// waitUntil polls cond for up to 10s — replication is asynchronous, so
-// assertions about follower state need a settle loop.
-func waitUntil(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
 
 // queryInt sends a command expecting an :N reply and returns N, or -1
 // for any other reply (missing sketch while a full sync is in flight).
@@ -50,26 +33,12 @@ func splitAddr(t *testing.T, addr string) (host, port string) {
 	return host, port
 }
 
-func scrape(t *testing.T, s *server.Server) string {
-	t.Helper()
-	resp, err := http.Get("http://" + s.DebugAddr().String() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(body)
-}
-
 // TestReplicationEndToEnd covers the whole follower lifecycle: full
 // sync from a snapshot of pre-existing state, live tailing of new
 // records, read-only command gating, ROLE on both ends, and the
 // she_repl_* metric families.
 func TestReplicationEndToEnd(t *testing.T) {
-	primary := startServer(t, server.Config{
+	primary := startServer(t, Config{
 		WALDir:      t.TempDir(),
 		DebugListen: "127.0.0.1:0",
 	})
@@ -82,13 +51,13 @@ func TestReplicationEndToEnd(t *testing.T) {
 		pc.cmd("SKETCH.INSERT flows presync-%d", i)
 	}
 
-	follower := startServer(t, server.Config{
+	follower := startServer(t, Config{
 		WALDir:      t.TempDir(),
 		DebugListen: "127.0.0.1:0",
 		ReplicaOf:   primary.Addr().String(),
 	})
 	fc := dial(t, follower.Addr().String())
-	waitUntil(t, "full sync", func() bool {
+	eventually(t, "full sync", func() bool {
 		return queryInt(fc, "SKETCH.QUERY flows presync-49") >= 1
 	})
 
@@ -96,10 +65,10 @@ func TestReplicationEndToEnd(t *testing.T) {
 	pc.cmd("SKETCH.INSERT flows streamed-key")
 	pc.cmd("SKETCH.CREATE users hll registers=4096 window=65536 shards=4")
 	pc.cmd("SKETCH.INSERT users u1 u2 u3")
-	waitUntil(t, "streamed records", func() bool {
+	eventually(t, "streamed records", func() bool {
 		return queryInt(fc, "SKETCH.QUERY flows streamed-key") >= 1
 	})
-	waitUntil(t, "streamed CREATE", func() bool {
+	eventually(t, "streamed CREATE", func() bool {
 		return strings.HasPrefix(fc.cmd("SKETCH.CARD users"), "+")
 	})
 
@@ -179,7 +148,7 @@ func TestReplicationEndToEnd(t *testing.T) {
 // tip, which no replica can acknowledge until someone appends again.
 func TestReplicationFailover(t *testing.T) {
 	t.Run("per-command", func(t *testing.T) {
-		failover(t, server.Config{}, func(t *testing.T, addr string) []string {
+		failover(t, Config{}, func(t *testing.T, addr string) []string {
 			pc := dial(t, addr)
 			keys := make([]string, 200)
 			for i := range keys {
@@ -192,7 +161,7 @@ func TestReplicationFailover(t *testing.T) {
 		})
 	})
 	t.Run("across-checkpoints", func(t *testing.T) {
-		failover(t, server.Config{CheckpointBytes: 16 << 10}, writeAcrossCheckpoints)
+		failover(t, Config{CheckpointBytes: 16 << 10}, writeAcrossCheckpoints)
 	})
 }
 
@@ -235,26 +204,17 @@ func writeAcrossCheckpoints(t *testing.T, addr string) []string {
 // SyncReplicas 1) and an auditing follower, creates a cm sketch, lets
 // write acknowledge keys on the primary, crashes the primary and
 // promotes the follower, which must answer every acknowledged key.
-func failover(t *testing.T, cfg server.Config, write func(t *testing.T, addr string) []string) {
-	cfg.Listen, cfg.WALDir, cfg.SyncReplicas = "127.0.0.1:0", t.TempDir(), 1
-	primary := server.New(cfg)
-	if err := primary.Start(); err != nil {
-		t.Fatal(err)
-	}
-	aborted := false
-	defer func() {
-		if !aborted {
-			primary.Abort()
-		}
-	}()
+func failover(t *testing.T, cfg Config, write func(t *testing.T, addr string) []string) {
+	cfg.WALDir, cfg.SyncReplicas = t.TempDir(), 1
+	primary := startServer(t, cfg)
 
-	follower := startServer(t, server.Config{
+	follower := startServer(t, Config{
 		WALDir:      t.TempDir(),
 		ReplicaOf:   primary.Addr().String(),
 		AuditSample: 1, // exact shadow: post-failover answers are checkable
 	})
 	fc := dial(t, follower.Addr().String())
-	waitUntil(t, "replica attach", func() bool {
+	eventually(t, "replica attach", func() bool {
 		return strings.Contains(strings.Join(fc.array("ROLE"), "\n"), "connected=true")
 	})
 
@@ -269,7 +229,6 @@ func failover(t *testing.T, cfg server.Config, write func(t *testing.T, addr str
 
 	// Crash the primary: no drain, no checkpoint, connections die.
 	primary.Abort()
-	aborted = true
 
 	// Promote the follower; it starts taking writes at its position.
 	if got := fc.cmd("REPLICAOF NO ONE"); got != "+OK" {
@@ -318,7 +277,7 @@ func failover(t *testing.T, cfg server.Config, write func(t *testing.T, addr str
 // attached, a mutation must fail rather than be acknowledged with an
 // unprovable replication claim.
 func TestReplicationSemiSyncTimeout(t *testing.T) {
-	primary := startServer(t, server.Config{
+	primary := startServer(t, Config{
 		WALDir:             t.TempDir(),
 		SyncReplicas:       1,
 		SyncReplicaTimeout: 100 * time.Millisecond,
@@ -335,12 +294,12 @@ func TestReplicationSemiSyncTimeout(t *testing.T) {
 // acknowledgement could vouch for it. Under semi-sync it is refused by
 // name before anything loads, and the connection carries on.
 func TestReplicationSemiSyncRefusesLoad(t *testing.T) {
-	primary := startServer(t, server.Config{
+	primary := startServer(t, Config{
 		WALDir:       t.TempDir(),
 		SnapshotDir:  t.TempDir(),
 		SyncReplicas: 1,
 	})
-	startServer(t, server.Config{WALDir: t.TempDir(), ReplicaOf: primary.Addr().String()})
+	startServer(t, Config{WALDir: t.TempDir(), ReplicaOf: primary.Addr().String()})
 	pc := dial(t, primary.Addr().String())
 	for _, cmd := range []string{"SKETCH.CREATE flows cm counters=4096", "SKETCH.INSERT flows a", "SKETCH.SAVE flows"} {
 		if got := pc.cmd("%s", cmd); strings.HasPrefix(got, "-") {
@@ -371,27 +330,24 @@ func TestReplicationSemiSyncRefusesLoad(t *testing.T) {
 // clean full resync and converge again.
 func TestReplicationResyncAfterPrimaryRestart(t *testing.T) {
 	walDir := t.TempDir()
-	primary1 := server.New(server.Config{Listen: "127.0.0.1:0", WALDir: walDir})
-	if err := primary1.Start(); err != nil {
-		t.Fatal(err)
-	}
+	primary1 := startServer(t, Config{WALDir: walDir})
 	pc := dial(t, primary1.Addr().String())
 	pc.cmd("SKETCH.CREATE flows cm counters=65536 window=65536")
 	pc.cmd("SKETCH.INSERT flows before-restart")
 
-	follower := startServer(t, server.Config{
+	follower := startServer(t, Config{
 		WALDir:    t.TempDir(),
 		ReplicaOf: primary1.Addr().String(),
 	})
 	fc := dial(t, follower.Addr().String())
-	waitUntil(t, "initial sync", func() bool {
+	eventually(t, "initial sync", func() bool {
 		return queryInt(fc, "SKETCH.QUERY flows before-restart") >= 1
 	})
 
 	// Graceful restart on the same WAL: the shutdown checkpoint
 	// truncates the log, so the follower's old cursor is gone.
 	primary1.Abort()
-	primary2 := startServer(t, server.Config{Listen: "127.0.0.1:0", WALDir: walDir})
+	primary2 := startServer(t, Config{WALDir: walDir})
 	p2c := dial(t, primary2.Addr().String())
 	p2c.cmd("SKETCH.INSERT flows after-restart")
 
@@ -399,7 +355,7 @@ func TestReplicationResyncAfterPrimaryRestart(t *testing.T) {
 	if got := fc.cmd("REPLICAOF %s %s", host, port); got != "+OK" {
 		t.Fatalf("REPLICAOF = %q", got)
 	}
-	waitUntil(t, "resync from reborn primary", func() bool {
+	eventually(t, "resync from reborn primary", func() bool {
 		return queryInt(fc, "SKETCH.QUERY flows after-restart") >= 1 &&
 			queryInt(fc, "SKETCH.QUERY flows before-restart") >= 1
 	})
@@ -412,19 +368,19 @@ func TestReplicationResyncAfterPrimaryRestart(t *testing.T) {
 // TestPsyncRefusals: PSYNC is refused without a WAL and on a replica
 // (no chained replication), with an error, not a hang.
 func TestPsyncRefusals(t *testing.T) {
-	noWal := startServer(t, server.Config{})
+	noWal := startServer(t, Config{})
 	c := dial(t, noWal.Addr().String())
 	if got := c.cmd("PSYNC ?"); !strings.HasPrefix(got, "-ERR") || !strings.Contains(got, "WAL") {
 		t.Fatalf("PSYNC without WAL = %q", got)
 	}
 
-	primary := startServer(t, server.Config{WALDir: t.TempDir()})
-	follower := startServer(t, server.Config{
+	primary := startServer(t, Config{WALDir: t.TempDir()})
+	follower := startServer(t, Config{
 		WALDir:    t.TempDir(),
 		ReplicaOf: primary.Addr().String(),
 	})
 	fc := dial(t, follower.Addr().String())
-	waitUntil(t, "replica connected", func() bool {
+	eventually(t, "replica connected", func() bool {
 		return strings.Contains(strings.Join(fc.array("ROLE"), "\n"), "connected=true")
 	})
 	if got := fc.cmd("PSYNC ?"); !strings.HasPrefix(got, "-ERR") || !strings.Contains(got, "chained") {
@@ -438,29 +394,12 @@ func TestPsyncRefusals(t *testing.T) {
 	}
 }
 
-// TestReplicaofValidation: REPLICAOF needs a WAL, and bad argument
-// shapes error cleanly.
-func TestReplicaofValidation(t *testing.T) {
-	s := startServer(t, server.Config{})
-	c := dial(t, s.Addr().String())
-	if got := c.cmd("REPLICAOF 127.0.0.1 1"); !strings.HasPrefix(got, "-ERR") || !strings.Contains(got, "WAL") {
-		t.Fatalf("REPLICAOF without WAL = %q", got)
-	}
-	if got := c.cmd("REPLICAOF just-one-arg"); !strings.HasPrefix(got, "-ERR") {
-		t.Fatalf("short REPLICAOF = %q", got)
-	}
-	// NO ONE on a primary is a harmless no-op.
-	if got := c.cmd("REPLICAOF NO ONE"); got != "+OK" {
-		t.Fatalf("REPLICAOF NO ONE on primary = %q", got)
-	}
-}
-
 // TestReplconfListeningPort: the port a replica advertises becomes part
 // of its ID — in ROLE and in the replica label of she_repl_* — so only a
 // decimal port, 0 to 65535, is accepted; 0 is what a follower sends when
 // it cannot tell its own.
 func TestReplconfListeningPort(t *testing.T) {
-	c := dial(t, startServer(t, server.Config{}).Addr().String())
+	c := dial(t, startServer(t, Config{}).Addr().String())
 	for _, port := range []string{`1"2`, "7\xff", "65536", "x"} {
 		if got := c.cmd("REPLCONF LISTENING-PORT %s", port); !strings.HasPrefix(got, "-ERR") {
 			t.Errorf("REPLCONF LISTENING-PORT %q = %q, want -ERR", port, got)
@@ -479,7 +418,7 @@ func TestReplconfListeningPort(t *testing.T) {
 // drop. The "replica" here is a bare protocol client that completes
 // the PSYNC handshake, drains everything it is sent, and stays silent.
 func TestSlowReplicaDisconnect(t *testing.T) {
-	primary := startServer(t, server.Config{
+	primary := startServer(t, Config{
 		WALDir:             t.TempDir(),
 		ReplicaMaxLagBytes: 2048,
 	})
@@ -505,7 +444,7 @@ func TestSlowReplicaDisconnect(t *testing.T) {
 		defer close(closed)
 		io.Copy(io.Discard, fake.conn)
 	}()
-	waitUntil(t, "fake replica attached", func() bool {
+	eventually(t, "fake replica attached", func() bool {
 		return strings.Contains(strings.Join(pc.array("ROLE"), "\n"), "replicas=1")
 	})
 
@@ -522,7 +461,7 @@ func TestSlowReplicaDisconnect(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("lagging replica was never disconnected")
 	}
-	waitUntil(t, "drop counted and replica deregistered", func() bool {
+	eventually(t, "drop counted and replica deregistered", func() bool {
 		info := strings.Join(pc.array("INFO"), "\n")
 		return strings.Contains(info, "repl_slow_replica_drops=1") &&
 			strings.Contains(info, "connected_replicas=0")
@@ -538,14 +477,14 @@ func TestSlowReplicaDisconnect(t *testing.T) {
 // show in she_command_seconds and in CLIENT LIST — counted and timed up
 // to the moment the connection was handed over.
 func TestTakeoverVerbsAccounted(t *testing.T) {
-	primary := startServer(t, server.Config{WALDir: t.TempDir(), DebugListen: "127.0.0.1:0"})
-	startServer(t, server.Config{WALDir: t.TempDir(), ReplicaOf: primary.Addr().String()})
+	primary := startServer(t, Config{WALDir: t.TempDir(), DebugListen: "127.0.0.1:0"})
+	startServer(t, Config{WALDir: t.TempDir(), ReplicaOf: primary.Addr().String()})
 	if got := dial(t, primary.Addr().String()).cmd("MONITOR"); got != "+OK" {
 		t.Fatalf("MONITOR = %q", got)
 	}
 	pc := dial(t, primary.Addr().String())
 	var rows []string
-	waitUntil(t, "a replica link and a monitor feed in CLIENT LIST", func() bool {
+	eventually(t, "a replica link and a monitor feed in CLIENT LIST", func() bool {
 		rows = pc.array("CLIENT LIST")
 		return strings.Contains(strings.Join(rows, "\n"), "replica=true") &&
 			strings.Contains(strings.Join(rows, "\n"), "monitor=true")

@@ -300,15 +300,11 @@ func TestFastDeclineLeavesNoTrace(t *testing.T) {
 	}
 	for _, withWAL := range []bool{false, true} {
 		t.Run(fmt.Sprintf("wal=%v", withWAL), func(t *testing.T) {
-			cfg := Config{Listen: "127.0.0.1:0"}
+			var cfg Config
 			if withWAL {
 				cfg.WALDir = t.TempDir()
 			}
-			s := New(cfg)
-			if err := s.Start(); err != nil {
-				t.Fatal(err)
-			}
-			defer s.Abort()
+			s := startServer(t, cfg)
 			mustSketch(t, s, "b")
 			mustSketch(t, s, "b2")
 			if err := s.reg.Create("h", "hll", map[string]string{"window": "4096"}); err != nil {
@@ -342,7 +338,7 @@ func TestFastDeclineLeavesNoTrace(t *testing.T) {
 			// Over the wire, as handleConn runs it: fast, decline, DROP and
 			// CREATE on the slow path, fast again — in one pipelined write,
 			// so the lines share a batch.
-			c := dialServer(t, s)
+			c := dial(t, s.Addr().String())
 			script := "MINSERT b 71 72\n" + long(64, 40, "12\x0134") + "\nSKETCH.DROP b\n" +
 				"SKETCH.CREATE b bloom bits=65536 window=65536 shards=2\nMINSERT b 73\n" +
 				"SKETCH.QUERY b 73\nSKETCH.QUERY b 71\n"

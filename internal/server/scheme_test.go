@@ -58,12 +58,8 @@ func (l *lockedBuffer) String() string {
 // asked for nor a sketch already there.
 func TestScheme1Load(t *testing.T) {
 	dir := t.TempDir()
-	s := New(Config{Listen: "127.0.0.1:0", SnapshotDir: dir})
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Abort()
-	c := dialServer(t, s)
+	s := startServer(t, Config{SnapshotDir: dir})
+	c := dial(t, s.Addr().String())
 	c.must("SKETCH.CREATE b bloom bits=4096 window=1024 shards=2", "+OK")
 	c.must("SKETCH.INSERT b 7", ":1")
 	for _, name := range []string{"b", "fresh"} {
@@ -88,11 +84,8 @@ func TestScheme1Load(t *testing.T) {
 // goes on: the sketch beside it and the records after it.
 func TestScheme1Checkpoint(t *testing.T) {
 	walDir, autoDir := t.TempDir(), t.TempDir()
-	s1 := New(Config{Listen: "127.0.0.1:0", WALDir: walDir, AutosaveDir: autoDir})
-	if err := s1.Start(); err != nil {
-		t.Fatal(err)
-	}
-	c := dialServer(t, s1)
+	s1 := startServer(t, Config{WALDir: walDir, AutosaveDir: autoDir})
+	c := dial(t, s1.Addr().String())
 	c.must("SKETCH.CREATE old bloom bits=4096 window=1024 shards=2", "+OK")
 	c.must("SKETCH.CREATE kept cm counters=1024 window=1024 shards=2", "+OK")
 	c.must("SKETCH.INSERT kept 5 5 5", ":3")
@@ -142,7 +135,7 @@ func TestScheme1Checkpoint(t *testing.T) {
 		if kept, err := os.ReadFile(filepath.Join(tc.dir, "old.she.corrupt")); err != nil || !bytes.Equal(kept, old) {
 			t.Fatalf("the refused file was not preserved as old.she.corrupt: %v", err)
 		}
-		dialServer(t, s2).must("SKETCH.QUERY kept 5", tc.want)
+		dial(t, s2.Addr().String()).must("SKETCH.QUERY kept 5", tc.want)
 		// The insert into the refused sketch is a record for a sketch
 		// that is not there: skipped, as after any quarantined
 		// checkpoint file.
@@ -158,15 +151,11 @@ func TestScheme1Checkpoint(t *testing.T) {
 func TestScheme1FullSync(t *testing.T) {
 	primary := fullSyncPrimary(t, 1, "b", scheme1File(t, "bloom"))
 	var logs lockedBuffer
-	follower := New(Config{
-		Listen: "127.0.0.1:0", WALDir: t.TempDir(), ReplicaOf: primary,
+	follower := startServer(t, Config{
+		WALDir: t.TempDir(), ReplicaOf: primary,
 		ReplRetryInterval: 10 * time.Millisecond, ReplMaxRetryInterval: 20 * time.Millisecond,
 		Logger: slog.New(slog.NewTextHandler(&logs, nil)),
 	})
-	if err := follower.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer follower.Abort()
 	deadline := time.Now().Add(10 * time.Second)
 	for follower.follower.Status().Reconnects < 2 {
 		if time.Now().After(deadline) {

@@ -548,11 +548,11 @@ func (s *Server) loadAutosaves() error {
 func (s *Server) saveAutosaves() error {
 	var firstErr error
 	var buf []byte
-	for name, sk := range s.reg.Snapshot() {
+	for _, in := range s.reg.List() {
 		var err error
-		buf, err = writeSketchFile(s.fs, filepath.Join(s.cfg.AutosaveDir, name+snapshotExt), sk, buf)
+		buf, err = writeSketchFile(s.fs, filepath.Join(s.cfg.AutosaveDir, in.Name+snapshotExt), in.Sketch, buf)
 		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("server: autosave %s: %w", name, err)
+			firstErr = fmt.Errorf("server: autosave %s: %w", in.Name, err)
 		}
 	}
 	return firstErr

@@ -1,4 +1,4 @@
-package server_test
+package server
 
 import (
 	"bufio"
@@ -15,26 +15,72 @@ import (
 	"testing"
 	"time"
 
-	"she/internal/server"
+	"she/internal/failfs"
 )
 
-// startServer boots a server on a free loopback port and tears it down
-// with the test.
-func startServer(t *testing.T, cfg server.Config) *server.Server {
+// The harness every test of the package starts from: one node starter,
+// one protocol client, one poll loop, one HTTP getter.
+
+// startServer starts a node on cfg, on a free loopback port unless cfg
+// names one, and kills it when the test ends. The kill is Abort, which
+// writes nothing: a test that crashes a WAL node and restarts on its
+// directory leaves the directory to the restarted node.
+func startServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	if cfg.Listen == "" {
 		cfg.Listen = "127.0.0.1:0"
 	}
-	s := server.New(cfg)
+	s := New(cfg)
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	})
+	t.Cleanup(s.Abort)
 	return s
+}
+
+// startWAL starts a node logging to dir through fsys (nil: the real
+// filesystem), checkpointing every chkBytes (0: the default).
+func startWAL(t testing.TB, dir string, fsys failfs.FS, chkBytes int64) *Server {
+	return startServer(t, Config{WALDir: dir, CheckpointBytes: chkBytes, FS: fsys})
+}
+
+// startFollower starts a replica of primary with its own WAL in dir.
+func startFollower(t testing.TB, dir string, primary *Server, chkBytes int64) *Server {
+	return startServer(t, Config{WALDir: dir, CheckpointBytes: chkBytes,
+		ReplicaOf: primary.Addr().String(), ReplRetryInterval: 10 * time.Millisecond})
+}
+
+// eventually polls cond for up to 10 s: replication, reaping and
+// sampling are asynchronous, so an assertion about them settles first.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+		if cond() {
+			return
+		}
+	}
+	t.Fatalf("timed out waiting for %s", what)
+}
+
+// fetch GETs url and returns the body.
+func fetch(t *testing.T, url string) (string, *http.Response) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body), resp
+}
+
+// scrape returns s's /metrics exposition.
+func scrape(t *testing.T, s *Server) string {
+	body, _ := fetch(t, "http://"+s.DebugAddr().String()+"/metrics")
+	return body
 }
 
 // client is a test protocol client: one command out, one reply line
@@ -53,6 +99,29 @@ func dial(t *testing.T, addr string) *client {
 	}
 	t.Cleanup(func() { conn.Close() })
 	return &client{t: t, conn: conn, r: bufio.NewReader(conn)}
+}
+
+// try sends one command and returns its reply line; ok=false means the
+// connection died before a reply arrived, which is never an ack.
+func (c *client) try(cmd string) (string, bool) {
+	c.conn.SetDeadline(time.Now().Add(5 * time.Second))
+	defer c.conn.SetDeadline(time.Time{})
+	if _, err := fmt.Fprintf(c.conn, "%s\n", cmd); err != nil {
+		return "", false
+	}
+	line, err := c.r.ReadString('\n')
+	if err != nil {
+		return "", false
+	}
+	return strings.TrimRight(line, "\r\n"), true
+}
+
+// must sends one command and fails the test unless the reply is want.
+func (c *client) must(cmd, want string) {
+	c.t.Helper()
+	if reply, ok := c.try(cmd); !ok || reply != want {
+		c.t.Fatalf("%s = %q (ok=%v), want %q", cmd, reply, ok, want)
+	}
 }
 
 func (c *client) send(format string, args ...any) {
@@ -94,7 +163,7 @@ func (c *client) array(format string, args ...any) []string {
 }
 
 func TestPingInfoList(t *testing.T) {
-	s := startServer(t, server.Config{})
+	s := startServer(t, Config{})
 	c := dial(t, s.Addr().String())
 	if got := c.cmd("PING"); got != "+PONG" {
 		t.Fatalf("PING = %q", got)
@@ -119,7 +188,7 @@ func TestPingInfoList(t *testing.T) {
 }
 
 func TestInsertQueryAllKinds(t *testing.T) {
-	s := startServer(t, server.Config{})
+	s := startServer(t, Config{})
 	c := dial(t, s.Addr().String())
 
 	// bloom: inserted keys answer :1, fresh keys :0 (filter is large
@@ -162,50 +231,8 @@ func TestInsertQueryAllKinds(t *testing.T) {
 	}
 }
 
-func TestProtocolErrors(t *testing.T) {
-	s := startServer(t, server.Config{})
-	c := dial(t, s.Addr().String())
-	c.cmd("SKETCH.CREATE h hll registers=4096 window=65536")
-	for _, tt := range []struct{ cmd, wantSub string }{
-		{"NOPE", "unknown command"},
-		{"SKETCH.CREATE", "want name kind"},
-		{"SKETCH.CREATE bad/name bloom", "invalid sketch name"},
-		{"SKETCH.CREATE x whatever", "unknown sketch kind"},
-		{"SKETCH.CREATE x bloom bits", "expected param=value"},
-		{"SKETCH.CREATE h hll", "already exists"},
-		{"SKETCH.INSERT missing k", "no such sketch"},
-		{"SKETCH.QUERY missing k", "no such sketch"},
-		{"SKETCH.QUERY h k", "SKETCH.CARD"},
-		{"SKETCH.CARD missing", "no such sketch"},
-		{"SKETCH.INSERT h", "want name key"},
-		{"SKETCH.DROP missing", "no such sketch"},
-		{"SKETCH.SAVE", "want name [file]"},
-		{"SKETCH.SAVE h x y", "want name [file]"},
-		{"SKETCH.SAVE h", "no snapshot directory"},
-		{"SKETCH.LOAD x", "no snapshot directory"},
-		{"SKETCH.CREATE big bloom bits=1099511627776", "exceeds maximum"},
-		{"SKETCH.CREATE big cm counters=18446744073709551615", "exceeds maximum"},
-		{"SKETCH.CREATE big hll registers=99999999999 shards=4", "exceeds maximum"},
-		{"SKETCH.CREATE big bloom shards=1048576", "exceeds maximum"},
-	} {
-		got := c.cmd(tt.cmd)
-		if !strings.HasPrefix(got, "-ERR") || !strings.Contains(got, tt.wantSub) {
-			t.Errorf("%q -> %q, want -ERR containing %q", tt.cmd, got, tt.wantSub)
-		}
-	}
-	// The connection survives all of that.
-	if got := c.cmd("PING"); got != "+PONG" {
-		t.Fatalf("PING after errors = %q", got)
-	}
-	// CARD on a non-hll sketch errors.
-	c.cmd("SKETCH.CREATE bb bloom bits=65536 window=4096")
-	if got := c.cmd("SKETCH.CARD bb"); !strings.HasPrefix(got, "-ERR") {
-		t.Fatalf("CARD on bloom = %q", got)
-	}
-}
-
 func TestAbruptDisconnectAndOversizedLine(t *testing.T) {
-	s := startServer(t, server.Config{})
+	s := startServer(t, Config{})
 
 	// Half a command, then slam the connection shut.
 	conn, err := net.Dial("tcp", s.Addr().String())
@@ -217,7 +244,7 @@ func TestAbruptDisconnectAndOversizedLine(t *testing.T) {
 
 	// A line the reader can never terminate: error reply, then close.
 	c := dial(t, s.Addr().String())
-	huge := strings.Repeat("a", server.MaxLineBytes+2)
+	huge := strings.Repeat("a", MaxLineBytes+2)
 	if _, err := io.WriteString(c.conn, huge); err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +269,7 @@ func TestAbruptDisconnectAndOversizedLine(t *testing.T) {
 // goroutines hammer one sharded sketch through separate connections;
 // run under -race this is the server's data-race check.
 func TestConcurrentClients(t *testing.T) {
-	s := startServer(t, server.Config{})
+	s := startServer(t, Config{})
 	admin := dial(t, s.Addr().String())
 	if got := admin.cmd("SKETCH.CREATE shared cm counters=262144 window=1048576 shards=8"); got != "+OK" {
 		t.Fatalf("CREATE = %q", got)
@@ -308,7 +335,7 @@ func TestConcurrentClients(t *testing.T) {
 // names — clients never supply paths.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s := startServer(t, server.Config{SnapshotDir: dir})
+	s := startServer(t, Config{SnapshotDir: dir})
 	c := dial(t, s.Addr().String())
 	c.cmd("SKETCH.CREATE orig cm counters=65536 window=65536 shards=4")
 	for i := 0; i < 500; i++ {
@@ -356,7 +383,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 // write arbitrary server paths.
 func TestSaveLoadConfinement(t *testing.T) {
 	dir := t.TempDir()
-	s := startServer(t, server.Config{SnapshotDir: dir})
+	s := startServer(t, Config{SnapshotDir: dir})
 	c := dial(t, s.Addr().String())
 	c.cmd("SKETCH.CREATE sk bloom bits=65536 window=4096")
 	for _, tt := range []struct{ cmd, wantSub string }{
@@ -380,10 +407,7 @@ func TestSaveLoadConfinement(t *testing.T) {
 func TestAutosaveAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 
-	s1 := server.New(server.Config{Listen: "127.0.0.1:0", AutosaveDir: dir})
-	if err := s1.Start(); err != nil {
-		t.Fatal(err)
-	}
+	s1 := startServer(t, Config{AutosaveDir: dir})
 	c := dial(t, s1.Addr().String())
 	c.cmd("SKETCH.CREATE persisted bloom bits=262144 window=16384 shards=4")
 	c.cmd("SKETCH.INSERT persisted alice bob")
@@ -393,7 +417,7 @@ func TestAutosaveAcrossRestart(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 
-	s2 := startServer(t, server.Config{AutosaveDir: dir})
+	s2 := startServer(t, Config{AutosaveDir: dir})
 	c2 := dial(t, s2.Addr().String())
 	for key, want := range map[string]string{"alice": ":1", "bob": ":1", "carol": ":0"} {
 		if got := c2.cmd("SKETCH.QUERY persisted %s", key); got != want {
@@ -410,7 +434,7 @@ func TestAutosaveAcrossRestart(t *testing.T) {
 // TestMaxConns: connections beyond the cap are rejected with an -ERR
 // line, and closing one frees a slot.
 func TestMaxConns(t *testing.T) {
-	s := startServer(t, server.Config{MaxConns: 2})
+	s := startServer(t, Config{MaxConns: 2})
 	c1 := dial(t, s.Addr().String())
 	c2 := dial(t, s.Addr().String())
 	if got := c1.cmd("PING"); got != "+PONG" {
@@ -450,7 +474,7 @@ func TestMaxConns(t *testing.T) {
 
 // TestIdleTimeout: a connection that goes quiet is reaped.
 func TestIdleTimeout(t *testing.T) {
-	s := startServer(t, server.Config{IdleTimeout: 100 * time.Millisecond})
+	s := startServer(t, Config{IdleTimeout: 100 * time.Millisecond})
 	c := dial(t, s.Addr().String())
 	if got := c.cmd("PING"); got != "+PONG" {
 		t.Fatalf("PING = %q", got)
@@ -462,10 +486,7 @@ func TestIdleTimeout(t *testing.T) {
 }
 
 func TestGracefulShutdownClosesClients(t *testing.T) {
-	s := server.New(server.Config{Listen: "127.0.0.1:0"})
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
+	s := startServer(t, Config{})
 	conn, err := net.Dial("tcp", s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -493,23 +514,8 @@ func TestGracefulShutdownClosesClients(t *testing.T) {
 	}
 }
 
-func TestQuitAndPipelining(t *testing.T) {
-	s := startServer(t, server.Config{})
-	c := dial(t, s.Addr().String())
-	// One write carrying a whole pipeline; replies come back in order.
-	io.WriteString(c.conn, "PING\nSKETCH.CREATE p bloom bits=65536 window=4096\nSKETCH.INSERT p k\nSKETCH.QUERY p k\nQUIT\n")
-	for i, want := range []string{"+PONG", "+OK", ":1", ":1", "+OK"} {
-		if got := c.recv(); got != want {
-			t.Fatalf("pipeline reply %d = %q, want %q", i, got, want)
-		}
-	}
-	if _, err := c.r.ReadString('\n'); err != io.EOF {
-		t.Fatalf("QUIT should close the connection, got %v", err)
-	}
-}
-
 func TestDebugVars(t *testing.T) {
-	s := startServer(t, server.Config{DebugListen: "127.0.0.1:0"})
+	s := startServer(t, Config{DebugListen: "127.0.0.1:0"})
 	c := dial(t, s.Addr().String())
 	c.cmd("SKETCH.CREATE observed hll registers=4096 window=65536 shards=4")
 	c.cmd("SKETCH.INSERT observed a b c")
@@ -550,7 +556,7 @@ func TestDebugVars(t *testing.T) {
 // a connection idle for longer than the write timeout, one already in
 // the past, which cut the reply off and dropped the connection.
 func TestLargeReplyAfterIdleKeepsConnection(t *testing.T) {
-	s := startServer(t, server.Config{WriteTimeout: 150 * time.Millisecond, TraceSample: 1})
+	s := startServer(t, Config{WriteTimeout: 150 * time.Millisecond, TraceSample: 1})
 	c := dial(t, s.Addr().String())
 	for i := 0; i < 300; i++ { // every command leaves a retained trace
 		if got := c.cmd("PING"); got != "+PONG" {

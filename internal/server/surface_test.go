@@ -11,9 +11,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
-	"io"
 	"net"
-	"net/http"
 	"os"
 	"regexp"
 	"slices"
@@ -55,26 +53,12 @@ func normalizeSurface(text string) string {
 	return strings.Join(lines, "\n")
 }
 
-func httpBody(t *testing.T, url string) string {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(body)
-}
-
 func TestOperationalSurface(t *testing.T) {
 	const golden = "testdata/surface.golden"
 	transcript{
 		name: "surface",
 		cfg: func(t *testing.T) Config {
-			return Config{Listen: "127.0.0.1:0", DebugListen: "127.0.0.1:0", WALDir: t.TempDir(), SnapshotDir: t.TempDir()}
+			return Config{DebugListen: "127.0.0.1:0", WALDir: t.TempDir(), SnapshotDir: t.TempDir()}
 		},
 		script: `
 = a
@@ -120,14 +104,14 @@ func TestOperationalSurface(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base := "http://" + s.DebugAddr().String()
+			body, _ := fetch(t, "http://"+s.DebugAddr().String()+"/debug/vars")
 			var vars bytes.Buffer
-			if err := json.Indent(&vars, []byte(httpBody(t, base+"/debug/vars")), "", " "); err != nil {
+			if err := json.Indent(&vars, []byte(body), "", " "); err != nil {
 				t.Fatal(err)
 			}
 			got := "== INFO\n" + normalizeSurface(strings.Join(info, "\n")) +
 				"\n== /debug/vars\n" + normalizeSurface(vars.String()) +
-				"\n== /metrics\n" + normalizeSurface(httpBody(t, base+"/metrics")) + "\n"
+				"\n== /metrics\n" + normalizeSurface(scrape(t, s)) + "\n"
 			if *updateGolden {
 				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
@@ -184,17 +168,13 @@ func TestArmedSurface(t *testing.T) {
 	transcript{
 		name: "armed",
 		cfg: func(t *testing.T) Config {
-			return Config{Listen: "127.0.0.1:0", DebugListen: "127.0.0.1:0", WALDir: t.TempDir(), SnapshotDir: t.TempDir(),
+			return Config{DebugListen: "127.0.0.1:0", WALDir: t.TempDir(), SnapshotDir: t.TempDir(),
 				AuditSample: 1, TraceSample: 1, TrafficSample: 1, MaxMemory: 64 << 20, MaxInflight: 64}
 		},
 		hooks: map[string]func(*testing.T, *Server){
 			"replica": func(t *testing.T, s *Server) {
-				replica = New(Config{Listen: "127.0.0.1:0", DebugListen: "127.0.0.1:0", WALDir: t.TempDir(),
+				replica = startServer(t, Config{DebugListen: "127.0.0.1:0", WALDir: t.TempDir(),
 					ReplicaOf: s.Addr().String(), ReplRetryInterval: 10 * time.Millisecond})
-				if err := replica.Start(); err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(replica.Abort)
 				eventually(t, "the replica to attach", func() bool { return acked(s) })
 			},
 			"acked": func(t *testing.T, s *Server) {
@@ -234,15 +214,15 @@ func TestArmedSurface(t *testing.T) {
 			// appends and syncs the replica's log took, traces over
 			// xtrace's 10 ms pin threshold.
 			armedVolatile := regexp.MustCompile(`^(she_traffic_client_bytes_in|she_wal_(append|fsync)_seconds_count|she_trace_pinned) .*`)
-			scrape := func(s *Server) string {
-				lines := strings.Split(normalizeSurface(httpBody(t, "http://"+s.DebugAddr().String()+"/metrics")), "\n")
+			sorted := func(s *Server) string {
+				lines := strings.Split(normalizeSurface(scrape(t, s)), "\n")
 				for i, l := range lines {
 					lines[i] = armedVolatile.ReplaceAllString(l, "$1 #")
 				}
 				slices.Sort(lines)
 				return strings.Join(lines, "\n")
 			}
-			got := "== primary /metrics\n" + scrape(s) + "\n== replica /metrics\n" + scrape(replica) + "\n"
+			got := "== primary /metrics\n" + sorted(s) + "\n== replica /metrics\n" + sorted(replica) + "\n"
 			if *updateGolden {
 				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 					t.Fatal(err)

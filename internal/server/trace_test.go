@@ -1,4 +1,4 @@
-package server_test
+package server
 
 import (
 	"encoding/json"
@@ -6,8 +6,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-
-	"she/internal/server"
 )
 
 // traceView mirrors the JSON shape TRACE GET renders (see
@@ -96,13 +94,13 @@ func findTrace(t *testing.T, c *client, verb string) *traceView {
 // trace ID from the REC frame, holds the cross-node half with its
 // apply and commit fsync spans.
 func TestTraceEndToEndReplicated(t *testing.T) {
-	primary := startServer(t, server.Config{
+	primary := startServer(t, Config{
 		WALDir:       t.TempDir(),
 		SyncReplicas: 1,
 		TraceSample:  1,
 		Logger:       quiet(),
 	})
-	follower := startServer(t, server.Config{
+	follower := startServer(t, Config{
 		WALDir:    t.TempDir(),
 		ReplicaOf: primary.Addr().String(),
 		// TraceSample deliberately 0: joining a primary-sampled trace
@@ -110,7 +108,7 @@ func TestTraceEndToEndReplicated(t *testing.T) {
 		Logger: quiet(),
 	})
 	fc := dial(t, follower.Addr().String())
-	waitUntil(t, "replica attach", func() bool {
+	eventually(t, "replica attach", func() bool {
 		return strings.Contains(strings.Join(fc.array("ROLE"), "\n"), "connected=true")
 	})
 
@@ -144,7 +142,7 @@ func TestTraceEndToEndReplicated(t *testing.T) {
 			t.Errorf("primary trace missing span %q: %+v", span, ins.Spans)
 		}
 	}
-	waitUntil(t, "replication spans on primary trace", func() bool {
+	eventually(t, "replication spans on primary trace", func() bool {
 		got, ok := tryGetTrace(t, pc, ins.ID)
 		if !ok {
 			return false
@@ -155,7 +153,7 @@ func TestTraceEndToEndReplicated(t *testing.T) {
 
 	// The follower holds the other half of the SAME trace ID.
 	var joined traceView
-	waitUntil(t, "joined trace on follower", func() bool {
+	eventually(t, "joined trace on follower", func() bool {
 		v, ok := tryGetTrace(t, fc, ins.ID)
 		joined = v
 		return ok
@@ -192,7 +190,7 @@ func TestTraceEndToEndReplicated(t *testing.T) {
 // TestTraceVerbWire covers the TRACE verb family over the wire:
 // SAMPLE get/set, GET filters, SLOWEST, RESET and the error replies.
 func TestTraceVerbWire(t *testing.T) {
-	s := startServer(t, server.Config{TraceSample: 1, Logger: quiet()})
+	s := startServer(t, Config{TraceSample: 1, Logger: quiet()})
 	c := dial(t, s.Addr().String())
 
 	if got := c.cmd("TRACE SAMPLE"); got != ":1" {
@@ -203,7 +201,7 @@ func TestTraceVerbWire(t *testing.T) {
 
 	// Every command so far (TRACE SAMPLE, PING, the unknown one) was
 	// sampled; the unknown command's trace is errored and pinned.
-	waitUntil(t, "retained traces", func() bool {
+	eventually(t, "retained traces", func() bool {
 		return len(getTraces(t, c, "TRACE GET")) >= 3
 	})
 	bad := findTrace(t, c, "NO.SUCH.COMMAND")
@@ -265,7 +263,7 @@ func TestTraceVerbWire(t *testing.T) {
 // TestTraceDisabledByDefault: with no TraceSample configured the TRACE
 // verb works (empty, rate 0) and commands leave nothing behind.
 func TestTraceDisabledByDefault(t *testing.T) {
-	s := startServer(t, server.Config{Logger: quiet()})
+	s := startServer(t, Config{Logger: quiet()})
 	c := dial(t, s.Addr().String())
 	c.cmd("PING")
 	if got := c.cmd("TRACE SAMPLE"); got != ":0" {
@@ -277,7 +275,7 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	// Enable at runtime: the very next command is 1-in-1 sampled.
 	c.cmd("TRACE SAMPLE 1")
 	c.cmd("PING")
-	waitUntil(t, "runtime-enabled trace", func() bool {
+	eventually(t, "runtime-enabled trace", func() bool {
 		return findTrace(t, c, "PING") != nil
 	})
 }
@@ -285,7 +283,7 @@ func TestTraceDisabledByDefault(t *testing.T) {
 // TestTraceSlowlogLink: a slow sampled command's SLOWLOG entry carries
 // trace=<id> and that id resolves via TRACE GET.
 func TestTraceSlowlogLink(t *testing.T) {
-	s := startServer(t, server.Config{
+	s := startServer(t, Config{
 		TraceSample:   1,
 		SlowThreshold: 1, // 1ns: everything is slow
 		Logger:        quiet(),
@@ -294,7 +292,7 @@ func TestTraceSlowlogLink(t *testing.T) {
 	c.cmd("SKETCH.CREATE sl bloom bits=65536 window=4096")
 
 	var id string
-	waitUntil(t, "slowlog entry with trace id", func() bool {
+	eventually(t, "slowlog entry with trace id", func() bool {
 		for _, e := range c.array("SLOWLOG GET") {
 			if !strings.Contains(e, `command="SKETCH.CREATE`) {
 				continue

@@ -28,12 +28,11 @@ type hotRow struct {
 // and the overload ladder's blame line; k is as for Track.Top.
 func (s *Server) hotRows(k, rate int) []hotRow {
 	var rows []hotRow
-	for name, sk := range s.reg.Snapshot() {
-		if top, sampled := sk.hot.Load().Top(k, rate); sampled > 0 {
-			rows = append(rows, hotRow{name, sampled, top})
+	for _, in := range s.reg.List() {
+		if top, sampled := in.Sketch.hot.Load().Top(k, rate); sampled > 0 {
+			rows = append(rows, hotRow{in.Name, sampled, top})
 		}
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
 	return rows
 }
 

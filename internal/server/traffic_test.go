@@ -1,4 +1,4 @@
-package server_test
+package server
 
 import (
 	"bufio"
@@ -10,14 +10,12 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"she/internal/server"
 )
 
 // TestHotkeysDisabled pins the off-by-default contract: without
 // -traffic-sample the verb refuses with a pointer at the flag.
 func TestHotkeysDisabled(t *testing.T) {
-	s := startServer(t, server.Config{Logger: quiet()})
+	s := startServer(t, Config{Logger: quiet()})
 	c := dial(t, s.Addr().String())
 	got := c.cmd("HOTKEYS")
 	if !strings.HasPrefix(got, "-ERR") || !strings.Contains(got, "-traffic-sample") {
@@ -29,7 +27,7 @@ func TestHotkeysDisabled(t *testing.T) {
 // the bare summary, the per-sketch listing with scaled counts, and the
 // error/empty cases.
 func TestHotkeysWire(t *testing.T) {
-	s := startServer(t, server.Config{TrafficSample: 1, Logger: quiet()})
+	s := startServer(t, Config{TrafficSample: 1, Logger: quiet()})
 	c := dial(t, s.Addr().String())
 	c.cmd("SKETCH.CREATE fx cm counters=65536 window=65536 shards=4")
 	c.cmd("SKETCH.CREATE empty bloom bits=65536 window=4096")
@@ -94,7 +92,7 @@ func TestHotkeysZipfRecall(t *testing.T) {
 		inserts = 200000
 		rate    = 64
 	)
-	s := startServer(t, server.Config{TrafficSample: rate, Logger: quiet()})
+	s := startServer(t, Config{TrafficSample: rate, Logger: quiet()})
 	c := dial(t, s.Addr().String())
 	c.cmd("SKETCH.CREATE zx cm counters=262144 window=1048576 shards=4")
 
@@ -161,7 +159,7 @@ func TestHotkeysZipfRecall(t *testing.T) {
 // sketch is refused and builds no hot-key track, so HOTKEYS has nothing
 // to say about that name — a track belongs to its sketch.
 func TestHotkeysNoSketchNoTrack(t *testing.T) {
-	s := startServer(t, server.Config{TrafficSample: 1, Logger: quiet()})
+	s := startServer(t, Config{TrafficSample: 1, Logger: quiet()})
 	c := dial(t, s.Addr().String())
 	for _, line := range []string{"SKETCH.INSERT nosuch 1 2 3", "MINSERT nosuch 4 5"} {
 		if got := c.cmd(line); got != `-ERR no such sketch "nosuch"` {
@@ -179,12 +177,12 @@ func TestHotkeysNoSketchNoTrack(t *testing.T) {
 // TestHotkeysFullSyncEmpties: a node that fed x and then full-syncs
 // from a primary without x loses x's hot-key track with x itself.
 func TestHotkeysFullSyncEmpties(t *testing.T) {
-	primary := startServer(t, server.Config{WALDir: t.TempDir(), Logger: quiet()})
+	primary := startServer(t, Config{WALDir: t.TempDir(), Logger: quiet()})
 	pc := dial(t, primary.Addr().String())
 	if got := pc.cmd("SKETCH.CREATE y cm counters=4096 window=4096"); got != "+OK" {
 		t.Fatalf("primary CREATE = %q", got)
 	}
-	node := startServer(t, server.Config{WALDir: t.TempDir(), TrafficSample: 1, Logger: quiet()})
+	node := startServer(t, Config{WALDir: t.TempDir(), TrafficSample: 1, Logger: quiet()})
 	nc := dial(t, node.Addr().String())
 	nc.cmd("SKETCH.CREATE x cm counters=4096 window=4096")
 	nc.cmd("SKETCH.INSERT x 5 5 5 6")
@@ -196,7 +194,7 @@ func TestHotkeysFullSyncEmpties(t *testing.T) {
 	if got := nc.cmd("REPLICAOF %s %s", host, port); got != "+OK" {
 		t.Fatalf("REPLICAOF = %q", got)
 	}
-	waitUntil(t, "full sync", func() bool {
+	eventually(t, "full sync", func() bool {
 		list := nc.array("SKETCH.LIST")
 		return len(list) == 1 && strings.HasPrefix(list[0], "y ")
 	})
@@ -212,10 +210,10 @@ func TestHotkeysFullSyncEmpties(t *testing.T) {
 // The first sampled insert builds it and INFO memory_used_bytes rises
 // by its size; SKETCH.DROP takes it away with the sketch.
 func TestHotkeysTrackInMemoryBudget(t *testing.T) {
-	s := startServer(t, server.Config{MaxMemory: 1 << 30, TrafficSample: 1, Logger: quiet()})
+	s := startServer(t, Config{MaxMemory: 1 << 30, TrafficSample: 1, Logger: quiet()})
 	c := dial(t, s.Addr().String())
 	used := func() int64 { return infoInt(c, "memory_used_bytes") }
-	waitUntil(t, "the connection in the budget", func() bool { return used() > 0 })
+	eventually(t, "the connection in the budget", func() bool { return used() > 0 })
 	base := used()
 	// CREATE and DROP re-measure before they answer.
 	c.cmd("SKETCH.CREATE fx cm counters=4096 window=4096 shards=1")
@@ -224,7 +222,7 @@ func TestHotkeysTrackInMemoryBudget(t *testing.T) {
 		t.Fatalf("memory_used_bytes %d after CREATE, want above %d", created, base)
 	}
 	c.cmd("SKETCH.INSERT fx 7")
-	waitUntil(t, "the track in the budget", func() bool { return used() > created })
+	eventually(t, "the track in the budget", func() bool { return used() > created })
 	if grew := used() - created; grew < 16<<10 {
 		t.Fatalf("the track added %d bytes, want at least its 4096 counters (16 KiB)", grew)
 	}
@@ -237,7 +235,7 @@ func TestHotkeysTrackInMemoryBudget(t *testing.T) {
 // TestClientCommands covers CLIENT LIST / SETNAME / GETNAME / KILL on
 // live connections.
 func TestClientCommands(t *testing.T) {
-	s := startServer(t, server.Config{Logger: quiet()})
+	s := startServer(t, Config{Logger: quiet()})
 	c1 := dial(t, s.Addr().String())
 	c2 := dial(t, s.Addr().String())
 	c2.cmd("PING") // ensure c2 is registered and has a verb count
@@ -294,7 +292,7 @@ func TestClientCommands(t *testing.T) {
 // is answered, CLIENT LIST from another connection shows every query
 // and insert it carried and an idle clock restarted at the drain.
 func TestClientListAfterFastPipeline(t *testing.T) {
-	s := startServer(t, server.Config{Logger: quiet()})
+	s := startServer(t, Config{Logger: quiet()})
 	admin := dial(t, s.Addr().String())
 	admin.cmd("SKETCH.CREATE b bloom bits=65536 window=65536 shards=2")
 	admin.cmd("SKETCH.CREATE h hll registers=256 window=65536 shards=2")
@@ -336,23 +334,23 @@ func TestClientListAfterFastPipeline(t *testing.T) {
 // Tracker's ack cursor detaches only through the replication layer's
 // own eviction. After the refusal the link keeps replicating.
 func TestClientKillReplicaRefused(t *testing.T) {
-	primary := startServer(t, server.Config{WALDir: t.TempDir(), Logger: quiet()})
+	primary := startServer(t, Config{WALDir: t.TempDir(), Logger: quiet()})
 	pc := dial(t, primary.Addr().String())
 	pc.cmd("SKETCH.CREATE flows cm counters=65536 window=65536 shards=4")
 	pc.cmd("SKETCH.INSERT flows seed")
 
-	follower := startServer(t, server.Config{
+	follower := startServer(t, Config{
 		WALDir:    t.TempDir(),
 		ReplicaOf: primary.Addr().String(),
 		Logger:    quiet(),
 	})
 	fc := dial(t, follower.Addr().String())
-	waitUntil(t, "full sync", func() bool {
+	eventually(t, "full sync", func() bool {
 		return queryInt(fc, "SKETCH.QUERY flows seed") >= 1
 	})
 
 	var replAddr string
-	waitUntil(t, "replica row", func() bool {
+	eventually(t, "replica row", func() bool {
 		for _, row := range pc.array("CLIENT LIST") {
 			if strings.Contains(row, "replica=true") {
 				for _, f := range strings.Fields(row) {
@@ -374,7 +372,7 @@ func TestClientKillReplicaRefused(t *testing.T) {
 	// The link survived the attempt: new writes still flow, and the
 	// tracker's ack cursor still advances (ROLE keeps one replica).
 	pc.cmd("SKETCH.INSERT flows after-kill")
-	waitUntil(t, "replication alive", func() bool {
+	eventually(t, "replication alive", func() bool {
 		return queryInt(fc, "SKETCH.QUERY flows after-kill") >= 1
 	})
 	role := pc.array("ROLE")
@@ -387,8 +385,8 @@ func TestClientKillReplicaRefused(t *testing.T) {
 // then frames for sampled commands from other connections, ending
 // cleanly when the monitor hangs up.
 func TestMonitorFeed(t *testing.T) {
-	s := startServer(t, server.Config{TrafficSample: 1, Logger: quiet()})
-	mon := dial(t, s.Addr().String())
+	s := startServer(t, Config{TrafficSample: 1, Logger: quiet()})
+	mon := dialRaw(t, s.Addr().String())
 	if got := mon.cmd("MONITOR"); got != "+OK" {
 		t.Fatalf("MONITOR = %q", got)
 	}
@@ -425,7 +423,7 @@ func TestMonitorFeed(t *testing.T) {
 // subscribe/unsubscribe concurrently with traffic; its value is under
 // -race.
 func TestTrafficChurnRace(t *testing.T) {
-	s := startServer(t, server.Config{TrafficSample: 2, Logger: quiet()})
+	s := startServer(t, Config{TrafficSample: 2, Logger: quiet()})
 	admin := dial(t, s.Addr().String())
 	admin.cmd("SKETCH.CREATE fx cm counters=65536 window=65536 shards=4")
 

@@ -122,11 +122,7 @@ func expectedReplies(t *testing.T, lines []string) [][]string {
 }
 
 func (tr transcript) run(t *testing.T) {
-	s := New(tr.cfg(t))
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Abort()
+	s := startServer(t, tr.cfg(t))
 	conns := map[string]*tconn{}
 	var cur *tconn
 	var got []string // the session as it went, in script form
@@ -227,7 +223,7 @@ func walOrder(t *testing.T, dir string) []string {
 }
 
 func plainConfig(t *testing.T) Config {
-	return Config{Listen: "127.0.0.1:0", SnapshotDir: t.TempDir()}
+	return Config{SnapshotDir: t.TempDir()}
 }
 
 // asReplica makes s refuse writes the way a follower does, without a
@@ -262,7 +258,7 @@ func busyTranscript() transcript {
 				}
 			}
 			t.Cleanup(func() { testPanic = nil })
-			return Config{Listen: "127.0.0.1:0", MaxInflight: 1, CommandTimeout: 50 * time.Millisecond}
+			return Config{MaxInflight: 1, CommandTimeout: 50 * time.Millisecond}
 		},
 		hooks: map[string]func(*testing.T, *Server){
 			"held":    func(*testing.T, *Server) { <-held },
@@ -322,7 +318,7 @@ func pipelineTranscript() transcript {
 		name: "pipeline",
 		cfg: func(t *testing.T) Config {
 			dir = t.TempDir()
-			return Config{Listen: "127.0.0.1:0", WALDir: dir}
+			return Config{WALDir: dir}
 		},
 		script: `
 = a
@@ -379,7 +375,6 @@ func pipelineTranscript() transcript {
 				t.Fatalf("the log holds\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 			}
 			s2 := startWAL(t, dir, nil, 0)
-			defer s2.Abort()
 			sameImage(t, "replayed registry", registryImage(t, s2), live)
 		},
 	}
@@ -697,7 +692,7 @@ var transcripts = []transcript{
 `},
 	{name: "replica",
 		cfg: func(t *testing.T) Config {
-			return Config{Listen: "127.0.0.1:0", WALDir: t.TempDir(), SnapshotDir: t.TempDir()}
+			return Config{WALDir: t.TempDir(), SnapshotDir: t.TempDir()}
 		},
 		hooks: map[string]func(*testing.T, *Server){
 			"replica": asReplica("10.0.0.1:6380"), "primary": asReplica(""),
@@ -817,9 +812,49 @@ var transcripts = []transcript{
 +OK
 ~ closed
 `},
+	// A WAL node without a snapshot directory: SAVE and LOAD, the size
+	// caps, and REPLICAOF to a port no follower can dial are refused.
+	{name: "errors",
+		cfg: func(t *testing.T) Config { return Config{WALDir: t.TempDir()} },
+		script: `
+= a
+> SKETCH.CREATE h hll registers=4096 window=65536
++OK
+> SKETCH.SAVE h x y
+-ERR SKETCH.SAVE: want name [file]
+> SKETCH.SAVE h
+-ERR no snapshot directory configured; SKETCH.SAVE/LOAD are disabled
+> SKETCH.LOAD x
+-ERR no snapshot directory configured; SKETCH.SAVE/LOAD are disabled
+> SKETCH.CREATE big bloom bits=1099511627776
+-ERR bits=1099511627776 exceeds maximum 1073741824
+> SKETCH.CREATE big cm counters=18446744073709551615
+-ERR counters=18446744073709551615 exceeds maximum 67108864
+> SKETCH.CREATE big hll registers=99999999999 shards=4
+-ERR registers=99999999999 exceeds maximum 16777216
+> SKETCH.CREATE big bloom shards=1048576
+-ERR shards=1048576 exceeds maximum 4096
+> REPLICAOF 127.0.0.1 x
+-ERR REPLICAOF: bad port "x" (want 1-65535)
+> REPLICAOF 127.0.0.1 0
+-ERR REPLICAOF: bad port "0" (want 1-65535)
+> REPLICAOF 127.0.0.1 65536
+-ERR REPLICAOF: bad port "65536" (want 1-65535)
+> ROLE
+*1
++role=primary replicas=0
+> SKETCH.INSERT h 1
+:1
+> SKETCH.CREATE w bloom bits=4096 window=1000 shards=3
++OK
+> SKETCH.LIST
+*2
++h kind=hll shards=8 window=65536 inserts=1 memory_kb=3.0
++w kind=bloom shards=3 window=999 inserts=0 memory_kb=0.5
+`},
 	{name: "slowlog",
 		cfg: func(t *testing.T) Config {
-			return Config{Listen: "127.0.0.1:0", SlowThreshold: time.Nanosecond,
+			return Config{SlowThreshold: time.Nanosecond,
 				Logger: slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError}))}
 		},
 		script: `
@@ -841,7 +876,7 @@ var transcripts = []transcript{
 `},
 	{name: "monitor",
 		cfg: func(t *testing.T) Config {
-			return Config{Listen: "127.0.0.1:0", TrafficSample: 1}
+			return Config{TrafficSample: 1}
 		},
 		hooks: map[string]func(*testing.T, *Server){
 			"subscribed": func(t *testing.T, s *Server) {
