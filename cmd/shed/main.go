@@ -75,7 +75,7 @@ func main() {
 	auditMaxKeys := flag.Int("audit-max-keys", 0, "cap on distinct shadowed keys per audited sketch (0 = default 65536)")
 	traceSample := flag.Int("trace-sample", 0, "request tracing: trace 1 in this many commands end to end (parse, mutate, WAL, fsync, replication, follower ack) and serve them via TRACE GET (0 = disabled; try 256. Adjustable at runtime with TRACE SAMPLE)")
 	trafficSample := flag.Int("traffic-sample", 0, "traffic self-telemetry: sample 1 in this many commands into per-sketch hot-key sketches and the MONITOR feed (0 = disabled; try 64)")
-	enablePprof := flag.Bool("pprof", false, "serve net/http/pprof on the -debug listener")
+	enablePprof := flag.Bool("pprof", false, "serve Go profiles at /debug/pprof/ on the -debug listener: CPU profile, execution trace and the named runtime profiles")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 	flag.Parse()
 

@@ -130,14 +130,14 @@
 //
 // # Observability
 //
-// The optional debug HTTP listener (Config.DebugListen / shed -debug)
-// serves three surfaces:
+// The optional debug listener (Config.DebugListen / shed -debug) serves
+// three GET pages through obs.Responder, not net/http, whose TLS, x509,
+// MIME and HTML kept 2.4 MiB of pages resident in every shed:
 //
 //	/metrics       Prometheus text exposition (format 0.0.4).
 //	/debug/vars    The same counters and per-sketch basics as JSON.
-//	/debug/pprof/  Go profiling endpoints, only with Config.EnablePprof
-//	               (shed -pprof) — profiling can stall the process, so
-//	               it is an explicit opt-in even on loopback.
+//	/debug/pprof/  obs.Pprof, only with Config.EnablePprof (shed -pprof):
+//	               profiling can stall the process.
 //
 // README.md's "Observability" section lists every metric family with
 // its type and meaning (TestMetricReference holds the table to what a

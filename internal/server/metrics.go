@@ -2,8 +2,8 @@ package server
 
 import (
 	"fmt"
+	"io"
 	"math"
-	"net/http"
 	"runtime"
 	"runtime/debug"
 	rtmetrics "runtime/metrics"
@@ -72,14 +72,13 @@ type counters struct {
 	WALTornBytes      obs.Counter `name:"wal_torn_bytes" help:"bytes of torn tail truncated at startup"`
 }
 
-// metricsHandler serves Prometheus text exposition (format version
-// 0.0.4) on the debug listener: operational counters, per-verb command
+// writeMetrics writes Prometheus text exposition (format version
+// 0.0.4) for the debug listener: operational counters, per-verb command
 // latency histograms, WAL fsync/checkpoint histograms, per-sketch SHE,
 // audit and hot-key samples and a few Go runtime numbers. The body is
 // rendered in full before it is written, so a slow scrape holds no
 // server locks while draining.
-func (s *Server) metricsHandler(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+func (s *Server) writeMetrics(w io.Writer) {
 	p := obs.NewPromWriter(w)
 
 	p.Gauge("she_uptime_seconds", time.Since(s.start).Seconds())

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -325,9 +326,9 @@ func TestReplicationSemiSyncRefusesLoad(t *testing.T) {
 }
 
 // TestReplicationResyncAfterPrimaryRestart: a primary restart
-// checkpoints away the log the follower's cursor points into, so
-// re-pointing the follower at the reborn primary must fall back to a
-// clean full resync and converge again.
+// checkpoints away the log the follower's cursor points into, so the
+// follower's reconnect to the reborn primary must fall back to a clean
+// full resync and converge again.
 func TestReplicationResyncAfterPrimaryRestart(t *testing.T) {
 	walDir := t.TempDir()
 	primary1 := startServer(t, Config{WALDir: walDir})
@@ -335,32 +336,26 @@ func TestReplicationResyncAfterPrimaryRestart(t *testing.T) {
 	pc.cmd("SKETCH.CREATE flows cm counters=65536 window=65536")
 	pc.cmd("SKETCH.INSERT flows before-restart")
 
-	follower := startServer(t, Config{
-		WALDir:    t.TempDir(),
-		ReplicaOf: primary1.Addr().String(),
-	})
+	follower := startFollower(t, t.TempDir(), primary1, 0)
 	fc := dial(t, follower.Addr().String())
 	eventually(t, "initial sync", func() bool {
 		return queryInt(fc, "SKETCH.QUERY flows before-restart") >= 1
 	})
 
-	// Graceful restart on the same WAL: the shutdown checkpoint
-	// truncates the log, so the follower's old cursor is gone.
-	primary1.Abort()
-	primary2 := startServer(t, Config{WALDir: walDir})
-	p2c := dial(t, primary2.Addr().String())
-	p2c.cmd("SKETCH.INSERT flows after-restart")
-
-	host, port := splitAddr(t, primary2.Addr().String())
-	if got := fc.cmd("REPLICAOF %s %s", host, port); got != "+OK" {
-		t.Fatalf("REPLICAOF = %q", got)
+	// Graceful restart on the same WAL and address: the shutdown
+	// checkpoint truncates the log, so the cursor the follower reconnects
+	// with is gone and it must full-resync.
+	if err := primary1.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
 	}
+	primary2 := startServer(t, Config{WALDir: walDir, Listen: primary1.Addr().String()})
+	dial(t, primary2.Addr().String()).cmd("SKETCH.INSERT flows after-restart")
 	eventually(t, "resync from reborn primary", func() bool {
 		return queryInt(fc, "SKETCH.QUERY flows after-restart") >= 1 &&
 			queryInt(fc, "SKETCH.QUERY flows before-restart") >= 1
 	})
 	role := strings.Join(fc.array("ROLE"), "\n")
-	if !strings.Contains(role, "full_syncs=1") && !strings.Contains(role, "full_syncs=2") {
+	if !strings.Contains(role, "full_syncs=2") {
 		t.Fatalf("follower ROLE after resync = %s", role)
 	}
 }

@@ -1,16 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,7 +72,7 @@ type Config struct {
 	// and the slow_commands_total counter (0 = slow-query logging
 	// disabled).
 	SlowThreshold time.Duration
-	// EnablePprof registers the net/http/pprof handlers on the debug
+	// EnablePprof serves /debug/pprof/ (obs.Pprof) on the debug
 	// listener (requires DebugListen). Off by default: profiling
 	// endpoints can stall the process and belong behind an explicit
 	// opt-in even on a loopback-only listener.
@@ -220,7 +220,7 @@ type Server struct {
 
 	ln        net.Listener
 	debugLn   net.Listener
-	debugSrv  *http.Server
+	debug     *obs.Responder
 	done      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
@@ -368,25 +368,7 @@ func (s *Server) Start() error {
 			return fmt.Errorf("server: debug listener: %w", err)
 		}
 		s.debugLn = dln
-		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/vars", s.debugVars)
-		mux.HandleFunc("/metrics", s.metricsHandler)
-		if s.cfg.EnablePprof {
-			// Registered explicitly on this mux rather than importing
-			// net/http/pprof for its DefaultServeMux side effect, so the
-			// profiler rides the debug listener only when asked to.
-			mux.HandleFunc("/debug/pprof/", pprof.Index)
-			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-			mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-			mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-			mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		}
-		s.debugSrv = &http.Server{Handler: mux}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.debugSrv.Serve(dln)
-		}()
+		s.debug = obs.Serve(dln, s.debugRoute)
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -469,8 +451,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.ln != nil {
 		s.ln.Close()
 	}
-	if s.debugSrv != nil {
-		s.debugSrv.Shutdown(ctx)
+	if s.debug != nil {
+		s.debug.Close()
 	}
 	// Unblock connections parked in a read; their loops notice s.done
 	// after answering whatever was in flight.
@@ -521,8 +503,8 @@ func (s *Server) Abort() {
 	if s.ln != nil {
 		s.ln.Close()
 	}
-	if s.debugSrv != nil {
-		s.debugSrv.Close()
+	if s.debug != nil {
+		s.debug.Close()
 	}
 	for _, c := range s.clients.Conns() {
 		c.Close()
@@ -558,14 +540,28 @@ func (s *Server) saveAutosaves() error {
 	return firstErr
 }
 
-// debugVars serves the operational counters as JSON — an
+// debugRoute answers the debug listener: /metrics, /debug/vars and,
+// with EnablePprof, /debug/pprof/.
+func (s *Server) debugRoute(ctx context.Context, path, query string, body *bytes.Buffer) (string, error) {
+	switch {
+	case path == "/metrics":
+		s.writeMetrics(body)
+		return "text/plain; version=0.0.4; charset=utf-8", nil
+	case path == "/debug/vars":
+		s.writeVars(body)
+		return "application/json", nil
+	case s.cfg.EnablePprof && strings.HasPrefix(path, "/debug/pprof/"):
+		return obs.Pprof(ctx, path, query, body)
+	}
+	return "", nil
+}
+
+// writeVars writes the operational counters as JSON — an
 // expvar-flavored snapshot of uptime, command rate, every counter, and
-// per-sketch stats. The Content-Type header is set before any body
-// byte (headers are frozen at the first Write), and the sketch listing
-// comes from one consistent Registry.List capture, so a concurrent
-// CREATE/DROP can't make the response contradict itself.
-func (s *Server) debugVars(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
+// per-sketch stats. The sketch listing comes from one consistent
+// Registry.List capture, so a concurrent CREATE/DROP can't make the
+// response contradict itself.
+func (s *Server) writeVars(w io.Writer) {
 	type sketchInfo struct {
 		Kind       string `json:"kind"`
 		Shards     int    `json:"shards"`

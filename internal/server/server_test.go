@@ -104,16 +104,20 @@ func dial(t *testing.T, addr string) *client {
 // try sends one command and returns its reply line; ok=false means the
 // connection died before a reply arrived, which is never an ack.
 func (c *client) try(cmd string) (string, bool) {
-	c.conn.SetDeadline(time.Now().Add(5 * time.Second))
-	defer c.conn.SetDeadline(time.Time{})
 	if _, err := fmt.Fprintf(c.conn, "%s\n", cmd); err != nil {
 		return "", false
 	}
+	return c.line()
+}
+
+// line reads one reply line; ok=false means the connection died or sent
+// nothing for 10 s, so a node that stops answering fails one test
+// instead of hanging the package.
+func (c *client) line() (string, bool) {
+	c.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	defer c.conn.SetReadDeadline(time.Time{})
 	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", false
-	}
-	return strings.TrimRight(line, "\r\n"), true
+	return strings.TrimRight(line, "\r\n"), err == nil
 }
 
 // must sends one command and fails the test unless the reply is want.
@@ -133,11 +137,11 @@ func (c *client) send(format string, args ...any) {
 
 func (c *client) recv() string {
 	c.t.Helper()
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		c.t.Fatalf("recv: %v (got %q)", err, line)
+	line, ok := c.line()
+	if !ok {
+		c.t.Fatalf("recv: connection closed or silent (got %q)", line)
 	}
-	return strings.TrimRight(line, "\r\n")
+	return line
 }
 
 // cmd sends one command and returns its one-line reply.

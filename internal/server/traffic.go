@@ -220,7 +220,7 @@ func (c *conn) cmdMonitor(Command) error {
 
 // writeTrafficMetrics renders the she_traffic_* families: sampler
 // state, client accounting totals and MONITOR health. The she_hotkeys_*
-// samples are written at each sketch's visit in metricsHandler.
+// samples are written at each sketch's visit in writeMetrics.
 func (s *Server) writeTrafficMetrics(p *obs.PromWriter) {
 	bytesIn, bytesOut, monitors := s.clients.Totals()
 	p.Gauge("she_traffic_sample_every", float64(s.sample.Traffic.Every()))

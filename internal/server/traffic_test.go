@@ -427,45 +427,40 @@ func TestTrafficChurnRace(t *testing.T) {
 	admin := dial(t, s.Addr().String())
 	admin.cmd("SKETCH.CREATE fx cm counters=65536 window=65536 shards=4")
 
+	// Off the test's goroutine a failure is t.Error, and it ends the
+	// goroutine.
 	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
+	churn := func(conns, cmds int, cmd func(i int) string) {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			conn := dialRaw(t, s.Addr().String())
-			defer conn.conn.Close()
-			for i := 0; i < 300; i++ {
-				conn.send("SKETCH.INSERT fx %d", i)
-				conn.recv()
+			for k := 0; k < conns; k++ {
+				c := dialRaw(t, s.Addr().String())
+				if c == nil {
+					return
+				}
+				for i := 0; i < cmds; i++ {
+					head, ok := c.try(cmd(i))
+					var n int
+					fmt.Sscanf(head, "*%d", &n)
+					for j := 0; ok && j < n; j++ {
+						_, ok = c.line()
+					}
+					if !ok {
+						t.Errorf("%s: no reply", cmd(i))
+						break
+					}
+				}
+				time.Sleep(time.Millisecond)
+				c.conn.Close()
 			}
-		}(g)
+		}()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		conn := dialRaw(t, s.Addr().String())
-		defer conn.conn.Close()
-		for i := 0; i < 100; i++ {
-			conn.send("CLIENT LIST")
-			head := conn.recv()
-			var n int
-			fmt.Sscanf(head, "*%d", &n)
-			for j := 0; j < n; j++ {
-				conn.recv()
-			}
-		}
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 20; i++ {
-			mon := dialRaw(t, s.Addr().String())
-			mon.send("MONITOR")
-			mon.recv() // +OK
-			time.Sleep(time.Millisecond)
-			mon.conn.Close()
-		}
-	}()
+	for g := 0; g < 3; g++ {
+		churn(1, 300, func(i int) string { return fmt.Sprintf("SKETCH.INSERT fx %d", i) })
+	}
+	churn(1, 100, func(int) string { return "CLIENT LIST" })
+	churn(20, 1, func(int) string { return "MONITOR" })
 	wg.Wait()
 	if got := admin.cmd("PING"); got != "+PONG" {
 		t.Fatalf("server unhealthy after churn: %q", got)
